@@ -197,6 +197,15 @@ impl<'a> SimulationBuilder<'a> {
         let host = self
             .host
             .ok_or_else(|| Error::Config("no host: call .on(&host)".into()))?;
+        // Placement embeds the guest along a spanning tree of the host and
+        // routing needs a path from every consumer to a holder, so a split
+        // host is rejected here, before either can fail on it.
+        if !host.is_connected() {
+            return Err(Error::InvalidConfig {
+                option: "host",
+                reason: format!("the {}-node host is disconnected", host.num_nodes()),
+            });
+        }
         if let Some(costs) = &self.compute_costs {
             if costs.len() as u32 != host.num_nodes() {
                 return Err(Error::Config(format!(
@@ -475,6 +484,28 @@ mod tests {
         let (guest, _) = lab();
         let err = Simulation::of(&guest).build().unwrap_err();
         assert!(matches!(err, Error::Config(_)), "{err}");
+    }
+
+    #[test]
+    fn disconnected_host_is_invalid_config() {
+        // Pinned regression: a two-component host used to panic in the
+        // spanning-tree embedding ("graph is disconnected") under Blocked.
+        let (guest, _) = lab();
+        let mut host = HostGraph::new("split", 4);
+        host.add_link(0, 1, 1);
+        host.add_link(2, 3, 1);
+        for strategy in [Strategy::Blocked, Strategy::Auto] {
+            let err = Simulation::of(&guest)
+                .on(&host)
+                .strategy(strategy)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidConfig { option: "host", .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("disconnected"), "{err}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use overlap_core::{EngineKind, ScenarioSpec, Strategy};
 use overlap_daemon::{Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore, Status};
 use overlap_model::{GuestSpec, ProgramKind};
 use overlap_net::topology::linear_array;
-use overlap_net::DelayModel;
+use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::faults::FaultPlan;
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,6 +19,18 @@ fn spec(cells: u32, steps: u32) -> ScenarioSpec {
         linear_array(8, DelayModel::uniform(1, 6), 7),
     );
     s.strategy = Strategy::Overlap { c: 4.0 };
+    s
+}
+
+/// Blocked placement on a host split into two 4-processor lines.
+fn split_host_spec() -> ScenarioSpec {
+    let mut host = HostGraph::new("split", 8);
+    for (a, b) in [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)] {
+        host.add_link(a, b, 2);
+    }
+    let mut s = spec(16, 16);
+    s.host = host;
+    s.strategy = Strategy::Blocked;
     s
 }
 
@@ -207,6 +219,10 @@ fn invalid_scenarios_are_rejected_at_submission() {
         daemon.submit(traced_lockstep),
         Err(overlap_core::Error::Unsupported { .. })
     ));
+    assert!(matches!(
+        daemon.submit(split_host_spec()),
+        Err(overlap_core::Error::InvalidConfig { option: "host", .. })
+    ));
     daemon.shutdown();
 }
 
@@ -280,6 +296,17 @@ fn http_round_trip() {
         }
         other => panic!("expected 400, got {other:?}"),
     }
+    // A disconnected host used to panic the connection thread inside
+    // placement; it is a typed 400 naming the host, and the daemon stays up.
+    match client.submit(&split_host_spec()) {
+        Err(overlap_daemon::ClientError::Api { status, message }) => {
+            assert_eq!(status, 400);
+            assert!(message.contains("host"), "{message}");
+            assert!(message.contains("disconnected"), "{message}");
+        }
+        other => panic!("expected 400, got {other:?}"),
+    }
+    assert_eq!(client.cache().unwrap().misses, 1);
     client.shutdown().expect("shutdown");
     assert!(daemon.is_shut_down());
     server.stop();

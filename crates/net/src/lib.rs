@@ -34,4 +34,4 @@ pub use delays::DelayModel;
 pub use embed::{embed_linear_array, LineEmbedding};
 pub use graph::{Delay, HostGraph, Link, NodeId};
 pub use metrics::DelayStats;
-pub use paths::{dijkstra, shortest_path, PathResult};
+pub use paths::{dijkstra, shortest_path, PathResult, Search};

@@ -11,8 +11,7 @@
 use crate::assignment::Assignment;
 use crate::routing::RoutingTable;
 use overlap_model::GuestTopology;
-use overlap_net::paths::dijkstra;
-use overlap_net::{HostGraph, NodeId};
+use overlap_net::{HostGraph, NodeId, Search};
 use std::collections::HashMap;
 
 /// One multicast tree: all subscribers of `cell` served by `source`.
@@ -70,27 +69,52 @@ impl MulticastTable {
     ) -> Self {
         let unicast = RoutingTable::build_with(host, assign, dep_cells_of);
         let n = host.num_nodes();
-        // Group subscribers by (source, cell).
-        let mut groups: HashMap<(NodeId, u32), Vec<NodeId>> = HashMap::new();
-        for sub in &unicast.subs {
-            groups
-                .entry((sub.source, sub.cell))
-                .or_default()
-                .push(sub.dest);
+        // Group subscribers by (source, cell), dests in subscription order.
+        let mut subs: Vec<(NodeId, u32, NodeId)> = unicast
+            .subs
+            .iter()
+            .map(|s| (s.source, s.cell, s.dest))
+            .collect();
+        subs.sort_by_key(|&(source, cell, _)| (source, cell));
+        let mut groups: Vec<((NodeId, u32), Vec<NodeId>)> = Vec::new();
+        for (source, cell, dest) in subs {
+            match groups.last_mut() {
+                Some((key, dests)) if *key == (source, cell) => dests.push(dest),
+                _ => groups.push(((source, cell), vec![dest])),
+            }
         }
-        let mut keys: Vec<(NodeId, u32)> = groups.keys().copied().collect();
-        keys.sort_unstable();
 
-        let mut trees = Vec::with_capacity(keys.len());
+        let mut trees = Vec::with_capacity(groups.len());
         let mut outbound = vec![Vec::new(); n as usize];
         let mut inbound = vec![Vec::new(); n as usize];
-        // Cache Dijkstra per source.
-        let mut sp_cache: HashMap<NodeId, overlap_net::paths::PathResult> = HashMap::new();
-        for (source, cell) in keys {
-            let dests = &groups[&(source, cell)];
-            let sp = sp_cache
-                .entry(source)
-                .or_insert_with(|| dijkstra(host, source));
+        // One early-exit search per source, stopped once every subscriber of
+        // its groups is settled: settled nodes' parents are final, so the
+        // trees below match those of a full search.
+        let mut search = Search::new(host);
+        let mut unsettled = vec![false; n as usize];
+        for (g, ((source, cell), dests)) in groups.iter().enumerate() {
+            let (source, cell) = (*source, *cell);
+            if g == 0 || groups[g - 1].0 .0 != source {
+                // First group of this source: search until the subscribers
+                // of all its groups are settled.
+                let mut open = 0;
+                let run = groups[g..].iter().take_while(|((s, _), _)| *s == source);
+                for &d in run.flat_map(|(_, ds)| ds) {
+                    if !unsettled[d as usize] {
+                        unsettled[d as usize] = true;
+                        open += 1;
+                    }
+                }
+                search.start(source);
+                while open > 0 {
+                    let v = search.settle_next().expect("subscriber reachable");
+                    if unsettled[v as usize] {
+                        unsettled[v as usize] = false;
+                        open -= 1;
+                    }
+                }
+            }
+            let sp = search.paths();
             // Union of shortest paths source → dest forms a tree (each node
             // keeps its unique Dijkstra parent).
             let mut index_of: HashMap<NodeId, u32> = HashMap::new();

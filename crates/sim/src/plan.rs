@@ -161,18 +161,17 @@ impl Hot {
         // Directed link ids: forward 2i, reverse 2i+1, in host.links()
         // order. Jitter phases depend on the id, so this order is part of
         // the determinism contract with the classic engine.
-        let mut link_ids: HashMap<(NodeId, NodeId), u32> = HashMap::new();
         let mut link_delay: Vec<Delay> = Vec::new();
         let mut link_src: Vec<NodeId> = Vec::new();
         let mut link_dst: Vec<NodeId> = Vec::new();
         for l in host.links() {
             for (u, v) in [(l.a, l.b), (l.b, l.a)] {
-                link_ids.insert((u, v), link_delay.len() as u32);
                 link_delay.push(l.delay);
                 link_src.push(u);
                 link_dst.push(v);
             }
         }
+        let link_id = LinkIndex::new(n, &link_src, &link_dst);
 
         // Per-processor dependency tables.
         let mut procs: Vec<ProcTables> = Vec::with_capacity(n as usize);
@@ -335,15 +334,18 @@ impl Hot {
         if let Routes::Unicast(rt) = routes {
             for sub in &rt.subs {
                 for w in sub.path.windows(2) {
-                    sub_links.push(link_ids[&(w[0], w[1])]);
+                    sub_links.push(link_id.get(w[0], w[1]));
                 }
                 sub_link_off.push(sub_links.len() as u32);
                 sub_dest.push(sub.dest);
-                let k = rt.inbound[sub.dest as usize]
-                    .iter()
-                    .position(|&(c, _)| c == sub.cell)
-                    .expect("subscription registered inbound");
-                sub_dest_dep.push(k as u32);
+            }
+            // A subscription's dep index is its position in its consumer's
+            // inbound list.
+            sub_dest_dep = vec![u32::MAX; rt.subs.len()];
+            for inb in &rt.inbound {
+                for (k, &(_, sid)) in inb.iter().enumerate() {
+                    sub_dest_dep[sid as usize] = k as u32;
+                }
             }
         }
 
@@ -351,13 +353,14 @@ impl Hot {
         let mut tree_edge_lid: Vec<Vec<u32>> = Vec::new();
         let mut tree_deliver_dep: Vec<Vec<u32>> = Vec::new();
         if let Routes::Multicast(mt) = routes {
-            for t in &mt.trees {
+            for (tid, t) in mt.trees.iter().enumerate() {
                 let mut lids = vec![u32::MAX; t.nodes.len()];
                 for (v, &pa) in t.parent.iter().enumerate() {
                     if pa != u32::MAX {
-                        lids[v] = link_ids[&(t.nodes[pa as usize], t.nodes[v])];
+                        lids[v] = link_id.get(t.nodes[pa as usize], t.nodes[v]);
                     }
                 }
+                // Inbound lists are sorted and hold one entry per cell.
                 let deliver_dep = t
                     .nodes
                     .iter()
@@ -365,8 +368,7 @@ impl Hot {
                     .map(|(&v, &del)| {
                         if del {
                             mt.inbound[v as usize]
-                                .iter()
-                                .position(|&(c, _)| c == t.cell)
+                                .binary_search(&(t.cell, tid as u32))
                                 .expect("delivery registered inbound")
                                 as u32
                         } else {
@@ -394,6 +396,34 @@ impl Hot {
             tree_edge_lid,
             tree_deliver_dep,
         }
+    }
+}
+
+/// Directed link ids by endpoint: `out[u]` holds `(v, id)` for every link
+/// `u → v`, sorted by `v`.
+struct LinkIndex {
+    out: Vec<Vec<(NodeId, u32)>>,
+}
+
+impl LinkIndex {
+    fn new(n: u32, link_src: &[NodeId], link_dst: &[NodeId]) -> Self {
+        let mut out = vec![Vec::new(); n as usize];
+        for (id, (&u, &v)) in link_src.iter().zip(link_dst).enumerate() {
+            out[u as usize].push((v, id as u32));
+        }
+        for links in &mut out {
+            links.sort_unstable();
+        }
+        Self { out }
+    }
+
+    /// Id of the directed link `u → v`.
+    fn get(&self, u: NodeId, v: NodeId) -> u32 {
+        let out = &self.out[u as usize];
+        let i = out
+            .binary_search_by_key(&v, |&(w, _)| w)
+            .expect("route hop is a host link");
+        out[i].1
     }
 }
 
@@ -874,6 +904,53 @@ mod tests {
             linear_array(4, DelayModel::uniform(1, 7), 5),
             Assignment::blocked(4, 12),
         )
+    }
+
+    #[test]
+    fn interned_link_and_dep_ids_match_direct_lookups() {
+        // Redundant overlapping blocks on a mesh: many routes, multi-hop
+        // paths and shared multicast trees.
+        let guest = GuestSpec::array(32, ProgramKind::KvWorkload, 3, 4);
+        let host = overlap_net::topology::mesh2d(4, 4, DelayModel::uniform(1, 7), 9);
+        let cells_of = (0..16u32)
+            .map(|p| (2 * p..(2 * p + 3).min(32)).collect())
+            .collect();
+        let assign = Assignment::from_cells_of(16, 32, cells_of);
+        let mut ids: HashMap<(NodeId, NodeId), u32> = HashMap::new();
+        for (i, l) in host.links().iter().enumerate() {
+            ids.insert((l.a, l.b), 2 * i as u32);
+            ids.insert((l.b, l.a), 2 * i as u32 + 1);
+        }
+        let dep_pos = |inbound: &[(u32, u32)], cell: u32| {
+            inbound.iter().position(|&(c, _)| c == cell).unwrap() as u32
+        };
+        let uni = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
+        let rt = uni.routing().unwrap();
+        let (mut links, mut deps) = (Vec::new(), Vec::new());
+        for s in &rt.subs {
+            links.extend(s.path.windows(2).map(|w| ids[&(w[0], w[1])]));
+            deps.push(dep_pos(&rt.inbound[s.dest as usize], s.cell));
+        }
+        assert!(links.len() > rt.subs.len(), "want multi-hop routes");
+        assert_eq!(uni.hot.sub_links, links);
+        assert_eq!(uni.hot.sub_dest_dep, deps);
+        let mc_cfg = EngineConfig {
+            multicast: true,
+            ..Default::default()
+        };
+        let mc = ExecPlan::build(&guest, &host, &assign, mc_cfg).unwrap();
+        let Routes::Multicast(mt) = &mc.routes else {
+            unreachable!()
+        };
+        for (tid, t) in mt.trees.iter().enumerate() {
+            for (v, &pa) in t.parent.iter().enumerate() {
+                let node = t.nodes[v];
+                let want = (pa != u32::MAX).then(|| ids[&(t.nodes[pa as usize], node)]);
+                assert_eq!(mc.hot.tree_edge_lid[tid][v], want.unwrap_or(u32::MAX));
+                let want = t.deliver[v].then(|| dep_pos(&mt.inbound[node as usize], t.cell));
+                assert_eq!(mc.hot.tree_deliver_dep[tid][v], want.unwrap_or(u32::MAX));
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //! This mirrors the paper's simulations, where interval endpoints exchange
 //! boundary columns with the nearest processors of the adjacent interval
 //! (§3.2), generalized to arbitrary hosts.
+//!
+//! The table is built with one early-exit search per consumer: a shortest-
+//! path search from the consumer that stops once every one of its
+//! dependency columns has had a holder settled (DESIGN.md §11.1). The result
+//! equals what full per-consumer Dijkstra searches would choose.
 
 use crate::assignment::Assignment;
 use overlap_model::GuestTopology;
-use overlap_net::paths::dijkstra;
-use overlap_net::{HostGraph, NodeId};
+use overlap_net::{HostGraph, NodeId, Search};
 use std::collections::BTreeSet;
 
 /// One column subscription: `source` computes column `cell` and streams its
@@ -56,8 +60,8 @@ impl RoutingTable {
     ///
     /// # Panics
     /// If some dependency column has no holder anywhere (incomplete
-    /// assignment) or the host is disconnected between consumer and every
-    /// holder.
+    /// assignment) or the host is disconnected between a consumer and every
+    /// holder of one of its columns.
     pub fn build(host: &HostGraph, topo: &GuestTopology, assign: &Assignment) -> Self {
         Self::build_with(host, assign, |c| topo.neighbours(c))
     }
@@ -77,6 +81,11 @@ impl RoutingTable {
         let mut subs: Vec<Subscription> = Vec::new();
         let mut outbound = vec![Vec::new(); n as usize];
         let mut inbound = vec![Vec::new(); n as usize];
+        let mut search = Search::new(host);
+        // Per consumer: `(holder, dep index)` pairs sorted by holder, and the
+        // chosen holder of each dependency column (`u32::MAX` = open).
+        let mut wanted: Vec<(NodeId, u32)> = Vec::new();
+        let mut best: Vec<NodeId> = Vec::new();
 
         for p in 0..n {
             let own = assign.cells_of(p);
@@ -96,35 +105,51 @@ impl RoutingTable {
             if dep_cells.is_empty() {
                 continue;
             }
-            // One Dijkstra from the consumer serves all its columns
-            // (undirected graph: dist symmetric, reversed path valid).
-            let sp = dijkstra(host, p);
-            for c in dep_cells {
+            wanted.clear();
+            for (k, &c) in dep_cells.iter().enumerate() {
                 let holders = assign.holders(c);
                 assert!(
                     !holders.is_empty(),
                     "column {c} needed by processor {p} has no holder"
                 );
-                let &best = holders
-                    .iter()
-                    .min_by_key(|&&q| (sp.dist[q as usize], q))
-                    .expect("non-empty");
-                let delay = sp.dist[best as usize];
+                wanted.extend(holders.iter().map(|&q| (q, k as u32)));
+            }
+            wanted.sort_unstable();
+            best.clear();
+            best.resize(dep_cells.len(), u32::MAX);
+            // One early-exit search from the consumer serves all its columns
+            // (undirected graph: dist symmetric, reversed path valid). Nodes
+            // settle in `(dist, id)` order, so the first settled holder of a
+            // column is its nearest, lowest-id one; stop once all are found.
+            let mut open = dep_cells.len();
+            search.start(p);
+            while open > 0 {
+                let Some(v) = search.settle_next() else { break };
+                let from = wanted.partition_point(|&(q, _)| q < v);
+                for &(_, k) in wanted[from..].iter().take_while(|&&(q, _)| q == v) {
+                    if best[k as usize] == u32::MAX {
+                        best[k as usize] = v;
+                        open -= 1;
+                    }
+                }
+            }
+            let sp = search.paths();
+            for (&c, &source) in dep_cells.iter().zip(&best) {
                 assert!(
-                    delay != u64::MAX,
-                    "no route from processor {p} to holder {best} of column {c}"
+                    source != u32::MAX,
+                    "no route from processor {p} to any holder of column {c}"
                 );
-                let mut path = sp.path_to(best).expect("reachable");
+                let mut path = sp.path_to(source).expect("settled");
                 path.reverse(); // source → dest
                 let id = subs.len() as u32;
                 subs.push(Subscription {
                     cell: c,
-                    source: best,
+                    source,
                     dest: p,
                     path,
-                    delay,
+                    delay: sp.dist[source as usize],
                 });
-                outbound[best as usize].push(id);
+                outbound[source as usize].push(id);
                 inbound[p as usize].push((c, id));
             }
         }
