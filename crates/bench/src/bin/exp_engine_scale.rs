@@ -1,11 +1,10 @@
-//! ENGINE — calendar-queue engine throughput vs the classic heap engine,
-//! plus the sharded-engine thread sweep.
+//! ENGINE — calendar-queue engine throughput vs the classic heap engine.
 //! Writes `BENCH_engine.json` at the workspace root.
 //! Usage: `cargo run --release --bin exp_engine_scale [--quick | --gate]`
 //!
 //! `--gate` runs the CI smoke perf gate instead of the sweep: one
-//! mid-size tier, failing (exit 1) if the sequential or sharded engine
-//! regresses more than 30% below the checked-in floor in
+//! mid-size tier plus a task-graph tier, failing (exit 1) if the event
+//! engine regresses more than 30% below the checked-in floor in
 //! `BENCH_engine_floor.json`, if the plan-reuse or delta-sweep speedups
 //! fall below the ratio floors in `BENCH_plan_floor.json`, or if the
 //! deterministic task-graph grid exceeds the makespan ceilings in

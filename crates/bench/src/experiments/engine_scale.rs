@@ -1,19 +1,16 @@
 //! Engine-scale benchmark: events/sec of the calendar-queue engine vs the
-//! frozen classic heap engine, plus a thread-count sweep of the sharded
-//! conservative-parallel engine, across growing scenario sizes.
+//! frozen classic heap engine across growing scenario sizes.
 //!
 //! The outcomes are asserted bit-identical before timing, so every
 //! speedup is a pure implementation delta. Results land in the usual
 //! markdown table **and** in `BENCH_engine.json` at the workspace root:
-//! per scale, events/sec for the sequential engines and for the sharded
-//! engine at each thread count, the makespan, and the peak event-queue
-//! depth. The JSON also records the host's core count — sharded scaling
-//! numbers are meaningless without it.
+//! per scale, events/sec for both engines, the makespan, and the peak
+//! event-queue depth, plus the host's core count.
 //!
 //! [`gate`] is the CI smoke perf gate (first slice of the regression-gate
 //! roadmap item): it re-measures one mid-size tier plus a task-graph
 //! tier (a non-uniform DAG guest through the dynamic-table event path)
-//! and fails if the sequential, sharded, or task-graph throughput drops
+//! and fails if the grid-tier or task-graph event throughput drops
 //! more than 30% below the checked-in floor in `BENCH_engine_floor.json`.
 //! It also re-measures the plan-reuse and delta-sweep speedups against
 //! the ratio floors in `BENCH_plan_floor.json`, replays the quick
@@ -31,19 +28,8 @@ use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
 use overlap_sim::engine::{Engine, EngineConfig, RunOutcome};
 use overlap_sim::engine_classic::run_classic;
-use overlap_sim::{run_sharded, Assignment, ExecPlan};
+use overlap_sim::{Assignment, ExecPlan};
 use std::time::Instant;
-
-/// Thread counts swept for the sharded engine at every scale.
-pub const THREAD_SWEEP: &[usize] = &[1, 2, 4, 8];
-
-/// Sharded-engine throughput at one thread count.
-pub struct ShardedPoint {
-    /// Worker threads (= shards).
-    pub threads: usize,
-    /// Events per second.
-    pub events_per_sec: f64,
-}
 
 /// One measured scale.
 pub struct ScaleResult {
@@ -63,23 +49,12 @@ pub struct ScaleResult {
     pub events_per_sec: f64,
     /// Classic heap engine throughput, events per second (the baseline).
     pub classic_events_per_sec: f64,
-    /// Sharded-engine throughput per swept thread count.
-    pub sharded: Vec<ShardedPoint>,
 }
 
 impl ScaleResult {
     /// Calendar throughput over classic throughput.
     pub fn speedup(&self) -> f64 {
         self.events_per_sec / self.classic_events_per_sec
-    }
-
-    /// Sharded throughput at `threads` over the sequential calendar
-    /// engine — the parallel-scaling curve.
-    pub fn sharded_speedup(&self, threads: usize) -> Option<f64> {
-        self.sharded
-            .iter()
-            .find(|p| p.threads == threads)
-            .map(|p| p.events_per_sec / self.events_per_sec)
     }
 }
 
@@ -125,19 +100,13 @@ pub fn measure(scale: Scale) -> Vec<ScaleResult> {
 fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
     let (guest, host, assign) = scenario(procs, cells, steps);
     let cfg = EngineConfig::default();
-    // Lower once; every engine consumes the shared plan (classic excepted —
-    // it predates the plan and rebuilds internally, part of its baseline).
+    // Lower once (classic excepted — it predates the plan and rebuilds
+    // internally, part of its baseline).
     let plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("lower");
     let run_new = || -> RunOutcome { Engine::from_plan(&plan).run().expect("run") };
     let run_old = || -> RunOutcome { run_classic(&guest, &host, &assign, cfg, None).expect("run") };
     let out = run_new();
     assert_eq!(out, run_old(), "engines diverge at {procs}x{cells}x{steps}");
-    // Identity first, timing after: the sharded engine must match bit for
-    // bit at every thread count, peak_queue_depth included.
-    for &t in THREAD_SWEEP {
-        let sh = run_sharded(&plan, t).expect("sharded run");
-        assert_eq!(sh, out, "sharded({t}) diverges at {procs}x{cells}x{steps}");
-    }
     // Keep the giant tiers affordable: above a million events per run the
     // best-of window shrinks to 2.
     let reps = if out.stats.events_processed > 1_000_000 {
@@ -148,16 +117,6 @@ fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
     let events = out.stats.events_processed;
     let t_new = time_best(reps, run_new);
     let t_old = time_best(reps, run_old);
-    let sharded = THREAD_SWEEP
-        .iter()
-        .map(|&t| {
-            let dt = time_best(reps, || run_sharded(&plan, t).expect("sharded run"));
-            ShardedPoint {
-                threads: t,
-                events_per_sec: events as f64 / dt,
-            }
-        })
-        .collect();
     ScaleResult {
         procs,
         cells,
@@ -167,7 +126,6 @@ fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
         peak_queue_depth: out.stats.peak_queue_depth,
         events_per_sec: events as f64 / t_new,
         classic_events_per_sec: events as f64 / t_old,
-        sharded,
     }
 }
 
@@ -184,20 +142,8 @@ pub fn to_json(results: &[ScaleResult]) -> String {
         host_cores()
     );
     for (i, r) in results.iter().enumerate() {
-        let sharded: Vec<String> = r
-            .sharded
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"threads\": {}, \"events_per_sec\": {:.0}, \"speedup_vs_event\": {:.2}}}",
-                    p.threads,
-                    p.events_per_sec,
-                    p.events_per_sec / r.events_per_sec
-                )
-            })
-            .collect();
         out.push_str(&format!(
-            "    {{\"procs\": {}, \"cells\": {}, \"steps\": {}, \"events\": {}, \"makespan\": {}, \"peak_queue_depth\": {}, \"events_per_sec\": {:.0}, \"classic_events_per_sec\": {:.0}, \"speedup\": {:.2}, \"sharded\": [{}]}}{}\n",
+            "    {{\"procs\": {}, \"cells\": {}, \"steps\": {}, \"events\": {}, \"makespan\": {}, \"peak_queue_depth\": {}, \"events_per_sec\": {:.0}, \"classic_events_per_sec\": {:.0}, \"speedup\": {:.2}}}{}\n",
             r.procs,
             r.cells,
             r.steps,
@@ -207,7 +153,6 @@ pub fn to_json(results: &[ScaleResult]) -> String {
             r.events_per_sec,
             r.classic_events_per_sec,
             r.speedup(),
-            sharded.join(", "),
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
@@ -223,7 +168,7 @@ pub fn run(scale: Scale) -> Table {
     std::fs::write(&path, &json).expect("write BENCH_engine.json");
 
     let mut t = Table::new(
-        "ENGINE · calendar-queue vs classic heap vs sharded parallel",
+        "ENGINE · calendar-queue vs classic heap",
         &[
             "procs",
             "cells",
@@ -231,16 +176,10 @@ pub fn run(scale: Scale) -> Table {
             "peak queue",
             "events/s (event)",
             "events/s (classic)",
-            "events/s sharded 1/2/4/8",
-            "speedup@8",
+            "speedup",
         ],
     );
     for r in &results {
-        let sweep: Vec<String> = r
-            .sharded
-            .iter()
-            .map(|p| format!("{:.2}M", p.events_per_sec / 1e6))
-            .collect();
         t.row(vec![
             r.procs.to_string(),
             r.cells.to_string(),
@@ -248,15 +187,13 @@ pub fn run(scale: Scale) -> Table {
             r.peak_queue_depth.to_string(),
             format!("{:.0}", r.events_per_sec),
             format!("{:.0}", r.classic_events_per_sec),
-            sweep.join("/"),
-            format!("{:.2}x", r.sharded_speedup(8).unwrap_or(0.0)),
+            format!("{:.2}x", r.speedup()),
         ]);
     }
     t.note(format!(
         "outcomes are asserted bit-identical before timing, peak_queue_depth included; \
-         speedup@8 is sharded-at-8-threads over the sequential \
-         calendar engine, measured on a {}-core host — expect ~1x or below on a single core, \
-         where only the window batching can help. JSON copy written to BENCH_engine.json.",
+         speedup is the calendar engine over the classic heap engine, measured on a \
+         {}-core host. JSON copy written to BENCH_engine.json.",
         host_cores()
     ));
     t
@@ -276,8 +213,7 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 /// The gate's task-graph tier: a non-uniform layered-random DAG guest,
 /// which forces the event engine down the dynamic per-(cell,step) table
 /// path instead of the static uniform tables the grid tier exercises.
-/// Asserts event/sharded bit-agreement first, then returns events/sec of
-/// the sequential event engine.
+/// Returns events/sec of the event engine.
 fn measure_taskgraph_tier(reps: u32) -> f64 {
     let guest = GuestSpec::dag(
         TaskGraph::layered_random(256, 32, 2, 3, 7),
@@ -288,10 +224,8 @@ fn measure_taskgraph_tier(reps: u32) -> f64 {
     let assign = Assignment::blocked(64, guest.topology.num_cells());
     let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).expect("lower");
     let run = || -> RunOutcome { Engine::from_plan(&plan).run().expect("run") };
-    let out = run();
-    let sh = run_sharded(&plan, 2).expect("sharded run");
-    assert_eq!(sh, out, "sharded diverges on the task-graph gate tier");
-    out.stats.events_processed as f64 / time_best(reps, run)
+    let events = run().stats.events_processed;
+    events as f64 / time_best(reps, run)
 }
 
 /// The gate's mirror of the criterion micro-benches: one representative
@@ -378,7 +312,7 @@ fn floor_field(file: &str, key: &str) -> Result<f64, String> {
 }
 
 /// CI smoke perf gate: re-measure the mid Quick tier plus the task-graph
-/// tier and fail if the sequential, sharded, or task-graph throughput
+/// tier and fail if the grid-tier or task-graph event throughput
 /// regresses more than 30% below the floor checked in at
 /// `BENCH_engine_floor.json`. Also enforces the machine-independent
 /// floors in `BENCH_plan_floor.json` (plan-reuse and delta-sweep speedup
@@ -396,24 +330,15 @@ pub fn gate() -> Result<String, String> {
         .map_err(|e| format!("cannot read {}: {e}", floor_path.display()))?;
     let f_event = json_number(&floor, "event_events_per_sec")
         .ok_or("floor file missing event_events_per_sec")?;
-    let f_sharded = json_number(&floor, "sharded_events_per_sec")
-        .ok_or("floor file missing sharded_events_per_sec")?;
     let f_taskgraph = json_number(&floor, "taskgraph_events_per_sec")
         .ok_or("floor file missing taskgraph_events_per_sec")?;
 
     let r = measure_tier(64, 256, 32, 3);
     let taskgraph = measure_taskgraph_tier(3);
-    let sharded = r
-        .sharded
-        .iter()
-        .find(|p| p.threads == 2)
-        .map(|p| p.events_per_sec)
-        .ok_or("no sharded@2 measurement")?;
 
     let mut violations = Vec::new();
     for (name, got, floor) in [
         ("event", r.events_per_sec, f_event),
-        ("sharded@2", sharded, f_sharded),
         ("task-graph", taskgraph, f_taskgraph),
     ] {
         if got < floor * 0.70 {
@@ -486,14 +411,12 @@ pub fn gate() -> Result<String, String> {
 
     if violations.is_empty() {
         Ok(format!(
-            "perf gate OK: event {:.0} events/s (floor {:.0}), sharded@2 {:.0} events/s (floor {:.0}), task-graph {:.0} events/s (floor {:.0}), tolerance 30%; \
+            "perf gate OK: event {:.0} events/s (floor {:.0}), task-graph {:.0} events/s (floor {:.0}), tolerance 30%; \
              plan reuse {best_reuse:.2}x (floor {f_reuse:.2}x), delta sweep {:.2}x (floor {f_delta:.2}x); \
              task-graph grid {} cases all validated, total makespan {total_span} (ceiling {}); \
              micro {}",
             r.events_per_sec,
             f_event,
-            sharded,
-            f_sharded,
             taskgraph,
             f_taskgraph,
             delta.speedup(),
@@ -517,14 +440,10 @@ mod tests {
         let json = to_json(&results);
         assert!(json.contains("\"events_per_sec\""));
         assert!(json.contains("\"host_cores\""));
-        assert!(json.contains("\"sharded\""));
         assert_eq!(json.matches("{\"procs\"").count(), results.len());
         for r in &results {
             assert!(r.events > 0 && r.events_per_sec > 0.0);
-            assert_eq!(r.sharded.len(), THREAD_SWEEP.len());
-            for p in &r.sharded {
-                assert!(p.events_per_sec > 0.0);
-            }
+            assert!(r.classic_events_per_sec > 0.0);
         }
     }
 
@@ -550,9 +469,9 @@ mod tests {
 
     #[test]
     fn json_number_parses_hand_rolled_floor() {
-        let j = "{\"event_events_per_sec\": 123456, \"sharded_events_per_sec\": 7.5}";
+        let j = "{\"event_events_per_sec\": 123456, \"taskgraph_events_per_sec\": 7.5}";
         assert_eq!(json_number(j, "event_events_per_sec"), Some(123456.0));
-        assert_eq!(json_number(j, "sharded_events_per_sec"), Some(7.5));
+        assert_eq!(json_number(j, "taskgraph_events_per_sec"), Some(7.5));
         assert_eq!(json_number(j, "missing"), None);
     }
 }

@@ -14,7 +14,7 @@
 //! | [`e10_baselines`] | §1 — lockstep / slackness / blocked vs OVERLAP |
 //! | [`e11_mesh_on_mesh`] | §7 open question — 2-D guest on 2-D host, measured |
 //! | [`e12_ablations`] | halo width, killing constant, bandwidth ablations |
-//! | [`engine_scale`]  | simulator throughput: calendar-queue vs classic heap vs sharded parallel (thread sweep + CI perf gate) |
+//! | [`engine_scale`]  | simulator throughput: calendar-queue vs classic heap (+ CI perf gate) |
 //! | [`plan_reuse`]    | sweep wall-clock: shared ExecPlan vs per-run lowering |
 //! | [`fault_tolerance`] | graceful degradation: OVERLAP vs single-copy under link outages & crashes |
 //! | [`stall_attribution`] | where the ticks go: stall categories vs `d_ave` across placements |

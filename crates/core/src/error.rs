@@ -27,13 +27,13 @@ pub enum Error {
     /// The builder was configured inconsistently (missing host,
     /// incompatible engine options, …).
     Config(String),
-    /// A configuration value is outside its valid domain (e.g.
-    /// `Sharded { threads: 0 }`). Unlike [`Error::Config`] (free-form,
+    /// A configuration value is outside its valid domain (e.g. a
+    /// disconnected host). Unlike [`Error::Config`] (free-form,
     /// builder-level inconsistencies) the offending option is named, so
     /// clients — the CLI, the daemon's scenario validator — can point at
     /// the exact field.
     InvalidConfig {
-        /// The offending option (`"threads"`, …).
+        /// The offending option (`"host"`, …).
         option: &'static str,
         /// Why the value is invalid.
         reason: String,

@@ -76,8 +76,8 @@ impl ScenarioSpec {
 
     /// Plan and validate this spec through the standard builder: the
     /// full feature × engine support matrix applies (`trace` on a
-    /// non-event engine, faults on lockstep, `Sharded { threads: 0 }`, …
-    /// are all rejected here with the same typed errors the in-process
+    /// non-event engine, faults on lockstep, a disconnected host, … are
+    /// all rejected here with the same typed errors the in-process
     /// API returns). On success the returned [`ReadySimulation`] borrows
     /// this spec and can be lowered and run repeatedly.
     pub fn ready(&self) -> Result<ReadySimulation<'_>, Error> {
@@ -159,7 +159,7 @@ mod tests {
     fn round_trips_through_json() {
         let mut s = spec();
         s.strategy = Strategy::Overlap { c: 4.0 };
-        s.engine = EngineKind::Sharded { threads: 2 };
+        s.engine = EngineKind::Lockstep;
         let json = serde_json::to_string(&s).unwrap();
         let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
@@ -182,18 +182,21 @@ mod tests {
     #[test]
     fn validation_matches_the_builder_matrix() {
         let mut s = spec();
-        s.engine = EngineKind::Sharded { threads: 0 };
+        s.trace = true;
+        s.engine = EngineKind::Lockstep;
         assert!(matches!(
             s.validate(),
-            Err(Error::InvalidConfig {
-                option: "threads",
-                ..
+            Err(Error::Unsupported {
+                engine: "lockstep",
+                feature: "stall-attribution tracing"
             })
         ));
         let mut s = spec();
-        s.trace = true;
-        s.engine = EngineKind::Lockstep;
-        assert!(matches!(s.validate(), Err(Error::Unsupported { .. })));
+        s.host = HostGraph::new("split", 4);
+        assert!(matches!(
+            s.validate(),
+            Err(Error::InvalidConfig { option: "host", .. })
+        ));
     }
 
     #[test]

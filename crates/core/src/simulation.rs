@@ -35,9 +35,7 @@ use overlap_net::{Delay, HostGraph};
 use overlap_sim::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{
-    run_lockstep, run_sharded, run_stepped, Assignment, BandwidthMode, ExecPlan, TraceConfig,
-};
+use overlap_sim::{run_lockstep, run_stepped, Assignment, BandwidthMode, ExecPlan, TraceConfig};
 use serde::{Deserialize, Serialize};
 
 /// Which execution engine runs the simulation.
@@ -54,16 +52,6 @@ pub enum EngineKind {
     /// The lockstep baseline: global rounds of `d_max`-synchronised
     /// compute-then-exchange (prior work's model).
     Lockstep,
-    /// The sharded conservative-parallel event engine: the host graph is
-    /// partitioned into `threads` shards, each with its own calendar
-    /// queue, synchronised in bounded time windows whose width is the
-    /// minimum cross-shard link delay. Bit-identical to
-    /// [`Event`](EngineKind::Event) for every plan; supports everything the
-    /// event engine does except stall-attribution tracing.
-    Sharded {
-        /// Worker-thread (= shard) count; clamped to `1..=host procs`.
-        threads: usize,
-    },
 }
 
 /// Entry point of the builder API: `Simulation::of(&guest)`.
@@ -145,7 +133,7 @@ impl<'a> SimulationBuilder<'a> {
     /// mode): evicted copies must be re-fetched for
     /// [`MemBudget::reload_cost`] extra ticks before the next compute.
     /// Pure timing/accounting — values are unchanged, so validation
-    /// still holds. Event, stepped, and sharded engines only.
+    /// still holds. Event and stepped engines only.
     pub fn memory_budget(mut self, budget: MemBudget) -> Self {
         self.config.mem = Some(budget);
         self
@@ -276,22 +264,6 @@ impl<'a> SimulationBuilder<'a> {
                     return unsupported("lockstep", "non-unit task costs");
                 }
             }
-            EngineKind::Sharded { threads } => {
-                // `threads: 0` used to fall through to the engine, which
-                // silently clamped it to 1 — neither the "auto" the caller
-                // probably meant nor an error. Reject it up front.
-                if threads == 0 {
-                    return Err(Error::InvalidConfig {
-                        option: "threads",
-                        reason: "a sharded engine needs at least one shard \
-                                 (use available_parallelism for auto)"
-                            .into(),
-                    });
-                }
-                if self.trace.is_some() {
-                    return unsupported("sharded", "stall-attribution tracing");
-                }
-            }
         }
         let (assignment, predicted_slowdown, array_delays, dilation) = match self.assignment {
             Some(a) => {
@@ -399,7 +371,6 @@ impl ReadySimulation<'_> {
             }
             EngineKind::Stepped => run_stepped(plan)?,
             EngineKind::Lockstep => run_lockstep(plan)?,
-            EngineKind::Sharded { threads } => run_sharded(plan, threads)?,
         };
         Ok(out)
     }
@@ -813,35 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_zero_threads_is_invalid_config() {
-        // Pinned regression: `Sharded { threads: 0 }` used to reach the
-        // engine (which silently clamped it); it must be a typed
-        // validation error naming the option.
-        let (guest, host) = lab();
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Sharded { threads: 0 })
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::InvalidConfig {
-                    option: "threads",
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        // 1 is the smallest valid shard count.
-        assert!(Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Sharded { threads: 1 })
-            .build()
-            .is_ok());
-    }
-
-    #[test]
     fn tracing_requires_event_engine() {
         let (guest, host) = lab();
         for kind in [EngineKind::Stepped, EngineKind::Lockstep] {
@@ -885,21 +827,21 @@ mod tests {
         assert!(tight.stats.mem.reload_ticks > 0);
         assert!(tight.stats.makespan > free.stats.makespan);
         assert_eq!(free.stats.mem, Default::default());
-        // Sharded prices the same reloads identically.
-        let sharded = Simulation::of(&guest)
+        // Stepped prices the same reloads identically.
+        let stepped = Simulation::of(&guest)
             .on(&host)
             .strategy(Strategy::Blocked)
             .memory_budget(MemBudget {
                 budget: 1,
                 reload_cost: 3,
             })
-            .engine(EngineKind::Sharded { threads: 2 })
+            .engine(EngineKind::Stepped)
             .build()
             .unwrap()
             .run()
             .unwrap();
-        assert_eq!(sharded.stats.makespan, tight.stats.makespan);
-        assert_eq!(sharded.stats.mem, tight.stats.mem);
+        assert_eq!(stepped.stats.makespan, tight.stats.makespan);
+        assert_eq!(stepped.stats.mem, tight.stats.mem);
     }
 
     #[test]
@@ -987,11 +929,7 @@ mod tests {
         let guest = GuestSpec::dag(TaskGraph::wavefront(12, 8), ProgramKind::KvWorkload, 5);
         let host = linear_array(4, DelayModel::uniform(1, 5), 2);
         let mut spans = Vec::new();
-        for kind in [
-            EngineKind::Event,
-            EngineKind::Stepped,
-            EngineKind::Sharded { threads: 2 },
-        ] {
+        for kind in [EngineKind::Event, EngineKind::Stepped] {
             let r = Simulation::of(&guest)
                 .on(&host)
                 .strategy(Strategy::Blocked)
@@ -1004,7 +942,6 @@ mod tests {
             spans.push(r.stats.makespan);
         }
         assert_eq!(spans[0], spans[1]);
-        assert_eq!(spans[0], spans[2]);
         // Wavefront is uniform (unit costs), so lockstep runs it too.
         let lk = Simulation::of(&guest)
             .on(&host)

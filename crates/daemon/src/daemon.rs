@@ -23,8 +23,7 @@ use overlap_sim::engine::{Engine, RunError, RunOutcome};
 use overlap_sim::trace::TraceConfig;
 use overlap_sim::validate::validate_run;
 use overlap_sim::{
-    run_lockstep_controlled, run_sharded_controlled, run_stepped_controlled, ExecPlan, PlanDelta,
-    RunControl,
+    run_lockstep_controlled, run_stepped_controlled, ExecPlan, PlanDelta, RunControl,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -466,7 +465,7 @@ fn run_session(inner: &Inner, session: &Arc<Session>) {
                 session: session.id,
                 plan_hash: session.hash,
                 cache_hit: was_hit,
-                engine: engine_label(session.spec.engine),
+                engine: engine_label(session.spec.engine).into(),
                 strategy: session.spec.strategy.label(),
                 host: session.spec.host.name().to_string(),
                 stats: outcome.stats,
@@ -548,18 +547,14 @@ fn dispatch(session: &Arc<Session>, plan: &ExecPlan<'static>) -> Result<RunOutco
         }
         EngineKind::Stepped => run_stepped_controlled(plan, Some(ctl)),
         EngineKind::Lockstep => run_lockstep_controlled(plan, Some(ctl)),
-        EngineKind::Sharded { threads } => {
-            run_sharded_controlled(plan, threads, overlap_sim::Partition::DelayCut, Some(ctl))
-        }
     };
     out.map_err(Error::Run)
 }
 
-fn engine_label(kind: EngineKind) -> String {
+fn engine_label(kind: EngineKind) -> &'static str {
     match kind {
-        EngineKind::Event => "event".into(),
-        EngineKind::Stepped => "stepped".into(),
-        EngineKind::Lockstep => "lockstep".into(),
-        EngineKind::Sharded { threads } => format!("sharded({threads})"),
+        EngineKind::Event => "event",
+        EngineKind::Stepped => "stepped",
+        EngineKind::Lockstep => "lockstep",
     }
 }

@@ -17,7 +17,9 @@
 //! | POST | `/v1/shutdown` | → `{"ok": true}`, then the daemon and server stop |
 //!
 //! Invalid scenarios come back as HTTP 400 with `{"error": …}` carrying
-//! the typed builder error's message; unknown sessions are 404.
+//! the typed builder error's message; unknown sessions are 404; a body
+//! declared larger than [`MAX_BODY_BYTES`] is refused with 413 before any
+//! of it is read.
 
 use crate::daemon::Daemon;
 use crate::wire::{ErrorResponse, EventsResponse, OkResponse, RunsResponse, SubmitResponse};
@@ -31,6 +33,24 @@ use std::time::Duration;
 
 /// Longest long-poll wait a client may request.
 const MAX_WAIT_MS: u64 = 30_000;
+
+/// Largest request body the server will allocate for. Far above any real
+/// scenario; a larger `Content-Length` is answered with 413 unread.
+pub const MAX_BODY_BYTES: usize = 16 << 20;
+
+/// Why a request could not be read.
+enum BadRequest {
+    /// The declared `Content-Length` exceeds [`MAX_BODY_BYTES`].
+    TooLarge(usize),
+    /// Malformed request line, header, or body.
+    Malformed(io::Error),
+}
+
+impl From<io::Error> for BadRequest {
+    fn from(e: io::Error) -> Self {
+        BadRequest::Malformed(e)
+    }
+}
 
 /// A running HTTP server. Stops when [`stop`](Server::stop) is called,
 /// a client POSTs `/v1/shutdown`, or the value is dropped.
@@ -98,7 +118,16 @@ fn handle_connection(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) 
     stream.set_read_timeout(Some(Duration::from_secs(60)))?;
     let (method, path, body) = match read_request(&mut stream) {
         Ok(req) => req,
-        Err(e) => {
+        Err(BadRequest::TooLarge(len)) => {
+            return respond(
+                &mut stream,
+                413,
+                &ErrorResponse {
+                    error: format!("payload too large: {len} bytes (limit {MAX_BODY_BYTES})"),
+                },
+            );
+        }
+        Err(BadRequest::Malformed(e)) => {
             return respond(
                 &mut stream,
                 400,
@@ -192,8 +221,9 @@ fn handle_connection(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) 
     }
 }
 
-/// Parse one request: `(method, path-with-query, body)`.
-fn read_request(stream: &mut TcpStream) -> io::Result<(String, String, String)> {
+/// Parse one request: `(method, path-with-query, body)`. The body is
+/// allocated only once its declared length is known to be in bounds.
+fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), BadRequest> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line)?;
@@ -201,10 +231,7 @@ fn read_request(stream: &mut TcpStream) -> io::Result<(String, String, String)> 
     let (method, path) = match (head.next(), head.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
         _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "malformed request line",
-            ))
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "malformed request line").into())
         }
     };
     let mut content_length = 0usize;
@@ -222,6 +249,9 @@ fn read_request(stream: &mut TcpStream) -> io::Result<(String, String, String)> 
                 })?;
             }
         }
+    }
+    if content_length > MAX_BODY_BYTES {
+        return Err(BadRequest::TooLarge(content_length));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -244,6 +274,7 @@ fn respond<T: Serialize>(stream: &mut TcpStream, status: u16, body: &T) -> io::R
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         _ => "Internal Server Error",
     };
     write!(

@@ -13,7 +13,7 @@ use overlap_sim::stats::RunStats;
 use overlap_sim::trace::StallBreakdown;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -30,8 +30,8 @@ pub struct RunRecord {
     /// Whether the plan came out of the cache (`apply_delta` path) or
     /// was lowered fresh for this run.
     pub cache_hit: bool,
-    /// Engine label (`"event"`, `"stepped"`, `"lockstep"`,
-    /// `"sharded(t)"`).
+    /// Engine label (`"event"`, `"stepped"`, `"lockstep"`). Free-form, so
+    /// records written under engines since removed still load.
     pub engine: String,
     /// Placement strategy label (see `Strategy::label`).
     pub strategy: String,
@@ -86,16 +86,50 @@ impl RunStore for MemStore {
 /// JSON-lines store: one `RunRecord` object per line, appended and
 /// flushed per run, re-read from disk on every query so records written
 /// by earlier daemon processes stay visible.
+///
+/// A crash mid-append leaves a *torn tail*: a final line with no trailing
+/// `\n` that does not parse. Queries skip it (noted on stderr) instead of
+/// failing the whole history, and [`open`](Self::open) drops it so the
+/// next append starts on a fresh line. A bad line anywhere else is still
+/// an [`io::ErrorKind::InvalidData`] error.
 pub struct JsonlStore {
     path: PathBuf,
     writer: Mutex<BufWriter<File>>,
 }
 
+/// Split a store file into its `\n`-terminated lines and the unterminated
+/// final line (empty unless the last append was cut short).
+fn split_tail(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let cut = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    bytes.split_at(cut)
+}
+
+/// Parse one stored line.
+fn parse_line(line: &[u8]) -> Result<RunRecord, String> {
+    let text = std::str::from_utf8(line.trim_ascii()).map_err(|e| e.to_string())?;
+    serde_json::from_str(text).map_err(|e| e.to_string())
+}
+
 impl JsonlStore {
-    /// Open (or create) the store at `path`.
+    /// Open (or create) the store at `path`, dropping a torn tail.
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let bytes = std::fs::read(&path)?;
+        let (lines, tail) = split_tail(&bytes);
+        if !tail.trim_ascii().is_empty() {
+            match parse_line(tail) {
+                Ok(_) => file.write_all(b"\n")?,
+                Err(e) => {
+                    eprintln!(
+                        "{}: dropping torn tail ({} bytes): {e}",
+                        path.display(),
+                        tail.len()
+                    );
+                    file.set_len(lines.len() as u64)?;
+                }
+            }
+        }
         Ok(Self {
             path,
             writer: Mutex::new(BufWriter::new(file)),
@@ -121,20 +155,29 @@ impl RunStore for JsonlStore {
         // Take the writer lock so a concurrent append's line is either
         // fully flushed or not started.
         let _w = self.writer.lock().unwrap();
-        let mut text = String::new();
-        File::open(&self.path)?.read_to_string(&mut text)?;
+        let bytes = std::fs::read(&self.path)?;
+        let (lines, tail) = split_tail(&bytes);
         let mut out = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
+        for (i, line) in lines.split(|&b| b == b'\n').enumerate() {
+            if line.trim_ascii().is_empty() {
                 continue;
             }
-            let rec: RunRecord = serde_json::from_str(line).map_err(|e| {
+            out.push(parse_line(line).map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("{}:{}: {e}", self.path.display(), i + 1),
                 )
-            })?;
-            out.push(rec);
+            })?);
+        }
+        if !tail.trim_ascii().is_empty() {
+            match parse_line(tail) {
+                Ok(rec) => out.push(rec),
+                Err(e) => eprintln!(
+                    "{}: skipping torn tail ({} bytes): {e}",
+                    self.path.display(),
+                    tail.len()
+                ),
+            }
         }
         Ok(out)
     }
@@ -187,6 +230,81 @@ mod tests {
         assert_eq!(all.len(), 2, "records from the first open must persist");
         assert_eq!(all[0], record(0));
         assert_eq!(all[1], record(1));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn temp_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "overlap-daemon-store-{name}-{}.jsonl",
+            std::process::id()
+        ))
+    }
+
+    /// An open store whose file is then overwritten with `contents`, as if
+    /// another process had written (or torn) it.
+    fn store_with(name: &str, contents: &str) -> (JsonlStore, PathBuf) {
+        let path = temp_path(name);
+        let store = JsonlStore::open(&path).unwrap();
+        std::fs::write(&path, contents).unwrap();
+        (store, path)
+    }
+
+    fn line(r: &RunRecord) -> String {
+        serde_json::to_string(r).unwrap()
+    }
+
+    /// `record(0)` whole, then the first half of `record(1)` with no `\n`:
+    /// what a crash in the middle of the second append leaves behind.
+    fn torn_text() -> String {
+        let torn = line(&record(1));
+        format!("{}\n{}", line(&record(0)), &torn[..torn.len() / 2])
+    }
+
+    #[test]
+    fn jsonl_store_skips_a_torn_tail() {
+        let (s, path) = store_with("torn", &torn_text());
+        assert_eq!(s.load_all().unwrap(), vec![record(0)]);
+        // An unterminated tail that parses is a whole record, not torn.
+        std::fs::write(&path, line(&record(0))).unwrap();
+        assert_eq!(s.load_all().unwrap(), vec![record(0)]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn jsonl_store_reopen_drops_a_torn_tail_before_appending() {
+        let path = temp_path("reopen");
+        std::fs::write(&path, torn_text()).unwrap();
+        let s = JsonlStore::open(&path).unwrap();
+        s.append(&record(2)).unwrap();
+        assert_eq!(s.load_all().unwrap(), vec![record(0), record(2)]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn jsonl_store_rejects_a_bad_line_before_the_tail() {
+        let whole = line(&record(0));
+        for text in [
+            // Corrupt first line, intact tail.
+            format!("{{\"run_id\": 7\n{whole}\n"),
+            // Corrupt *terminated* last line: not torn, just bad.
+            format!("{whole}\n{{\"run_id\": 7\n"),
+        ] {
+            let (s, path) = store_with("bad", &text);
+            let err = s.load_all().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn old_engine_labels_still_load() {
+        // Run history written under the since-removed sharded engine.
+        let mut old = record(0);
+        old.engine = "sharded(2)".into();
+        let text = line(&old) + "\n";
+        assert!(text.contains("\"engine\":\"sharded(2)\""), "{text}");
+        let (s, path) = store_with("legacy", &text);
+        assert_eq!(s.load_all().unwrap(), vec![old]);
         let _ = std::fs::remove_file(&path);
     }
 }

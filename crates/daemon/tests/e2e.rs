@@ -8,6 +8,8 @@ use overlap_model::{GuestSpec, ProgramKind};
 use overlap_net::topology::linear_array;
 use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::faults::FaultPlan;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,6 +34,25 @@ fn split_host_spec() -> ScenarioSpec {
     s.host = host;
     s.strategy = Strategy::Blocked;
     s
+}
+
+/// Send `head` (request line and headers, no trailing blank line) plus
+/// `body` over a raw socket and return `(status, full response text)`.
+fn raw_http(addr: std::net::SocketAddr, head: &str, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    write!(stream, "{head}\r\nConnection: close\r\n\r\n{body}").unwrap();
+    stream.flush().unwrap();
+    let mut text = String::new();
+    stream.read_to_string(&mut text).unwrap();
+    let status = text
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line in {text:?}"));
+    (status, text)
 }
 
 /// The stats of an uninterrupted in-process run, as canonical JSON bytes.
@@ -177,12 +198,7 @@ fn cache_hit_apply_delta_matches_fresh_lowering() {
 #[test]
 fn every_engine_matches_its_in_process_result() {
     let daemon = Daemon::start(DaemonConfig::default());
-    for engine in [
-        EngineKind::Event,
-        EngineKind::Stepped,
-        EngineKind::Lockstep,
-        EngineKind::Sharded { threads: 2 },
-    ] {
+    for engine in [EngineKind::Event, EngineKind::Stepped, EngineKind::Lockstep] {
         let mut s = spec(16, 64);
         s.engine = engine;
         let baseline = sequential_bytes(&s);
@@ -195,7 +211,7 @@ fn every_engine_matches_its_in_process_result() {
             "{engine:?} daemon run must match in-process"
         );
     }
-    // One guest/host/config ⇒ one plan shared by all four engines.
+    // One guest/host/config ⇒ one plan shared by all three engines.
     assert_eq!(daemon.cache_stats().entries, 1);
     daemon.shutdown();
 }
@@ -203,21 +219,15 @@ fn every_engine_matches_its_in_process_result() {
 #[test]
 fn invalid_scenarios_are_rejected_at_submission() {
     let daemon = Daemon::start(DaemonConfig::default());
-    let mut zero_threads = spec(16, 16);
-    zero_threads.engine = EngineKind::Sharded { threads: 0 };
-    assert!(matches!(
-        daemon.submit(zero_threads),
-        Err(overlap_core::Error::InvalidConfig {
-            option: "threads",
-            ..
-        })
-    ));
     let mut traced_lockstep = spec(16, 16);
     traced_lockstep.trace = true;
     traced_lockstep.engine = EngineKind::Lockstep;
     assert!(matches!(
         daemon.submit(traced_lockstep),
-        Err(overlap_core::Error::Unsupported { .. })
+        Err(overlap_core::Error::Unsupported {
+            engine: "lockstep",
+            feature: "stall-attribution tracing"
+        })
     ));
     assert!(matches!(
         daemon.submit(split_host_spec()),
@@ -288,11 +298,12 @@ fn http_round_trip() {
     assert_eq!(client.cache().unwrap().misses, 1);
     // Typed validation errors surface as HTTP 400 with the message.
     let mut bad = spec(16, 16);
-    bad.engine = EngineKind::Sharded { threads: 0 };
+    bad.trace = true;
+    bad.engine = EngineKind::Lockstep;
     match client.submit(&bad) {
         Err(overlap_daemon::ClientError::Api { status, message }) => {
             assert_eq!(status, 400);
-            assert!(message.contains("threads"), "{message}");
+            assert!(message.contains("lockstep"), "{message}");
         }
         other => panic!("expected 400, got {other:?}"),
     }
@@ -308,6 +319,61 @@ fn http_round_trip() {
     }
     assert_eq!(client.cache().unwrap().misses, 1);
     client.shutdown().expect("shutdown");
-    assert!(daemon.is_shut_down());
+    // The server answers first and shuts the daemon down after, so the
+    // flag may trail the response by a moment.
+    let deadline = std::time::Instant::now() + WAIT;
+    while !daemon.is_shut_down() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "daemon never shut down"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.stop();
+}
+
+#[test]
+fn http_refuses_oversized_bodies_and_keeps_serving() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    let client = Client::new(server.addr().to_string());
+    // A declared body of 1 TiB is refused before anything is allocated.
+    let (status, text) = raw_http(
+        server.addr(),
+        "POST /v1/scenarios HTTP/1.1\r\nContent-Length: 1099511627776",
+        "",
+    );
+    assert_eq!(status, 413, "{text}");
+    assert!(text.contains("Payload Too Large"), "{text}");
+    assert!(text.contains("payload too large"), "{text}");
+    assert_eq!(client.cache().unwrap().misses, 0);
+    client.shutdown().expect("shutdown");
+    server.stop();
+}
+
+#[test]
+fn http_rejects_the_removed_sharded_engine_as_malformed() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    // A pre-removal client asking for the deleted sharded engine gets a
+    // plain decode error, not a silent fallback.
+    let good = serde_json::to_string(&spec(16, 16)).unwrap();
+    let legacy = good.replace(
+        "\"engine\":\"Event\"",
+        "\"engine\":{\"Sharded\":{\"threads\":2}}",
+    );
+    assert_ne!(legacy, good, "spec JSON must name its engine");
+    let (status, text) = raw_http(
+        server.addr(),
+        &format!(
+            "POST /v1/scenarios HTTP/1.1\r\nContent-Length: {}",
+            legacy.len()
+        ),
+        &legacy,
+    );
+    assert_eq!(status, 400, "{text}");
+    assert!(text.contains("malformed scenario"), "{text}");
+    assert_eq!(daemon.cache_stats().misses, 0);
+    daemon.shutdown();
     server.stop();
 }

@@ -158,41 +158,10 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Number of past-tick pushes that were clamped up to the cursor over
-    /// this queue's lifetime ([`reset_cursor`](Self::reset_cursor) does not
-    /// reset it). Zero on every healthy engine run.
+    /// this queue's lifetime. Zero on every healthy engine run.
     #[inline]
     pub fn clamped(&self) -> u64 {
         self.clamped
-    }
-
-    /// Tick of the earliest pending event without removing it. Does NOT
-    /// advance the cursor: a caller interleaving peeks with pushes (the
-    /// sharded engine merging its two per-shard queues) may still push at
-    /// any tick at or above the last *pop*; an eager cursor advance here
-    /// would clamp those pushes forward and reorder delivery. Ring events
-    /// all lie in `[cursor, cursor + WINDOW)` and overflow events at or
-    /// beyond `cursor + WINDOW`, so the minimum needs no window slide.
-    #[inline]
-    pub fn peek_tick(&self) -> Option<u64> {
-        if self.ring_len > 0 {
-            let slot = (self.cursor & MASK) as usize;
-            if !self.buckets[slot].is_empty() {
-                return Some(self.cursor);
-            }
-            return Some(self.cursor + self.next_occupied_delta(slot));
-        }
-        self.overflow.peek().map(|spill| spill.tick)
-    }
-
-    /// Rewind the cursor of an **empty** queue to `tick`. Draining a queue
-    /// leaves the cursor at the last popped tick, and `push` clamps earlier
-    /// ticks up to the cursor; a user that drains and then reuses the queue
-    /// for an earlier epoch (the sharded engine's per-window fresh queue)
-    /// must rewind first or its pushes get silently postponed.
-    #[inline]
-    pub fn reset_cursor(&mut self, tick: u64) {
-        debug_assert!(self.is_empty(), "reset_cursor on a non-empty queue");
-        self.cursor = tick;
     }
 
     /// Remove and return the earliest event as `(tick, event)`; FIFO among
@@ -480,23 +449,6 @@ mod tests {
         cal.push(5, 'a');
         assert_eq!(cal.pop(), Some((5, 'a'))); // cursor now 5
         cal.push(2, 'b'); // engines must never do this
-    }
-
-    #[test]
-    fn peek_tick_matches_pop_and_preserves_order() {
-        let mut q = CalendarQueue::new();
-        assert_eq!(q.peek_tick(), None);
-        q.push(7, 'a');
-        q.push(7, 'b');
-        q.push(WINDOW * 2 + 3, 'c'); // overflow path
-        assert_eq!(q.peek_tick(), Some(7));
-        assert_eq!(q.pop(), Some((7, 'a')));
-        assert_eq!(q.peek_tick(), Some(7));
-        assert_eq!(q.pop(), Some((7, 'b')));
-        // Only the overflow event remains: peek must slide the window.
-        assert_eq!(q.peek_tick(), Some(WINDOW * 2 + 3));
-        assert_eq!(q.pop(), Some((WINDOW * 2 + 3, 'c')));
-        assert_eq!(q.peek_tick(), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every engine's hot loop periodically calls
 //! [`RunControl::checkpoint`] (every [`CHECK_EVERY`] dispatch units —
-//! events for the event/sharded engines, ticks for the stepped engine,
+//! events for the event engine, ticks for the stepped engine,
 //! rounds for lockstep). A checkpoint:
 //!
 //! * **blocks** while the control is paused (the simulation state is

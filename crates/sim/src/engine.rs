@@ -403,11 +403,9 @@ pub struct RunOutcome {
     pub trace: Option<TraceReport>,
 }
 
-/// Event payload, stored inline in the calendar buckets. Shared with the
-/// sharded engine ([`crate::sharded`]), which schedules the exact same
-/// events per shard.
+/// Event payload, stored inline in the calendar buckets.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Ev {
+enum Ev {
     /// Processor `proc` finishes computing its `own_idx`-th column's next
     /// step at the event tick.
     ComputeDone { proc: NodeId, own_idx: u32 },
@@ -448,42 +446,40 @@ pub(crate) enum Ev {
 }
 
 /// Mutable per-processor run state. Step-indexed arrays are flat with
-/// stride `steps + 1` (index 0 = initial value). Shared with the sharded
-/// engine, which owns a disjoint subset of these per shard.
-pub(crate) struct ProcState {
+/// stride `steps + 1` (index 0 = initial value).
+struct ProcState {
     /// Next step (1-based) to compute per held cell; `T+1` = done.
-    pub(crate) next_step: Vec<u32>,
+    next_step: Vec<u32>,
     /// Value history per held cell: `history[i·stride + s]`.
-    pub(crate) history: Vec<PebbleValue>,
+    history: Vec<PebbleValue>,
     /// Database copy per held cell.
-    pub(crate) dbs: Vec<Db>,
+    dbs: Vec<Db>,
     /// Value/update folds per held cell (validator food).
-    pub(crate) value_fold: Vec<u64>,
-    pub(crate) update_fold: Vec<u64>,
-    pub(crate) finished_at: Vec<u64>,
+    value_fold: Vec<u64>,
+    update_fold: Vec<u64>,
+    finished_at: Vec<u64>,
     /// Per held cell: completion tick per step (only when timing).
-    pub(crate) times: Vec<Vec<u64>>,
+    times: Vec<Vec<u64>>,
     /// Receive buffers per dependency column: `dep_values[k·stride + s]`.
-    pub(crate) dep_values: Vec<PebbleValue>,
-    pub(crate) dep_have: Vec<bool>,
+    dep_values: Vec<PebbleValue>,
+    dep_have: Vec<bool>,
     /// Highest contiguous step received per dependency column.
-    pub(crate) dep_watermark: Vec<u32>,
+    dep_watermark: Vec<u32>,
     /// Ready-pebble queue: `(step, own_idx)` min-heap; at most one entry
     /// per held cell (its next step).
-    pub(crate) ready: BinaryHeap<Reverse<(u32, u32)>>,
+    ready: BinaryHeap<Reverse<(u32, u32)>>,
     /// Whether each held cell currently sits in `ready` or is being
     /// computed.
-    pub(crate) queued: Vec<bool>,
+    queued: Vec<bool>,
     /// Processor is computing until the pending `ComputeDone` fires.
-    pub(crate) busy: bool,
+    busy: bool,
 }
 
 impl ProcState {
     /// Fresh state for the processor described by `pt`, exactly as the
     /// sequential engine seeds it (initial values at step 0, dependency
-    /// step 0 pre-delivered). Factored out so the sharded engine starts
-    /// from bit-identical state.
-    pub(crate) fn seed(
+    /// step 0 pre-delivered).
+    fn seed(
         pt: &ProcTables,
         plan: &ExecPlan<'_>,
         stride: usize,
@@ -540,11 +536,7 @@ pub(crate) struct LinkSlot {
 
 /// Deterministic per-processor LRU over database copies, driven by the
 /// compute schedule (touched once per compute *start*, in schedule order).
-/// Shared by the event, sharded and stepped engines; because the sharded
-/// engine replays the sequential per-processor compute order exactly, the
-/// LRU evolves bit-identically there too. Cloneable so the sharded engine
-/// can snapshot it at window barriers.
-#[derive(Clone)]
+/// Shared by the event and stepped engines.
 pub(crate) struct MemLru {
     cap: usize,
     reload: u64,
@@ -629,7 +621,7 @@ pub(crate) fn mem_stats_of(lrus: Option<&[MemLru]>) -> crate::stats::MemStats {
 /// Is held cell `i` ready to compute its next step? Pure table walk over
 /// the interned check list — no hashing, no `Dep` matching.
 #[inline]
-pub(crate) fn is_ready(pt: &ProcTables, st: &ProcState, i: usize, steps: u32) -> bool {
+fn is_ready(pt: &ProcTables, st: &ProcState, i: usize, steps: u32) -> bool {
     let s = st.next_step[i];
     if s > steps {
         return false;
@@ -652,7 +644,7 @@ pub(crate) fn is_ready(pt: &ProcTables, st: &ProcState, i: usize, steps: u32) ->
 /// the pebble ready, which is what `tracer` gets told.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_enqueue<T: Tracer>(
+fn try_enqueue<T: Tracer>(
     pt: &ProcTables,
     st: &mut ProcState,
     j: usize,
@@ -674,7 +666,7 @@ pub(crate) fn try_enqueue<T: Tracer>(
 /// stall attribution.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn deliver<T: Tracer>(
+fn deliver<T: Tracer>(
     pt: &ProcTables,
     st: &mut ProcState,
     k: usize,
@@ -755,8 +747,6 @@ impl<'a> PlanRef<'a> {
 /// A runtime re-subscription created when a holder crashed: `source`
 /// streams `cell` to `dest` over `links` (directed link ids in route
 /// order), delivering into the consumer's dependency slot `dest_dep`.
-/// `Clone` because the sharded engine snapshots these per window.
-#[derive(Clone)]
 pub(crate) struct DynSub {
     pub(crate) cell: u32,
     pub(crate) source: NodeId,

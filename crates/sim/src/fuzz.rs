@@ -1,8 +1,8 @@
 //! Cross-engine differential fuzzer and invariant audit.
 //!
 //! The repo's correctness story rests on one claim: the event engine, the
-//! sharded parallel engine, the time-stepped engine, the lockstep executor
-//! and the parallel reference all agree — bit-identically on state,
+//! time-stepped engine, the lockstep executor and the unit-delay reference
+//! all agree — bit-identically on state,
 //! sensibly on time — for *every* scenario the lowering accepts, not just
 //! the handful the unit tests pick. This module turns that claim into a
 //! machine-checkable property:
@@ -28,10 +28,6 @@
 //!   agree on `(value_fold, db_digest, update_fold)` per `(cell, proc)`.
 //! * **Plan reuse** — running the event engine twice off one `ExecPlan`
 //!   is bit-identical (`RunOutcome` equality).
-//! * **Sharding is free** — the sharded conservative-parallel engine
-//!   ([`run_sharded_with`]) equals the event engine bit-for-bit at every
-//!   thread count and under both partition heuristics, on every legal
-//!   scenario — faults, multicast, jitter, and costs included.
 //! * **Tracing is free** — a traced run equals the untraced run once the
 //!   stall report is stripped, and its stall breakdown conserves ticks:
 //!   `totals.total() == makespan × surviving copies`.
@@ -49,14 +45,12 @@ use crate::assignment::Assignment;
 use crate::engine::{Engine, EngineConfig, MemBudget, RunOutcome};
 use crate::faults::FaultPlan;
 use crate::lockstep::run_lockstep;
-use crate::parallel::par_reference;
 use crate::plan::{ExecPlan, PlanDelta};
-use crate::sharded::{run_sharded_with, Partition};
 use crate::stats::FaultStats;
 use crate::stepped::run_stepped;
 use crate::trace::TraceConfig;
 use crate::validate::{audit_causality, validate_run};
-use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
+use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, TaskGraph};
 use overlap_net::topology;
 use overlap_net::{DelayModel, HostGraph, NodeId};
 
@@ -254,7 +248,7 @@ pub struct ScenarioSpec {
     /// Lower the plan for multicast trees instead of unicast routes.
     pub multicast: bool,
     /// Per-processor memory budget on database copies (red–blue pebbling
-    /// mode; event, stepped and sharded engines only).
+    /// mode; event and stepped engines only).
     pub mem: Option<MemBudget>,
     /// Scheduled faults.
     pub faults: Vec<FaultSpec>,
@@ -826,7 +820,7 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
     let assign = plan.assignment();
     let mut problems: Vec<String> = Vec::new();
 
-    let reference = par_reference(guest);
+    let reference = ReferenceRun::execute(guest);
 
     // Event engine: the ground truth the others are compared against.
     let ev = match Engine::from_plan(plan).run() {
@@ -885,27 +879,6 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
                 }
             }
             Err(e) => problems.push(format!("traced event run failed: {e}")),
-        }
-    }
-
-    // Sharded engine: legal for every scenario; must be bit-identical to
-    // the event engine on the full RunOutcome, peak_queue_depth included.
-    for (threads, how) in [
-        (1, Partition::DelayCut),
-        (3, Partition::DelayCut),
-        (3, Partition::RoundRobin),
-    ] {
-        match run_sharded_with(plan, threads, how) {
-            Ok(sh) => {
-                if sh != ev {
-                    problems.push(format!(
-                        "sharded({threads}, {how:?}) diverged from the event engine"
-                    ));
-                }
-            }
-            Err(e) => problems.push(format!(
-                "sharded({threads}, {how:?}) failed where the event engine succeeded: {e}"
-            )),
         }
     }
 

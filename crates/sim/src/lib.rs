@@ -44,10 +44,8 @@ pub mod faults;
 pub mod fuzz;
 pub mod lockstep;
 pub mod multicast;
-pub mod parallel;
 pub mod plan;
 pub mod routing;
-pub mod sharded;
 pub mod stats;
 pub mod stepped;
 pub mod sweep;
@@ -62,7 +60,6 @@ pub use faults::{FaultPlan, RetryPolicy};
 pub use lockstep::{run_lockstep, run_lockstep_controlled};
 pub use plan::{fnv1a, scenario_hash, scenario_key, AppliedDelta, ExecPlan, PlanDelta};
 pub use routing::RoutingTable;
-pub use sharded::{run_sharded, run_sharded_controlled, run_sharded_with, Partition};
 pub use stats::{FaultStats, RunStats};
 pub use stepped::{run_stepped, run_stepped_controlled};
 pub use trace::{MsgKey, NoopTracer, ReadyCause, StallBreakdown, TraceConfig, TraceReport, Tracer};

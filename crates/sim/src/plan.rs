@@ -123,12 +123,6 @@ impl ProcTables {
 pub(crate) struct Hot {
     /// Delay per directed link id.
     pub(crate) link_delay: Vec<Delay>,
-    /// Source / destination processor per directed link id. The sharded
-    /// engine uses these to assign each link's injection slot to the
-    /// sender's shard and to find the minimum cross-shard delay (the
-    /// conservative lookahead).
-    pub(crate) link_src: Vec<NodeId>,
-    pub(crate) link_dst: Vec<NodeId>,
     /// Per-processor dependency tables.
     pub(crate) procs: Vec<ProcTables>,
     /// Global copy id of processor `p`'s first copy (prefix sums).
@@ -383,8 +377,6 @@ impl Hot {
 
         Self {
             link_delay,
-            link_src,
-            link_dst,
             procs,
             copy_off,
             out_ids,

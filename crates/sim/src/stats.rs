@@ -43,14 +43,8 @@ pub struct RunStats {
     #[serde(default)]
     pub events_processed: u64,
     /// Largest number of simultaneously pending events — a proxy for the
-    /// engine's peak memory footprint.
-    ///
-    /// The sharded engine reports the *same* value as the sequential
-    /// event engine: each window's merge replays the global
-    /// `(tick, prio, seq)` pop order and reconstructs the single-queue
-    /// depth from per-event child counts, so this field is bit-comparable
-    /// across every [`EngineKind`](crate::engine). The stepped and
-    /// lockstep engines have no event queue and report 0.
+    /// engine's peak memory footprint. The stepped and lockstep engines
+    /// have no event queue and report 0.
     #[serde(default)]
     pub peak_queue_depth: u64,
     /// Past-tick pushes the event calendar had to clamp forward to its

@@ -14,7 +14,7 @@
 //!   fuzz        differential fuzzing: sample K random scenarios (guest,
 //!               host, delays, assignment, costs, faults, multicast,
 //!               memory budgets), lower each once and run every legal
-//!               engine plus the parallel reference over the shared plan,
+//!               engine plus the unit-delay reference over the shared plan,
 //!               auditing state agreement and the invariant catalogue.
 //!               Failures are shrunk to a minimal repro printed as a
 //!               paste-able regression test; exits non-zero on any
@@ -35,11 +35,9 @@
 //!   --strategy  auto | overlap[:C] | halo[:W] | combined[:C:L] | blocked |
 //!               slackness | all-on-one   (default overlap:4; grid guests
 //!               always use the Theorem 8 pipeline)
-//!   --engine    event | stepped | lockstep | sharded  (default event;
-//!               line/ring only; sharded is the conservative-parallel
-//!               engine, bit-identical to event)
-//!   --threads   worker threads for --engine sharded (default: all cores;
-//!               an explicit 0 is rejected with a typed error)
+//!   --engine    event | stepped | lockstep  (default event; line/ring
+//!               only; stepped is the differential oracle, lockstep the
+//!               d_max-synchronised baseline)
 //!   --faults    down:A:B:FROM:UNTIL | spike:A:B:FROM:UNTIL:FACTOR |
 //!               crash:P:AT | rand:PCT  (repeatable; injects deterministic
 //!               link outages / delay spikes / processor crashes; rand:PCT
@@ -258,28 +256,12 @@ fn opt_in(args: &[String], name: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
-/// Resolve `--engine`/`--threads` into an [`EngineKind`]. An *absent*
-/// `--threads` means "all cores"; an explicit `--threads 0` is passed
-/// through so the builder rejects it with `Error::InvalidConfig` (it
-/// used to be silently treated as the default).
-fn parse_engine(engine: &str, args: &[String]) -> EngineKind {
+/// Resolve `--engine` into an [`EngineKind`].
+fn parse_engine(engine: &str) -> EngineKind {
     match engine {
         "event" => EngineKind::Event,
         "stepped" => EngineKind::Stepped,
         "lockstep" => EngineKind::Lockstep,
-        "sharded" => {
-            let given = args.iter().any(|a| a == "--threads");
-            let threads: usize = opt_in(args, "--threads", "0")
-                .parse()
-                .unwrap_or_else(|_| usage("bad --threads"));
-            EngineKind::Sharded {
-                threads: if threads == 0 && !given {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
-                } else {
-                    threads
-                },
-            }
-        }
         other => usage(&format!("unknown engine '{other}'")),
     }
 }
@@ -289,7 +271,6 @@ fn engine_feature_label(kind: EngineKind) -> &'static str {
         EngineKind::Event => "event",
         EngineKind::Stepped => "stepped",
         EngineKind::Lockstep => "lockstep",
-        EngineKind::Sharded { .. } => "sharded",
     }
 }
 
@@ -307,7 +288,7 @@ fn parse_scenario(args: &[String]) -> ScenarioSpec {
     let default_guest = format!("line:{}", 2 * host.num_nodes());
     let guest = parse_guest(&opt_in(args, "--guest", &default_guest), seed, steps);
     let strategy = parse_strategy(&opt_in(args, "--strategy", "overlap:4"));
-    let engine = parse_engine(&opt_in(args, "--engine", "event"), args);
+    let engine = parse_engine(&opt_in(args, "--engine", "event"));
     let stats = DelayStats::of(&host);
     let horizon = steps as u64 * (stats.d_max + 2);
     let faults = parse_faults(args, &host, seed, horizon);
@@ -518,7 +499,7 @@ fn fuzz_main(args: &[String]) -> ! {
     let profile = if dag { " [dag profile]" } else { "" };
     println!(
         "fuzzing {cases} scenarios (seed {seed}){profile} across \
-         event/sharded/stepped/lockstep/reference…"
+         event/stepped/lockstep/reference…"
     );
     let mut divergences = 0u64;
     for case in 0..cases {
@@ -666,7 +647,7 @@ fn main() {
     let report = match guest.topology {
         GuestTopology::Line { .. } | GuestTopology::Ring { .. } => {
             let strategy = parse_strategy(&strategy_spec);
-            let kind = parse_engine(&engine, &args);
+            let kind = parse_engine(&engine);
             // Tracing is event-engine-only; say so before planning the
             // placement rather than after (and with the same typed error
             // the builder would produce).

@@ -186,57 +186,15 @@ fn traced_golden_run_matches_classic_oracle_and_conserves() {
     assert_eq!(stripped, classic, "tracing perturbed the schedule");
 }
 
-/// The sharded conservative-parallel engine must be bit-identical to the
-/// sequential event engine — for every thread count, under both partition
-/// heuristics — on the full-feature golden scenario (multicast, jitter,
-/// heterogeneous costs, timing trace), `peak_queue_depth` included: the
-/// barrier merge reconstructs the sequential single-queue depth.
+/// The one golden scenario that combines every fault event at once: a
+/// link outage (forcing retries), a delay spike, and a processor crash
+/// that strands subscribers and triggers re-subscription plus replayed
+/// backfill sends. The event run must still validate against the
+/// reference, and the independent stepped engine must reach the same
+/// state on every surviving copy.
 #[test]
-fn sharded_engine_matches_event_on_golden_scenario() {
-    use overlap::sim::{run_sharded_with, ExecPlan, Partition};
-
-    let guest = GuestSpec::array(9, ProgramKind::KvWorkload, 5, 12);
-    let mut host = HostGraph::new("golden", 4);
-    host.add_link(0, 1, 3);
-    host.add_link(1, 2, 5);
-    host.add_link(2, 3, 2);
-    host.add_link(0, 2, 7);
-    let assign = Assignment::from_cells_of(
-        4,
-        9,
-        vec![vec![0, 1, 2], vec![2, 3, 4], vec![4, 5, 6, 7], vec![7, 8]],
-    );
-    let cfg = EngineConfig {
-        multicast: true,
-        jitter: Jitter::Periodic {
-            amplitude_pct: 40,
-            period: 8,
-        },
-        record_timing: true,
-        ..Default::default()
-    };
-    let plan = ExecPlan::build(&guest, &host, &assign, cfg)
-        .unwrap()
-        .with_compute_costs(vec![1, 3, 2, 1]);
-    let ev = Engine::from_plan(&plan).run().expect("event run");
-    assert_eq!(ev.stats.makespan, 108, "golden scenario drifted");
-
-    for threads in [1, 2, 8] {
-        for how in [Partition::DelayCut, Partition::RoundRobin] {
-            let sh = run_sharded_with(&plan, threads, how)
-                .unwrap_or_else(|e| panic!("sharded({threads}, {how:?}): {e}"));
-            assert_eq!(sh, ev, "sharded({threads}, {how:?}) diverged");
-        }
-    }
-}
-
-/// Same bit-identity under a fault schedule exercising every fault event
-/// the engine orders at barriers: a link outage (forcing retries), a
-/// delay spike, and a processor crash that strands subscribers and
-/// triggers re-subscription plus replayed backfill sends.
-#[test]
-fn sharded_engine_matches_event_under_crash_faults() {
-    use overlap::sim::{run_sharded_with, ExecPlan, Partition};
+fn event_and_stepped_agree_under_crash_faults() {
+    use overlap::sim::{run_stepped, validate_run, ExecPlan};
     use overlap::FaultPlan;
 
     let guest = GuestSpec::array(24, ProgramKind::Relaxation, 11, 20);
@@ -262,46 +220,30 @@ fn sharded_engine_matches_event_under_crash_faults() {
         .unwrap()
         .with_faults(faults)
         .unwrap();
+    let reference = ReferenceRun::execute(&guest);
     let ev = Engine::from_plan(&plan).run().expect("event run");
     assert!(ev.stats.faults.crashed_procs > 0, "crash did not land");
     assert!(
         ev.stats.faults.rerouted_subscriptions > 0,
         "no re-subscription exercised"
     );
+    assert!(ev.stats.faults.retries > 0, "outage forced no retries");
+    assert_eq!(validate_run(&reference, &ev), vec![], "event vs reference");
 
-    for threads in [1, 2, 8] {
-        for how in [Partition::DelayCut, Partition::RoundRobin] {
-            let sh = run_sharded_with(&plan, threads, how)
-                .unwrap_or_else(|e| panic!("sharded({threads}, {how:?}): {e}"));
-            assert_eq!(sh, ev, "sharded({threads}, {how:?}) diverged under faults");
-        }
-    }
-}
-
-/// `EngineKind::Sharded` through the builder facade reaches the same
-/// validated report as the default event engine.
-#[test]
-fn sharded_engine_via_builder_matches_event() {
-    use overlap::EngineKind;
-
-    let guest = GuestSpec::array(20, ProgramKind::KvWorkload, 7, 16);
-    let host = topology::linear_array(5, DelayModel::uniform(2, 6), 3);
-    let run = |kind| {
-        Simulation::of(&guest)
-            .on(&host)
-            .strategy(Strategy::Overlap { c: 4.0 })
-            .engine(kind)
-            .build()
-            .and_then(|s| s.run())
-            .unwrap()
+    let st = run_stepped(&plan).expect("stepped run");
+    assert_eq!(
+        validate_run(&reference, &st),
+        vec![],
+        "stepped vs reference"
+    );
+    let state = |out: &overlap::sim::RunOutcome| -> Vec<_> {
+        out.copies
+            .iter()
+            .map(|c| (c.cell, c.proc, c.value_fold, c.db_digest, c.update_fold))
+            .collect()
     };
-    let ev = run(EngineKind::Event);
-    let sh = run(EngineKind::Sharded { threads: 4 });
-    assert_eq!(ev.stats.makespan, sh.stats.makespan);
-    assert_eq!(ev.stats.messages, sh.stats.messages);
-    assert_eq!(ev.stats.pebble_hops, sh.stats.pebble_hops);
-    assert_eq!(ev.stats.events_processed, sh.stats.events_processed);
-    assert!(sh.validated && ev.validated);
+    assert_eq!(state(&st), state(&ev), "stepped state diverged from event");
+    assert_eq!(st.stats.faults.crashed_procs, ev.stats.faults.crashed_procs);
 }
 
 #[test]

@@ -1,12 +1,10 @@
 //! Bounded differential-fuzzing harness: the same generator + invariant
 //! audit the `overlap-cli fuzz` subcommand drives, run small enough for
-//! every `cargo test`. A clean pass certifies that the event, sharded,
-//! stepped and lockstep engines plus the parallel reference agree across
-//! a random sample of guests, hosts, delay models, assignments, costs,
-//! multicast lowerings and fault schedules — each scenario lowered
-//! exactly once into a shared `ExecPlan`. The sharded engine runs on
-//! every case (it supports the full feature set) at several thread
-//! counts and both partition heuristics.
+//! every `cargo test`. A clean pass certifies that the event, stepped and
+//! lockstep engines plus the unit-delay reference agree across a random
+//! sample of guests, hosts, delay models, assignments, costs, multicast
+//! lowerings and fault schedules — each scenario lowered exactly once
+//! into a shared `ExecPlan`.
 
 use overlap::model::ProgramKind;
 use overlap::net::DelayModel;

@@ -210,7 +210,6 @@ fn zero_step_scenarios_are_well_defined() {
 fn crash_recovery_without_a_route_is_an_error_not_a_panic() {
     use overlap::model::taskgraph::DagBuilder;
     use overlap::net::HostGraph;
-    use overlap::sim::{run_sharded_with, Partition};
 
     // Lane 0 is a self-contained chain; lane 1 consumes lane 0. Only the
     // lane-1 copy ever subscribes, so the redundant lane-0 copy on the
@@ -242,15 +241,6 @@ fn crash_recovery_without_a_route_is_an_error_not_a_panic() {
     };
     assert_eq!(Engine::from_plan(&plan).run().unwrap_err(), want, "event");
     assert_eq!(run_stepped(&plan).unwrap_err(), want, "stepped");
-    for threads in [1, 3] {
-        for how in [Partition::DelayCut, Partition::RoundRobin] {
-            assert_eq!(
-                run_sharded_with(&plan, threads, how).unwrap_err(),
-                want,
-                "sharded({threads}, {how:?})"
-            );
-        }
-    }
 }
 
 /// Task-graph scenarios in the exact paste-able form the fuzzer prints,
@@ -313,7 +303,7 @@ fn fuzz_pin_fork_join_relays_with_link_fault() {
 
 /// A uniform wavefront DAG lowers through the static tables, so every
 /// engine (lockstep and the traced event run included) is in scope —
-/// with multicast routing on top for the event/sharded pair.
+/// with multicast routing on top for the event engine.
 #[test]
 fn fuzz_pin_wavefront_multicast() {
     let spec = ScenarioSpec {

@@ -8,7 +8,7 @@
 
 use overlap::model::TaskGraph;
 use overlap::sim::engine::MemBudget;
-use overlap::sim::{run_lockstep, run_sharded_with, run_stepped, Partition};
+use overlap::sim::{run_lockstep, run_stepped};
 use overlap::{
     topology, Assignment, DelayModel, Engine, EngineConfig, ExecPlan, FaultPlan, GuestSpec,
     HostGraph, PlanDelta, ProgramKind, RunOutcome,
@@ -21,9 +21,6 @@ fn run_all(plan: &ExecPlan) -> Vec<(&'static str, Result<RunOutcome, String>)> {
     let e = |r: Result<RunOutcome, overlap::RunError>| r.map_err(|e| e.to_string());
     out.push(("event", e(Engine::from_plan(plan).run())));
     out.push(("stepped", e(run_stepped(plan))));
-    for (threads, how) in [(1, Partition::DelayCut), (3, Partition::RoundRobin)] {
-        out.push(("sharded", e(run_sharded_with(plan, threads, how))));
-    }
     let guest = plan.guest();
     if plan.faults().is_none()
         && plan.compute_costs().is_none()
@@ -254,12 +251,6 @@ fn multicast_deltas_match_fresh_lowerings() {
         h2.set_link_delay(0, 1, 7);
         let fresh = ExecPlan::build(&guest, &h2, &assign, config).unwrap();
         assert_eq!(plan.run().unwrap(), fresh.run().unwrap());
-        for (threads, how) in [(1, Partition::DelayCut), (3, Partition::RoundRobin)] {
-            assert_eq!(
-                run_sharded_with(&plan, threads, how).unwrap(),
-                run_sharded_with(&fresh, threads, how).unwrap()
-            );
-        }
         plan.apply_delta(receipt.inverse).unwrap();
         let base = ExecPlan::build(&guest, &host, &assign, config).unwrap();
         assert_eq!(plan.run().unwrap(), base.run().unwrap());
