@@ -14,9 +14,9 @@ use overlap_core::baseline::weighted_blocked;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
-use overlap_sim::engine::{Engine, EngineConfig};
+use overlap_sim::engine::EngineConfig;
 use overlap_sim::validate::validate_run;
-use overlap_sim::Assignment;
+use overlap_sim::{Assignment, ExecPlan};
 
 /// Run the heterogeneous-speed table.
 pub fn run(scale: Scale) -> Table {
@@ -51,7 +51,8 @@ pub fn run(scale: Scale) -> Table {
         let blocked = Assignment::blocked(n, cells);
         let weighted = weighted_blocked(&costs, cells);
         let run = |a: &Assignment| {
-            let out = Engine::new(&guest, &host, a, EngineConfig::default())
+            let out = ExecPlan::build(&guest, &host, a, EngineConfig::default())
+                .expect("plan")
                 .with_compute_costs(costs.clone())
                 .run()
                 .expect("run");

@@ -26,9 +26,7 @@ use overlap_model::{GuestSpec, ProgramKind};
 use overlap_net::topology::{linear_array, mesh2d};
 use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::engine::{Engine, EngineConfig, RunOutcome};
-use overlap_sim::lockstep::run_lockstep;
-use overlap_sim::stepped::run_stepped;
-use overlap_sim::{Assignment, ExecPlan, PlanDelta};
+use overlap_sim::{Assignment, EngineKind, ExecPlan, PlanDelta};
 use std::time::Instant;
 
 /// One engine's measured sweep, with and without plan reuse.
@@ -99,16 +97,11 @@ pub fn measure(scale: Scale) -> Vec<ReuseResult> {
     let repeats = scale.pick(6u32, 10);
     let reps = scale.pick(3, 5);
 
-    type Runner = fn(&ExecPlan) -> RunOutcome;
-    let engines: &[(&'static str, Runner)] = &[
-        ("event", |p| Engine::from_plan(p).run().expect("event")),
-        ("stepped", |p| run_stepped(p).expect("stepped")),
-        ("lockstep", |p| run_lockstep(p).expect("lockstep")),
-    ];
-
-    engines
-        .iter()
-        .map(|&(name, run)| {
+    [EngineKind::Event, EngineKind::Stepped, EngineKind::Lockstep]
+        .into_iter()
+        .map(|kind| {
+            let name = kind.label();
+            let run = |p: &ExecPlan| -> RunOutcome { kind.run(p, None, None).expect(name) };
             // Reused and fresh lowerings must be indistinguishable.
             let shared_plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("plan");
             let a = run(&shared_plan);

@@ -84,9 +84,16 @@ impl From<OverlapError> for Error {
     }
 }
 
+/// An engine's [`RunError::UnsupportedFeature`] is the builder's
+/// [`Error::Unsupported`]: one matrix, one error, whichever side raised it.
 impl From<RunError> for Error {
     fn from(e: RunError) -> Self {
-        Error::Run(e)
+        match e {
+            RunError::UnsupportedFeature { engine, feature } => {
+                Error::Unsupported { engine, feature }
+            }
+            e => Error::Run(e),
+        }
     }
 }
 

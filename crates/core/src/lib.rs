@@ -55,7 +55,8 @@ pub use assign::{expand_blocks, SlotAssignment};
 pub use error::Error;
 pub use killing::{KillOutcome, KillParams};
 pub use overlap::{plan_overlap, OverlapError, OverlapPlan};
+pub use overlap_sim::EngineKind;
 pub use pipeline::{SimReport, Strategy};
 pub use scenario::ScenarioSpec;
-pub use simulation::{EngineKind, Simulation, SimulationBuilder};
+pub use simulation::{Simulation, SimulationBuilder};
 pub use tree::{IntervalTree, TreeNode};

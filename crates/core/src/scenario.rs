@@ -21,12 +21,13 @@
 
 use crate::error::Error;
 use crate::pipeline::Strategy;
-use crate::simulation::{EngineKind, ReadySimulation, Simulation};
+use crate::simulation::{ReadySimulation, Simulation};
 use overlap_model::GuestSpec;
 use overlap_net::HostGraph;
 use overlap_sim::engine::EngineConfig;
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::trace::TraceConfig;
+use overlap_sim::EngineKind;
 use serde::{Deserialize, Serialize};
 
 /// A complete, self-contained simulation request: the serializable twin

@@ -32,27 +32,10 @@ use crate::error::Error;
 use crate::pipeline::{plan_line_placement, SimReport, Strategy};
 use overlap_model::{GuestSpec, ReferenceRun, ReferenceTrace};
 use overlap_net::{Delay, HostGraph};
-use overlap_sim::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
+use overlap_sim::engine::{EngineConfig, Jitter, MemBudget, RunOutcome};
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{run_lockstep, run_stepped, Assignment, BandwidthMode, ExecPlan, TraceConfig};
-use serde::{Deserialize, Serialize};
-
-/// Which execution engine runs the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EngineKind {
-    /// The cycle-accurate discrete-event engine (the default; the only
-    /// engine supporting multicast, jitter, and stall tracing).
-    #[default]
-    Event,
-    /// The tick-stepped engine (independent implementation, used for
-    /// cross-validation; supports compute costs and fault plans, but not
-    /// multicast, jitter, or tracing).
-    Stepped,
-    /// The lockstep baseline: global rounds of `d_max`-synchronised
-    /// compute-then-exchange (prior work's model).
-    Lockstep,
-}
+use overlap_sim::{Assignment, BandwidthMode, EngineKind, ExecPlan, TraceConfig};
 
 /// Entry point of the builder API: `Simulation::of(&guest)`.
 pub struct Simulation;
@@ -211,60 +194,15 @@ impl<'a> SimulationBuilder<'a> {
         if let Some(faults) = &self.faults {
             faults.validate(host).map_err(Error::Run)?;
         }
-        // Feature × engine support matrix. Features are rejected up
-        // front with `Error::Unsupported` — never silently dropped at
-        // run time.
-        let has_faults = self.faults.as_ref().is_some_and(|p| !p.is_empty());
-        let unsupported = |engine, feature| Err(Error::Unsupported { engine, feature });
-        let nonuniform_guest = self.guest.has_nonunit_task_costs() || !self.guest.is_static();
-        match self.engine {
-            EngineKind::Event => {
-                // The stall tracer's conservation law assumes uniform
-                // `cost_of(p)` pebbles; reload penalties and per-task
-                // costs break it.
-                if self.trace.is_some() {
-                    if self.config.mem.is_some() {
-                        return unsupported("event (traced)", "memory budget");
-                    }
-                    if nonuniform_guest {
-                        return unsupported("event (traced)", "non-uniform task graph");
-                    }
-                }
-            }
-            EngineKind::Stepped => {
-                if self.trace.is_some() {
-                    return unsupported("stepped", "stall-attribution tracing");
-                }
-                if self.config.multicast {
-                    return unsupported("stepped", "multicast distribution");
-                }
-                if self.config.jitter != Jitter::None {
-                    return unsupported("stepped", "delay jitter");
-                }
-            }
-            EngineKind::Lockstep => {
-                if has_faults {
-                    return unsupported("lockstep", "fault injection");
-                }
-                if self.compute_costs.is_some() {
-                    return unsupported("lockstep", "per-processor compute costs");
-                }
-                if self.trace.is_some() {
-                    return unsupported("lockstep", "stall-attribution tracing");
-                }
-                if self.config.multicast {
-                    return unsupported("lockstep", "multicast distribution");
-                }
-                // The closed-form lockstep makespan assumes unit-cost
-                // pebbles with always-resident copies.
-                if self.config.mem.is_some() {
-                    return unsupported("lockstep", "memory budget");
-                }
-                if self.guest.has_nonunit_task_costs() {
-                    return unsupported("lockstep", "non-unit task costs");
-                }
-            }
-        }
+        // Features the engine cannot time are rejected here, before
+        // placement, with `Error::Unsupported` — never dropped at run time.
+        self.engine.check(
+            self.guest,
+            &self.config,
+            self.compute_costs.as_deref(),
+            self.faults.as_ref(),
+            self.trace.is_some(),
+        )?;
         let (assignment, predicted_slowdown, array_delays, dilation) = match self.assignment {
             Some(a) => {
                 if a.num_procs() != host.num_nodes() {
@@ -361,18 +299,7 @@ impl ReadySimulation<'_> {
     /// `run_raw` is exactly `build_plan` + `run_plan`; calling them
     /// separately lets sweeps lower once and run many times.
     pub fn run_plan(&self, plan: &ExecPlan) -> Result<RunOutcome, Error> {
-        let out = match self.engine {
-            EngineKind::Event => {
-                let eng = Engine::from_plan(plan);
-                match self.trace {
-                    Some(cfg) => eng.run_traced(cfg)?,
-                    None => eng.run()?,
-                }
-            }
-            EngineKind::Stepped => run_stepped(plan)?,
-            EngineKind::Lockstep => run_lockstep(plan)?,
-        };
-        Ok(out)
+        Ok(self.engine.run(plan, None, self.trace)?)
     }
 
     /// Execute without validating (no reference run). Returns the raw
@@ -532,34 +459,165 @@ mod tests {
         assert!(lockstep.stats.makespan >= event.stats.makespan);
     }
 
+    /// One row of the feature axis of [`feature_matrix_is_one_policy`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Feature {
+        Faults,
+        Costs,
+        Multicast,
+        Jitter,
+        MemBudget,
+        WeightedDag,
+    }
+
+    /// The support matrix as DESIGN.md §13 states it: the `(engine,
+    /// feature)` pair a run is rejected with, `None` when it is legal.
+    fn rejection(
+        kind: EngineKind,
+        feature: Option<Feature>,
+        traced: bool,
+    ) -> Option<(&'static str, &'static str)> {
+        use Feature::*;
+        match kind {
+            EngineKind::Event => match (feature, traced) {
+                (Some(MemBudget), true) => Some(("event (traced)", "memory budget")),
+                (Some(WeightedDag), true) => Some(("event (traced)", "non-uniform task graph")),
+                _ => None,
+            },
+            EngineKind::Stepped => match (feature, traced) {
+                (_, true) => Some(("stepped", "stall-attribution tracing")),
+                (Some(Multicast), _) => Some(("stepped", "multicast distribution")),
+                (Some(Jitter), _) => Some(("stepped", "delay jitter")),
+                _ => None,
+            },
+            EngineKind::Lockstep => match (feature, traced) {
+                (Some(Faults), _) => Some(("lockstep", "fault injection")),
+                (Some(Costs), _) => Some(("lockstep", "per-processor compute costs")),
+                (_, true) => Some(("lockstep", "stall-attribution tracing")),
+                (Some(Multicast), _) => Some(("lockstep", "multicast distribution")),
+                (Some(Jitter), _) => Some(("lockstep", "delay jitter")),
+                (Some(MemBudget), _) => Some(("lockstep", "memory budget")),
+                (Some(WeightedDag), _) => Some(("lockstep", "non-unit task costs")),
+                _ => None,
+            },
+        }
+    }
+
+    /// Every engine × feature × {untraced, traced}: the builder rejects
+    /// with exactly the pair the engine itself returns on the equivalent
+    /// hand-built plan, and every legal combination runs, validated and
+    /// bit-identical, on both paths.
     #[test]
-    fn lockstep_rejects_faults_and_costs_as_unsupported() {
-        let (guest, host) = lab();
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Lockstep)
-            .faults(FaultPlan::new().link_down(0, 1, 5, 10))
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::Unsupported {
-                    engine: "lockstep",
-                    feature: "fault injection"
-                }
-            ),
-            "{err}"
+    fn feature_matrix_is_one_policy() {
+        use overlap_model::TaskGraph;
+        use overlap_sim::engine::Engine;
+        use overlap_sim::{run_lockstep, run_stepped};
+        let (line, host) = lab();
+        let dag = GuestSpec::dag(
+            TaskGraph::layered_random(8, 5, 2, 3, 9),
+            ProgramKind::KvWorkload,
+            3,
         );
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Lockstep)
-            .compute_costs(vec![1, 2, 1, 1])
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::Unsupported { .. }), "{err}");
-        // But an *empty* fault plan is fine anywhere.
-        assert!(Simulation::of(&guest)
+        let faults = FaultPlan::new().link_down(1, 2, 5, 40);
+        let costs = vec![1, 3, 1, 2];
+        let features = [
+            None,
+            Some(Feature::Faults),
+            Some(Feature::Costs),
+            Some(Feature::Multicast),
+            Some(Feature::Jitter),
+            Some(Feature::MemBudget),
+            Some(Feature::WeightedDag),
+        ];
+        for kind in [EngineKind::Event, EngineKind::Stepped, EngineKind::Lockstep] {
+            for feature in features {
+                for traced in [false, true] {
+                    let case = format!("{kind:?} × {feature:?}, traced {traced}");
+                    let guest = if feature == Some(Feature::WeightedDag) {
+                        &dag
+                    } else {
+                        &line
+                    };
+                    let assign = Assignment::blocked(4, guest.num_cells());
+                    let mut config = EngineConfig::default();
+                    let mut b = Simulation::of(guest)
+                        .on(&host)
+                        .assignment(assign.clone())
+                        .engine(kind);
+                    match feature {
+                        Some(Feature::Faults) => b = b.faults(faults.clone()),
+                        Some(Feature::Costs) => b = b.compute_costs(costs.clone()),
+                        Some(Feature::Multicast) => config.multicast = true,
+                        Some(Feature::Jitter) => {
+                            config.jitter = Jitter::Periodic {
+                                amplitude_pct: 50,
+                                period: 4,
+                            }
+                        }
+                        Some(Feature::MemBudget) => {
+                            config.mem = Some(MemBudget {
+                                budget: 2,
+                                reload_cost: 1,
+                            })
+                        }
+                        Some(Feature::WeightedDag) | None => {}
+                    }
+                    b = b.multicast(config.multicast).jitter(config.jitter);
+                    if let Some(mem) = config.mem {
+                        b = b.memory_budget(mem);
+                    }
+                    if traced {
+                        b = b.trace(TraceConfig::default());
+                    }
+                    let built = b.build();
+
+                    // The same run, handed straight to the engine.
+                    let mut plan = ExecPlan::build(guest, &host, &assign, config).unwrap();
+                    match feature {
+                        Some(Feature::Faults) => plan = plan.with_faults(faults.clone()).unwrap(),
+                        Some(Feature::Costs) => plan = plan.with_compute_costs(costs.clone()),
+                        _ => {}
+                    }
+                    let direct = match (kind, traced) {
+                        (EngineKind::Event, false) => Engine::from_plan(&plan).run(),
+                        (EngineKind::Event, true) => {
+                            Engine::from_plan(&plan).run_traced(TraceConfig::default())
+                        }
+                        // Only the front door can ask these engines to trace.
+                        (_, true) => kind.run(&plan, None, Some(TraceConfig::default())),
+                        (EngineKind::Stepped, false) => run_stepped(&plan),
+                        (EngineKind::Lockstep, false) => run_lockstep(&plan),
+                    };
+
+                    match rejection(kind, feature, traced) {
+                        Some((engine, feature)) => {
+                            assert!(
+                                matches!(built, Err(Error::Unsupported { engine: e, feature: f })
+                                    if (e, f) == (engine, feature)),
+                                "{case}: builder said {:?}",
+                                built.map(|_| ())
+                            );
+                            assert_eq!(
+                                direct,
+                                Err(RunError::UnsupportedFeature { engine, feature }),
+                                "{case}"
+                            );
+                        }
+                        None => {
+                            let report = built
+                                .and_then(|sim| sim.run())
+                                .unwrap_or_else(|e| panic!("{case}: builder path failed: {e}"));
+                            assert!(report.validated, "{case}");
+                            let direct = direct
+                                .unwrap_or_else(|e| panic!("{case}: engine path failed: {e}"));
+                            assert_eq!(report.outcome, direct, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        // An empty fault plan is no fault injection.
+        assert!(Simulation::of(&line)
             .on(&host)
             .engine(EngineKind::Lockstep)
             .faults(FaultPlan::new())
@@ -601,37 +659,6 @@ mod tests {
         assert!(faulty.validated, "degraded stepped run must validate");
         assert!(faulty.stats.faults.retries > 0);
         assert!(faulty.stats.makespan >= base.stats.makespan);
-    }
-
-    #[test]
-    fn stepped_rejects_multicast_and_jitter_as_unsupported() {
-        let (guest, host) = lab();
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Stepped)
-            .multicast(true)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::Unsupported {
-                    engine: "stepped",
-                    feature: "multicast distribution"
-                }
-            ),
-            "{err}"
-        );
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Stepped)
-            .jitter(Jitter::Periodic {
-                amplitude_pct: 50,
-                period: 4,
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, Error::Unsupported { .. }), "{err}");
     }
 
     #[test]
@@ -784,29 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn tracing_requires_event_engine() {
-        let (guest, host) = lab();
-        for kind in [EngineKind::Stepped, EngineKind::Lockstep] {
-            let err = Simulation::of(&guest)
-                .on(&host)
-                .engine(kind)
-                .trace(TraceConfig::default())
-                .build()
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    Error::Unsupported {
-                        feature: "stall-attribution tracing",
-                        ..
-                    }
-                ),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
     fn memory_budget_validates_and_counts_reloads() {
         let (guest, host) = lab();
         let build = |mem: Option<MemBudget>| {
@@ -842,85 +846,6 @@ mod tests {
             .unwrap();
         assert_eq!(stepped.stats.makespan, tight.stats.makespan);
         assert_eq!(stepped.stats.mem, tight.stats.mem);
-    }
-
-    #[test]
-    fn memory_budget_matrix_rejections() {
-        let (guest, host) = lab();
-        let mem = MemBudget {
-            budget: 2,
-            reload_cost: 1,
-        };
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Lockstep)
-            .memory_budget(mem)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::Unsupported {
-                    engine: "lockstep",
-                    feature: "memory budget"
-                }
-            ),
-            "{err}"
-        );
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .memory_budget(mem)
-            .trace(TraceConfig::default())
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::Unsupported {
-                    engine: "event (traced)",
-                    feature: "memory budget"
-                }
-            ),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn nonuniform_dag_matrix_rejections() {
-        use overlap_model::TaskGraph;
-        let graph = TaskGraph::layered_random(8, 5, 2, 3, 9);
-        let guest = GuestSpec::dag(graph, ProgramKind::KvWorkload, 3);
-        let host = linear_array(4, DelayModel::constant(2), 0);
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .engine(EngineKind::Lockstep)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::Unsupported {
-                    engine: "lockstep",
-                    feature: "non-unit task costs"
-                }
-            ),
-            "{err}"
-        );
-        let err = Simulation::of(&guest)
-            .on(&host)
-            .trace(TraceConfig::default())
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::Unsupported {
-                    engine: "event (traced)",
-                    feature: "non-uniform task graph"
-                }
-            ),
-            "{err}"
-        );
     }
 
     #[test]

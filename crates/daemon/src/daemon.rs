@@ -1,12 +1,12 @@
 //! The daemon proper: session registry, worker pool, and run lifecycle.
 //!
-//! A submission is validated up front (the same builder matrix as the
-//! in-process API — invalid scenarios are rejected at the door, not at
-//! run time), keyed for the plan cache, and queued. Worker threads pull
-//! sessions off the queue, resolve the plan through [`PlanCache`]
+//! A submission is validated up front (the same `EngineKind::check` as
+//! the in-process builder — invalid scenarios are rejected at the door,
+//! not at run time), keyed for the plan cache, and queued. Worker threads
+//! pull sessions off the queue, resolve the plan through [`PlanCache`]
 //! (lowering at most once per key), apply the session's fault /
-//! compute-cost deltas via `ExecPlan::apply_delta`, execute on the
-//! requested engine under a [`RunControl`], validate against the cached
+//! compute-cost deltas via `ExecPlan::apply_delta`, execute through
+//! `EngineKind::run` under a [`RunControl`], validate against the cached
 //! reference trace, persist a [`RunRecord`], and stream [`Event`]s to
 //! subscribers.
 //!
@@ -18,13 +18,11 @@
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::store::{MemStore, RunRecord, RunStore};
-use overlap_core::{EngineKind, Error, ScenarioSpec};
-use overlap_sim::engine::{Engine, RunError, RunOutcome};
+use overlap_core::{Error, ScenarioSpec};
+use overlap_sim::engine::{RunError, RunOutcome};
 use overlap_sim::trace::TraceConfig;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{
-    run_lockstep_controlled, run_stepped_controlled, ExecPlan, PlanDelta, RunControl,
-};
+use overlap_sim::{ExecPlan, PlanDelta, RunControl};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -465,7 +463,7 @@ fn run_session(inner: &Inner, session: &Arc<Session>) {
                 session: session.id,
                 plan_hash: session.hash,
                 cache_hit: was_hit,
-                engine: engine_label(session.spec.engine).into(),
+                engine: session.spec.engine.label().into(),
                 strategy: session.spec.strategy.label(),
                 host: session.spec.host.name().to_string(),
                 stats: outcome.stats,
@@ -522,39 +520,15 @@ fn run_on_plan(session: &Arc<Session>, plan: &mut ExecPlan<'static>) -> Result<R
             staged = apply(plan, PlanDelta::ComputeCosts(Some(costs.clone())));
         }
     }
-    let result = match staged {
-        Ok(()) => dispatch(session, plan),
-        Err(e) => Err(e),
-    };
+    let result = staged.and_then(|()| {
+        let trace = spec.trace.then(TraceConfig::default);
+        spec.engine
+            .run(plan, Some(&*session.control), trace)
+            .map_err(Error::from)
+    });
     for inverse in inverses.into_iter().rev() {
         plan.apply_delta(inverse)
             .expect("inverse delta must re-apply");
     }
     result
-}
-
-fn dispatch(session: &Arc<Session>, plan: &ExecPlan<'static>) -> Result<RunOutcome, Error> {
-    let spec = &session.spec;
-    let ctl = &*session.control;
-    let out = match spec.engine {
-        EngineKind::Event => {
-            let eng = Engine::from_plan(plan).with_control(ctl);
-            if spec.trace {
-                eng.run_traced(TraceConfig::default())
-            } else {
-                eng.run()
-            }
-        }
-        EngineKind::Stepped => run_stepped_controlled(plan, Some(ctl)),
-        EngineKind::Lockstep => run_lockstep_controlled(plan, Some(ctl)),
-    };
-    out.map_err(Error::Run)
-}
-
-fn engine_label(kind: EngineKind) -> &'static str {
-    match kind {
-        EngineKind::Event => "event",
-        EngineKind::Stepped => "stepped",
-        EngineKind::Lockstep => "lockstep",
-    }
 }

@@ -8,6 +8,7 @@ use overlap_model::{GuestSpec, ProgramKind};
 use overlap_net::topology::linear_array;
 use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::faults::FaultPlan;
+use overlap_sim::Jitter;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -227,6 +228,21 @@ fn invalid_scenarios_are_rejected_at_submission() {
         Err(overlap_core::Error::Unsupported {
             engine: "lockstep",
             feature: "stall-attribution tracing"
+        })
+    ));
+    // Lockstep's closed form cannot time jitter, so the spec is refused
+    // rather than run as if the delays were fixed.
+    let mut jittered_lockstep = spec(16, 16);
+    jittered_lockstep.engine = EngineKind::Lockstep;
+    jittered_lockstep.config.jitter = Jitter::Periodic {
+        amplitude_pct: 90,
+        period: 2,
+    };
+    assert!(matches!(
+        daemon.submit(jittered_lockstep),
+        Err(overlap_core::Error::Unsupported {
+            engine: "lockstep",
+            feature: "delay jitter"
         })
     ));
     assert!(matches!(

@@ -1,4 +1,14 @@
-//! Cooperative run control: pause, resume, and cancel a running engine.
+//! The engine front door: which engine runs a plan ([`EngineKind`]), which
+//! features each engine accepts, and cooperative pause, resume and cancel
+//! ([`RunControl`]).
+//!
+//! [`EngineKind::check`] is the single copy of the feature × engine
+//! support matrix (DESIGN.md §13). The builder calls it at `build()`,
+//! the fuzzer asks it which engines a plan is legal for, and each public
+//! engine entry (`Engine::run_traced`, `run_stepped`, `run_lockstep`)
+//! calls it once before running, so a hand-built plan gets the same typed
+//! error as a builder call. [`EngineKind::run`] is the single dispatch
+//! from a kind to an engine.
 //!
 //! Every engine's hot loop periodically calls
 //! [`RunControl::checkpoint`] (every [`CHECK_EVERY`] dispatch units —
@@ -20,7 +30,14 @@
 //! discarded (run returns `Cancelled`). Nothing is ever persisted from a
 //! cancelled run.
 
-use crate::engine::RunError;
+use crate::engine::{Engine, EngineConfig, Jitter, RunError, RunOutcome};
+use crate::faults::FaultPlan;
+use crate::lockstep::run_lockstep_controlled;
+use crate::plan::ExecPlan;
+use crate::stepped::run_stepped_controlled;
+use crate::trace::TraceConfig;
+use overlap_model::GuestSpec;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -28,6 +45,124 @@ use std::sync::{Condvar, Mutex};
 /// enough that pause/cancel feel immediate, large enough that the atomic
 /// loads never show up in a profile.
 pub const CHECK_EVERY: u64 = 4096;
+
+/// Which execution engine runs a plan. All three consume the same
+/// [`ExecPlan`] and compute identical state; they differ in which
+/// features they can time (see [`check`](Self::check)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum EngineKind {
+    /// The cycle-accurate discrete-event engine: the production path.
+    #[default]
+    Event,
+    /// The tick-stepped engine: the independent differential oracle.
+    Stepped,
+    /// The lockstep baseline: global rounds of `d_max`-synchronised
+    /// compute-then-exchange (the paper's §1 model).
+    Lockstep,
+}
+
+impl EngineKind {
+    /// The engine's name in run records and messages: `"event"`,
+    /// `"stepped"` or `"lockstep"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            EngineKind::Event => "event",
+            EngineKind::Stepped => "stepped",
+            EngineKind::Lockstep => "lockstep",
+        }
+    }
+
+    /// The feature × engine support matrix: fails with
+    /// [`RunError::UnsupportedFeature`] naming the first feature of the
+    /// run that this engine cannot time, in row order. `costs` and
+    /// `faults` are the run's compute-cost table and fault plan (an empty
+    /// plan is no fault injection); `traced` asks for stall attribution.
+    /// Features are rejected, never silently dropped.
+    pub fn check(
+        self,
+        guest: &GuestSpec,
+        config: &EngineConfig,
+        costs: Option<&[u32]>,
+        faults: Option<&FaultPlan>,
+        traced: bool,
+    ) -> Result<(), RunError> {
+        let jitter = config.jitter != Jitter::None;
+        let rows: &[(&str, bool)] = match self {
+            EngineKind::Event if !traced => &[],
+            // The stall tracer's conservation law assumes every pebble of
+            // processor `p` takes exactly `cost_of(p)` ticks; reload
+            // penalties and per-task costs break it.
+            EngineKind::Event => &[
+                ("memory budget", config.mem.is_some()),
+                (
+                    "non-uniform task graph",
+                    guest.has_nonunit_task_costs() || !guest.is_static(),
+                ),
+            ],
+            EngineKind::Stepped => &[
+                ("stall-attribution tracing", traced),
+                ("multicast distribution", config.multicast),
+                ("delay jitter", jitter),
+            ],
+            // The closed-form makespan `steps × round_cost` assumes fixed
+            // delays, unicast routes, and unit-cost pebbles on always-
+            // resident copies.
+            EngineKind::Lockstep => &[
+                ("fault injection", faults.is_some_and(|f| !f.is_empty())),
+                ("per-processor compute costs", costs.is_some()),
+                ("stall-attribution tracing", traced),
+                ("multicast distribution", config.multicast),
+                ("delay jitter", jitter),
+                ("memory budget", config.mem.is_some()),
+                ("non-unit task costs", guest.has_nonunit_task_costs()),
+            ],
+        };
+        match rows.iter().find(|&&(_, asked)| asked) {
+            None => Ok(()),
+            Some(&(feature, _)) => Err(RunError::UnsupportedFeature {
+                engine: match self {
+                    EngineKind::Event => "event (traced)",
+                    kind => kind.label(),
+                },
+                feature,
+            }),
+        }
+    }
+
+    /// [`check`](Self::check) against the features a lowered plan carries.
+    pub(crate) fn check_plan(self, plan: &ExecPlan, traced: bool) -> Result<(), RunError> {
+        self.check(
+            plan.guest(),
+            &plan.config,
+            plan.compute_costs(),
+            plan.faults(),
+            traced,
+        )
+    }
+
+    /// Run `plan` on this engine, under `control` when given, with stall
+    /// attribution when `trace` is given. The plan is checked first, so
+    /// an unsupported feature is a typed error, never a dropped option.
+    pub fn run(
+        self,
+        plan: &ExecPlan,
+        control: Option<&RunControl>,
+        trace: Option<TraceConfig>,
+    ) -> Result<RunOutcome, RunError> {
+        self.check_plan(plan, trace.is_some())?;
+        match self {
+            EngineKind::Event => {
+                let eng = Engine::from_plan(plan).with_control(control);
+                match trace {
+                    Some(cfg) => eng.run_traced_unchecked(cfg),
+                    None => eng.run(),
+                }
+            }
+            EngineKind::Stepped => run_stepped_controlled(plan, control),
+            EngineKind::Lockstep => run_lockstep_controlled(plan, control),
+        }
+    }
+}
 
 /// Shared handle controlling one engine run (clone an `Arc<RunControl>`
 /// to hand it to both the runner and the controller).

@@ -37,8 +37,8 @@
 use crate::assignment::Assignment;
 use crate::bandwidth::BandwidthMode;
 use crate::calendar::CalendarQueue;
-use crate::control::RunControl;
-use crate::faults::{FaultMark, FaultMarkKind, FaultPlan, FaultRt};
+use crate::control::{EngineKind, RunControl};
+use crate::faults::{FaultMark, FaultMarkKind, FaultRt};
 use crate::plan::{DepSrc, ExecPlan, ProcTables, Routes, SUB_BIT};
 use crate::routing::RoutingTable;
 use crate::stats::{FaultStats, RunStats};
@@ -216,10 +216,13 @@ pub enum RunError {
         /// cancellation was observed.
         at: u64,
     },
-    /// The plan carries a feature this engine does not implement (e.g. a
-    /// memory budget on the lockstep engine). The builder's validation
-    /// matrix catches these at `build()`; engines also check at entry so a
-    /// hand-built plan fails cleanly instead of asserting mid-run.
+    /// The run asks for a feature this engine does not implement (e.g. a
+    /// memory budget on the lockstep engine). Raised only by
+    /// [`EngineKind::check`], which the builder calls at `build()` and
+    /// every engine entry calls before running, so a hand-built plan fails
+    /// cleanly instead of being mis-timed.
+    ///
+    /// [`EngineKind::check`]: crate::control::EngineKind::check
     UnsupportedFeature {
         /// Engine that rejected the plan.
         engine: &'static str,
@@ -708,21 +711,12 @@ fn deliver<T: Tracer>(
 /// All lowering lives in [`ExecPlan`]: [`Engine::new`] builds a private
 /// plan for one-shot runs, while [`Engine::from_plan`] borrows a shared
 /// one so sweeps amortize the lowering across repeats, engines, and fault
-/// variants.
+/// variants. Compute costs and fault schedules ride on the plan
+/// ([`ExecPlan::with_compute_costs`], [`ExecPlan::with_faults`]).
 pub struct Engine<'a> {
     /// The lowered plan, or the lowering error reported when the engine
     /// runs (incomplete assignment).
     plan: Result<PlanRef<'a>, RunError>,
-    /// Processor count, kept for cost-table validation.
-    nprocs: u32,
-    /// Ticks per pebble per processor (default all 1): models NOWs that
-    /// mix workstation generations. Beyond the paper's unit-speed model.
-    /// Overrides the plan's cost table when set.
-    compute_costs: Option<Vec<u32>>,
-    /// Deterministic fault schedule; `None` or an empty plan takes the
-    /// fault-free fast path (bit-identical to the plain engine).
-    /// Overrides the plan's fault schedule when set.
-    faults: Option<FaultPlan>,
     /// Cooperative pause/cancel control, observed every
     /// [`CHECK_EVERY`](crate::control::CHECK_EVERY) events.
     control: Option<&'a RunControl>,
@@ -767,44 +761,18 @@ impl<'a> Engine<'a> {
     ) -> Self {
         Self {
             plan: ExecPlan::build(guest, host, assign, config).map(|p| PlanRef::Owned(Box::new(p))),
-            nprocs: host.num_nodes(),
-            compute_costs: None,
-            faults: None,
             control: None,
         }
     }
 
-    /// Execute a pre-lowered plan. The plan's compute costs and fault
-    /// schedule apply unless overridden on this engine, so one plan can be
-    /// shared across repeats, engines, and fault variants.
+    /// Execute a pre-lowered plan, with the compute costs and fault
+    /// schedule it carries, so one plan can be shared across repeats,
+    /// engines, and fault variants.
     pub fn from_plan(plan: &'a ExecPlan<'a>) -> Self {
         Self {
-            nprocs: plan.host().num_nodes(),
             plan: Ok(PlanRef::Shared(plan)),
-            compute_costs: None,
-            faults: None,
             control: None,
         }
-    }
-
-    /// Give each processor its own compute cost (ticks per pebble, ≥ 1).
-    /// Models heterogeneous workstation speeds — an extension beyond the
-    /// paper's unit-speed processors.
-    pub fn with_compute_costs(mut self, costs: Vec<u32>) -> Self {
-        assert_eq!(costs.len() as u32, self.nprocs);
-        assert!(costs.iter().all(|&c| c >= 1), "costs must be ≥ 1");
-        self.compute_costs = Some(costs);
-        self
-    }
-
-    /// Inject a deterministic fault plan (link outages, delay spikes,
-    /// processor crashes) with graceful degradation: timed-out transfers
-    /// are retried with exponential backoff, and subscriptions whose
-    /// holder crashed are rerouted to the nearest surviving copy. An
-    /// empty plan leaves the run bit-identical to a fault-free engine.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
     }
 
     /// Attach a cooperative [`RunControl`]: the dispatch loop honours
@@ -812,9 +780,17 @@ impl<'a> Engine<'a> {
     /// every [`CHECK_EVERY`](crate::control::CHECK_EVERY) events. Control
     /// never perturbs the schedule — a paused-and-resumed run is
     /// bit-identical to an uninterrupted one.
-    pub fn with_control(mut self, control: &'a RunControl) -> Self {
-        self.control = Some(control);
+    pub(crate) fn with_control(mut self, control: Option<&'a RunControl>) -> Self {
+        self.control = control;
         self
+    }
+
+    /// The lowered plan, or the deferred lowering error.
+    fn plan(&self) -> Result<&ExecPlan<'a>, RunError> {
+        match &self.plan {
+            Ok(p) => Ok(p.get()),
+            Err(e) => Err(e.clone()),
+        }
     }
 
     /// Access the unicast routing table (for reporting). `None` when the
@@ -833,30 +809,20 @@ impl<'a> Engine<'a> {
     /// db-order / fault / drain (see [`crate::trace`]). The outcome's
     /// `stats.stalls` and `trace` are populated; the event schedule — and
     /// therefore every other stat — is identical to an untraced [`run`].
+    /// Plans the tracer cannot account for fail with
+    /// [`RunError::UnsupportedFeature`] ([`EngineKind::check`]).
     ///
     /// [`run`]: Engine::run
+    /// [`EngineKind::check`]: crate::control::EngineKind::check
     pub fn run_traced(&self, cfg: TraceConfig) -> Result<RunOutcome, RunError> {
-        let plan = match &self.plan {
-            Ok(p) => p.get(),
-            Err(e) => return Err(e.clone()),
-        };
-        // The stall tracer's per-copy conservation law assumes every pebble
-        // of processor `p` takes exactly `cost_of(p)` ticks; memory-budget
-        // reload penalties and per-task costs break that invariant, so
-        // traced runs reject them (the builder's validation matrix reports
-        // the same error at build()).
-        if plan.config.mem.is_some() {
-            return Err(RunError::UnsupportedFeature {
-                engine: "event (traced)",
-                feature: "memory budget",
-            });
-        }
-        if plan.guest.has_nonunit_task_costs() || !plan.guest.is_static() {
-            return Err(RunError::UnsupportedFeature {
-                engine: "event (traced)",
-                feature: "non-uniform task graph",
-            });
-        }
+        EngineKind::Event.check_plan(self.plan()?, true)?;
+        self.run_traced_unchecked(cfg)
+    }
+
+    /// [`run_traced`](Self::run_traced) without the feature check, for
+    /// callers that already made it.
+    pub(crate) fn run_traced_unchecked(&self, cfg: TraceConfig) -> Result<RunOutcome, RunError> {
+        let plan = self.plan()?;
         let hot = &plan.hot;
         let cid_of = |proc: NodeId, cell: u32| -> u32 {
             let p = proc as usize;
@@ -895,11 +861,11 @@ impl<'a> Engine<'a> {
     /// [`NoopTracer`]'s hooks are empty `#[inline]` defaults, so the
     /// monomorphized untraced engine schedules bit-identical events to the
     /// pre-tracing engine (pinned by the golden determinism tests).
-    pub fn run_with_tracer<T: Tracer>(&self, tracer: &mut T) -> Result<RunOutcome, RunError> {
-        let plan = match &self.plan {
-            Ok(p) => p.get(),
-            Err(e) => return Err(e.clone()),
-        };
+    pub(crate) fn run_with_tracer<T: Tracer>(
+        &self,
+        tracer: &mut T,
+    ) -> Result<RunOutcome, RunError> {
+        let plan = self.plan()?;
         let routing = &plan.routes;
         let hot = &plan.hot;
         let n = plan.host.num_nodes();
@@ -925,7 +891,7 @@ impl<'a> Engine<'a> {
         // ---- fault runtime (compiled only for a non-empty plan, so the
         // fault-free path schedules the exact same events in the exact
         // same order as an engine without a plan) ----
-        let frt: Option<FaultRt> = match self.faults.as_ref().or(plan.faults.as_ref()) {
+        let frt: Option<FaultRt> = match plan.faults.as_ref() {
             Some(fp) if !fp.is_empty() => Some(FaultRt::build(fp, &plan.host)?),
             _ => None,
         };
@@ -1129,10 +1095,7 @@ impl<'a> Engine<'a> {
         let mut pebble_hops = 0u64;
         let mut events_processed = 0u64;
 
-        let costs = self
-            .compute_costs
-            .as_deref()
-            .or(plan.compute_costs.as_deref());
+        let costs = plan.compute_costs.as_deref();
         let cost_of = |p: usize| -> u64 { costs.map(|c| c[p] as u64).unwrap_or(1) };
 
         // Task-graph extensions: per-task cost multipliers, relay slots,
@@ -2030,7 +1993,8 @@ mod tests {
             ..Default::default()
         };
         let costs = vec![1u32, 4u32];
-        let out = Engine::new(&guest, &host, &assign, cfg)
+        let out = ExecPlan::build(&guest, &host, &assign, cfg)
+            .unwrap()
             .with_compute_costs(costs.clone())
             .run()
             .unwrap();
@@ -2127,9 +2091,11 @@ mod tests {
         let cfg = EngineConfig::default();
         // Take the 1↔2 boundary link down mid-run: transfers time out and
         // retry with backoff, which the consumers feel as fault stalls.
-        let plan = FaultPlan::new().link_down(1, 2, 5, 60);
-        let traced = Engine::new(&guest, &host, &assign, cfg)
-            .with_faults(plan)
+        let plan = ExecPlan::build(&guest, &host, &assign, cfg)
+            .unwrap()
+            .with_faults(FaultPlan::new().link_down(1, 2, 5, 60))
+            .unwrap();
+        let traced = Engine::from_plan(&plan)
             .run_traced(TraceConfig::default())
             .unwrap();
         assert_conserved(&traced);
@@ -2152,9 +2118,11 @@ mod tests {
         );
         let cfg = EngineConfig::default();
         let clean = Engine::new(&guest, &host, &assign, cfg).run().unwrap();
-        let plan = FaultPlan::new().crash(1, clean.stats.makespan / 3);
-        let traced = Engine::new(&guest, &host, &assign, cfg)
-            .with_faults(plan)
+        let plan = ExecPlan::build(&guest, &host, &assign, cfg)
+            .unwrap()
+            .with_faults(FaultPlan::new().crash(1, clean.stats.makespan / 3))
+            .unwrap();
+        let traced = Engine::from_plan(&plan)
             .run_traced(TraceConfig::default())
             .unwrap();
         assert_eq!(traced.stats.faults.crashed_procs, 1);
@@ -2224,7 +2192,8 @@ mod tests {
         let base = Engine::new(&guest, &host, &assign, EngineConfig::default())
             .run()
             .unwrap();
-        let slowed = Engine::new(&guest, &host, &assign, EngineConfig::default())
+        let slowed = ExecPlan::build(&guest, &host, &assign, EngineConfig::default())
+            .unwrap()
             .with_compute_costs(vec![1, 4, 1, 1])
             .run()
             .unwrap();
@@ -2243,7 +2212,8 @@ mod tests {
         let a = Engine::new(&guest, &host, &assign, EngineConfig::default())
             .run()
             .unwrap();
-        let b = Engine::new(&guest, &host, &assign, EngineConfig::default())
+        let b = ExecPlan::build(&guest, &host, &assign, EngineConfig::default())
+            .unwrap()
             .with_compute_costs(vec![1; 3])
             .run()
             .unwrap();
@@ -2257,7 +2227,8 @@ mod tests {
         let guest = GuestSpec::array(2, ProgramKind::StencilSum, 0, 1);
         let host = linear_array(2, DelayModel::constant(1), 0);
         let assign = Assignment::blocked(2, 2);
-        let _ = Engine::new(&guest, &host, &assign, EngineConfig::default())
+        let _ = ExecPlan::build(&guest, &host, &assign, EngineConfig::default())
+            .unwrap()
             .with_compute_costs(vec![1, 0]);
     }
 
@@ -2480,11 +2451,11 @@ mod tests {
                         record_timing: true,
                         ..Default::default()
                     };
-                    let mut eng = Engine::new(&guest, &host, &assign, cfg);
+                    let mut plan = ExecPlan::build(&guest, &host, &assign, cfg).unwrap();
                     if let Some(c) = costs.clone() {
-                        eng = eng.with_compute_costs(c);
+                        plan = plan.with_compute_costs(c);
                     }
-                    let new = eng.run().expect("calendar engine");
+                    let new = plan.run().expect("calendar engine");
                     let classic = run_classic(&guest, &host, &assign, cfg, costs.as_deref())
                         .expect("classic engine");
                     assert_eq!(

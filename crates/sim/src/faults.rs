@@ -8,8 +8,9 @@
 //! surviving copy of the same database can serve its subscribers.
 //!
 //! A [`FaultPlan`] is a fully deterministic schedule of such faults,
-//! injected into the event engine via `Engine::with_faults` (or the
-//! `Simulation` builder's `.faults(..)`). Semantics:
+//! attached to a lowered plan with `ExecPlan::with_faults` (or the
+//! `Simulation` builder's `.faults(..)`) and honoured by the event and
+//! stepped engines. Semantics:
 //!
 //! * **Link outage** `[from, until)`: a pebble whose transfer over the
 //!   link overlaps the outage is *lost*. The sender detects the loss after

@@ -42,6 +42,7 @@
 //!   lockstep bound on the same plan.
 
 use crate::assignment::Assignment;
+use crate::control::EngineKind;
 use crate::engine::{Engine, EngineConfig, MemBudget, RunOutcome};
 use crate::faults::FaultPlan;
 use crate::lockstep::run_lockstep;
@@ -814,10 +815,11 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
 /// the shrinker can re-check fault- and cost-only candidates through
 /// [`ExecPlan::apply_delta`] on a shared plan instead of re-lowering per
 /// candidate. `spec` must describe the plan (it is consulted for audit
-/// expectations and engine legality).
+/// expectations); [`EngineKind::check`] decides which engines are legal.
 pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
     let guest = plan.guest();
     let assign = plan.assignment();
+    let legal = |kind: EngineKind, traced| kind.check_plan(plan, traced).is_ok();
     let mut problems: Vec<String> = Vec::new();
 
     let reference = ReferenceRun::execute(guest);
@@ -845,11 +847,8 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
     }
 
     // Traced run: identical modulo the stall report, which must conserve
-    // every tick of every surviving copy. The tracer's conservation law
-    // assumes uniform per-processor pebble costs, so memory budgets and
-    // non-uniform task graphs are out of scope (rejected at build()).
-    let traceable = spec.mem.is_none() && guest.is_static() && !guest.has_nonunit_task_costs();
-    if traceable {
+    // every tick of every surviving copy.
+    if legal(EngineKind::Event, true) {
         match Engine::from_plan(plan).run_traced(TraceConfig::default()) {
             Ok(traced) => {
                 let report = traced.trace.clone().expect("tracing was enabled");
@@ -882,8 +881,7 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
         }
     }
 
-    // Stepped engine: legal whenever the plan is unicast and jitter-free.
-    if !spec.multicast {
+    if legal(EngineKind::Stepped, false) {
         match run_stepped(plan) {
             Ok(st) => {
                 for err in validate_run(&reference, &st) {
@@ -902,15 +900,7 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
         }
     }
 
-    // Lockstep: legal without faults, costs, multicast, memory budgets,
-    // and non-unit task costs (its closed-form makespan assumes unit-cost
-    // pebbles on always-resident copies).
-    if !spec.multicast
-        && spec.faults.is_empty()
-        && spec.costs.is_none()
-        && spec.mem.is_none()
-        && !guest.has_nonunit_task_costs()
-    {
+    if legal(EngineKind::Lockstep, false) {
         match run_lockstep(plan) {
             Ok(lk) => {
                 for err in validate_run(&reference, &lk) {

@@ -54,13 +54,13 @@ pub mod validate;
 
 pub use assignment::Assignment;
 pub use bandwidth::BandwidthMode;
-pub use control::RunControl;
+pub use control::{EngineKind, RunControl};
 pub use engine::{Engine, EngineConfig, Jitter, RunError, RunOutcome};
 pub use faults::{FaultPlan, RetryPolicy};
-pub use lockstep::{run_lockstep, run_lockstep_controlled};
+pub use lockstep::run_lockstep;
 pub use plan::{fnv1a, scenario_hash, scenario_key, AppliedDelta, ExecPlan, PlanDelta};
 pub use routing::RoutingTable;
 pub use stats::{FaultStats, RunStats};
-pub use stepped::{run_stepped, run_stepped_controlled};
-pub use trace::{MsgKey, NoopTracer, ReadyCause, StallBreakdown, TraceConfig, TraceReport, Tracer};
+pub use stepped::run_stepped;
+pub use trace::{StallBreakdown, TraceConfig, TraceReport};
 pub use validate::{audit_causality, validate_run};

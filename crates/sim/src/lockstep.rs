@@ -25,6 +25,7 @@
 
 use crate::assignment::Assignment;
 use crate::bandwidth::BandwidthMode;
+use crate::control::EngineKind;
 use crate::engine::{CopyRecord, RunError, RunOutcome};
 use crate::plan::ExecPlan;
 use crate::routing::RoutingTable;
@@ -74,44 +75,28 @@ pub fn round_cost(
 
 /// Execute the guest under lockstep rounds over a lowered plan. State is
 /// computed exactly (and can be validated like any other engine's
-/// outcome); time is the closed form `steps × round_cost`.
+/// outcome); time is the closed form `steps × round_cost`. A plan with a
+/// feature that form cannot time (faults, costs, multicast, jitter,
+/// memory budgets, weighted task graphs) fails with
+/// [`RunError::UnsupportedFeature`] ([`EngineKind::check`]).
 pub fn run_lockstep(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
-    run_lockstep_controlled(plan, None)
+    EngineKind::Lockstep.run(plan, None, None)
 }
 
-/// [`run_lockstep`] under a cooperative [`RunControl`](crate::control::RunControl):
-/// checked once per
-/// simulated round (rounds are the lockstep engine's dispatch unit).
-pub fn run_lockstep_controlled(
+/// [`run_lockstep`] on a checked plan, under a cooperative
+/// [`RunControl`](crate::control::RunControl): checked once per simulated
+/// round (rounds are the lockstep engine's dispatch unit).
+pub(crate) fn run_lockstep_controlled(
     plan: &ExecPlan,
     control: Option<&crate::control::RunControl>,
 ) -> Result<RunOutcome, RunError> {
-    let routing = plan.routing().expect(
-        "the lockstep engine implements unicast routing; \
-         use the event engine for multicast",
-    );
+    let routing = plan.routing().expect("the check rejects multicast plans");
     let guest = plan.guest();
     let host = plan.host();
     let assign = plan.assignment();
     let bandwidth = plan.config().bandwidth;
     let n = host.num_nodes();
     let steps = guest.steps;
-    // The closed-form makespan `steps × round_cost` assumes every pebble
-    // costs one compute tick and every copy is always resident; weighted
-    // task graphs and memory budgets would silently mis-time, so they are
-    // rejected up front (use the event or stepped engine).
-    if plan.config().mem.is_some() {
-        return Err(RunError::UnsupportedFeature {
-            engine: "lockstep",
-            feature: "memory budget",
-        });
-    }
-    if guest.has_nonunit_task_costs() {
-        return Err(RunError::UnsupportedFeature {
-            engine: "lockstep",
-            feature: "non-unit task costs",
-        });
-    }
     let program: ProgramRef = guest.program.instantiate();
     let boundary = guest.boundary();
     let cost = round_cost(host, assign, routing, bandwidth)?;
@@ -326,6 +311,66 @@ mod tests {
             lockstep(&guest, &host, &assign, BandwidthMode::LogN),
             Err(RunError::IncompleteAssignment(_))
         ));
+    }
+
+    /// A 16-cell KV line on a 4-node line host under Blocked, lowered with
+    /// `cfg`: the plan each regression below feeds to `run_lockstep`.
+    fn line_plan(cfg: EngineConfig) -> ExecPlan<'static> {
+        ExecPlan::build_owned(
+            GuestSpec::array(16, ProgramKind::KvWorkload, 3, 12),
+            linear_array(4, DelayModel::uniform(1, 6), 7),
+            Assignment::blocked(4, 16),
+            cfg,
+        )
+        .unwrap()
+    }
+
+    fn assert_unsupported(plan: &ExecPlan, feature: &'static str) {
+        assert_eq!(
+            run_lockstep(plan).unwrap_err(),
+            RunError::UnsupportedFeature {
+                engine: "lockstep",
+                feature
+            }
+        );
+    }
+
+    // The closed form cannot time any of these features, so each plan must
+    // be a typed error: neither the plain-model outcome nor a panic.
+
+    #[test]
+    fn jitter_is_unsupported_not_ignored() {
+        let plan = line_plan(EngineConfig {
+            jitter: crate::engine::Jitter::Periodic {
+                amplitude_pct: 90,
+                period: 2,
+            },
+            ..Default::default()
+        });
+        assert_unsupported(&plan, "delay jitter");
+    }
+
+    #[test]
+    fn link_outage_is_unsupported_not_ignored() {
+        let plan = line_plan(EngineConfig::default())
+            .with_faults(crate::faults::FaultPlan::new().link_down(1, 2, 5, 40))
+            .unwrap();
+        assert_unsupported(&plan, "fault injection");
+    }
+
+    #[test]
+    fn compute_costs_are_unsupported_not_ignored() {
+        let plan = line_plan(EngineConfig::default()).with_compute_costs(vec![1, 9, 1, 1]);
+        assert_unsupported(&plan, "per-processor compute costs");
+    }
+
+    #[test]
+    fn multicast_is_unsupported_not_a_panic() {
+        let plan = line_plan(EngineConfig {
+            multicast: true,
+            ..Default::default()
+        });
+        assert_unsupported(&plan, "multicast distribution");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! [`run_stepped`], [`run_lockstep`]) instead of re-lowering, so a sweep
 //! can build the plan once per `(host, strategy)` point and share it
 //! across repeats, engines, and fault variants. The plan also carries the
-//! run's compute costs and fault schedule; engines may override them per
-//! run without re-lowering.
+//! run's compute costs and fault schedule, the only place they live;
+//! [`ExecPlan::apply_delta`] swaps them without re-lowering.
 //!
 //! [`Engine::from_plan`]: crate::engine::Engine::from_plan
 //! [`run_stepped`]: crate::stepped::run_stepped
@@ -623,30 +623,31 @@ impl<'a> ExecPlan<'a> {
     }
 
     /// Attach per-processor compute costs (ticks per pebble, ≥ 1) to the
-    /// plan. Costs do not affect the lowering, only execution, so engines
-    /// may also override them per run.
+    /// plan: heterogeneous workstation speeds, beyond the paper's
+    /// unit-speed model. Costs do not affect the lowering, only execution.
+    /// Panics on a table whose length is not the host's processor count or
+    /// that holds a zero, as [`apply_delta`](Self::apply_delta) does.
     pub fn with_compute_costs(mut self, costs: Vec<u32>) -> Self {
-        assert_eq!(costs.len() as u32, self.host.num_nodes());
-        assert!(costs.iter().all(|&c| c >= 1), "costs must be ≥ 1");
-        self.compute_costs = Some(costs);
+        self.apply_delta(PlanDelta::ComputeCosts(Some(costs)))
+            .expect("a compute-cost delta never fails");
         self
     }
 
-    /// Attach a deterministic fault plan. Faults do not affect the
-    /// lowering (routes and tables are for the healthy network; recovery
-    /// re-routes at runtime), so one plan can be shared across fault
-    /// variants via [`Engine::with_faults`].
+    /// Attach a deterministic fault plan (link outages, delay spikes,
+    /// processor crashes). Faults do not affect the lowering (routes and
+    /// tables are for the healthy network; recovery re-routes at
+    /// runtime), so fault variants of one lowering are
+    /// [`PlanDelta::Faults`] swaps. An empty plan runs bit-identically to
+    /// no plan.
     ///
-    /// The plan is validated against the host here: an outage or spike on
-    /// a link the host does not have fails with [`RunError::MissingLink`],
-    /// a crash of a non-existent processor with
+    /// The plan is validated against the host here, as by
+    /// [`apply_delta`](Self::apply_delta): an outage or spike on a link
+    /// the host does not have fails with [`RunError::MissingLink`], a
+    /// crash of a non-existent processor with
     /// [`RunError::NoSuchProcessor`] — a typo'd fault spec used to abort
     /// the process deep inside fault lowering.
-    ///
-    /// [`Engine::with_faults`]: crate::engine::Engine::with_faults
     pub fn with_faults(mut self, plan: FaultPlan) -> Result<Self, RunError> {
-        plan.validate(&self.host)?;
-        self.faults = Some(plan);
+        self.apply_delta(PlanDelta::Faults(Some(plan)))?;
         Ok(self)
     }
 
@@ -710,9 +711,11 @@ impl<'a> ExecPlan<'a> {
     /// delta that undoes it.
     ///
     /// Fault-plan swaps and compute-cost overrides never touch the
-    /// lowering: they are validated and stored, exactly as
-    /// [`with_faults`](Self::with_faults) /
-    /// [`with_compute_costs`](Self::with_compute_costs) would.
+    /// lowering: they are validated and stored ([`with_faults`] and
+    /// [`with_compute_costs`] are these deltas on a fresh plan).
+    ///
+    /// [`with_faults`]: Self::with_faults
+    /// [`with_compute_costs`]: Self::with_compute_costs
     ///
     /// A [`PlanDelta::LinkDelay`] keeps the interned tables when the
     /// stored routes provably cannot change (DESIGN.md §15.3):
@@ -736,7 +739,9 @@ impl<'a> ExecPlan<'a> {
     /// a fresh lowering of the same inputs, on every engine.
     ///
     /// Fails with [`RunError::MissingLink`] when the named link does not
-    /// exist; the fault variant validates like `with_faults`.
+    /// exist; a fault plan naming a missing link or processor fails with
+    /// [`RunError::MissingLink`] / [`RunError::NoSuchProcessor`]. Panics on
+    /// a cost table of the wrong length or with a zero cost.
     pub fn apply_delta(&mut self, delta: PlanDelta) -> Result<AppliedDelta, RunError> {
         match delta {
             PlanDelta::Faults(fp) => {

@@ -45,7 +45,8 @@
 //! implementations on all state is the workspace's strongest defence
 //! against engine bugs.
 
-use crate::engine::{inject, CopyRecord, DynSub, Jitter, LinkSlot, RunError, RunOutcome};
+use crate::control::EngineKind;
+use crate::engine::{inject, CopyRecord, DynSub, LinkSlot, RunError, RunOutcome};
 use crate::faults::FaultRt;
 use crate::plan::{DepSrc, ExecPlan, ProcTables, SUB_BIT};
 use crate::stats::{FaultStats, RunStats};
@@ -274,33 +275,23 @@ impl ProcView<'_> {
 }
 
 /// Run the time-stepped engine over a lowered plan. Produces the same
-/// outcome shape as [`crate::engine::Engine`].
+/// outcome shape as [`crate::engine::Engine`]; a plan with a feature the
+/// engine cannot time fails with [`RunError::UnsupportedFeature`]
+/// ([`EngineKind::check`]).
 pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
-    run_stepped_controlled(plan, None)
+    EngineKind::Stepped.run(plan, None, None)
 }
 
-/// [`run_stepped`] under a cooperative [`RunControl`](crate::control::RunControl):
-/// the tick loop
-/// honours pause/resume and returns [`RunError::Cancelled`] on cancel,
-/// checked every [`CHECK_EVERY`](crate::control::CHECK_EVERY) iterations.
-/// Control never perturbs the schedule.
-pub fn run_stepped_controlled(
+/// [`run_stepped`] on a checked plan, under a cooperative
+/// [`RunControl`](crate::control::RunControl): the tick loop honours
+/// pause/resume and returns [`RunError::Cancelled`] on cancel, checked
+/// every [`CHECK_EVERY`](crate::control::CHECK_EVERY) iterations. Control
+/// never perturbs the schedule.
+pub(crate) fn run_stepped_controlled(
     plan: &ExecPlan,
     control: Option<&crate::control::RunControl>,
 ) -> Result<RunOutcome, RunError> {
     let config = plan.config();
-    if config.multicast {
-        return Err(RunError::UnsupportedFeature {
-            engine: "stepped",
-            feature: "multicast routing",
-        });
-    }
-    if config.jitter != Jitter::None {
-        return Err(RunError::UnsupportedFeature {
-            engine: "stepped",
-            feature: "delay jitter",
-        });
-    }
     let guest = plan.guest();
     let host = plan.host();
     let assign = plan.assignment();
@@ -1065,29 +1056,6 @@ mod tests {
         let assign = Assignment::from_cells_of(2, 4, vec![vec![0, 1], vec![3]]);
         let err = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap_err();
         assert_eq!(err, RunError::IncompleteAssignment(vec![2]));
-    }
-
-    #[test]
-    fn stepped_engine_rejects_multicast_config() {
-        let guest = GuestSpec::array(4, ProgramKind::StencilSum, 0, 2);
-        let host = linear_array(2, DelayModel::constant(1), 0);
-        let cfg = EngineConfig {
-            multicast: true,
-            ..Default::default()
-        };
-        let assign = Assignment::blocked(2, 4);
-        let plan = ExecPlan::build(&guest, &host, &assign, cfg).unwrap();
-        let err = run_stepped(&plan).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RunError::UnsupportedFeature {
-                    engine: "stepped",
-                    feature: "multicast routing",
-                }
-            ),
-            "{err:?}"
-        );
     }
 
     #[test]

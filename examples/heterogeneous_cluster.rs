@@ -11,9 +11,9 @@
 use overlap::core::baseline::weighted_blocked;
 use overlap::model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap::net::{topology, DelayModel};
-use overlap::sim::engine::{Engine, EngineConfig};
+use overlap::sim::engine::EngineConfig;
 use overlap::sim::validate::validate_run;
-use overlap::sim::Assignment;
+use overlap::sim::{Assignment, ExecPlan};
 
 fn main() {
     let n = 30u32;
@@ -32,7 +32,8 @@ fn main() {
         ("blocked (speed-blind)", Assignment::blocked(n, cells)),
         ("weighted (shards ∝ speed)", weighted_blocked(&costs, cells)),
     ] {
-        let out = Engine::new(&guest, &host, &assignment, EngineConfig::default())
+        let out = ExecPlan::build(&guest, &host, &assignment, EngineConfig::default())
+            .expect("plan")
             .with_compute_costs(costs.clone())
             .run()
             .expect("run");

@@ -42,7 +42,7 @@
 //!               crash:P:AT | rand:PCT  (repeatable; injects deterministic
 //!               link outages / delay spikes / processor crashes; rand:PCT
 //!               draws seeded outages totalling ~PCT% downtime per link;
-//!               event engine only)
+//!               event and stepped engines)
 //!   --seed        RNG seed (default 42)
 //!   --trace-json  FILE — run with stall attribution and write the full
 //!                 trace report (per-copy stall breakdown, link occupancy
@@ -60,8 +60,8 @@ use overlap::core::mesh::simulate_mesh_on_host;
 use overlap::daemon::{Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore};
 use overlap::net::metrics::DelayStats;
 use overlap::{
-    topology, DelayModel, EngineKind, Error, FaultPlan, GuestSpec, GuestTopology, HostGraph,
-    ProgramKind, ScenarioSpec, Simulation, Strategy, TraceConfig,
+    topology, DelayModel, EngineKind, FaultPlan, GuestSpec, GuestTopology, HostGraph, ProgramKind,
+    ScenarioSpec, Strategy,
 };
 use std::process::exit;
 
@@ -256,26 +256,16 @@ fn opt_in(args: &[String], name: &str, default: &str) -> String {
         .unwrap_or_else(|| default.to_string())
 }
 
-/// Resolve `--engine` into an [`EngineKind`].
+/// Resolve `--engine` (an [`EngineKind::label`]) into an [`EngineKind`].
 fn parse_engine(engine: &str) -> EngineKind {
-    match engine {
-        "event" => EngineKind::Event,
-        "stepped" => EngineKind::Stepped,
-        "lockstep" => EngineKind::Lockstep,
-        other => usage(&format!("unknown engine '{other}'")),
-    }
+    [EngineKind::Event, EngineKind::Stepped, EngineKind::Lockstep]
+        .into_iter()
+        .find(|kind| kind.label() == engine)
+        .unwrap_or_else(|| usage(&format!("unknown engine '{engine}'")))
 }
 
-fn engine_feature_label(kind: EngineKind) -> &'static str {
-    match kind {
-        EngineKind::Event => "event",
-        EngineKind::Stepped => "stepped",
-        EngineKind::Lockstep => "lockstep",
-    }
-}
-
-/// Build a [`ScenarioSpec`] from the standard scenario flags (used by
-/// `submit`; mirrors the local simulation path).
+/// Build a [`ScenarioSpec`] from the standard scenario flags (local runs
+/// and `submit` share it).
 fn parse_scenario(args: &[String]) -> ScenarioSpec {
     let seed: u64 = opt_in(args, "--seed", "42")
         .parse()
@@ -289,6 +279,8 @@ fn parse_scenario(args: &[String]) -> ScenarioSpec {
     let guest = parse_guest(&opt_in(args, "--guest", &default_guest), seed, steps);
     let strategy = parse_strategy(&opt_in(args, "--strategy", "overlap:4"));
     let engine = parse_engine(&opt_in(args, "--engine", "event"));
+    // Horizon estimate for random fault generation: the run's tick count
+    // is unknown up front, so scale the guest length by the delay spread.
     let stats = DelayStats::of(&host);
     let horizon = steps as u64 * (stats.d_max + 2);
     let faults = parse_faults(args, &host, seed, horizon);
@@ -562,27 +554,15 @@ fn main() {
         );
         return;
     }
-    let opt = |name: &str, default: &str| -> String {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
+    let mut spec = parse_scenario(&args);
+    let trace_json: Option<String> = args.iter().position(|a| a == "--trace-json").map(|i| {
+        args.get(i + 1)
             .cloned()
-            .unwrap_or_else(|| default.to_string())
-    };
-    let seed: u64 = opt("--seed", "42")
-        .parse()
-        .unwrap_or_else(|_| usage("bad --seed"));
-    let steps: u32 = opt("--steps", "64")
-        .parse()
-        .unwrap_or_else(|_| usage("bad --steps"));
-    let dm = parse_delays(&opt("--delays", "uniform:1:9"));
-    let host = parse_host(&opt("--host", "line:32"), dm, seed);
-    let default_guest = format!("line:{}", 2 * host.num_nodes());
-    let guest = parse_guest(&opt("--guest", &default_guest), seed, steps);
-    let strategy_spec = opt("--strategy", "overlap:4");
-    let engine = opt("--engine", "event");
-
-    let stats = DelayStats::of(&host);
+            .unwrap_or_else(|| usage("--trace-json needs a file path"))
+    });
+    spec.trace = trace_json.is_some();
+    let (guest, host) = (&spec.guest, &spec.host);
+    let stats = DelayStats::of(host);
     if args.iter().any(|a| a == "--dot") {
         print!("{}", host.to_dot());
         return;
@@ -603,20 +583,20 @@ fn main() {
         );
         println!("degree    : max {}", host.max_degree());
         if host.num_nodes() <= 4096 {
-            let dist = DistanceStats::of(&host);
+            let dist = DistanceStats::of(host);
             println!(
                 "distances : diameter {} (delay-weighted), mean {:.1}",
                 dist.diameter, dist.mean_distance
             );
         }
-        let e = embedded_array_stats(&host);
+        let e = embedded_array_stats(host);
         println!(
             "embedding : dilation {}, array d_ave {:.2} (host d_ave × {:.2})",
             e.dilation,
             e.array_d_ave,
             e.array_d_ave / e.host_d_ave.max(1e-9)
         );
-        let (_, delays, _) = host_as_array(&host);
+        let (_, delays, _) = host_as_array(host);
         println!("auto pick : {}", resolve_auto(&delays).label());
         return;
     }
@@ -634,44 +614,11 @@ fn main() {
         guest.steps
     );
 
-    // Horizon estimate for random fault generation: the run's tick count
-    // is unknown up front, so scale the guest length by the delay spread.
-    let horizon = steps as u64 * (stats.d_max + 2);
-    let faults = parse_faults(&args, &host, seed, horizon);
-    let trace_json: Option<String> = args.iter().position(|a| a == "--trace-json").map(|i| {
-        args.get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| usage("--trace-json needs a file path"))
-    });
-
     let report = match guest.topology {
         GuestTopology::Line { .. } | GuestTopology::Ring { .. } => {
-            let strategy = parse_strategy(&strategy_spec);
-            let kind = parse_engine(&engine);
-            // Tracing is event-engine-only; say so before planning the
-            // placement rather than after (and with the same typed error
-            // the builder would produce).
-            if trace_json.is_some() && kind != EngineKind::Event {
-                let err = Error::Unsupported {
-                    engine: engine_feature_label(kind),
-                    feature: "stall-attribution tracing",
-                };
-                eprintln!("simulation failed: {err}");
-                exit(1);
-            }
-            let mut builder = Simulation::of(&guest)
-                .on(&host)
-                .strategy(strategy)
-                .engine(kind);
-            if let Some(plan) = faults {
-                builder = builder.faults(plan);
-            }
-            if trace_json.is_some() {
-                builder = builder.trace(TraceConfig::default());
-            }
-            builder.build().and_then(|sim| sim.run()).map(|mut r| {
-                if kind != EngineKind::Event {
-                    r.strategy = format!("{} [{engine} engine]", r.strategy);
+            spec.ready().and_then(|sim| sim.run()).map(|mut r| {
+                if spec.engine != EngineKind::Event {
+                    r.strategy = format!("{} [{} engine]", r.strategy, spec.engine.label());
                 }
                 r
             })
@@ -680,13 +627,13 @@ fn main() {
             if trace_json.is_some() {
                 usage("--trace-json supports line/ring guests only");
             }
-            overlap::core::tree_guest::simulate_tree_on_host(&guest, &host, true, None)
+            overlap::core::tree_guest::simulate_tree_on_host(guest, host, true, None)
         }
         _ => {
             if trace_json.is_some() {
                 usage("--trace-json supports line/ring guests only");
             }
-            simulate_mesh_on_host(&guest, &host, 4.0, 2)
+            simulate_mesh_on_host(guest, host, 4.0, 2)
         }
     };
     match report {

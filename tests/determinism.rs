@@ -6,7 +6,7 @@ use overlap::model::{fold64, GuestSpec, ProgramKind, ReferenceRun};
 use overlap::net::{topology, DelayModel, HostGraph};
 use overlap::sim::engine::{Engine, EngineConfig, Jitter};
 use overlap::sim::sweep::par_map;
-use overlap::sim::Assignment;
+use overlap::sim::{Assignment, ExecPlan};
 use overlap::{Simulation, Strategy};
 /// Run via the builder facade (the old free-function entry points are
 /// deprecated).
@@ -93,7 +93,8 @@ fn golden_engine_run_is_bit_stable() {
         record_timing: true,
         ..Default::default()
     };
-    let out = Engine::new(&guest, &host, &assign, cfg)
+    let out = ExecPlan::build(&guest, &host, &assign, cfg)
+        .unwrap()
         .with_compute_costs(vec![1, 3, 2, 1])
         .run()
         .expect("golden run");
@@ -162,8 +163,10 @@ fn traced_golden_run_matches_classic_oracle_and_conserves() {
         record_timing: true,
         ..Default::default()
     };
-    let out = Engine::new(&guest, &host, &assign, cfg)
-        .with_compute_costs(vec![1, 3, 2, 1])
+    let plan = ExecPlan::build(&guest, &host, &assign, cfg)
+        .unwrap()
+        .with_compute_costs(vec![1, 3, 2, 1]);
+    let out = Engine::from_plan(&plan)
         .run_traced(overlap::TraceConfig::default())
         .expect("traced golden run");
 
@@ -194,7 +197,7 @@ fn traced_golden_run_matches_classic_oracle_and_conserves() {
 /// state on every surviving copy.
 #[test]
 fn event_and_stepped_agree_under_crash_faults() {
-    use overlap::sim::{run_stepped, validate_run, ExecPlan};
+    use overlap::sim::{run_stepped, validate_run};
     use overlap::FaultPlan;
 
     let guest = GuestSpec::array(24, ProgramKind::Relaxation, 11, 20);

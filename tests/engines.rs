@@ -156,7 +156,8 @@ fn calendar_engine_matches_classic_on_planned_placements() {
                 record_timing: true,
                 ..Default::default()
             };
-            let new = Engine::new(&guest, &host, a, cfg)
+            let new = ExecPlan::build(&guest, &host, a, cfg)
+                .expect("plan")
                 .with_compute_costs(costs.clone())
                 .run()
                 .expect("calendar engine");

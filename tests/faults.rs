@@ -12,8 +12,8 @@
 
 use overlap::sim::engine_classic::run_classic;
 use overlap::{
-    topology, validate_run, DelayModel, Engine, EngineConfig, Error, FaultPlan, GuestSpec, Jitter,
-    ProgramKind, ReferenceRun, RunError, Simulation, Strategy,
+    topology, validate_run, DelayModel, Engine, EngineConfig, Error, ExecPlan, FaultPlan,
+    GuestSpec, Jitter, ProgramKind, ReferenceRun, RunError, Simulation, Strategy,
 };
 
 #[test]
@@ -37,8 +37,10 @@ fn empty_fault_plan_is_bit_identical_across_engines_and_configs() {
             let plain = Engine::new(&guest, &host, &assign, cfg)
                 .run()
                 .expect("plain");
-            let empty = Engine::new(&guest, &host, &assign, cfg)
+            let empty = ExecPlan::build(&guest, &host, &assign, cfg)
+                .unwrap()
                 .with_faults(FaultPlan::new())
+                .unwrap()
                 .run()
                 .expect("empty plan");
             let classic = run_classic(&guest, &host, &assign, cfg, None).expect("classic");

@@ -8,8 +8,8 @@
 
 use overlap::sim::engine_classic::run_classic;
 use overlap::{
-    topology, validate_run, Assignment, DelayModel, Engine, EngineConfig, FaultPlan, GuestSpec,
-    Jitter, ProgramKind, ReferenceRun,
+    topology, validate_run, Assignment, DelayModel, Engine, EngineConfig, ExecPlan, FaultPlan,
+    GuestSpec, Jitter, ProgramKind, ReferenceRun,
 };
 use proptest::prelude::*;
 
@@ -51,8 +51,10 @@ proptest! {
         let assign = Assignment::blocked(procs, cells);
         let cfg = EngineConfig { multicast, jitter, ..EngineConfig::default() };
         let plain = Engine::new(&guest, &host, &assign, cfg).run().expect("plain");
-        let empty = Engine::new(&guest, &host, &assign, cfg)
+        let empty = ExecPlan::build(&guest, &host, &assign, cfg)
+            .unwrap()
             .with_faults(FaultPlan::new())
+            .unwrap()
             .run()
             .expect("empty plan");
         let classic = run_classic(&guest, &host, &assign, cfg, None).expect("classic");
@@ -89,8 +91,10 @@ proptest! {
         let clean = Engine::new(&guest, &host, &assign, cfg).run().expect("clean");
         let victim = victim_pick % procs;
         let crash_at = (clean.stats.makespan * when_pct / 100).max(1);
-        let out = Engine::new(&guest, &host, &assign, cfg)
+        let out = ExecPlan::build(&guest, &host, &assign, cfg)
+            .unwrap()
             .with_faults(FaultPlan::new().crash(victim, crash_at))
+            .unwrap()
             .run()
             .expect("survivable crash must complete");
         let trace = ReferenceRun::execute(&guest);
