@@ -1,7 +1,7 @@
 //! Theorem 7/8 mesh-emulation cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use overlap_core::mesh::simulate_mesh_with_trace;
+use overlap_core::Simulation;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
@@ -13,7 +13,13 @@ fn bench_mesh(c: &mut Criterion) {
         let guest = GuestSpec::mesh(m, m, ProgramKind::Relaxation, 3, 12);
         let trace = ReferenceRun::execute(&guest);
         g.bench_with_input(BenchmarkId::from_parameter(m), &guest, |b, gu| {
-            b.iter(|| simulate_mesh_with_trace(gu, &host, 4.0, 2, &trace).unwrap())
+            b.iter(|| {
+                Simulation::of(gu)
+                    .on(&host)
+                    .build()
+                    .and_then(|sim| sim.run_with_trace(&trace))
+                    .unwrap()
+            })
         });
     }
     g.finish();

@@ -10,9 +10,11 @@
 
 use crate::scale::Scale;
 use crate::table::{f2, Table};
-use overlap_core::direct2d::{optimal_omega, predicted_2d, simulate_mesh_on_mesh};
-use overlap_core::theory;
+use overlap_core::direct2d::{halo2d_assignment, optimal_omega, predicted_2d};
+use overlap_core::{theory, Simulation};
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
+use overlap_net::topology::mesh2d;
+use overlap_net::DelayModel;
 
 /// Run the mesh-on-mesh sweep.
 pub fn run(scale: Scale) -> Table {
@@ -45,39 +47,25 @@ pub fn run(scale: Scale) -> Table {
     for &d in &ds {
         let guest = GuestSpec::mesh(w * g, h * g, ProgramKind::Relaxation, 5, steps);
         let trace = ReferenceRun::execute(&guest);
-        let blocked = simulate_mesh_on_mesh(
-            w,
-            h,
-            g,
-            d,
-            0,
-            ProgramKind::Relaxation,
-            5,
-            steps,
-            Some(&trace),
-        )
-        .expect("blocked");
+        let host = mesh2d(w, h, DelayModel::constant(d), 0);
+        // Host node (X, Y) holds its g × g block plus an ω-cell halo.
+        let run = |omega| {
+            Simulation::of(&guest)
+                .on(&host)
+                .assignment(halo2d_assignment(w, h, g, omega))
+                .build()
+                .and_then(|sim| sim.run_with_trace(&trace))
+                .expect("mesh on mesh")
+        };
+        let blocked = run(0);
         let omegas: Vec<u32> = vec![1, 2, optimal_omega(d), 2 * optimal_omega(d)]
             .into_iter()
             .filter(|&o| o >= 1 && o <= 2 * g)
             .collect();
-        let best = omegas
+        let (best_omega, best) = omegas
             .iter()
-            .map(|&om| {
-                simulate_mesh_on_mesh(
-                    w,
-                    h,
-                    g,
-                    d,
-                    om,
-                    ProgramKind::Relaxation,
-                    5,
-                    steps,
-                    Some(&trace),
-                )
-                .expect("halo")
-            })
-            .min_by(|a, b| a.stats.slowdown.total_cmp(&b.stats.slowdown))
+            .map(|&om| (om, run(om)))
+            .min_by(|a, b| a.1.stats.slowdown.total_cmp(&b.1.stats.slowdown))
             .expect("non-empty");
         halo_pts.push((d as f64, best.stats.slowdown));
         blocked_pts.push((d as f64, blocked.stats.slowdown));
@@ -86,8 +74,8 @@ pub fn run(scale: Scale) -> Table {
             optimal_omega(d).to_string(),
             f2(blocked.stats.slowdown),
             f2(best.stats.slowdown),
-            best.omega.to_string(),
-            f2(predicted_2d(g, best.omega, d)),
+            best_omega.to_string(),
+            f2(predicted_2d(g, best_omega, d)),
             f2(blocked.stats.slowdown / best.stats.slowdown.max(1e-9)),
             (blocked.validated && best.validated).to_string(),
         ]);

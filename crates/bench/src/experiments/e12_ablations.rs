@@ -138,14 +138,13 @@ pub fn run_bandwidth(scale: Scale) -> Table {
 
 /// A4: unicast vs multicast column distribution.
 pub fn run_multicast(scale: Scale) -> Table {
-    use overlap_core::pipeline::plan_line_placement;
+    use overlap_core::pipeline::plan_placement;
     let n = scale.pick(64u32, 128);
     let steps = scale.pick(32u32, 64);
     let guest = GuestSpec::array(4 * n, ProgramKind::Relaxation, 5, steps);
     let trace = ReferenceRun::execute(&guest);
     let host = linear_array(n, DelayModel::uniform(1, 15), 3);
-    let placement =
-        plan_line_placement(&guest, &host, Strategy::Overlap { c: 4.0 }).expect("placement");
+    let placement = plan_placement(&guest, &host, Strategy::Overlap { c: 4.0 }).expect("placement");
 
     let mut t = Table::new(
         format!("E12-A4 · unicast vs multicast column distribution (n = {n}, OVERLAP)"),

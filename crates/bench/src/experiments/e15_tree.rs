@@ -12,7 +12,8 @@
 
 use crate::scale::Scale;
 use crate::table::{f2, Table};
-use overlap_core::tree_guest::{bfs_blocks, crossing_edges, dfs_blocks, simulate_tree_on_host};
+use overlap_core::tree_guest::{bfs_blocks, crossing_edges, dfs_blocks};
+use overlap_core::{Simulation, Strategy};
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
@@ -42,8 +43,17 @@ pub fn run(scale: Scale) -> Table {
     for &lv in &levels {
         let guest = GuestSpec::tree(lv, ProgramKind::Relaxation, 3, steps);
         let trace = ReferenceRun::execute(&guest);
-        let dfs = simulate_tree_on_host(&guest, &host, true, Some(&trace)).expect("dfs");
-        let bfs = simulate_tree_on_host(&guest, &host, false, Some(&trace)).expect("bfs");
+        // Auto places subtree (DFS) blocks, Blocked heap-order blocks.
+        let run = |strategy| {
+            Simulation::of(&guest)
+                .on(&host)
+                .strategy(strategy)
+                .build()
+                .and_then(|sim| sim.run_with_trace(&trace))
+                .expect("tree run")
+        };
+        let dfs = run(Strategy::Auto);
+        let bfs = run(Strategy::Blocked);
         t.row(vec![
             guest.num_cells().to_string(),
             crossing_edges(lv, &dfs_blocks(lv, n)).to_string(),

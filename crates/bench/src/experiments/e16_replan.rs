@@ -15,7 +15,7 @@
 
 use crate::scale::Scale;
 use crate::table::{f2, Table};
-use overlap_core::pipeline::plan_line_placement;
+use overlap_core::pipeline::plan_placement;
 use overlap_core::pipeline::Strategy;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
@@ -30,8 +30,8 @@ pub fn run(scale: Scale) -> Table {
     let guest = GuestSpec::array(4 * n, ProgramKind::Relaxation, 7, steps);
     let trace = ReferenceRun::execute(&guest);
     let original = linear_array(n, DelayModel::constant(1), 0);
-    let stale = plan_line_placement(&guest, &original, Strategy::Overlap { c: 4.0 })
-        .expect("original plan");
+    let stale =
+        plan_placement(&guest, &original, Strategy::Overlap { c: 4.0 }).expect("original plan");
 
     let factors: Vec<u64> = match scale {
         Scale::Quick => vec![1, 256, 4096],
@@ -59,7 +59,7 @@ pub fn run(scale: Scale) -> Table {
     );
     for &f in &factors {
         let degraded = degraded_host(f);
-        let run_with = |placement: &overlap_core::pipeline::LinePlacement| {
+        let run_with = |placement: &overlap_core::pipeline::Placement| {
             Engine::new(
                 &guest,
                 &degraded,
@@ -70,10 +70,10 @@ pub fn run(scale: Scale) -> Table {
             .expect("run")
         };
         let stale_run = run_with(&stale);
-        let fresh = plan_line_placement(&guest, &degraded, Strategy::Overlap { c: 4.0 })
-            .expect("fresh plan");
+        let fresh =
+            plan_placement(&guest, &degraded, Strategy::Overlap { c: 4.0 }).expect("fresh plan");
         let fresh_run = run_with(&fresh);
-        let auto = plan_line_placement(&guest, &degraded, Strategy::Auto).expect("auto plan");
+        let auto = plan_placement(&guest, &degraded, Strategy::Auto).expect("auto plan");
         let auto_run = run_with(&auto);
         let ok = validate_run(&trace, &stale_run).is_empty()
             && validate_run(&trace, &fresh_run).is_empty()

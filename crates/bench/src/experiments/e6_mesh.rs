@@ -8,12 +8,20 @@
 
 use crate::scale::Scale;
 use crate::table::{f2, f3, Table};
-use overlap_core::mesh::simulate_mesh_with_trace;
-use overlap_core::theory;
-use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
+use overlap_core::{theory, SimReport, Simulation};
+use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, ReferenceTrace};
 use overlap_net::topology::{linear_array, mesh2d};
-use overlap_net::DelayModel;
+use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::sweep::par_map;
+
+/// One grid guest through the builder's default (Theorem 8) placement.
+fn simulate(guest: &GuestSpec, host: &HostGraph, trace: &ReferenceTrace) -> SimReport {
+    Simulation::of(guest)
+        .on(host)
+        .build()
+        .and_then(|sim| sim.run_with_trace(trace))
+        .unwrap_or_else(|e| panic!("{}: {e}", host.name()))
+}
 
 /// Run the mesh-emulation sweep.
 pub fn run(scale: Scale) -> Table {
@@ -46,8 +54,8 @@ pub fn run(scale: Scale) -> Table {
     let runs = par_map(&sides, |&m| {
         let guest = GuestSpec::mesh(m, m, ProgramKind::Relaxation, 3, steps);
         let trace = ReferenceRun::execute(&guest);
-        let a = simulate_mesh_with_trace(&guest, &line_host, 4.0, 2, &trace).expect("line host");
-        let b = simulate_mesh_with_trace(&guest, &mesh_host, 4.0, 2, &trace).expect("mesh host");
+        let a = simulate(&guest, &line_host, &trace);
+        let b = simulate(&guest, &mesh_host, &trace);
         (m, a, b)
     });
     for (m, a, b) in runs {
@@ -108,7 +116,7 @@ pub fn run_higher(scale: Scale) -> Table {
     ];
     for (name, guest) in guests {
         let trace = ReferenceRun::execute(&guest);
-        let r = simulate_mesh_with_trace(&guest, &host, 4.0, 2, &trace).expect("grid run");
+        let r = simulate(&guest, &host, &trace);
         t.row(vec![
             name,
             guest.num_cells().to_string(),

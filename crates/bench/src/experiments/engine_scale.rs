@@ -235,7 +235,6 @@ fn measure_taskgraph_tier(reps: u32) -> f64 {
 /// guards the embedding, overlap-planning, Theorem-4, and mesh-emulation
 /// hot paths against regressions.
 fn measure_micro(reps: u32) -> Vec<(&'static str, f64)> {
-    use overlap_core::mesh::simulate_mesh_with_trace;
     use overlap_core::overlap::plan_overlap;
     use overlap_core::pipeline::Strategy;
     use overlap_core::Simulation;
@@ -296,7 +295,11 @@ fn measure_micro(reps: u32) -> Vec<(&'static str, f64)> {
     let mesh_trace = ReferenceRun::execute(&mesh_guest);
     let mesh_host = linear_array(8, DelayModel::uniform(1, 5), 3);
     let t = time_best(reps, || {
-        simulate_mesh_with_trace(&mesh_guest, &mesh_host, 4.0, 2, &mesh_trace).expect("mesh run")
+        Simulation::of(&mesh_guest)
+            .on(&mesh_host)
+            .build()
+            .and_then(|sim| sim.run_with_trace(&mesh_trace))
+            .expect("mesh run")
     });
     out.push(("mesh_trace_8x8", 1.0 / t));
     out

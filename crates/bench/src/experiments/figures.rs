@@ -219,7 +219,7 @@ pub fn figure6() -> Table {
 /// Figure 7 (ours) — processor utilization under OVERLAP vs blocked on a
 /// spiky host: where the latency hiding actually goes.
 pub fn figure7() -> Table {
-    use overlap_core::pipeline::{plan_line_placement, Strategy};
+    use overlap_core::pipeline::{plan_placement, Strategy};
     use overlap_model::GuestSpec;
     use overlap_net::topology::line_with_middle_spike;
     use overlap_sim::engine::{Engine, EngineConfig};
@@ -232,7 +232,7 @@ pub fn figure7() -> Table {
         &["strategy", "slowdown", "median utilization", "min", "max"],
     );
     for strategy in [Strategy::Overlap { c: 4.0 }, Strategy::Blocked] {
-        let placement = plan_line_placement(&guest, &host, strategy).expect("placement");
+        let placement = plan_placement(&guest, &host, strategy).expect("placement");
         let cfg = EngineConfig {
             record_timing: true,
             ..Default::default()

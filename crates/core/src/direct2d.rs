@@ -10,15 +10,11 @@
 //! per-step cost is `(g+2ω)² + Θ(d/ω)`, minimized at `ω ≈ (d/4)^{1/3}`
 //! for slowdown `Θ(g² + d^{2/3})` — a `d^{1/3}` advantage over the
 //! no-redundancy `Θ(g² + d)`, weaker than the 1-D `√d` because halos cost
-//! area, not length. Experiment E11 measures exactly this.
+//! area, not length. Experiment E11 measures exactly this, handing
+//! [`halo2d_assignment`] to the builder as an explicit assignment.
 
-use crate::error::Error;
-use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, ReferenceTrace};
-use overlap_net::topology::mesh2d;
-use overlap_net::{Delay, DelayModel, HostGraph};
-use overlap_sim::engine::{Engine, EngineConfig};
-use overlap_sim::validate::validate_run;
-use overlap_sim::{Assignment, ExecPlan, RunStats};
+use overlap_net::{Delay, HostGraph};
+use overlap_sim::Assignment;
 
 /// The 2-D halo assignment: host node `(X, Y)` of a `W × H` mesh (node id
 /// `X·H + Y`) holds guest cells `[X·g − ω, (X+1)·g + ω) ×
@@ -49,17 +45,6 @@ pub fn halo2d_assignment(host_w: u32, host_h: u32, g: u32, omega: u32) -> Assign
     Assignment::from_cells_of(host_w * host_h, gw * gh, cells_of)
 }
 
-/// The result of a direct 2-D-on-2-D run.
-#[derive(Debug, Clone)]
-pub struct Direct2DReport {
-    /// Measured statistics.
-    pub stats: RunStats,
-    /// All copies validated.
-    pub validated: bool,
-    /// Halo width ω used.
-    pub omega: u32,
-}
-
 /// Predicted per-step cost of the 2-D halo strategy:
 /// `(g+2ω)² + 2d/max(ω,1)` (compute the extended block, pay the link
 /// delay once per ω steps in each dimension).
@@ -71,42 +56,6 @@ pub fn predicted_2d(g: u32, omega: u32, d: Delay) -> f64 {
 /// The analytically optimal halo width `ω ≈ (d/4)^{1/3}`.
 pub fn optimal_omega(d: Delay) -> u32 {
     ((d as f64 / 4.0).powf(1.0 / 3.0).round() as u32).max(1)
-}
-
-/// Simulate a `(W·g) × (H·g)` guest mesh directly on a `W × H` host mesh
-/// whose links all have delay `d`, with halo width `omega`.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_mesh_on_mesh(
-    host_w: u32,
-    host_h: u32,
-    g: u32,
-    d: Delay,
-    omega: u32,
-    program: ProgramKind,
-    seed: u64,
-    steps: u32,
-    trace: Option<&ReferenceTrace>,
-) -> Result<Direct2DReport, Error> {
-    let guest = GuestSpec::mesh(host_w * g, host_h * g, program, seed, steps);
-    let host: HostGraph = mesh2d(host_w, host_h, DelayModel::constant(d), 0);
-    let assignment = halo2d_assignment(host_w, host_h, g, omega);
-    let plan =
-        ExecPlan::build(&guest, &host, &assignment, EngineConfig::default()).map_err(Error::Run)?;
-    let outcome = Engine::from_plan(&plan).run().map_err(Error::Run)?;
-    let owned_trace;
-    let trace = match trace {
-        Some(t) => t,
-        None => {
-            owned_trace = ReferenceRun::execute(&guest);
-            &owned_trace
-        }
-    };
-    let errors = validate_run(trace, &outcome);
-    Ok(Direct2DReport {
-        stats: outcome.stats,
-        validated: errors.is_empty(),
-        omega,
-    })
 }
 
 /// The 2-D analogue of stage-1 killing: a processor of the `W × H` mesh
@@ -269,6 +218,8 @@ pub fn adaptive2d_assignment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use overlap_net::topology::mesh2d;
+    use overlap_net::DelayModel;
 
     #[test]
     fn halo2d_covers_everything_with_expected_copy_counts() {
@@ -304,45 +255,30 @@ mod tests {
 
     #[test]
     fn mesh_on_mesh_validates_and_redundancy_wins_at_high_delay() {
+        use crate::Simulation;
+        use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
         let (w, h, g, d) = (6, 6, 4, 1024);
-        let steps = 24;
-        let guest = GuestSpec::mesh(w * g, h * g, ProgramKind::Relaxation, 5, steps);
+        let guest = GuestSpec::mesh(w * g, h * g, ProgramKind::Relaxation, 5, 24);
+        let host = mesh2d(w, h, DelayModel::constant(d), 0);
         let trace = ReferenceRun::execute(&guest);
-        let blocked = simulate_mesh_on_mesh(
-            w,
-            h,
-            g,
-            d,
-            0,
-            ProgramKind::Relaxation,
-            5,
-            steps,
-            Some(&trace),
-        )
-        .unwrap();
-        let best = [2u32, 4, 6]
-            .iter()
-            .map(|&om| {
-                simulate_mesh_on_mesh(
-                    w,
-                    h,
-                    g,
-                    d,
-                    om,
-                    ProgramKind::Relaxation,
-                    5,
-                    steps,
-                    Some(&trace),
-                )
+        let run = |omega| {
+            Simulation::of(&guest)
+                .on(&host)
+                .assignment(halo2d_assignment(w, h, g, omega))
+                .build()
+                .and_then(|sim| sim.run_with_trace(&trace))
                 .unwrap()
-            })
-            .min_by(|a, b| a.stats.slowdown.total_cmp(&b.stats.slowdown))
+        };
+        let blocked = run(0);
+        let (omega, best) = [2u32, 4, 6]
+            .iter()
+            .map(|&om| (om, run(om)))
+            .min_by(|a, b| a.1.stats.slowdown.total_cmp(&b.1.stats.slowdown))
             .unwrap();
         assert!(blocked.validated && best.validated);
         assert!(
             best.stats.slowdown < 0.6 * blocked.stats.slowdown,
-            "2-D halo (ω={}) {} vs blocked {}",
-            best.omega,
+            "2-D halo (ω={omega}) {} vs blocked {}",
             best.stats.slowdown,
             blocked.stats.slowdown
         );
@@ -350,7 +286,6 @@ mod tests {
 
     #[test]
     fn kill2d_spares_uniform_hosts_and_kills_catastrophic_pockets() {
-        use overlap_net::topology::mesh2d;
         let uniform = mesh2d(6, 6, DelayModel::constant(4), 0);
         let alive = kill2d(&uniform, 6, 6, 4.0);
         assert!(alive.iter().all(|&a| a), "uniform host must survive");
@@ -422,7 +357,6 @@ mod tests {
 
     #[test]
     fn adaptive_equals_halo_on_uniform_hosts_in_shape() {
-        use overlap_net::topology::mesh2d;
         let host = mesh2d(4, 4, DelayModel::constant(3), 0);
         let adaptive = adaptive2d_assignment(&host, 4, 4, 3, 1, 4.0);
         // No killing → Voronoi regions are the natural g×g blocks; with an

@@ -21,8 +21,12 @@ pub enum Error {
     /// failures such as [`RunError::ColumnLost`] and
     /// [`RunError::RetriesExhausted`].
     Run(RunError),
-    /// Line/ring placement strategies cannot place this guest topology;
-    /// mesh guests use [`crate::mesh`].
+    /// The placement strategy does not apply to this guest topology.
+    /// Line, ring and task-graph guests take every strategy; 2-D mesh,
+    /// torus and 3-D mesh guests take only `Auto` (Theorem 8); binary-tree
+    /// guests take `Auto` (subtree blocks) or `Blocked` (heap-order
+    /// blocks). See [`plan_placement`](crate::pipeline::plan_placement).
+    /// An explicit assignment places any guest.
     UnsupportedTopology,
     /// The builder was configured inconsistently (missing host,
     /// incompatible engine options, …).
@@ -54,9 +58,12 @@ impl std::fmt::Display for Error {
         match self {
             Error::Overlap(e) => write!(f, "overlap planning: {e}"),
             Error::Run(e) => write!(f, "engine: {e}"),
-            Error::UnsupportedTopology => {
-                write!(f, "mesh guests use overlap_core::mesh")
-            }
+            Error::UnsupportedTopology => write!(
+                f,
+                "strategy does not apply to this guest topology: line, ring and \
+                 task-graph guests accept every strategy; mesh, torus and 3-D mesh \
+                 guests accept auto; binary-tree guests accept auto or blocked"
+            ),
             Error::Config(msg) => write!(f, "configuration: {msg}"),
             Error::InvalidConfig { option, reason } => {
                 write!(f, "invalid value for {option}: {reason}")

@@ -25,9 +25,13 @@
 //!   (Fact 4, the 4j-pebble zigzag path), and the §4 clique-of-cliques
 //!   argument;
 //! * [`theory`] — closed-form predicted bounds for every theorem;
-//! * [`pipeline`] — the high-level "simulate this guest on this host with
-//!   this strategy and validate" entry points used by examples and
-//!   experiments.
+//! * [`pipeline`] — placement strategies and [`plan_placement`], which
+//!   places any guest (line, ring, task graph, grid, binary tree) on any
+//!   connected host;
+//! * [`simulation`] — the [`Simulation`] builder, the one front door:
+//!   placement, lowering, the engine run and validation for every guest.
+//!
+//! [`plan_placement`]: pipeline::plan_placement
 
 #![warn(missing_docs)]
 

@@ -9,17 +9,8 @@
 //! `O(√N·log³N + N^{1/4}·√d_ave·log³N)` for an `N`-cell guest.
 
 use crate::combined::compose;
-use crate::error::Error;
 use crate::overlap::{plan_overlap, OverlapError};
-use crate::pipeline::{host_as_array, SimReport};
-use overlap_model::{
-    mesh3d_slabs, mesh_columns, torus_fold, GuestSpec, GuestTopology, ReferenceRun, ReferenceTrace,
-    SlotMap,
-};
-use overlap_net::HostGraph;
-use overlap_sim::engine::{Engine, EngineConfig};
-use overlap_sim::validate::validate_run;
-use overlap_sim::{Assignment, ExecPlan};
+use overlap_model::{mesh3d_slabs, mesh_columns, torus_fold, GuestTopology, SlotMap};
 
 /// Theorem 7 strip placement: distribute the `w` mesh columns over `n0`
 /// line positions, blocked: position `p` gets strips
@@ -65,7 +56,9 @@ pub fn grid_slot_map(topo: &GuestTopology) -> Option<SlotMap> {
 }
 
 /// Plan the Theorem 8 composition: host array (via embedding) → OVERLAP
-/// with block `expansion` → strips/slabs of the grid guest.
+/// with block `expansion` → strips/slabs of the grid guest. The builder
+/// places every grid guest through this
+/// ([`plan_placement`](crate::pipeline::plan_placement)).
 pub fn plan_mesh(
     delays: &[u64],
     c: f64,
@@ -98,65 +91,23 @@ pub fn plan_mesh(
     })
 }
 
-/// Simulate a mesh guest on an arbitrary connected host (Theorem 8) and
-/// validate against the unit-delay reference.
-pub fn simulate_mesh_on_host(
-    guest: &GuestSpec,
-    host: &HostGraph,
-    c: f64,
-    expansion: u32,
-) -> Result<SimReport, Error> {
-    let trace = ReferenceRun::execute(guest);
-    simulate_mesh_with_trace(guest, host, c, expansion, &trace)
-}
-
-/// [`simulate_mesh_on_host`] with a precomputed reference trace.
-pub fn simulate_mesh_with_trace(
-    guest: &GuestSpec,
-    host: &HostGraph,
-    c: f64,
-    expansion: u32,
-    trace: &ReferenceTrace,
-) -> Result<SimReport, Error> {
-    if grid_slot_map(&guest.topology).is_none() {
-        return Err(Error::UnsupportedTopology);
-    }
-    let (order, delays, dilation) = host_as_array(host);
-    let plan = plan_mesh(&delays, c, expansion, &guest.topology).map_err(Error::Overlap)?;
-    let mut cells_of = vec![Vec::new(); host.num_nodes() as usize];
-    for (pos, cells) in plan.cells_of_position.iter().enumerate() {
-        cells_of[order[pos] as usize] = cells.clone();
-    }
-    let assignment = Assignment::from_cells_of(host.num_nodes(), guest.num_cells(), cells_of);
-    let exec_plan =
-        ExecPlan::build(guest, host, &assignment, EngineConfig::default()).map_err(Error::Run)?;
-    let outcome = Engine::from_plan(&exec_plan).run().map_err(Error::Run)?;
-    let errors = validate_run(trace, &outcome);
-    let d_ave = if delays.is_empty() {
-        0.0
-    } else {
-        delays.iter().sum::<u64>() as f64 / delays.len() as f64
-    };
-    Ok(SimReport {
-        stats: outcome.stats,
-        validated: errors.is_empty(),
-        mismatches: errors.len(),
-        predicted_slowdown: Some(plan.predicted_slowdown),
-        strategy: format!("mesh(c={c},L={expansion})"),
-        host: host.name().to_string(),
-        d_ave,
-        d_max: delays.iter().copied().max().unwrap_or(0),
-        dilation,
-        outcome,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overlap_model::ProgramKind;
+    use crate::pipeline::SimReport;
+    use crate::Simulation;
+    use overlap_model::{GuestSpec, ProgramKind};
     use overlap_net::topology::{linear_array, mesh2d};
-    use overlap_net::DelayModel;
+    use overlap_net::{DelayModel, HostGraph};
+
+    /// A grid guest through the builder's default (Theorem 8) placement.
+    fn simulate(guest: &GuestSpec, host: &HostGraph) -> SimReport {
+        Simulation::of(guest)
+            .on(host)
+            .build()
+            .and_then(|sim| sim.run())
+            .unwrap()
+    }
 
     #[test]
     fn strips_one_per_position_when_they_fit() {
@@ -207,7 +158,7 @@ mod tests {
     fn mesh_simulation_validates_on_line_host() {
         let guest = GuestSpec::mesh(8, 6, ProgramKind::KvWorkload, 5, 8);
         let host = linear_array(6, DelayModel::uniform(1, 4), 3);
-        let r = simulate_mesh_on_host(&guest, &host, 4.0, 2).unwrap();
+        let r = simulate(&guest, &host);
         assert!(r.validated, "{} mismatches", r.mismatches);
     }
 
@@ -215,7 +166,7 @@ mod tests {
     fn mesh_simulation_validates_on_mesh_host() {
         let guest = GuestSpec::mesh(6, 6, ProgramKind::RuleAutomaton { db_size: 4 }, 1, 6);
         let host = mesh2d(3, 3, DelayModel::uniform(1, 5), 7);
-        let r = simulate_mesh_on_host(&guest, &host, 4.0, 2).unwrap();
+        let r = simulate(&guest, &host);
         assert!(r.validated);
         assert!(r.dilation >= 1);
     }
@@ -224,7 +175,7 @@ mod tests {
     fn torus_guest_validates() {
         let guest = GuestSpec::torus(6, 4, ProgramKind::KvWorkload, 3, 8);
         let host = linear_array(4, DelayModel::uniform(1, 5), 1);
-        let r = simulate_mesh_on_host(&guest, &host, 4.0, 2).unwrap();
+        let r = simulate(&guest, &host);
         assert!(r.validated, "{} mismatches", r.mismatches);
     }
 
@@ -232,7 +183,7 @@ mod tests {
     fn mesh3d_guest_validates() {
         let guest = GuestSpec::mesh3(4, 3, 3, ProgramKind::RuleAutomaton { db_size: 4 }, 9, 6);
         let host = linear_array(4, DelayModel::uniform(1, 5), 2);
-        let r = simulate_mesh_on_host(&guest, &host, 4.0, 2).unwrap();
+        let r = simulate(&guest, &host);
         assert!(r.validated, "{} mismatches", r.mismatches);
     }
 
@@ -240,17 +191,7 @@ mod tests {
     fn mesh3d_guest_validates_on_mesh_host() {
         let guest = GuestSpec::mesh3(3, 3, 2, ProgramKind::Relaxation, 4, 6);
         let host = mesh2d(3, 3, DelayModel::uniform(1, 4), 6);
-        let r = simulate_mesh_on_host(&guest, &host, 4.0, 2).unwrap();
+        let r = simulate(&guest, &host);
         assert!(r.validated);
-    }
-
-    #[test]
-    fn line_guest_is_rejected() {
-        let guest = GuestSpec::array(8, ProgramKind::StencilSum, 0, 2);
-        let host = linear_array(4, DelayModel::constant(1), 0);
-        assert!(matches!(
-            simulate_mesh_on_host(&guest, &host, 4.0, 2),
-            Err(Error::UnsupportedTopology)
-        ));
     }
 }

@@ -1,22 +1,29 @@
 //! High-level simulation pipelines: pick a strategy, build the assignment,
 //! run the engine, validate against the unit-delay reference.
 //!
-//! This is the API examples and experiments use. The flow for a line/ring
-//! guest on an arbitrary host:
+//! This is the API examples and experiments use (through the
+//! [`Simulation`](crate::Simulation) builder). The flow for any guest on an
+//! arbitrary host:
 //!
-//! 1. fold the guest into *line slots* (identity for a line, the
-//!    slowdown-2 fold for a ring — §1's "a linear array can simulate a
-//!    ring with slowdown 2");
-//! 2. view the host as a linear array: directly if it *is* a path, else
+//! 1. view the host as a linear array: directly if it *is* a path, else
 //!    through the dilation-3 embedding of Fact 3 (§4);
-//! 3. build the database assignment per the chosen [`Strategy`];
-//! 4. lower `(guest, host, assignment, config)` once into an
+//! 2. place the guest's databases on that array — the one step that
+//!    depends on the guest's shape ([`plan_placement`]): a line, ring or
+//!    task graph folds into *line slots* (identity for a line, the
+//!    slowdown-2 fold for a ring — §1's "a linear array can simulate a
+//!    ring with slowdown 2") placed per the chosen [`Strategy`]; a grid
+//!    guest takes Theorem 8's strips; a binary tree takes contiguous
+//!    blocks of a tree order;
+//! 3. lower `(guest, host, assignment, config)` once into an
 //!    `overlap_sim::ExecPlan`, execute it on the chosen engine, and
 //!    validate every copy. Sweeps reuse the lowered plan across repeats
 //!    and engines instead of re-lowering per run.
 
+use crate::combined::compose;
 use crate::error::Error;
+use crate::mesh::plan_mesh;
 use crate::overlap::plan_overlap;
+use crate::tree_guest::{bfs_blocks, dfs_blocks};
 use crate::uniform;
 use overlap_model::{line_slots, ring_fold, GuestSpec, GuestTopology, SlotMap};
 use overlap_net::embed::embed_linear_array;
@@ -25,7 +32,9 @@ use overlap_sim::engine::RunOutcome;
 use overlap_sim::{Assignment, RunStats};
 use serde::{Deserialize, Serialize};
 
-/// How to place guest databases on the host line.
+/// How to place guest databases on the host line. Line, ring and
+/// task-graph guests take every strategy; grid and tree guests take the
+/// ones [`plan_placement`] lists.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Strategy {
     /// Algorithm OVERLAP, load-1 structure proportionally scaled to the
@@ -50,7 +59,8 @@ pub enum Strategy {
         expansion: u32,
     },
     /// Contiguous blocks over all processors, no redundancy (what a naive
-    /// parallelization does; suffers the Θ(d) dependency cycle).
+    /// parallelization does; suffers the Θ(d) dependency cycle). A binary
+    /// tree is cut into blocks of its heap order.
     Blocked,
     /// Complementary slackness: contiguous blocks over only `n / d_max`
     /// evenly spaced processors (prior work's efficiency-preserving
@@ -70,7 +80,8 @@ pub enum Strategy {
     },
     /// Pick automatically from the host's delay statistics: near-uniform
     /// delays → Theorem 4 halo regions; high average delay → the Theorem 5
-    /// combined pipeline; otherwise OVERLAP.
+    /// combined pipeline; otherwise OVERLAP. A grid guest is placed by
+    /// Theorem 8, a binary tree in subtree blocks.
     Auto,
 }
 
@@ -323,10 +334,16 @@ fn place_slots(
     }
 }
 
-/// The assignment a line strategy produces, plus embedding metadata —
+/// Theorem 8's killing constant `c` for every grid-guest placement.
+const MESH_C: f64 = 4.0;
+/// Theorem 8's intermediate-array expansion `L` for every grid-guest
+/// placement.
+const MESH_EXPANSION: u32 = 2;
+
+/// The assignment a placement produces, plus embedding metadata —
 /// exposed so callers can run it on the engine of their choice.
 #[derive(Debug, Clone)]
-pub struct LinePlacement {
+pub struct Placement {
     /// The database assignment over host nodes.
     pub assignment: Assignment,
     /// The strategy's predicted slowdown, when it has one.
@@ -337,46 +354,77 @@ pub struct LinePlacement {
     pub dilation: u32,
 }
 
-/// Build the database assignment for a line/ring guest on an arbitrary
-/// connected host under `strategy` (steps 1–3 of the pipeline, without
-/// executing).
-pub fn plan_line_placement(
+/// Build the database assignment for `guest` on an arbitrary connected
+/// host under `strategy` — the builder's placement step, without
+/// executing, and the only step that depends on the guest's shape. The
+/// host is viewed as a linear array ([`host_as_array`]); then:
+///
+/// | guest | strategies | placement |
+/// |---|---|---|
+/// | line, ring, task graph | all | fold into line slots, place the slots per strategy |
+/// | 2-D mesh, torus, 3-D mesh | `Auto` | Theorem 8: OVERLAP (c = 4, L = 2) over column strips or slabs |
+/// | binary tree | `Auto`, `Blocked` | subtree (DFS) blocks, heap-order blocks |
+///
+/// Every other pair is [`Error::UnsupportedTopology`].
+pub fn plan_placement(
     guest: &GuestSpec,
     host: &HostGraph,
     strategy: Strategy,
-) -> Result<LinePlacement, Error> {
-    let slot_map: SlotMap = match guest.topology {
-        GuestTopology::Line { m } => line_slots(m),
-        GuestTopology::Ring { m } => ring_fold(m),
+) -> Result<Placement, Error> {
+    let (order, delays, dilation) = host_as_array(host);
+    let positions = order.len() as u32;
+    let (cells_of_position, predicted_slowdown) = match (guest.topology, strategy) {
+        (GuestTopology::Line { m }, _) => place_line(&line_slots(m), strategy, &delays)?,
+        (GuestTopology::Ring { m }, _) => place_line(&ring_fold(m), strategy, &delays)?,
         // Task-graph lanes sit on the line in lane order (identity slots):
         // every line strategy — including work stealing — then applies to
         // dag guests unchanged.
-        GuestTopology::Dag { dbs, .. } => line_slots(dbs),
-        GuestTopology::Mesh2D { .. }
-        | GuestTopology::Torus2D { .. }
-        | GuestTopology::BinaryTree { .. }
-        | GuestTopology::Mesh3D { .. } => return Err(Error::UnsupportedTopology),
-    };
-    let (order, delays, dilation) = host_as_array(host);
-    let num_slots = slot_map.len() as u32;
-    let (slots_of_position, predicted) = place_slots(strategy, &delays, num_slots)?;
-
-    // Expand slots to guest cells and map array positions to host nodes.
-    let mut cells_of = vec![Vec::new(); host.num_nodes() as usize];
-    for (pos, slots) in slots_of_position.iter().enumerate() {
-        let node = order[pos] as usize;
-        for &s in slots {
-            cells_of[node].extend_from_slice(&slot_map.slots[s as usize]);
+        (GuestTopology::Dag { dbs, .. }, _) => place_line(&line_slots(dbs), strategy, &delays)?,
+        (
+            GuestTopology::Mesh2D { .. }
+            | GuestTopology::Torus2D { .. }
+            | GuestTopology::Mesh3D { .. },
+            Strategy::Auto,
+        ) => {
+            let plan = plan_mesh(&delays, MESH_C, MESH_EXPANSION, &guest.topology)?;
+            (plan.cells_of_position, Some(plan.predicted_slowdown))
         }
-        cells_of[node].sort_unstable();
-        cells_of[node].dedup();
+        (GuestTopology::BinaryTree { levels }, Strategy::Auto) => {
+            (dfs_blocks(levels, positions), None)
+        }
+        (GuestTopology::BinaryTree { levels }, Strategy::Blocked) => {
+            (bfs_blocks(levels, positions), None)
+        }
+        _ => return Err(Error::UnsupportedTopology),
+    };
+
+    // Map array positions to host nodes.
+    let mut cells_of = vec![Vec::new(); host.num_nodes() as usize];
+    for (pos, cells) in cells_of_position.into_iter().enumerate() {
+        cells_of[order[pos] as usize] = cells;
     }
-    Ok(LinePlacement {
+    Ok(Placement {
         assignment: Assignment::from_cells_of(host.num_nodes(), guest.num_cells(), cells_of),
-        predicted_slowdown: predicted,
+        predicted_slowdown,
         array_delays: delays,
         dilation,
     })
+}
+
+/// Place a guest folded into line slots: the strategy assigns slots to
+/// array positions, and each position holds the cells of its slots.
+fn place_line(
+    slot_map: &SlotMap,
+    strategy: Strategy,
+    delays: &[Delay],
+) -> Result<(Vec<Vec<u32>>, Option<f64>), Error> {
+    let (slots_of_position, predicted) = place_slots(strategy, delays, slot_map.len() as u32)?;
+    let cells = compose(
+        &slots_of_position,
+        &slot_map.slots,
+        slot_map.slot_of.len() as u32,
+    );
+    Ok((cells, predicted))
 }
 
 #[cfg(test)]
@@ -423,7 +471,7 @@ mod tests {
         use overlap_sim::ExecPlan;
         let guest = GuestSpec::array(16, ProgramKind::KvWorkload, 2, 10);
         let host = linear_array(4, DelayModel::uniform(1, 6), 3);
-        let placed = plan_line_placement(&guest, &host, Strategy::Halo { halo: 1 }).unwrap();
+        let placed = plan_placement(&guest, &host, Strategy::Halo { halo: 1 }).unwrap();
         let plan =
             ExecPlan::build(&guest, &host, &placed.assignment, EngineConfig::default()).unwrap();
         let a = Engine::from_plan(&plan).run().unwrap();
@@ -496,14 +544,79 @@ mod tests {
         assert!(r.validated);
     }
 
+    /// DESIGN.md §9.4's placement table, guest by guest: the accepted
+    /// strategies place and validate, every other strategy is
+    /// `UnsupportedTopology`.
     #[test]
-    fn mesh_guest_is_rejected_here() {
-        let guest = GuestSpec::mesh(4, 4, ProgramKind::StencilSum, 0, 2);
-        let host = linear_array(4, DelayModel::constant(1), 0);
-        assert!(matches!(
-            simulate(&guest, &host, Strategy::Blocked),
-            Err(Error::UnsupportedTopology)
-        ));
+    fn placement_branches_on_guest_topology() {
+        use overlap_model::TaskGraph;
+        let host = mesh2d(3, 2, DelayModel::uniform(1, 6), 4);
+        let pk = ProgramKind::KvWorkload;
+        let strategies = [
+            Strategy::Overlap { c: 4.0 },
+            Strategy::Halo { halo: 1 },
+            Strategy::Combined {
+                c: 4.0,
+                expansion: 2,
+            },
+            Strategy::Blocked,
+            Strategy::Slackness,
+            Strategy::AllOnOne,
+            Strategy::WorkStealing { chunk: 0 },
+            Strategy::Auto,
+        ];
+        let every = |_: Strategy| true;
+        let auto = |s: Strategy| s == Strategy::Auto;
+        let tree = |s: Strategy| matches!(s, Strategy::Auto | Strategy::Blocked);
+        let cases: [(GuestSpec, &dyn Fn(Strategy) -> bool); 7] = [
+            (GuestSpec::array(12, pk, 1, 6), &every),
+            (GuestSpec::ring(12, pk, 1, 6), &every),
+            (GuestSpec::dag(TaskGraph::wavefront(6, 5), pk, 1), &every),
+            (GuestSpec::mesh(6, 4, pk, 1, 5), &auto),
+            (GuestSpec::torus(4, 4, pk, 1, 5), &auto),
+            (GuestSpec::mesh3(3, 3, 2, pk, 1, 5), &auto),
+            (GuestSpec::tree(4, pk, 1, 6), &tree),
+        ];
+        for (guest, accepts) in cases {
+            for s in strategies {
+                let case = format!("{:?} × {}", guest.topology, s.label());
+                match simulate(&guest, &host, s) {
+                    Ok(r) => {
+                        assert!(accepts(s), "{case} must be rejected");
+                        assert!(r.validated, "{case}: {} mismatches", r.mismatches);
+                        assert_eq!(r.dilation, host_as_array(&host).2, "{case}");
+                    }
+                    Err(Error::UnsupportedTopology) => assert!(!accepts(s), "{case} must place"),
+                    Err(e) => panic!("{case}: {e}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grid_and_tree_placements_follow_the_host_array() {
+        let host = linear_array(4, DelayModel::uniform(1, 5), 1);
+        let (order, delays, _) = host_as_array(&host);
+        // Theorem 8: the mesh plan's positions, mapped through the array.
+        let mesh = GuestSpec::mesh(8, 6, ProgramKind::KvWorkload, 5, 8);
+        let placed = plan_placement(&mesh, &host, Strategy::Auto).unwrap();
+        let plan = plan_mesh(&delays, MESH_C, MESH_EXPANSION, &mesh.topology).unwrap();
+        assert_eq!(placed.predicted_slowdown, Some(plan.predicted_slowdown));
+        for (pos, cells) in plan.cells_of_position.iter().enumerate() {
+            assert_eq!(placed.assignment.cells_of(order[pos]), &cells[..]);
+        }
+        // Trees: subtree blocks under Auto, heap-order blocks under Blocked.
+        let tree = GuestSpec::tree(5, ProgramKind::KvWorkload, 3, 10);
+        for (strategy, blocks) in [
+            (Strategy::Auto, dfs_blocks(5, 4)),
+            (Strategy::Blocked, bfs_blocks(5, 4)),
+        ] {
+            let placed = plan_placement(&tree, &host, strategy).unwrap();
+            assert_eq!(placed.predicted_slowdown, None);
+            for (pos, cells) in blocks.iter().enumerate() {
+                assert_eq!(placed.assignment.cells_of(order[pos]), &cells[..]);
+            }
+        }
     }
 
     #[test]

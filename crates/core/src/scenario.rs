@@ -107,11 +107,6 @@ impl ScenarioSpec {
         b.build()
     }
 
-    /// Validate without keeping the plan (the daemon's admission check).
-    pub fn validate(&self) -> Result<(), Error> {
-        self.ready().map(|_| ())
-    }
-
     /// The canonical plan-cache key of this scenario: the JSON encoding
     /// of `(guest, host, assignment, config)` — exactly the inputs of
     /// `ExecPlan::build`. Two specs with equal keys lower to
@@ -122,18 +117,6 @@ impl ScenarioSpec {
     pub fn plan_key(&self) -> Result<String, Error> {
         let ready = self.ready()?;
         Ok(overlap_sim::scenario_key(
-            &self.guest,
-            &self.host,
-            ready.assignment(),
-            self.config,
-        ))
-    }
-
-    /// FNV-1a hash of [`plan_key`](Self::plan_key) — a compact display
-    /// form of the key (the cache itself keys on the full string).
-    pub fn plan_hash(&self) -> Result<u64, Error> {
-        let ready = self.ready()?;
-        Ok(overlap_sim::scenario_hash(
             &self.guest,
             &self.host,
             ready.assignment(),
@@ -180,24 +163,37 @@ mod tests {
         assert_ne!(other.plan_key().unwrap(), key);
     }
 
+    /// `ready` and `plan_key` both place the spec, so both fail with the
+    /// builder's typed error.
     #[test]
     fn validation_matches_the_builder_matrix() {
+        let errors = |s: &ScenarioSpec| (s.ready().unwrap_err(), s.plan_key().unwrap_err());
         let mut s = spec();
         s.trace = true;
         s.engine = EngineKind::Lockstep;
-        assert!(matches!(
-            s.validate(),
-            Err(Error::Unsupported {
-                engine: "lockstep",
-                feature: "stall-attribution tracing"
-            })
-        ));
+        let (a, b) = errors(&s);
+        for e in [a, b] {
+            assert!(matches!(
+                e,
+                Error::Unsupported {
+                    engine: "lockstep",
+                    feature: "stall-attribution tracing"
+                }
+            ));
+        }
         let mut s = spec();
         s.host = HostGraph::new("split", 4);
-        assert!(matches!(
-            s.validate(),
-            Err(Error::InvalidConfig { option: "host", .. })
-        ));
+        let (a, b) = errors(&s);
+        for e in [a, b] {
+            assert!(matches!(e, Error::InvalidConfig { option: "host", .. }));
+        }
+        let mut s = spec();
+        s.guest = GuestSpec::mesh(4, 4, ProgramKind::KvWorkload, 3, 12);
+        s.strategy = Strategy::Halo { halo: 1 };
+        let (a, b) = errors(&s);
+        for e in [a, b] {
+            assert!(matches!(e, Error::UnsupportedTopology));
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The [`Simulation`] builder — the one front door to the simulator.
 //!
-//! Replaces the old positional plumbing (`plan_line_placement` +
-//! `Engine::new(guest, host, &assign, config)` + `validate_run`) with a
-//! fluent, self-describing API:
+//! Every guest — line, ring, task graph, 2-D or 3-D grid, binary tree —
+//! enters here: placement ([`plan_placement`]) is the only step that
+//! branches on the guest's shape, and lowering, the engine run,
+//! validation and the [`SimReport`] are written once, below. A fluent,
+//! self-describing API:
 //!
 //! ```
 //! use overlap_core::simulation::Simulation;
@@ -29,7 +31,7 @@
 //! processor crashes — see `overlap_sim::faults`.
 
 use crate::error::Error;
-use crate::pipeline::{plan_line_placement, SimReport, Strategy};
+use crate::pipeline::{plan_placement, SimReport, Strategy};
 use overlap_model::{GuestSpec, ReferenceRun, ReferenceTrace};
 use overlap_net::{Delay, HostGraph};
 use overlap_sim::engine::{EngineConfig, Jitter, MemBudget, RunOutcome};
@@ -78,9 +80,10 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Database placement strategy (default [`Strategy::Auto`]).
-    /// Applies to line/ring guests; other topologies need
-    /// [`assignment`](Self::assignment).
+    /// Database placement strategy (default [`Strategy::Auto`]). Line,
+    /// ring and task-graph guests take every strategy, grid guests `Auto`,
+    /// binary trees `Auto` or `Blocked` ([`plan_placement`]); any guest
+    /// can take an explicit [`assignment`](Self::assignment) instead.
     pub fn strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
         self
@@ -216,7 +219,7 @@ impl<'a> SimulationBuilder<'a> {
                 (a, None, delays, 0)
             }
             None => {
-                let placement = plan_line_placement(self.guest, host, self.strategy)?;
+                let placement = plan_placement(self.guest, host, self.strategy)?;
                 (
                     placement.assignment,
                     placement.predicted_slowdown,
@@ -420,10 +423,16 @@ mod tests {
     }
 
     #[test]
-    fn mesh_guest_without_assignment_is_unsupported() {
+    fn grid_guests_take_auto_and_nothing_else() {
         let guest = GuestSpec::mesh(4, 4, ProgramKind::StencilSum, 0, 2);
         let host = linear_array(4, DelayModel::constant(1), 0);
-        let err = Simulation::of(&guest).on(&host).build().unwrap_err();
+        let report = Simulation::of(&guest).on(&host).build().unwrap().run();
+        assert!(report.unwrap().validated);
+        let err = Simulation::of(&guest)
+            .on(&host)
+            .strategy(Strategy::Halo { halo: 1 })
+            .build()
+            .unwrap_err();
         assert!(matches!(err, Error::UnsupportedTopology));
     }
 

@@ -20,15 +20,11 @@
 //! * [`bfs_blocks`]: contiguous blocks of the BFS (level) order, which
 //!   scatters subtrees (many crossing edges) — the locality ablation.
 //!
-//! Experiment E15 measures both on NOW hosts.
-
-use crate::error::Error;
-use crate::pipeline::{host_as_array, SimReport};
-use overlap_model::{GuestSpec, GuestTopology, ReferenceRun, ReferenceTrace};
-use overlap_net::HostGraph;
-use overlap_sim::engine::{Engine, EngineConfig};
-use overlap_sim::validate::validate_run;
-use overlap_sim::{Assignment, ExecPlan};
+//! The builder places a tree guest with [`dfs_blocks`] under
+//! `Strategy::Auto` and [`bfs_blocks`] under `Strategy::Blocked`, one block
+//! per position of the host's embedded line order
+//! ([`plan_placement`](crate::pipeline::plan_placement)). Experiment E15
+//! measures both on NOW hosts.
 
 /// Pre-order DFS traversal of the heap-ordered complete binary tree.
 pub fn dfs_order(levels: u32) -> Vec<u32> {
@@ -90,71 +86,34 @@ pub fn crossing_edges(levels: u32, cells_of: &[Vec<u32>]) -> usize {
         .count()
 }
 
-/// Simulate a binary-tree guest on an arbitrary connected host with
-/// DFS-block (`locality = true`) or BFS-block placement over the host's
-/// embedded line order, and validate.
-pub fn simulate_tree_on_host(
-    guest: &GuestSpec,
-    host: &HostGraph,
-    locality: bool,
-    trace: Option<&ReferenceTrace>,
-) -> Result<SimReport, Error> {
-    let GuestTopology::BinaryTree { levels } = guest.topology else {
-        return Err(Error::UnsupportedTopology);
-    };
-    let (order, delays, dilation) = host_as_array(host);
-    let n = host.num_nodes();
-    let blocks = if locality {
-        dfs_blocks(levels, n)
-    } else {
-        bfs_blocks(levels, n)
-    };
-    let mut cells_of = vec![Vec::new(); n as usize];
-    for (pos, block) in blocks.into_iter().enumerate() {
-        cells_of[order[pos] as usize] = block;
-    }
-    let assignment = Assignment::from_cells_of(n, guest.num_cells(), cells_of);
-    let plan =
-        ExecPlan::build(guest, host, &assignment, EngineConfig::default()).map_err(Error::Run)?;
-    let outcome = Engine::from_plan(&plan).run().map_err(Error::Run)?;
-    let owned;
-    let trace = match trace {
-        Some(t) => t,
-        None => {
-            owned = ReferenceRun::execute(guest);
-            &owned
-        }
-    };
-    let errors = validate_run(trace, &outcome);
-    let d_ave = if delays.is_empty() {
-        0.0
-    } else {
-        delays.iter().sum::<u64>() as f64 / delays.len() as f64
-    };
-    Ok(SimReport {
-        stats: outcome.stats,
-        validated: errors.is_empty(),
-        mismatches: errors.len(),
-        predicted_slowdown: None,
-        strategy: if locality {
-            "tree-dfs".into()
-        } else {
-            "tree-bfs".into()
-        },
-        host: host.name().to_string(),
-        d_ave,
-        d_max: delays.iter().copied().max().unwrap_or(0),
-        dilation,
-        outcome,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overlap_model::ProgramKind;
+    use crate::pipeline::{SimReport, Strategy};
+    use crate::Simulation;
+    use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, ReferenceTrace};
     use overlap_net::topology::{linear_array, mesh2d};
-    use overlap_net::DelayModel;
+    use overlap_net::{DelayModel, HostGraph};
+
+    /// A tree guest through the builder: subtree blocks when `locality`,
+    /// heap-order blocks otherwise.
+    fn simulate(
+        guest: &GuestSpec,
+        host: &HostGraph,
+        locality: bool,
+        trace: &ReferenceTrace,
+    ) -> SimReport {
+        Simulation::of(guest)
+            .on(host)
+            .strategy(if locality {
+                Strategy::Auto
+            } else {
+                Strategy::Blocked
+            })
+            .build()
+            .and_then(|sim| sim.run_with_trace(trace))
+            .unwrap_or_else(|e| panic!("{}: {e}", host.name()))
+    }
 
     #[test]
     fn dfs_order_is_a_preorder_permutation() {
@@ -181,13 +140,13 @@ mod tests {
     #[test]
     fn tree_guest_validates_on_line_and_mesh_hosts() {
         let guest = GuestSpec::tree(5, ProgramKind::KvWorkload, 3, 10);
+        let trace = ReferenceRun::execute(&guest);
         for host in [
             linear_array(6, DelayModel::uniform(1, 8), 2),
             mesh2d(3, 2, DelayModel::uniform(1, 8), 2),
         ] {
             for locality in [true, false] {
-                let r = simulate_tree_on_host(&guest, &host, locality, None)
-                    .unwrap_or_else(|e| panic!("{}: {e}", host.name()));
+                let r = simulate(&guest, &host, locality, &trace);
                 assert!(r.validated, "{} locality={locality}", host.name());
             }
         }
@@ -198,8 +157,8 @@ mod tests {
         let guest = GuestSpec::tree(8, ProgramKind::Relaxation, 5, 12);
         let host = linear_array(8, DelayModel::constant(8), 0);
         let trace = ReferenceRun::execute(&guest);
-        let dfs = simulate_tree_on_host(&guest, &host, true, Some(&trace)).unwrap();
-        let bfs = simulate_tree_on_host(&guest, &host, false, Some(&trace)).unwrap();
+        let dfs = simulate(&guest, &host, true, &trace);
+        let bfs = simulate(&guest, &host, false, &trace);
         assert!(dfs.validated && bfs.validated);
         assert!(
             dfs.stats.messages < bfs.stats.messages,
@@ -207,15 +166,5 @@ mod tests {
             dfs.stats.messages,
             bfs.stats.messages
         );
-    }
-
-    #[test]
-    fn line_guest_is_rejected() {
-        let guest = GuestSpec::array(8, ProgramKind::StencilSum, 0, 2);
-        let host = linear_array(4, DelayModel::constant(1), 0);
-        assert!(matches!(
-            simulate_tree_on_host(&guest, &host, true, None),
-            Err(Error::UnsupportedTopology)
-        ));
     }
 }

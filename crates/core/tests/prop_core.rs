@@ -4,10 +4,9 @@ use overlap_core::assign::{assign_slots, expand_blocks};
 use overlap_core::killing::verify_lemmas;
 use overlap_core::killing::{kill_and_label, KillParams};
 use overlap_core::lower::zigzag_path;
-use overlap_core::mesh::simulate_mesh_with_trace;
 use overlap_core::overlap::plan_overlap;
-use overlap_core::tree_guest::simulate_tree_on_host;
 use overlap_core::uniform::{halo_assignment, region_census};
+use overlap_core::Simulation;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
@@ -176,7 +175,10 @@ proptest! {
             GuestSpec::torus(w.max(2), h.max(2), ProgramKind::Relaxation, seed, steps),
         ] {
             let trace = ReferenceRun::execute(&guest);
-            let r = simulate_mesh_with_trace(&guest, &host, 4.0, 2, &trace)
+            let r = Simulation::of(&guest)
+                .on(&host)
+                .build()
+                .and_then(|sim| sim.run_with_trace(&trace))
                 .expect("grid pipeline");
             prop_assert!(r.validated);
         }
@@ -192,10 +194,15 @@ proptest! {
         let host = linear_array(hosts, DelayModel::uniform(1, 10), seed);
         let guest = GuestSpec::tree(levels, ProgramKind::KvWorkload, seed, steps);
         let trace = ReferenceRun::execute(&guest);
-        for locality in [true, false] {
-            let r = simulate_tree_on_host(&guest, &host, locality, Some(&trace))
+        // Auto places subtree blocks, Blocked heap-order blocks.
+        for strategy in [overlap_core::Strategy::Auto, overlap_core::Strategy::Blocked] {
+            let r = Simulation::of(&guest)
+                .on(&host)
+                .strategy(strategy)
+                .build()
+                .and_then(|sim| sim.run_with_trace(&trace))
                 .expect("tree run");
-            prop_assert!(r.validated, "locality={}", locality);
+            prop_assert!(r.validated, "{}", strategy.label());
         }
     }
 

@@ -6,7 +6,9 @@
 //! `(guest, host, assignment, config)` exactly once and keeps the owned
 //! plan (`ExecPlan<'static>`) plus the guest's unit-delay
 //! [`ReferenceTrace`] behind the canonical scenario key from
-//! [`ScenarioSpec::plan_key`]. Fault and compute-cost variants are
+//! `overlap_sim::scenario_key` (what [`ScenarioSpec::plan_key`] returns).
+//! A miss lowers from the assignment admission already placed, so each
+//! submission is placed once. Fault and compute-cost variants are
 //! applied to the cached plan with `ExecPlan::apply_delta` — which is
 //! differentially pinned bit-identical to a fresh lowering — and undone
 //! with the returned inverse after the run, so the cached entry always
@@ -20,7 +22,7 @@
 
 use overlap_core::{Error, ScenarioSpec};
 use overlap_model::{ReferenceRun, ReferenceTrace};
-use overlap_sim::ExecPlan;
+use overlap_sim::{Assignment, ExecPlan};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -71,15 +73,16 @@ impl PlanCache {
         }
     }
 
-    /// Run `f` with the cached plan for `key`, lowering `spec` first if
-    /// this is the key's first arrival. `f` receives the mutable base
-    /// plan, the scenario's reference trace, and whether this lookup was
-    /// a cache hit; it must leave the plan in its base state (apply the
-    /// inverse of every delta it applied).
+    /// Run `f` with the cached plan for `key`, lowering `spec` with its
+    /// placed `assignment` first if this is the key's first arrival. `f`
+    /// receives the mutable base plan, the scenario's reference trace,
+    /// and whether this lookup was a cache hit; it must leave the plan in
+    /// its base state (apply the inverse of every delta it applied).
     pub fn with_plan<R>(
         &self,
         key: &str,
         spec: &ScenarioSpec,
+        assignment: Assignment,
         f: impl FnOnce(&mut ExecPlan<'static>, &ReferenceTrace, bool) -> R,
     ) -> Result<R, Error> {
         let (slot, hit) = {
@@ -100,8 +103,6 @@ impl PlanCache {
         }
         let mut guard = slot.lock().unwrap();
         if guard.is_none() {
-            let ready = spec.ready()?;
-            let assignment = ready.assignment().clone();
             let plan = ExecPlan::build_owned(
                 spec.guest.clone(),
                 spec.host.clone(),
@@ -131,19 +132,25 @@ mod tests {
         )
     }
 
+    /// What admission hands the cache: the key and the placed assignment.
+    fn admit(spec: &ScenarioSpec) -> (String, Assignment) {
+        let key = spec.plan_key().unwrap();
+        (key, spec.ready().unwrap().assignment().clone())
+    }
+
     #[test]
     fn second_lookup_is_a_hit_and_reuses_the_plan() {
         let cache = PlanCache::new();
         let spec = spec();
-        let key = spec.plan_key().unwrap();
+        let (key, assignment) = admit(&spec);
         let fp1 = cache
-            .with_plan(&key, &spec, |plan, _, hit| {
+            .with_plan(&key, &spec, assignment.clone(), |plan, _, hit| {
                 assert!(!hit);
                 plan.fingerprint()
             })
             .unwrap();
         let fp2 = cache
-            .with_plan(&key, &spec, |plan, _, hit| {
+            .with_plan(&key, &spec, assignment, |plan, _, hit| {
                 assert!(hit);
                 plan.fingerprint()
             })
@@ -159,12 +166,10 @@ mod tests {
         let a = spec();
         let mut b = spec();
         b.guest.steps += 1;
-        cache
-            .with_plan(&a.plan_key().unwrap(), &a, |_, _, _| ())
-            .unwrap();
-        cache
-            .with_plan(&b.plan_key().unwrap(), &b, |_, _, _| ())
-            .unwrap();
+        for s in [&a, &b] {
+            let (key, assignment) = admit(s);
+            cache.with_plan(&key, s, assignment, |_, _, _| ()).unwrap();
+        }
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().misses, 2);
     }

@@ -1,10 +1,11 @@
 //! The daemon proper: session registry, worker pool, and run lifecycle.
 //!
-//! A submission is validated up front (the same `EngineKind::check` as
-//! the in-process builder — invalid scenarios are rejected at the door,
-//! not at run time), keyed for the plan cache, and queued. Worker threads
-//! pull sessions off the queue, resolve the plan through [`PlanCache`]
-//! (lowering at most once per key), apply the session's fault /
+//! A submission is validated and placed up front (the same builder as
+//! in-process runs — invalid scenarios are rejected at the door, not at
+//! run time), keyed for the plan cache, and queued together with its
+//! assignment. Worker threads pull jobs off the queue, resolve the plan
+//! through [`PlanCache`] (lowering a miss from the job's assignment, at
+//! most once per key), apply the session's fault /
 //! compute-cost deltas via `ExecPlan::apply_delta`, execute through
 //! `EngineKind::run` under a [`RunControl`], validate against the cached
 //! reference trace, persist a [`RunRecord`], and stream [`Event`]s to
@@ -22,7 +23,7 @@ use overlap_core::{Error, ScenarioSpec};
 use overlap_sim::engine::{RunError, RunOutcome};
 use overlap_sim::trace::TraceConfig;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{ExecPlan, PlanDelta, RunControl};
+use overlap_sim::{Assignment, ExecPlan, PlanDelta, RunControl};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -158,7 +159,6 @@ impl Shared {
 struct Session {
     id: u64,
     spec: ScenarioSpec,
-    key: String,
     hash: u64,
     control: Arc<RunControl>,
     shared: Arc<Shared>,
@@ -170,6 +170,15 @@ impl std::ops::Deref for Session {
     fn deref(&self) -> &Shared {
         &self.shared
     }
+}
+
+/// A queued session with what admission computed for it: the plan-cache
+/// key and the placed assignment. The worker takes both, so a finished
+/// session keeps neither.
+struct Job {
+    session: u64,
+    key: String,
+    assignment: Assignment,
 }
 
 /// Daemon construction options.
@@ -193,7 +202,7 @@ struct Inner {
     cache: PlanCache,
     store: Box<dyn RunStore>,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
-    queue: Mutex<VecDeque<u64>>,
+    queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     next_session: AtomicU64,
     next_run: AtomicU64,
@@ -244,8 +253,10 @@ impl Daemon {
             return Err(Error::Config("daemon is shutting down".into()));
         }
         // Admission: placement + full validation matrix. The key is the
-        // canonical lowering input; the hash is its display form.
-        let key = spec.plan_key()?;
+        // canonical lowering input; the hash is its display form. A cache
+        // miss lowers from this assignment instead of placing again.
+        let assignment = spec.ready()?.assignment().clone();
+        let key = overlap_sim::scenario_key(&spec.guest, &spec.host, &assignment, spec.config);
         let hash = overlap_sim::fnv1a(key.as_bytes());
         let id = self.inner.next_session.fetch_add(1, Ordering::SeqCst);
         let shared = Arc::new(Shared {
@@ -270,13 +281,16 @@ impl Daemon {
         let session = Arc::new(Session {
             id,
             spec,
-            key,
             hash,
             control: Arc::new(control),
             shared,
         });
         self.inner.sessions.lock().unwrap().insert(id, session);
-        self.inner.queue.lock().unwrap().push_back(id);
+        self.inner.queue.lock().unwrap().push_back(Job {
+            session: id,
+            key,
+            assignment,
+        });
         self.inner.queue_cv.notify_one();
         Ok(id)
     }
@@ -416,11 +430,11 @@ impl Drop for Daemon {
 
 fn worker_loop(inner: &Inner) {
     loop {
-        let id = {
+        let job = {
             let mut q = inner.queue.lock().unwrap();
             loop {
-                if let Some(id) = q.pop_front() {
-                    break id;
+                if let Some(job) = q.pop_front() {
+                    break job;
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -428,33 +442,38 @@ fn worker_loop(inner: &Inner) {
                 q = inner.queue_cv.wait(q).unwrap();
             }
         };
-        let Some(session) = inner.sessions.lock().unwrap().get(&id).cloned() else {
+        let Some(session) = inner.sessions.lock().unwrap().get(&job.session).cloned() else {
             continue;
         };
         if session.control.is_cancelled() {
             session.finish(Status::Cancelled, Event::Cancelled { at: 0 });
             continue;
         }
-        run_session(inner, &session);
+        run_session(inner, &session, job);
     }
 }
 
 /// Execute one session end-to-end: plan resolution, delta application,
 /// engine dispatch, validation, persistence, event emission.
-fn run_session(inner: &Inner, session: &Arc<Session>) {
+fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
     session.set_status(Status::Running);
     let mut was_hit = false;
     let result: Result<(RunOutcome, u64), Error> = inner
         .cache
-        .with_plan(&session.key, &session.spec, |plan, reference, hit| {
-            was_hit = hit;
-            session.push(Event::Started { cache_hit: hit });
-            let outcome = run_on_plan(session, plan)?;
-            // Validate inside the slot lock: the reference belongs to
-            // the entry.
-            let errors = validate_run(reference, &outcome);
-            Ok((outcome, errors.len() as u64))
-        })
+        .with_plan(
+            &job.key,
+            &session.spec,
+            job.assignment,
+            |plan, reference, hit| {
+                was_hit = hit;
+                session.push(Event::Started { cache_hit: hit });
+                let outcome = run_on_plan(session, plan)?;
+                // Validate inside the slot lock: the reference belongs to
+                // the entry.
+                let errors = validate_run(reference, &outcome);
+                Ok((outcome, errors.len() as u64))
+            },
+        )
         .and_then(|r| r);
     match result {
         Ok((outcome, mismatches)) => {

@@ -1,11 +1,13 @@
 //! Daemon end-to-end tests: the determinism contract, the plan-cache
 //! `apply_delta` path, pause/resume bit-identity, restart persistence,
-//! and the HTTP round trip.
+//! the HTTP round trip, and grid and tree guests over HTTP.
 
 use overlap_core::{EngineKind, ScenarioSpec, Strategy};
-use overlap_daemon::{Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore, Status};
+use overlap_daemon::{
+    Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore, RunRecord, Status,
+};
 use overlap_model::{GuestSpec, ProgramKind};
-use overlap_net::topology::linear_array;
+use overlap_net::topology::{linear_array, mesh2d};
 use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::Jitter;
@@ -54,6 +56,22 @@ fn raw_http(addr: std::net::SocketAddr, head: &str, body: &str) -> (u16, String)
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("bad status line in {text:?}"));
     (status, text)
+}
+
+/// Long-poll a session's event stream over HTTP to its `Done` record.
+fn done_record(client: &Client, id: u64) -> RunRecord {
+    let mut next = 0;
+    loop {
+        let resp = client.events(id, next, 5_000).expect("events");
+        next = resp.next;
+        for e in resp.events {
+            match e {
+                Event::Done { record } => return record,
+                Event::Failed { error } => panic!("session {id} failed: {error}"),
+                _ => {}
+            }
+        }
+    }
 }
 
 /// The stats of an uninterrupted in-process run, as canonical JSON bytes.
@@ -294,18 +312,7 @@ fn http_round_trip() {
     let spec16 = spec(16, 64);
     let baseline = sequential_bytes(&spec16);
     let id = client.submit(&spec16).expect("submit over HTTP");
-    // Long-poll the stream to a terminal event.
-    let mut next = 0;
-    let mut done = None;
-    while done.is_none() {
-        let resp = client.events(id, next, 5_000).expect("events");
-        next = resp.next;
-        done = resp.events.iter().find_map(|e| match e {
-            Event::Done { record } => Some(record.clone()),
-            _ => None,
-        });
-    }
-    let record = done.unwrap();
+    let record = done_record(&client, id);
     assert_eq!(serde_json::to_string(&record.stats).unwrap(), baseline);
     let view = client.status(id).unwrap();
     assert_eq!(view.status, Status::Done);
@@ -345,6 +352,46 @@ fn http_round_trip() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+    server.stop();
+}
+
+/// Mesh, torus and tree guests enter through the same admission as line
+/// guests: over HTTP they finish `Done` with the stats of an in-process
+/// run, and a grid guest under a line strategy is a typed 400.
+#[test]
+fn grid_and_tree_guests_run_over_http() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    let client = Client::new(server.addr().to_string());
+    let host = mesh2d(3, 3, DelayModel::uniform(1, 6), 7);
+    let pk = ProgramKind::Relaxation;
+    for guest in [
+        GuestSpec::mesh(6, 6, pk, 3, 16),
+        GuestSpec::torus(6, 4, pk, 3, 16),
+        GuestSpec::tree(5, pk, 3, 16),
+    ] {
+        let spec = ScenarioSpec::new(guest, host.clone());
+        let baseline = spec.ready().unwrap().run().unwrap();
+        let id = client.submit(&spec).expect("submit over HTTP");
+        let record = done_record(&client, id);
+        assert_eq!(client.status(id).unwrap().status, Status::Done);
+        assert!(record.validated, "{:?}", spec.guest.topology);
+        assert_eq!(record.stats, baseline.stats, "{:?}", spec.guest.topology);
+    }
+    let mut halo = ScenarioSpec::new(GuestSpec::mesh(6, 6, pk, 3, 16), host);
+    halo.strategy = Strategy::Halo { halo: 1 };
+    match client.submit(&halo) {
+        Err(overlap_daemon::ClientError::Api { status, message }) => {
+            assert_eq!(status, 400);
+            assert!(
+                message.contains("mesh, torus and 3-D mesh guests accept auto"),
+                "{message}"
+            );
+        }
+        other => panic!("expected 400, got {other:?}"),
+    }
+    assert_eq!(client.cache().unwrap().misses, 3);
+    client.shutdown().expect("shutdown");
     server.stop();
 }
 

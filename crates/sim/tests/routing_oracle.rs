@@ -8,7 +8,7 @@
 //! Dijkstra so it shares no search code with the builders. Both are run on
 //! random hosts, placements and guests, and compared field by field.
 
-use overlap_core::pipeline::plan_line_placement;
+use overlap_core::pipeline::plan_placement;
 use overlap_core::Strategy;
 use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
 use overlap_net::paths::PathResult;
@@ -286,7 +286,7 @@ fn early_exit_routing_matches_full_search_oracle() {
             for guest in guests(n, seed) {
                 let deps = |c: u32| guest.dep_union(c);
                 for strategy in strategies {
-                    let assign = plan_line_placement(&guest, &host, strategy)
+                    let assign = plan_placement(&guest, &host, strategy)
                         .unwrap_or_else(|e| panic!("{} {strategy:?}: {e}", host.name()))
                         .assignment;
                     let case = format!(

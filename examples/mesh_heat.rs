@@ -8,10 +8,11 @@
 //!
 //! Run with: `cargo run --release --example mesh_heat`
 
-use overlap::core::mesh::{simulate_mesh_on_host, t7_predicted};
+use overlap::core::mesh::t7_predicted;
 use overlap::core::theory;
 use overlap::model::{GuestSpec, ProgramKind};
 use overlap::net::{topology, DelayModel};
+use overlap::Simulation;
 
 fn main() {
     let side = 24u32;
@@ -24,7 +25,12 @@ fn main() {
     );
     println!("host: {} (bounded degree 4)\n", host.name());
 
-    let r = simulate_mesh_on_host(&guest, &host, 4.0, 2).expect("mesh emulation");
+    // The default strategy (Auto) places a grid guest by Theorem 8.
+    let r = Simulation::of(&guest)
+        .on(&host)
+        .build()
+        .and_then(|sim| sim.run())
+        .expect("mesh emulation");
     println!("slowdown:          {:.2}", r.stats.slowdown);
     println!(
         "load:              {} mesh cells / workstation",

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example wan_dumbbell`
 
-use overlap::core::pipeline::{host_as_array, plan_line_placement, resolve_auto};
+use overlap::core::pipeline::{host_as_array, plan_placement, resolve_auto};
 use overlap::{topology, GuestSpec, ProgramKind, Simulation, Strategy};
 
 fn main() {
@@ -48,7 +48,7 @@ fn main() {
             blocked.stats.slowdown / auto.stats.slowdown
         );
         // sanity: the planner is reachable for reporting too
-        let _ = plan_line_placement(&guest, &host, Strategy::Auto).unwrap();
+        let _ = plan_placement(&guest, &host, Strategy::Auto).unwrap();
     }
     println!(
         "\nthe WAN hop is paid once per halo-width of guest steps instead of every step — \

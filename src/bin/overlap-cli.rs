@@ -33,11 +33,14 @@
 //!               btree:LEVELS    (default line:2×host)
 //!   --steps     guest steps to simulate (default 64)
 //!   --strategy  auto | overlap[:C] | halo[:W] | combined[:C:L] | blocked |
-//!               slackness | all-on-one   (default overlap:4; grid guests
-//!               always use the Theorem 8 pipeline)
-//!   --engine    event | stepped | lockstep  (default event; line/ring
-//!               only; stepped is the differential oracle, lockstep the
-//!               d_max-synchronised baseline)
+//!               slackness | all-on-one   (default auto). Line and ring
+//!               guests take every strategy; mesh, torus and mesh3 guests
+//!               take auto (Theorem 8); btree guests take auto (subtree
+//!               blocks) or blocked (heap-order blocks); any other pair is
+//!               an error
+//!   --engine    event | stepped | lockstep  (default event; stepped is
+//!               the differential oracle, lockstep the d_max-synchronised
+//!               baseline)
 //!   --faults    down:A:B:FROM:UNTIL | spike:A:B:FROM:UNTIL:FACTOR |
 //!               crash:P:AT | rand:PCT  (repeatable; injects deterministic
 //!               link outages / delay spikes / processor crashes; rand:PCT
@@ -47,7 +50,7 @@
 //!   --trace-json  FILE — run with stall attribution and write the full
 //!                 trace report (per-copy stall breakdown, link occupancy
 //!                 and queue-depth series) as JSON; also prints a stall
-//!                 summary line (event engine, line/ring guests only)
+//!                 summary line (event engine)
 //!   --analyze     print host statistics, embedding quality and the Auto
 //!                 strategy recommendation instead of simulating
 //!   --dot         print the host as Graphviz DOT and exit
@@ -56,12 +59,11 @@
 //! Prints the validated report: slowdown, load, redundancy, messages, and
 //! the predicted bound where the strategy has one.
 
-use overlap::core::mesh::simulate_mesh_on_host;
 use overlap::daemon::{Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore};
 use overlap::net::metrics::DelayStats;
 use overlap::{
-    topology, DelayModel, EngineKind, FaultPlan, GuestSpec, GuestTopology, HostGraph, ProgramKind,
-    ScenarioSpec, Strategy,
+    topology, DelayModel, EngineKind, FaultPlan, GuestSpec, HostGraph, ProgramKind, ScenarioSpec,
+    Strategy,
 };
 use std::process::exit;
 
@@ -277,7 +279,7 @@ fn parse_scenario(args: &[String]) -> ScenarioSpec {
     let host = parse_host(&opt_in(args, "--host", "line:32"), dm, seed);
     let default_guest = format!("line:{}", 2 * host.num_nodes());
     let guest = parse_guest(&opt_in(args, "--guest", &default_guest), seed, steps);
-    let strategy = parse_strategy(&opt_in(args, "--strategy", "overlap:4"));
+    let strategy = parse_strategy(&opt_in(args, "--strategy", "auto"));
     let engine = parse_engine(&opt_in(args, "--engine", "event"));
     // Horizon estimate for random fault generation: the run's tick count
     // is unknown up front, so scale the guest length by the delay spread.
@@ -614,28 +616,12 @@ fn main() {
         guest.steps
     );
 
-    let report = match guest.topology {
-        GuestTopology::Line { .. } | GuestTopology::Ring { .. } => {
-            spec.ready().and_then(|sim| sim.run()).map(|mut r| {
-                if spec.engine != EngineKind::Event {
-                    r.strategy = format!("{} [{} engine]", r.strategy, spec.engine.label());
-                }
-                r
-            })
+    let report = spec.ready().and_then(|sim| sim.run()).map(|mut r| {
+        if spec.engine != EngineKind::Event {
+            r.strategy = format!("{} [{} engine]", r.strategy, spec.engine.label());
         }
-        GuestTopology::BinaryTree { .. } => {
-            if trace_json.is_some() {
-                usage("--trace-json supports line/ring guests only");
-            }
-            overlap::core::tree_guest::simulate_tree_on_host(guest, host, true, None)
-        }
-        _ => {
-            if trace_json.is_some() {
-                usage("--trace-json supports line/ring guests only");
-            }
-            simulate_mesh_on_host(guest, host, 4.0, 2)
-        }
-    };
+        r
+    });
     match report {
         Ok(r) => {
             println!("strategy: {}", r.strategy);

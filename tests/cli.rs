@@ -1,0 +1,117 @@
+//! `overlap-cli` drives every guest through the one builder front door:
+//! `--engine`, `--faults`, `--strategy` and `--trace-json` are honoured or
+//! rejected with a typed error, whatever the guest's shape.
+
+use overlap::TraceReport;
+use std::process::{Command, Output};
+
+/// Run the CLI on a small 8-workstation line host.
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_overlap-cli"))
+        .args(["--host", "line:8", "--steps", "16"])
+        .args(args)
+        .output()
+        .expect("overlap-cli runs")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// The guests the CLI can describe, one of each topology.
+const GUESTS: [&str; 6] = [
+    "line:16",
+    "ring:16",
+    "mesh:6x6",
+    "torus:4x4",
+    "mesh3:3x3x2",
+    "btree:5",
+];
+
+/// Every guest runs, validated, on the engine it asked for.
+#[test]
+fn every_guest_runs_on_the_engine_it_asks_for() {
+    for guest in GUESTS {
+        for engine in ["event", "stepped", "lockstep"] {
+            let out = cli(&["--guest", guest, "--engine", engine]);
+            let text = stdout(&out);
+            assert!(out.status.success(), "{guest} × {engine}: {}", stderr(&out));
+            assert!(
+                text.contains("validated: true"),
+                "{guest} × {engine}: {text}"
+            );
+            let tag = format!("[{engine} engine]");
+            assert_eq!(
+                text.contains(&tag),
+                engine != "event",
+                "{guest} × {engine}: {text}"
+            );
+        }
+    }
+}
+
+#[test]
+fn lockstep_rejects_faults_for_every_guest() {
+    for guest in GUESTS {
+        let out = cli(&[
+            "--guest",
+            guest,
+            "--engine",
+            "lockstep",
+            "--faults",
+            "crash:3:10",
+        ]);
+        assert!(!out.status.success(), "{guest}: {}", stdout(&out));
+        assert!(
+            stderr(&out).contains("the lockstep engine does not support fault injection"),
+            "{guest}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
+fn mesh_guest_writes_a_conserving_trace() {
+    let path = std::env::temp_dir().join(format!("overlap-cli-trace-{}.json", std::process::id()));
+    let out = cli(&[
+        "--guest",
+        "mesh:6x6",
+        "--trace-json",
+        path.to_str().unwrap(),
+    ]);
+    let text = stdout(&out);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let json = std::fs::read_to_string(&path).expect("trace written");
+    let _ = std::fs::remove_file(&path);
+    let report: TraceReport = serde_json::from_str(&json).expect("trace report JSON");
+    assert!(!report.per_copy.is_empty());
+    assert_eq!(
+        report.totals.total(),
+        report.makespan * report.per_copy.len() as u64,
+        "stall categories must partition makespan × copies"
+    );
+    assert!(
+        text.contains(&format!("(makespan {} /", report.makespan)),
+        "{text}"
+    );
+    assert!(text.contains("stalls   :"), "{text}");
+}
+
+#[test]
+fn grid_guest_under_a_line_strategy_is_a_typed_error() {
+    let out = cli(&["--guest", "mesh:6x6", "--strategy", "halo:1"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains(
+            "strategy does not apply to this guest topology: line, ring and task-graph \
+             guests accept every strategy; mesh, torus and 3-D mesh guests accept auto; \
+             binary-tree guests accept auto or blocked"
+        ),
+        "{err}"
+    );
+}

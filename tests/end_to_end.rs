@@ -1,7 +1,6 @@
 //! End-to-end integration: every strategy × every program family ×
 //! several host families, all validated against the unit-delay reference.
 
-use overlap::core::mesh::simulate_mesh_on_host;
 use overlap::{Simulation, Strategy};
 /// Run via the builder facade (the old free-function entry points are
 /// deprecated).
@@ -91,7 +90,7 @@ fn every_program_kind_validates() {
 fn mesh_guests_validate_on_every_host() {
     let guest = GuestSpec::mesh(6, 5, ProgramKind::KvWorkload, 11, 8);
     for host in hosts() {
-        let r = simulate_mesh_on_host(&guest, &host, 4.0, 2)
+        let r = simulate(&guest, &host, Strategy::Auto)
             .unwrap_or_else(|e| panic!("{}: {e}", host.name()));
         assert!(r.validated, "{}", host.name());
     }

@@ -4,7 +4,7 @@
 //! all consume that same plan. They must compute identical state, and
 //! their makespans must order sensibly (greedy ≤ lockstep).
 
-use overlap::core::pipeline::{plan_line_placement, Strategy};
+use overlap::core::pipeline::{plan_placement, Strategy};
 use overlap::model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap::net::{topology, DelayModel};
 use overlap::sim::engine::{Engine, EngineConfig};
@@ -49,7 +49,7 @@ fn all_three_engines_agree_on_state_from_one_plan() {
     let host = topology::linear_array(8, DelayModel::uniform(1, 12), 5);
     let trace = ReferenceRun::execute(&guest);
     for s in strategies() {
-        let placement = plan_line_placement(&guest, &host, s).expect("placement");
+        let placement = plan_placement(&guest, &host, s).expect("placement");
         let plan = ExecPlan::build(
             &guest,
             &host,
@@ -86,8 +86,7 @@ fn engines_agree_on_ring_fold_over_embedded_host() {
     let guest = GuestSpec::ring(18, ProgramKind::RuleAutomaton { db_size: 8 }, 3, 8);
     let host = topology::mesh2d(3, 3, DelayModel::uniform(1, 10), 7);
     let trace = ReferenceRun::execute(&guest);
-    let placement =
-        plan_line_placement(&guest, &host, Strategy::Overlap { c: 4.0 }).expect("placement");
+    let placement = plan_placement(&guest, &host, Strategy::Overlap { c: 4.0 }).expect("placement");
     let plan = ExecPlan::build(
         &guest,
         &host,
@@ -113,8 +112,7 @@ fn plan_reuse_is_bit_identical_to_fresh_lowerings() {
     // (event engine only; the other executors reject multicast up front).
     let guest = GuestSpec::array(24, ProgramKind::KvWorkload, 7, 12);
     let host = topology::mesh2d(3, 3, DelayModel::uniform(1, 9), 2);
-    let placement =
-        plan_line_placement(&guest, &host, Strategy::Halo { halo: 1 }).expect("placement");
+    let placement = plan_placement(&guest, &host, Strategy::Halo { halo: 1 }).expect("placement");
     let a = &placement.assignment;
     for multicast in [false, true] {
         let cfg = EngineConfig {
@@ -144,7 +142,7 @@ fn calendar_engine_matches_classic_on_planned_placements() {
     let host = topology::mesh2d(3, 3, DelayModel::uniform(1, 12), 5);
     let costs: Vec<u32> = (0..9).map(|p| 1 + p % 3).collect();
     for s in [Strategy::Overlap { c: 4.0 }, Strategy::Blocked] {
-        let placement = plan_line_placement(&guest, &host, s).expect("placement");
+        let placement = plan_placement(&guest, &host, s).expect("placement");
         let a = &placement.assignment;
         for multicast in [false, true] {
             let cfg = EngineConfig {
@@ -184,7 +182,7 @@ fn lockstep_slowdown_tracks_dmax_while_greedy_does_not() {
     for spike in [8u64, 1024] {
         let host = topology::line_with_middle_spike(128, spike);
         let placement =
-            plan_line_placement(&guest, &host, Strategy::Overlap { c: 4.0 }).expect("placement");
+            plan_placement(&guest, &host, Strategy::Overlap { c: 4.0 }).expect("placement");
         let plan = ExecPlan::build(
             &guest,
             &host,
@@ -227,7 +225,7 @@ fn pebble_grid_as_taskgraph_is_bit_identical_to_line_guest() {
         Strategy::Halo { halo: 1 },
         Strategy::Blocked,
     ] {
-        let placement = plan_line_placement(&line, &host, s).expect("placement");
+        let placement = plan_placement(&line, &host, s).expect("placement");
         let a = &placement.assignment;
         let pl_line = ExecPlan::build(&line, &host, a, EngineConfig::default()).expect("line plan");
         let pl_dag = ExecPlan::build(&dag, &host, a, EngineConfig::default()).expect("dag plan");

@@ -1,7 +1,6 @@
 //! Large-scale stress runs, `#[ignore]`d by default. Run with
 //! `cargo test --release --test stress -- --ignored`.
 
-use overlap::core::mesh::simulate_mesh_on_host;
 use overlap::{Simulation, Strategy};
 /// Run via the builder facade (the old free-function entry points are
 /// deprecated).
@@ -35,7 +34,7 @@ fn overlap_on_4096_processor_host() {
 fn mesh_guest_with_65k_cells() {
     let host = topology::linear_array(32, DelayModel::uniform(1, 8), 3);
     let guest = GuestSpec::mesh(256, 256, ProgramKind::Relaxation, 7, 8);
-    let r = simulate_mesh_on_host(&guest, &host, 4.0, 2).expect("large mesh run");
+    let r = simulate(&guest, &host, Strategy::Auto).expect("large mesh run");
     assert!(r.validated);
 }
 
