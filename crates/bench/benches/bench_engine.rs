@@ -50,7 +50,9 @@ fn bench_engine(c: &mut Criterion) {
             b.iter(|| Engine::from_plan(&plan).run().unwrap())
         });
         g.bench_function("impl/event-classic", |b| {
-            b.iter(|| run_classic(&guest, &host, &assign, EngineConfig::default(), None).unwrap())
+            b.iter(|| {
+                run_classic(&guest, &host, &assign, EngineConfig::default(), None, false).unwrap()
+            })
         });
         g.bench_function("impl/event-multicast", |b| {
             let cfg = EngineConfig {

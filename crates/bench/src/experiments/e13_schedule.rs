@@ -4,8 +4,9 @@
 //! *every copy* of every pebble in guest row `t` has been computed. We
 //! build the deadline table for the host's actual parameters (verifying
 //! the paper's definitional identities), run OVERLAP's exact load-1
-//! assignment with per-pebble timing enabled, and compare the measured
-//! row-completion times against the deadlines, row by row.
+//! assignment timed (`Engine::run_timed` records every pebble's
+//! completion tick), and compare the measured row-completion times
+//! against the deadlines, row by row.
 
 use crate::scale::Scale;
 use crate::table::{f2, Table};
@@ -34,12 +35,8 @@ pub fn run(scale: Scale) -> Table {
     let steps = 2 * m0; // two rounds of the box B_0
     let guest = GuestSpec::array(plan.guest_cells, ProgramKind::Relaxation, 3, steps);
     let assignment = Assignment::from_cells_of(n, plan.guest_cells, plan.cells_of_position.clone());
-    let cfg = EngineConfig {
-        record_timing: true,
-        ..Default::default()
-    };
-    let out = Engine::new(&guest, &host, &assignment, cfg)
-        .run()
+    let out = Engine::new(&guest, &host, &assignment, EngineConfig::default())
+        .run_timed()
         .expect("overlap run");
     let trace = ReferenceRun::execute(&guest);
     let valid = validate_run(&trace, &out).is_empty();

@@ -11,7 +11,9 @@
 //! roadmap item): it re-measures one mid-size tier plus a task-graph
 //! tier (a non-uniform DAG guest through the dynamic-table event path)
 //! and fails if the grid-tier or task-graph event throughput drops
-//! more than 30% below the checked-in floor in `BENCH_engine_floor.json`.
+//! more than 30% below the checked-in floor in `BENCH_engine_floor.json`,
+//! or if either tier's events, makespan or peak queue depth differs from
+//! the exact values pinned in the same file.
 //! It also re-measures the plan-reuse and delta-sweep speedups against
 //! the ratio floors in `BENCH_plan_floor.json`, replays the quick
 //! task-graph grid against the deterministic makespan ceilings in
@@ -28,7 +30,7 @@ use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
 use overlap_sim::engine::{Engine, EngineConfig, RunOutcome};
 use overlap_sim::engine_classic::run_classic;
-use overlap_sim::{Assignment, ExecPlan};
+use overlap_sim::{Assignment, ExecPlan, RunStats};
 use std::time::Instant;
 
 /// One measured scale.
@@ -104,7 +106,8 @@ fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
     // internally, part of its baseline).
     let plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("lower");
     let run_new = || -> RunOutcome { Engine::from_plan(&plan).run().expect("run") };
-    let run_old = || -> RunOutcome { run_classic(&guest, &host, &assign, cfg, None).expect("run") };
+    let run_old =
+        || -> RunOutcome { run_classic(&guest, &host, &assign, cfg, None, false).expect("run") };
     let out = run_new();
     assert_eq!(out, run_old(), "engines diverge at {procs}x{cells}x{steps}");
     // Keep the giant tiers affordable: above a million events per run the
@@ -213,8 +216,8 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 /// The gate's task-graph tier: a non-uniform layered-random DAG guest,
 /// which forces the event engine down the dynamic per-(cell,step) table
 /// path instead of the static uniform tables the grid tier exercises.
-/// Returns events/sec of the event engine.
-fn measure_taskgraph_tier(reps: u32) -> f64 {
+/// Returns the run's stats and the event engine's events/sec.
+fn measure_taskgraph_tier(reps: u32) -> (RunStats, f64) {
     let guest = GuestSpec::dag(
         TaskGraph::layered_random(256, 32, 2, 3, 7),
         ProgramKind::KvWorkload,
@@ -224,8 +227,9 @@ fn measure_taskgraph_tier(reps: u32) -> f64 {
     let assign = Assignment::blocked(64, guest.topology.num_cells());
     let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).expect("lower");
     let run = || -> RunOutcome { Engine::from_plan(&plan).run().expect("run") };
-    let events = run().stats.events_processed;
-    events as f64 / time_best(reps, run)
+    let stats = run().stats;
+    let per_sec = stats.events_processed as f64 / time_best(reps, run);
+    (stats, per_sec)
 }
 
 /// The gate's mirror of the criterion micro-benches: one representative
@@ -317,7 +321,10 @@ fn floor_field(file: &str, key: &str) -> Result<f64, String> {
 /// CI smoke perf gate: re-measure the mid Quick tier plus the task-graph
 /// tier and fail if the grid-tier or task-graph event throughput
 /// regresses more than 30% below the floor checked in at
-/// `BENCH_engine_floor.json`. Also enforces the machine-independent
+/// `BENCH_engine_floor.json`, or if either tier's deterministic counters
+/// (events, makespan, peak queue depth) differ at all from the values
+/// pinned there — they carry no noise, so a scheduling change must
+/// update them on purpose. Also enforces the machine-independent
 /// floors in `BENCH_plan_floor.json` (plan-reuse and delta-sweep speedup
 /// ratios — both arms are measured in the same process, so no tolerance
 /// is needed), the deterministic ceilings in
@@ -337,9 +344,29 @@ pub fn gate() -> Result<String, String> {
         .ok_or("floor file missing taskgraph_events_per_sec")?;
 
     let r = measure_tier(64, 256, 32, 3);
-    let taskgraph = measure_taskgraph_tier(3);
+    let (tg, taskgraph) = measure_taskgraph_tier(3);
 
     let mut violations = Vec::new();
+    for (tier, counters) in [
+        ("grid", [r.events, r.makespan, r.peak_queue_depth]),
+        (
+            "taskgraph",
+            [tg.events_processed, tg.makespan, tg.peak_queue_depth],
+        ),
+    ] {
+        for (name, got) in ["events", "makespan", "peak_queue_depth"]
+            .into_iter()
+            .zip(counters)
+        {
+            let key = format!("{tier}_{name}");
+            let want = json_number(&floor, &key).ok_or(format!("floor file missing {key}"))?;
+            if got as f64 != want {
+                violations.push(format!(
+                    "{tier} tier: {name} {got} differs from the pinned {want}"
+                ));
+            }
+        }
+    }
     for (name, got, floor) in [
         ("event", r.events_per_sec, f_event),
         ("task-graph", taskgraph, f_taskgraph),
@@ -415,6 +442,7 @@ pub fn gate() -> Result<String, String> {
     if violations.is_empty() {
         Ok(format!(
             "perf gate OK: event {:.0} events/s (floor {:.0}), task-graph {:.0} events/s (floor {:.0}), tolerance 30%; \
+             grid and task-graph counters match their pins exactly; \
              plan reuse {best_reuse:.2}x (floor {f_reuse:.2}x), delta sweep {:.2}x (floor {f_delta:.2}x); \
              task-graph grid {} cases all validated, total makespan {total_span} (ceiling {}); \
              micro {}",

@@ -222,7 +222,7 @@ pub fn figure7() -> Table {
     use overlap_core::pipeline::{plan_placement, Strategy};
     use overlap_model::GuestSpec;
     use overlap_net::topology::line_with_middle_spike;
-    use overlap_sim::engine::{Engine, EngineConfig};
+    use overlap_sim::engine::Engine;
 
     let n = 64u32;
     let host = line_with_middle_spike(n, 512);
@@ -233,12 +233,8 @@ pub fn figure7() -> Table {
     );
     for strategy in [Strategy::Overlap { c: 4.0 }, Strategy::Blocked] {
         let placement = plan_placement(&guest, &host, strategy).expect("placement");
-        let cfg = EngineConfig {
-            record_timing: true,
-            ..Default::default()
-        };
-        let out = Engine::new(&guest, &host, &placement.assignment, cfg)
-            .run()
+        let out = Engine::new(&guest, &host, &placement.assignment, Default::default())
+            .run_timed()
             .expect("run");
         let timing = out.timing.as_ref().expect("timing");
         let mut util = timing.utilization(&out.copies, n, out.stats.makespan, None);

@@ -89,7 +89,6 @@ impl ScenarioSpec {
         b = b
             .bandwidth(self.config.bandwidth)
             .max_ticks(self.config.max_ticks)
-            .record_timing(self.config.record_timing)
             .multicast(self.config.multicast)
             .jitter(self.config.jitter);
         if let Some(mem) = self.config.mem {
@@ -147,6 +146,20 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    /// Specs written before timing left `EngineConfig` still carry the
+    /// removed timing switch in their config: they decode (unknown fields
+    /// are ignored) and key to the same plan as the spec without it.
+    #[test]
+    fn legacy_timing_field_decodes_to_the_same_plan() {
+        let s = spec();
+        let json = serde_json::to_string(&s).unwrap();
+        let legacy = json.replace("\"config\":{", "\"config\":{\"record_timing\":true,");
+        assert_ne!(legacy, json, "spec JSON must carry a config object");
+        let back: ScenarioSpec = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(back.plan_key().unwrap(), s.plan_key().unwrap());
     }
 
     #[test]

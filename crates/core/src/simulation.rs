@@ -125,12 +125,6 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Record per-pebble completion ticks (`RunOutcome::timing`).
-    pub fn record_timing(mut self, on: bool) -> Self {
-        self.config.record_timing = on;
-        self
-    }
-
     /// Safety cap on simulated ticks.
     pub fn max_ticks(mut self, max_ticks: u64) -> Self {
         self.config.max_ticks = max_ticks;
@@ -153,7 +147,8 @@ impl<'a> SimulationBuilder<'a> {
     /// Attribute every stall tick of the run to its cause — dependency,
     /// bandwidth, database-update order, faults, or post-completion drain
     /// (event engine only). The report lands in the outcome's
-    /// `stats.stalls` and `trace`; the schedule itself is unchanged.
+    /// `stats.stalls` and `trace`, and the per-pebble completion ticks the
+    /// tracer keeps in its `timing`; the schedule itself is unchanged.
     pub fn trace(mut self, cfg: TraceConfig) -> Self {
         self.trace = Some(cfg);
         self
@@ -759,17 +754,16 @@ mod tests {
         let (guest, host) = lab();
         let r = Simulation::of(&guest)
             .on(&host)
-            .record_timing(true)
+            .trace(TraceConfig::default())
             .build()
             .unwrap()
             .run()
             .unwrap();
         assert_eq!(r.outcome.stats, r.stats);
-        assert!(r.outcome.timing.is_some());
-        assert_eq!(
-            r.outcome.copies.len(),
-            r.outcome.timing.unwrap().ticks.len()
-        );
+        // A traced run carries the tracer's completion ticks, one row per
+        // surviving copy.
+        let timing = r.outcome.timing.expect("traced runs carry timing");
+        assert_eq!(r.outcome.copies.len(), timing.ticks.len());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! insertion; lowering happens under the per-key slot lock, so a slow
 //! lowering never blocks other keys. Runs on the same key serialize on
 //! the slot lock (deltas mutate the plan in place); runs on different
-//! keys proceed in parallel.
+//! keys proceed in parallel. Hit or miss is decided under the slot lock,
+//! from whether the slot is populated, so a lowering that failed leaves
+//! no entry behind and its key's next lookup is a miss again.
 
 use overlap_core::{Error, ScenarioSpec};
 use overlap_model::{ReferenceRun, ReferenceTrace};
@@ -36,7 +38,8 @@ struct Entry {
 
 /// One key's slot. Inserted empty under the map lock; populated (lowered)
 /// by the first arrival under the slot lock, so concurrent first arrivals
-/// lower exactly once and later arrivals block only on this key.
+/// lower exactly once and later arrivals block only on this key; removed
+/// from the map again if that lowering fails.
 type Slot = Arc<Mutex<Option<Entry>>>;
 
 /// Shared plan cache with hit/miss counters.
@@ -45,12 +48,16 @@ pub struct PlanCache {
     slots: Mutex<HashMap<String, Slot>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Populated slots (a slot still lowering, or whose lowering failed,
+    /// is not an entry).
+    entries: AtomicU64,
 }
 
 /// Cache occupancy and traffic, as reported by `GET /v1/cache`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStats {
-    /// Lookups that found the key already present (lowering skipped).
+    /// Lookups that found the key's plan already lowered (lowering
+    /// skipped).
     pub hits: u64,
     /// Lookups that had to lower the scenario.
     pub misses: u64,
@@ -69,7 +76,7 @@ impl PlanCache {
         CacheStats {
             hits: self.hits.load(Ordering::SeqCst),
             misses: self.misses.load(Ordering::SeqCst),
-            entries: self.slots.lock().unwrap().len() as u64,
+            entries: self.entries.load(Ordering::SeqCst),
         }
     }
 
@@ -85,33 +92,40 @@ impl PlanCache {
         assignment: Assignment,
         f: impl FnOnce(&mut ExecPlan<'static>, &ReferenceTrace, bool) -> R,
     ) -> Result<R, Error> {
-        let (slot, hit) = {
-            let mut map = self.slots.lock().unwrap();
-            match map.get(key) {
-                Some(slot) => (Arc::clone(slot), true),
-                None => {
-                    let slot: Slot = Arc::new(Mutex::new(None));
-                    map.insert(key.to_string(), Arc::clone(&slot));
-                    (slot, false)
-                }
-            }
-        };
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .unwrap()
+                .entry(key.to_string())
+                .or_default(),
+        );
+        let mut guard = slot.lock().unwrap();
+        let hit = guard.is_some();
         if hit {
             self.hits.fetch_add(1, Ordering::SeqCst);
         } else {
             self.misses.fetch_add(1, Ordering::SeqCst);
-        }
-        let mut guard = slot.lock().unwrap();
-        if guard.is_none() {
-            let plan = ExecPlan::build_owned(
+            let built = ExecPlan::build_owned(
                 spec.guest.clone(),
                 spec.host.clone(),
                 assignment,
                 spec.config,
-            )
-            .map_err(Error::Run)?;
+            );
+            let plan = match built {
+                Ok(plan) => plan,
+                Err(e) => {
+                    // Drop the empty slot unless a later arrival took it.
+                    drop(guard);
+                    let mut map = self.slots.lock().unwrap();
+                    if map.get(key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                        map.remove(key);
+                    }
+                    return Err(Error::Run(e));
+                }
+            };
             let reference = ReferenceRun::execute(&spec.guest);
             *guard = Some(Entry { plan, reference });
+            self.entries.fetch_add(1, Ordering::SeqCst);
         }
         let entry = guard.as_mut().expect("slot populated above");
         Ok(f(&mut entry.plan, &entry.reference, hit))
@@ -158,6 +172,28 @@ mod tests {
         assert_eq!(fp1, fp2);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+    }
+
+    /// A lowering that fails (here: an assignment missing cells) is a
+    /// miss that leaves no entry, so the key's next lookup is a miss that
+    /// lowers again, not a hit on an empty slot.
+    #[test]
+    fn failed_lowering_is_neither_an_entry_nor_a_later_hit() {
+        let cache = PlanCache::new();
+        let spec = spec();
+        let (key, assignment) = admit(&spec);
+        let incomplete = Assignment::from_cells_of(4, 12, vec![vec![0], vec![], vec![], vec![]]);
+        assert!(cache
+            .with_plan(&key, &spec, incomplete, |_, _, _| ())
+            .is_err());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 1, 0));
+        let hit = cache
+            .with_plan(&key, &spec, assignment, |_, _, hit| hit)
+            .unwrap();
+        assert!(!hit);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 1));
     }
 
     #[test]

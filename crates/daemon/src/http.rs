@@ -19,7 +19,8 @@
 //! Invalid scenarios come back as HTTP 400 with `{"error": …}` carrying
 //! the typed builder error's message; unknown sessions are 404; a body
 //! declared larger than [`MAX_BODY_BYTES`] is refused with 413 before any
-//! of it is read.
+//! of it is read; a request line or header longer than 8 KiB, or more
+//! than 100 headers, is refused with 431 as soon as the limit is crossed.
 
 use crate::daemon::Daemon;
 use crate::wire::{ErrorResponse, EventsResponse, OkResponse, RunsResponse, SubmitResponse};
@@ -38,10 +39,19 @@ const MAX_WAIT_MS: u64 = 30_000;
 /// scenario; a larger `Content-Length` is answered with 413 unread.
 pub const MAX_BODY_BYTES: usize = 16 << 20;
 
+/// Longest request line or header line the server reads, line ending
+/// included.
+const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 100;
+
 /// Why a request could not be read.
 enum BadRequest {
     /// The declared `Content-Length` exceeds [`MAX_BODY_BYTES`].
     TooLarge(usize),
+    /// A line or the header count crossed its limit (the message names it).
+    HeadersTooLarge(String),
     /// Malformed request line, header, or body.
     Malformed(io::Error),
 }
@@ -126,6 +136,16 @@ fn handle_connection(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) 
                     error: format!("payload too large: {len} bytes (limit {MAX_BODY_BYTES})"),
                 },
             );
+        }
+        Err(BadRequest::HeadersTooLarge(error)) => {
+            respond(&mut stream, 431, &ErrorResponse { error })?;
+            // Drain what the client is still sending (bounded), so closing
+            // with unread bytes does not reset the connection before the
+            // client has read the answer.
+            stream.shutdown(std::net::Shutdown::Write)?;
+            stream.set_read_timeout(Some(Duration::from_secs(1)))?;
+            let _ = io::copy(&mut (&stream).take(MAX_BODY_BYTES as u64), &mut io::sink());
+            return Ok(());
         }
         Err(BadRequest::Malformed(e)) => {
             return respond(
@@ -221,12 +241,24 @@ fn handle_connection(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) 
     }
 }
 
-/// Parse one request: `(method, path-with-query, body)`. The body is
-/// allocated only once its declared length is known to be in bounds.
+/// Read one line of at most [`MAX_LINE_BYTES`] into `line`.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> Result<(), BadRequest> {
+    let n = reader.take(MAX_LINE_BYTES as u64).read_line(line)?;
+    if n == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(BadRequest::HeadersTooLarge(format!(
+            "request header fields too large: a line exceeds {MAX_LINE_BYTES} bytes"
+        )));
+    }
+    Ok(())
+}
+
+/// Parse one request: `(method, path-with-query, body)`. Lines and the
+/// header count are bounded as they are read, and the body is allocated
+/// only once its declared length is known to be in bounds.
 fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), BadRequest> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    read_bounded_line(&mut reader, &mut line)?;
     let mut head = line.split_whitespace();
     let (method, path) = match (head.next(), head.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
@@ -235,12 +267,17 @@ fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), BadR
         }
     };
     let mut content_length = 0usize;
-    loop {
+    for count in 0.. {
         let mut header = String::new();
-        reader.read_line(&mut header)?;
+        read_bounded_line(&mut reader, &mut header)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if count == MAX_HEADERS {
+            return Err(BadRequest::HeadersTooLarge(format!(
+                "request header fields too large: more than {MAX_HEADERS} headers"
+            )));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -275,6 +312,7 @@ fn respond<T: Serialize>(stream: &mut TcpStream, status: u16, body: &T) -> io::R
         400 => "Bad Request",
         404 => "Not Found",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
     write!(

@@ -414,6 +414,70 @@ fn http_refuses_oversized_bodies_and_keeps_serving() {
     server.stop();
 }
 
+/// A request line or header past 8 KiB, or more than 100 headers, is a
+/// 431 naming the limit; the server drains the rest of the request, so
+/// the client reads the answer, and keeps serving.
+#[test]
+fn http_bounds_header_reads_and_keeps_serving() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    let client = Client::new(server.addr().to_string());
+    let body = serde_json::to_string(&spec(16, 16)).unwrap();
+    let head = format!(
+        "POST /v1/scenarios HTTP/1.1\r\nContent-Length: {}",
+        body.len()
+    );
+    let long = format!("{head}\r\nX-Pad: {}", "a".repeat(64 << 10));
+    let many: String = (0..1000).map(|i| format!("\r\nX-H{i}: v")).collect();
+    for (padded, limit) in [
+        (long, "exceeds 8192 bytes"),
+        (format!("{head}{many}"), "more than 100 headers"),
+    ] {
+        let (status, text) = raw_http(server.addr(), &padded, &body);
+        assert_eq!(status, 431, "{text}");
+        assert!(text.contains("\"error\""), "{text}");
+        assert!(text.contains(limit), "{text}");
+    }
+    assert_eq!(client.cache().unwrap().misses, 0);
+    let id = client.submit(&spec(16, 16)).expect("submit after 431s");
+    assert!(done_record(&client, id).validated);
+    assert_eq!(client.status(id).unwrap().status, Status::Done);
+    client.shutdown().expect("shutdown");
+    server.stop();
+}
+
+/// A spec written before timing left the engine config still carries
+/// the removed timing switch: the daemon decodes it and runs it exactly
+/// like the same spec in process.
+#[test]
+fn legacy_timing_field_runs_over_http() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    let client = Client::new(server.addr().to_string());
+    let spec = spec(16, 16);
+    let good = serde_json::to_string(&spec).unwrap();
+    let legacy = good.replace("\"config\":{", "\"config\":{\"record_timing\":true,");
+    assert_ne!(legacy, good, "spec JSON must carry a config object");
+    let (status, text) = raw_http(
+        server.addr(),
+        &format!(
+            "POST /v1/scenarios HTTP/1.1\r\nContent-Length: {}",
+            legacy.len()
+        ),
+        &legacy,
+    );
+    assert_eq!(status, 200, "{text}");
+    let body = text.split("\r\n\r\n").nth(1).expect("response body");
+    let id = serde_json::from_str::<overlap_daemon::wire::SubmitResponse>(body)
+        .unwrap()
+        .session;
+    let record = done_record(&client, id);
+    assert_eq!(client.status(id).unwrap().status, Status::Done);
+    assert_eq!(record.stats, spec.ready().unwrap().run().unwrap().stats);
+    client.shutdown().expect("shutdown");
+    server.stop();
+}
+
 #[test]
 fn http_rejects_the_removed_sharded_engine_as_malformed() {
     let daemon = Arc::new(Daemon::start(DaemonConfig::default()));

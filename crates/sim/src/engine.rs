@@ -38,11 +38,13 @@ use crate::assignment::Assignment;
 use crate::bandwidth::BandwidthMode;
 use crate::calendar::CalendarQueue;
 use crate::control::{EngineKind, RunControl};
-use crate::faults::{FaultMark, FaultMarkKind, FaultRt};
+use crate::faults::FaultRt;
 use crate::plan::{DepSrc, ExecPlan, ProcTables, Routes, SUB_BIT};
 use crate::routing::RoutingTable;
 use crate::stats::{FaultStats, RunStats};
-use crate::trace::{MsgKey, NoopTracer, ReadyCause, StallTracer, TraceConfig, TraceReport, Tracer};
+use crate::trace::{
+    MsgKey, NoopTracer, ReadyCause, StallTracer, TimingTracer, TraceConfig, TraceReport, Tracer,
+};
 use overlap_model::{fold64, Db, GuestSpec, PebbleValue, ProgramRef};
 use overlap_net::paths::dijkstra;
 use overlap_net::{HostGraph, NodeId};
@@ -117,9 +119,6 @@ pub struct EngineConfig {
     pub bandwidth: BandwidthMode,
     /// Safety cap on simulated ticks; exceeded ⇒ [`RunError::TickLimit`].
     pub max_ticks: u64,
-    /// Record the completion tick of every pebble on every copy
-    /// (`RunOutcome::timing`); costs one u64 per computed pebble.
-    pub record_timing: bool,
     /// Distribute columns over shortest-path multicast trees instead of
     /// per-subscriber unicast routes (each pebble crosses every tree link
     /// once, duplicating at branch points).
@@ -137,7 +136,6 @@ impl Default for EngineConfig {
         Self {
             bandwidth: BandwidthMode::LogN,
             max_ticks: 1 << 42,
-            record_timing: false,
             multicast: false,
             jitter: Jitter::None,
             mem: None,
@@ -299,14 +297,14 @@ pub struct CopyRecord {
 }
 
 /// Per-copy pebble completion ticks, aligned with `RunOutcome::copies`:
-/// `ticks[i][t-1]` = tick at which copy `i` computed its step `t`.
+/// `ticks[i][t-1]` = tick at which copy `i` computed its step `t`. An
+/// observation of a run, like the stall report: recorded by
+/// [`Engine::run_timed`] and [`Engine::run_traced`], never by a config
+/// switch, so it is not part of a plan or its key.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimingTrace {
     /// Completion ticks per copy per step.
     pub ticks: Vec<Vec<u64>>,
-    /// Fault and recovery events in tick order (timeouts, crashes,
-    /// re-subscriptions). Empty for fault-free runs.
-    pub fault_timeline: Vec<FaultMark>,
 }
 
 impl TimingTrace {
@@ -399,7 +397,9 @@ pub struct RunOutcome {
     pub stats: RunStats,
     /// One record per database copy, for validation.
     pub copies: Vec<CopyRecord>,
-    /// Pebble completion ticks when `record_timing` was set.
+    /// Pebble completion ticks when the run was timed
+    /// ([`Engine::run_timed`]) or traced ([`Engine::run_traced`]); `None`
+    /// otherwise.
     pub timing: Option<TimingTrace>,
     /// Stall-attribution report when the run was traced
     /// ([`Engine::run_traced`]); `None` otherwise.
@@ -461,8 +461,6 @@ struct ProcState {
     value_fold: Vec<u64>,
     update_fold: Vec<u64>,
     finished_at: Vec<u64>,
-    /// Per held cell: completion tick per step (only when timing).
-    times: Vec<Vec<u64>>,
     /// Receive buffers per dependency column: `dep_values[k·stride + s]`.
     dep_values: Vec<PebbleValue>,
     dep_have: Vec<bool>,
@@ -488,8 +486,6 @@ impl ProcState {
         stride: usize,
         kind: overlap_model::DbKind,
     ) -> Self {
-        let steps = plan.guest.steps;
-        let record_timing = plan.config.record_timing;
         let nc = pt.cells.len();
         let nd = pt.dep_cells.len();
         let mut history = vec![0 as PebbleValue; nc * stride];
@@ -513,13 +509,6 @@ impl ProcState {
             value_fold: vec![0xF01Du64; nc],
             update_fold: vec![0xD16u64; nc],
             finished_at: vec![0; nc],
-            times: if record_timing {
-                (0..nc)
-                    .map(|_| Vec::with_capacity(steps as usize))
-                    .collect()
-            } else {
-                vec![Vec::new(); nc]
-            },
             dep_values,
             dep_have,
             dep_watermark: vec![0; nd],
@@ -804,15 +793,33 @@ impl<'a> Engine<'a> {
         self.run_with_tracer(&mut NoopTracer)
     }
 
+    /// Execute the simulation recording the completion tick of every
+    /// pebble on every surviving copy (`RunOutcome::timing`). Accepts
+    /// every plan [`run`] does, memory budgets and non-uniform task
+    /// graphs included; the event schedule — and therefore every other
+    /// field of the outcome — is identical to an untimed [`run`].
+    ///
+    /// [`run`]: Engine::run
+    pub fn run_timed(&self) -> Result<RunOutcome, RunError> {
+        let plan = self.plan()?;
+        let mut tracer = TimingTracer::new(plan.guest.steps, plan.hot.copy_off.clone());
+        let mut out = self.run_with_tracer(&mut tracer)?;
+        out.timing = Some(tracer.finish());
+        Ok(out)
+    }
+
     /// Execute the simulation with stall attribution: every tick of every
     /// copy's lifetime is attributed to compute / dependency / bandwidth /
     /// db-order / fault / drain (see [`crate::trace`]). The outcome's
-    /// `stats.stalls` and `trace` are populated; the event schedule — and
-    /// therefore every other stat — is identical to an untraced [`run`].
+    /// `stats.stalls` and `trace` are populated, and `timing` too (the
+    /// tracer keeps the completion ticks anyway, as [`run_timed`] does);
+    /// the event schedule — and therefore every other stat — is identical
+    /// to an untraced [`run`].
     /// Plans the tracer cannot account for fail with
     /// [`RunError::UnsupportedFeature`] ([`EngineKind::check`]).
     ///
     /// [`run`]: Engine::run
+    /// [`run_timed`]: Engine::run_timed
     /// [`EngineKind::check`]: crate::control::EngineKind::check
     pub fn run_traced(&self, cfg: TraceConfig) -> Result<RunOutcome, RunError> {
         EngineKind::Event.check_plan(self.plan()?, true)?;
@@ -851,9 +858,10 @@ impl<'a> Engine<'a> {
             hot.link_delay.len(),
         );
         let mut out = self.run_with_tracer(&mut tracer)?;
-        let report = tracer.finish(out.stats.makespan);
+        let (report, timing) = tracer.finish(out.stats.makespan);
         out.stats.stalls = Some(report.totals);
         out.trace = Some(report);
+        out.timing = Some(timing);
         Ok(out)
     }
 
@@ -874,7 +882,6 @@ impl<'a> Engine<'a> {
         let program: ProgramRef = plan.guest.program.instantiate();
         let boundary = plan.guest.boundary();
         let bw = plan.config.bandwidth.per_tick(n) as u64;
-        let record_timing = plan.config.record_timing;
         let kind = program.db_kind();
 
         // ---- per-processor mutable state ----
@@ -901,7 +908,6 @@ impl<'a> Engine<'a> {
         // Dynamic outbound routes per copy id (allocated on first crash).
         let mut dyn_out: Vec<Vec<u32>> = Vec::new();
         let mut fstats = FaultStats::default();
-        let mut fault_timeline: Vec<FaultMark> = Vec::new();
         let mut total_forfeited = 0u64;
 
         // ---- event queue ----
@@ -978,12 +984,6 @@ impl<'a> Engine<'a> {
                                 },
                                 arrive - $now + back,
                             );
-                            if record_timing {
-                                fault_timeline.push(FaultMark {
-                                    tick: arrive,
-                                    kind: FaultMarkKind::LinkTimeout { link: lid },
-                                });
-                            }
                             sched!(
                                 arrive + back,
                                 Ev::Resend {
@@ -1051,12 +1051,6 @@ impl<'a> Engine<'a> {
                                 },
                                 arrive - $now + back,
                             );
-                            if record_timing {
-                                fault_timeline.push(FaultMark {
-                                    tick: arrive,
-                                    kind: FaultMarkKind::LinkTimeout { link: lid },
-                                });
-                            }
                             sched!(
                                 arrive + back,
                                 Ev::TreeResend {
@@ -1212,9 +1206,6 @@ impl<'a> Engine<'a> {
                         st.next_step[i] = s + 1;
                         st.queued[i] = false;
                         st.busy = false;
-                        if record_timing {
-                            st.times[i].push(tick);
-                        }
                         if s == steps {
                             st.finished_at[i] = tick;
                         }
@@ -1417,12 +1408,6 @@ impl<'a> Engine<'a> {
                     fstats.crashed_procs += 1;
                     let pt = &hot.procs[p];
                     fstats.lost_copies += pt.cells.len() as u32;
-                    if record_timing {
-                        fault_timeline.push(FaultMark {
-                            tick,
-                            kind: FaultMarkKind::Crash { proc },
-                        });
-                    }
                     // Forfeit this processor's uncomputed pebbles — its
                     // pending ComputeDone (if any) is dropped by the crash
                     // guard, so subtract the in-flight pebble too.
@@ -1528,12 +1513,6 @@ impl<'a> Engine<'a> {
                         dyn_out[src_cid].push(sid);
                         tracer.on_reroute(sid, best, pos as u32);
                         fstats.rerouted_subscriptions += 1;
-                        if record_timing {
-                            fault_timeline.push(FaultMark {
-                                tick,
-                                kind: FaultMarkKind::Reroute { cell, to: best },
-                            });
-                        }
                         // Backfill every pebble the consumer may still be
                         // missing, from its contiguous watermark up to the
                         // new source's progress; later pebbles flow via the
@@ -1572,19 +1551,12 @@ impl<'a> Engine<'a> {
                     tracer.on_crash(p as NodeId);
                     fstats.crashed_procs += 1;
                     fstats.lost_copies += hot.procs[p].cells.len() as u32;
-                    if record_timing {
-                        fault_timeline.push(FaultMark {
-                            tick: at,
-                            kind: FaultMarkKind::Crash { proc: p as NodeId },
-                        });
-                    }
                 }
             }
         }
 
         // ---- collect outcome (crashed processors' copies are lost) ----
         let mut copies = Vec::with_capacity(plan.assign.total_copies());
-        let mut timing = record_timing.then(TimingTrace::default);
         for (p, (st, pt)) in state.iter().zip(&hot.procs).enumerate() {
             if frt.is_some() && crashed[p] {
                 continue;
@@ -1598,13 +1570,7 @@ impl<'a> Engine<'a> {
                     update_fold: st.update_fold[i],
                     finished_at: st.finished_at[i],
                 });
-                if let Some(t) = timing.as_mut() {
-                    t.ticks.push(st.times[i].clone());
-                }
             }
-        }
-        if let Some(t) = timing.as_mut() {
-            t.fault_timeline = fault_timeline;
         }
         let stats = RunStats {
             guest_cells: plan.guest.num_cells(),
@@ -1644,7 +1610,7 @@ impl<'a> Engine<'a> {
         Ok(RunOutcome {
             stats,
             copies,
-            timing,
+            timing: None,
             trace: None,
         })
     }
@@ -1900,11 +1866,9 @@ mod tests {
         let guest = GuestSpec::array(6, ProgramKind::Relaxation, 2, 8);
         let host = linear_array(3, DelayModel::constant(4), 0);
         let assign = Assignment::blocked(3, 6);
-        let cfg = EngineConfig {
-            record_timing: true,
-            ..Default::default()
-        };
-        let out = Engine::new(&guest, &host, &assign, cfg).run().unwrap();
+        let out = Engine::new(&guest, &host, &assign, EngineConfig::default())
+            .run_timed()
+            .unwrap();
         let timing = out.timing.as_ref().expect("timing recorded");
         assert_eq!(timing.ticks.len(), out.copies.len());
         for ticks in &timing.ticks {
@@ -1937,11 +1901,9 @@ mod tests {
         let guest = GuestSpec::array(2, ProgramKind::KvWorkload, 3, 4);
         let host = linear_array(2, DelayModel::constant(1), 0);
         let assign = Assignment::blocked(2, 2);
-        let cfg = EngineConfig {
-            record_timing: true,
-            ..Default::default()
-        };
-        let out = Engine::new(&guest, &host, &assign, cfg).run().unwrap();
+        let out = Engine::new(&guest, &host, &assign, EngineConfig::default())
+            .run_timed()
+            .unwrap();
         let timing = out.timing.as_ref().unwrap();
         // One-entry cost table for a two-processor host: formerly an
         // unchecked index panic, now a clear error.
@@ -1954,11 +1916,9 @@ mod tests {
         let guest = GuestSpec::array(2, ProgramKind::KvWorkload, 3, 4);
         let host = linear_array(2, DelayModel::constant(1), 0);
         let assign = Assignment::blocked(2, 2);
-        let cfg = EngineConfig {
-            record_timing: true,
-            ..Default::default()
-        };
-        let out = Engine::new(&guest, &host, &assign, cfg).run().unwrap();
+        let out = Engine::new(&guest, &host, &assign, EngineConfig::default())
+            .run_timed()
+            .unwrap();
         let timing = out.timing.as_ref().unwrap();
         timing.utilization(&out.copies[..1], 2, out.stats.makespan, None);
     }
@@ -1970,11 +1930,9 @@ mod tests {
         let guest = GuestSpec::array(2, ProgramKind::KvWorkload, 3, 6);
         let host = linear_array(2, DelayModel::constant(1), 0);
         let assign = Assignment::blocked(2, 2);
-        let cfg = EngineConfig {
-            record_timing: true,
-            ..Default::default()
-        };
-        let out = Engine::new(&guest, &host, &assign, cfg).run().unwrap();
+        let out = Engine::new(&guest, &host, &assign, EngineConfig::default())
+            .run_timed()
+            .unwrap();
         let timing = out.timing.as_ref().unwrap();
         let util = timing.utilization(&out.copies, 2, out.stats.makespan, Some(&[1000, 1000]));
         assert!(util.iter().all(|&u| u <= 1.0), "{util:?}");
@@ -1988,16 +1946,11 @@ mod tests {
         let guest = GuestSpec::array(2, ProgramKind::KvWorkload, 3, 10);
         let host = linear_array(2, DelayModel::constant(1), 0);
         let assign = Assignment::blocked(2, 2);
-        let cfg = EngineConfig {
-            record_timing: true,
-            ..Default::default()
-        };
         let costs = vec![1u32, 4u32];
-        let out = ExecPlan::build(&guest, &host, &assign, cfg)
+        let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default())
             .unwrap()
-            .with_compute_costs(costs.clone())
-            .run()
-            .unwrap();
+            .with_compute_costs(costs.clone());
+        let out = Engine::from_plan(&plan).run_timed().unwrap();
         let timing = out.timing.as_ref().unwrap();
         let weighted = timing.utilization(&out.copies, 2, out.stats.makespan, Some(&costs));
         let unweighted = timing.utilization(&out.copies, 2, out.stats.makespan, None);
@@ -2047,14 +2000,17 @@ mod tests {
         );
         let cfg = EngineConfig::default();
         let eng = Engine::new(&guest, &host, &assign, cfg);
-        let plain = eng.run().unwrap();
+        let timed = eng.run_timed().unwrap();
         let traced = eng.run_traced(TraceConfig::default()).unwrap();
         // Tracing must not perturb the schedule: strip the trace-only
-        // fields and the outcomes are identical.
+        // fields and the outcomes are identical, completion ticks included.
         let mut stripped = traced.clone();
         stripped.stats.stalls = None;
         stripped.trace = None;
-        assert_eq!(stripped, plain);
+        assert_eq!(stripped, timed);
+        // And timing is free: without its ticks the timed run is the plain one.
+        stripped.timing = None;
+        assert_eq!(stripped, eng.run().unwrap());
         assert_conserved(&traced);
         // This run crosses delay-≥2 links, so both dependency-shaped waits
         // and in-flight waits must show up.
@@ -2174,7 +2130,6 @@ mod tests {
         let assign = Assignment::blocked(2, 2);
         let cfg = EngineConfig {
             bandwidth: BandwidthMode::Fixed(2),
-            record_timing: true,
             ..Default::default()
         };
         let out = Engine::new(&guest, &host, &assign, cfg).run().unwrap();
@@ -2448,15 +2403,16 @@ mod tests {
                     let cfg = EngineConfig {
                         multicast,
                         jitter,
-                        record_timing: true,
                         ..Default::default()
                     };
                     let mut plan = ExecPlan::build(&guest, &host, &assign, cfg).unwrap();
                     if let Some(c) = costs.clone() {
                         plan = plan.with_compute_costs(c);
                     }
-                    let new = plan.run().expect("calendar engine");
-                    let classic = run_classic(&guest, &host, &assign, cfg, costs.as_deref())
+                    let new = Engine::from_plan(&plan)
+                        .run_timed()
+                        .expect("calendar engine");
+                    let classic = run_classic(&guest, &host, &assign, cfg, costs.as_deref(), true)
                         .expect("classic engine");
                     assert_eq!(
                         new, classic,

@@ -98,13 +98,16 @@ impl Routes {
 }
 
 /// Run the frozen seed engine. Semantically identical to
-/// [`crate::engine::Engine::run`] with the same `config` and `costs`.
+/// [`crate::engine::Engine::run`] with the same `config` and `costs` —
+/// or to [`crate::engine::Engine::run_timed`] when `timing` is set, which
+/// records every pebble's completion tick (`RunOutcome::timing`).
 pub fn run_classic(
     guest: &GuestSpec,
     host: &HostGraph,
     assign: &Assignment,
     config: EngineConfig,
     costs: Option<&[u32]>,
+    timing: bool,
 ) -> Result<RunOutcome, RunError> {
     let uncovered = assign.uncovered_cells();
     if !uncovered.is_empty() {
@@ -204,7 +207,7 @@ pub fn run_classic(
             })
             .collect();
         procs.push(ProcState {
-            times: if config.record_timing {
+            times: if timing {
                 cells
                     .iter()
                     .map(|_| Vec::with_capacity(steps as usize))
@@ -382,7 +385,7 @@ pub fn run_classic(
                     ps.next_step[i] = s + 1;
                     ps.queued[i] = false;
                     ps.busy = false;
-                    if config.record_timing {
+                    if timing {
                         ps.times[i].push(tick);
                     }
                     if s == steps {
@@ -642,7 +645,7 @@ pub fn run_classic(
 
     // ---- collect outcome ----
     let mut copies = Vec::with_capacity(assign.total_copies());
-    let mut timing = config.record_timing.then(TimingTrace::default);
+    let mut timing = timing.then(TimingTrace::default);
     for (p, ps) in procs.iter().enumerate() {
         for (i, &c) in ps.cells.iter().enumerate() {
             copies.push(CopyRecord {

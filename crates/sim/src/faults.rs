@@ -315,38 +315,6 @@ impl SplitMix64 {
     }
 }
 
-/// When and how a fault or recovery action fired during a run — recorded
-/// in `TimingTrace::fault_timeline` when `record_timing` is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultMark {
-    /// Tick at which the event fired.
-    pub tick: u64,
-    /// What happened.
-    pub kind: FaultMarkKind,
-}
-
-/// The kind of a [`FaultMark`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMarkKind {
-    /// A transfer on the directed link timed out (will be retried).
-    LinkTimeout {
-        /// Directed link id.
-        link: u32,
-    },
-    /// A processor crashed.
-    Crash {
-        /// The dead processor.
-        proc: NodeId,
-    },
-    /// A subscription was rerouted to a surviving holder.
-    Reroute {
-        /// The guest column whose subscription moved.
-        cell: u32,
-        /// The new source holder.
-        to: NodeId,
-    },
-}
-
 /// The fault plan compiled against a concrete host: per-directed-link
 /// interval tables in the engine's link-id space (forward `2i`, reverse
 /// `2i+1`, in `host.links()` order), plus the crash schedule.

@@ -26,14 +26,15 @@
 //! * **State agreement** — every engine's surviving copies match the
 //!   reference trace ([`validate_run`]); event vs stepped vs lockstep
 //!   agree on `(value_fold, db_digest, update_fold)` per `(cell, proc)`.
-//! * **Plan reuse** — running the event engine twice off one `ExecPlan`
-//!   is bit-identical (`RunOutcome` equality).
-//! * **Tracing is free** — a traced run equals the untraced run once the
+//! * **Plan reuse, timing is free** — an untimed rerun off the same
+//!   `ExecPlan` is bit-identical to the timed event run once its
+//!   completion ticks are stripped (`RunOutcome` equality).
+//! * **Tracing is free** — a traced run equals the timed run once the
 //!   stall report is stripped, and its stall breakdown conserves ticks:
 //!   `totals.total() == makespan × surviving copies`.
-//! * **Causality** — with `record_timing`, per-copy completion ticks
-//!   strictly increase and row `t` never completes before row `t-1`
-//!   ([`audit_causality`]).
+//! * **Causality** — on every event run ([`Engine::run_timed`]), per-copy
+//!   completion ticks strictly increase and row `t` never completes
+//!   before row `t-1` ([`audit_causality`]).
 //! * **Accounting** — `guest_work = cells × steps`; fault-free runs
 //!   compute exactly `copies × steps` pebbles and report zeroed
 //!   [`FaultStats`]; every derived ratio
@@ -788,7 +789,6 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
     let assign = spec.build_assignment();
     let config = EngineConfig {
         multicast: spec.multicast,
-        record_timing: true,
         mem: spec.mem,
         ..EngineConfig::default()
     };
@@ -824,8 +824,9 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
 
     let reference = ReferenceRun::execute(guest);
 
-    // Event engine: the ground truth the others are compared against.
-    let ev = match Engine::from_plan(plan).run() {
+    // Event engine: the ground truth the others are compared against,
+    // timed so its completion ticks can be audited.
+    let ev = match Engine::from_plan(plan).run_timed() {
         Ok(out) => out,
         Err(e) => return Err(format!("event engine failed: {e}")),
     };
@@ -837,17 +838,22 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
         problems.push(format!("event causality: {p}"));
     }
 
-    // Plan reuse: a second run off the same plan is bit-identical.
+    // Plan reuse, and timing is free: an untimed second run off the same
+    // plan equals the timed run with its ticks stripped.
+    let untimed = RunOutcome {
+        timing: None,
+        ..ev.clone()
+    };
     match Engine::from_plan(plan).run() {
-        Ok(again) if again != ev => {
-            problems.push("rerun from the same plan diverged (plan reuse broken)".into());
+        Ok(again) if again != untimed => {
+            problems.push("untimed rerun from the same plan diverged".into());
         }
         Ok(_) => {}
         Err(e) => problems.push(format!("rerun from the same plan failed: {e}")),
     }
 
-    // Traced run: identical modulo the stall report, which must conserve
-    // every tick of every surviving copy.
+    // Traced run: identical to the timed run modulo the stall report,
+    // which must conserve every tick of every surviving copy.
     if legal(EngineKind::Event, true) {
         match Engine::from_plan(plan).run_traced(TraceConfig::default()) {
             Ok(traced) => {
@@ -874,7 +880,7 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
                 stripped.trace = None;
                 stripped.stats.stalls = None;
                 if stripped != ev {
-                    problems.push("traced run differs from untraced run".into());
+                    problems.push("traced run differs from timed run".into());
                 }
             }
             Err(e) => problems.push(format!("traced event run failed: {e}")),
@@ -1132,7 +1138,6 @@ pub fn shrink(spec: &ScenarioSpec) -> (ScenarioSpec, String) {
         let assign = cur.build_assignment();
         let config = EngineConfig {
             multicast: cur.multicast,
-            record_timing: true,
             mem: cur.mem,
             ..EngineConfig::default()
         };

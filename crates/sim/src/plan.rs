@@ -969,6 +969,9 @@ mod tests {
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(a, fresh);
+        // Runs sharing the plan across sweep threads are identical too.
+        let shared = crate::sweep::par_map(&[0u8; 3], |_| plan.run().unwrap());
+        assert!(shared.iter().all(|out| *out == a));
     }
 
     #[test]

@@ -53,7 +53,16 @@
 //! its producer copy. Per-link occupancy and per-processor ready-queue
 //! depth are additionally sampled into time series at a configurable
 //! stride ([`TraceConfig::series_stride`]).
+//!
+//! The `done` ticks are a tracer of their own: `TimingTracer` keeps the
+//! completion tick of every step on every copy and the crashed
+//! processors, and nothing else, so it accepts every plan the event
+//! engine runs (memory budgets and non-uniform task graphs included). It
+//! backs [`Engine::run_timed`](crate::engine::Engine::run_timed), and
+//! [`StallTracer`] embeds it, which is why a traced run carries
+//! `RunOutcome::timing` too.
 
+use crate::engine::TimingTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -240,22 +249,89 @@ struct Pending {
     start: u64,
 }
 
-/// The [`Tracer`] implementing stall attribution. Build one with
-/// [`Engine::run_traced`](crate::engine::Engine::run_traced) — it needs
-/// the engine's interned copy/route tables to map subscriptions to their
-/// producing copies.
-pub struct StallTracer {
+/// The [`Tracer`] behind per-pebble timing (see the module docs): the
+/// completion tick of every step on every copy, and which processors
+/// crashed.
+pub(crate) struct TimingTracer {
     /// `steps + 1`: stride of the per-copy completion-tick table.
     stride: usize,
     /// Global copy id of processor `p`'s first copy (prefix sums).
     copy_off: Vec<u32>,
+    /// Completion tick per copy per step (`done[cid·stride + s]`; step 0
+    /// is the initial value, "completed" at tick 0).
+    done: Vec<u64>,
+    /// Crashed processors (their copies leave the outcome).
+    crashed: Vec<bool>,
+}
+
+impl TimingTracer {
+    /// A tracer for a run of `steps` steps over the engine's copy layout
+    /// (`copy_off`: per-processor copy-id prefix sums).
+    pub(crate) fn new(steps: u32, copy_off: Vec<u32>) -> Self {
+        let n_copies = *copy_off.last().unwrap_or(&0) as usize;
+        let n_procs = copy_off.len().saturating_sub(1);
+        let stride = steps as usize + 1;
+        Self {
+            stride,
+            copy_off,
+            done: vec![0; n_copies * stride],
+            crashed: vec![false; n_procs],
+        }
+    }
+
+    #[inline]
+    fn cid(&self, proc: u32, own_idx: u32) -> usize {
+        (self.copy_off[proc as usize] + own_idx) as usize
+    }
+
+    /// Completion tick of step `step` on copy `cid`.
+    #[inline]
+    fn done(&self, cid: usize, step: u32) -> u64 {
+        self.done[cid * self.stride + step as usize]
+    }
+
+    /// Ids of the surviving copies, in `RunOutcome::copies` order.
+    fn surviving(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.crashed.len())
+            .filter(|&p| !self.crashed[p])
+            .flat_map(|p| self.copy_off[p] as usize..self.copy_off[p + 1] as usize)
+    }
+
+    /// The surviving copies' completion ticks, steps `1..=T`, aligned with
+    /// `RunOutcome::copies`.
+    pub(crate) fn finish(&self) -> TimingTrace {
+        TimingTrace {
+            ticks: self
+                .surviving()
+                .map(|cid| self.done[cid * self.stride + 1..(cid + 1) * self.stride].to_vec())
+                .collect(),
+        }
+    }
+}
+
+impl Tracer for TimingTracer {
+    fn on_compute_done(&mut self, proc: u32, own_idx: u32, step: u32, tick: u64) {
+        let cid = self.cid(proc, own_idx);
+        self.done[cid * self.stride + step as usize] = tick;
+    }
+
+    fn on_crash(&mut self, proc: u32) {
+        self.crashed[proc as usize] = true;
+    }
+}
+
+/// The [`Tracer`] implementing stall attribution. Build one with
+/// [`Engine::run_traced`](crate::engine::Engine::run_traced) — it needs
+/// the engine's interned copy/route tables to map subscriptions to their
+/// producing copies. It embeds a `TimingTracer` for the completion
+/// ticks its windows are split at, so a traced run also carries timing.
+pub struct StallTracer {
+    /// Completion ticks and crashes (the window boundaries).
+    timing: TimingTracer,
     /// Subscription id → producing copy id (extended by re-subscription).
     sub_src: Vec<u32>,
     /// Multicast tree id → producing copy id.
     tree_src: Vec<u32>,
-    /// Completion tick per copy per step (`done[cid·stride + s]`; step 0
-    /// is the initial value, "completed" at tick 0).
-    done: Vec<u64>,
     /// In-flight step per copy.
     pending: Vec<Pending>,
     /// Accumulated attribution per copy.
@@ -263,8 +339,6 @@ pub struct StallTracer {
     /// Fault ticks accumulated per in-flight message (touched only when
     /// faults fire, so the fault-free traced path never hashes).
     fault_ticks: HashMap<MsgKey, u64>,
-    /// Crashed processors (their copies leave the accounting).
-    crashed: Vec<bool>,
     /// Series bin width in ticks.
     series_stride: u64,
     /// Injections per link per bin.
@@ -289,27 +363,18 @@ impl StallTracer {
     ) -> Self {
         let n_copies = *copy_off.last().unwrap_or(&0) as usize;
         let n_procs = copy_off.len().saturating_sub(1);
-        let stride = steps as usize + 1;
         Self {
-            stride,
-            copy_off,
+            timing: TimingTracer::new(steps, copy_off),
             sub_src,
             tree_src,
-            done: vec![0; n_copies * stride],
             pending: vec![Pending::default(); n_copies],
             per_copy: vec![StallBreakdown::default(); n_copies],
             fault_ticks: HashMap::new(),
-            crashed: vec![false; n_procs],
             series_stride: cfg.series_stride.max(1),
             link_occupancy: vec![Vec::new(); n_links],
             depth: vec![0; n_procs],
             queue_depth: vec![Vec::new(); n_procs],
         }
-    }
-
-    #[inline]
-    fn cid(&self, proc: u32, own_idx: u32) -> usize {
-        (self.copy_off[proc as usize] + own_idx) as usize
     }
 
     /// Record processor `p`'s current queue depth into its series bin,
@@ -327,42 +392,39 @@ impl StallTracer {
     }
 
     /// Close the books: fold the post-completion drain of every surviving
-    /// copy and assemble the report. `makespan` is the completed run's
-    /// final tick.
-    pub(crate) fn finish(mut self, makespan: u64) -> TraceReport {
+    /// copy and assemble the report, plus the embedded completion ticks.
+    /// `makespan` is the completed run's final tick.
+    pub(crate) fn finish(mut self, makespan: u64) -> (TraceReport, TimingTrace) {
+        let timing = &self.timing;
+        let last = timing.stride as u32 - 1;
         let mut totals = StallBreakdown::default();
         let mut per_copy = Vec::with_capacity(self.per_copy.len());
-        for p in 0..self.crashed.len() {
-            if self.crashed[p] {
-                continue;
-            }
-            for cid in self.copy_off[p] as usize..self.copy_off[p + 1] as usize {
-                let mut b = self.per_copy[cid];
-                let finished = self.done[cid * self.stride + self.stride - 1];
-                b.stall_drained += makespan - finished;
-                totals.add(&b);
-                per_copy.push(b);
-            }
+        for cid in timing.surviving() {
+            let mut b = self.per_copy[cid];
+            b.stall_drained += makespan - timing.done(cid, last);
+            totals.add(&b);
+            per_copy.push(b);
         }
         for series in &mut self.link_occupancy {
             if makespan > 0 {
                 series.resize(((makespan / self.series_stride) + 1) as usize, 0);
             }
         }
-        TraceReport {
+        let report = TraceReport {
             totals,
             per_copy,
             makespan,
             series_stride: self.series_stride,
             link_occupancy: self.link_occupancy,
             queue_depth: self.queue_depth,
-        }
+        };
+        (report, self.timing.finish())
     }
 }
 
 impl Tracer for StallTracer {
     fn on_enqueued(&mut self, proc: u32, own_idx: u32, _step: u32, tick: u64, cause: ReadyCause) {
-        let cid = self.cid(proc, own_idx);
+        let cid = self.timing.cid(proc, own_idx);
         let (send, fault) = match cause {
             // Local readiness: the whole pre-ready wait is a dependency
             // stall (a sibling producer on the same processor was late).
@@ -372,7 +434,7 @@ impl Tracer for StallTracer {
                     MsgKey::Sub { sub, step } => (self.sub_src[sub as usize], step),
                     MsgKey::Tree { tree, step } => (self.tree_src[tree as usize], step),
                 };
-                let send = self.done[src as usize * self.stride + dep_step as usize];
+                let send = self.timing.done(src as usize, dep_step);
                 let fault = if self.fault_ticks.is_empty() {
                     0
                 } else {
@@ -393,7 +455,7 @@ impl Tracer for StallTracer {
     }
 
     fn on_start(&mut self, proc: u32, own_idx: u32, _step: u32, tick: u64) {
-        let cid = self.cid(proc, own_idx);
+        let cid = self.timing.cid(proc, own_idx);
         self.pending[cid].start = tick;
         let p = proc as usize;
         self.depth[p] -= 1;
@@ -401,8 +463,8 @@ impl Tracer for StallTracer {
     }
 
     fn on_compute_done(&mut self, proc: u32, own_idx: u32, step: u32, tick: u64) {
-        let cid = self.cid(proc, own_idx);
-        let prev = self.done[cid * self.stride + step as usize - 1];
+        let cid = self.timing.cid(proc, own_idx);
+        let prev = self.timing.done(cid, step - 1);
         let Pending {
             ready,
             send,
@@ -422,7 +484,7 @@ impl Tracer for StallTracer {
         b.stall_dependency += dep;
         b.stall_fault += fault;
         b.stall_bandwidth += pre - dep - fault;
-        self.done[cid * self.stride + step as usize] = tick;
+        self.timing.on_compute_done(proc, own_idx, step, tick);
     }
 
     fn on_link_inject(&mut self, link: u32, depart: u64) {
@@ -439,11 +501,11 @@ impl Tracer for StallTracer {
     }
 
     fn on_crash(&mut self, proc: u32) {
-        self.crashed[proc as usize] = true;
+        self.timing.on_crash(proc);
     }
 
     fn on_reroute(&mut self, sub: u32, src_proc: u32, src_idx: u32) {
-        let cid = self.copy_off[src_proc as usize] + src_idx;
+        let cid = self.timing.cid(src_proc, src_idx) as u32;
         let sub = sub as usize;
         if sub == self.sub_src.len() {
             self.sub_src.push(cid);
@@ -521,7 +583,7 @@ mod tests {
         }
         tr.on_compute_done(0, 0, 1, 4);
         tr.on_compute_done(1, 0, 1, 10);
-        let report = tr.finish(10);
+        let (report, _) = tr.finish(10);
         assert_eq!(report.per_copy.len(), 2);
         assert_eq!(report.per_copy[0].stall_drained, 6);
         assert_eq!(report.per_copy[1].stall_drained, 0);
@@ -537,9 +599,25 @@ mod tests {
         tr.on_start(0, 0, 1, 0);
         tr.on_compute_done(0, 0, 1, 3);
         tr.on_crash(1);
-        let report = tr.finish(3);
+        let (report, timing) = tr.finish(3);
         assert_eq!(report.per_copy.len(), 1);
         assert_eq!(report.totals.total(), 3);
+        assert_eq!(timing.ticks, vec![vec![3]]);
+    }
+
+    /// The timing tracer alone: completion ticks per surviving copy, in
+    /// copy order, with a crashed processor's copies left out.
+    #[test]
+    fn timing_tracer_keeps_surviving_copies_in_order() {
+        // proc 0 holds copies 0 and 1, proc 1 holds copy 2, proc 2 copy 3.
+        let mut tr = TimingTracer::new(2, vec![0, 2, 3, 4]);
+        for (p, i, s, tick) in [(0, 1, 1, 2), (0, 0, 1, 1), (2, 0, 1, 4), (0, 0, 2, 5)] {
+            tr.on_compute_done(p, i, s, tick);
+        }
+        tr.on_compute_done(0, 1, 2, 7);
+        tr.on_compute_done(2, 0, 2, 9);
+        tr.on_crash(1);
+        assert_eq!(tr.finish().ticks, vec![vec![1, 5], vec![2, 7], vec![4, 9]]);
     }
 
     #[test]
@@ -553,7 +631,7 @@ mod tests {
         tr.on_enqueued(0, 0, 1, 0, ReadyCause::Local);
         tr.on_start(0, 0, 1, 35);
         tr.on_compute_done(0, 0, 1, 40);
-        let report = tr.finish(99);
+        let (report, _) = tr.finish(99);
         assert_eq!(report.link_occupancy[0][0], 2);
         assert_eq!(report.link_occupancy[0][2], 1);
         assert_eq!(report.link_occupancy[1][9], 1);

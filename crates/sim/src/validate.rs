@@ -74,14 +74,15 @@ pub fn validate_run(trace: &ReferenceTrace, out: &RunOutcome) -> Vec<ValidationE
     errors
 }
 
-/// Audit the causal structure of a timing-traced run: within every copy,
-/// steps complete strictly in order, and globally, guest row `t` cannot
-/// complete anywhere before some copy completed row `t−1` (values cannot
-/// exist before their dependencies).
+/// Audit the causal structure of a timed run (`Engine::run_timed` or
+/// `Engine::run_traced`): within every copy, steps complete strictly in
+/// order, and globally, guest row `t` cannot complete anywhere before
+/// some copy completed row `t−1` (values cannot exist before their
+/// dependencies).
 pub fn audit_causality(out: &RunOutcome) -> Vec<String> {
     let mut problems = Vec::new();
     let Some(timing) = out.timing.as_ref() else {
-        return vec!["run has no timing trace (enable record_timing)".into()];
+        return vec!["run has no timing trace (run it with Engine::run_timed)".into()];
     };
     let steps = out.stats.guest_steps as usize;
     // Per-copy monotonicity.
@@ -151,12 +152,8 @@ mod tests {
         let guest = GuestSpec::array(8, ProgramKind::KvWorkload, 4, 10);
         let host = linear_array(3, DelayModel::uniform(1, 8), 2);
         let assign = Assignment::blocked(3, 8);
-        let cfg = crate::engine::EngineConfig {
-            record_timing: true,
-            ..Default::default()
-        };
-        let mut out = crate::engine::Engine::new(&guest, &host, &assign, cfg)
-            .run()
+        let mut out = Engine::new(&guest, &host, &assign, EngineConfig::default())
+            .run_timed()
             .unwrap();
         assert!(audit_causality(&out).is_empty());
         // Corrupt one copy's timing: step order violation must be caught.

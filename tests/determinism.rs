@@ -5,6 +5,7 @@
 use overlap::model::{fold64, GuestSpec, ProgramKind, ReferenceRun};
 use overlap::net::{topology, DelayModel, HostGraph};
 use overlap::sim::engine::{Engine, EngineConfig, Jitter};
+use overlap::sim::engine_classic::run_classic;
 use overlap::sim::sweep::par_map;
 use overlap::sim::{Assignment, ExecPlan};
 use overlap::{Simulation, Strategy};
@@ -90,14 +91,12 @@ fn golden_engine_run_is_bit_stable() {
             amplitude_pct: 40,
             period: 8,
         },
-        record_timing: true,
         ..Default::default()
     };
-    let out = ExecPlan::build(&guest, &host, &assign, cfg)
+    let plan = ExecPlan::build(&guest, &host, &assign, cfg)
         .unwrap()
-        .with_compute_costs(vec![1, 3, 2, 1])
-        .run()
-        .expect("golden run");
+        .with_compute_costs(vec![1, 3, 2, 1]);
+    let out = Engine::from_plan(&plan).run_timed().expect("golden run");
 
     // One order-sensitive digest over every copy's audit record.
     let mut digest = 0x60u64;
@@ -131,8 +130,7 @@ fn golden_engine_run_is_bit_stable() {
 
     // The frozen classic (heap-based) engine must agree bit for bit.
     let classic =
-        overlap::sim::engine_classic::run_classic(&guest, &host, &assign, cfg, Some(&[1, 3, 2, 1]))
-            .expect("classic run");
+        run_classic(&guest, &host, &assign, cfg, Some(&[1, 3, 2, 1]), true).expect("classic run");
     assert_eq!(out, classic);
 }
 
@@ -160,7 +158,6 @@ fn traced_golden_run_matches_classic_oracle_and_conserves() {
             amplitude_pct: 40,
             period: 8,
         },
-        record_timing: true,
         ..Default::default()
     };
     let plan = ExecPlan::build(&guest, &host, &assign, cfg)
@@ -181,8 +178,7 @@ fn traced_golden_run_matches_classic_oracle_and_conserves() {
     );
 
     let classic =
-        overlap::sim::engine_classic::run_classic(&guest, &host, &assign, cfg, Some(&[1, 3, 2, 1]))
-            .expect("classic run");
+        run_classic(&guest, &host, &assign, cfg, Some(&[1, 3, 2, 1]), true).expect("classic run");
     let mut stripped = out;
     stripped.trace = None;
     stripped.stats.stalls = None;
@@ -211,10 +207,7 @@ fn event_and_stepped_agree_under_crash_faults() {
             .map(|p| (0..8).map(|i| (4 * p + i) % 24).collect())
             .collect(),
     );
-    let cfg = EngineConfig {
-        record_timing: true,
-        ..Default::default()
-    };
+    let cfg = EngineConfig::default();
     let faults = FaultPlan::new()
         .link_down(1, 2, 10, 40)
         .delay_spike(0, 1, 5, 60, 3)
@@ -224,7 +217,7 @@ fn event_and_stepped_agree_under_crash_faults() {
         .with_faults(faults)
         .unwrap();
     let reference = ReferenceRun::execute(&guest);
-    let ev = Engine::from_plan(&plan).run().expect("event run");
+    let ev = Engine::from_plan(&plan).run_timed().expect("event run");
     assert!(ev.stats.faults.crashed_procs > 0, "crash did not land");
     assert!(
         ev.stats.faults.rerouted_subscriptions > 0,

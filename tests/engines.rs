@@ -151,15 +151,16 @@ fn calendar_engine_matches_classic_on_planned_placements() {
                     amplitude_pct: 30,
                     period: 16,
                 },
-                record_timing: true,
                 ..Default::default()
             };
-            let new = ExecPlan::build(&guest, &host, a, cfg)
+            let plan = ExecPlan::build(&guest, &host, a, cfg)
                 .expect("plan")
-                .with_compute_costs(costs.clone())
-                .run()
+                .with_compute_costs(costs.clone());
+            let new = Engine::from_plan(&plan)
+                .run_timed()
                 .expect("calendar engine");
-            let classic = run_classic(&guest, &host, a, cfg, Some(&costs)).expect("classic engine");
+            let classic =
+                run_classic(&guest, &host, a, cfg, Some(&costs), true).expect("classic engine");
             assert_eq!(
                 new,
                 classic,

@@ -43,7 +43,7 @@ fn empty_fault_plan_is_bit_identical_across_engines_and_configs() {
                 .unwrap()
                 .run()
                 .expect("empty plan");
-            let classic = run_classic(&guest, &host, &assign, cfg, None).expect("classic");
+            let classic = run_classic(&guest, &host, &assign, cfg, None, false).expect("classic");
             assert_eq!(
                 plain, empty,
                 "empty plan diverged (multicast={multicast}, jitter={jitter:?})"

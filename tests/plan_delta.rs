@@ -15,11 +15,12 @@ use overlap::{
 };
 use proptest::prelude::*;
 
-/// Outcomes of every engine the plan is legal for, in a comparable bundle.
+/// Outcomes of every engine the plan is legal for, in a comparable bundle
+/// (the event run timed, so completion ticks are compared too).
 fn run_all(plan: &ExecPlan) -> Vec<(&'static str, Result<RunOutcome, String>)> {
     let mut out = Vec::new();
     let e = |r: Result<RunOutcome, overlap::RunError>| r.map_err(|e| e.to_string());
-    out.push(("event", e(Engine::from_plan(plan).run())));
+    out.push(("event", e(Engine::from_plan(plan).run_timed())));
     out.push(("stepped", e(run_stepped(plan))));
     let guest = plan.guest();
     if plan.faults().is_none()
@@ -118,7 +119,6 @@ proptest! {
         };
         let assign = Assignment::blocked(procs, guest.num_cells());
         let config = EngineConfig {
-            record_timing: true,
             mem: budgeted.then_some(MemBudget { budget: 1, reload_cost: 2 }),
             ..EngineConfig::default()
         };
@@ -142,7 +142,7 @@ proptest! {
     ) {
         let host = topology::linear_array(procs, DelayModel::uniform(1, 6), seed);
         let assign = Assignment::blocked(procs, guest.num_cells());
-        let config = EngineConfig { record_timing: true, ..EngineConfig::default() };
+        let config = EngineConfig::default();
         let delta = if use_costs {
             let costs: Vec<u32> = (0..procs).map(|p| 1 + (p + cost_pick) % 3).collect();
             PlanDelta::ComputeCosts(Some(costs))

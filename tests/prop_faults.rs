@@ -57,7 +57,7 @@ proptest! {
             .unwrap()
             .run()
             .expect("empty plan");
-        let classic = run_classic(&guest, &host, &assign, cfg, None).expect("classic");
+        let classic = run_classic(&guest, &host, &assign, cfg, None, false).expect("classic");
         prop_assert_eq!(&plain, &empty);
         prop_assert_eq!(&plain, &classic);
     }

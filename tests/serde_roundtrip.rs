@@ -67,7 +67,6 @@ fn engine_config_roundtrips() {
     roundtrip(&EngineConfig {
         bandwidth: BandwidthMode::Fixed(3),
         max_ticks: 1000,
-        record_timing: true,
         multicast: true,
         jitter: Jitter::Periodic {
             amplitude_pct: 30,
