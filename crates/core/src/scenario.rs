@@ -12,8 +12,8 @@
 //! Plan-cache keying rule: the key covers exactly the inputs of
 //! lowering — `(guest, host, assignment, config)` — and deliberately
 //! *excludes* faults, compute costs, the engine kind, and tracing.
-//! Fault and cost variants are applied to a cached plan with
-//! `ExecPlan::apply_delta` (bit-identical to a fresh lowering, never
+//! Fault and cost variants ride on a view of a cached plan
+//! (`ExecPlan::share`, bit-identical to a fresh lowering, never
 //! re-lowered), every engine consumes the same plan, and tracing only
 //! changes what is observed, not what is scheduled.
 //!

@@ -166,6 +166,12 @@ impl<'a> SimulationBuilder<'a> {
         let host = self
             .host
             .ok_or_else(|| Error::Config("no host: call .on(&host)".into()))?;
+        // A guest or host decoded from the wire may carry parts that
+        // disagree; lowering and the connectivity check below assume they
+        // do not.
+        let invalid = |option| move |reason| Error::InvalidConfig { option, reason };
+        self.guest.validate().map_err(invalid("guest"))?;
+        host.validate().map_err(invalid("host"))?;
         // Placement embeds the guest along a spanning tree of the host and
         // routing needs a path from every consumer to a holder, so a split
         // host is rejected here, before either can fail on it.
@@ -203,10 +209,13 @@ impl<'a> SimulationBuilder<'a> {
         )?;
         let (assignment, predicted_slowdown, array_delays, dilation) = match self.assignment {
             Some(a) => {
-                if a.num_procs() != host.num_nodes() {
-                    return Err(Error::Config(format!(
-                        "assignment covers {} processors for a {}-node host",
+                if (a.num_procs(), a.num_cells()) != (host.num_nodes(), self.guest.num_cells()) {
+                    return Err(invalid("assignment")(format!(
+                        "it places {} cells on {} processors; the guest has {} cells \
+                         and the host {} nodes",
+                        a.num_cells(),
                         a.num_procs(),
+                        self.guest.num_cells(),
                         host.num_nodes()
                     )));
                 }
@@ -278,10 +287,11 @@ impl ReadySimulation<'_> {
     /// routing, and the configured compute costs / fault plan, all
     /// compiled once. The plan can be executed repeatedly (and on
     /// different engines) via [`run_plan`](Self::run_plan) — sweeps
-    /// amortise the lowering across repeats — and varied in place with
-    /// [`ExecPlan::apply_delta`]: single-link delay edits, fault-plan
-    /// swaps, and compute-cost overrides each yield a plan bit-identical
-    /// to a fresh lowering, usually without rebuilding any table.
+    /// amortise the lowering across repeats. A fault or cost variant runs
+    /// on a view from [`ExecPlan::share`] with the variant attached, which
+    /// leaves this plan untouched; [`ExecPlan::apply_delta`] edits a
+    /// single link delay in place. Both yield a plan bit-identical to a
+    /// fresh lowering, usually without rebuilding any table.
     pub fn build_plan(&self) -> Result<ExecPlan<'_>, Error> {
         let mut plan = ExecPlan::build(self.guest, self.host, &self.assignment, self.config)?;
         if let Some(costs) = &self.compute_costs {
@@ -401,6 +411,34 @@ mod tests {
                 "{err}"
             );
             assert!(err.to_string().contains("disconnected"), "{err}");
+        }
+    }
+
+    /// An explicit assignment sized for another guest or host is a typed
+    /// error at `build()`, not a panic in `run()`.
+    #[test]
+    fn explicit_assignment_of_the_wrong_size_is_invalid_config() {
+        let (guest, host) = lab();
+        for assign in [
+            Assignment::blocked(4, 8),
+            Assignment::blocked(4, 24),
+            Assignment::blocked(5, 16),
+        ] {
+            let err = Simulation::of(&guest)
+                .on(&host)
+                .assignment(assign)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    Error::InvalidConfig {
+                        option: "assignment",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
         }
     }
 

@@ -8,19 +8,17 @@
 //! [`ReferenceTrace`] behind the canonical scenario key from
 //! `overlap_sim::scenario_key` (what [`ScenarioSpec::plan_key`] returns).
 //! A miss lowers from the assignment admission already placed, so each
-//! submission is placed once. Fault and compute-cost variants are
-//! applied to the cached plan with `ExecPlan::apply_delta` — which is
-//! differentially pinned bit-identical to a fresh lowering — and undone
-//! with the returned inverse after the run, so the cached entry always
-//! holds the *base* plan.
+//! submission is placed once. A cached entry is never edited: a run
+//! takes an `Arc` of it and executes a view from `ExecPlan::share`, with
+//! its own fault and compute-cost variant attached.
 //!
 //! Concurrency: the map lock is only held for lookups and empty-slot
 //! insertion; lowering happens under the per-key slot lock, so a slow
-//! lowering never blocks other keys. Runs on the same key serialize on
-//! the slot lock (deltas mutate the plan in place); runs on different
-//! keys proceed in parallel. Hit or miss is decided under the slot lock,
-//! from whether the slot is populated, so a lowering that failed leaves
-//! no entry behind and its key's next lookup is a miss again.
+//! lowering never blocks other keys and concurrent first arrivals lower
+//! once. Hit or miss is decided under the slot lock, from whether the
+//! slot is populated, so a lowering that failed leaves no entry behind
+//! and its key's next lookup is a miss again. No lock is held while a
+//! run executes, so runs of one key proceed in parallel.
 
 use overlap_core::{Error, ScenarioSpec};
 use overlap_model::{ReferenceRun, ReferenceTrace};
@@ -31,16 +29,17 @@ use std::sync::{Arc, Mutex};
 
 /// A populated cache slot: the base plan (no faults, no cost overrides)
 /// and the reference trace every run of this scenario validates against.
-struct Entry {
-    plan: ExecPlan<'static>,
-    reference: ReferenceTrace,
+/// Shared read-only by every run of the key.
+pub(crate) struct Entry {
+    pub(crate) plan: ExecPlan<'static>,
+    pub(crate) reference: ReferenceTrace,
 }
 
 /// One key's slot. Inserted empty under the map lock; populated (lowered)
 /// by the first arrival under the slot lock, so concurrent first arrivals
-/// lower exactly once and later arrivals block only on this key; removed
-/// from the map again if that lowering fails.
-type Slot = Arc<Mutex<Option<Entry>>>;
+/// lower exactly once and later arrivals wait only for this key's
+/// lowering; removed from the map again if that lowering fails.
+type Slot = Arc<Mutex<Option<Arc<Entry>>>>;
 
 /// Shared plan cache with hit/miss counters.
 #[derive(Default)]
@@ -80,55 +79,57 @@ impl PlanCache {
         }
     }
 
-    /// Run `f` with the cached plan for `key`, lowering `spec` with its
-    /// placed `assignment` first if this is the key's first arrival. `f`
-    /// receives the mutable base plan, the scenario's reference trace,
-    /// and whether this lookup was a cache hit; it must leave the plan in
-    /// its base state (apply the inverse of every delta it applied).
-    pub fn with_plan<R>(
+    /// The cached entry for `key`, lowering `spec` with its placed
+    /// `assignment` first if this is the key's first arrival, and whether
+    /// this lookup was a cache hit. The slot's lock is released before
+    /// this returns.
+    pub(crate) fn get(
         &self,
         key: &str,
         spec: &ScenarioSpec,
         assignment: Assignment,
-        f: impl FnOnce(&mut ExecPlan<'static>, &ReferenceTrace, bool) -> R,
-    ) -> Result<R, Error> {
+    ) -> Result<(Arc<Entry>, bool), Error> {
         let slot = Arc::clone(
             self.slots
                 .lock()
-                .unwrap()
+                .expect("the plan-cache map lock is poisoned")
                 .entry(key.to_string())
                 .or_default(),
         );
-        let mut guard = slot.lock().unwrap();
-        let hit = guard.is_some();
-        if hit {
+        let mut guard = slot
+            .lock()
+            .expect("a panic while lowering this key poisoned its slot");
+        if let Some(entry) = &*guard {
             self.hits.fetch_add(1, Ordering::SeqCst);
-        } else {
-            self.misses.fetch_add(1, Ordering::SeqCst);
-            let built = ExecPlan::build_owned(
-                spec.guest.clone(),
-                spec.host.clone(),
-                assignment,
-                spec.config,
-            );
-            let plan = match built {
-                Ok(plan) => plan,
-                Err(e) => {
-                    // Drop the empty slot unless a later arrival took it.
-                    drop(guard);
-                    let mut map = self.slots.lock().unwrap();
-                    if map.get(key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
-                        map.remove(key);
-                    }
-                    return Err(Error::Run(e));
-                }
-            };
-            let reference = ReferenceRun::execute(&spec.guest);
-            *guard = Some(Entry { plan, reference });
-            self.entries.fetch_add(1, Ordering::SeqCst);
+            return Ok((Arc::clone(entry), true));
         }
-        let entry = guard.as_mut().expect("slot populated above");
-        Ok(f(&mut entry.plan, &entry.reference, hit))
+        self.misses.fetch_add(1, Ordering::SeqCst);
+        let built = ExecPlan::build_owned(
+            spec.guest.clone(),
+            spec.host.clone(),
+            assignment,
+            spec.config,
+        );
+        let plan = match built {
+            Ok(plan) => plan,
+            Err(e) => {
+                // Drop the empty slot unless a later arrival took it.
+                drop(guard);
+                let mut map = self
+                    .slots
+                    .lock()
+                    .expect("the plan-cache map lock is poisoned");
+                if map.get(key).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                    map.remove(key);
+                }
+                return Err(Error::Run(e));
+            }
+        };
+        let reference = ReferenceRun::execute(&spec.guest);
+        let entry = Arc::new(Entry { plan, reference });
+        *guard = Some(Arc::clone(&entry));
+        self.entries.fetch_add(1, Ordering::SeqCst);
+        Ok((entry, false))
     }
 }
 
@@ -157,19 +158,11 @@ mod tests {
         let cache = PlanCache::new();
         let spec = spec();
         let (key, assignment) = admit(&spec);
-        let fp1 = cache
-            .with_plan(&key, &spec, assignment.clone(), |plan, _, hit| {
-                assert!(!hit);
-                plan.fingerprint()
-            })
-            .unwrap();
-        let fp2 = cache
-            .with_plan(&key, &spec, assignment, |plan, _, hit| {
-                assert!(hit);
-                plan.fingerprint()
-            })
-            .unwrap();
-        assert_eq!(fp1, fp2);
+        let (first, hit) = cache.get(&key, &spec, assignment.clone()).unwrap();
+        assert!(!hit);
+        let (second, hit) = cache.get(&key, &spec, assignment).unwrap();
+        assert!(hit);
+        assert!(Arc::ptr_eq(&first, &second), "a hit shares the entry");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
@@ -183,14 +176,10 @@ mod tests {
         let spec = spec();
         let (key, assignment) = admit(&spec);
         let incomplete = Assignment::from_cells_of(4, 12, vec![vec![0], vec![], vec![], vec![]]);
-        assert!(cache
-            .with_plan(&key, &spec, incomplete, |_, _, _| ())
-            .is_err());
+        assert!(cache.get(&key, &spec, incomplete).is_err());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 1, 0));
-        let hit = cache
-            .with_plan(&key, &spec, assignment, |_, _, hit| hit)
-            .unwrap();
+        let (_, hit) = cache.get(&key, &spec, assignment).unwrap();
         assert!(!hit);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 2, 1));
@@ -204,7 +193,7 @@ mod tests {
         b.guest.steps += 1;
         for s in [&a, &b] {
             let (key, assignment) = admit(s);
-            cache.with_plan(&key, s, assignment, |_, _, _| ()).unwrap();
+            cache.get(&key, s, assignment).unwrap();
         }
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(cache.stats().misses, 2);

@@ -5,17 +5,21 @@
 //! run time), keyed for the plan cache, and queued together with its
 //! assignment. Worker threads pull jobs off the queue, resolve the plan
 //! through [`PlanCache`] (lowering a miss from the job's assignment, at
-//! most once per key), apply the session's fault /
-//! compute-cost deltas via `ExecPlan::apply_delta`, execute through
+//! most once per key), attach the session's faults and compute costs to
+//! a view of the cached plan (`ExecPlan::share`), execute through
 //! `EngineKind::run` under a [`RunControl`], validate against the cached
 //! reference trace, persist a [`RunRecord`], and stream [`Event`]s to
-//! subscribers.
+//! subscribers. The cached plan is only read and no cache lock is held
+//! while a run executes or is validated, so a paused run blocks neither
+//! its key nor anyone else.
 //!
 //! Session lifecycle: `Queued → Running ⇄ Paused → Done | Failed |
-//! Cancelled`. Pause and cancel are cooperative — the engine observes
-//! the control only at checkpoint boundaries, so a paused run holds all
-//! simulation state intact and a resumed run is bit-identical to an
-//! uninterrupted one. Nothing is persisted from a cancelled run.
+//! Cancelled` (a session paused while queued starts `Paused`). Pause and
+//! cancel are cooperative — the engine observes the control only at
+//! checkpoint boundaries, so a paused run holds all simulation state
+//! intact and a resumed run is bit-identical to an uninterrupted one.
+//! Nothing is persisted from a cancelled run, and it has nothing to
+//! restore.
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::store::{MemStore, RunRecord, RunStore};
@@ -23,7 +27,7 @@ use overlap_core::{Error, ScenarioSpec};
 use overlap_sim::engine::{RunError, RunOutcome};
 use overlap_sim::trace::TraceConfig;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{Assignment, ExecPlan, PlanDelta, RunControl};
+use overlap_sim::{Assignment, RunControl};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -139,12 +143,6 @@ impl Shared {
     fn push(&self, event: Event) {
         let mut st = self.state.lock().unwrap();
         st.events.push(event);
-        self.cv.notify_all();
-    }
-
-    fn set_status(&self, status: Status) {
-        let mut st = self.state.lock().unwrap();
-        st.status = status;
         self.cv.notify_all();
     }
 
@@ -453,38 +451,54 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Execute one session end-to-end: plan resolution, delta application,
-/// engine dispatch, validation, persistence, event emission.
+/// Execute one session end-to-end: plan resolution, engine dispatch on a
+/// view of the cached plan, validation, persistence, event emission.
 fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
-    session.set_status(Status::Running);
-    let mut was_hit = false;
-    let result: Result<(RunOutcome, u64), Error> = inner
+    {
+        // Decided under the state lock that pause and resume take: a
+        // session paused while queued holds at its first checkpoint, so
+        // it reports Paused until resumed.
+        let mut st = session
+            .state
+            .lock()
+            .expect("a session state lock is poisoned");
+        st.status = if session.control.is_paused() {
+            Status::Paused
+        } else {
+            Status::Running
+        };
+        session.cv.notify_all();
+    }
+    let spec = &session.spec;
+    let result: Result<(RunOutcome, u64, bool), Error> = inner
         .cache
-        .with_plan(
-            &job.key,
-            &session.spec,
-            job.assignment,
-            |plan, reference, hit| {
-                was_hit = hit;
-                session.push(Event::Started { cache_hit: hit });
-                let outcome = run_on_plan(session, plan)?;
-                // Validate inside the slot lock: the reference belongs to
-                // the entry.
-                let errors = validate_run(reference, &outcome);
-                Ok((outcome, errors.len() as u64))
-            },
-        )
-        .and_then(|r| r);
+        .get(&job.key, spec, job.assignment)
+        .and_then(|(entry, hit)| {
+            session.push(Event::Started { cache_hit: hit });
+            // The cached plan is only read: the session's variant rides
+            // on a view of it.
+            let mut plan = entry.plan.share();
+            if let Some(faults) = &spec.faults {
+                plan = plan.with_faults(faults.clone())?;
+            }
+            if let Some(costs) = &spec.compute_costs {
+                plan = plan.with_compute_costs(costs.clone());
+            }
+            let trace = spec.trace.then(TraceConfig::default);
+            let outcome = spec.engine.run(&plan, Some(&*session.control), trace)?;
+            let errors = validate_run(&entry.reference, &outcome);
+            Ok((outcome, errors.len() as u64, hit))
+        });
     match result {
-        Ok((outcome, mismatches)) => {
+        Ok((outcome, mismatches, cache_hit)) => {
             let record = RunRecord {
                 run_id: inner.next_run.fetch_add(1, Ordering::SeqCst),
                 session: session.id,
                 plan_hash: session.hash,
-                cache_hit: was_hit,
-                engine: session.spec.engine.label().into(),
-                strategy: session.spec.strategy.label(),
-                host: session.spec.host.name().to_string(),
+                cache_hit,
+                engine: spec.engine.label().into(),
+                strategy: spec.strategy.label(),
+                host: spec.host.name().to_string(),
                 stats: outcome.stats,
                 validated: mismatches == 0,
                 mismatches,
@@ -515,39 +529,4 @@ fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
             );
         }
     }
-}
-
-/// Apply the session's deltas to the cached base plan, run on the
-/// session's engine under its control, and restore the base plan.
-fn run_on_plan(session: &Arc<Session>, plan: &mut ExecPlan<'static>) -> Result<RunOutcome, Error> {
-    let spec = &session.spec;
-    // Cache-hit variants go through apply_delta — never re-lowered. Each
-    // receipt's inverse restores the base plan afterwards (also on
-    // error), keeping the entry canonical for the next session.
-    let mut inverses = Vec::new();
-    let mut apply = |plan: &mut ExecPlan<'static>, delta| -> Result<(), Error> {
-        let receipt = plan.apply_delta(delta).map_err(Error::Run)?;
-        inverses.push(receipt.inverse);
-        Ok(())
-    };
-    let mut staged: Result<(), Error> = Ok(());
-    if let Some(faults) = &spec.faults {
-        staged = apply(plan, PlanDelta::Faults(Some(faults.clone())));
-    }
-    if staged.is_ok() {
-        if let Some(costs) = &spec.compute_costs {
-            staged = apply(plan, PlanDelta::ComputeCosts(Some(costs.clone())));
-        }
-    }
-    let result = staged.and_then(|()| {
-        let trace = spec.trace.then(TraceConfig::default);
-        spec.engine
-            .run(plan, Some(&*session.control), trace)
-            .map_err(Error::from)
-    });
-    for inverse in inverses.into_iter().rev() {
-        plan.apply_delta(inverse)
-            .expect("inverse delta must re-apply");
-    }
-    result
 }

@@ -6,9 +6,10 @@
 //! them concurrently on a worker pool, and:
 //!
 //! * lowers each distinct `(guest, host, assignment, config)` **once**
-//!   into an owned `ExecPlan` held in a [`PlanCache`] — fault and
-//!   compute-cost variants are applied to the cached plan via
-//!   `ExecPlan::apply_delta` on cache hits, never re-lowered;
+//!   into an owned `ExecPlan` held in a [`PlanCache`] — a cache hit runs
+//!   a view of the cached plan (`ExecPlan::share`) with the session's
+//!   fault and compute-cost variant attached, never re-lowered, and the
+//!   cached plan itself is never edited;
 //! * supports cooperative **pause / resume / cancel** per session
 //!   through `overlap_sim::RunControl` checkpoints, with the guarantee
 //!   that a paused-and-resumed run is bit-identical to an uninterrupted
@@ -21,9 +22,10 @@
 //!
 //! Determinism contract: the same scenario submitted N times
 //! concurrently produces results byte-identical to a sequential run —
-//! engines are deterministic, plans are immutable while running (deltas
-//! are applied and inverted under the cache's per-key lock), and control
-//! checkpoints never perturb the schedule.
+//! engines are deterministic, cached plans are read-only (each run brings
+//! its own faults and costs on a shared view, so runs of one key execute
+//! in parallel with no lock held), and control checkpoints never perturb
+//! the schedule.
 //!
 //! The HTTP front end ([`serve`]) speaks minimal HTTP/1.1 over
 //! `std::net` (the workspace builds offline; no async runtime), and

@@ -27,8 +27,8 @@ pub struct RunRecord {
     /// FNV-1a hash of the plan-cache key — groups runs of the same
     /// lowered scenario across engines, faults, and daemon restarts.
     pub plan_hash: u64,
-    /// Whether the plan came out of the cache (`apply_delta` path) or
-    /// was lowered fresh for this run.
+    /// Whether the plan came out of the cache (the run borrowed an
+    /// already-lowered plan) or was lowered fresh for this run.
     pub cache_hit: bool,
     /// Engine label (`"event"`, `"stepped"`, `"lockstep"`). Free-form, so
     /// records written under engines since removed still load.

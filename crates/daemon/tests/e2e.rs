@@ -1,12 +1,13 @@
-//! Daemon end-to-end tests: the determinism contract, the plan-cache
-//! `apply_delta` path, pause/resume bit-identity, restart persistence,
-//! the HTTP round trip, and grid and tree guests over HTTP.
+//! Daemon end-to-end tests: the determinism contract, fault variants on
+//! shared cached plans, pause/resume bit-identity, a paused run that
+//! blocks no one, restart persistence, the HTTP round trip, grid and tree
+//! guests over HTTP, and malformed guests and hosts answered with 400.
 
 use overlap_core::{EngineKind, ScenarioSpec, Strategy};
 use overlap_daemon::{
     Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore, RunRecord, Status,
 };
-use overlap_model::{GuestSpec, ProgramKind};
+use overlap_model::{GuestSpec, GuestTopology, ProgramKind, TaskGraph};
 use overlap_net::topology::{linear_array, mesh2d};
 use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::faults::FaultPlan;
@@ -74,6 +75,24 @@ fn done_record(client: &Client, id: u64) -> RunRecord {
     }
 }
 
+/// Wait until a paused session holds at a checkpoint; returns its
+/// progress there.
+fn held_progress(daemon: &Daemon, id: u64) -> u64 {
+    let deadline = std::time::Instant::now() + WAIT;
+    loop {
+        let v = daemon.status(id).unwrap();
+        assert!(!v.status.is_terminal(), "run must not finish while paused");
+        if v.progress > 0 {
+            return v.progress;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never reached a checkpoint"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// The stats of an uninterrupted in-process run, as canonical JSON bytes.
 fn sequential_bytes(spec: &ScenarioSpec) -> String {
     let ready = spec.ready().expect("valid spec");
@@ -118,22 +137,12 @@ fn pause_resume_mid_run_lands_on_the_same_result() {
     // Pause before the run starts: the engine holds at its first
     // checkpoint with all simulation state intact.
     assert!(daemon.pause(id));
-    let deadline = std::time::Instant::now() + WAIT;
-    let paused_at = loop {
-        let v = daemon.status(id).unwrap();
-        assert!(!v.status.is_terminal(), "run must not finish while paused");
-        if v.progress > 0 {
-            break v.progress;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "never reached a checkpoint"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    };
-    // Held: progress must not advance while paused.
+    let paused_at = held_progress(&daemon, id);
+    // Held: progress must not advance while paused, and the session says
+    // so although it was paused before a worker took it.
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(daemon.status(id).unwrap().progress, paused_at);
+    assert_eq!(daemon.status(id).unwrap().status, Status::Paused);
     assert!(daemon.resume(id));
     assert_eq!(daemon.wait(id, WAIT), Some(Status::Done));
     let runs = daemon.runs(None).unwrap();
@@ -156,22 +165,18 @@ fn cancelled_runs_persist_nothing() {
     let id = daemon.submit(spec).unwrap();
     daemon.pause(id);
     // Wait for the engine to hold at a checkpoint, then cancel.
-    let deadline = std::time::Instant::now() + WAIT;
-    while daemon.status(id).unwrap().progress == 0 {
-        assert!(std::time::Instant::now() < deadline);
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    held_progress(&daemon, id);
     assert!(daemon.cancel(id));
     assert_eq!(daemon.wait(id, WAIT), Some(Status::Cancelled));
     assert_eq!(daemon.runs(None).unwrap().len(), 0);
     daemon.shutdown();
 }
 
-/// The cache-hit path applies fault/cost deltas to the cached base plan
-/// (never re-lowers); differential check against a fresh lowering that
-/// bakes the same faults in.
+/// A cache hit runs its fault variant on a shared view of the cached
+/// base plan (never re-lowers, never edits it); differential check
+/// against a fresh lowering that bakes the same faults in.
 #[test]
-fn cache_hit_apply_delta_matches_fresh_lowering() {
+fn cache_hit_fault_variant_matches_fresh_lowering() {
     let base = spec(16, 64);
     let mut faulted = base.clone();
     faulted.faults = Some(FaultPlan::new().link_down(2, 3, 40, 160));
@@ -182,10 +187,10 @@ fn cache_hit_apply_delta_matches_fresh_lowering() {
     // 1: populate the cache with the base plan.
     let a = daemon.submit(base.clone()).unwrap();
     assert_eq!(daemon.wait(a, WAIT), Some(Status::Done));
-    // 2: same plan key, faults applied via apply_delta on the cached plan.
+    // 2: same plan key, faults attached to a view of the cached plan.
     let b = daemon.submit(faulted.clone()).unwrap();
     assert_eq!(daemon.wait(b, WAIT), Some(Status::Done));
-    // 3: base again — the inverse delta must have restored the plan.
+    // 3: base again — the faulted run must have left the plan untouched.
     let c = daemon.submit(base).unwrap();
     assert_eq!(daemon.wait(c, WAIT), Some(Status::Done));
 
@@ -203,14 +208,51 @@ fn cache_hit_apply_delta_matches_fresh_lowering() {
     assert_eq!(
         serde_json::to_string(&runs[1].stats).unwrap(),
         fresh_faulted,
-        "apply_delta on a cache hit must match a fresh lowering with faults"
+        "a fault variant on a cache hit must match a fresh lowering with faults"
     );
     assert_eq!(
         serde_json::to_string(&runs[2].stats).unwrap(),
         fresh_base,
-        "inverse delta must restore the base plan exactly"
+        "a variant run must leave the cached base plan exactly as it was"
     );
     assert!(runs[1].stats.faults.retries > 0, "faults must have fired");
+    daemon.shutdown();
+}
+
+/// A paused run holds no cache lock: with two workers and one session
+/// paused mid-run, a fault variant of the same key (a cache hit) and a
+/// scenario of another key both finish while it stays held, and the
+/// paused session then resumes to the uninterrupted result.
+#[test]
+fn a_paused_run_blocks_neither_its_plan_nor_other_sessions() {
+    let a_spec = spec(16, 4000);
+    let mut b_spec = a_spec.clone();
+    b_spec.faults = Some(FaultPlan::new().link_down(2, 3, 40, 160));
+    let (a_fresh, b_fresh) = (sequential_bytes(&a_spec), sequential_bytes(&b_spec));
+    let daemon = Daemon::start(DaemonConfig {
+        workers: 2,
+        store: Box::new(MemStore::new()),
+    });
+    let a = daemon.submit(a_spec).unwrap();
+    assert!(daemon.pause(a));
+    let held = held_progress(&daemon, a);
+    let b = daemon.submit(b_spec).unwrap();
+    let c = daemon.submit(spec(16, 64)).unwrap();
+    assert_eq!(daemon.wait(b, WAIT), Some(Status::Done), "same key");
+    assert_eq!(daemon.wait(c, WAIT), Some(Status::Done), "other key");
+    let view = daemon.status(a).unwrap();
+    assert_eq!((view.status, view.progress), (Status::Paused, held));
+    let run_of = |id| {
+        let runs = daemon.runs(None).unwrap();
+        let run = runs.into_iter().find(|r| r.session == id).unwrap();
+        (run.cache_hit, serde_json::to_string(&run.stats).unwrap())
+    };
+    assert_eq!(run_of(b), (true, b_fresh));
+    assert!(daemon.resume(a));
+    assert_eq!(daemon.wait(a, WAIT), Some(Status::Done));
+    assert_eq!(run_of(a), (false, a_fresh));
+    let cache = daemon.cache_stats();
+    assert_eq!((cache.misses, cache.hits), (2, 1));
     daemon.shutdown();
 }
 
@@ -502,5 +544,88 @@ fn http_rejects_the_removed_sharded_engine_as_malformed() {
     assert!(text.contains("malformed scenario"), "{text}");
     assert_eq!(daemon.cache_stats().misses, 0);
     daemon.shutdown();
+    server.stop();
+}
+
+/// A guest whose topology marker, step count and task graph disagree, or
+/// a host whose links and adjacency lists break `add_link`'s invariants,
+/// is a typed 400 at admission: neither reaches a worker or a connection
+/// thread's placement, and the daemon keeps serving.
+#[test]
+fn malformed_guests_and_hosts_are_400s() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    let client = Client::new(server.addr().to_string());
+    let pk = ProgramKind::KvWorkload;
+    let dag = GuestSpec::dag(TaskGraph::wavefront(16, 16), pk, 3);
+    let mut no_graph = spec(16, 16);
+    no_graph.guest.topology = GuestTopology::Dag {
+        dbs: 16,
+        layers: 16,
+    };
+    let mut line_with_graph = spec(16, 16);
+    line_with_graph.guest.graph = dag.graph.clone();
+    let mut wrong_dbs = spec(16, 16);
+    wrong_dbs.guest = dag;
+    wrong_dbs.guest.topology = GuestTopology::Dag {
+        dbs: 12,
+        layers: 16,
+    };
+    for bad in [no_graph, line_with_graph, wrong_dbs] {
+        match client.submit(&bad) {
+            Err(overlap_daemon::ClientError::Api { status, message }) => {
+                assert_eq!(status, 400);
+                assert!(message.contains("guest"), "{message}");
+            }
+            other => panic!("expected 400, got {other:?}"),
+        }
+    }
+    // Hosts go over raw HTTP: `HostGraph`'s tables cannot be built
+    // inconsistent through its API. On an 8-node line with delay-2 links,
+    // node 0's adjacency names node 99 in one, and link 0-1 has delay 0
+    // (in its link and both adjacency entries) in the other.
+    let mut host = HostGraph::new("line8", 8);
+    for v in 0..7 {
+        host.add_link(v, v + 1, 2);
+    }
+    let mut line8 = spec(16, 16);
+    line8.host = host;
+    let good = serde_json::to_string(&line8).unwrap();
+    let adj_99: &[(&str, &str)] = &[("\"adj\":[[[1,2]]", "\"adj\":[[[99,2]]")];
+    let delay_0: &[(&str, &str)] = &[
+        (
+            "{\"a\":0,\"b\":1,\"delay\":2}",
+            "{\"a\":0,\"b\":1,\"delay\":0}",
+        ),
+        ("\"adj\":[[[1,2]],[[0,2]", "\"adj\":[[[1,0]],[[0,0]"),
+    ];
+    for (edits, reason) in [
+        (adj_99, "adjacency lists disagree with the links"),
+        (delay_0, "link 0-1 has delay 0"),
+    ] {
+        let mut bad = good.clone();
+        for (from, to) in edits {
+            let edited = bad.replacen(from, to, 1);
+            assert_ne!(edited, bad, "spec JSON must contain {from}");
+            bad = edited;
+        }
+        let (status, text) = raw_http(
+            server.addr(),
+            &format!(
+                "POST /v1/scenarios HTTP/1.1\r\nContent-Length: {}",
+                bad.len()
+            ),
+            &bad,
+        );
+        assert_eq!(status, 400, "{text}");
+        assert!(text.contains(reason), "{text}");
+    }
+    assert_eq!(client.cache().unwrap().misses, 0);
+    let id = client
+        .submit(&line8)
+        .expect("a valid submission after the 400s");
+    assert!(done_record(&client, id).validated);
+    assert_eq!(client.status(id).unwrap().status, Status::Done);
+    client.shutdown().expect("shutdown");
     server.stop();
 }

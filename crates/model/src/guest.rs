@@ -542,6 +542,31 @@ impl GuestSpec {
         }
     }
 
+    /// Check that a guest decoded from the wire agrees with itself: the
+    /// topology is [`GuestTopology::Dag`] exactly when `graph` is present,
+    /// a `Dag` marker's `dbs` and `layers` and the guest's `steps` match
+    /// the graph, and the graph's tables are well formed
+    /// ([`TaskGraph::validate`]).
+    pub fn validate(&self) -> Result<(), String> {
+        match (&self.topology, &self.graph) {
+            (&GuestTopology::Dag { dbs, layers }, Some(g)) => {
+                if (dbs, layers, self.steps) != (g.num_dbs(), g.layers(), g.layers()) {
+                    return Err(format!(
+                        "a Dag marker of {dbs} dbs × {layers} layers over {} steps \
+                         disagrees with its {} × {} task graph",
+                        self.steps,
+                        g.num_dbs(),
+                        g.layers()
+                    ));
+                }
+                g.validate()
+            }
+            (GuestTopology::Dag { .. }, None) => Err("a Dag topology needs its task graph".into()),
+            (_, Some(_)) => Err("only a Dag topology carries a task graph".into()),
+            (_, None) => Ok(()),
+        }
+    }
+
     /// Largest dependency-list length over all pebbles of this guest.
     pub fn max_deps(&self) -> usize {
         match &self.graph {

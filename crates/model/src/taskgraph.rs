@@ -162,6 +162,50 @@ impl TaskGraph {
         self.costs.iter().map(|&c| c as u64).sum()
     }
 
+    /// Check a graph decoded from the wire against the shapes
+    /// [`DagBuilder::build`] produces: at least one lane; offsets, costs
+    /// and relay flags sized `num_dbs × layers`; offsets that run from 0
+    /// to the end of the dependency list without going back; every cell
+    /// dependency naming a lane below `num_dbs`; costs ≥ 1; and summary
+    /// fields (`max_deps`, `uniform`) that match the tables.
+    pub fn validate(&self) -> Result<(), String> {
+        let slots = self.num_dbs as usize * self.layers as usize;
+        let sized = self.num_dbs >= 1
+            && self.dep_off.len() == slots + 1
+            && self.costs.len() == slots
+            && self.relay.len() == slots;
+        if !sized {
+            return Err(format!(
+                "task-graph tables are not sized for {} lanes × {} layers",
+                self.num_dbs, self.layers
+            ));
+        }
+        if self.dep_off[0] != 0
+            || self.dep_off.windows(2).any(|w| w[0] > w[1])
+            || self.dep_off[slots] as usize != self.deps.len()
+        {
+            return Err("task-graph dependency offsets do not cover its dependency list".into());
+        }
+        if self
+            .deps
+            .iter()
+            .any(|d| matches!(*d, Dep::Cell(c) if c >= self.num_dbs))
+        {
+            return Err(format!(
+                "a task depends on a lane outside 0..{}",
+                self.num_dbs
+            ));
+        }
+        if self.costs.contains(&0) {
+            return Err("task cost must be ≥ 1".into());
+        }
+        let max_deps = self.dep_off.windows(2).map(|w| (w[1] - w[0]) as usize);
+        if (self.max_deps, self.uniform) != (max_deps.max().unwrap_or(0), self.detect_uniform()) {
+            return Err("task-graph summary fields disagree with its tables".into());
+        }
+        Ok(())
+    }
+
     /// All lanes whose values lane `db` ever reads, over every layer
     /// (sorted, deduplicated, excluding `db` itself) — the lane adjacency
     /// that routing subscribes to.
@@ -476,6 +520,33 @@ impl DagBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every generator's graph passes the decode check; tables resized or
+    /// pointing past the last lane do not.
+    #[test]
+    fn validate_accepts_built_graphs_and_rejects_bent_tables() {
+        let good = [
+            TaskGraph::pebble_grid(&GuestTopology::Line { m: 6 }, 4),
+            TaskGraph::wavefront(5, 0),
+            TaskGraph::fork_join(3),
+            TaskGraph::layered_random(6, 5, 2, 3, 9),
+        ];
+        for g in &good {
+            assert_eq!(g.validate(), Ok(()), "{g:?}");
+        }
+        let g = TaskGraph::layered_random(6, 5, 2, 3, 9);
+        let mut short = g.clone();
+        short.costs.pop();
+        let mut far = g.clone();
+        far.deps[0] = Dep::Cell(99);
+        let mut zero = g.clone();
+        zero.costs[0] = 0;
+        let mut flipped = g;
+        flipped.uniform = !flipped.uniform;
+        for bad in [short, far, zero, flipped] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn pebble_grid_is_uniform_and_mirrors_topology() {

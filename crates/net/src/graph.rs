@@ -148,6 +148,40 @@ impl HostGraph {
         (0..self.n).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
+    /// Check a graph decoded from the wire against the invariants
+    /// [`add_link`](Self::add_link) keeps: every link has `a < b < n`
+    /// and delay ≥ 1 and appears once, and the adjacency lists are
+    /// exactly those the links build, in order.
+    pub fn validate(&self) -> Result<(), String> {
+        // Compared before allocating: `n` is read from the wire.
+        if self.adj.len() != self.n as usize {
+            return Err(format!(
+                "{} adjacency lists for {} nodes",
+                self.adj.len(),
+                self.n
+            ));
+        }
+        let mut adj: Vec<Vec<(NodeId, Delay)>> = vec![Vec::new(); self.n as usize];
+        for l in &self.links {
+            let (a, b) = (l.a, l.b);
+            if a >= b || b >= self.n {
+                return Err(format!("link {a}-{b} is not a < b < {}", self.n));
+            }
+            if l.delay == 0 {
+                return Err(format!("link {a}-{b} has delay 0"));
+            }
+            if adj[a as usize].iter().any(|&(x, _)| x == b) {
+                return Err(format!("link {a}-{b} appears twice"));
+            }
+            adj[a as usize].push((b, l.delay));
+            adj[b as usize].push((a, l.delay));
+        }
+        if adj != self.adj {
+            return Err("the adjacency lists disagree with the links".into());
+        }
+        Ok(())
+    }
+
     /// BFS connectivity check (ignoring delays).
     pub fn is_connected(&self) -> bool {
         if self.n == 0 {
@@ -205,6 +239,34 @@ mod tests {
         g.add_link(1, 2, 5);
         g.add_link(2, 0, 2);
         g
+    }
+
+    /// `validate` accepts what `add_link` builds and rejects each
+    /// invariant a decoded graph can break.
+    #[test]
+    fn validate_checks_add_link_invariants() {
+        assert_eq!(triangle().validate(), Ok(()));
+        let mut far = triangle();
+        far.adj[0][0].0 = 99;
+        let mut flipped = triangle();
+        flipped.links[0] = Link {
+            a: 1,
+            b: 0,
+            delay: 1,
+        };
+        let mut zero = triangle();
+        zero.links[0].delay = 0;
+        zero.adj[0][0].1 = 0;
+        zero.adj[1][0].1 = 0;
+        let mut twice = triangle();
+        twice.links.push(twice.links[0]);
+        let mut reordered = triangle();
+        reordered.adj[1].reverse();
+        let mut huge = triangle();
+        huge.n = u32::MAX;
+        for bad in [far, flipped, zero, twice, reordered, huge] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

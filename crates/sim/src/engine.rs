@@ -39,7 +39,7 @@ use crate::bandwidth::BandwidthMode;
 use crate::calendar::CalendarQueue;
 use crate::control::{EngineKind, RunControl};
 use crate::faults::FaultRt;
-use crate::plan::{DepSrc, ExecPlan, ProcTables, Routes, SUB_BIT};
+use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, Routes, SUB_BIT};
 use crate::routing::RoutingTable;
 use crate::stats::{FaultStats, RunStats};
 use crate::trace::{
@@ -830,7 +830,7 @@ impl<'a> Engine<'a> {
     /// callers that already made it.
     pub(crate) fn run_traced_unchecked(&self, cfg: TraceConfig) -> Result<RunOutcome, RunError> {
         let plan = self.plan()?;
-        let hot = &plan.hot;
+        let hot: &Hot = &plan.hot;
         let cid_of = |proc: NodeId, cell: u32| -> u32 {
             let p = proc as usize;
             let pos = hot.procs[p]
@@ -839,7 +839,7 @@ impl<'a> Engine<'a> {
                 .expect("route source holds its cell");
             hot.copy_off[p] + pos as u32
         };
-        let (sub_src, tree_src) = match &plan.routes {
+        let (sub_src, tree_src) = match &*plan.routes {
             Routes::Unicast(rt) => (
                 rt.subs.iter().map(|s| cid_of(s.source, s.cell)).collect(),
                 Vec::new(),
@@ -874,8 +874,10 @@ impl<'a> Engine<'a> {
         tracer: &mut T,
     ) -> Result<RunOutcome, RunError> {
         let plan = self.plan()?;
-        let routing = &plan.routes;
-        let hot = &plan.hot;
+        // Bind the tables once, so the dispatch loop never goes through
+        // the plan's `Cow`s.
+        let routing: &Routes = &plan.routes;
+        let hot: &Hot = &plan.hot;
         let n = plan.host.num_nodes();
         let steps = plan.guest.steps;
         let stride = steps as usize + 1;

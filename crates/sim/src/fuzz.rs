@@ -16,10 +16,9 @@
 //!    below;
 //! 3. on a failure, [`shrink`] greedily simplifies the spec (drop faults,
 //!    clear costs, flatten delays, halve the guest/host) while the
-//!    failure persists — fault- and cost-only simplifications reuse one
-//!    lowering via [`ExecPlan::apply_delta`] — and
-//!    [`Divergence::repro_test`] prints the minimal scenario as a
-//!    paste-able regression test.
+//!    failure persists, re-checking each candidate from scratch through
+//!    [`check_spec`], and [`Divergence::repro_test`] prints the minimal
+//!    scenario as a paste-able regression test.
 //!
 //! # Invariant catalogue
 //!
@@ -47,7 +46,7 @@ use crate::control::EngineKind;
 use crate::engine::{Engine, EngineConfig, MemBudget, RunOutcome};
 use crate::faults::FaultPlan;
 use crate::lockstep::run_lockstep;
-use crate::plan::{ExecPlan, PlanDelta};
+use crate::plan::ExecPlan;
 use crate::stats::FaultStats;
 use crate::stepped::run_stepped;
 use crate::trace::TraceConfig;
@@ -807,33 +806,22 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
             Err(e) => return Err(format!("fault plan rejected: {e}")),
         };
     }
-    check_plan(spec, &plan)
-}
-
-/// Drive every engine an already-lowered plan is legal for, auditing the
-/// full invariant catalogue — the body of [`check_spec`], factored out so
-/// the shrinker can re-check fault- and cost-only candidates through
-/// [`ExecPlan::apply_delta`] on a shared plan instead of re-lowering per
-/// candidate. `spec` must describe the plan (it is consulted for audit
-/// expectations); [`EngineKind::check`] decides which engines are legal.
-pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
-    let guest = plan.guest();
-    let assign = plan.assignment();
-    let legal = |kind: EngineKind, traced| kind.check_plan(plan, traced).is_ok();
+    // `EngineKind::check` decides which engines are legal.
+    let legal = |kind: EngineKind, traced| kind.check_plan(&plan, traced).is_ok();
     let mut problems: Vec<String> = Vec::new();
 
-    let reference = ReferenceRun::execute(guest);
+    let reference = ReferenceRun::execute(&guest);
 
     // Event engine: the ground truth the others are compared against,
     // timed so its completion ticks can be audited.
-    let ev = match Engine::from_plan(plan).run_timed() {
+    let ev = match Engine::from_plan(&plan).run_timed() {
         Ok(out) => out,
         Err(e) => return Err(format!("event engine failed: {e}")),
     };
     for err in validate_run(&reference, &ev) {
         problems.push(format!("event vs reference: {err:?}"));
     }
-    audit_outcome("event", spec, guest, assign, &ev, &mut problems);
+    audit_outcome("event", spec, &guest, &assign, &ev, &mut problems);
     for p in audit_causality(&ev) {
         problems.push(format!("event causality: {p}"));
     }
@@ -844,7 +832,7 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
         timing: None,
         ..ev.clone()
     };
-    match Engine::from_plan(plan).run() {
+    match Engine::from_plan(&plan).run() {
         Ok(again) if again != untimed => {
             problems.push("untimed rerun from the same plan diverged".into());
         }
@@ -855,7 +843,7 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
     // Traced run: identical to the timed run modulo the stall report,
     // which must conserve every tick of every surviving copy.
     if legal(EngineKind::Event, true) {
-        match Engine::from_plan(plan).run_traced(TraceConfig::default()) {
+        match Engine::from_plan(&plan).run_traced(TraceConfig::default()) {
             Ok(traced) => {
                 let report = traced.trace.clone().expect("tracing was enabled");
                 if report.totals.total() != traced.stats.makespan * traced.copies.len() as u64 {
@@ -888,12 +876,12 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
     }
 
     if legal(EngineKind::Stepped, false) {
-        match run_stepped(plan) {
+        match run_stepped(&plan) {
             Ok(st) => {
                 for err in validate_run(&reference, &st) {
                     problems.push(format!("stepped vs reference: {err:?}"));
                 }
-                audit_outcome("stepped", spec, guest, assign, &st, &mut problems);
+                audit_outcome("stepped", spec, &guest, &assign, &st, &mut problems);
                 audit_same_state("event vs stepped", &ev, &st, &mut problems);
                 if spec.faults.is_empty() && ev.stats.messages != st.stats.messages {
                     problems.push(format!(
@@ -907,7 +895,7 @@ pub fn check_plan(spec: &ScenarioSpec, plan: &ExecPlan) -> Result<(), String> {
     }
 
     if legal(EngineKind::Lockstep, false) {
-        match run_lockstep(plan) {
+        match run_lockstep(&plan) {
             Ok(lk) => {
                 for err in validate_run(&reference, &lk) {
                     problems.push(format!("lockstep vs reference: {err:?}"));
@@ -1087,41 +1075,10 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
     out
 }
 
-/// If `cand` differs from `cur` **only** in its fault list or **only**
-/// in its compute costs, the [`PlanDelta`] that turns `cur`'s lowered
-/// plan into `cand`'s — such candidates share `cur`'s lowering.
-fn fault_or_cost_delta(cur: &ScenarioSpec, cand: &ScenarioSpec) -> Option<PlanDelta> {
-    let same_but_faults = ScenarioSpec {
-        faults: cur.faults.clone(),
-        ..cand.clone()
-    } == *cur;
-    if same_but_faults {
-        return Some(PlanDelta::Faults(if cand.faults.is_empty() {
-            None
-        } else {
-            Some(cand.build_faults())
-        }));
-    }
-    let same_but_costs = ScenarioSpec {
-        costs: cur.costs.clone(),
-        ..cand.clone()
-    } == *cur;
-    if same_but_costs {
-        return Some(PlanDelta::ComputeCosts(cand.costs.clone()));
-    }
-    None
-}
-
 /// Greedily shrink a failing spec: repeatedly adopt the first candidate
 /// simplification that still fails, until none does. The result is the
 /// minimal failing scenario this strategy can reach, together with its
 /// failure detail.
-///
-/// Candidates that differ from the current spec only in faults or only
-/// in compute costs are checked through [`ExecPlan::apply_delta`] on a
-/// plan lowered once per round (the delta's inverse restores it), so the
-/// most common shrink steps — dropping fault entries, clearing costs —
-/// never re-lower. Everything else goes through [`check_spec`].
 pub fn shrink(spec: &ScenarioSpec) -> (ScenarioSpec, String) {
     let mut cur = spec.clone();
     let mut detail = match check_spec(&cur) {
@@ -1132,42 +1089,8 @@ pub fn shrink(spec: &ScenarioSpec) -> (ScenarioSpec, String) {
     // terminates; the iteration cap is a pure backstop.
     for _ in 0..200 {
         let mut improved = false;
-        // One lowering per round serves every fault/cost-only candidate.
-        let guest = cur.build_guest();
-        let host = cur.build_host();
-        let assign = cur.build_assignment();
-        let config = EngineConfig {
-            multicast: cur.multicast,
-            mem: cur.mem,
-            ..EngineConfig::default()
-        };
-        let mut base = ExecPlan::build(&guest, &host, &assign, config)
-            .ok()
-            .map(|p| match &cur.costs {
-                Some(c) => p.with_compute_costs(c.clone()),
-                None => p,
-            })
-            .and_then(|p| {
-                if cur.faults.is_empty() {
-                    Some(p)
-                } else {
-                    p.with_faults(cur.build_faults()).ok()
-                }
-            });
         for cand in candidates(&cur) {
-            let res = match (&mut base, fault_or_cost_delta(&cur, &cand)) {
-                (Some(plan), Some(delta)) => match plan.apply_delta(delta) {
-                    Ok(receipt) => {
-                        let r = check_plan(&cand, plan);
-                        plan.apply_delta(receipt.inverse)
-                            .expect("inverse delta must apply");
-                        r
-                    }
-                    Err(_) => check_spec(&cand),
-                },
-                _ => check_spec(&cand),
-            };
-            if let Err(d) = res {
+            if let Err(d) = check_spec(&cand) {
                 cur = cand;
                 detail = d;
                 improved = true;

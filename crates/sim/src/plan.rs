@@ -21,8 +21,11 @@
 //! [`run_stepped`], [`run_lockstep`]) instead of re-lowering, so a sweep
 //! can build the plan once per `(host, strategy)` point and share it
 //! across repeats, engines, and fault variants. The plan also carries the
-//! run's compute costs and fault schedule, the only place they live;
-//! [`ExecPlan::apply_delta`] swaps them without re-lowering.
+//! run's compute costs and fault schedule, the only place they live.
+//! [`ExecPlan::share`] hands out a view that borrows the lowering and
+//! brings its own costs and faults, so runs of many variants share one
+//! base read-only; [`ExecPlan::apply_delta`] edits a plan (or a view,
+//! copying on write) without re-lowering.
 //!
 //! [`Engine::from_plan`]: crate::engine::Engine::from_plan
 //! [`run_stepped`]: crate::stepped::run_stepped
@@ -66,6 +69,7 @@ pub(crate) enum DepSrc {
 /// over steps: a superset wake is harmless (`try_enqueue` re-checks
 /// readiness against the step's actual check list) and cannot miss (every
 /// readiness change flows through a dependency that is in the union).
+#[derive(Clone)]
 pub(crate) struct ProcTables {
     /// Held cells (sorted).
     pub(crate) cells: Vec<u32>,
@@ -120,6 +124,7 @@ impl ProcTables {
 }
 
 /// All interned hot-path tables, built once per plan.
+#[derive(Clone)]
 pub(crate) struct Hot {
     /// Delay per directed link id.
     pub(crate) link_delay: Vec<Delay>,
@@ -420,6 +425,7 @@ impl LinkIndex {
 }
 
 /// Which route structure a plan uses.
+#[derive(Clone)]
 pub(crate) enum Routes {
     Unicast(RoutingTable),
     Multicast(MulticastTable),
@@ -470,8 +476,10 @@ pub enum PlanDelta {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppliedDelta {
     /// The delta that undoes this one — applying it restores the plan to
-    /// its prior state (sweeps and the fuzzer's shrinker use this to walk
-    /// a neighbourhood of plans without re-lowering).
+    /// its prior state (a delay sweep uses this to walk a neighbourhood
+    /// of plans without re-lowering). A run that only needs a fault or
+    /// cost variant of a shared plan attaches it to a
+    /// [`share`](ExecPlan::share)d view instead, which needs no undo.
     pub inverse: PlanDelta,
     /// True when the delta forced the routes and interned tables to be
     /// rebuilt (still in place, sharing the guest and assignment).
@@ -501,7 +509,8 @@ pub struct AppliedDelta {
 /// assert_eq!(st.copies.len(), lk.copies.len());
 /// ```
 pub struct ExecPlan<'a> {
-    /// Borrowed from the caller by [`build`](Self::build); owned after
+    /// Borrowed from the caller by [`build`](Self::build) and from the
+    /// base plan by [`share`](Self::share); owned after
     /// [`into_owned`](Self::into_owned) / [`build_owned`](Self::build_owned)
     /// (the daemon's plan cache stores `ExecPlan<'static>` entries).
     pub(crate) guest: Cow<'a, GuestSpec>,
@@ -510,10 +519,14 @@ pub struct ExecPlan<'a> {
     pub(crate) host: Cow<'a, HostGraph>,
     pub(crate) assign: Cow<'a, Assignment>,
     pub(crate) config: EngineConfig,
+    /// What rides on the plan: never borrowed, so a view's variant is
+    /// its own.
     pub(crate) compute_costs: Option<Vec<u32>>,
     pub(crate) faults: Option<FaultPlan>,
-    pub(crate) routes: Routes,
-    pub(crate) hot: Hot,
+    /// The lowering. Owned by a built plan; borrowed by a shared view
+    /// until a link-delay delta copies it on write.
+    pub(crate) routes: Cow<'a, Routes>,
+    pub(crate) hot: Cow<'a, Hot>,
 }
 
 impl std::fmt::Debug for ExecPlan<'_> {
@@ -570,8 +583,8 @@ impl<'a> ExecPlan<'a> {
             config,
             compute_costs: None,
             faults: None,
-            routes,
-            hot,
+            routes: Cow::Owned(routes),
+            hot: Cow::Owned(hot),
         })
     }
 
@@ -585,24 +598,17 @@ impl<'a> ExecPlan<'a> {
         assign: Assignment,
         config: EngineConfig,
     ) -> Result<ExecPlan<'static>, RunError> {
-        let plan = ExecPlan::build(&guest, &host, &assign, config)?;
-        let ExecPlan {
-            config,
-            compute_costs,
-            faults,
-            routes,
-            hot,
-            ..
-        } = plan;
+        let ExecPlan { routes, hot, .. } = ExecPlan::build(&guest, &host, &assign, config)?;
+        let (routes, hot) = (routes.into_owned(), hot.into_owned());
         Ok(ExecPlan {
             guest: Cow::Owned(guest),
             host: Cow::Owned(host),
             assign: Cow::Owned(assign),
             config,
-            compute_costs,
-            faults,
-            routes,
-            hot,
+            compute_costs: None,
+            faults: None,
+            routes: Cow::Owned(routes),
+            hot: Cow::Owned(hot),
         })
     }
 
@@ -617,8 +623,30 @@ impl<'a> ExecPlan<'a> {
             config: self.config,
             compute_costs: self.compute_costs,
             faults: self.faults,
-            routes: self.routes,
-            hot: self.hot,
+            routes: Cow::Owned(self.routes.into_owned()),
+            hot: Cow::Owned(self.hot.into_owned()),
+        }
+    }
+
+    /// A view of this plan for one run: it borrows the inputs, routes and
+    /// interned tables and carries its own copy of the compute costs and
+    /// fault plan. Attach the run's variant to the view with
+    /// [`with_faults`](Self::with_faults) /
+    /// [`with_compute_costs`](Self::with_compute_costs). Nothing done to
+    /// a view reaches its base ([`apply_delta`](Self::apply_delta) copies
+    /// what it edits), so runs of many variants can share one base in
+    /// parallel, read-only. A view runs bit-identically to the base with
+    /// the same variant attached.
+    pub fn share(&self) -> ExecPlan<'_> {
+        ExecPlan {
+            guest: Cow::Borrowed(&self.guest),
+            host: Cow::Borrowed(&self.host),
+            assign: Cow::Borrowed(&self.assign),
+            config: self.config,
+            compute_costs: self.compute_costs.clone(),
+            faults: self.faults.clone(),
+            routes: Cow::Borrowed(&self.routes),
+            hot: Cow::Borrowed(&self.hot),
         }
     }
 
@@ -691,7 +719,7 @@ impl<'a> ExecPlan<'a> {
     /// The unicast routing table (for reporting); `None` when the plan
     /// was lowered for multicast trees.
     pub fn routing(&self) -> Option<&RoutingTable> {
-        match &self.routes {
+        match &*self.routes {
             Routes::Unicast(r) => Some(r),
             Routes::Multicast(_) => None,
         }
@@ -733,6 +761,9 @@ impl<'a> ExecPlan<'a> {
     /// (`relowered: true` in the receipt) — still cheaper than a fresh
     /// [`build`](Self::build) call site, and the plan's identity (guest,
     /// assignment, config, attached faults/costs) is preserved.
+    ///
+    /// On a [`share`](Self::share)d view, a delay change copies the host
+    /// and the tables it edits first, so the base never sees it.
     ///
     /// The receipt's [`inverse`](AppliedDelta::inverse) restores the
     /// prior plan state; a delta-applied plan is always bit-identical to
@@ -794,20 +825,22 @@ impl<'a> ExecPlan<'a> {
                 let fwd = (2 * li) as u32; // directed ids 2i / 2i+1
                 let fast = is_tree
                     || (delay > old
-                        && matches!(self.routes, Routes::Unicast(_))
+                        && matches!(*self.routes, Routes::Unicast(_))
                         && !self.hot.sub_links.iter().any(|&l| l == fwd || l == fwd + 1));
                 self.host.to_mut().set_link_delay(lo, hi, delay);
                 if fast {
-                    self.hot.link_delay[fwd as usize] = delay;
-                    self.hot.link_delay[fwd as usize + 1] = delay;
-                    if let Routes::Unicast(rt) = &mut self.routes {
+                    // Copy on write: a shared view gets tables of its own.
+                    let hot = self.hot.to_mut();
+                    hot.link_delay[fwd as usize] = delay;
+                    hot.link_delay[fwd as usize + 1] = delay;
+                    if let Routes::Unicast(rt) = self.routes.to_mut() {
                         // Patch unicast route totals (tree case; on the
                         // unused-link path every count is zero). Routes are
                         // simple paths, so a link is crossed at most once.
                         for (sid, sub) in rt.subs.iter_mut().enumerate() {
-                            let r = self.hot.sub_link_off[sid] as usize
-                                ..self.hot.sub_link_off[sid + 1] as usize;
-                            let uses = self.hot.sub_links[r]
+                            let r =
+                                hot.sub_link_off[sid] as usize..hot.sub_link_off[sid + 1] as usize;
+                            let uses = hot.sub_links[r]
                                 .iter()
                                 .filter(|&&l| l == fwd || l == fwd + 1)
                                 .count() as u64;
@@ -830,8 +863,9 @@ impl<'a> ExecPlan<'a> {
                             self.guest.dep_union(c)
                         }))
                     };
-                    self.hot = Hot::build(&self.guest, &self.host, &self.assign, &routes);
-                    self.routes = routes;
+                    self.hot =
+                        Cow::Owned(Hot::build(&self.guest, &self.host, &self.assign, &routes));
+                    self.routes = Cow::Owned(routes);
                     Ok(AppliedDelta {
                         inverse,
                         relowered: true,
@@ -936,7 +970,7 @@ mod tests {
             ..Default::default()
         };
         let mc = ExecPlan::build(&guest, &host, &assign, mc_cfg).unwrap();
-        let Routes::Multicast(mt) = &mc.routes else {
+        let Routes::Multicast(mt) = &*mc.routes else {
             unreachable!()
         };
         for (tid, t) in mt.trees.iter().enumerate() {

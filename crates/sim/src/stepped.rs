@@ -48,7 +48,7 @@
 use crate::control::EngineKind;
 use crate::engine::{inject, CopyRecord, DynSub, LinkSlot, RunError, RunOutcome};
 use crate::faults::FaultRt;
-use crate::plan::{DepSrc, ExecPlan, ProcTables, SUB_BIT};
+use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, SUB_BIT};
 use crate::stats::{FaultStats, RunStats};
 use overlap_model::{fold64, Db, PebbleValue, ProgramRef};
 use overlap_net::paths::dijkstra;
@@ -295,7 +295,8 @@ pub(crate) fn run_stepped_controlled(
     let guest = plan.guest();
     let host = plan.host();
     let assign = plan.assignment();
-    let hot = &plan.hot;
+    // Bound once, so the tick loop never goes through the plan's `Cow`s.
+    let hot: &Hot = &plan.hot;
     let rt = plan.routing().expect("unicast plan");
     let n = host.num_nodes();
     let steps = guest.steps;

@@ -1,10 +1,12 @@
 //! Incremental-plan contracts: a delta-applied [`ExecPlan`] must be
 //! **bit-identical** to a from-scratch lowering of the changed inputs, on
 //! every engine — and the delta's inverse must restore the base plan
-//! exactly. Covers link-delay edits (both the patch-in-place fast path
-//! and the re-lowering slow path), fault-plan swaps, and compute-cost
-//! overrides, over grid guests, non-uniform task-graph guests, and
-//! memory-budgeted configurations.
+//! exactly. The same delta applied to a shared view (`ExecPlan::share`)
+//! must match the fresh lowering too and leave its base untouched.
+//! Covers link-delay edits (both the patch-in-place fast path and the
+//! re-lowering slow path), fault-plan swaps, and compute-cost overrides,
+//! over grid guests, non-uniform task-graph guests, and memory-budgeted
+//! configurations.
 
 use overlap::model::TaskGraph;
 use overlap::sim::engine::MemBudget;
@@ -34,7 +36,9 @@ fn run_all(plan: &ExecPlan) -> Vec<(&'static str, Result<RunOutcome, String>)> {
 }
 
 /// Assert the delta-applied plan matches a fresh lowering on every
-/// engine, then assert the inverse restores the base plan bit-exactly.
+/// engine, then assert the inverse restores the base plan bit-exactly,
+/// then assert the delta on a shared view matches too and leaves the
+/// view's base as it was.
 fn check_delta(
     guest: &GuestSpec,
     host: &HostGraph,
@@ -71,6 +75,27 @@ fn check_delta(
     assert_eq!(base_runs.len(), restored.len());
     for ((eng, b), (_, r)) in base_runs.iter().zip(&restored) {
         assert_eq!(b, r, "{eng}: inverse failed to restore the base plan");
+    }
+
+    // The same delta on a shared view of an untouched base: the view
+    // matches the fresh lowering, and the base never sees the delta (a
+    // link-delay edit copies the view's tables on write).
+    let base = ExecPlan::build(guest, host, assign, config).expect("base plan");
+    let mut view = base.share();
+    view.apply_delta(delta.clone())
+        .expect("delta applies to a view");
+    let got = run_all(&view);
+    assert_eq!(got.len(), want.len(), "engine sets differ");
+    for ((eng, g), (_, w)) in got.iter().zip(&want) {
+        assert_eq!(
+            g, w,
+            "{eng}: delta on a view != fresh lowering for {delta:?}"
+        );
+    }
+    let untouched = run_all(&base);
+    assert_eq!(base_runs.len(), untouched.len());
+    for ((eng, b), (_, u)) in base_runs.iter().zip(&untouched) {
+        assert_eq!(b, u, "{eng}: a delta on a view reached its base");
     }
 }
 
