@@ -7,7 +7,6 @@ use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
 use overlap_sim::engine::{Engine, EngineConfig};
 use overlap_sim::engine_classic::run_classic;
-use overlap_sim::lockstep::run_lockstep;
 use overlap_sim::stepped::run_stepped;
 use overlap_sim::{Assignment, BandwidthMode, ExecPlan};
 
@@ -45,7 +44,6 @@ fn bench_engine(c: &mut Criterion) {
         });
         let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
         g.bench_function("impl/stepped", |b| b.iter(|| run_stepped(&plan).unwrap()));
-        g.bench_function("impl/lockstep", |b| b.iter(|| run_lockstep(&plan).unwrap()));
         g.bench_function("impl/event-shared-plan", |b| {
             b.iter(|| Engine::from_plan(&plan).run().unwrap())
         });

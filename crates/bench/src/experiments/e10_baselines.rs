@@ -3,8 +3,9 @@
 //! particularly impressive".
 //!
 //! Hosts: spike-delay lines with `d_ave` pinned ≈ 2 and `d_max` swept.
-//! Strategies: lockstep (analytic `d_max+1`), blocked, complementary
-//! slackness, OVERLAP and combined.
+//! Strategies: lockstep (the closed form `load + d_max` per step, read
+//! off the blocked run's report), blocked, complementary slackness,
+//! OVERLAP and combined.
 
 use super::simulate_line_with_trace;
 use crate::scale::Scale;
@@ -13,10 +14,7 @@ use overlap_core::pipeline::Strategy;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
-use overlap_sim::engine::EngineConfig;
-use overlap_sim::lockstep::run_lockstep;
 use overlap_sim::sweep::par_map;
-use overlap_sim::{Assignment, ExecPlan};
 
 /// Run the baseline-comparison table.
 pub fn run(scale: Scale) -> Table {
@@ -57,10 +55,6 @@ pub fn run(scale: Scale) -> Table {
             },
             0,
         );
-        let blocked_assign = Assignment::blocked(n, guest.num_cells());
-        let lock_plan =
-            ExecPlan::build(&guest, &host, &blocked_assign, EngineConfig::default()).unwrap();
-        let lock = run_lockstep(&lock_plan).unwrap();
         let b = simulate_line_with_trace(&guest, &host, Strategy::Blocked, &trace).unwrap();
         let s = simulate_line_with_trace(&guest, &host, Strategy::Slackness, &trace).unwrap();
         let o =
@@ -75,7 +69,8 @@ pub fn run(scale: Scale) -> Table {
             &trace,
         )
         .unwrap();
-        (spike, lock.stats.slowdown, b, s, o, c)
+        let lockstep = b.lockstep_makespan.unwrap() as f64 / steps as f64;
+        (spike, lockstep, b, s, o, c)
     });
     for (spike, lockstep, b, s, o, c) in rows {
         let best_baseline = lockstep.min(b.stats.slowdown).min(s.stats.slowdown);
@@ -121,6 +116,12 @@ mod tests {
         let t = run(Scale::Quick);
         let blocked = t.column_f64("blocked");
         let dmax = t.column_f64("d_max");
+        // Blocked places 8 cells on every processor at both scales, and
+        // a spike line's slowest route is one d_max link: each lockstep
+        // round costs exactly load + d_max.
+        for (lockstep, d) in t.column_f64("lockstep").iter().zip(&dmax) {
+            assert_eq!(*lockstep, 8.0 + d, "lockstep at d_max {d}");
+        }
         let growth = blocked.last().unwrap() / blocked[0];
         let dgrowth = dmax.last().unwrap() / dmax[0];
         assert!(

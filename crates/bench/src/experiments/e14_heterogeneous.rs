@@ -14,7 +14,7 @@ use overlap_core::baseline::weighted_blocked;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
-use overlap_sim::engine::EngineConfig;
+use overlap_sim::engine::{Engine, EngineConfig};
 use overlap_sim::validate::validate_run;
 use overlap_sim::{Assignment, ExecPlan};
 
@@ -51,11 +51,10 @@ pub fn run(scale: Scale) -> Table {
         let blocked = Assignment::blocked(n, cells);
         let weighted = weighted_blocked(&costs, cells);
         let run = |a: &Assignment| {
-            let out = ExecPlan::build(&guest, &host, a, EngineConfig::default())
+            let plan = ExecPlan::build(&guest, &host, a, EngineConfig::default())
                 .expect("plan")
-                .with_compute_costs(costs.clone())
-                .run()
-                .expect("run");
+                .with_compute_costs(costs.clone());
+            let out = Engine::from_plan(&plan).run().expect("run");
             let ok = validate_run(&trace, &out).is_empty();
             (out.stats.slowdown, ok)
         };

@@ -1,5 +1,5 @@
 //! Plan-reuse benchmark: sweep wall-clock with a shared `ExecPlan` vs a
-//! fresh lowering per run, for each of the three engines.
+//! fresh lowering per run, for each of the two engines.
 //!
 //! A sweep repeats the same `(guest, host, assignment, config)` point —
 //! across repeats, engines, and fault variants — so the lowering work
@@ -31,7 +31,7 @@ use std::time::Instant;
 
 /// One engine's measured sweep, with and without plan reuse.
 pub struct ReuseResult {
-    /// Engine label (`"event"`, `"stepped"`, `"lockstep"`).
+    /// Engine label (`"event"` or `"stepped"`).
     pub engine: &'static str,
     /// Runs per sweep.
     pub repeats: u32,
@@ -97,7 +97,7 @@ pub fn measure(scale: Scale) -> Vec<ReuseResult> {
     let repeats = scale.pick(6u32, 10);
     let reps = scale.pick(3, 5);
 
-    [EngineKind::Event, EngineKind::Stepped, EngineKind::Lockstep]
+    [EngineKind::Event, EngineKind::Stepped]
         .into_iter()
         .map(|kind| {
             let name = kind.label();
@@ -269,7 +269,7 @@ mod tests {
     fn json_is_well_formed_and_reuse_pays() {
         let results = measure(Scale::Quick);
         let delta = measure_delta(Scale::Quick);
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 2);
         let json = to_json(&results, &delta);
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"delta_speedup\""));

@@ -2,8 +2,10 @@
 //!
 //! * **Lockstep**: "slow down the computation to the point where the
 //!   latency is accommodated … the circuit needs to be slowed down to
-//!   accommodate the highest latency" — slowdown `d_max + 1` per step,
-//!   exactly computable without simulation.
+//!   accommodate the highest latency" — slowdown `Θ(d_max + 1)` per step,
+//!   exactly computable without simulation
+//!   (`overlap_sim::ExecPlan::lockstep_makespan`, which every
+//!   [`SimReport`](crate::SimReport) carries).
 //! * **Complementary slackness**: prior approaches "could preserve
 //!   efficiency by using only n/d_max of the processors of H" — a blocked
 //!   layout over `n/d_max` evenly spaced processors.
@@ -15,12 +17,6 @@
 
 use overlap_net::{Delay, HostGraph};
 use overlap_sim::Assignment;
-
-/// The exact makespan of a lockstep simulation: every guest step costs
-/// 1 compute tick plus `d_max` for the global exchange.
-pub fn lockstep_makespan(d_max: Delay, guest_steps: u32) -> u64 {
-    (d_max + 1) * guest_steps as u64
-}
 
 /// Blocked assignment over every host processor (no redundancy).
 pub fn blocked(host: &HostGraph, cells: u32) -> Assignment {
@@ -74,12 +70,6 @@ mod tests {
     use super::*;
     use overlap_net::topology::linear_array;
     use overlap_net::DelayModel;
-
-    #[test]
-    fn lockstep_formula() {
-        assert_eq!(lockstep_makespan(9, 10), 100);
-        assert_eq!(lockstep_makespan(0, 5), 5);
-    }
 
     #[test]
     fn blocked_uses_all_processors() {

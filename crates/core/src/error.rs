@@ -43,10 +43,10 @@ pub enum Error {
         reason: String,
     },
     /// The selected executor does not implement the requested feature
-    /// (e.g. fault injection on the lockstep engine). Features are never
+    /// (e.g. multicast on the stepped engine). Features are never
     /// silently dropped; pick the event engine or drop the option.
     Unsupported {
-        /// The executor that was asked (`"stepped"`, `"lockstep"`, …).
+        /// The executor that was asked (`"stepped"` or `"event (traced)"`).
         engine: &'static str,
         /// The feature it does not implement.
         feature: &'static str,

@@ -19,7 +19,9 @@
 //!   the dilation-3 embedding;
 //! * [`mesh`] — Theorems 7/8: 2-D array guests on linear hosts and NOWs;
 //! * [`baseline`] — the prior approaches the paper compares against:
-//!   lockstep clock-to-`d_max` and complementary slackness;
+//!   complementary slackness and blocked layouts (the lockstep
+//!   clock-to-`d_max` baseline is a closed form over the lowered plan,
+//!   reported as [`SimReport::lockstep_makespan`]);
 //! * [`lower`] — the lower-bound machinery of §6: Theorem 9 single-copy
 //!   certificates on `H1`, Theorem 10 two-copy certificates on `H2`
 //!   (Fact 4, the 4j-pebble zigzag path), and the §4 clique-of-cliques

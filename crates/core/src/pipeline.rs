@@ -163,6 +163,11 @@ pub struct SimReport {
     pub d_max: Delay,
     /// Embedding dilation when the host was not a path (else 0).
     pub dilation: u32,
+    /// The paper's §1 lockstep baseline on the same plan
+    /// (`ExecPlan::lockstep_makespan`); `None` where its closed form does
+    /// not apply (faults, costs, multicast, jitter, a memory budget or
+    /// non-unit task costs).
+    pub lockstep_makespan: Option<u64>,
     /// The full engine outcome (per-copy records, optional timing trace,
     /// fault-recovery counters in `stats.faults`).
     pub outcome: RunOutcome,
@@ -365,12 +370,32 @@ pub struct Placement {
 /// | 2-D mesh, torus, 3-D mesh | `Auto` | Theorem 8: OVERLAP (c = 4, L = 2) over column strips or slabs |
 /// | binary tree | `Auto`, `Blocked` | subtree (DFS) blocks, heap-order blocks |
 ///
-/// Every other pair is [`Error::UnsupportedTopology`].
+/// Every other pair is [`Error::UnsupportedTopology`]. A killing constant
+/// `c` that is not above 2, or a `Combined` expansion of 0, is
+/// [`Error::InvalidConfig`] naming `strategy`.
 pub fn plan_placement(
     guest: &GuestSpec,
     host: &HostGraph,
     strategy: Strategy,
 ) -> Result<Placement, Error> {
+    // OVERLAP's killing needs c > 2 and Theorem 5's intermediate array at
+    // least one position per host position; a strategy decoded from the
+    // wire may carry anything.
+    let invalid = match strategy {
+        Strategy::Overlap { c } | Strategy::Combined { c, .. } if !(c.is_finite() && c > 2.0) => {
+            Some(format!("the killing constant c must exceed 2, not {c}"))
+        }
+        Strategy::Combined { expansion: 0, .. } => {
+            Some("the expansion L must be at least 1".into())
+        }
+        _ => None,
+    };
+    if let Some(reason) = invalid {
+        return Err(Error::InvalidConfig {
+            option: "strategy",
+            reason,
+        });
+    }
     let (order, delays, dilation) = host_as_array(host);
     let positions = order.len() as u32;
     let (cells_of_position, predicted_slowdown) = match (guest.topology, strategy) {
@@ -446,6 +471,44 @@ mod tests {
             .strategy(strategy)
             .build()?
             .run()
+    }
+
+    /// Parameters placement would assert on are typed errors naming the
+    /// strategy, on every guest that takes the strategy.
+    #[test]
+    fn out_of_domain_strategy_parameters_are_invalid_config() {
+        let host = linear_array(8, DelayModel::uniform(1, 9), 1);
+        for guest in [
+            GuestSpec::array(16, ProgramKind::KvWorkload, 1, 4),
+            GuestSpec::ring(16, ProgramKind::KvWorkload, 1, 4),
+        ] {
+            for strategy in [
+                Strategy::Overlap { c: 0.0 },
+                Strategy::Overlap { c: 2.0 },
+                Strategy::Overlap { c: f64::NAN },
+                Strategy::Overlap { c: f64::INFINITY },
+                Strategy::Combined {
+                    c: 2.0,
+                    expansion: 2,
+                },
+                Strategy::Combined {
+                    c: 4.0,
+                    expansion: 0,
+                },
+            ] {
+                let err = plan_placement(&guest, &host, strategy).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        Error::InvalidConfig {
+                            option: "strategy",
+                            ..
+                        }
+                    ),
+                    "{strategy:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -76,8 +76,8 @@ impl ScenarioSpec {
     }
 
     /// Plan and validate this spec through the standard builder: the
-    /// full feature × engine support matrix applies (`trace` on a
-    /// non-event engine, faults on lockstep, a disconnected host, … are
+    /// full feature × engine support matrix applies (`trace` or multicast
+    /// on the stepped engine, a disconnected host, … are
     /// all rejected here with the same typed errors the in-process
     /// API returns). On success the returned [`ReadySimulation`] borrows
     /// this spec and can be lowered and run repeatedly.
@@ -142,7 +142,7 @@ mod tests {
     fn round_trips_through_json() {
         let mut s = spec();
         s.strategy = Strategy::Overlap { c: 4.0 };
-        s.engine = EngineKind::Lockstep;
+        s.engine = EngineKind::Stepped;
         let json = serde_json::to_string(&s).unwrap();
         let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
@@ -183,13 +183,13 @@ mod tests {
         let errors = |s: &ScenarioSpec| (s.ready().unwrap_err(), s.plan_key().unwrap_err());
         let mut s = spec();
         s.trace = true;
-        s.engine = EngineKind::Lockstep;
+        s.engine = EngineKind::Stepped;
         let (a, b) = errors(&s);
         for e in [a, b] {
             assert!(matches!(
                 e,
                 Error::Unsupported {
-                    engine: "lockstep",
+                    engine: "stepped",
                     feature: "stall-attribution tracing"
                 }
             ));

@@ -137,8 +137,8 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Inject a deterministic fault plan (event and stepped engines). An
-    /// empty plan is bit-identical to no plan.
+    /// Inject a deterministic fault plan. An empty plan is bit-identical
+    /// to no plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -200,13 +200,8 @@ impl<'a> SimulationBuilder<'a> {
         }
         // Features the engine cannot time are rejected here, before
         // placement, with `Error::Unsupported` — never dropped at run time.
-        self.engine.check(
-            self.guest,
-            &self.config,
-            self.compute_costs.as_deref(),
-            self.faults.as_ref(),
-            self.trace.is_some(),
-        )?;
+        self.engine
+            .check(self.guest, &self.config, self.trace.is_some())?;
         let (assignment, predicted_slowdown, array_delays, dilation) = match self.assignment {
             Some(a) => {
                 if (a.num_procs(), a.num_cells()) != (host.num_nodes(), self.guest.num_cells()) {
@@ -318,7 +313,8 @@ impl ReadySimulation<'_> {
     }
 
     /// Execute and validate every database copy against the unit-delay
-    /// reference.
+    /// reference. The report also carries the lockstep baseline of the
+    /// same plan, where it is defined.
     pub fn run(&self) -> Result<SimReport, Error> {
         let trace = ReferenceRun::execute(self.guest);
         self.run_with_trace(&trace)
@@ -327,7 +323,8 @@ impl ReadySimulation<'_> {
     /// Like [`run`](Self::run) with a precomputed reference trace (for
     /// sweeps that reuse the guest).
     pub fn run_with_trace(&self, trace: &ReferenceTrace) -> Result<SimReport, Error> {
-        let outcome = self.run_raw()?;
+        let plan = self.build_plan()?;
+        let outcome = self.run_plan(&plan)?;
         let errors = validate_run(trace, &outcome);
         let delays = &self.array_delays;
         let d_ave = if delays.is_empty() {
@@ -345,6 +342,7 @@ impl ReadySimulation<'_> {
             d_ave,
             d_max: delays.iter().copied().max().unwrap_or(0),
             dilation: self.dilation,
+            lockstep_makespan: plan.lockstep_makespan().ok(),
             outcome,
         })
     }
@@ -489,16 +487,10 @@ mod tests {
             .unwrap();
         assert!(event.validated && stepped.validated);
         assert_eq!(event.stats.makespan, stepped.stats.makespan);
-        let lockstep = Simulation::of(&guest)
-            .on(&host)
-            .strategy(Strategy::Blocked)
-            .engine(EngineKind::Lockstep)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(lockstep.validated);
-        assert!(lockstep.stats.makespan >= event.stats.makespan);
+        // Both reports carry the same lockstep baseline, which the greedy
+        // schedule never loses to.
+        assert_eq!(event.lockstep_makespan, stepped.lockstep_makespan);
+        assert!(event.lockstep_makespan.unwrap() >= event.stats.makespan);
     }
 
     /// One row of the feature axis of [`feature_matrix_is_one_policy`].
@@ -532,28 +524,19 @@ mod tests {
                 (Some(Jitter), _) => Some(("stepped", "delay jitter")),
                 _ => None,
             },
-            EngineKind::Lockstep => match (feature, traced) {
-                (Some(Faults), _) => Some(("lockstep", "fault injection")),
-                (Some(Costs), _) => Some(("lockstep", "per-processor compute costs")),
-                (_, true) => Some(("lockstep", "stall-attribution tracing")),
-                (Some(Multicast), _) => Some(("lockstep", "multicast distribution")),
-                (Some(Jitter), _) => Some(("lockstep", "delay jitter")),
-                (Some(MemBudget), _) => Some(("lockstep", "memory budget")),
-                (Some(WeightedDag), _) => Some(("lockstep", "non-unit task costs")),
-                _ => None,
-            },
         }
     }
 
     /// Every engine × feature × {untraced, traced}: the builder rejects
     /// with exactly the pair the engine itself returns on the equivalent
     /// hand-built plan, and every legal combination runs, validated and
-    /// bit-identical, on both paths.
+    /// bit-identical, on both paths, and reports the plan's lockstep
+    /// baseline exactly when no feature is set.
     #[test]
     fn feature_matrix_is_one_policy() {
         use overlap_model::TaskGraph;
         use overlap_sim::engine::Engine;
-        use overlap_sim::{run_lockstep, run_stepped};
+        use overlap_sim::run_stepped;
         let (line, host) = lab();
         let dag = GuestSpec::dag(
             TaskGraph::layered_random(8, 5, 2, 3, 9),
@@ -571,7 +554,7 @@ mod tests {
             Some(Feature::MemBudget),
             Some(Feature::WeightedDag),
         ];
-        for kind in [EngineKind::Event, EngineKind::Stepped, EngineKind::Lockstep] {
+        for kind in [EngineKind::Event, EngineKind::Stepped] {
             for feature in features {
                 for traced in [false, true] {
                     let case = format!("{kind:?} × {feature:?}, traced {traced}");
@@ -625,10 +608,11 @@ mod tests {
                         (EngineKind::Event, true) => {
                             Engine::from_plan(&plan).run_traced(TraceConfig::default())
                         }
-                        // Only the front door can ask these engines to trace.
-                        (_, true) => kind.run(&plan, None, Some(TraceConfig::default())),
+                        // Only the front door can ask stepped to trace.
+                        (EngineKind::Stepped, true) => {
+                            kind.run(&plan, None, Some(TraceConfig::default()))
+                        }
                         (EngineKind::Stepped, false) => run_stepped(&plan),
-                        (EngineKind::Lockstep, false) => run_lockstep(&plan),
                     };
 
                     match rejection(kind, feature, traced) {
@@ -653,18 +637,29 @@ mod tests {
                             let direct = direct
                                 .unwrap_or_else(|e| panic!("{case}: engine path failed: {e}"));
                             assert_eq!(report.outcome, direct, "{case}");
+                            assert_eq!(
+                                report.lockstep_makespan,
+                                plan.lockstep_makespan().ok(),
+                                "{case}"
+                            );
+                            assert_eq!(
+                                report.lockstep_makespan.is_some(),
+                                feature.is_none(),
+                                "{case}"
+                            );
                         }
                     }
                 }
             }
         }
         // An empty fault plan is no fault injection.
-        assert!(Simulation::of(&line)
+        let report = Simulation::of(&line)
             .on(&host)
-            .engine(EngineKind::Lockstep)
             .faults(FaultPlan::new())
             .build()
-            .is_ok());
+            .and_then(|sim| sim.run())
+            .unwrap();
+        assert!(report.lockstep_makespan.is_some());
     }
 
     #[test]
@@ -718,9 +713,8 @@ mod tests {
         let plan = event.build_plan().unwrap();
         let ev = event.run_plan(&plan).unwrap();
         let st = build(EngineKind::Stepped).run_plan(&plan).unwrap();
-        let lk = build(EngineKind::Lockstep).run_plan(&plan).unwrap();
         assert_eq!(ev.stats.makespan, st.stats.makespan);
-        assert!(lk.stats.makespan >= ev.stats.makespan);
+        assert!(plan.lockstep_makespan().unwrap() >= ev.stats.makespan);
         // Re-running the same plan is bit-identical to run_raw's fresh
         // lowering.
         let fresh = event.run_raw().unwrap();
@@ -905,20 +899,12 @@ mod tests {
                 .run()
                 .unwrap();
             assert!(r.validated, "{kind:?}");
+            // Wavefront is uniform (unit costs), so the lockstep baseline
+            // applies too.
+            assert!(r.lockstep_makespan.unwrap() >= r.stats.makespan, "{kind:?}");
             spans.push(r.stats.makespan);
         }
         assert_eq!(spans[0], spans[1]);
-        // Wavefront is uniform (unit costs), so lockstep runs it too.
-        let lk = Simulation::of(&guest)
-            .on(&host)
-            .strategy(Strategy::Blocked)
-            .engine(EngineKind::Lockstep)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(lk.validated);
-        assert!(lk.stats.makespan >= spans[0]);
     }
 
     #[test]

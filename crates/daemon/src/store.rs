@@ -30,8 +30,9 @@ pub struct RunRecord {
     /// Whether the plan came out of the cache (the run borrowed an
     /// already-lowered plan) or was lowered fresh for this run.
     pub cache_hit: bool,
-    /// Engine label (`"event"`, `"stepped"`, `"lockstep"`). Free-form, so
-    /// records written under engines since removed still load.
+    /// Engine label (`"event"` or `"stepped"`). Free-form, so records
+    /// written under engines since removed (`"sharded(2)"`, `"lockstep"`)
+    /// still load.
     pub engine: String,
     /// Placement strategy label (see `Strategy::label`).
     pub strategy: String,
@@ -298,13 +299,19 @@ mod tests {
 
     #[test]
     fn old_engine_labels_still_load() {
-        // Run history written under the since-removed sharded engine.
-        let mut old = record(0);
-        old.engine = "sharded(2)".into();
-        let text = line(&old) + "\n";
-        assert!(text.contains("\"engine\":\"sharded(2)\""), "{text}");
+        // Run history written under the since-removed sharded and
+        // lockstep engines.
+        let mut olds = Vec::new();
+        let mut text = String::new();
+        for label in ["sharded(2)", "lockstep"] {
+            let mut old = record(olds.len() as u64);
+            old.engine = label.into();
+            text += &(line(&old) + "\n");
+            assert!(text.contains(&format!("\"engine\":\"{label}\"")), "{text}");
+            olds.push(old);
+        }
         let (s, path) = store_with("legacy", &text);
-        assert_eq!(s.load_all().unwrap(), vec![old]);
+        assert_eq!(s.load_all().unwrap(), olds);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -259,7 +259,7 @@ fn a_paused_run_blocks_neither_its_plan_nor_other_sessions() {
 #[test]
 fn every_engine_matches_its_in_process_result() {
     let daemon = Daemon::start(DaemonConfig::default());
-    for engine in [EngineKind::Event, EngineKind::Stepped, EngineKind::Lockstep] {
+    for engine in [EngineKind::Event, EngineKind::Stepped] {
         let mut s = spec(16, 64);
         s.engine = engine;
         let baseline = sequential_bytes(&s);
@@ -272,7 +272,7 @@ fn every_engine_matches_its_in_process_result() {
             "{engine:?} daemon run must match in-process"
         );
     }
-    // One guest/host/config ⇒ one plan shared by all three engines.
+    // One guest/host/config ⇒ one plan shared by both engines.
     assert_eq!(daemon.cache_stats().entries, 1);
     daemon.shutdown();
 }
@@ -280,28 +280,28 @@ fn every_engine_matches_its_in_process_result() {
 #[test]
 fn invalid_scenarios_are_rejected_at_submission() {
     let daemon = Daemon::start(DaemonConfig::default());
-    let mut traced_lockstep = spec(16, 16);
-    traced_lockstep.trace = true;
-    traced_lockstep.engine = EngineKind::Lockstep;
+    let mut traced_stepped = spec(16, 16);
+    traced_stepped.trace = true;
+    traced_stepped.engine = EngineKind::Stepped;
     assert!(matches!(
-        daemon.submit(traced_lockstep),
+        daemon.submit(traced_stepped),
         Err(overlap_core::Error::Unsupported {
-            engine: "lockstep",
+            engine: "stepped",
             feature: "stall-attribution tracing"
         })
     ));
-    // Lockstep's closed form cannot time jitter, so the spec is refused
+    // The stepped engine cannot time jitter, so the spec is refused
     // rather than run as if the delays were fixed.
-    let mut jittered_lockstep = spec(16, 16);
-    jittered_lockstep.engine = EngineKind::Lockstep;
-    jittered_lockstep.config.jitter = Jitter::Periodic {
+    let mut jittered_stepped = spec(16, 16);
+    jittered_stepped.engine = EngineKind::Stepped;
+    jittered_stepped.config.jitter = Jitter::Periodic {
         amplitude_pct: 90,
         period: 2,
     };
     assert!(matches!(
-        daemon.submit(jittered_lockstep),
+        daemon.submit(jittered_stepped),
         Err(overlap_core::Error::Unsupported {
-            engine: "lockstep",
+            engine: "stepped",
             feature: "delay jitter"
         })
     ));
@@ -364,11 +364,11 @@ fn http_round_trip() {
     // Typed validation errors surface as HTTP 400 with the message.
     let mut bad = spec(16, 16);
     bad.trace = true;
-    bad.engine = EngineKind::Lockstep;
+    bad.engine = EngineKind::Stepped;
     match client.submit(&bad) {
         Err(overlap_daemon::ClientError::Api { status, message }) => {
             assert_eq!(status, 400);
-            assert!(message.contains("lockstep"), "{message}");
+            assert!(message.contains("stepped"), "{message}");
         }
         other => panic!("expected 400, got {other:?}"),
     }
@@ -524,32 +524,34 @@ fn legacy_timing_field_runs_over_http() {
 fn http_rejects_the_removed_sharded_engine_as_malformed() {
     let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
     let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
-    // A pre-removal client asking for the deleted sharded engine gets a
-    // plain decode error, not a silent fallback.
+    // A pre-removal client asking for the deleted sharded engine, or for
+    // lockstep (now a number every report carries, not an engine), gets
+    // a plain decode error, not a silent fallback.
     let good = serde_json::to_string(&spec(16, 16)).unwrap();
-    let legacy = good.replace(
-        "\"engine\":\"Event\"",
-        "\"engine\":{\"Sharded\":{\"threads\":2}}",
-    );
-    assert_ne!(legacy, good, "spec JSON must name its engine");
-    let (status, text) = raw_http(
-        server.addr(),
-        &format!(
-            "POST /v1/scenarios HTTP/1.1\r\nContent-Length: {}",
-            legacy.len()
-        ),
-        &legacy,
-    );
-    assert_eq!(status, 400, "{text}");
-    assert!(text.contains("malformed scenario"), "{text}");
+    for engine in ["{\"Sharded\":{\"threads\":2}}", "\"Lockstep\""] {
+        let legacy = good.replace("\"engine\":\"Event\"", &format!("\"engine\":{engine}"));
+        assert_ne!(legacy, good, "spec JSON must name its engine");
+        let (status, text) = raw_http(
+            server.addr(),
+            &format!(
+                "POST /v1/scenarios HTTP/1.1\r\nContent-Length: {}",
+                legacy.len()
+            ),
+            &legacy,
+        );
+        assert_eq!(status, 400, "{engine}: {text}");
+        assert!(text.contains("malformed scenario"), "{engine}: {text}");
+    }
     assert_eq!(daemon.cache_stats().misses, 0);
     daemon.shutdown();
     server.stop();
 }
 
-/// A guest whose topology marker, step count and task graph disagree, or
-/// a host whose links and adjacency lists break `add_link`'s invariants,
-/// is a typed 400 at admission: neither reaches a worker or a connection
+/// A guest whose topology marker, step count and task graph disagree, a
+/// grid shape placement cannot fold or whose cell count wraps, a strategy
+/// parameter placement would assert on, or a host whose links and
+/// adjacency lists break `add_link`'s invariants, is a typed 400 at
+/// admission naming its field: none reaches a worker or a connection
 /// thread's placement, and the daemon keeps serving.
 #[test]
 fn malformed_guests_and_hosts_are_400s() {
@@ -571,13 +573,41 @@ fn malformed_guests_and_hosts_are_400s() {
         dbs: 12,
         layers: 16,
     };
-    for bad in [no_graph, line_with_graph, wrong_dbs] {
-        match client.submit(&bad) {
+    let mut bad = vec![
+        (no_graph, "guest"),
+        (line_with_graph, "guest"),
+        (wrong_dbs, "guest"),
+    ];
+    for guest in [
+        GuestSpec::ring(1, pk, 3, 16),
+        GuestSpec::torus(1, 4, pk, 3, 16),
+        GuestSpec::torus(4, 0, pk, 3, 16),
+        GuestSpec::tree(0, pk, 3, 16),
+        GuestSpec::tree(33, pk, 3, 16),
+        GuestSpec::mesh3(2048, 2048, 1024, pk, 3, 16),
+    ] {
+        let mut s = spec(16, 16);
+        s.guest = guest;
+        bad.push((s, "guest"));
+    }
+    for strategy in [
+        Strategy::Overlap { c: 0.0 },
+        Strategy::Combined {
+            c: 4.0,
+            expansion: 0,
+        },
+    ] {
+        let mut s = spec(16, 16);
+        s.strategy = strategy;
+        bad.push((s, "strategy"));
+    }
+    for (spec, field) in bad {
+        match client.submit(&spec) {
             Err(overlap_daemon::ClientError::Api { status, message }) => {
-                assert_eq!(status, 400);
-                assert!(message.contains("guest"), "{message}");
+                assert_eq!(status, 400, "{message}");
+                assert!(message.contains(field), "{field}: {message}");
             }
-            other => panic!("expected 400, got {other:?}"),
+            other => panic!("{field}: expected 400, got {other:?}"),
         }
     }
     // Hosts go over raw HTTP: `HostGraph`'s tables cannot be built

@@ -542,12 +542,32 @@ impl GuestSpec {
         }
     }
 
-    /// Check that a guest decoded from the wire agrees with itself: the
-    /// topology is [`GuestTopology::Dag`] exactly when `graph` is present,
-    /// a `Dag` marker's `dbs` and `layers` and the guest's `steps` match
-    /// the graph, and the graph's tables are well formed
-    /// ([`TaskGraph::validate`]).
+    /// Check that a guest decoded from the wire agrees with itself: a
+    /// grid shape can be placed (a ring of at least 2 cells, a torus at
+    /// least 2 wide and 1 high, a tree of 1 to 31 levels) and its cell
+    /// count fits a `u32`; the topology is [`GuestTopology::Dag`] exactly
+    /// when `graph` is present, a `Dag` marker's `dbs` and `layers` and
+    /// the guest's `steps` match the graph, and the graph's tables are
+    /// well formed ([`TaskGraph::validate`]).
     pub fn validate(&self) -> Result<(), String> {
+        let bad_shape = match self.topology {
+            GuestTopology::Ring { m } => m < 2,
+            GuestTopology::Torus2D { w, h } => w < 2 || h == 0 || w.checked_mul(h).is_none(),
+            GuestTopology::BinaryTree { levels } => !(1..=31).contains(&levels),
+            GuestTopology::Mesh2D { w, h } => w.checked_mul(h).is_none(),
+            GuestTopology::Mesh3D { w, h, d } => {
+                w.checked_mul(h).and_then(|c| c.checked_mul(d)).is_none()
+            }
+            GuestTopology::Line { .. } | GuestTopology::Dag { .. } => false,
+        };
+        if bad_shape {
+            return Err(format!(
+                "{:?} cannot be placed: a ring needs 2 or more cells, a torus a width \
+                 of 2 or more and a height of 1 or more, a binary tree 1 to 31 levels, \
+                 and a grid's cell count must fit in 32 bits",
+                self.topology
+            ));
+        }
         match (&self.topology, &self.graph) {
             (&GuestTopology::Dag { dbs, layers }, Some(g)) => {
                 if (dbs, layers, self.steps) != (g.num_dbs(), g.layers(), g.layers()) {
@@ -632,6 +652,37 @@ impl GuestSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Shapes placement cannot fold, and shapes whose cell count wraps in
+    /// 32 bits, fail validation; the smallest legal shapes pass.
+    #[test]
+    fn validate_rejects_unplaceable_and_overflowing_shapes() {
+        let pk = ProgramKind::KvWorkload;
+        for bad in [
+            GuestSpec::ring(0, pk, 0, 4),
+            GuestSpec::ring(1, pk, 0, 4),
+            GuestSpec::torus(1, 4, pk, 0, 4),
+            GuestSpec::torus(4, 0, pk, 0, 4),
+            GuestSpec::torus(1 << 16, 1 << 16, pk, 0, 4),
+            GuestSpec::tree(0, pk, 0, 4),
+            GuestSpec::tree(32, pk, 0, 4),
+            GuestSpec::tree(33, pk, 0, 4),
+            GuestSpec::mesh(1 << 16, 1 << 16, pk, 0, 4),
+            GuestSpec::mesh3(2048, 2048, 1024, pk, 0, 4),
+        ] {
+            assert!(bad.validate().is_err(), "{:?}", bad.topology);
+        }
+        for good in [
+            GuestSpec::ring(2, pk, 0, 4),
+            GuestSpec::torus(2, 1, pk, 0, 4),
+            GuestSpec::tree(1, pk, 0, 4),
+            GuestSpec::tree(31, pk, 0, 4),
+            GuestSpec::mesh(1 << 16, (1 << 16) - 1, pk, 0, 4),
+            GuestSpec::mesh3(2048, 2048, 1023, pk, 0, 4),
+        ] {
+            assert_eq!(good.validate(), Ok(()), "{:?}", good.topology);
+        }
+    }
 
     #[test]
     fn line_interior_deps() {

@@ -5,15 +5,15 @@
 //! [`EngineKind::check`] is the single copy of the feature × engine
 //! support matrix (DESIGN.md §13). The builder calls it at `build()`,
 //! the fuzzer asks it which engines a plan is legal for, and each public
-//! engine entry (`Engine::run_traced`, `run_stepped`, `run_lockstep`)
-//! calls it once before running, so a hand-built plan gets the same typed
-//! error as a builder call. [`EngineKind::run`] is the single dispatch
-//! from a kind to an engine.
+//! engine entry (`Engine::run_traced`, `run_stepped`) calls it once
+//! before running, so a hand-built plan gets the same typed error as a
+//! builder call. [`EngineKind::run`] is the single dispatch from a kind
+//! to an engine.
 //!
 //! Every engine's hot loop periodically calls
 //! [`RunControl::checkpoint`] (every [`CHECK_EVERY`] dispatch units —
-//! events for the event engine, ticks for the stepped engine,
-//! rounds for lockstep). A checkpoint:
+//! events for the event engine, ticks for the stepped engine). A
+//! checkpoint:
 //!
 //! * **blocks** while the control is paused (the simulation state is
 //!   untouched, so a paused-and-resumed run is bit-identical to an
@@ -31,8 +31,6 @@
 //! cancelled run.
 
 use crate::engine::{Engine, EngineConfig, Jitter, RunError, RunOutcome};
-use crate::faults::FaultPlan;
-use crate::lockstep::run_lockstep_controlled;
 use crate::plan::ExecPlan;
 use crate::stepped::run_stepped_controlled;
 use crate::trace::TraceConfig;
@@ -46,9 +44,11 @@ use std::sync::{Condvar, Mutex};
 /// loads never show up in a profile.
 pub const CHECK_EVERY: u64 = 4096;
 
-/// Which execution engine runs a plan. All three consume the same
+/// Which execution engine runs a plan. Both consume the same
 /// [`ExecPlan`] and compute identical state; they differ in which
-/// features they can time (see [`check`](Self::check)).
+/// features they can time (see [`check`](Self::check)). The paper's
+/// lockstep baseline is not an engine but a closed form over the plan,
+/// [`ExecPlan::lockstep_makespan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum EngineKind {
     /// The cycle-accurate discrete-event engine: the production path.
@@ -56,34 +56,28 @@ pub enum EngineKind {
     Event,
     /// The tick-stepped engine: the independent differential oracle.
     Stepped,
-    /// The lockstep baseline: global rounds of `d_max`-synchronised
-    /// compute-then-exchange (the paper's §1 model).
-    Lockstep,
 }
 
 impl EngineKind {
-    /// The engine's name in run records and messages: `"event"`,
-    /// `"stepped"` or `"lockstep"`.
+    /// The engine's name in run records and messages: `"event"` or
+    /// `"stepped"`.
     pub fn label(self) -> &'static str {
         match self {
             EngineKind::Event => "event",
             EngineKind::Stepped => "stepped",
-            EngineKind::Lockstep => "lockstep",
         }
     }
 
     /// The feature × engine support matrix: fails with
     /// [`RunError::UnsupportedFeature`] naming the first feature of the
-    /// run that this engine cannot time, in row order. `costs` and
-    /// `faults` are the run's compute-cost table and fault plan (an empty
-    /// plan is no fault injection); `traced` asks for stall attribution.
-    /// Features are rejected, never silently dropped.
+    /// run that this engine cannot time, in row order. `traced` asks for
+    /// stall attribution. Both engines time faults and compute costs, so
+    /// only the guest and the config are consulted. Features are
+    /// rejected, never silently dropped.
     pub fn check(
         self,
         guest: &GuestSpec,
         config: &EngineConfig,
-        costs: Option<&[u32]>,
-        faults: Option<&FaultPlan>,
         traced: bool,
     ) -> Result<(), RunError> {
         let jitter = config.jitter != Jitter::None;
@@ -104,18 +98,6 @@ impl EngineKind {
                 ("multicast distribution", config.multicast),
                 ("delay jitter", jitter),
             ],
-            // The closed-form makespan `steps × round_cost` assumes fixed
-            // delays, unicast routes, and unit-cost pebbles on always-
-            // resident copies.
-            EngineKind::Lockstep => &[
-                ("fault injection", faults.is_some_and(|f| !f.is_empty())),
-                ("per-processor compute costs", costs.is_some()),
-                ("stall-attribution tracing", traced),
-                ("multicast distribution", config.multicast),
-                ("delay jitter", jitter),
-                ("memory budget", config.mem.is_some()),
-                ("non-unit task costs", guest.has_nonunit_task_costs()),
-            ],
         };
         match rows.iter().find(|&&(_, asked)| asked) {
             None => Ok(()),
@@ -131,13 +113,7 @@ impl EngineKind {
 
     /// [`check`](Self::check) against the features a lowered plan carries.
     pub(crate) fn check_plan(self, plan: &ExecPlan, traced: bool) -> Result<(), RunError> {
-        self.check(
-            plan.guest(),
-            &plan.config,
-            plan.compute_costs(),
-            plan.faults(),
-            traced,
-        )
+        self.check(plan.guest(), &plan.config, traced)
     }
 
     /// Run `plan` on this engine, under `control` when given, with stall
@@ -159,7 +135,6 @@ impl EngineKind {
                 }
             }
             EngineKind::Stepped => run_stepped_controlled(plan, control),
-            EngineKind::Lockstep => run_lockstep_controlled(plan, control),
         }
     }
 }

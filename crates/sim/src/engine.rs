@@ -174,10 +174,12 @@ pub enum RunError {
         /// Tick of the fatal crash.
         tick: u64,
     },
-    /// A routing table references a host link that does not exist
-    /// (malformed route; previously a panic in `lockstep::round_cost`).
-    /// Also reported when a fault plan names a link absent from the host
-    /// (previously a panic in fault-plan lowering).
+    /// A routing table references a host link that does not exist (a
+    /// malformed route, which [`ExecPlan::lockstep_makespan`] reports
+    /// instead of panicking). Also reported when a fault plan names a link
+    /// absent from the host (previously a panic in fault-plan lowering).
+    ///
+    /// [`ExecPlan::lockstep_makespan`]: crate::plan::ExecPlan::lockstep_makespan
     MissingLink {
         /// Claimed link source.
         from: NodeId,
@@ -210,17 +212,19 @@ pub enum RunError {
     ///
     /// [`RunControl`]: crate::control::RunControl
     Cancelled {
-        /// Dispatch units (events/ticks/rounds/windows) completed when the
+        /// Dispatch units (events or ticks) completed when the
         /// cancellation was observed.
         at: u64,
     },
-    /// The run asks for a feature this engine does not implement (e.g. a
-    /// memory budget on the lockstep engine). Raised only by
-    /// [`EngineKind::check`], which the builder calls at `build()` and
-    /// every engine entry calls before running, so a hand-built plan fails
-    /// cleanly instead of being mis-timed.
+    /// The run asks for a feature this engine does not implement (e.g.
+    /// multicast on the stepped engine). Raised by [`EngineKind::check`],
+    /// which the builder calls at `build()` and every engine entry calls
+    /// before running, so a hand-built plan fails cleanly instead of being
+    /// mis-timed; and by [`ExecPlan::lockstep_makespan`] (engine
+    /// `"lockstep"`) for a plan its closed form cannot time.
     ///
     /// [`EngineKind::check`]: crate::control::EngineKind::check
+    /// [`ExecPlan::lockstep_makespan`]: crate::plan::ExecPlan::lockstep_makespan
     UnsupportedFeature {
         /// Engine that rejected the plan.
         engine: &'static str,
@@ -2149,11 +2153,10 @@ mod tests {
         let base = Engine::new(&guest, &host, &assign, EngineConfig::default())
             .run()
             .unwrap();
-        let slowed = ExecPlan::build(&guest, &host, &assign, EngineConfig::default())
+        let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default())
             .unwrap()
-            .with_compute_costs(vec![1, 4, 1, 1])
-            .run()
-            .unwrap();
+            .with_compute_costs(vec![1, 4, 1, 1]);
+        let slowed = Engine::from_plan(&plan).run().unwrap();
         check_against_reference(&guest, &slowed);
         // The slow processor throttles the run: makespan grows but is
         // bounded by the 4× cost on 2 cells per step plus propagation.
@@ -2169,11 +2172,10 @@ mod tests {
         let a = Engine::new(&guest, &host, &assign, EngineConfig::default())
             .run()
             .unwrap();
-        let b = ExecPlan::build(&guest, &host, &assign, EngineConfig::default())
+        let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default())
             .unwrap()
-            .with_compute_costs(vec![1; 3])
-            .run()
-            .unwrap();
+            .with_compute_costs(vec![1; 3]);
+        let b = Engine::from_plan(&plan).run().unwrap();
         assert_eq!(a.stats.makespan, b.stats.makespan);
         assert_eq!(a.copies, b.copies);
     }

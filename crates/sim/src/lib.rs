@@ -57,8 +57,7 @@ pub use bandwidth::BandwidthMode;
 pub use control::{EngineKind, RunControl};
 pub use engine::{Engine, EngineConfig, Jitter, RunError, RunOutcome};
 pub use faults::{FaultPlan, RetryPolicy};
-pub use lockstep::run_lockstep;
-pub use plan::{fnv1a, scenario_hash, scenario_key, AppliedDelta, ExecPlan, PlanDelta};
+pub use plan::{fnv1a, scenario_key, AppliedDelta, ExecPlan, PlanDelta};
 pub use routing::RoutingTable;
 pub use stats::{FaultStats, RunStats};
 pub use stepped::run_stepped;

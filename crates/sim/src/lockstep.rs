@@ -1,4 +1,4 @@
-//! The lockstep executor: §1's naive baseline, executed for real.
+//! The lockstep baseline: §1's naive method, as a closed form.
 //!
 //! "The simplest of these methods is to slow down the computation to the
 //! point where the latency is accommodated. … the circuit needs to be
@@ -15,22 +15,17 @@
 //! The per-round cost is therefore
 //! `max_p load(p) + max_route(delay + per-link queueing)`, and the
 //! makespan is exactly `steps × round_cost` — the `Θ(d_max + 1)` the
-//! paper ascribes to clock-slowing, generalized to routed NOWs. The
-//! computed state is identical to the other engines' (validated the same
-//! way).
-//!
-//! Like the other executors, lockstep consumes a lowered
-//! [`ExecPlan`] — the routing table comes from the plan, never rebuilt
-//! here.
+//! paper ascribes to clock-slowing, generalized to routed NOWs. Nothing
+//! needs executing: every copy receives every dependency each round, so
+//! the state is the unit-delay reference's by construction, and
+//! [`ExecPlan::lockstep_makespan`] returns only the time, from the plan's
+//! own routing table.
 
 use crate::assignment::Assignment;
 use crate::bandwidth::BandwidthMode;
-use crate::control::EngineKind;
-use crate::engine::{CopyRecord, RunError, RunOutcome};
+use crate::engine::{Jitter, RunError};
 use crate::plan::ExecPlan;
 use crate::routing::RoutingTable;
-use crate::stats::RunStats;
-use overlap_model::{fold64, Db, Dep, PebbleValue, ProgramRef};
 use overlap_net::{HostGraph, NodeId};
 use std::collections::HashMap;
 
@@ -73,157 +68,44 @@ pub fn round_cost(
     Ok(compute + worst_route)
 }
 
-/// Execute the guest under lockstep rounds over a lowered plan. State is
-/// computed exactly (and can be validated like any other engine's
-/// outcome); time is the closed form `steps × round_cost`. A plan with a
-/// feature that form cannot time (faults, costs, multicast, jitter,
-/// memory budgets, weighted task graphs) fails with
-/// [`RunError::UnsupportedFeature`] ([`EngineKind::check`]).
-pub fn run_lockstep(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
-    EngineKind::Lockstep.run(plan, None, None)
-}
-
-/// [`run_lockstep`] on a checked plan, under a cooperative
-/// [`RunControl`](crate::control::RunControl): checked once per simulated
-/// round (rounds are the lockstep engine's dispatch unit).
-pub(crate) fn run_lockstep_controlled(
-    plan: &ExecPlan,
-    control: Option<&crate::control::RunControl>,
-) -> Result<RunOutcome, RunError> {
-    let routing = plan.routing().expect("the check rejects multicast plans");
-    let guest = plan.guest();
-    let host = plan.host();
-    let assign = plan.assignment();
-    let bandwidth = plan.config().bandwidth;
-    let n = host.num_nodes();
-    let steps = guest.steps;
-    let program: ProgramRef = guest.program.instantiate();
-    let boundary = guest.boundary();
-    let cost = round_cost(host, assign, routing, bandwidth)?;
-
-    // Lockstep delivers every dependency every round, so execution reduces
-    // to a redundant-copy reference run.
-    let cells = guest.num_cells();
-    let mut prev: Vec<PebbleValue> = (0..cells).map(|c| guest.initial_value(c)).collect();
-    let mut cur: Vec<PebbleValue> = vec![0; cells as usize];
-    // One database per (proc, held cell) copy, plus folds.
-    struct Copy {
-        cell: u32,
-        proc: NodeId,
-        db: Db,
-        value_fold: u64,
-        update_fold: u64,
-    }
-    let kind = program.db_kind();
-    let mut copies: Vec<Copy> = (0..n)
-        .flat_map(|p| {
-            assign
-                .cells_of(p)
-                .iter()
-                .map(move |&c| (p, c))
-                .collect::<Vec<_>>()
-        })
-        .map(|(p, c)| Copy {
-            cell: c,
-            proc: p,
-            db: kind.instantiate(c, guest.seed),
-            value_fold: 0xF01Du64,
-            update_fold: 0xD16u64,
-        })
-        .collect();
-
-    let mut deps_buf = Vec::with_capacity(guest.max_deps());
-    for t in 1..=steps {
-        if let Some(ctl) = control {
-            ctl.checkpoint(t as u64)?;
-        }
-        // Compute each cell once into `cur` (all copies agree by purity);
-        // apply per-copy database updates.
-        for c in 0..cells {
-            deps_buf.clear();
-            guest.visit_deps(c, t, |d| {
-                deps_buf.push(match d {
-                    Dep::Cell(cc) => prev[cc as usize],
-                    Dep::Boundary { side, offset } => boundary.value(side, offset, t),
-                });
+impl ExecPlan<'_> {
+    /// The paper's §1 baseline on this plan: the makespan of lockstep
+    /// rounds, `steps × round_cost`. The closed form assumes fixed delays,
+    /// unicast routes, and unit-cost pebbles on always-resident copies, so
+    /// a plan with faults, compute costs, multicast, jitter, a memory
+    /// budget or non-unit task costs fails with
+    /// [`RunError::UnsupportedFeature`] naming the first of them.
+    pub fn lockstep_makespan(&self) -> Result<u64, RunError> {
+        let config = &self.config;
+        let rows = [
+            (
+                "fault injection",
+                self.faults.as_ref().is_some_and(|f| !f.is_empty()),
+            ),
+            ("per-processor compute costs", self.compute_costs.is_some()),
+            ("multicast distribution", config.multicast),
+            ("delay jitter", config.jitter != Jitter::None),
+            ("memory budget", config.mem.is_some()),
+            ("non-unit task costs", self.guest.has_nonunit_task_costs()),
+        ];
+        if let Some(&(feature, _)) = rows.iter().find(|&&(_, asked)| asked) {
+            return Err(RunError::UnsupportedFeature {
+                engine: "lockstep",
+                feature,
             });
-            // Use the first copy's db (all copies of a cell hold identical
-            // state; asserted below in debug builds).
-            let idx = copies
-                .iter()
-                .position(|cp| cp.cell == c)
-                .expect("complete assignment");
-            let (v, u) = if guest.is_relay(c, t) {
-                (prev[c as usize], overlap_model::DbUpdate::None)
-            } else {
-                program.compute(c, t, &copies[idx].db, &deps_buf)
-            };
-            cur[c as usize] = v;
-            for cp in copies.iter_mut().filter(|cp| cp.cell == c) {
-                cp.db.apply(&u);
-                cp.value_fold = fold64(cp.value_fold, v);
-                cp.update_fold = fold64(cp.update_fold, u.digest());
-            }
         }
-        std::mem::swap(&mut prev, &mut cur);
+        let routing = self.routing().expect("multicast is rejected above");
+        let cost = round_cost(&self.host, &self.assign, routing, config.bandwidth)?;
+        Ok(cost * self.guest.steps as u64)
     }
-
-    let makespan = cost * steps as u64;
-    let messages = routing.num_subscriptions() as u64 * steps as u64;
-    let pebble_hops: u64 = routing
-        .subs
-        .iter()
-        .map(|s| (s.path.len() as u64 - 1) * steps as u64)
-        .sum();
-    let out_copies: Vec<CopyRecord> = copies
-        .iter()
-        .map(|cp| CopyRecord {
-            cell: cp.cell,
-            proc: cp.proc,
-            value_fold: cp.value_fold,
-            db_digest: cp.db.digest(),
-            update_fold: cp.update_fold,
-            finished_at: makespan,
-        })
-        .collect();
-    let stats = RunStats {
-        guest_cells: cells,
-        guest_steps: steps,
-        host_procs: n,
-        makespan,
-        slowdown: if steps == 0 { 0.0 } else { cost as f64 },
-        total_compute: assign.total_copies() as u64 * steps as u64,
-        guest_work: guest.total_work(),
-        redundancy: assign.redundancy(),
-        load: assign.load(),
-        active_procs: assign.active_procs(),
-        messages,
-        pebble_hops,
-        subscriptions: routing.num_subscriptions(),
-        bandwidth_per_link: bandwidth.per_tick(n),
-        busiest_link_pebbles: 0,
-        mean_link_pebbles: 0.0,
-        events_processed: 0,
-        peak_queue_depth: 0,
-        queue_clamped_pushes: 0,
-        faults: crate::stats::FaultStats::default(),
-        stalls: None,
-        mem: crate::stats::MemStats::default(),
-    };
-    Ok(RunOutcome {
-        stats,
-        copies: out_copies,
-        timing: None,
-        trace: None,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineConfig};
-    use crate::validate::validate_run;
-    use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
+    use crate::engine::{Engine, EngineConfig, MemBudget};
+    use crate::faults::FaultPlan;
+    use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
     use overlap_net::topology::linear_array;
     use overlap_net::DelayModel;
 
@@ -232,23 +114,12 @@ mod tests {
         host: &HostGraph,
         assign: &Assignment,
         bandwidth: BandwidthMode,
-    ) -> Result<RunOutcome, RunError> {
+    ) -> Result<u64, RunError> {
         let cfg = EngineConfig {
             bandwidth,
             ..Default::default()
         };
-        let plan = ExecPlan::build(guest, host, assign, cfg)?;
-        run_lockstep(&plan)
-    }
-
-    #[test]
-    fn lockstep_state_matches_reference() {
-        let guest = GuestSpec::array(12, ProgramKind::KvWorkload, 5, 10);
-        let host = linear_array(4, DelayModel::uniform(1, 9), 2);
-        let assign = Assignment::blocked(4, 12);
-        let out = lockstep(&guest, &host, &assign, BandwidthMode::LogN).unwrap();
-        let trace = ReferenceRun::execute(&guest);
-        assert!(validate_run(&trace, &out).is_empty());
+        ExecPlan::build(guest, host, assign, cfg)?.lockstep_makespan()
     }
 
     #[test]
@@ -257,10 +128,11 @@ mod tests {
         let guest = GuestSpec::array(8, ProgramKind::Relaxation, 3, 6);
         let host = linear_array(4, DelayModel::constant(d), 0);
         let assign = Assignment::blocked(4, 8);
-        let out = lockstep(&guest, &host, &assign, BandwidthMode::LogN).unwrap();
         // round = load (2) + worst route (one link, 50) = 52.
-        assert_eq!(out.stats.slowdown, 52.0);
-        assert_eq!(out.stats.makespan, 52 * 6);
+        assert_eq!(
+            lockstep(&guest, &host, &assign, BandwidthMode::LogN),
+            Ok(52 * 6)
+        );
     }
 
     #[test]
@@ -269,25 +141,14 @@ mod tests {
             let guest = GuestSpec::array(16, ProgramKind::Relaxation, seed, 12);
             let host = linear_array(4, DelayModel::uniform(1, 40), seed);
             let assign = Assignment::blocked(4, 16);
-            // One plan serves both engines.
             let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
             let greedy = Engine::from_plan(&plan).run().unwrap();
-            let lock = run_lockstep(&plan).unwrap();
+            let lock = plan.lockstep_makespan().unwrap();
             assert!(
-                lock.stats.makespan >= greedy.stats.makespan,
-                "seed {seed}: lockstep {} < greedy {}",
-                lock.stats.makespan,
+                lock >= greedy.stats.makespan,
+                "seed {seed}: lockstep {lock} < greedy {}",
                 greedy.stats.makespan
             );
-            // And both compute the exact same state.
-            let mut a = greedy.copies.clone();
-            let mut b = lock.copies.clone();
-            a.sort_by_key(|c| (c.cell, c.proc));
-            b.sort_by_key(|c| (c.cell, c.proc));
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.value_fold, y.value_fold);
-                assert_eq!(x.db_digest, y.db_digest);
-            }
         }
     }
 
@@ -299,22 +160,11 @@ mod tests {
         let assign = Assignment::blocked(2, 12);
         let fat = lockstep(&guest, &host, &assign, BandwidthMode::Fixed(8)).unwrap();
         let thin = lockstep(&guest, &host, &assign, BandwidthMode::Fixed(1)).unwrap();
-        assert!(thin.stats.slowdown >= fat.stats.slowdown);
-    }
-
-    #[test]
-    fn incomplete_assignment_rejected() {
-        let guest = GuestSpec::array(4, ProgramKind::StencilSum, 0, 2);
-        let host = linear_array(2, DelayModel::constant(1), 0);
-        let assign = Assignment::from_cells_of(2, 4, vec![vec![0], vec![3]]);
-        assert!(matches!(
-            lockstep(&guest, &host, &assign, BandwidthMode::LogN),
-            Err(RunError::IncompleteAssignment(_))
-        ));
+        assert!(thin >= fat);
     }
 
     /// A 16-cell KV line on a 4-node line host under Blocked, lowered with
-    /// `cfg`: the plan each regression below feeds to `run_lockstep`.
+    /// `cfg`.
     fn line_plan(cfg: EngineConfig) -> ExecPlan<'static> {
         ExecPlan::build_owned(
             GuestSpec::array(16, ProgramKind::KvWorkload, 3, 12),
@@ -325,52 +175,75 @@ mod tests {
         .unwrap()
     }
 
-    fn assert_unsupported(plan: &ExecPlan, feature: &'static str) {
-        assert_eq!(
-            run_lockstep(plan).unwrap_err(),
-            RunError::UnsupportedFeature {
-                engine: "lockstep",
-                feature
-            }
-        );
-    }
-
-    // The closed form cannot time any of these features, so each plan must
-    // be a typed error: neither the plain-model outcome nor a panic.
-
+    /// The closed form cannot time any of these features, so each plan
+    /// is a typed error naming it: never the plain model's number.
     #[test]
-    fn jitter_is_unsupported_not_ignored() {
-        let plan = line_plan(EngineConfig {
-            jitter: crate::engine::Jitter::Periodic {
-                amplitude_pct: 90,
-                period: 2,
-            },
-            ..Default::default()
-        });
-        assert_unsupported(&plan, "delay jitter");
-    }
-
-    #[test]
-    fn link_outage_is_unsupported_not_ignored() {
+    fn untimeable_features_are_typed_errors() {
+        let weighted = ExecPlan::build_owned(
+            GuestSpec::dag(
+                TaskGraph::layered_random(8, 5, 2, 3, 9),
+                ProgramKind::KvWorkload,
+                3,
+            ),
+            linear_array(4, DelayModel::uniform(1, 6), 7),
+            Assignment::blocked(4, 8),
+            EngineConfig::default(),
+        )
+        .unwrap();
+        let plans = [
+            (
+                line_plan(EngineConfig::default())
+                    .with_faults(FaultPlan::new().link_down(1, 2, 5, 40))
+                    .unwrap(),
+                "fault injection",
+            ),
+            (
+                line_plan(EngineConfig::default()).with_compute_costs(vec![1, 9, 1, 1]),
+                "per-processor compute costs",
+            ),
+            (
+                line_plan(EngineConfig {
+                    multicast: true,
+                    ..Default::default()
+                }),
+                "multicast distribution",
+            ),
+            (
+                line_plan(EngineConfig {
+                    jitter: Jitter::Periodic {
+                        amplitude_pct: 90,
+                        period: 2,
+                    },
+                    ..Default::default()
+                }),
+                "delay jitter",
+            ),
+            (
+                line_plan(EngineConfig {
+                    mem: Some(MemBudget {
+                        budget: 2,
+                        reload_cost: 1,
+                    }),
+                    ..Default::default()
+                }),
+                "memory budget",
+            ),
+            (weighted, "non-unit task costs"),
+        ];
+        for (plan, feature) in plans {
+            assert_eq!(
+                plan.lockstep_makespan(),
+                Err(RunError::UnsupportedFeature {
+                    engine: "lockstep",
+                    feature
+                })
+            );
+        }
+        // An empty fault plan is no fault injection.
         let plan = line_plan(EngineConfig::default())
-            .with_faults(crate::faults::FaultPlan::new().link_down(1, 2, 5, 40))
+            .with_faults(FaultPlan::new())
             .unwrap();
-        assert_unsupported(&plan, "fault injection");
-    }
-
-    #[test]
-    fn compute_costs_are_unsupported_not_ignored() {
-        let plan = line_plan(EngineConfig::default()).with_compute_costs(vec![1, 9, 1, 1]);
-        assert_unsupported(&plan, "per-processor compute costs");
-    }
-
-    #[test]
-    fn multicast_is_unsupported_not_a_panic() {
-        let plan = line_plan(EngineConfig {
-            multicast: true,
-            ..Default::default()
-        });
-        assert_unsupported(&plan, "multicast distribution");
+        assert!(plan.lockstep_makespan().is_ok());
     }
 
     #[test]

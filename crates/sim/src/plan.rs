@@ -17,10 +17,11 @@
 //!   dependent lists (`ProcTables`), and per-subscription link-id
 //!   arrays.
 //!
-//! All three engines consume a `&ExecPlan` ([`Engine::from_plan`],
-//! [`run_stepped`], [`run_lockstep`]) instead of re-lowering, so a sweep
-//! can build the plan once per `(host, strategy)` point and share it
-//! across repeats, engines, and fault variants. The plan also carries the
+//! Both engines consume a `&ExecPlan` ([`Engine::from_plan`],
+//! [`run_stepped`]) instead of re-lowering, and so does the lockstep
+//! baseline ([`ExecPlan::lockstep_makespan`]), so a sweep can build the
+//! plan once per `(host, strategy)` point and share it across repeats,
+//! engines, and fault variants. The plan also carries the
 //! run's compute costs and fault schedule, the only place they live.
 //! [`ExecPlan::share`] hands out a view that borrows the lowering and
 //! brings its own costs and faults, so runs of many variants share one
@@ -29,10 +30,9 @@
 //!
 //! [`Engine::from_plan`]: crate::engine::Engine::from_plan
 //! [`run_stepped`]: crate::stepped::run_stepped
-//! [`run_lockstep`]: crate::lockstep::run_lockstep
 
 use crate::assignment::Assignment;
-use crate::engine::{EngineConfig, RunError, RunOutcome};
+use crate::engine::{EngineConfig, RunError};
 use crate::faults::FaultPlan;
 use crate::multicast::MulticastTable;
 use crate::routing::RoutingTable;
@@ -493,7 +493,7 @@ pub struct AppliedDelta {
 /// ```
 /// use overlap_sim::plan::ExecPlan;
 /// use overlap_sim::engine::{Engine, EngineConfig};
-/// use overlap_sim::{run_lockstep, run_stepped, Assignment};
+/// use overlap_sim::{run_stepped, Assignment};
 /// use overlap_model::{GuestSpec, ProgramKind};
 /// use overlap_net::{topology, DelayModel};
 ///
@@ -501,12 +501,12 @@ pub struct AppliedDelta {
 /// let host = topology::linear_array(4, DelayModel::uniform(1, 6), 2);
 /// let assign = Assignment::blocked(4, 8);
 /// let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
-/// // All three engines execute the same lowered plan.
+/// // Both engines execute the same lowered plan, and the lockstep
+/// // baseline is read off it.
 /// let ev = Engine::from_plan(&plan).run().unwrap();
 /// let st = run_stepped(&plan).unwrap();
-/// let lk = run_lockstep(&plan).unwrap();
 /// assert_eq!(ev.copies.len(), st.copies.len());
-/// assert_eq!(st.copies.len(), lk.copies.len());
+/// assert!(ev.stats.makespan <= plan.lockstep_makespan().unwrap());
 /// ```
 pub struct ExecPlan<'a> {
     /// Borrowed from the caller by [`build`](Self::build) and from the
@@ -695,12 +695,6 @@ impl<'a> ExecPlan<'a> {
         &self.assign
     }
 
-    /// Canonical scenario hash of this plan's lowering inputs — see
-    /// [`scenario_hash`].
-    pub fn fingerprint(&self) -> u64 {
-        scenario_hash(&self.guest, &self.host, &self.assign, self.config)
-    }
-
     /// The engine configuration the plan was lowered for.
     pub fn config(&self) -> EngineConfig {
         self.config
@@ -728,11 +722,6 @@ impl<'a> ExecPlan<'a> {
     /// Number of subscriptions (unicast routes or multicast deliveries).
     pub fn num_subscriptions(&self) -> usize {
         self.routes.num_subscriptions()
-    }
-
-    /// Convenience: execute this plan on the event engine.
-    pub fn run(&self) -> Result<RunOutcome, RunError> {
-        crate::engine::Engine::from_plan(self).run()
     }
 
     /// Apply an incremental change to this plan, returning the inverse
@@ -899,19 +888,10 @@ pub fn scenario_key(
     key
 }
 
-/// FNV-1a 64 of [`scenario_key`] — the compact form used in reports and
-/// cache statistics. Collision handling is the cache's job (it compares
-/// full keys); the hash is only a shard/index value.
-pub fn scenario_hash(
-    guest: &GuestSpec,
-    host: &HostGraph,
-    assign: &Assignment,
-    config: EngineConfig,
-) -> u64 {
-    fnv1a(scenario_key(guest, host, assign, config).as_bytes())
-}
-
-/// FNV-1a 64-bit over raw bytes (stable across runs and platforms).
+/// FNV-1a 64-bit over raw bytes (stable across runs and platforms);
+/// over a [`scenario_key`] it is the compact plan hash used in reports
+/// and cache statistics. Collision handling is the cache's job (it
+/// compares full keys); the hash is only a shard/index value.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -996,15 +976,15 @@ mod tests {
     fn one_plan_serves_many_runs_identically() {
         let (guest, host, assign) = lab();
         let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
-        let a = plan.run().unwrap();
-        let b = plan.run().unwrap();
+        let a = Engine::from_plan(&plan).run().unwrap();
+        let b = Engine::from_plan(&plan).run().unwrap();
         let fresh = Engine::new(&guest, &host, &assign, EngineConfig::default())
             .run()
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(a, fresh);
         // Runs sharing the plan across sweep threads are identical too.
-        let shared = crate::sweep::par_map(&[0u8; 3], |_| plan.run().unwrap());
+        let shared = crate::sweep::par_map(&[0u8; 3], |_| Engine::from_plan(&plan).run().unwrap());
         assert!(shared.iter().all(|out| *out == a));
     }
 
@@ -1032,7 +1012,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.compute_costs(), Some(&[1u32, 2, 1, 3][..]));
         assert!(!plan.faults().unwrap().is_empty());
-        let out = plan.run().unwrap();
+        let out = Engine::from_plan(&plan).run().unwrap();
         assert!(out.stats.makespan > 0);
     }
 

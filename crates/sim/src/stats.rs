@@ -43,8 +43,8 @@ pub struct RunStats {
     #[serde(default)]
     pub events_processed: u64,
     /// Largest number of simultaneously pending events — a proxy for the
-    /// engine's peak memory footprint. The stepped and lockstep engines
-    /// have no event queue and report 0.
+    /// engine's peak memory footprint. The stepped engine has no event
+    /// queue and reports 0.
     #[serde(default)]
     pub peak_queue_depth: u64,
     /// Past-tick pushes the event calendar had to clamp forward to its

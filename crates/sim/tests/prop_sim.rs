@@ -4,7 +4,6 @@ use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
 use overlap_sim::engine::{Engine, EngineConfig};
-use overlap_sim::lockstep::run_lockstep;
 use overlap_sim::stepped::run_stepped;
 use overlap_sim::validate::validate_run;
 use overlap_sim::{Assignment, BandwidthMode, ExecPlan};
@@ -159,7 +158,7 @@ proptest! {
     }
 
     #[test]
-    fn lockstep_agrees_on_state_and_never_beats_greedy(
+    fn lockstep_baseline_never_beats_greedy(
         procs in 2u32..6,
         cells_per in 1u32..4,
         steps in 1u32..10,
@@ -172,10 +171,8 @@ proptest! {
         let assign = Assignment::blocked(procs, cells);
         let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).expect("plan");
         let greedy = Engine::from_plan(&plan).run().expect("greedy");
-        let lock = run_lockstep(&plan).expect("lockstep");
-        prop_assert!(lock.stats.makespan >= greedy.stats.makespan);
-        let trace = ReferenceRun::execute(&guest);
-        prop_assert!(validate_run(&trace, &lock).is_empty());
+        let lock = plan.lockstep_makespan().expect("lockstep");
+        prop_assert!(lock >= greedy.stats.makespan);
     }
 
     #[test]

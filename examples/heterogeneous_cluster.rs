@@ -11,7 +11,7 @@
 use overlap::core::baseline::weighted_blocked;
 use overlap::model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap::net::{topology, DelayModel};
-use overlap::sim::engine::EngineConfig;
+use overlap::sim::engine::{Engine, EngineConfig};
 use overlap::sim::validate::validate_run;
 use overlap::sim::{Assignment, ExecPlan};
 
@@ -32,11 +32,10 @@ fn main() {
         ("blocked (speed-blind)", Assignment::blocked(n, cells)),
         ("weighted (shards ∝ speed)", weighted_blocked(&costs, cells)),
     ] {
-        let out = ExecPlan::build(&guest, &host, &assignment, EngineConfig::default())
+        let plan = ExecPlan::build(&guest, &host, &assignment, EngineConfig::default())
             .expect("plan")
-            .with_compute_costs(costs.clone())
-            .run()
-            .expect("run");
+            .with_compute_costs(costs.clone());
+        let out = Engine::from_plan(&plan).run().expect("run");
         let ok = validate_run(&trace, &out).is_empty();
         println!(
             "{name:<28} slowdown {:>7.2}   max shards/machine {:>3}   validated {ok}",

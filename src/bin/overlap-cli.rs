@@ -38,9 +38,8 @@
 //!               take auto (Theorem 8); btree guests take auto (subtree
 //!               blocks) or blocked (heap-order blocks); any other pair is
 //!               an error
-//!   --engine    event | stepped | lockstep  (default event; stepped is
-//!               the differential oracle, lockstep the d_max-synchronised
-//!               baseline)
+//!   --engine    event | stepped  (default event; stepped is the
+//!               differential oracle)
 //!   --faults    down:A:B:FROM:UNTIL | spike:A:B:FROM:UNTIL:FACTOR |
 //!               crash:P:AT | rand:PCT  (repeatable; injects deterministic
 //!               link outages / delay spikes / processor crashes; rand:PCT
@@ -56,8 +55,9 @@
 //!   --dot         print the host as Graphviz DOT and exit
 //! ```
 //!
-//! Prints the validated report: slowdown, load, redundancy, messages, and
-//! the predicted bound where the strategy has one.
+//! Prints the validated report: slowdown, load, redundancy, messages, the
+//! predicted bound where the strategy has one, and the §1 lockstep
+//! baseline on the same placement where its closed form applies.
 
 use overlap::daemon::{Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore};
 use overlap::net::metrics::DelayStats;
@@ -260,7 +260,7 @@ fn opt_in(args: &[String], name: &str, default: &str) -> String {
 
 /// Resolve `--engine` (an [`EngineKind::label`]) into an [`EngineKind`].
 fn parse_engine(engine: &str) -> EngineKind {
-    [EngineKind::Event, EngineKind::Stepped, EngineKind::Lockstep]
+    [EngineKind::Event, EngineKind::Stepped]
         .into_iter()
         .find(|kind| kind.label() == engine)
         .unwrap_or_else(|| usage(&format!("unknown engine '{engine}'")))
@@ -493,7 +493,7 @@ fn fuzz_main(args: &[String]) -> ! {
     let profile = if dag { " [dag profile]" } else { "" };
     println!(
         "fuzzing {cases} scenarios (seed {seed}){profile} across \
-         event/stepped/lockstep/reference…"
+         event/stepped/reference…"
     );
     let mut divergences = 0u64;
     for case in 0..cases {
@@ -629,6 +629,10 @@ fn main() {
                 "slowdown : {:.2}  (makespan {} / {} steps)",
                 r.stats.slowdown, r.stats.makespan, r.stats.guest_steps
             );
+            if let Some(lk) = r.lockstep_makespan {
+                let slowdown = lk as f64 / r.stats.guest_steps.max(1) as f64;
+                println!("lockstep : {slowdown:.2}  (makespan {lk}, the §1 baseline)");
+            }
             println!(
                 "load     : {} databases/processor, redundancy {:.2}×",
                 r.stats.load, r.stats.redundancy

@@ -10,9 +10,10 @@
 //!   the unit-delay reference executor);
 //! * [`net`] — the host network substrate (topologies, link delays,
 //!   embeddings, metrics);
-//! * [`sim`] — the NOW simulator: three execution engines (greedy
-//!   event-driven, parallel time-stepped, lockstep baseline) all consuming
-//!   one lowered [`ExecPlan`] (compile a placement once, run it anywhere),
+//! * [`sim`] — the NOW simulator: two execution engines (greedy
+//!   event-driven, time-stepped oracle) consuming one lowered [`ExecPlan`]
+//!   (compile a placement once, run it anywhere; the plan also prices the
+//!   paper's lockstep baseline in closed form),
 //!   unicast and multicast routing, the paper's bandwidth law, link jitter,
 //!   heterogeneous machine speeds, timing traces, and bit-exact validation
 //!   against the unit-delay reference;

@@ -36,7 +36,7 @@ const GUESTS: [&str; 6] = [
 #[test]
 fn every_guest_runs_on_the_engine_it_asks_for() {
     for guest in GUESTS {
-        for engine in ["event", "stepped", "lockstep"] {
+        for engine in ["event", "stepped"] {
             let out = cli(&["--guest", guest, "--engine", engine]);
             let text = stdout(&out);
             assert!(out.status.success(), "{guest} × {engine}: {}", stderr(&out));
@@ -54,24 +54,33 @@ fn every_guest_runs_on_the_engine_it_asks_for() {
     }
 }
 
+/// The §1 lockstep baseline is printed beside every plain run and
+/// omitted where its closed form does not apply; it is not an engine.
 #[test]
-fn lockstep_rejects_faults_for_every_guest() {
+fn lockstep_baseline_is_printed_only_where_defined() {
     for guest in GUESTS {
-        let out = cli(&[
-            "--guest",
-            guest,
-            "--engine",
-            "lockstep",
-            "--faults",
-            "crash:3:10",
-        ]);
-        assert!(!out.status.success(), "{guest}: {}", stdout(&out));
-        assert!(
-            stderr(&out).contains("the lockstep engine does not support fault injection"),
-            "{guest}: {}",
-            stderr(&out)
-        );
+        for (faults, defined) in [(None, true), (Some("down:1:2:5:40"), false)] {
+            let mut args = vec!["--guest", guest];
+            if let Some(f) = faults {
+                args.extend(["--faults", f]);
+            }
+            let out = cli(&args);
+            let text = stdout(&out);
+            assert!(out.status.success(), "{guest} {faults:?}: {}", stderr(&out));
+            assert!(
+                text.contains("validated: true"),
+                "{guest} {faults:?}: {text}"
+            );
+            assert_eq!(
+                text.contains("lockstep :"),
+                defined,
+                "{guest} {faults:?}: {text}"
+            );
+        }
     }
+    let out = cli(&["--engine", "lockstep"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    assert!(stderr(&out).contains("unknown engine 'lockstep'"));
 }
 
 #[test]

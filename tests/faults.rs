@@ -37,12 +37,11 @@ fn empty_fault_plan_is_bit_identical_across_engines_and_configs() {
             let plain = Engine::new(&guest, &host, &assign, cfg)
                 .run()
                 .expect("plain");
-            let empty = ExecPlan::build(&guest, &host, &assign, cfg)
+            let plan = ExecPlan::build(&guest, &host, &assign, cfg)
                 .unwrap()
                 .with_faults(FaultPlan::new())
-                .unwrap()
-                .run()
-                .expect("empty plan");
+                .unwrap();
+            let empty = Engine::from_plan(&plan).run().expect("empty plan");
             let classic = run_classic(&guest, &host, &assign, cfg, None, false).expect("classic");
             assert_eq!(
                 plain, empty,

@@ -1,10 +1,11 @@
 //! Bounded differential-fuzzing harness: the same generator + invariant
 //! audit the `overlap-cli fuzz` subcommand drives, run small enough for
-//! every `cargo test`. A clean pass certifies that the event, stepped and
-//! lockstep engines plus the unit-delay reference agree across a random
-//! sample of guests, hosts, delay models, assignments, costs, multicast
-//! lowerings and fault schedules — each scenario lowered exactly once
-//! into a shared `ExecPlan`.
+//! every `cargo test`. A clean pass certifies that the event and stepped
+//! engines plus the unit-delay reference agree, and the event engine
+//! stays within the lockstep bound, across a random sample of guests,
+//! hosts, delay models, assignments, costs, multicast lowerings and fault
+//! schedules — each scenario lowered exactly once into a shared
+//! `ExecPlan`.
 
 use overlap::model::ProgramKind;
 use overlap::net::DelayModel;

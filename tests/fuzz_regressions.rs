@@ -246,7 +246,8 @@ fn crash_recovery_without_a_route_is_an_error_not_a_panic() {
 /// Task-graph scenarios in the exact paste-able form the fuzzer prints,
 /// pinning the DAG/memory-budget fuzzing profile: a non-uniform random
 /// layered DAG under a thrashing memory budget must keep all engines in
-/// bit-agreement (lockstep and tracing are auto-skipped as unsupported).
+/// bit-agreement (tracing and the lockstep bound are skipped as
+/// unsupported).
 #[test]
 fn fuzz_pin_dag_random_under_memory_budget() {
     use overlap::sim::engine::MemBudget;
@@ -301,9 +302,9 @@ fn fuzz_pin_fork_join_relays_with_link_fault() {
     check_spec(&spec).expect("engines must agree");
 }
 
-/// A uniform wavefront DAG lowers through the static tables, so every
-/// engine (lockstep and the traced event run included) is in scope —
-/// with multicast routing on top for the event engine.
+/// A uniform wavefront DAG lowers through the static tables, so the
+/// traced event run is in scope — with multicast routing on top for the
+/// event engine.
 #[test]
 fn fuzz_pin_wavefront_multicast() {
     let spec = ScenarioSpec {

@@ -1,7 +1,7 @@
 //! Incremental-plan contracts: a delta-applied [`ExecPlan`] must be
 //! **bit-identical** to a from-scratch lowering of the changed inputs, on
-//! every engine — and the delta's inverse must restore the base plan
-//! exactly. The same delta applied to a shared view (`ExecPlan::share`)
+//! every engine and in its lockstep baseline — and the delta's inverse
+//! must restore the base plan exactly. The same delta applied to a shared view (`ExecPlan::share`)
 //! must match the fresh lowering too and leave its base untouched.
 //! Covers link-delay edits (both the patch-in-place fast path and the
 //! re-lowering slow path), fault-plan swaps, and compute-cost overrides,
@@ -10,29 +10,42 @@
 
 use overlap::model::TaskGraph;
 use overlap::sim::engine::MemBudget;
-use overlap::sim::{run_lockstep, run_stepped};
+use overlap::sim::run_stepped;
 use overlap::{
     topology, Assignment, DelayModel, Engine, EngineConfig, ExecPlan, FaultPlan, GuestSpec,
     HostGraph, PlanDelta, ProgramKind, RunOutcome,
 };
 use proptest::prelude::*;
 
-/// Outcomes of every engine the plan is legal for, in a comparable bundle
-/// (the event run timed, so completion ticks are compared too).
-fn run_all(plan: &ExecPlan) -> Vec<(&'static str, Result<RunOutcome, String>)> {
-    let mut out = Vec::new();
-    let e = |r: Result<RunOutcome, overlap::RunError>| r.map_err(|e| e.to_string());
-    out.push(("event", e(Engine::from_plan(plan).run_timed())));
-    out.push(("stepped", e(run_stepped(plan))));
-    let guest = plan.guest();
-    if plan.faults().is_none()
-        && plan.compute_costs().is_none()
-        && plan.config().mem.is_none()
-        && !guest.has_nonunit_task_costs()
-    {
-        out.push(("lockstep", e(run_lockstep(plan))));
-    }
-    out
+/// What an engine run or the lockstep baseline makes of a plan.
+#[derive(Debug, PartialEq)]
+enum Out {
+    Run(Box<RunOutcome>),
+    Makespan(u64),
+}
+
+/// Outcomes of both engines and the lockstep baseline, or the typed error
+/// each gives, in a comparable bundle (the event run timed, so completion
+/// ticks are compared too).
+fn run_all(plan: &ExecPlan) -> Vec<(&'static str, Result<Out, String>)> {
+    let run = |r: Result<RunOutcome, overlap::RunError>| {
+        r.map(|o| Out::Run(Box::new(o))).map_err(|e| e.to_string())
+    };
+    vec![
+        ("event", run(Engine::from_plan(plan).run_timed())),
+        ("stepped", run(run_stepped(plan))),
+        (
+            "lockstep",
+            plan.lockstep_makespan()
+                .map(Out::Makespan)
+                .map_err(|e| e.to_string()),
+        ),
+    ]
+}
+
+/// The plain event run of `plan`.
+fn event(plan: &ExecPlan) -> RunOutcome {
+    Engine::from_plan(plan).run().unwrap()
 }
 
 /// Assert the delta-applied plan matches a fresh lowering on every
@@ -210,7 +223,7 @@ fn unused_link_fast_path_and_relowering_slow_path() {
     let mut h2 = host.clone();
     h2.set_link_delay(0, 3, 60);
     let fresh = ExecPlan::build(&guest, &h2, &assign, EngineConfig::default()).unwrap();
-    assert_eq!(plan.run().unwrap(), fresh.run().unwrap());
+    assert_eq!(event(&plan), event(&fresh));
     plan.apply_delta(up.inverse).unwrap();
 
     // Decrease that reroutes traffic through 0-3: slow path.
@@ -225,7 +238,7 @@ fn unused_link_fast_path_and_relowering_slow_path() {
     let mut h3 = host.clone();
     h3.set_link_delay(0, 3, 1);
     let fresh = ExecPlan::build(&guest, &h3, &assign, EngineConfig::default()).unwrap();
-    assert_eq!(plan.run().unwrap(), fresh.run().unwrap());
+    assert_eq!(event(&plan), event(&fresh));
     assert_eq!(
         run_stepped(&plan).unwrap(),
         run_stepped(&fresh).unwrap(),
@@ -235,7 +248,7 @@ fn unused_link_fast_path_and_relowering_slow_path() {
     // Undo restores the base lowering bit-exactly.
     plan.apply_delta(down.inverse).unwrap();
     let base = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
-    assert_eq!(plan.run().unwrap(), base.run().unwrap());
+    assert_eq!(event(&plan), event(&base));
 }
 
 /// Multicast plans take the fast path only on tree hosts; elsewhere every
@@ -275,10 +288,10 @@ fn multicast_deltas_match_fresh_lowerings() {
         let mut h2 = host.clone();
         h2.set_link_delay(0, 1, 7);
         let fresh = ExecPlan::build(&guest, &h2, &assign, config).unwrap();
-        assert_eq!(plan.run().unwrap(), fresh.run().unwrap());
+        assert_eq!(event(&plan), event(&fresh));
         plan.apply_delta(receipt.inverse).unwrap();
         let base = ExecPlan::build(&guest, &host, &assign, config).unwrap();
-        assert_eq!(plan.run().unwrap(), base.run().unwrap());
+        assert_eq!(event(&plan), event(&base));
     }
 }
 
@@ -290,7 +303,7 @@ fn missing_link_delta_is_rejected() {
     let host = topology::linear_array(3, DelayModel::constant(2), 0);
     let assign = Assignment::blocked(3, 6);
     let mut plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
-    let before = plan.run().unwrap();
+    let before = event(&plan);
     let err = plan
         .apply_delta(PlanDelta::LinkDelay {
             a: 0,
@@ -302,5 +315,5 @@ fn missing_link_delta_is_rejected() {
         err,
         overlap::RunError::MissingLink { from: 0, to: 2 }
     ));
-    assert_eq!(plan.run().unwrap(), before, "failed delta must not mutate");
+    assert_eq!(event(&plan), before, "failed delta must not mutate");
 }

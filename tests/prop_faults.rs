@@ -51,12 +51,11 @@ proptest! {
         let assign = Assignment::blocked(procs, cells);
         let cfg = EngineConfig { multicast, jitter, ..EngineConfig::default() };
         let plain = Engine::new(&guest, &host, &assign, cfg).run().expect("plain");
-        let empty = ExecPlan::build(&guest, &host, &assign, cfg)
+        let plan = ExecPlan::build(&guest, &host, &assign, cfg)
             .unwrap()
             .with_faults(FaultPlan::new())
-            .unwrap()
-            .run()
-            .expect("empty plan");
+            .unwrap();
+        let empty = Engine::from_plan(&plan).run().expect("empty plan");
         let classic = run_classic(&guest, &host, &assign, cfg, None, false).expect("classic");
         prop_assert_eq!(&plain, &empty);
         prop_assert_eq!(&plain, &classic);
@@ -91,12 +90,11 @@ proptest! {
         let clean = Engine::new(&guest, &host, &assign, cfg).run().expect("clean");
         let victim = victim_pick % procs;
         let crash_at = (clean.stats.makespan * when_pct / 100).max(1);
-        let out = ExecPlan::build(&guest, &host, &assign, cfg)
+        let plan = ExecPlan::build(&guest, &host, &assign, cfg)
             .unwrap()
             .with_faults(FaultPlan::new().crash(victim, crash_at))
-            .unwrap()
-            .run()
-            .expect("survivable crash must complete");
+            .unwrap();
+        let out = Engine::from_plan(&plan).run().expect("survivable crash must complete");
         let trace = ReferenceRun::execute(&guest);
         let errors = validate_run(&trace, &out);
         prop_assert!(errors.is_empty(), "{} mismatches after crash", errors.len());
