@@ -3,15 +3,16 @@
 //! A submission is validated and placed up front (the same builder as
 //! in-process runs — invalid scenarios are rejected at the door, not at
 //! run time), keyed for the plan cache, and queued together with its
-//! assignment. Worker threads pull jobs off the queue, resolve the plan
-//! through [`PlanCache`] (lowering a miss from the job's assignment, at
-//! most once per key), attach the session's faults and compute costs to
-//! a view of the cached plan (`ExecPlan::share`), execute through
-//! `EngineKind::run` under a [`RunControl`], validate against the cached
-//! reference trace, persist a [`RunRecord`], and stream [`Event`]s to
-//! subscribers. The cached plan is only read and no cache lock is held
-//! while a run executes or is validated, so a paused run blocks neither
-//! its key nor anyone else.
+//! scenario and assignment. Worker threads pull jobs off the queue,
+//! resolve the plan through [`PlanCache`] (lowering a miss from the job's
+//! assignment, once per key while it stays cached), attach the job's
+//! faults and compute costs to a view of the cached plan
+//! (`ExecPlan::share`), execute through `EngineKind::run` under a
+//! [`RunControl`], validate against the cached reference trace, persist a
+//! [`RunRecord`], and stream [`Event`]s to subscribers. The cached plan is
+//! only read and no cache lock is held while a run executes or is
+//! validated, so a paused run blocks neither its key nor anyone else. A
+//! run that panics fails its session and leaves its worker serving.
 //!
 //! Session lifecycle: `Queued → Running ⇄ Paused → Done | Failed |
 //! Cancelled` (a session paused while queued starts `Paused`). Pause and
@@ -20,8 +21,14 @@
 //! intact and a resumed run is bit-identical to an uninterrupted one.
 //! Nothing is persisted from a cancelled run, and it has nothing to
 //! restore.
+//!
+//! Retention: the registry keeps every queued, running and paused
+//! session, and the newest [`MAX_FINISHED_SESSIONS`] terminal ones. An
+//! older session's id is unknown again (HTTP 404); its runs stay in the
+//! [`RunStore`].
 
 use crate::cache::{CacheStats, PlanCache};
+use crate::lock;
 use crate::store::{MemStore, RunRecord, RunStore};
 use overlap_core::{Error, ScenarioSpec};
 use overlap_sim::engine::{RunError, RunOutcome};
@@ -30,14 +37,19 @@ use overlap_sim::validate::validate_run;
 use overlap_sim::{Assignment, RunControl};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Emit a `Progress` event every this many control checkpoints (the
 /// progress *counter* still updates at every checkpoint; this only
 /// throttles the event stream).
 const PROGRESS_EVERY: u64 = 16;
+
+/// Terminal sessions the registry keeps; older ones are forgotten (their
+/// runs stay in the store).
+pub const MAX_FINISHED_SESSIONS: usize = 1024;
 
 /// A session's observable lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,13 +153,18 @@ struct Shared {
 
 impl Shared {
     fn push(&self, event: Event) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
         st.events.push(event);
         self.cv.notify_all();
     }
 
+    /// Enter terminal `status` with its `event`, unless the session is
+    /// terminal already (a terminal state never changes again).
     fn finish(&self, status: Status, event: Event) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = lock(&self.state);
+        if st.status.is_terminal() {
+            return;
+        }
         st.status = status;
         st.events.push(event);
         self.cv.notify_all();
@@ -156,7 +173,6 @@ impl Shared {
 
 struct Session {
     id: u64,
-    spec: ScenarioSpec,
     hash: u64,
     control: Arc<RunControl>,
     shared: Arc<Shared>,
@@ -170,11 +186,12 @@ impl std::ops::Deref for Session {
     }
 }
 
-/// A queued session with what admission computed for it: the plan-cache
-/// key and the placed assignment. The worker takes both, so a finished
-/// session keeps neither.
+/// A queued session with its scenario and what admission computed for
+/// it: the plan-cache key and the placed assignment. The worker takes all
+/// three, so a finished session keeps none of them.
 struct Job {
     session: u64,
+    spec: ScenarioSpec,
     key: String,
     assignment: Assignment,
 }
@@ -196,10 +213,20 @@ impl Default for DaemonConfig {
     }
 }
 
+/// Every session the daemon still answers for: all live ones, and the
+/// newest terminal ones, whose ids `finished` lists oldest first.
+#[derive(Default)]
+struct Registry {
+    sessions: HashMap<u64, Arc<Session>>,
+    finished: VecDeque<u64>,
+}
+
 struct Inner {
     cache: PlanCache,
     store: Box<dyn RunStore>,
-    sessions: Mutex<HashMap<u64, Arc<Session>>>,
+    registry: Mutex<Registry>,
+    /// How many terminal sessions the registry keeps.
+    keep_finished: usize,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     next_session: AtomicU64,
@@ -217,11 +244,18 @@ pub struct Daemon {
 impl Daemon {
     /// Start a daemon with `config.workers` worker threads.
     pub fn start(config: DaemonConfig) -> Self {
+        Self::start_with(config, PlanCache::new(), MAX_FINISHED_SESSIONS)
+    }
+
+    /// [`start`](Self::start) with the given plan cache, keeping
+    /// `keep_finished` terminal sessions (tests shrink both bounds).
+    pub(crate) fn start_with(config: DaemonConfig, cache: PlanCache, keep_finished: usize) -> Self {
         let workers = config.workers.max(1);
         let inner = Arc::new(Inner {
-            cache: PlanCache::new(),
+            cache,
             store: config.store,
-            sessions: Mutex::new(HashMap::new()),
+            registry: Mutex::default(),
+            keep_finished,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             next_session: AtomicU64::new(1),
@@ -278,14 +312,14 @@ impl Daemon {
         });
         let session = Arc::new(Session {
             id,
-            spec,
             hash,
             control: Arc::new(control),
             shared,
         });
-        self.inner.sessions.lock().unwrap().insert(id, session);
-        self.inner.queue.lock().unwrap().push_back(Job {
+        lock(&self.inner.registry).sessions.insert(id, session);
+        lock(&self.inner.queue).push_back(Job {
             session: id,
+            spec,
             key,
             assignment,
         });
@@ -293,14 +327,11 @@ impl Daemon {
         Ok(id)
     }
 
-    fn session(&self, id: u64) -> Option<Arc<Session>> {
-        self.inner.sessions.lock().unwrap().get(&id).cloned()
-    }
-
-    /// Current view of a session, `None` for unknown ids.
+    /// Current view of a session, `None` for unknown ids and for terminal
+    /// sessions older than the newest [`MAX_FINISHED_SESSIONS`].
     pub fn status(&self, id: u64) -> Option<SessionView> {
-        let s = self.session(id)?;
-        let st = s.shared.state.lock().unwrap();
+        let s = self.inner.session(id)?;
+        let st = lock(&s.shared.state);
         Some(SessionView {
             id,
             status: st.status,
@@ -313,10 +344,10 @@ impl Daemon {
     /// Request a pause; the run holds at its next checkpoint. Returns
     /// false for unknown ids; no-op on terminal sessions.
     pub fn pause(&self, id: u64) -> bool {
-        let Some(s) = self.session(id) else {
+        let Some(s) = self.inner.session(id) else {
             return false;
         };
-        let mut st = s.shared.state.lock().unwrap();
+        let mut st = lock(&s.shared.state);
         if !st.status.is_terminal() && !s.control.is_paused() {
             s.control.pause();
             st.events.push(Event::Paused);
@@ -330,10 +361,10 @@ impl Daemon {
 
     /// Resume a paused session. Returns false for unknown ids.
     pub fn resume(&self, id: u64) -> bool {
-        let Some(s) = self.session(id) else {
+        let Some(s) = self.inner.session(id) else {
             return false;
         };
-        let mut st = s.shared.state.lock().unwrap();
+        let mut st = lock(&s.shared.state);
         if !st.status.is_terminal() && s.control.is_paused() {
             s.control.resume();
             st.events.push(Event::Resumed);
@@ -348,7 +379,7 @@ impl Daemon {
     /// Cancel a queued or running session (wakes it first if paused).
     /// Returns false for unknown ids; no-op on terminal sessions.
     pub fn cancel(&self, id: u64) -> bool {
-        let Some(s) = self.session(id) else {
+        let Some(s) = self.inner.session(id) else {
             return false;
         };
         s.control.cancel();
@@ -360,14 +391,14 @@ impl Daemon {
     /// empty vec on timeout or when the session is terminal with no
     /// further events.
     pub fn events_since(&self, id: u64, since: usize, wait: Duration) -> Option<Vec<Event>> {
-        let s = self.session(id)?;
-        let mut st = s.shared.state.lock().unwrap();
+        let s = self.inner.session(id)?;
+        let mut st = lock(&s.shared.state);
         if st.events.len() <= since && !st.status.is_terminal() && !wait.is_zero() {
             let (guard, _timeout) =
                 s.cv.wait_timeout_while(st, wait, |st| {
                     st.events.len() <= since && !st.status.is_terminal()
                 })
-                .unwrap();
+                .unwrap_or_else(PoisonError::into_inner);
             st = guard;
         }
         Some(st.events.get(since..).unwrap_or_default().to_vec())
@@ -376,11 +407,11 @@ impl Daemon {
     /// Block until the session reaches a terminal state (up to `wait`).
     /// Returns the final status, or the current one on timeout.
     pub fn wait(&self, id: u64, wait: Duration) -> Option<Status> {
-        let s = self.session(id)?;
-        let st = s.shared.state.lock().unwrap();
+        let s = self.inner.session(id)?;
+        let st = lock(&s.shared.state);
         let (st, _timeout) =
             s.cv.wait_timeout_while(st, wait, |st| !st.status.is_terminal())
-                .unwrap();
+                .unwrap_or_else(PoisonError::into_inner);
         Some(st.status)
     }
 
@@ -410,11 +441,11 @@ impl Daemon {
     /// workers. Idempotent.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        for s in self.inner.sessions.lock().unwrap().values() {
+        for s in lock(&self.inner.registry).sessions.values() {
             s.control.cancel();
         }
         self.inner.queue_cv.notify_all();
-        for h in self.workers.lock().unwrap().drain(..) {
+        for h in lock(&self.workers).drain(..) {
             let _ = h.join();
         }
     }
@@ -426,10 +457,28 @@ impl Drop for Daemon {
     }
 }
 
+impl Inner {
+    fn session(&self, id: u64) -> Option<Arc<Session>> {
+        lock(&self.registry).sessions.get(&id).cloned()
+    }
+
+    /// Record that session `id` reached a terminal state, forgetting the
+    /// oldest terminal sessions beyond `keep_finished`.
+    fn retire(&self, id: u64) {
+        let mut reg = lock(&self.registry);
+        reg.finished.push_back(id);
+        while reg.finished.len() > self.keep_finished {
+            if let Some(old) = reg.finished.pop_front() {
+                reg.sessions.remove(&old);
+            }
+        }
+    }
+}
+
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
-            let mut q = inner.queue.lock().unwrap();
+            let mut q = lock(&inner.queue);
             loop {
                 if let Some(job) = q.pop_front() {
                     break job;
@@ -437,17 +486,35 @@ fn worker_loop(inner: &Inner) {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                q = inner.queue_cv.wait(q).unwrap();
+                q = inner
+                    .queue_cv
+                    .wait(q)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let Some(session) = inner.sessions.lock().unwrap().get(&job.session).cloned() else {
+        let Some(session) = inner.session(job.session) else {
             continue;
         };
         if session.control.is_cancelled() {
             session.finish(Status::Cancelled, Event::Cancelled { at: 0 });
-            continue;
+        } else if let Err(panic) =
+            panic::catch_unwind(AssertUnwindSafe(|| run_session(inner, &session, job)))
+        {
+            // The worker survives; the session fails with the message.
+            let msg = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            session.finish(
+                Status::Failed,
+                Event::Failed {
+                    error: format!("run panicked: {msg}"),
+                },
+            );
         }
-        run_session(inner, &session, job);
+        inner.retire(session.id);
+        inner.cache.free_evicted();
     }
 }
 
@@ -458,10 +525,7 @@ fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
         // Decided under the state lock that pause and resume take: a
         // session paused while queued holds at its first checkpoint, so
         // it reports Paused until resumed.
-        let mut st = session
-            .state
-            .lock()
-            .expect("a session state lock is poisoned");
+        let mut st = lock(&session.state);
         st.status = if session.control.is_paused() {
             Status::Paused
         } else {
@@ -469,10 +533,15 @@ fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
         };
         session.cv.notify_all();
     }
-    let spec = &session.spec;
+    let Job {
+        spec,
+        key,
+        assignment,
+        ..
+    } = job;
     let result: Result<(RunOutcome, u64, bool), Error> = inner
         .cache
-        .get(&job.key, spec, job.assignment)
+        .get(&key, &spec, assignment)
         .and_then(|(entry, hit)| {
             session.push(Event::Started { cache_hit: hit });
             // The cached plan is only read: the session's variant rides
@@ -485,6 +554,8 @@ fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
                 plan = plan.with_compute_costs(costs.clone());
             }
             let trace = spec.trace.then(TraceConfig::default);
+            #[cfg(test)]
+            crate::failpoint::hit("run", session.hash);
             let outcome = spec.engine.run(&plan, Some(&*session.control), trace)?;
             let errors = validate_run(&entry.reference, &outcome);
             Ok((outcome, errors.len() as u64, hit))
@@ -528,5 +599,193 @@ fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
                 },
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::failpoint;
+    use overlap_core::Strategy;
+    use overlap_model::{GuestSpec, ProgramKind};
+    use overlap_net::topology::linear_array;
+    use overlap_net::DelayModel;
+    use std::time::Instant;
+
+    const WAIT: Duration = Duration::from_secs(60);
+
+    /// A 16-cell line guest of `steps` steps on an 8-processor line; the
+    /// guest `seed` keeps each test's keys its own.
+    fn spec(steps: u32, seed: u64) -> ScenarioSpec {
+        let mut s = ScenarioSpec::new(
+            GuestSpec::array(16, ProgramKind::KvWorkload, seed, steps),
+            linear_array(8, DelayModel::uniform(1, 6), 7),
+        );
+        s.strategy = Strategy::Overlap { c: 4.0 };
+        s
+    }
+
+    fn plan_hash(spec: &ScenarioSpec) -> u64 {
+        overlap_sim::fnv1a(spec.plan_key().unwrap().as_bytes())
+    }
+
+    fn daemon(cache: PlanCache, keep_finished: usize) -> Daemon {
+        let config = DaemonConfig {
+            workers: 2,
+            store: Box::new(MemStore::new()),
+        };
+        Daemon::start_with(config, cache, keep_finished)
+    }
+
+    /// Submit `spec` and wait for it to end: its final status and events.
+    fn run(daemon: &Daemon, spec: &ScenarioSpec) -> (Status, Vec<Event>) {
+        let id = daemon.submit(spec.clone()).unwrap();
+        let status = daemon.wait(id, WAIT).unwrap();
+        (status, daemon.events_since(id, 0, Duration::ZERO).unwrap())
+    }
+
+    fn failure(events: &[Event]) -> &str {
+        events
+            .iter()
+            .find_map(|e| match e {
+                Event::Failed { error } => Some(error.as_str()),
+                _ => None,
+            })
+            .expect("a Failed event")
+    }
+
+    fn record(events: &[Event]) -> &RunRecord {
+        events
+            .iter()
+            .find_map(|e| match e {
+                Event::Done { record } => Some(record),
+                _ => None,
+            })
+            .expect("a Done event")
+    }
+
+    /// Wait for `cond` to hold, failing after [`WAIT`].
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + WAIT;
+        while !cond() {
+            assert!(Instant::now() < deadline, "never: {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Submit a long run paused, and wait until a worker holds it at a
+    /// checkpoint.
+    fn held(daemon: &Daemon, seed: u64) -> u64 {
+        let id = daemon.submit(spec(4000, seed)).unwrap();
+        assert!(daemon.pause(id));
+        eventually("a paused run reaches a checkpoint", || {
+            daemon.status(id).unwrap().progress > 0
+        });
+        assert_eq!(daemon.status(id).unwrap().status, Status::Paused);
+        id
+    }
+
+    /// A panic while lowering and a panic while running each fail their
+    /// session with the panic's message and cost no worker: the key then
+    /// lowers cleanly, and both workers still serve at once.
+    #[test]
+    fn panics_fail_their_session_and_keep_the_pool() {
+        let daemon = daemon(PlanCache::new(), MAX_FINISHED_SESSIONS);
+        let spec = spec(32, 901);
+        failpoint::arm("lower", plan_hash(&spec));
+        let (status, events) = run(&daemon, &spec);
+        assert_eq!(status, Status::Failed);
+        assert!(failure(&events).contains("failpoint lower"), "{events:?}");
+
+        failpoint::arm("run", plan_hash(&spec));
+        let (status, events) = run(&daemon, &spec);
+        assert_eq!(status, Status::Failed);
+        assert!(events.contains(&Event::Started { cache_hit: false }));
+        assert!(failure(&events).contains("failpoint run"), "{events:?}");
+
+        let (status, events) = run(&daemon, &spec);
+        assert_eq!(status, Status::Done);
+        assert!(record(&events).validated && record(&events).cache_hit);
+        let c = daemon.cache_stats();
+        assert_eq!((c.hits, c.misses, c.entries), (1, 2, 1));
+
+        assert!(
+            lock(&daemon.workers).iter().all(|w| !w.is_finished()),
+            "a worker exited"
+        );
+        // Two runs held at a checkpoint at once: both workers are alive.
+        let both = [held(&daemon, 902), held(&daemon, 903)];
+        for id in both {
+            assert!(daemon.resume(id));
+            assert_eq!(daemon.wait(id, WAIT), Some(Status::Done));
+        }
+        daemon.shutdown();
+    }
+
+    /// An entry evicted while a session runs on it still serves that run,
+    /// and its key's next submission is a miss that lowers to the same
+    /// result.
+    #[test]
+    fn an_entry_evicted_under_a_run_still_serves_it() {
+        // A 1-byte budget caches only the newest entry.
+        let daemon = daemon(PlanCache::with_budget(1), MAX_FINISHED_SESSIONS);
+        let id = held(&daemon, 911);
+        let (status, _) = run(&daemon, &spec(32, 912));
+        assert_eq!(status, Status::Done);
+        let c = daemon.cache_stats();
+        assert_eq!((c.misses, c.entries, c.evictions), (2, 1, 1));
+
+        assert!(daemon.resume(id));
+        assert_eq!(daemon.wait(id, WAIT), Some(Status::Done));
+        let events = daemon.events_since(id, 0, Duration::ZERO).unwrap();
+        let first = record(&events);
+        assert!(first.validated && !first.cache_hit);
+
+        let (status, events) = run(&daemon, &spec(4000, 911));
+        assert_eq!(status, Status::Done);
+        let again = record(&events);
+        assert!(again.validated && !again.cache_hit, "an evicted key misses");
+        assert_eq!(again.stats, first.stats);
+        let c = daemon.cache_stats();
+        assert_eq!((c.hits, c.misses, c.entries, c.evictions), (0, 3, 1, 2));
+        daemon.shutdown();
+    }
+
+    /// The registry keeps the newest terminal sessions only; older ids are
+    /// unknown, a paused session is never dropped, and the store keeps
+    /// every run.
+    #[test]
+    fn only_the_newest_finished_sessions_are_kept() {
+        let daemon = daemon(PlanCache::new(), 2);
+        let paused = held(&daemon, 921);
+        let done: Vec<u64> = (0..4)
+            .map(|_| {
+                let id = daemon.submit(spec(32, 922)).unwrap();
+                assert_eq!(daemon.wait(id, WAIT), Some(Status::Done));
+                id
+            })
+            .collect();
+        eventually("the oldest two are dropped", || {
+            done[..2].iter().all(|&id| daemon.status(id).is_none())
+        });
+        for &id in &done[..2] {
+            assert!(daemon.events_since(id, 0, Duration::ZERO).is_none());
+            assert!(!daemon.pause(id));
+        }
+        for &id in &done[2..] {
+            assert_eq!(daemon.status(id).unwrap().status, Status::Done);
+        }
+        assert_eq!(daemon.status(paused).unwrap().status, Status::Paused);
+        assert_eq!(daemon.runs(None).unwrap().len(), 4);
+
+        // Once cancelled, the held session is the newest terminal one.
+        assert!(daemon.cancel(paused));
+        assert_eq!(daemon.wait(paused, WAIT), Some(Status::Cancelled));
+        eventually("the next oldest is dropped", || {
+            daemon.status(done[2]).is_none()
+        });
+        assert!(daemon.status(done[3]).is_some());
+        assert!(daemon.status(paused).is_some());
+        daemon.shutdown();
     }
 }

@@ -20,7 +20,9 @@
 //! the typed builder error's message; unknown sessions are 404; a body
 //! declared larger than [`MAX_BODY_BYTES`] is refused with 413 before any
 //! of it is read; a request line or header longer than 8 KiB, or more
-//! than 100 headers, is refused with 431 as soon as the limit is crossed.
+//! than 100 headers, is refused with 431 as soon as the limit is crossed;
+//! a request not fully read within 30 s of its connection's accept gets
+//! 408, however steadily its bytes trickle in.
 
 use crate::daemon::Daemon;
 use crate::wire::{ErrorResponse, EventsResponse, OkResponse, RunsResponse, SubmitResponse};
@@ -30,7 +32,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest long-poll wait a client may request.
 const MAX_WAIT_MS: u64 = 30_000;
@@ -46,19 +48,47 @@ const MAX_LINE_BYTES: usize = 8 << 10;
 /// Most header lines one request may carry.
 const MAX_HEADERS: usize = 100;
 
+/// Time from accept within which the whole request must have been read.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
+
 /// Why a request could not be read.
 enum BadRequest {
     /// The declared `Content-Length` exceeds [`MAX_BODY_BYTES`].
     TooLarge(usize),
     /// A line or the header count crossed its limit (the message names it).
     HeadersTooLarge(String),
+    /// The request was not complete by its deadline.
+    TimedOut,
     /// Malformed request line, header, or body.
     Malformed(io::Error),
 }
 
 impl From<io::Error> for BadRequest {
     fn from(e: io::Error) -> Self {
-        BadRequest::Malformed(e)
+        match e.kind() {
+            // What a socket read past its timeout reports, by platform.
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => BadRequest::TimedOut,
+            _ => BadRequest::Malformed(e),
+        }
+    }
+}
+
+/// A connection read under one overall deadline: each read may wait only
+/// for the time left, so a client cannot stretch a request by trickling
+/// bytes.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
 }
 
@@ -108,12 +138,13 @@ pub fn serve(daemon: Arc<Daemon>, addr: &str) -> io::Result<Server> {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
+                let deadline = Instant::now() + REQUEST_DEADLINE;
                 let daemon = Arc::clone(&daemon);
                 let stop = Arc::clone(&loop_stop);
                 let _ = std::thread::Builder::new()
                     .name("overlap-daemon-conn".into())
                     .spawn(move || {
-                        let _ = handle_connection(stream, &daemon, &stop);
+                        let _ = handle_connection(stream, deadline, &daemon, &stop);
                     });
             }
         })?;
@@ -124,10 +155,26 @@ pub fn serve(daemon: Arc<Daemon>, addr: &str) -> io::Result<Server> {
     })
 }
 
-fn handle_connection(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let (method, path, body) = match read_request(&mut stream) {
+fn handle_connection(
+    mut stream: TcpStream,
+    deadline: Instant,
+    daemon: &Daemon,
+    stop: &AtomicBool,
+) -> io::Result<()> {
+    let (method, path, body) = match read_request(&stream, deadline) {
         Ok(req) => req,
+        Err(BadRequest::TimedOut) => {
+            return respond(
+                &mut stream,
+                408,
+                &ErrorResponse {
+                    error: format!(
+                        "request timeout: not read within {} s",
+                        REQUEST_DEADLINE.as_secs()
+                    ),
+                },
+            );
+        }
         Err(BadRequest::TooLarge(len)) => {
             return respond(
                 &mut stream,
@@ -139,12 +186,15 @@ fn handle_connection(mut stream: TcpStream, daemon: &Daemon, stop: &AtomicBool) 
         }
         Err(BadRequest::HeadersTooLarge(error)) => {
             respond(&mut stream, 431, &ErrorResponse { error })?;
-            // Drain what the client is still sending (bounded), so closing
-            // with unread bytes does not reset the connection before the
-            // client has read the answer.
+            // Drain what the client is still sending (for at most a
+            // second), so closing with unread bytes does not reset the
+            // connection before the client has read the answer.
             stream.shutdown(std::net::Shutdown::Write)?;
-            stream.set_read_timeout(Some(Duration::from_secs(1)))?;
-            let _ = io::copy(&mut (&stream).take(MAX_BODY_BYTES as u64), &mut io::sink());
+            let rest = DeadlineReader {
+                stream: &stream,
+                deadline: Instant::now() + Duration::from_secs(1),
+            };
+            let _ = io::copy(&mut rest.take(MAX_BODY_BYTES as u64), &mut io::sink());
             return Ok(());
         }
         Err(BadRequest::Malformed(e)) => {
@@ -252,11 +302,15 @@ fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> Result<(),
     Ok(())
 }
 
-/// Parse one request: `(method, path-with-query, body)`. Lines and the
-/// header count are bounded as they are read, and the body is allocated
-/// only once its declared length is known to be in bounds.
-fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), BadRequest> {
-    let mut reader = BufReader::new(stream);
+/// Parse one request, all of it read by `deadline`: `(method,
+/// path-with-query, body)`. Lines and the header count are bounded as
+/// they are read, and the body is allocated only once its declared length
+/// is known to be in bounds.
+fn read_request(
+    stream: &TcpStream,
+    deadline: Instant,
+) -> Result<(String, String, String), BadRequest> {
+    let mut reader = BufReader::new(DeadlineReader { stream, deadline });
     let mut line = String::new();
     read_bounded_line(&mut reader, &mut line)?;
     let mut head = line.split_whitespace();
@@ -311,6 +365,7 @@ fn respond<T: Serialize>(stream: &mut TcpStream, status: u16, body: &T) -> io::R
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
@@ -331,4 +386,72 @@ fn not_found(stream: &mut TcpStream) -> io::Result<()> {
             error: "not found".into(),
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected `(client, server)` socket pair on loopback.
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    /// A client that trickles one byte every 20 ms never lets a single
+    /// read wait long, and one that sends a few bytes and then goes silent
+    /// blocks a read; either way the request as a whole runs out of time
+    /// at its deadline.
+    #[test]
+    fn a_trickled_or_stalled_request_times_out_at_its_deadline() {
+        let request = b"GET /v1/cache HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+        // All of it still trickling at the deadline, or 5 bytes and silence.
+        for sent in [request.len(), 5] {
+            let (mut client, server) = pair();
+            let (done, wait_done) = std::sync::mpsc::channel::<()>();
+            let trickle = std::thread::spawn(move || {
+                for b in &request[..sent] {
+                    if client.write_all(&[*b]).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                // Hold the connection open, silent, until the server gives up.
+                let _ = wait_done.recv();
+            });
+            let start = Instant::now();
+            let read = read_request(&server, start + Duration::from_millis(200));
+            let took = start.elapsed();
+            assert!(
+                matches!(read, Err(BadRequest::TimedOut)),
+                "{sent} bytes sent"
+            );
+            assert!(
+                took >= Duration::from_millis(200) && took < Duration::from_secs(2),
+                "{sent} bytes sent: timed out after {took:?}"
+            );
+            drop(server);
+            let _ = done.send(());
+            trickle.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_request_complete_before_its_deadline_is_read() {
+        let (mut client, server) = pair();
+        client
+            .write_all(b"POST /v1/scenarios HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+            .unwrap();
+        let Ok((method, path, body)) =
+            read_request(&server, Instant::now() + Duration::from_secs(10))
+        else {
+            panic!("a complete request must parse");
+        };
+        assert_eq!(
+            (method.as_str(), path.as_str(), body.as_str()),
+            ("POST", "/v1/scenarios", "{}")
+        );
+    }
 }

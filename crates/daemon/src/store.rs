@@ -75,12 +75,12 @@ impl MemStore {
 
 impl RunStore for MemStore {
     fn append(&self, record: &RunRecord) -> io::Result<()> {
-        self.records.lock().unwrap().push(record.clone());
+        crate::lock(&self.records).push(record.clone());
         Ok(())
     }
 
     fn load_all(&self) -> io::Result<Vec<RunRecord>> {
-        Ok(self.records.lock().unwrap().clone())
+        Ok(crate::lock(&self.records).clone())
     }
 }
 
@@ -147,7 +147,7 @@ impl RunStore for JsonlStore {
     fn append(&self, record: &RunRecord) -> io::Result<()> {
         let line = serde_json::to_string(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut w = self.writer.lock().unwrap();
+        let mut w = crate::lock(&self.writer);
         writeln!(w, "{line}")?;
         w.flush()
     }
@@ -155,7 +155,7 @@ impl RunStore for JsonlStore {
     fn load_all(&self) -> io::Result<Vec<RunRecord>> {
         // Take the writer lock so a concurrent append's line is either
         // fully flushed or not started.
-        let _w = self.writer.lock().unwrap();
+        let _w = crate::lock(&self.writer);
         let bytes = std::fs::read(&self.path)?;
         let (lines, tail) = split_tail(&bytes);
         let mut out = Vec::new();

@@ -509,6 +509,12 @@ impl GuestSpec {
         self.num_cells() as u64 * self.steps as u64
     }
 
+    /// Heap bytes the spec holds: its task graph's tables, if it has one
+    /// (grid guests are plain values).
+    pub fn heap_bytes(&self) -> usize {
+        self.graph.as_ref().map_or(0, TaskGraph::heap_bytes)
+    }
+
     /// Does every step share one dependency list per cell? True for all
     /// grid topologies and for *uniform* task graphs, which then lower
     /// through the same static tables (bit-identical machinery). False

@@ -43,3 +43,8 @@ pub use program::{programs, ComputeResult, Program, ProgramKind, ProgramRef};
 pub use reference::{ReferenceRun, ReferenceTrace};
 pub use taskgraph::{DagBuilder, TaskGraph, TaskGraphError, TaskId};
 pub use transform::{line_slots, mesh3d_slabs, mesh_columns, ring_fold, torus_fold, SlotMap};
+
+/// Allocated bytes of a vector's buffer: its capacity, not its length.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}

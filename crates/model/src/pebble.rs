@@ -125,6 +125,11 @@ impl PebbleGrid {
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
+
+    /// Heap bytes the grid holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        crate::vec_bytes(&self.values)
+    }
 }
 
 #[cfg(test)]

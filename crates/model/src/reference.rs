@@ -33,6 +33,15 @@ impl ReferenceTrace {
     pub fn value(&self, id: PebbleId) -> PebbleValue {
         self.grid.get(id)
     }
+
+    /// Heap bytes the trace holds: its copy of the spec, the pebble grid
+    /// and both digest tables (allocated capacities, not estimates).
+    pub fn heap_bytes(&self) -> usize {
+        self.spec.heap_bytes()
+            + self.grid.heap_bytes()
+            + crate::vec_bytes(&self.final_db_digest)
+            + crate::vec_bytes(&self.update_log_digest)
+    }
 }
 
 /// Executor for the unit-delay guest.

@@ -162,6 +162,16 @@ impl TaskGraph {
         self.costs.iter().map(|&c| c as u64).sum()
     }
 
+    /// Heap bytes the graph holds: the capacities of its dependency,
+    /// offset, cost and relay tables.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::vec_bytes;
+        vec_bytes(&self.deps)
+            + vec_bytes(&self.dep_off)
+            + vec_bytes(&self.costs)
+            + vec_bytes(&self.relay)
+    }
+
     /// Check a graph decoded from the wire against the shapes
     /// [`DagBuilder::build`] produces: at least one lane; offsets, costs
     /// and relay flags sized `num_dbs × layers`; offsets that run from 0

@@ -148,6 +148,20 @@ impl HostGraph {
         (0..self.n).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
+    /// Heap bytes the graph holds: the allocated capacity of its name,
+    /// its link list and its adjacency lists.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.name.capacity()
+            + self.links.capacity() * size_of::<Link>()
+            + self.adj.capacity() * size_of::<Vec<(NodeId, Delay)>>()
+            + self
+                .adj
+                .iter()
+                .map(|a| a.capacity() * size_of::<(NodeId, Delay)>())
+                .sum::<usize>()
+    }
+
     /// Check a graph decoded from the wire against the invariants
     /// [`add_link`](Self::add_link) keeps: every link has `a < b < n`
     /// and delay ≥ 1 and appears once, and the adjacency lists are

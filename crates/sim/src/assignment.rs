@@ -121,6 +121,11 @@ impl Assignment {
         self.cells_of.iter().map(Vec::len).sum()
     }
 
+    /// Heap bytes the assignment holds (both index directions).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        crate::nested_bytes(&self.cells_of) + crate::nested_bytes(&self.holders)
+    }
+
     /// Redundancy factor: copies per cell, averaged. 1.0 = no redundancy.
     pub fn redundancy(&self) -> f64 {
         if self.num_cells == 0 {

@@ -165,6 +165,12 @@ impl FaultPlan {
         self.outages.is_empty() && self.spikes.is_empty() && self.crashes.is_empty()
     }
 
+    /// Heap bytes the plan holds (its three fault lists).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::vec_bytes;
+        vec_bytes(&self.outages) + vec_bytes(&self.spikes) + vec_bytes(&self.crashes)
+    }
+
     /// Take link `a–b` down for `[from, until)`.
     pub fn link_down(mut self, a: NodeId, b: NodeId, from: u64, until: u64) -> Self {
         assert!(from < until, "outage interval must be non-empty");

@@ -63,3 +63,14 @@ pub use stats::{FaultStats, RunStats};
 pub use stepped::run_stepped;
 pub use trace::{StallBreakdown, TraceConfig, TraceReport};
 pub use validate::{audit_causality, validate_run};
+
+/// Allocated bytes of a vector's buffer: its capacity, not its length.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// Allocated bytes of a vector of vectors: the outer buffer and every
+/// inner one.
+pub(crate) fn nested_bytes<T>(v: &Vec<Vec<T>>) -> usize {
+    vec_bytes(v) + v.iter().map(vec_bytes).sum::<usize>()
+}

@@ -50,7 +50,46 @@ pub struct MulticastTable {
     pub inbound: Vec<Vec<(u32, u32)>>,
 }
 
+impl MulticastTree {
+    /// Heap bytes the tree holds, its node-index map included.
+    fn heap_bytes(&self) -> usize {
+        use crate::{nested_bytes, vec_bytes};
+        vec_bytes(&self.nodes)
+            + nested_bytes(&self.children)
+            + vec_bytes(&self.parent)
+            + vec_bytes(&self.deliver)
+            + map_bytes(&self.index_of)
+    }
+}
+
+/// Bytes std's `HashMap` allocates for a table of `map`'s capacity: the
+/// SwissTable layout of one slot per bucket, padded to 16, plus one
+/// control byte per bucket and a 16-byte trailing group.
+fn map_bytes<K, V>(map: &HashMap<K, V>) -> usize {
+    let cap = map.capacity();
+    if cap == 0 {
+        return 0;
+    }
+    let buckets = if cap < 8 { cap + 1 } else { cap / 7 * 8 };
+    (buckets * std::mem::size_of::<(K, V)>()).next_multiple_of(16) + buckets + 16
+}
+
 impl MulticastTable {
+    /// Heap bytes the table holds: the trees and the outbound, by-cell
+    /// and inbound indexes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::{nested_bytes, vec_bytes};
+        vec_bytes(&self.trees)
+            + self
+                .trees
+                .iter()
+                .map(MulticastTree::heap_bytes)
+                .sum::<usize>()
+            + nested_bytes(&self.outbound)
+            + crate::routing::by_cell_bytes(&self.outbound_by_cell)
+            + nested_bytes(&self.inbound)
+    }
+
     /// Build multicast trees from the unicast routing table: subscriptions
     /// of the same `(source, cell)` are merged into one shortest-path tree
     /// (recomputed from the source, so shared prefixes are genuinely

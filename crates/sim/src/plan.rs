@@ -100,6 +100,24 @@ pub(crate) struct ProcTables {
 }
 
 impl ProcTables {
+    fn heap_bytes(&self) -> usize {
+        use crate::vec_bytes;
+        vec_bytes(&self.cells)
+            + vec_bytes(&self.dep_cells)
+            + vec_bytes(&self.gather)
+            + vec_bytes(&self.gather_off)
+            + vec_bytes(&self.checks)
+            + vec_bytes(&self.check_off)
+            + vec_bytes(&self.own_dependents)
+            + vec_bytes(&self.own_dep_off)
+            + vec_bytes(&self.dep_dependents)
+            + vec_bytes(&self.dep_dep_off)
+            + vec_bytes(&self.dyn_gather)
+            + vec_bytes(&self.dyn_gather_off)
+            + vec_bytes(&self.dyn_checks)
+            + vec_bytes(&self.dyn_check_off)
+    }
+
     /// Dependency sources of held cell `i` at step `s`.
     #[inline]
     pub(crate) fn gather_at(&self, i: usize, s: u32) -> &[DepSrc] {
@@ -152,6 +170,22 @@ pub(crate) struct Hot {
 }
 
 impl Hot {
+    fn heap_bytes(&self) -> usize {
+        use crate::{nested_bytes, vec_bytes};
+        vec_bytes(&self.link_delay)
+            + vec_bytes(&self.procs)
+            + self.procs.iter().map(ProcTables::heap_bytes).sum::<usize>()
+            + vec_bytes(&self.copy_off)
+            + vec_bytes(&self.out_ids)
+            + vec_bytes(&self.out_off)
+            + vec_bytes(&self.sub_links)
+            + vec_bytes(&self.sub_link_off)
+            + vec_bytes(&self.sub_dest)
+            + vec_bytes(&self.sub_dest_dep)
+            + nested_bytes(&self.tree_edge_lid)
+            + nested_bytes(&self.tree_deliver_dep)
+    }
+
     fn build(guest: &GuestSpec, host: &HostGraph, assign: &Assignment, routes: &Routes) -> Self {
         let n = host.num_nodes();
         let is_static = guest.is_static();
@@ -439,6 +473,13 @@ impl Routes {
         }
     }
 
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Routes::Unicast(r) => r.heap_bytes(),
+            Routes::Multicast(m) => m.heap_bytes(),
+        }
+    }
+
     pub(crate) fn num_subscriptions(&self) -> usize {
         match self {
             Routes::Unicast(r) => r.num_subscriptions(),
@@ -708,6 +749,32 @@ impl<'a> ExecPlan<'a> {
     /// The plan's fault schedule, if any.
     pub fn faults(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
+    }
+
+    /// Heap bytes this plan owns: the guest, host and assignment, the
+    /// routes and interned tables, and the faults and compute costs, each
+    /// counted by the capacities it allocated, not estimated. A part a
+    /// [`share`](Self::share)d view borrows from its base counts 0, so a
+    /// view owns only its variant.
+    pub fn heap_bytes(&self) -> usize {
+        let mut bytes = self.compute_costs.as_ref().map_or(0, crate::vec_bytes)
+            + self.faults.as_ref().map_or(0, FaultPlan::heap_bytes);
+        if let Cow::Owned(guest) = &self.guest {
+            bytes += guest.heap_bytes();
+        }
+        if let Cow::Owned(host) = &self.host {
+            bytes += host.heap_bytes();
+        }
+        if let Cow::Owned(assign) = &self.assign {
+            bytes += assign.heap_bytes();
+        }
+        if let Cow::Owned(routes) = &self.routes {
+            bytes += routes.heap_bytes();
+        }
+        if let Cow::Owned(hot) = &self.hot {
+            bytes += hot.heap_bytes();
+        }
+        bytes
     }
 
     /// The unicast routing table (for reporting); `None` when the plan

@@ -172,6 +172,30 @@ impl RoutingTable {
     pub fn max_route_delay(&self) -> u64 {
         self.subs.iter().map(|s| s.delay).max().unwrap_or(0)
     }
+
+    /// Heap bytes the table holds: subscriptions with their paths, and the
+    /// outbound, by-cell and inbound indexes.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::{nested_bytes, vec_bytes};
+        vec_bytes(&self.subs)
+            + self.subs.iter().map(|s| vec_bytes(&s.path)).sum::<usize>()
+            + nested_bytes(&self.outbound)
+            + by_cell_bytes(&self.outbound_by_cell)
+            + nested_bytes(&self.inbound)
+    }
+}
+
+/// Heap bytes of an `outbound_by_cell` index (shared with the multicast
+/// table, which has the same shape).
+pub(crate) fn by_cell_bytes(by_cell: &Vec<Vec<(u32, Vec<u32>)>>) -> usize {
+    use crate::vec_bytes;
+    vec_bytes(by_cell)
+        + by_cell
+            .iter()
+            .map(|cells| {
+                vec_bytes(cells) + cells.iter().map(|(_, ids)| vec_bytes(ids)).sum::<usize>()
+            })
+            .sum::<usize>()
 }
 
 /// Group each processor's outbound route ids by source column: sorted

@@ -22,6 +22,13 @@
 //!               task-graph guest (random layered DAGs, wavefronts,
 //!               fork-joins) with memory budgets twice as likely.
 //!
+//!   cache       print the daemon's plan-cache counters: hits, misses,
+//!               cached plans, the bytes they are charged and evictions.
+//!               The cache keeps at most 32 MiB of plans (what their
+//!               tables, reference traces and keys occupy), evicting the
+//!               least recently used first; an evicted scenario lowers
+//!               again on its next submission.
+//!
 //!   --host      line:N | ring:N | mesh:WxH | torus:WxH | hypercube:D |
 //!               tree:LEVELS | rreg:N:DEG | bfly:K | ccc:K |
 //!               geo:N:RADIUS_PCT:MAXDELAY | cliques:K | h1:N | h2:N
@@ -458,8 +465,8 @@ fn client_main(cmd: &str, args: &[String]) -> ! {
         "cache" => {
             let c = client.cache().unwrap_or_else(|e| fail(e));
             println!(
-                "plan cache: {} hits, {} misses, {} cached plan(s)",
-                c.hits, c.misses, c.entries
+                "plan cache: {} hits, {} misses, {} cached plan(s), {} bytes, {} evictions",
+                c.hits, c.misses, c.entries, c.bytes, c.evictions
             );
             exit(0)
         }
