@@ -14,6 +14,12 @@
 //! | [`e10_baselines`] | §1 — lockstep / slackness / blocked vs OVERLAP |
 //! | [`e11_mesh_on_mesh`] | §7 open question — 2-D guest on 2-D host, measured |
 //! | [`e12_ablations`] | halo width, killing constant, bandwidth ablations |
+//! | [`e13_schedule`]  | Theorem 1 — measured row-completion times vs the proof's deadlines |
+//! | [`e14_heterogeneous`] | beyond the paper — heterogeneous workstation speeds |
+//! | [`e15_tree`]      | §7 — tree guests on a NOW: subtree vs heap-order placement |
+//! | [`e16_replan`]    | adaptivity — re-planning after a link degrades |
+//! | [`e17_adaptive2d`] | 2-D killing — stage 1 lifted to mesh hosts |
+//! | [`e18_programs`]  | workload independence — one slowdown across guest programs |
 //! | [`engine_scale`]  | simulator throughput: calendar-queue vs classic heap (+ CI perf gate) |
 //! | [`plan_reuse`]    | sweep wall-clock: shared ExecPlan vs per-run lowering |
 //! | [`fault_tolerance`] | graceful degradation: OVERLAP vs single-copy under link outages & crashes |

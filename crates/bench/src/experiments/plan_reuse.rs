@@ -101,7 +101,7 @@ pub fn measure(scale: Scale) -> Vec<ReuseResult> {
         .into_iter()
         .map(|kind| {
             let name = kind.label();
-            let run = |p: &ExecPlan| -> RunOutcome { kind.run(p, None, None).expect(name) };
+            let run = |p: &ExecPlan| -> RunOutcome { kind.run(p, None, false).expect(name) };
             // Reused and fresh lowerings must be indistinguishable.
             let shared_plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("plan");
             let a = run(&shared_plan);

@@ -2,7 +2,7 @@
 //! link delay grows.
 //!
 //! Every run is executed with the stall-attribution tracer enabled
-//! ([`TraceConfig`]), so each tick of each copy's lifetime lands in
+//! (the builder's `.trace()`), so each tick of each copy's lifetime lands in
 //! exactly one bucket — compute, dependency, bandwidth, db-order, fault,
 //! or drain — and the buckets partition `[0, makespan)` per copy (the
 //! conservation invariant, re-checked here for every row). Sweeping the
@@ -23,7 +23,7 @@ use overlap_core::Simulation;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, ReferenceTrace};
 use overlap_net::topology::linear_array;
 use overlap_net::{DelayModel, HostGraph};
-use overlap_sim::{StallBreakdown, TraceConfig};
+use overlap_sim::StallBreakdown;
 
 /// One traced run: a (delay range, strategy) cell of the sweep.
 pub struct TraceRow {
@@ -65,7 +65,7 @@ fn run_cell(
     let r = Simulation::of(guest)
         .on(host)
         .strategy(strategy)
-        .trace(TraceConfig::default())
+        .trace()
         .build()
         .and_then(|s| s.run_with_trace(trace))
         .expect("traced run");

@@ -76,11 +76,6 @@ impl KillOutcome {
     pub fn m_of_len(&self, len: u32) -> i64 {
         m_of_len(len, self.c, self.log2n)
     }
-
-    /// The stage-1 kill threshold `D_k` for an interval of `len` positions.
-    pub fn d_of_len(&self, len: u32) -> f64 {
-        len as f64 * self.d_ave * self.c * self.log2n
-    }
 }
 
 #[inline]

@@ -26,7 +26,6 @@ use overlap_model::GuestSpec;
 use overlap_net::HostGraph;
 use overlap_sim::engine::EngineConfig;
 use overlap_sim::faults::FaultPlan;
-use overlap_sim::trace::TraceConfig;
 use overlap_sim::EngineKind;
 use serde::{Deserialize, Serialize};
 
@@ -101,7 +100,7 @@ impl ScenarioSpec {
             b = b.faults(faults.clone());
         }
         if self.trace {
-            b = b.trace(TraceConfig::default());
+            b = b.trace();
         }
         b.build()
     }

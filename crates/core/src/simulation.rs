@@ -37,7 +37,7 @@ use overlap_net::{Delay, HostGraph};
 use overlap_sim::engine::{EngineConfig, Jitter, MemBudget, RunOutcome};
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{Assignment, BandwidthMode, EngineKind, ExecPlan, TraceConfig};
+use overlap_sim::{Assignment, BandwidthMode, EngineKind, ExecPlan};
 
 /// Entry point of the builder API: `Simulation::of(&guest)`.
 pub struct Simulation;
@@ -53,7 +53,7 @@ impl Simulation {
             config: EngineConfig::default(),
             compute_costs: None,
             faults: None,
-            trace: None,
+            trace: false,
             engine: EngineKind::Event,
         }
     }
@@ -69,7 +69,7 @@ pub struct SimulationBuilder<'a> {
     config: EngineConfig,
     compute_costs: Option<Vec<u32>>,
     faults: Option<FaultPlan>,
-    trace: Option<TraceConfig>,
+    trace: bool,
     engine: EngineKind,
 }
 
@@ -149,8 +149,8 @@ impl<'a> SimulationBuilder<'a> {
     /// (event engine only). The report lands in the outcome's
     /// `stats.stalls` and `trace`, and the per-pebble completion ticks the
     /// tracer keeps in its `timing`; the schedule itself is unchanged.
-    pub fn trace(mut self, cfg: TraceConfig) -> Self {
-        self.trace = Some(cfg);
+    pub fn trace(mut self) -> Self {
+        self.trace = true;
         self
     }
 
@@ -200,8 +200,7 @@ impl<'a> SimulationBuilder<'a> {
         }
         // Features the engine cannot time are rejected here, before
         // placement, with `Error::Unsupported` — never dropped at run time.
-        self.engine
-            .check(self.guest, &self.config, self.trace.is_some())?;
+        self.engine.check(self.guest, &self.config, self.trace)?;
         let (assignment, predicted_slowdown, array_delays, dilation) = match self.assignment {
             Some(a) => {
                 if (a.num_procs(), a.num_cells()) != (host.num_nodes(), self.guest.num_cells()) {
@@ -254,7 +253,7 @@ pub struct ReadySimulation<'a> {
     config: EngineConfig,
     compute_costs: Option<Vec<u32>>,
     faults: Option<FaultPlan>,
-    trace: Option<TraceConfig>,
+    trace: bool,
     engine: EngineKind,
     predicted_slowdown: Option<f64>,
     array_delays: Vec<Delay>,
@@ -592,7 +591,7 @@ mod tests {
                         b = b.memory_budget(mem);
                     }
                     if traced {
-                        b = b.trace(TraceConfig::default());
+                        b = b.trace();
                     }
                     let built = b.build();
 
@@ -605,13 +604,9 @@ mod tests {
                     }
                     let direct = match (kind, traced) {
                         (EngineKind::Event, false) => Engine::from_plan(&plan).run(),
-                        (EngineKind::Event, true) => {
-                            Engine::from_plan(&plan).run_traced(TraceConfig::default())
-                        }
+                        (EngineKind::Event, true) => Engine::from_plan(&plan).run_traced(),
                         // Only the front door can ask stepped to trace.
-                        (EngineKind::Stepped, true) => {
-                            kind.run(&plan, None, Some(TraceConfig::default()))
-                        }
+                        (EngineKind::Stepped, true) => kind.run(&plan, None, true),
                         (EngineKind::Stepped, false) => run_stepped(&plan),
                     };
 
@@ -786,7 +781,7 @@ mod tests {
         let (guest, host) = lab();
         let r = Simulation::of(&guest)
             .on(&host)
-            .trace(TraceConfig::default())
+            .trace()
             .build()
             .unwrap()
             .run()
@@ -825,7 +820,7 @@ mod tests {
         let traced = Simulation::of(&guest)
             .on(&host)
             .strategy(Strategy::Overlap { c: 4.0 })
-            .trace(TraceConfig::default())
+            .trace()
             .build()
             .unwrap()
             .run()

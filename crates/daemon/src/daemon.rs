@@ -32,7 +32,6 @@ use crate::lock;
 use crate::store::{MemStore, RunRecord, RunStore};
 use overlap_core::{Error, ScenarioSpec};
 use overlap_sim::engine::{RunError, RunOutcome};
-use overlap_sim::trace::TraceConfig;
 use overlap_sim::validate::validate_run;
 use overlap_sim::{Assignment, RunControl};
 use serde::{Deserialize, Serialize};
@@ -553,10 +552,11 @@ fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
             if let Some(costs) = &spec.compute_costs {
                 plan = plan.with_compute_costs(costs.clone());
             }
-            let trace = spec.trace.then(TraceConfig::default);
             #[cfg(test)]
             crate::failpoint::hit("run", session.hash);
-            let outcome = spec.engine.run(&plan, Some(&*session.control), trace)?;
+            let outcome = spec
+                .engine
+                .run(&plan, Some(&*session.control), spec.trace)?;
             let errors = validate_run(&entry.reference, &outcome);
             Ok((outcome, errors.len() as u64, hit))
         });

@@ -39,7 +39,7 @@ pub use boundary::BoundaryRule;
 pub use database::{fold64, mix64, Db, DbKind, DbUpdate, KvShard};
 pub use guest::{Dep, DepList, GuestSpec, GuestTopology, Side};
 pub use pebble::{Pebble, PebbleGrid, PebbleId, PebbleValue};
-pub use program::{programs, ComputeResult, Program, ProgramKind, ProgramRef};
+pub use program::{ComputeResult, Program, ProgramKind, ProgramRef};
 pub use reference::{ReferenceRun, ReferenceTrace};
 pub use taskgraph::{DagBuilder, TaskGraph, TaskGraphError, TaskId};
 pub use transform::{line_slots, mesh3d_slabs, mesh_columns, ring_fold, torus_fold, SlotMap};

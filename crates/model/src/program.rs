@@ -96,41 +96,6 @@ impl ProgramKind {
     }
 }
 
-/// Convenience constructors for the built-in programs.
-pub mod programs {
-    use super::*;
-
-    /// Pure-dataflow stencil program.
-    pub fn stencil_sum() -> ProgramRef {
-        ProgramKind::StencilSum.instantiate()
-    }
-
-    /// Rule automaton over a `db_size`-slot vector database.
-    pub fn rule_automaton(db_size: u32) -> ProgramRef {
-        ProgramKind::RuleAutomaton { db_size }.instantiate()
-    }
-
-    /// Key-value read-modify-write workload.
-    pub fn kv_workload() -> ProgramRef {
-        ProgramKind::KvWorkload.instantiate()
-    }
-
-    /// Cheap relaxation workload on a counter database.
-    pub fn relaxation() -> ProgramRef {
-        ProgramKind::Relaxation.instantiate()
-    }
-
-    /// Streaming histogram aggregation over `buckets` buckets.
-    pub fn histogram(buckets: u32) -> ProgramRef {
-        ProgramKind::Histogram { buckets }.instantiate()
-    }
-
-    /// Cache-churn workload (insert/refresh/evict on a KV shard).
-    pub fn cache_churn() -> ProgramRef {
-        ProgramKind::CacheChurn.instantiate()
-    }
-}
-
 /// Fold a dependency slice into one word, order-sensitively.
 #[inline]
 fn fold_deps(deps: &[PebbleValue]) -> u64 {
@@ -383,7 +348,7 @@ mod tests {
 
     #[test]
     fn stencil_sum_never_updates() {
-        let p = programs::stencil_sum();
+        let p = ProgramKind::StencilSum.instantiate();
         let db = p.db_kind().instantiate(1, 1);
         for s in 1..50 {
             let (_, u) = p.compute(1, s, &db, &[s as u64, 2, 3]);
@@ -393,7 +358,7 @@ mod tests {
 
     #[test]
     fn kv_workload_emits_varied_updates() {
-        let p = programs::kv_workload();
+        let p = ProgramKind::KvWorkload.instantiate();
         let mut db = p.db_kind().instantiate(1, 1);
         let (mut adds, mut sets, mut removes) = (0, 0, 0);
         let mut v = 1u64;
@@ -416,7 +381,7 @@ mod tests {
 
     #[test]
     fn cache_churn_evicts_regularly() {
-        let p = programs::cache_churn();
+        let p = ProgramKind::CacheChurn.instantiate();
         let mut db = p.db_kind().instantiate(1, 1);
         let mut removes = 0;
         let mut v = 1u64;
@@ -433,7 +398,7 @@ mod tests {
 
     #[test]
     fn histogram_only_adds() {
-        let p = programs::histogram(8);
+        let p = ProgramKind::Histogram { buckets: 8 }.instantiate();
         let db = p.db_kind().instantiate(1, 1);
         for s in 1..100 {
             let (_, u) = p.compute(1, s, &db, &[s as u64, 2, 3]);

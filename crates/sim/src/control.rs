@@ -33,7 +33,6 @@
 use crate::engine::{Engine, EngineConfig, Jitter, RunError, RunOutcome};
 use crate::plan::ExecPlan;
 use crate::stepped::run_stepped_controlled;
-use crate::trace::TraceConfig;
 use overlap_model::GuestSpec;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,21 +116,22 @@ impl EngineKind {
     }
 
     /// Run `plan` on this engine, under `control` when given, with stall
-    /// attribution when `trace` is given. The plan is checked first, so
-    /// an unsupported feature is a typed error, never a dropped option.
+    /// attribution when `traced`. The plan is checked first, so an
+    /// unsupported feature is a typed error, never a dropped option.
     pub fn run(
         self,
         plan: &ExecPlan,
         control: Option<&RunControl>,
-        trace: Option<TraceConfig>,
+        traced: bool,
     ) -> Result<RunOutcome, RunError> {
-        self.check_plan(plan, trace.is_some())?;
+        self.check_plan(plan, traced)?;
         match self {
             EngineKind::Event => {
                 let eng = Engine::from_plan(plan).with_control(control);
-                match trace {
-                    Some(cfg) => eng.run_traced_unchecked(cfg),
-                    None => eng.run(),
+                if traced {
+                    eng.run_traced_unchecked()
+                } else {
+                    eng.run()
                 }
             }
             EngineKind::Stepped => run_stepped_controlled(plan, control),

@@ -43,7 +43,7 @@ use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, Routes, SUB_BIT};
 use crate::routing::RoutingTable;
 use crate::stats::{FaultStats, RunStats};
 use crate::trace::{
-    MsgKey, NoopTracer, ReadyCause, StallTracer, TimingTracer, TraceConfig, TraceReport, Tracer,
+    MsgKey, NoopTracer, ReadyCause, StallTracer, TimingTracer, TraceReport, Tracer, SERIES_STRIDE,
 };
 use overlap_model::{fold64, Db, GuestSpec, PebbleValue, ProgramRef};
 use overlap_net::paths::dijkstra;
@@ -825,14 +825,14 @@ impl<'a> Engine<'a> {
     /// [`run`]: Engine::run
     /// [`run_timed`]: Engine::run_timed
     /// [`EngineKind::check`]: crate::control::EngineKind::check
-    pub fn run_traced(&self, cfg: TraceConfig) -> Result<RunOutcome, RunError> {
+    pub fn run_traced(&self) -> Result<RunOutcome, RunError> {
         EngineKind::Event.check_plan(self.plan()?, true)?;
-        self.run_traced_unchecked(cfg)
+        self.run_traced_unchecked()
     }
 
     /// [`run_traced`](Self::run_traced) without the feature check, for
     /// callers that already made it.
-    pub(crate) fn run_traced_unchecked(&self, cfg: TraceConfig) -> Result<RunOutcome, RunError> {
+    pub(crate) fn run_traced_unchecked(&self) -> Result<RunOutcome, RunError> {
         let plan = self.plan()?;
         let hot: &Hot = &plan.hot;
         let cid_of = |proc: NodeId, cell: u32| -> u32 {
@@ -854,7 +854,7 @@ impl<'a> Engine<'a> {
             ),
         };
         let mut tracer = StallTracer::new(
-            cfg,
+            SERIES_STRIDE,
             plan.guest.steps,
             hot.copy_off.clone(),
             sub_src,
@@ -2007,7 +2007,7 @@ mod tests {
         let cfg = EngineConfig::default();
         let eng = Engine::new(&guest, &host, &assign, cfg);
         let timed = eng.run_timed().unwrap();
-        let traced = eng.run_traced(TraceConfig::default()).unwrap();
+        let traced = eng.run_traced().unwrap();
         // Tracing must not perturb the schedule: strip the trace-only
         // fields and the outcomes are identical, completion ticks included.
         let mut stripped = traced.clone();
@@ -2038,7 +2038,7 @@ mod tests {
             ..Default::default()
         };
         let traced = Engine::new(&guest, &host, &assign, cfg)
-            .run_traced(TraceConfig::default())
+            .run_traced()
             .unwrap();
         assert_conserved(&traced);
         check_against_reference(&guest, &traced);
@@ -2057,9 +2057,7 @@ mod tests {
             .unwrap()
             .with_faults(FaultPlan::new().link_down(1, 2, 5, 60))
             .unwrap();
-        let traced = Engine::from_plan(&plan)
-            .run_traced(TraceConfig::default())
-            .unwrap();
+        let traced = Engine::from_plan(&plan).run_traced().unwrap();
         assert_conserved(&traced);
         let totals = traced.stats.stalls.unwrap();
         assert!(traced.stats.faults.retries > 0, "plan must actually bite");
@@ -2084,9 +2082,7 @@ mod tests {
             .unwrap()
             .with_faults(FaultPlan::new().crash(1, clean.stats.makespan / 3))
             .unwrap();
-        let traced = Engine::from_plan(&plan)
-            .run_traced(TraceConfig::default())
-            .unwrap();
+        let traced = Engine::from_plan(&plan).run_traced().unwrap();
         assert_eq!(traced.stats.faults.crashed_procs, 1);
         assert!(traced.stats.faults.rerouted_subscriptions > 0);
         // Crashed copies are gone from both the outcome and the report;
@@ -2103,7 +2099,7 @@ mod tests {
         let host = linear_array(1, DelayModel::constant(1), 0);
         let assign = Assignment::blocked(1, 4);
         let traced = Engine::new(&guest, &host, &assign, EngineConfig::default())
-            .run_traced(TraceConfig::default())
+            .run_traced()
             .unwrap();
         assert_conserved(&traced);
         let totals = traced.stats.stalls.unwrap();

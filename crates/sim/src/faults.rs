@@ -198,12 +198,6 @@ impl FaultPlan {
         self
     }
 
-    /// Override the retry policy.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
-        self
-    }
-
     /// The effective retry policy.
     pub fn retry(&self) -> RetryPolicy {
         self.retry.unwrap_or_default()

@@ -17,8 +17,9 @@
 //! 3. on a failure, [`shrink`] greedily simplifies the spec (drop faults,
 //!    clear costs, flatten delays, halve the guest/host) while the
 //!    failure persists, re-checking each candidate from scratch through
-//!    [`check_spec`], and [`Divergence::repro_test`] prints the minimal
-//!    scenario as a paste-able regression test.
+//!    [`check_spec`]. A spec is plain serde data, so the minimal scenario
+//!    is pinned as a JSON file under `tests/fuzz_repros/`, which
+//!    `tests/fuzz_regressions.rs` replays through [`check_spec`].
 //!
 //! # Invariant catalogue
 //!
@@ -49,11 +50,11 @@ use crate::faults::FaultPlan;
 use crate::plan::ExecPlan;
 use crate::stats::FaultStats;
 use crate::stepped::run_stepped;
-use crate::trace::TraceConfig;
 use crate::validate::{audit_causality, validate_run};
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, TaskGraph};
 use overlap_net::topology;
 use overlap_net::{DelayModel, HostGraph, NodeId};
+use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // deterministic PRNG (splitmix64 — same generator the fault module uses)
@@ -90,11 +91,11 @@ impl Rng {
 }
 
 // ---------------------------------------------------------------------------
-// scenario specification (plain data, shrinkable, printable)
+// scenario specification (plain serde data, shrinkable)
 // ---------------------------------------------------------------------------
 
 /// Guest topology of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GuestKind {
     /// Line of `m` cells.
     Line(u32),
@@ -147,7 +148,7 @@ impl GuestKind {
 
 /// Host topology of a scenario (delays come from the spec's
 /// [`DelayModel`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HostKind {
     /// Linear array of `n` processors.
     Line(u32),
@@ -168,10 +169,20 @@ impl HostKind {
             HostKind::Tree(levels) => (1u32 << levels) - 1,
         }
     }
+
+    /// Build this host with link delays drawn from `delays` under `seed`.
+    fn build(self, delays: DelayModel, seed: u64) -> HostGraph {
+        match self {
+            HostKind::Line(n) => topology::linear_array(n, delays, seed),
+            HostKind::Ring(n) => topology::ring(n, delays, seed),
+            HostKind::Mesh(w, h) => topology::mesh2d(w, h, delays, seed),
+            HostKind::Tree(levels) => topology::binary_tree(levels, delays, seed),
+        }
+    }
 }
 
 /// Database-assignment shape of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AssignKind {
     /// Contiguous blocks, one copy per cell ([`Assignment::blocked`]).
     Blocked,
@@ -186,47 +197,10 @@ pub enum AssignKind {
     },
 }
 
-/// One scheduled fault (plain-data mirror of the [`FaultPlan`] builders,
-/// so the shrinker can drop entries one at a time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSpec {
-    /// Link `(a, b)` down over `[from, until)`.
-    LinkDown {
-        /// One endpoint.
-        a: NodeId,
-        /// Other endpoint.
-        b: NodeId,
-        /// First dead tick.
-        from: u64,
-        /// First live tick again.
-        until: u64,
-    },
-    /// Link `(a, b)` delays multiplied by `factor` over `[from, until)`.
-    Spike {
-        /// One endpoint.
-        a: NodeId,
-        /// Other endpoint.
-        b: NodeId,
-        /// First slowed tick.
-        from: u64,
-        /// First normal tick again.
-        until: u64,
-        /// Delay multiplier.
-        factor: u32,
-    },
-    /// Processor `proc` dies at tick `at`.
-    Crash {
-        /// The victim.
-        proc: NodeId,
-        /// Crash tick.
-        at: u64,
-    },
-}
-
 /// A complete, self-contained scenario description. Everything an engine
 /// run depends on is spelled out here, so a spec can be regenerated,
-/// shrunk, printed, and replayed across sessions.
-#[derive(Debug, Clone, PartialEq)]
+/// shrunk, saved as JSON, and replayed across sessions.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Guest topology.
     pub guest: GuestKind,
@@ -251,8 +225,8 @@ pub struct ScenarioSpec {
     /// Per-processor memory budget on database copies (red–blue pebbling
     /// mode; event and stepped engines only).
     pub mem: Option<MemBudget>,
-    /// Scheduled faults.
-    pub faults: Vec<FaultSpec>,
+    /// Scheduled faults (empty: a fault-free run).
+    pub faults: FaultPlan,
 }
 
 impl ScenarioSpec {
@@ -281,13 +255,7 @@ impl ScenarioSpec {
 
     /// Build the host this spec describes.
     pub fn build_host(&self) -> HostGraph {
-        let (d, s) = (self.delays, self.host_seed);
-        match self.host {
-            HostKind::Line(n) => topology::linear_array(n, d, s),
-            HostKind::Ring(n) => topology::ring(n, d, s),
-            HostKind::Mesh(w, h) => topology::mesh2d(w, h, d, s),
-            HostKind::Tree(levels) => topology::binary_tree(levels, d, s),
-        }
+        self.host.build(self.delays, self.host_seed)
     }
 
     /// Build the assignment this spec describes.
@@ -309,138 +277,6 @@ impl ScenarioSpec {
                 Assignment::from_holders(procs, cells, holders)
             }
         }
-    }
-
-    /// Build the fault plan this spec describes.
-    pub fn build_faults(&self) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        for f in &self.faults {
-            plan = match *f {
-                FaultSpec::LinkDown { a, b, from, until } => plan.link_down(a, b, from, until),
-                FaultSpec::Spike {
-                    a,
-                    b,
-                    from,
-                    until,
-                    factor,
-                } => plan.delay_spike(a, b, from, until, factor),
-                FaultSpec::Crash { proc, at } => plan.crash(proc, at),
-            };
-        }
-        plan
-    }
-
-    /// Render the spec as a Rust expression that reconstructs it — the
-    /// payload of a paste-able regression test.
-    pub fn to_code(&self) -> String {
-        let guest = match self.guest {
-            GuestKind::Line(m) => format!("GuestKind::Line({m})"),
-            GuestKind::Ring(m) => format!("GuestKind::Ring({m})"),
-            GuestKind::Mesh(w, h) => format!("GuestKind::Mesh({w}, {h})"),
-            GuestKind::Tree(l) => format!("GuestKind::Tree({l})"),
-            GuestKind::DagRandom {
-                dbs,
-                extra,
-                max_cost,
-                seed,
-            } => format!(
-                "GuestKind::DagRandom {{ dbs: {dbs}, extra: {extra}, \
-                 max_cost: {max_cost}, seed: {seed} }}"
-            ),
-            GuestKind::Wavefront(l) => format!("GuestKind::Wavefront({l})"),
-            GuestKind::ForkJoin(l) => format!("GuestKind::ForkJoin({l})"),
-        };
-        let program = match self.program {
-            ProgramKind::StencilSum => "ProgramKind::StencilSum".into(),
-            ProgramKind::RuleAutomaton { db_size } => {
-                format!("ProgramKind::RuleAutomaton {{ db_size: {db_size} }}")
-            }
-            ProgramKind::KvWorkload => "ProgramKind::KvWorkload".into(),
-            ProgramKind::Relaxation => "ProgramKind::Relaxation".into(),
-            ProgramKind::Histogram { buckets } => {
-                format!("ProgramKind::Histogram {{ buckets: {buckets} }}")
-            }
-            ProgramKind::CacheChurn => "ProgramKind::CacheChurn".into(),
-        };
-        let host = match self.host {
-            HostKind::Line(n) => format!("HostKind::Line({n})"),
-            HostKind::Ring(n) => format!("HostKind::Ring({n})"),
-            HostKind::Mesh(w, h) => format!("HostKind::Mesh({w}, {h})"),
-            HostKind::Tree(l) => format!("HostKind::Tree({l})"),
-        };
-        let delays = match self.delays {
-            DelayModel::Constant(d) => format!("DelayModel::Constant({d})"),
-            DelayModel::Uniform { lo, hi } => {
-                format!("DelayModel::Uniform {{ lo: {lo}, hi: {hi} }}")
-            }
-            DelayModel::Bimodal { lo, hi, p_hi } => {
-                format!("DelayModel::Bimodal {{ lo: {lo}, hi: {hi}, p_hi: {p_hi:?} }}")
-            }
-            DelayModel::HeavyTail { min, alpha, cap } => {
-                format!("DelayModel::HeavyTail {{ min: {min}, alpha: {alpha:?}, cap: {cap} }}")
-            }
-            DelayModel::Spike {
-                base,
-                spike,
-                period,
-            } => format!("DelayModel::Spike {{ base: {base}, spike: {spike}, period: {period} }}"),
-        };
-        let assign = match self.assign {
-            AssignKind::Blocked => "AssignKind::Blocked".into(),
-            AssignKind::AllOnOne => "AssignKind::AllOnOne".into(),
-            AssignKind::Redundant { seed } => {
-                format!("AssignKind::Redundant {{ seed: {seed} }}")
-            }
-        };
-        let costs = match &self.costs {
-            None => "None".into(),
-            Some(v) => format!("Some(vec!{v:?})"),
-        };
-        let mem = match self.mem {
-            None => "None".into(),
-            Some(m) => format!(
-                "Some(MemBudget {{ budget: {}, reload_cost: {} }})",
-                m.budget, m.reload_cost
-            ),
-        };
-        let faults = if self.faults.is_empty() {
-            "vec![]".into()
-        } else {
-            let items: Vec<String> = self
-                .faults
-                .iter()
-                .map(|f| match *f {
-                    FaultSpec::LinkDown { a, b, from, until } => format!(
-                        "FaultSpec::LinkDown {{ a: {a}, b: {b}, from: {from}, until: {until} }}"
-                    ),
-                    FaultSpec::Spike {
-                        a,
-                        b,
-                        from,
-                        until,
-                        factor,
-                    } => format!(
-                        "FaultSpec::Spike {{ a: {a}, b: {b}, from: {from}, \
-                         until: {until}, factor: {factor} }}"
-                    ),
-                    FaultSpec::Crash { proc, at } => {
-                        format!("FaultSpec::Crash {{ proc: {proc}, at: {at} }}")
-                    }
-                })
-                .collect();
-            format!("vec![{}]", items.join(", "))
-        };
-        format!(
-            "ScenarioSpec {{\n        guest: {guest},\n        program: {program},\n        \
-             steps: {steps},\n        guest_seed: {gseed},\n        host: {host},\n        \
-             delays: {delays},\n        host_seed: {hseed},\n        assign: {assign},\n        \
-             costs: {costs},\n        multicast: {multicast},\n        mem: {mem},\n        \
-             faults: {faults},\n    }}",
-            steps = self.steps,
-            gseed = self.guest_seed,
-            hseed = self.host_seed,
-            multicast = self.multicast,
-        )
     }
 }
 
@@ -515,56 +351,31 @@ pub fn gen_spec(seed: u64, case: u64) -> ScenarioSpec {
         None
     };
 
-    let mut faults = Vec::new();
+    let mut faults = FaultPlan::new();
     if steps > 0 && rng.chance(1, 3) {
         // Crashes only under the guaranteed-redundant assignment, where a
         // single crash is always survivable; link faults on any shape.
-        // A spec is materialized below just to enumerate real links.
-        let spec_so_far = ScenarioSpec {
-            guest,
-            program: ProgramKind::StencilSum,
-            steps,
-            guest_seed: 0,
-            host,
-            delays: DelayModel::Constant(1),
-            host_seed: 0,
-            assign,
-            costs: None,
-            multicast,
-            mem: None,
-            faults: vec![],
-        };
-        let links = spec_so_far.build_host().links().to_vec();
+        let links = host.build(DelayModel::Constant(1), 0).links().to_vec();
         for _ in 0..rng.range(1, 2) {
             match rng.below(3) {
                 0 if matches!(assign, AssignKind::Redundant { .. })
-                    && !faults.iter().any(|f| matches!(f, FaultSpec::Crash { .. })) =>
+                    && faults.crashes.is_empty() =>
                 {
-                    faults.push(FaultSpec::Crash {
-                        proc: rng.below(procs as u64) as NodeId,
-                        at: rng.range(1, steps as u64 * 4),
-                    });
+                    faults = faults.crash(
+                        rng.below(procs as u64) as NodeId,
+                        rng.range(1, steps as u64 * 4),
+                    );
                 }
                 1 => {
                     let l = links[rng.below(links.len() as u64) as usize];
                     let from = rng.range(0, 30);
-                    faults.push(FaultSpec::LinkDown {
-                        a: l.a,
-                        b: l.b,
-                        from,
-                        until: from + rng.range(1, 40),
-                    });
+                    faults = faults.link_down(l.a, l.b, from, from + rng.range(1, 40));
                 }
                 _ => {
                     let l = links[rng.below(links.len() as u64) as usize];
                     let from = rng.range(0, 30);
-                    faults.push(FaultSpec::Spike {
-                        a: l.a,
-                        b: l.b,
-                        from,
-                        until: from + rng.range(1, 40),
-                        factor: rng.range(2, 8) as u32,
-                    });
+                    let until = from + rng.range(1, 40);
+                    faults = faults.delay_spike(l.a, l.b, from, until, rng.range(2, 8) as u32);
                 }
             }
         }
@@ -657,14 +468,8 @@ fn audit_outcome(
     // The surviving set is a function of the fault plan alone: no copy of
     // a crashed processor may appear, and every planned crash of a
     // distinct live processor counts exactly once.
-    let crashed: std::collections::BTreeSet<NodeId> = spec
-        .faults
-        .iter()
-        .filter_map(|f| match f {
-            FaultSpec::Crash { proc, .. } => Some(*proc),
-            _ => None,
-        })
-        .collect();
+    let crashed: std::collections::BTreeSet<NodeId> =
+        spec.faults.crashes.iter().map(|c| c.proc).collect();
     if let Some(c) = out.copies.iter().find(|c| crashed.contains(&c.proc)) {
         problems.push(format!(
             "{label}: copy (cell {}, proc {}) survived a planned crash",
@@ -801,7 +606,7 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
         plan = plan.with_compute_costs(costs.clone());
     }
     if !spec.faults.is_empty() {
-        plan = match plan.with_faults(spec.build_faults()) {
+        plan = match plan.with_faults(spec.faults.clone()) {
             Ok(p) => p,
             Err(e) => return Err(format!("fault plan rejected: {e}")),
         };
@@ -843,7 +648,7 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
     // Traced run: identical to the timed run modulo the stall report,
     // which must conserve every tick of every surviving copy.
     if legal(EngineKind::Event, true) {
-        match Engine::from_plan(&plan).run_traced(TraceConfig::default()) {
+        match Engine::from_plan(&plan).run_traced() {
             Ok(traced) => {
                 let report = traced.trace.clone().expect("tracing was enabled");
                 if report.totals.total() != traced.stats.makespan * traced.copies.len() as u64 {
@@ -927,12 +732,22 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
 
     if !spec.faults.is_empty() {
         push(ScenarioSpec {
-            faults: vec![],
+            faults: FaultPlan::new(),
             ..spec.clone()
         });
-        for i in 0..spec.faults.len() {
+        for i in 0..spec.faults.outages.len() {
             let mut s = spec.clone();
-            s.faults.remove(i);
+            s.faults.outages.remove(i);
+            push(s);
+        }
+        for i in 0..spec.faults.spikes.len() {
+            let mut s = spec.clone();
+            s.faults.spikes.remove(i);
+            push(s);
+        }
+        for i in 0..spec.faults.crashes.len() {
+            let mut s = spec.clone();
+            s.faults.crashes.remove(i);
             push(s);
         }
     }
@@ -1046,7 +861,7 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
     if let Some(h) = smaller_host {
         push(ScenarioSpec {
             host: h,
-            faults: vec![],
+            faults: FaultPlan::new(),
             ..spec.clone()
         });
     }
@@ -1054,12 +869,10 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
         // Blocked is single-copy: crashes would legitimately lose columns.
         push(ScenarioSpec {
             assign: AssignKind::Blocked,
-            faults: spec
-                .faults
-                .iter()
-                .copied()
-                .filter(|f| !matches!(f, FaultSpec::Crash { .. }))
-                .collect(),
+            faults: FaultPlan {
+                crashes: vec![],
+                ..spec.faults.clone()
+            },
             ..spec.clone()
         });
     }
@@ -1108,17 +921,6 @@ pub struct Divergence {
     pub spec: ScenarioSpec,
     /// What broke, one problem per line.
     pub detail: String,
-}
-
-impl Divergence {
-    /// Render a paste-able regression test pinning this divergence.
-    pub fn repro_test(&self, name: &str) -> String {
-        format!(
-            "#[test]\nfn {name}() {{\n    let spec = {};\n    \
-             overlap::sim::fuzz::check_spec(&spec).expect(\"engines must agree\");\n}}\n",
-            self.spec.to_code()
-        )
-    }
 }
 
 /// Fuzzing-run parameters.
@@ -1182,7 +984,7 @@ mod tests {
             assert!(guest.num_cells() >= 2);
             assert!(host.num_nodes() >= 2);
             assert!(assign.uncovered_cells().is_empty(), "case {case}");
-            spec.build_faults()
+            spec.faults
                 .validate(&host)
                 .unwrap_or_else(|e| panic!("case {case}: generated bad faults: {e}"));
         }
@@ -1197,18 +999,25 @@ mod tests {
                 "case {}:\n  {}\n{}",
                 d.case,
                 d.detail,
-                d.repro_test("repro")
+                serde_json::to_string(&d.spec).expect("spec serializes")
             );
         }
         assert!(report.divergences.is_empty());
     }
 
+    /// Repros are saved as JSON, so every generated spec — u64 seeds,
+    /// float delay parameters and fault plans included — must come back
+    /// from its JSON unchanged.
     #[test]
-    fn spec_to_code_is_paste_able() {
-        let code = gen_spec(3, 17).to_code();
-        assert!(code.contains("ScenarioSpec {"));
-        assert!(code.contains("guest:"));
-        assert!(code.contains("delays:"));
+    fn specs_round_trip_through_json() {
+        for case in 0..500 {
+            for spec in [gen_spec(0, case), gen_spec_dag(0, case)] {
+                let json = serde_json::to_string(&spec).expect("spec serializes");
+                let back: ScenarioSpec = serde_json::from_str(&json)
+                    .unwrap_or_else(|e| panic!("case {case}: {e}\n{json}"));
+                assert_eq!(back, spec, "case {case}: {json}");
+            }
+        }
     }
 
     #[test]
@@ -1229,19 +1038,21 @@ mod tests {
             costs: Some(vec![1, 2, 1, 2]),
             multicast: false,
             mem: None,
-            faults: vec![FaultSpec::LinkDown {
-                a: 0,
-                b: 3,
-                from: 0,
-                until: 10,
-            }],
+            faults: FaultPlan::new().link_down(0, 3, 0, 10),
         };
         assert!(check_spec(&spec).is_err());
         let (min, detail) = shrink(&spec);
         assert!(!detail.is_empty());
-        assert!(check_spec(&min).is_err());
-        assert_eq!(min.faults.len(), 1, "the fault is the failure");
+        assert_eq!(check_spec(&min), Err(detail.clone()));
+        assert_eq!(min.faults, spec.faults, "the fault is the failure");
         assert!(min.costs.is_none(), "costs must shrink away");
         assert_eq!(min.steps, 1, "steps must shrink away");
+
+        // The saved repro is the spec's JSON line: it parses back to a
+        // spec that fails with the same detail.
+        let line = serde_json::to_string(&min).expect("spec serializes");
+        let back: ScenarioSpec = serde_json::from_str(&line).expect("repro parses");
+        assert_eq!(back, min);
+        assert_eq!(check_spec(&back), Err(detail));
     }
 }

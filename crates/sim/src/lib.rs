@@ -61,7 +61,7 @@ pub use plan::{fnv1a, scenario_key, AppliedDelta, ExecPlan, PlanDelta};
 pub use routing::RoutingTable;
 pub use stats::{FaultStats, RunStats};
 pub use stepped::run_stepped;
-pub use trace::{StallBreakdown, TraceConfig, TraceReport};
+pub use trace::{StallBreakdown, TraceReport};
 pub use validate::{audit_causality, validate_run};
 
 /// Allocated bytes of a vector's buffer: its capacity, not its length.

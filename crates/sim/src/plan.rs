@@ -936,8 +936,8 @@ impl<'a> ExecPlan<'a> {
 /// `(guest, host, assignment, config)` in declaration order. Two scenarios
 /// with equal keys lower to byte-identical plans, so a plan cache may
 /// serve both from one entry; fault schedules and compute costs are
-/// deliberately **excluded** — they never affect the lowering and are
-/// applied per run via [`ExecPlan::apply_delta`].
+/// deliberately **excluded** — they never affect the lowering, and each
+/// run attaches its own to a [`ExecPlan::share`]d view of the cached plan.
 pub fn scenario_key(
     guest: &GuestSpec,
     host: &HostGraph,

@@ -279,7 +279,7 @@ impl ProcView<'_> {
 /// engine cannot time fails with [`RunError::UnsupportedFeature`]
 /// ([`EngineKind::check`]).
 pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
-    EngineKind::Stepped.run(plan, None, None)
+    EngineKind::Stepped.run(plan, None, false)
 }
 
 /// [`run_stepped`] on a checked plan, under a cooperative

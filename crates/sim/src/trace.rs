@@ -51,8 +51,8 @@
 //!
 //! where `send` is the completion tick of the last-arriving dependency on
 //! its producer copy. Per-link occupancy and per-processor ready-queue
-//! depth are additionally sampled into time series at a configurable
-//! stride ([`TraceConfig::series_stride`]).
+//! depth are additionally sampled into time series binned every 64 ticks
+//! ([`TraceReport::series_stride`]).
 //!
 //! The `done` ticks are a tracer of their own: `TimingTracer` keeps the
 //! completion tick of every step on every copy and the crashed
@@ -66,20 +66,10 @@ use crate::engine::TimingTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Configuration of an opt-in traced run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceConfig {
-    /// Bin width, in ticks, of the per-link occupancy and per-processor
-    /// queue-depth time series (≥ 1). Attribution totals are exact
-    /// regardless of the stride; only the series are sampled.
-    pub series_stride: u64,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self { series_stride: 64 }
-    }
-}
+/// Bin width, in ticks, of a traced run's per-link occupancy and
+/// per-processor queue-depth time series. Attribution totals are exact
+/// regardless of the stride; only the series are sampled.
+pub(crate) const SERIES_STRIDE: u64 = 64;
 
 /// Where every tick of every copy went, summed over copies. Produced by a
 /// traced run; see the module docs for the category definitions and the
@@ -227,7 +217,7 @@ pub struct TraceReport {
     pub per_copy: Vec<StallBreakdown>,
     /// The run's makespan (denominator of the conservation invariant).
     pub makespan: u64,
-    /// Bin width of the time series, in ticks.
+    /// Bin width of the time series, in ticks (64 for every traced run).
     pub series_stride: u64,
     /// Pebble injections per directed link per time bin.
     pub link_occupancy: Vec<Vec<u64>>,
@@ -350,11 +340,12 @@ pub struct StallTracer {
 }
 
 impl StallTracer {
-    /// A tracer for a run of `steps` steps over the given copy layout.
-    /// `copy_off` are the engine's per-processor copy-id prefix sums;
+    /// A tracer for a run of `steps` steps over the given copy layout,
+    /// binning its series every `series_stride` ticks (≥ 1). `copy_off`
+    /// are the engine's per-processor copy-id prefix sums;
     /// `sub_src`/`tree_src` map each route to the copy that feeds it.
     pub(crate) fn new(
-        cfg: TraceConfig,
+        series_stride: u64,
         steps: u32,
         copy_off: Vec<u32>,
         sub_src: Vec<u32>,
@@ -370,7 +361,7 @@ impl StallTracer {
             pending: vec![Pending::default(); n_copies],
             per_copy: vec![StallBreakdown::default(); n_copies],
             fault_ticks: HashMap::new(),
-            series_stride: cfg.series_stride.max(1),
+            series_stride,
             link_occupancy: vec![Vec::new(); n_links],
             depth: vec![0; n_procs],
             queue_depth: vec![Vec::new(); n_procs],
@@ -523,10 +514,9 @@ mod tests {
     /// tracer by hand and check the attribution arithmetic.
     #[test]
     fn attribution_splits_the_window() {
-        let cfg = TraceConfig { series_stride: 8 };
         // proc 0 holds copies 0 and 1; proc 1 holds copy 2.
         // sub 0 feeds from copy 2.
-        let mut tr = StallTracer::new(cfg, 2, vec![0, 2, 3], vec![2], vec![], 2);
+        let mut tr = StallTracer::new(8, 2, vec![0, 2, 3], vec![2], vec![], 2);
 
         // Seed: copy 0 ready at 0, starts at 0, done at 3.
         tr.on_enqueued(0, 0, 1, 0, ReadyCause::Local);
@@ -575,8 +565,7 @@ mod tests {
 
     #[test]
     fn finish_drains_to_the_makespan_and_conserves() {
-        let cfg = TraceConfig::default();
-        let mut tr = StallTracer::new(cfg, 1, vec![0, 1, 2], vec![], vec![], 1);
+        let mut tr = StallTracer::new(SERIES_STRIDE, 1, vec![0, 1, 2], vec![], vec![], 1);
         for p in 0..2u32 {
             tr.on_enqueued(p, 0, 1, 0, ReadyCause::Local);
             tr.on_start(p, 0, 1, 0);
@@ -593,8 +582,7 @@ mod tests {
 
     #[test]
     fn crashed_processors_leave_the_accounting() {
-        let cfg = TraceConfig::default();
-        let mut tr = StallTracer::new(cfg, 1, vec![0, 1, 2], vec![], vec![], 1);
+        let mut tr = StallTracer::new(SERIES_STRIDE, 1, vec![0, 1, 2], vec![], vec![], 1);
         tr.on_enqueued(0, 0, 1, 0, ReadyCause::Local);
         tr.on_start(0, 0, 1, 0);
         tr.on_compute_done(0, 0, 1, 3);
@@ -622,8 +610,7 @@ mod tests {
 
     #[test]
     fn series_bins_by_stride() {
-        let cfg = TraceConfig { series_stride: 10 };
-        let mut tr = StallTracer::new(cfg, 1, vec![0, 1], vec![], vec![], 2);
+        let mut tr = StallTracer::new(10, 1, vec![0, 1], vec![], vec![], 2);
         tr.on_link_inject(0, 3);
         tr.on_link_inject(0, 7);
         tr.on_link_inject(0, 25);

@@ -10,9 +10,7 @@
 //!
 //! Run with: `cargo run --release --example stall_breakdown`
 
-use overlap::{
-    topology, DelayModel, GuestSpec, ProgramKind, Simulation, StallBreakdown, Strategy, TraceConfig,
-};
+use overlap::{topology, DelayModel, GuestSpec, ProgramKind, Simulation, StallBreakdown, Strategy};
 
 fn print_breakdown(label: &str, makespan: u64, copies: u64, b: &StallBreakdown) {
     let budget = (makespan * copies) as f64;
@@ -53,7 +51,7 @@ fn main() {
         let report = Simulation::of(&guest)
             .on(&host)
             .strategy(strategy)
-            .trace(TraceConfig::default())
+            .trace()
             .build()
             .and_then(|s| s.run())
             .expect("traced run");

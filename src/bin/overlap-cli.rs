@@ -16,11 +16,13 @@
 //!               memory budgets), lower each once and run every legal
 //!               engine plus the unit-delay reference over the shared plan,
 //!               auditing state agreement and the invariant catalogue.
-//!               Failures are shrunk to a minimal repro printed as a
-//!               paste-able regression test; exits non-zero on any
-//!               divergence. --dag forces every scenario onto a
-//!               task-graph guest (random layered DAGs, wavefronts,
-//!               fork-joins) with memory budgets twice as likely.
+//!               Failures are shrunk to a minimal repro and printed as
+//!               one JSON line, with the name to save it under in
+//!               tests/fuzz_repros/ (the regression suite replays every
+//!               file there); exits non-zero on any divergence.
+//!               --dag forces every scenario onto a task-graph guest
+//!               (random layered DAGs, wavefronts, fork-joins) with
+//!               memory budgets twice as likely.
 //!
 //!   cache       print the daemon's plan-cache counters: hits, misses,
 //!               cached plans, the bytes they are charged and evictions.
@@ -480,9 +482,10 @@ fn client_main(cmd: &str, args: &[String]) -> ! {
 }
 
 /// `overlap-cli fuzz --seed N --cases K` — stream the differential fuzzer
-/// with progress lines, printing a shrunk paste-able repro per divergence.
+/// with progress lines, printing each divergence's shrunk repro as one
+/// JSON line and the file to save it as.
 fn fuzz_main(args: &[String]) -> ! {
-    use overlap::sim::fuzz::{check_spec, gen_spec, gen_spec_dag, shrink, Divergence};
+    use overlap::sim::fuzz::{check_spec, gen_spec, gen_spec_dag, shrink};
     let opt = |name: &str, default: &str| -> String {
         args.iter()
             .position(|a| a == name)
@@ -512,15 +515,10 @@ fn fuzz_main(args: &[String]) -> ! {
         if check_spec(&spec).is_err() {
             divergences += 1;
             let (min, detail) = shrink(&spec);
-            let d = Divergence {
-                case,
-                spec: min,
-                detail,
-            };
-            println!("\ncase {case} DIVERGED:\n  {}", d.detail);
+            println!("\ncase {case} DIVERGED:\n  {detail}");
             println!(
-                "\nminimal repro (paste into tests/fuzz_regressions.rs):\n{}",
-                d.repro_test(&format!("fuzz_repro_seed{seed}_case{case}"))
+                "\nminimal repro (save as tests/fuzz_repros/seed{seed}_case{case}.json):\n{}",
+                serde_json::to_string(&min).expect("spec serializes")
             );
         }
         if (case + 1) % 250 == 0 || case + 1 == cases {

@@ -84,5 +84,5 @@ pub use overlap_net::{topology, DelayModel, HostGraph};
 pub use overlap_sim::{
     validate_run, AppliedDelta, Assignment, BandwidthMode, Engine, EngineConfig, ExecPlan,
     FaultPlan, FaultStats, Jitter, PlanDelta, RetryPolicy, RunError, RunOutcome, RunStats,
-    StallBreakdown, TraceConfig, TraceReport,
+    StallBreakdown, TraceReport,
 };

@@ -164,7 +164,7 @@ fn traced_golden_run_matches_classic_oracle_and_conserves() {
         .unwrap()
         .with_compute_costs(vec![1, 3, 2, 1]);
     let out = Engine::from_plan(&plan)
-        .run_traced(overlap::TraceConfig::default())
+        .run_traced()
         .expect("traced golden run");
 
     let report = out.trace.as_ref().expect("tracing was enabled");

@@ -6,11 +6,14 @@
 //! * A mid-run holder **crash** degrades gracefully: orphaned
 //!   subscriptions are rerouted to surviving copies and the run still
 //!   validates bit-exactly against the unit-delay reference.
+//! * A link that never comes back exhausts the retry budget with the same
+//!   typed error on every engine path.
 //!
 //! (`tests/prop_faults.rs` re-checks the identity property over random
 //! scenarios with proptest.)
 
 use overlap::sim::engine_classic::run_classic;
+use overlap::sim::run_stepped;
 use overlap::{
     topology, validate_run, DelayModel, Engine, EngineConfig, Error, ExecPlan, FaultPlan,
     GuestSpec, Jitter, ProgramKind, ReferenceRun, RunError, Simulation, Strategy,
@@ -143,4 +146,39 @@ fn link_outage_retries_and_still_validates() {
     assert!(f.fault_stall_ticks > 0);
     let trace = ReferenceRun::execute(&guest);
     assert!(validate_run(&trace, &r.outcome).is_empty());
+}
+
+#[test]
+fn link_down_for_good_exhausts_retries_on_every_path() {
+    let guest = GuestSpec::array(8, ProgramKind::KvWorkload, 42, 6);
+    let host = topology::linear_array(4, DelayModel::constant(1), 42);
+    let assign = overlap::Assignment::blocked(4, 8);
+    let faults = FaultPlan::new().link_down(1, 2, 0, 1_000_000_000);
+    let want = RunError::RetriesExhausted {
+        link: 3,
+        tick: 155_696,
+    };
+    for multicast in [false, true] {
+        let cfg = EngineConfig {
+            multicast,
+            ..EngineConfig::default()
+        };
+        let plan = ExecPlan::build(&guest, &host, &assign, cfg)
+            .unwrap()
+            .with_faults(faults.clone())
+            .unwrap();
+        let event = Engine::from_plan(&plan).run().unwrap_err();
+        assert_eq!(event, want, "event engine, multicast {multicast}");
+        if !multicast {
+            assert_eq!(run_stepped(&plan).unwrap_err(), want, "stepped engine");
+        }
+    }
+    let err = Simulation::of(&guest)
+        .on(&host)
+        .strategy(Strategy::Blocked)
+        .faults(faults)
+        .build()
+        .and_then(|s| s.run())
+        .unwrap_err();
+    assert!(matches!(&err, Error::Run(e) if *e == want), "got {err}");
 }

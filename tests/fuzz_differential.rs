@@ -13,6 +13,7 @@ use overlap::sim::fuzz::{
     check_spec, gen_spec, run_fuzz, shrink, AssignKind, FuzzConfig, GuestKind, HostKind,
     ScenarioSpec,
 };
+use overlap::sim::FaultPlan;
 
 #[test]
 fn bounded_fuzz_run_is_divergence_free() {
@@ -26,13 +27,13 @@ fn bounded_fuzz_run_is_divergence_free() {
             "case {} diverged:\n  {}\n{}",
             d.case,
             d.detail,
-            d.repro_test(&format!("fuzz_repro_case{}", d.case))
+            serde_json::to_string(&d.spec).expect("spec serializes")
         );
     }
     assert!(
         report.divergences.is_empty(),
-        "{} divergence(s); repros printed above — check them into \
-         tests/fuzz_regressions.rs",
+        "{} divergence(s); repros printed above — save each as \
+         tests/fuzz_repros/seed0_case<case>.json",
         report.divergences.len()
     );
 }
@@ -75,7 +76,7 @@ fn feature_matrix_corners_agree() {
             costs: None,
             multicast: true,
             mem: None,
-            faults: vec![],
+            faults: FaultPlan::new(),
         },
         // Heterogeneous compute costs over a heavy-tailed network.
         ScenarioSpec {
@@ -94,7 +95,7 @@ fn feature_matrix_corners_agree() {
             costs: Some(vec![1, 3, 2, 4]),
             multicast: false,
             mem: None,
-            faults: vec![],
+            faults: FaultPlan::new(),
         },
         // All databases on one processor: no messages at all.
         ScenarioSpec {
@@ -113,7 +114,7 @@ fn feature_matrix_corners_agree() {
             costs: None,
             multicast: false,
             mem: None,
-            faults: vec![],
+            faults: FaultPlan::new(),
         },
     ];
     for spec in &corners {
@@ -141,16 +142,10 @@ fn shrinker_minimizes_while_preserving_failure() {
         costs: Some(vec![2; 8]),
         multicast: false,
         mem: None,
-        faults: vec![
-            crate_fault_missing_link(),
-            overlap::sim::fuzz::FaultSpec::Spike {
-                a: 0,
-                b: 1,
-                from: 0,
-                until: 5,
-                factor: 3,
-            },
-        ],
+        // Ring(8) has no chord 0–4.
+        faults: FaultPlan::new()
+            .link_down(0, 4, 0, 10)
+            .delay_spike(0, 1, 0, 5, 3),
     };
     assert!(check_spec(&spec).is_err());
     let (min, detail) = shrink(&spec);
@@ -158,16 +153,10 @@ fn shrinker_minimizes_while_preserving_failure() {
     assert!(!detail.is_empty());
     assert!(min.costs.is_none());
     assert_eq!(min.steps, 1);
-    assert_eq!(min.faults.len(), 1, "only the impossible fault survives");
+    assert_eq!(
+        min.faults,
+        FaultPlan::new().link_down(0, 4, 0, 10),
+        "only the impossible fault survives"
+    );
     assert_eq!(min.delays, DelayModel::Constant(1));
-}
-
-fn crate_fault_missing_link() -> overlap::sim::fuzz::FaultSpec {
-    // Ring(8) has no chord 0–4.
-    overlap::sim::fuzz::FaultSpec::LinkDown {
-        a: 0,
-        b: 4,
-        from: 0,
-        until: 10,
-    }
 }

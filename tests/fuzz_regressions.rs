@@ -1,68 +1,83 @@
-//! Shrunken repros checked in from differential-fuzzer findings, plus
-//! direct regression tests for the bugs the fuzzing/audit PR fixed. Each
-//! `ScenarioSpec` test is in the exact paste-able form the fuzzer prints
-//! (`overlap-cli fuzz`), so future findings land here the same way.
+//! Pinned differential-fuzzer repros, plus direct regression tests for
+//! bugs the fuzzer found. A pinned repro is data: a JSON file under
+//! `tests/fuzz_repros/` holding one `ScenarioSpec`, exactly the line
+//! `overlap-cli fuzz` prints for a shrunk divergence, saved under the file
+//! name it prints. `every_pinned_repro_replays_clean` replays every file
+//! there through `check_spec`, and `tests/fuzz_repros/README.md` says what
+//! each one pins.
 
 use overlap::model::ProgramKind;
 use overlap::net::DelayModel;
 use overlap::sim::engine::{Engine, EngineConfig, RunError};
-use overlap::sim::fuzz::{check_spec, AssignKind, FaultSpec, GuestKind, HostKind, ScenarioSpec};
+use overlap::sim::fuzz::{check_spec, AssignKind, GuestKind, HostKind, ScenarioSpec};
 use overlap::sim::stepped::run_stepped;
 use overlap::sim::{Assignment, ExecPlan, FaultPlan};
 use overlap::{topology, GuestSpec};
+use std::fs;
+use std::path::{Path, PathBuf};
 
-/// Fuzzer finding (seed 0, case 770, shrunk): a crash scheduled after an
-/// engine's last pebble fired in the event engine (which drains its queue
-/// by tick) but not in the stepped engine (whose loop exits at the last
-/// pebble), so the engines disagreed on the surviving copy set. Crashes
-/// now destroy storage regardless of engine timing.
-#[test]
-fn fuzz_repro_seed0_case770_crash_after_completion() {
-    let spec = ScenarioSpec {
-        guest: GuestKind::Line(4),
-        program: ProgramKind::KvWorkload,
-        steps: 1,
-        guest_seed: 969918,
-        host: HostKind::Line(4),
-        delays: DelayModel::Constant(1),
-        host_seed: 687235,
-        assign: AssignKind::Redundant {
-            seed: 457216850984680125,
-        },
-        costs: None,
-        multicast: false,
-        mem: None,
-        faults: vec![FaultSpec::Crash { proc: 2, at: 4 }],
-    };
-    check_spec(&spec).expect("engines must agree");
+fn repro_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fuzz_repros")
 }
 
-/// Same finding, seed 0 case 86: a tree host and a one-step guest, where
-/// the crash tick lands between the two engines' makespans.
-#[test]
-fn fuzz_repro_seed0_case86_crash_straddles_makespans() {
-    let spec = ScenarioSpec {
-        guest: GuestKind::Line(7),
-        program: ProgramKind::StencilSum,
-        steps: 1,
-        guest_seed: 501491,
-        host: HostKind::Tree(2),
-        delays: DelayModel::Constant(1),
-        host_seed: 929698,
-        assign: AssignKind::Redundant {
-            seed: 15561091816461123874,
-        },
-        costs: None,
-        multicast: false,
-        mem: None,
-        faults: vec![FaultSpec::Crash { proc: 2, at: 4 }],
-    };
-    check_spec(&spec).expect("engines must agree");
+/// Parse one repro file and check it; the error says what failed.
+fn replay(path: &Path) -> Result<(), String> {
+    let json = fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
+    let spec: ScenarioSpec =
+        serde_json::from_str(&json).map_err(|e| format!("does not parse: {e}"))?;
+    check_spec(&spec)
 }
 
-/// Direct form of the finding: a crash far beyond both makespans still
-/// loses the victim's copies in *both* engines, and the fault counters
-/// agree with the plan.
+#[test]
+fn every_pinned_repro_replays_clean() {
+    let mut files: Vec<PathBuf> = fs::read_dir(repro_dir())
+        .expect("tests/fuzz_repros is readable")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    assert!(
+        files.len() >= 6,
+        "expected at least six pinned repros, read {}",
+        files.len()
+    );
+    let failures: Vec<String> = files
+        .iter()
+        .filter_map(|f| replay(f).err().map(|e| format!("{}: {e}", f.display())))
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of {} pinned repro(s) failed:\n{}",
+        failures.len(),
+        files.len(),
+        failures.join("\n")
+    );
+}
+
+/// Some repros also run under a test name of their own, so a filter such
+/// as `cargo test case770` replays just that one.
+macro_rules! pinned_repro {
+    ($($test:ident => $file:literal,)*) => {$(
+        #[test]
+        fn $test() {
+            let path = repro_dir().join($file);
+            replay(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        }
+    )*};
+}
+
+pinned_repro! {
+    fuzz_repro_seed0_case770_crash_after_completion => "seed0_case770.json",
+    fuzz_repro_seed0_case86_crash_straddles_makespans => "seed0_case86.json",
+    fuzz_pin_dag_random_under_memory_budget => "dag_random_under_memory_budget.json",
+    fuzz_pin_fork_join_relays_with_link_fault => "fork_join_relays_with_link_fault.json",
+    fuzz_pin_wavefront_multicast => "wavefront_multicast.json",
+    zero_layer_task_graph_is_well_defined => "zero_layer_task_graph.json",
+}
+
+/// Direct form of the finding `seed0_case770.json` pins: a crash far
+/// beyond both makespans still loses the victim's copies in *both*
+/// engines, and the fault counters agree with the plan.
 #[test]
 fn crash_beyond_makespan_still_destroys_copies() {
     let guest = GuestSpec::array(8, ProgramKind::KvWorkload, 3, 2);
@@ -133,12 +148,7 @@ fn fault_on_missing_link_is_an_error_on_every_path() {
         costs: None,
         multicast: false,
         mem: None,
-        faults: vec![FaultSpec::LinkDown {
-            a: 0,
-            b: 3,
-            from: 5,
-            until: 10,
-        }],
+        faults: FaultPlan::new().link_down(0, 3, 5, 10),
     };
     let detail = check_spec(&spec).unwrap_err();
     assert!(detail.contains("fault plan rejected"), "{detail}");
@@ -182,7 +192,7 @@ fn zero_step_scenarios_are_well_defined() {
             costs: None,
             multicast,
             mem: None,
-            faults: vec![],
+            faults: FaultPlan::new(),
         };
         check_spec(&spec).unwrap_or_else(|d| panic!("{assign:?}/multicast={multicast}: {d}"));
     }
@@ -241,112 +251,4 @@ fn crash_recovery_without_a_route_is_an_error_not_a_panic() {
     };
     assert_eq!(Engine::from_plan(&plan).run().unwrap_err(), want, "event");
     assert_eq!(run_stepped(&plan).unwrap_err(), want, "stepped");
-}
-
-/// Task-graph scenarios in the exact paste-able form the fuzzer prints,
-/// pinning the DAG/memory-budget fuzzing profile: a non-uniform random
-/// layered DAG under a thrashing memory budget must keep all engines in
-/// bit-agreement (tracing and the lockstep bound are skipped as
-/// unsupported).
-#[test]
-fn fuzz_pin_dag_random_under_memory_budget() {
-    use overlap::sim::engine::MemBudget;
-    let spec = ScenarioSpec {
-        guest: GuestKind::DagRandom {
-            dbs: 11,
-            extra: 2,
-            max_cost: 3,
-            seed: 0xD151_71CE,
-        },
-        program: ProgramKind::KvWorkload,
-        steps: 7,
-        guest_seed: 414243,
-        host: HostKind::Mesh(2, 3),
-        delays: DelayModel::Uniform { lo: 1, hi: 9 },
-        host_seed: 55,
-        assign: AssignKind::Blocked,
-        costs: Some(vec![1, 2, 1, 3, 1, 2]),
-        multicast: false,
-        mem: Some(MemBudget {
-            budget: 1,
-            reload_cost: 4,
-        }),
-        faults: vec![],
-    };
-    check_spec(&spec).expect("engines must agree");
-}
-
-/// Fork-join diamonds exercise relay slots (pass-through tasks padding
-/// the layered normal form) under faults and redundant placement.
-#[test]
-fn fuzz_pin_fork_join_relays_with_link_fault() {
-    let spec = ScenarioSpec {
-        guest: GuestKind::ForkJoin(3),
-        program: ProgramKind::RuleAutomaton { db_size: 4 },
-        steps: 5, // overridden by the graph's fixed 2·levels−1 layers
-        guest_seed: 99,
-        host: HostKind::Line(3),
-        delays: DelayModel::Constant(3),
-        host_seed: 0,
-        assign: AssignKind::Redundant { seed: 1234 },
-        costs: None,
-        multicast: false,
-        mem: None,
-        faults: vec![FaultSpec::LinkDown {
-            a: 0,
-            b: 1,
-            from: 2,
-            until: 20,
-        }],
-    };
-    check_spec(&spec).expect("engines must agree");
-}
-
-/// A uniform wavefront DAG lowers through the static tables, so the
-/// traced event run is in scope — with multicast routing on top for the
-/// event engine.
-#[test]
-fn fuzz_pin_wavefront_multicast() {
-    let spec = ScenarioSpec {
-        guest: GuestKind::Wavefront(9),
-        program: ProgramKind::Histogram { buckets: 6 },
-        steps: 6,
-        guest_seed: 77,
-        host: HostKind::Ring(5),
-        delays: DelayModel::Bimodal {
-            lo: 1,
-            hi: 12,
-            p_hi: 0.25,
-        },
-        host_seed: 3,
-        assign: AssignKind::Blocked,
-        costs: None,
-        multicast: true,
-        mem: None,
-        faults: vec![],
-    };
-    check_spec(&spec).expect("engines must agree");
-}
-
-/// Zero-layer task graphs are legal everywhere: the static lowering's
-/// layer-1 probe of an empty graph must see an empty dependency list
-/// instead of tripping the slot bounds (regression: `TaskGraph::slot`
-/// debug-assert via `visit_deps` during `ExecPlan::build`).
-#[test]
-fn zero_layer_task_graph_is_well_defined() {
-    let spec = ScenarioSpec {
-        guest: GuestKind::Wavefront(6),
-        program: ProgramKind::KvWorkload,
-        steps: 0,
-        guest_seed: 1,
-        host: HostKind::Line(3),
-        delays: DelayModel::Constant(2),
-        host_seed: 0,
-        assign: AssignKind::Blocked,
-        costs: None,
-        multicast: false,
-        mem: None,
-        faults: vec![],
-    };
-    check_spec(&spec).expect("engines must agree");
 }
