@@ -14,7 +14,6 @@ use overlap_core::pipeline::Strategy;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
-use overlap_sim::sweep::par_map;
 
 /// Run the baseline-comparison table.
 pub fn run(scale: Scale) -> Table {
@@ -43,35 +42,38 @@ pub fn run(scale: Scale) -> Table {
             "valid",
         ],
     );
-    let rows = par_map(&spikes, |&spike| {
-        // Cap the period so spikes exist at every size: at most n/4 links
-        // between spikes keeps several spikes in the array.
-        let host = linear_array(
-            n,
-            DelayModel::Spike {
-                base: 1,
-                spike,
-                period: spike.clamp(2, n as u64 / 4),
-            },
-            0,
-        );
-        let b = simulate_line_with_trace(&guest, &host, Strategy::Blocked, &trace).unwrap();
-        let s = simulate_line_with_trace(&guest, &host, Strategy::Slackness, &trace).unwrap();
-        let o =
-            simulate_line_with_trace(&guest, &host, Strategy::Overlap { c: 4.0 }, &trace).unwrap();
-        let c = simulate_line_with_trace(
-            &guest,
-            &host,
-            Strategy::Combined {
-                c: 4.0,
-                expansion: 2,
-            },
-            &trace,
-        )
-        .unwrap();
-        let lockstep = b.lockstep_makespan.unwrap() as f64 / steps as f64;
-        (spike, lockstep, b, s, o, c)
-    });
+    let rows: Vec<_> = spikes
+        .iter()
+        .map(|&spike| {
+            // Cap the period so spikes exist at every size: at most n/4 links
+            // between spikes keeps several spikes in the array.
+            let host = linear_array(
+                n,
+                DelayModel::Spike {
+                    base: 1,
+                    spike,
+                    period: spike.clamp(2, n as u64 / 4),
+                },
+                0,
+            );
+            let b = simulate_line_with_trace(&guest, &host, Strategy::Blocked, &trace).unwrap();
+            let s = simulate_line_with_trace(&guest, &host, Strategy::Slackness, &trace).unwrap();
+            let o = simulate_line_with_trace(&guest, &host, Strategy::Overlap { c: 4.0 }, &trace)
+                .unwrap();
+            let c = simulate_line_with_trace(
+                &guest,
+                &host,
+                Strategy::Combined {
+                    c: 4.0,
+                    expansion: 2,
+                },
+                &trace,
+            )
+            .unwrap();
+            let lockstep = b.lockstep_makespan.unwrap() as f64 / steps as f64;
+            (spike, lockstep, b, s, o, c)
+        })
+        .collect();
     for (spike, lockstep, b, s, o, c) in rows {
         let best_baseline = lockstep.min(b.stats.slowdown).min(s.stats.slowdown);
         let ours = o.stats.slowdown.min(c.stats.slowdown);

@@ -17,7 +17,6 @@ use overlap_core::theory;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::{DelayModel, HostGraph};
-use overlap_sim::sweep::par_map;
 
 fn host_stats(h: &HostGraph) -> (f64, u64) {
     let s = overlap_net::metrics::DelayStats::of(h);
@@ -46,13 +45,16 @@ pub fn run_dave_sweep(scale: Scale) -> Table {
             "valid",
         ],
     );
-    let rows = par_map(&daves, |&d| {
-        let host = linear_array(n, DelayModel::uniform(1, 2 * d.max(1) - 1), 11);
-        let (d_ave, d_max) = host_stats(&host);
-        let r = simulate_line_with_trace(&guest, &host, Strategy::Overlap { c: 4.0 }, &trace)
-            .expect("overlap run");
-        (d_ave, d_max, r)
-    });
+    let rows: Vec<_> = daves
+        .iter()
+        .map(|&d| {
+            let host = linear_array(n, DelayModel::uniform(1, 2 * d.max(1) - 1), 11);
+            let (d_ave, d_max) = host_stats(&host);
+            let r = simulate_line_with_trace(&guest, &host, Strategy::Overlap { c: 4.0 }, &trace)
+                .expect("overlap run");
+            (d_ave, d_max, r)
+        })
+        .collect();
     let mut pts = Vec::new();
     for (d_ave, d_max, r) in rows {
         pts.push((d_ave, r.stats.slowdown));
@@ -125,13 +127,17 @@ pub fn run_dmax_stress(scale: Scale) -> Table {
             "valid",
         ],
     );
-    let rows = par_map(&hosts, |host| {
-        let (d_ave, d_max) = host_stats(host);
-        let o = simulate_line_with_trace(&guest, host, Strategy::Overlap { c: 4.0 }, &trace)
-            .expect("overlap");
-        let b = simulate_line_with_trace(&guest, host, Strategy::Blocked, &trace).expect("blocked");
-        (host.name().to_string(), d_ave, d_max, o, b)
-    });
+    let rows: Vec<_> = hosts
+        .iter()
+        .map(|host| {
+            let (d_ave, d_max) = host_stats(host);
+            let o = simulate_line_with_trace(&guest, host, Strategy::Overlap { c: 4.0 }, &trace)
+                .expect("overlap");
+            let b =
+                simulate_line_with_trace(&guest, host, Strategy::Blocked, &trace).expect("blocked");
+            (host.name().to_string(), d_ave, d_max, o, b)
+        })
+        .collect();
     let mut overlap_slow = Vec::new();
     let mut blocked_slow = Vec::new();
     for (name, d_ave, d_max, o, b) in rows {

@@ -12,7 +12,6 @@ use overlap_core::pipeline::Strategy;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
-use overlap_sim::sweep::par_map;
 
 /// Sweep guest size multipliers at fixed host.
 pub fn run(scale: Scale) -> Table {
@@ -37,11 +36,15 @@ pub fn run(scale: Scale) -> Table {
             "valid",
         ],
     );
-    let rows = par_map(&multipliers, |&k| {
-        let guest = GuestSpec::array(n * k, ProgramKind::Relaxation, 5, steps);
-        let trace = ReferenceRun::execute(&guest);
-        simulate_line_with_trace(&guest, &host, Strategy::Overlap { c: 4.0 }, &trace).expect("run")
-    });
+    let rows: Vec<_> = multipliers
+        .iter()
+        .map(|&k| {
+            let guest = GuestSpec::array(n * k, ProgramKind::Relaxation, 5, steps);
+            let trace = ReferenceRun::execute(&guest);
+            simulate_line_with_trace(&guest, &host, Strategy::Overlap { c: 4.0 }, &trace)
+                .expect("run")
+        })
+        .collect();
     for (k, r) in multipliers.iter().zip(rows) {
         t.row(vec![
             (n * k).to_string(),

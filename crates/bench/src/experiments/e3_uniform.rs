@@ -18,7 +18,6 @@ use overlap_core::theory;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
-use overlap_sim::sweep::par_map;
 
 /// Run the Theorem 4 sweep.
 pub fn run(scale: Scale) -> Table {
@@ -40,20 +39,23 @@ pub fn run(scale: Scale) -> Table {
             "valid",
         ],
     );
-    let rows = par_map(&ds, |&d| {
-        let r = (d as f64).sqrt().floor() as u32;
-        let m = n * r;
-        // enough steps to reach steady state: several exchange rounds
-        let steps = (4 * r).max(32);
-        let guest = GuestSpec::array(m, ProgramKind::Relaxation, 9, steps);
-        let trace = ReferenceRun::execute(&guest);
-        let host = linear_array(n, DelayModel::constant(d), 0);
-        let halo = simulate_line_with_trace(&guest, &host, Strategy::Halo { halo: 1 }, &trace)
-            .expect("halo");
-        let blocked =
-            simulate_line_with_trace(&guest, &host, Strategy::Blocked, &trace).expect("blocked");
-        (d, m, halo, blocked)
-    });
+    let rows: Vec<_> = ds
+        .iter()
+        .map(|&d| {
+            let r = (d as f64).sqrt().floor() as u32;
+            let m = n * r;
+            // enough steps to reach steady state: several exchange rounds
+            let steps = (4 * r).max(32);
+            let guest = GuestSpec::array(m, ProgramKind::Relaxation, 9, steps);
+            let trace = ReferenceRun::execute(&guest);
+            let host = linear_array(n, DelayModel::constant(d), 0);
+            let halo = simulate_line_with_trace(&guest, &host, Strategy::Halo { halo: 1 }, &trace)
+                .expect("halo");
+            let blocked = simulate_line_with_trace(&guest, &host, Strategy::Blocked, &trace)
+                .expect("blocked");
+            (d, m, halo, blocked)
+        })
+        .collect();
     let mut halo_pts = Vec::new();
     let mut blocked_pts = Vec::new();
     for (d, m, halo, blocked) in rows {

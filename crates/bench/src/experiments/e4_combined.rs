@@ -13,7 +13,6 @@ use overlap_core::theory;
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
-use overlap_sim::sweep::par_map;
 
 /// Run the Theorem 5 crossover sweep.
 pub fn run(scale: Scale) -> Table {
@@ -37,25 +36,28 @@ pub fn run(scale: Scale) -> Table {
     );
     let mut o_pts = Vec::new();
     let mut c_pts = Vec::new();
-    let rows = par_map(&ds, |&d| {
-        let r = (d as f64).sqrt().floor().max(1.0) as u32;
-        // guest sized for the combined pipeline: n·L·√d cells (lab scale)
-        let m = (n * expansion * r).min(scale.pick(2048, 16384));
-        let steps = (3 * r).max(24);
-        let guest = GuestSpec::array(m, ProgramKind::Relaxation, 13, steps);
-        let trace = ReferenceRun::execute(&guest);
-        let host = linear_array(n, DelayModel::constant(d), 0);
-        let o = simulate_line_with_trace(&guest, &host, Strategy::Overlap { c: 4.0 }, &trace)
-            .expect("overlap");
-        let c = simulate_line_with_trace(
-            &guest,
-            &host,
-            Strategy::Combined { c: 4.0, expansion },
-            &trace,
-        )
-        .expect("combined");
-        (d, o, c)
-    });
+    let rows: Vec<_> = ds
+        .iter()
+        .map(|&d| {
+            let r = (d as f64).sqrt().floor().max(1.0) as u32;
+            // guest sized for the combined pipeline: n·L·√d cells (lab scale)
+            let m = (n * expansion * r).min(scale.pick(2048, 16384));
+            let steps = (3 * r).max(24);
+            let guest = GuestSpec::array(m, ProgramKind::Relaxation, 13, steps);
+            let trace = ReferenceRun::execute(&guest);
+            let host = linear_array(n, DelayModel::constant(d), 0);
+            let o = simulate_line_with_trace(&guest, &host, Strategy::Overlap { c: 4.0 }, &trace)
+                .expect("overlap");
+            let c = simulate_line_with_trace(
+                &guest,
+                &host,
+                Strategy::Combined { c: 4.0, expansion },
+                &trace,
+            )
+            .expect("combined");
+            (d, o, c)
+        })
+        .collect();
     for (d, o, c) in rows {
         o_pts.push((d as f64, o.stats.slowdown));
         c_pts.push((d as f64, c.stats.slowdown));

@@ -12,7 +12,6 @@ use overlap_core::{theory, SimReport, Simulation};
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, ReferenceTrace};
 use overlap_net::topology::{linear_array, mesh2d};
 use overlap_net::{DelayModel, HostGraph};
-use overlap_sim::sweep::par_map;
 
 /// One grid guest through the builder's default (Theorem 8) placement.
 fn simulate(guest: &GuestSpec, host: &HostGraph, trace: &ReferenceTrace) -> SimReport {
@@ -51,13 +50,16 @@ pub fn run(scale: Scale) -> Table {
         5,
     );
     let mut pts = Vec::new();
-    let runs = par_map(&sides, |&m| {
-        let guest = GuestSpec::mesh(m, m, ProgramKind::Relaxation, 3, steps);
-        let trace = ReferenceRun::execute(&guest);
-        let a = simulate(&guest, &line_host, &trace);
-        let b = simulate(&guest, &mesh_host, &trace);
-        (m, a, b)
-    });
+    let runs: Vec<_> = sides
+        .iter()
+        .map(|&m| {
+            let guest = GuestSpec::mesh(m, m, ProgramKind::Relaxation, 3, steps);
+            let trace = ReferenceRun::execute(&guest);
+            let a = simulate(&guest, &line_host, &trace);
+            let b = simulate(&guest, &mesh_host, &trace);
+            (m, a, b)
+        })
+        .collect();
     for (m, a, b) in runs {
         let n_cells = (m as u64) * (m as u64);
         pts.push((n_cells as f64, a.stats.slowdown));

@@ -25,8 +25,8 @@ use crate::Table;
 use overlap_model::{GuestSpec, ProgramKind};
 use overlap_net::topology::{linear_array, mesh2d};
 use overlap_net::{DelayModel, HostGraph};
-use overlap_sim::engine::{Engine, EngineConfig, RunOutcome};
-use overlap_sim::{Assignment, EngineKind, ExecPlan, PlanDelta};
+use overlap_sim::engine::{Engine, EngineConfig, RunError, RunOutcome};
+use overlap_sim::{run_stepped, Assignment, ExecPlan, PlanDelta};
 use std::time::Instant;
 
 /// One engine's measured sweep, with and without plan reuse.
@@ -90,6 +90,9 @@ fn time_best<T>(reps: u32, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
+/// One engine's entry point over a lowered plan.
+type RunPlan = fn(&ExecPlan) -> Result<RunOutcome, RunError>;
+
 /// Measure every engine's sweep with and without plan reuse.
 pub fn measure(scale: Scale) -> Vec<ReuseResult> {
     let (guest, host, assign) = scenario(scale);
@@ -97,11 +100,14 @@ pub fn measure(scale: Scale) -> Vec<ReuseResult> {
     let repeats = scale.pick(6u32, 10);
     let reps = scale.pick(3, 5);
 
-    [EngineKind::Event, EngineKind::Stepped]
+    let engines: [(&'static str, RunPlan); 2] = [
+        ("event", |p| Engine::from_plan(p).run()),
+        ("stepped", run_stepped),
+    ];
+    engines
         .into_iter()
-        .map(|kind| {
-            let name = kind.label();
-            let run = |p: &ExecPlan| -> RunOutcome { kind.run(p, None, false).expect(name) };
+        .map(|(name, engine)| {
+            let run = |p: &ExecPlan| -> RunOutcome { engine(p).expect(name) };
             // Reused and fresh lowerings must be indistinguishable.
             let shared_plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("plan");
             let a = run(&shared_plan);

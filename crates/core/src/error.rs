@@ -42,11 +42,14 @@ pub enum Error {
         /// Why the value is invalid.
         reason: String,
     },
-    /// The selected executor does not implement the requested feature
-    /// (e.g. multicast on the stepped engine). Features are never
-    /// silently dropped; pick the event engine or drop the option.
+    /// The run asks for a feature its executor cannot time, never
+    /// silently dropped. From the builder: a traced run whose memory
+    /// budget or non-uniform task graph the stall tracer cannot attribute;
+    /// drop `.trace()` or the feature. Converted from
+    /// [`RunError::UnsupportedFeature`].
     Unsupported {
-        /// The executor that was asked (`"stepped"` or `"event (traced)"`).
+        /// The executor that rejected the run: `"event (traced)"` from
+        /// the builder, `"stepped"` or `"lockstep"` when converted.
         engine: &'static str,
         /// The feature it does not implement.
         feature: &'static str,

@@ -31,7 +31,9 @@
 //!   places any guest (line, ring, task graph, grid, binary tree) on any
 //!   connected host;
 //! * [`simulation`] — the [`Simulation`] builder, the one front door:
-//!   placement, lowering, the engine run and validation for every guest.
+//!   placement, lowering, the event-engine run and validation for every
+//!   guest (the stepped oracle takes the lowered plan directly, through
+//!   `overlap_sim::run_stepped`).
 //!
 //! [`plan_placement`]: pipeline::plan_placement
 
@@ -61,7 +63,6 @@ pub use assign::{expand_blocks, SlotAssignment};
 pub use error::Error;
 pub use killing::{KillOutcome, KillParams};
 pub use overlap::{plan_overlap, OverlapError, OverlapPlan};
-pub use overlap_sim::EngineKind;
 pub use pipeline::{SimReport, Strategy};
 pub use scenario::ScenarioSpec;
 pub use simulation::{Simulation, SimulationBuilder};

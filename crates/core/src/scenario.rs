@@ -1,21 +1,22 @@
 //! Serializable scenario descriptions — the wire format of the daemon.
 //!
 //! A [`ScenarioSpec`] captures everything a [`SimulationBuilder`] call
-//! chain would configure — guest, host, placement strategy, engine,
-//! engine config, compute costs, faults, tracing — as one plain-data
-//! value that serializes to JSON. The daemon accepts specs over HTTP,
-//! validates them through the *same* builder matrix the in-process API
-//! uses (so a spec the daemon accepts behaves identically when replayed
-//! locally), and keys its server-side `ExecPlan` cache on
-//! [`ScenarioSpec::plan_key`].
+//! chain would configure — guest, host, placement strategy, engine
+//! config, compute costs, faults, tracing — as one plain-data value that
+//! serializes to JSON. The daemon accepts specs over HTTP, validates them
+//! through the *same* builder checks the in-process API uses (so a spec
+//! the daemon accepts behaves identically when replayed locally), runs
+//! them on the event engine, and keys its server-side `ExecPlan` cache on
+//! [`ScenarioSpec::plan_key`]. Specs written while the wire still named
+//! an engine carry an `engine` key; decoding ignores it, like every
+//! unknown key.
 //!
 //! Plan-cache keying rule: the key covers exactly the inputs of
 //! lowering — `(guest, host, assignment, config)` — and deliberately
-//! *excludes* faults, compute costs, the engine kind, and tracing.
-//! Fault and cost variants ride on a view of a cached plan
-//! (`ExecPlan::share`, bit-identical to a fresh lowering, never
-//! re-lowered), every engine consumes the same plan, and tracing only
-//! changes what is observed, not what is scheduled.
+//! *excludes* faults, compute costs and tracing. Fault and cost variants
+//! ride on a view of a cached plan (`ExecPlan::share`, bit-identical to a
+//! fresh lowering, never re-lowered), and tracing only changes what is
+//! observed, not what is scheduled.
 //!
 //! [`SimulationBuilder`]: crate::simulation::SimulationBuilder
 
@@ -26,7 +27,6 @@ use overlap_model::GuestSpec;
 use overlap_net::HostGraph;
 use overlap_sim::engine::EngineConfig;
 use overlap_sim::faults::FaultPlan;
-use overlap_sim::EngineKind;
 use serde::{Deserialize, Serialize};
 
 /// A complete, self-contained simulation request: the serializable twin
@@ -39,9 +39,6 @@ pub struct ScenarioSpec {
     pub host: HostGraph,
     /// Database placement strategy.
     pub strategy: Strategy,
-    /// Which engine executes the plan.
-    #[serde(default)]
-    pub engine: EngineKind,
     /// Engine configuration (bandwidth, tick cap, multicast, jitter,
     /// memory budget).
     #[serde(default)]
@@ -52,21 +49,21 @@ pub struct ScenarioSpec {
     /// Deterministic fault plan.
     #[serde(default)]
     pub faults: Option<FaultPlan>,
-    /// Attribute stall ticks to their causes (event engine only).
+    /// Attribute stall ticks to their causes (not with a memory budget or
+    /// a non-uniform task graph).
     #[serde(default)]
     pub trace: bool,
 }
 
 impl ScenarioSpec {
     /// A spec with the given guest and host and every option at its
-    /// builder default: [`Strategy::Auto`], the event engine, default
-    /// engine config, no costs / faults / trace.
+    /// builder default: [`Strategy::Auto`], default engine config, no
+    /// costs / faults / trace.
     pub fn new(guest: GuestSpec, host: HostGraph) -> Self {
         Self {
             guest,
             host,
             strategy: Strategy::Auto,
-            engine: EngineKind::default(),
             config: EngineConfig::default(),
             compute_costs: None,
             faults: None,
@@ -74,17 +71,15 @@ impl ScenarioSpec {
         }
     }
 
-    /// Plan and validate this spec through the standard builder: the
-    /// full feature × engine support matrix applies (`trace` or multicast
-    /// on the stepped engine, a disconnected host, … are
-    /// all rejected here with the same typed errors the in-process
-    /// API returns). On success the returned [`ReadySimulation`] borrows
+    /// Plan and validate this spec through the standard builder: its
+    /// checks all apply (`trace` with a memory budget, a disconnected
+    /// host, … are all rejected here with the same typed errors the
+    /// in-process API returns). On success the returned [`ReadySimulation`] borrows
     /// this spec and can be lowered and run repeatedly.
     pub fn ready(&self) -> Result<ReadySimulation<'_>, Error> {
         let mut b = Simulation::of(&self.guest)
             .on(&self.host)
-            .strategy(self.strategy)
-            .engine(self.engine);
+            .strategy(self.strategy);
         b = b
             .bandwidth(self.config.bandwidth)
             .max_ticks(self.config.max_ticks)
@@ -108,8 +103,8 @@ impl ScenarioSpec {
     /// The canonical plan-cache key of this scenario: the JSON encoding
     /// of `(guest, host, assignment, config)` — exactly the inputs of
     /// `ExecPlan::build`. Two specs with equal keys lower to
-    /// bit-identical plans; fault / cost / engine / trace differences do
-    /// not change the key (they are applied per-run, on top of the
+    /// bit-identical plans; fault / cost / trace differences do not
+    /// change the key (they are applied per-run, on top of the
     /// cached plan). Placement runs as part of keying, so an invalid
     /// spec fails here with the same error as [`ready`](Self::ready).
     pub fn plan_key(&self) -> Result<String, Error> {
@@ -141,7 +136,7 @@ mod tests {
     fn round_trips_through_json() {
         let mut s = spec();
         s.strategy = Strategy::Overlap { c: 4.0 };
-        s.engine = EngineKind::Stepped;
+        s.trace = true;
         let json = serde_json::to_string(&s).unwrap();
         let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
@@ -161,12 +156,32 @@ mod tests {
         assert_eq!(back.plan_key().unwrap(), s.plan_key().unwrap());
     }
 
+    /// Specs written while the wire named an engine still carry an
+    /// `engine` key: they decode (unknown keys are ignored) to the spec
+    /// without it, so they key to the same plan and run on the event
+    /// engine.
     #[test]
-    fn plan_key_ignores_faults_engine_and_trace() {
+    fn legacy_engine_field_decodes_to_the_same_plan() {
+        let s = spec();
+        let json = serde_json::to_string(&s).unwrap();
+        for engine in ["\"Event\"", "\"Stepped\""] {
+            let legacy = json.replace(
+                "\"config\":{",
+                &format!("\"engine\":{engine},\"config\":{{"),
+            );
+            assert_ne!(legacy, json, "spec JSON must carry a config object");
+            let back: ScenarioSpec = serde_json::from_str(&legacy).unwrap();
+            assert_eq!(back, s, "{engine}");
+            assert_eq!(back.plan_key().unwrap(), s.plan_key().unwrap(), "{engine}");
+        }
+    }
+
+    #[test]
+    fn plan_key_ignores_faults_and_trace() {
         let base = spec();
         let key = base.plan_key().unwrap();
         let mut varied = base.clone();
-        varied.engine = EngineKind::Stepped;
+        varied.trace = true;
         varied.faults = Some(FaultPlan::default());
         assert_eq!(varied.plan_key().unwrap(), key);
         // …but a different guest is a different plan.
@@ -178,18 +193,21 @@ mod tests {
     /// `ready` and `plan_key` both place the spec, so both fail with the
     /// builder's typed error.
     #[test]
-    fn validation_matches_the_builder_matrix() {
+    fn validation_matches_the_builder_checks() {
         let errors = |s: &ScenarioSpec| (s.ready().unwrap_err(), s.plan_key().unwrap_err());
         let mut s = spec();
         s.trace = true;
-        s.engine = EngineKind::Stepped;
+        s.config.mem = Some(overlap_sim::engine::MemBudget {
+            budget: 2,
+            reload_cost: 1,
+        });
         let (a, b) = errors(&s);
         for e in [a, b] {
             assert!(matches!(
                 e,
                 Error::Unsupported {
-                    engine: "stepped",
-                    feature: "stall-attribution tracing"
+                    engine: "event (traced)",
+                    feature: "memory budget"
                 }
             ));
         }

@@ -24,20 +24,22 @@
 //! ```
 //!
 //! `build()` performs placement planning (strategy → assignment) and
-//! reports any [`Error`] early; `run()` executes on the chosen engine,
+//! reports any [`Error`] early; `run()` executes on the event engine,
 //! validates every database copy against the unit-delay reference, and
 //! returns a [`SimReport`] carrying the full [`RunOutcome`]. Fault plans
 //! (`.faults(..)`) inject deterministic link outages, delay spikes, and
-//! processor crashes — see `overlap_sim::faults`.
+//! processor crashes — see `overlap_sim::faults`. The stepped oracle is
+//! not a builder option: hand the lowered plan
+//! ([`ReadySimulation::build_plan`]) to `overlap_sim::run_stepped`.
 
 use crate::error::Error;
 use crate::pipeline::{plan_placement, SimReport, Strategy};
 use overlap_model::{GuestSpec, ReferenceRun, ReferenceTrace};
 use overlap_net::{Delay, HostGraph};
-use overlap_sim::engine::{EngineConfig, Jitter, MemBudget, RunOutcome};
+use overlap_sim::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{Assignment, BandwidthMode, EngineKind, ExecPlan};
+use overlap_sim::{check_traced, Assignment, BandwidthMode, ExecPlan};
 
 /// Entry point of the builder API: `Simulation::of(&guest)`.
 pub struct Simulation;
@@ -54,7 +56,6 @@ impl Simulation {
             compute_costs: None,
             faults: None,
             trace: false,
-            engine: EngineKind::Event,
         }
     }
 }
@@ -70,7 +71,6 @@ pub struct SimulationBuilder<'a> {
     compute_costs: Option<Vec<u32>>,
     faults: Option<FaultPlan>,
     trace: bool,
-    engine: EngineKind,
 }
 
 impl<'a> SimulationBuilder<'a> {
@@ -119,7 +119,8 @@ impl<'a> SimulationBuilder<'a> {
     /// mode): evicted copies must be re-fetched for
     /// [`MemBudget::reload_cost`] extra ticks before the next compute.
     /// Pure timing/accounting — values are unchanged, so validation
-    /// still holds. Event and stepped engines only.
+    /// still holds. The stall tracer cannot attribute reloads, so
+    /// [`trace`](Self::trace) rejects a budget.
     pub fn memory_budget(mut self, budget: MemBudget) -> Self {
         self.config.mem = Some(budget);
         self
@@ -145,18 +146,14 @@ impl<'a> SimulationBuilder<'a> {
     }
 
     /// Attribute every stall tick of the run to its cause — dependency,
-    /// bandwidth, database-update order, faults, or post-completion drain
-    /// (event engine only). The report lands in the outcome's
-    /// `stats.stalls` and `trace`, and the per-pebble completion ticks the
-    /// tracer keeps in its `timing`; the schedule itself is unchanged.
+    /// bandwidth, database-update order, faults, or post-completion drain.
+    /// The report lands in the outcome's `stats.stalls` and `trace`, and
+    /// the per-pebble completion ticks the tracer keeps in its `timing`;
+    /// the schedule itself is unchanged. `build()` rejects what the tracer
+    /// cannot attribute — a memory budget or a non-uniform task graph —
+    /// with [`Error::Unsupported`] ([`check_traced`]).
     pub fn trace(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Choose the execution engine (default [`EngineKind::Event`]).
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -198,9 +195,11 @@ impl<'a> SimulationBuilder<'a> {
         if let Some(faults) = &self.faults {
             faults.validate(host).map_err(Error::Run)?;
         }
-        // Features the engine cannot time are rejected here, before
+        // What the stall tracer cannot attribute is rejected here, before
         // placement, with `Error::Unsupported` — never dropped at run time.
-        self.engine.check(self.guest, &self.config, self.trace)?;
+        if self.trace {
+            check_traced(self.guest, &self.config)?;
+        }
         let (assignment, predicted_slowdown, array_delays, dilation) = match self.assignment {
             Some(a) => {
                 if (a.num_procs(), a.num_cells()) != (host.num_nodes(), self.guest.num_cells()) {
@@ -235,7 +234,6 @@ impl<'a> SimulationBuilder<'a> {
             compute_costs: self.compute_costs,
             faults: self.faults,
             trace: self.trace,
-            engine: self.engine,
             predicted_slowdown,
             array_delays,
             dilation,
@@ -254,7 +252,6 @@ pub struct ReadySimulation<'a> {
     compute_costs: Option<Vec<u32>>,
     faults: Option<FaultPlan>,
     trace: bool,
-    engine: EngineKind,
     predicted_slowdown: Option<f64>,
     array_delays: Vec<Delay>,
     dilation: u32,
@@ -279,11 +276,11 @@ impl ReadySimulation<'_> {
 
     /// Lower this simulation to its executable plan: interned tables,
     /// routing, and the configured compute costs / fault plan, all
-    /// compiled once. The plan can be executed repeatedly (and on
-    /// different engines) via [`run_plan`](Self::run_plan) — sweeps
-    /// amortise the lowering across repeats. A fault or cost variant runs
-    /// on a view from [`ExecPlan::share`] with the variant attached, which
-    /// leaves this plan untouched; [`ExecPlan::apply_delta`] edits a
+    /// compiled once. The plan can be executed repeatedly via
+    /// [`run_plan`](Self::run_plan) — sweeps amortise the lowering across
+    /// repeats — and by the stepped oracle (`overlap_sim::run_stepped`).
+    /// A fault or cost variant runs on a view from [`ExecPlan::share`]
+    /// with the variant attached, which leaves this plan untouched; [`ExecPlan::apply_delta`] edits a
     /// single link delay in place. Both yield a plan bit-identical to a
     /// fresh lowering, usually without rebuilding any table.
     pub fn build_plan(&self) -> Result<ExecPlan<'_>, Error> {
@@ -297,11 +294,18 @@ impl ReadySimulation<'_> {
         Ok(plan)
     }
 
-    /// Execute an already-lowered plan on this simulation's engine.
-    /// `run_raw` is exactly `build_plan` + `run_plan`; calling them
-    /// separately lets sweeps lower once and run many times.
+    /// Execute an already-lowered plan on the event engine, traced when
+    /// [`trace`](SimulationBuilder::trace) was set. `run_raw` is exactly
+    /// `build_plan` + `run_plan`; calling them separately lets sweeps
+    /// lower once and run many times.
     pub fn run_plan(&self, plan: &ExecPlan) -> Result<RunOutcome, Error> {
-        Ok(self.engine.run(plan, None, self.trace)?)
+        let engine = Engine::from_plan(plan);
+        let outcome = if self.trace {
+            engine.run_traced()
+        } else {
+            engine.run()
+        };
+        Ok(outcome?)
     }
 
     /// Execute without validating (no reference run). Returns the raw
@@ -354,6 +358,7 @@ mod tests {
     use overlap_net::topology::linear_array;
     use overlap_net::DelayModel;
     use overlap_sim::engine::RunError;
+    use overlap_sim::run_stepped;
 
     fn lab() -> (GuestSpec, HostGraph) {
         (
@@ -466,29 +471,31 @@ mod tests {
         assert!(matches!(err, Error::UnsupportedTopology));
     }
 
+    /// Lower a built simulation once and run the stepped oracle on the
+    /// plan: its outcome, and whether it validates.
+    fn stepped(sim: &ReadySimulation) -> (RunOutcome, bool) {
+        let plan = sim.build_plan().unwrap();
+        let out = run_stepped(&plan).unwrap();
+        let valid = validate_run(&ReferenceRun::execute(sim.guest), &out).is_empty();
+        (out, valid)
+    }
+
     #[test]
     fn engines_agree_on_stats() {
         let (guest, host) = lab();
-        let event = Simulation::of(&guest)
+        let sim = Simulation::of(&guest)
             .on(&host)
             .strategy(Strategy::Blocked)
             .build()
-            .unwrap()
-            .run()
             .unwrap();
-        let stepped = Simulation::of(&guest)
-            .on(&host)
-            .strategy(Strategy::Blocked)
-            .engine(EngineKind::Stepped)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(event.validated && stepped.validated);
+        let event = sim.run().unwrap();
+        let (stepped, stepped_valid) = stepped(&sim);
+        assert!(event.validated && stepped_valid);
         assert_eq!(event.stats.makespan, stepped.stats.makespan);
-        // Both reports carry the same lockstep baseline, which the greedy
+        // The report carries the plan's lockstep baseline, which the greedy
         // schedule never loses to.
-        assert_eq!(event.lockstep_makespan, stepped.lockstep_makespan);
+        let plan = sim.build_plan().unwrap();
+        assert_eq!(event.lockstep_makespan, plan.lockstep_makespan().ok());
         assert!(event.lockstep_makespan.unwrap() >= event.stats.makespan);
     }
 
@@ -503,39 +510,36 @@ mod tests {
         WeightedDag,
     }
 
-    /// The support matrix as DESIGN.md §13 states it: the `(engine,
-    /// feature)` pair a run is rejected with, `None` when it is legal.
+    /// The preconditions as DESIGN.md §13 states them: the `(engine,
+    /// feature)` pair a traced event run (`stepped` false) or a stepped
+    /// run (`stepped` true) is rejected with, `None` when it is legal.
     fn rejection(
-        kind: EngineKind,
         feature: Option<Feature>,
+        stepped: bool,
         traced: bool,
     ) -> Option<(&'static str, &'static str)> {
         use Feature::*;
-        match kind {
-            EngineKind::Event => match (feature, traced) {
-                (Some(MemBudget), true) => Some(("event (traced)", "memory budget")),
-                (Some(WeightedDag), true) => Some(("event (traced)", "non-uniform task graph")),
-                _ => None,
-            },
-            EngineKind::Stepped => match (feature, traced) {
-                (_, true) => Some(("stepped", "stall-attribution tracing")),
-                (Some(Multicast), _) => Some(("stepped", "multicast distribution")),
-                (Some(Jitter), _) => Some(("stepped", "delay jitter")),
-                _ => None,
-            },
+        match (stepped, feature) {
+            (false, Some(MemBudget)) if traced => Some(("event (traced)", "memory budget")),
+            (false, Some(WeightedDag)) if traced => {
+                Some(("event (traced)", "non-uniform task graph"))
+            }
+            (true, Some(Multicast)) => Some(("stepped", "multicast distribution")),
+            (true, Some(Jitter)) => Some(("stepped", "delay jitter")),
+            _ => None,
         }
     }
 
-    /// Every engine × feature × {untraced, traced}: the builder rejects
-    /// with exactly the pair the engine itself returns on the equivalent
-    /// hand-built plan, and every legal combination runs, validated and
-    /// bit-identical, on both paths, and reports the plan's lockstep
-    /// baseline exactly when no feature is set.
+    /// Every feature × {untraced, traced} on the event engine: the
+    /// builder rejects with exactly the pair `run_traced` returns on the
+    /// equivalent hand-built plan, and every legal combination runs,
+    /// validated and bit-identical, on both paths, and reports the plan's
+    /// lockstep baseline exactly when no feature is set. The stepped
+    /// oracle takes the same plans: it rejects what [`rejection`] says
+    /// and agrees with the event engine on state everywhere else.
     #[test]
     fn feature_matrix_is_one_policy() {
         use overlap_model::TaskGraph;
-        use overlap_sim::engine::Engine;
-        use overlap_sim::run_stepped;
         let (line, host) = lab();
         let dag = GuestSpec::dag(
             TaskGraph::layered_random(8, 5, 2, 3, 9),
@@ -553,97 +557,118 @@ mod tests {
             Some(Feature::MemBudget),
             Some(Feature::WeightedDag),
         ];
-        for kind in [EngineKind::Event, EngineKind::Stepped] {
-            for feature in features {
-                for traced in [false, true] {
-                    let case = format!("{kind:?} × {feature:?}, traced {traced}");
-                    let guest = if feature == Some(Feature::WeightedDag) {
-                        &dag
-                    } else {
-                        &line
-                    };
-                    let assign = Assignment::blocked(4, guest.num_cells());
-                    let mut config = EngineConfig::default();
-                    let mut b = Simulation::of(guest)
-                        .on(&host)
-                        .assignment(assign.clone())
-                        .engine(kind);
-                    match feature {
-                        Some(Feature::Faults) => b = b.faults(faults.clone()),
-                        Some(Feature::Costs) => b = b.compute_costs(costs.clone()),
-                        Some(Feature::Multicast) => config.multicast = true,
-                        Some(Feature::Jitter) => {
-                            config.jitter = Jitter::Periodic {
-                                amplitude_pct: 50,
-                                period: 4,
-                            }
-                        }
-                        Some(Feature::MemBudget) => {
-                            config.mem = Some(MemBudget {
-                                budget: 2,
-                                reload_cost: 1,
-                            })
-                        }
-                        Some(Feature::WeightedDag) | None => {}
+        for feature in features {
+            let guest = if feature == Some(Feature::WeightedDag) {
+                &dag
+            } else {
+                &line
+            };
+            let reference = ReferenceRun::execute(guest);
+            let assign = Assignment::blocked(4, guest.num_cells());
+            let mut config = EngineConfig::default();
+            match feature {
+                Some(Feature::Multicast) => config.multicast = true,
+                Some(Feature::Jitter) => {
+                    config.jitter = Jitter::Periodic {
+                        amplitude_pct: 50,
+                        period: 4,
                     }
-                    b = b.multicast(config.multicast).jitter(config.jitter);
-                    if let Some(mem) = config.mem {
-                        b = b.memory_budget(mem);
-                    }
-                    if traced {
-                        b = b.trace();
-                    }
-                    let built = b.build();
+                }
+                Some(Feature::MemBudget) => {
+                    config.mem = Some(MemBudget {
+                        budget: 2,
+                        reload_cost: 1,
+                    })
+                }
+                _ => {}
+            }
+            // The run, handed straight to the engines.
+            let mut plan = ExecPlan::build(guest, &host, &assign, config).unwrap();
+            match feature {
+                Some(Feature::Faults) => plan = plan.with_faults(faults.clone()).unwrap(),
+                Some(Feature::Costs) => plan = plan.with_compute_costs(costs.clone()),
+                _ => {}
+            }
+            let untraced = Engine::from_plan(&plan).run().unwrap();
 
-                    // The same run, handed straight to the engine.
-                    let mut plan = ExecPlan::build(guest, &host, &assign, config).unwrap();
-                    match feature {
-                        Some(Feature::Faults) => plan = plan.with_faults(faults.clone()).unwrap(),
-                        Some(Feature::Costs) => plan = plan.with_compute_costs(costs.clone()),
-                        _ => {}
-                    }
-                    let direct = match (kind, traced) {
-                        (EngineKind::Event, false) => Engine::from_plan(&plan).run(),
-                        (EngineKind::Event, true) => Engine::from_plan(&plan).run_traced(),
-                        // Only the front door can ask stepped to trace.
-                        (EngineKind::Stepped, true) => kind.run(&plan, None, true),
-                        (EngineKind::Stepped, false) => run_stepped(&plan),
-                    };
+            for traced in [false, true] {
+                let case = format!("{feature:?}, traced {traced}");
+                let mut b = Simulation::of(guest).on(&host).assignment(assign.clone());
+                match feature {
+                    Some(Feature::Faults) => b = b.faults(faults.clone()),
+                    Some(Feature::Costs) => b = b.compute_costs(costs.clone()),
+                    _ => {}
+                }
+                b = b.multicast(config.multicast).jitter(config.jitter);
+                if let Some(mem) = config.mem {
+                    b = b.memory_budget(mem);
+                }
+                if traced {
+                    b = b.trace();
+                }
+                let built = b.build();
+                let direct = if traced {
+                    Engine::from_plan(&plan).run_traced()
+                } else {
+                    Ok(untraced.clone())
+                };
 
-                    match rejection(kind, feature, traced) {
-                        Some((engine, feature)) => {
-                            assert!(
-                                matches!(built, Err(Error::Unsupported { engine: e, feature: f })
-                                    if (e, f) == (engine, feature)),
-                                "{case}: builder said {:?}",
-                                built.map(|_| ())
-                            );
-                            assert_eq!(
-                                direct,
-                                Err(RunError::UnsupportedFeature { engine, feature }),
-                                "{case}"
-                            );
-                        }
-                        None => {
-                            let report = built
-                                .and_then(|sim| sim.run())
-                                .unwrap_or_else(|e| panic!("{case}: builder path failed: {e}"));
-                            assert!(report.validated, "{case}");
-                            let direct = direct
-                                .unwrap_or_else(|e| panic!("{case}: engine path failed: {e}"));
-                            assert_eq!(report.outcome, direct, "{case}");
-                            assert_eq!(
-                                report.lockstep_makespan,
-                                plan.lockstep_makespan().ok(),
-                                "{case}"
-                            );
-                            assert_eq!(
-                                report.lockstep_makespan.is_some(),
-                                feature.is_none(),
-                                "{case}"
-                            );
-                        }
+                match rejection(feature, false, traced) {
+                    Some((engine, feature)) => {
+                        assert!(
+                            matches!(built, Err(Error::Unsupported { engine: e, feature: f })
+                                if (e, f) == (engine, feature)),
+                            "{case}: builder said {:?}",
+                            built.map(|_| ())
+                        );
+                        assert_eq!(
+                            direct,
+                            Err(RunError::UnsupportedFeature { engine, feature }),
+                            "{case}"
+                        );
                     }
+                    None => {
+                        let report = built
+                            .and_then(|sim| sim.run())
+                            .unwrap_or_else(|e| panic!("{case}: builder path failed: {e}"));
+                        assert!(report.validated, "{case}");
+                        let direct =
+                            direct.unwrap_or_else(|e| panic!("{case}: engine path failed: {e}"));
+                        assert_eq!(report.outcome, direct, "{case}");
+                        assert_eq!(
+                            report.lockstep_makespan,
+                            plan.lockstep_makespan().ok(),
+                            "{case}"
+                        );
+                        assert_eq!(
+                            report.lockstep_makespan.is_some(),
+                            feature.is_none(),
+                            "{case}"
+                        );
+                    }
+                }
+            }
+
+            let case = format!("stepped × {feature:?}");
+            match (rejection(feature, true, false), run_stepped(&plan)) {
+                (Some((engine, feature)), got) => assert_eq!(
+                    got,
+                    Err(RunError::UnsupportedFeature { engine, feature }),
+                    "{case}"
+                ),
+                (None, got) => {
+                    let st = got.unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert!(validate_run(&reference, &st).is_empty(), "{case}");
+                    let state = |o: &RunOutcome| {
+                        let mut v: Vec<_> = o
+                            .copies
+                            .iter()
+                            .map(|c| (c.cell, c.proc, c.value_fold, c.db_digest, c.update_fold))
+                            .collect();
+                        v.sort_unstable();
+                        v
+                    };
+                    assert_eq!(state(&st), state(&untraced), "{case}");
                 }
             }
         }
@@ -657,38 +682,84 @@ mod tests {
         assert!(report.lockstep_makespan.is_some());
     }
 
+    /// A run asking for both features of one precondition list is refused
+    /// for the first: a memory budget before a non-uniform task graph, and
+    /// multicast before jitter.
+    #[test]
+    fn preconditions_refuse_the_first_feature_in_order() {
+        use overlap_model::TaskGraph;
+        let (line, host) = lab();
+        let dag = GuestSpec::dag(
+            TaskGraph::layered_random(8, 5, 2, 3, 9),
+            ProgramKind::KvWorkload,
+            3,
+        );
+        let mem = MemBudget {
+            budget: 2,
+            reload_cost: 1,
+        };
+        let config = EngineConfig {
+            mem: Some(mem),
+            ..EngineConfig::default()
+        };
+        let assign = Assignment::blocked(4, dag.num_cells());
+        let plan = ExecPlan::build(&dag, &host, &assign, config).unwrap();
+        let (engine, feature) = ("event (traced)", "memory budget");
+        assert_eq!(
+            Engine::from_plan(&plan).run_traced(),
+            Err(RunError::UnsupportedFeature { engine, feature })
+        );
+        let built = Simulation::of(&dag)
+            .on(&host)
+            .assignment(assign)
+            .memory_budget(mem)
+            .trace()
+            .build();
+        assert!(
+            matches!(built, Err(Error::Unsupported { engine: e, feature: f })
+                if (e, f) == (engine, feature)),
+            "{:?}",
+            built.map(|_| ())
+        );
+
+        let config = EngineConfig {
+            multicast: true,
+            jitter: Jitter::Periodic {
+                amplitude_pct: 50,
+                period: 4,
+            },
+            ..EngineConfig::default()
+        };
+        let assign = Assignment::blocked(4, line.num_cells());
+        let plan = ExecPlan::build(&line, &host, &assign, config).unwrap();
+        assert_eq!(
+            run_stepped(&plan),
+            Err(RunError::UnsupportedFeature {
+                engine: "stepped",
+                feature: "multicast distribution"
+            })
+        );
+    }
+
     #[test]
     fn stepped_engine_supports_costs_and_faults() {
         let (guest, host) = lab();
-        let base = Simulation::of(&guest)
-            .on(&host)
-            .strategy(Strategy::Halo { halo: 1 })
-            .engine(EngineKind::Stepped)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let costly = Simulation::of(&guest)
-            .on(&host)
-            .strategy(Strategy::Halo { halo: 1 })
-            .engine(EngineKind::Stepped)
-            .compute_costs(vec![1, 4, 1, 2])
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(costly.validated);
+        let halo = || {
+            Simulation::of(&guest)
+                .on(&host)
+                .strategy(Strategy::Halo { halo: 1 })
+        };
+        let (base, _) = stepped(&halo().build().unwrap());
+        let (costly, costly_valid) =
+            stepped(&halo().compute_costs(vec![1, 4, 1, 2]).build().unwrap());
+        assert!(costly_valid);
         assert!(costly.stats.makespan > base.stats.makespan);
-        let faulty = Simulation::of(&guest)
-            .on(&host)
-            .strategy(Strategy::Halo { halo: 1 })
-            .engine(EngineKind::Stepped)
+        let faulty_sim = halo()
             .faults(FaultPlan::new().link_down(1, 2, 2, 40))
             .build()
-            .unwrap()
-            .run()
             .unwrap();
-        assert!(faulty.validated, "degraded stepped run must validate");
+        let (faulty, faulty_valid) = stepped(&faulty_sim);
+        assert!(faulty_valid, "degraded stepped run must validate");
         assert!(faulty.stats.faults.retries > 0);
         assert!(faulty.stats.makespan >= base.stats.makespan);
     }
@@ -696,18 +767,14 @@ mod tests {
     #[test]
     fn one_plan_runs_on_every_engine() {
         let (guest, host) = lab();
-        let build = |kind| {
-            Simulation::of(&guest)
-                .on(&host)
-                .strategy(Strategy::Blocked)
-                .engine(kind)
-                .build()
-                .unwrap()
-        };
-        let event = build(EngineKind::Event);
+        let event = Simulation::of(&guest)
+            .on(&host)
+            .strategy(Strategy::Blocked)
+            .build()
+            .unwrap();
         let plan = event.build_plan().unwrap();
         let ev = event.run_plan(&plan).unwrap();
-        let st = build(EngineKind::Stepped).run_plan(&plan).unwrap();
+        let st = run_stepped(&plan).unwrap();
         assert_eq!(ev.stats.makespan, st.stats.makespan);
         assert!(plan.lockstep_makespan().unwrap() >= ev.stats.makespan);
         // Re-running the same plan is bit-identical to run_raw's fresh
@@ -862,18 +929,16 @@ mod tests {
         assert!(tight.stats.makespan > free.stats.makespan);
         assert_eq!(free.stats.mem, Default::default());
         // Stepped prices the same reloads identically.
-        let stepped = Simulation::of(&guest)
+        let sim = Simulation::of(&guest)
             .on(&host)
             .strategy(Strategy::Blocked)
             .memory_budget(MemBudget {
                 budget: 1,
                 reload_cost: 3,
             })
-            .engine(EngineKind::Stepped)
             .build()
-            .unwrap()
-            .run()
             .unwrap();
+        let (stepped, _) = stepped(&sim);
         assert_eq!(stepped.stats.makespan, tight.stats.makespan);
         assert_eq!(stepped.stats.mem, tight.stats.mem);
     }
@@ -883,23 +948,20 @@ mod tests {
         use overlap_model::TaskGraph;
         let guest = GuestSpec::dag(TaskGraph::wavefront(12, 8), ProgramKind::KvWorkload, 5);
         let host = linear_array(4, DelayModel::uniform(1, 5), 2);
-        let mut spans = Vec::new();
-        for kind in [EngineKind::Event, EngineKind::Stepped] {
-            let r = Simulation::of(&guest)
-                .on(&host)
-                .strategy(Strategy::Blocked)
-                .engine(kind)
-                .build()
-                .unwrap()
-                .run()
-                .unwrap();
-            assert!(r.validated, "{kind:?}");
-            // Wavefront is uniform (unit costs), so the lockstep baseline
-            // applies too.
-            assert!(r.lockstep_makespan.unwrap() >= r.stats.makespan, "{kind:?}");
-            spans.push(r.stats.makespan);
-        }
-        assert_eq!(spans[0], spans[1]);
+        let sim = Simulation::of(&guest)
+            .on(&host)
+            .strategy(Strategy::Blocked)
+            .build()
+            .unwrap();
+        let r = sim.run().unwrap();
+        let (st, st_valid) = stepped(&sim);
+        assert!(r.validated && st_valid);
+        // Wavefront is uniform (unit costs), so the lockstep baseline
+        // applies too, to the one plan both engines ran.
+        let lockstep = r.lockstep_makespan.unwrap();
+        assert!(lockstep >= r.stats.makespan);
+        assert!(lockstep >= st.stats.makespan);
+        assert_eq!(r.stats.makespan, st.stats.makespan);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! resolve the plan through [`PlanCache`] (lowering a miss from the job's
 //! assignment, once per key while it stays cached), attach the job's
 //! faults and compute costs to a view of the cached plan
-//! (`ExecPlan::share`), execute through `EngineKind::run` under a
+//! (`ExecPlan::share`), execute on the event engine under a
 //! [`RunControl`], validate against the cached reference trace, persist a
 //! [`RunRecord`], and stream [`Event`]s to subscribers. The cached plan is
 //! only read and no cache lock is held while a run executes or is
@@ -31,7 +31,7 @@ use crate::cache::{CacheStats, PlanCache};
 use crate::lock;
 use crate::store::{MemStore, RunRecord, RunStore};
 use overlap_core::{Error, ScenarioSpec};
-use overlap_sim::engine::{RunError, RunOutcome};
+use overlap_sim::engine::{Engine, RunError, RunOutcome};
 use overlap_sim::validate::validate_run;
 use overlap_sim::{Assignment, RunControl};
 use serde::{Deserialize, Serialize};
@@ -278,7 +278,7 @@ impl Daemon {
 
     /// Validate and enqueue a scenario. Returns the session id, or the
     /// same typed error the in-process builder would produce (invalid
-    /// engine config, unsupported feature × engine combination, …).
+    /// engine config, a traced run the stall tracer cannot attribute, …).
     pub fn submit(&self, spec: ScenarioSpec) -> Result<u64, Error> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(Error::Config("daemon is shutting down".into()));
@@ -554,9 +554,12 @@ fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
             }
             #[cfg(test)]
             crate::failpoint::hit("run", session.hash);
-            let outcome = spec
-                .engine
-                .run(&plan, Some(&*session.control), spec.trace)?;
+            let engine = Engine::from_plan(&plan).with_control(&session.control);
+            let outcome = if spec.trace {
+                engine.run_traced()
+            } else {
+                engine.run()
+            }?;
             let errors = validate_run(&entry.reference, &outcome);
             Ok((outcome, errors.len() as u64, hit))
         });
@@ -567,7 +570,7 @@ fn run_session(inner: &Inner, session: &Arc<Session>, job: Job) {
                 session: session.id,
                 plan_hash: session.hash,
                 cache_hit,
-                engine: spec.engine.label().into(),
+                engine: "event".into(),
                 strategy: spec.strategy.label(),
                 host: spec.host.name().to_string(),
                 stats: outcome.stats,

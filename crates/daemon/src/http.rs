@@ -17,7 +17,9 @@
 //! | POST | `/v1/shutdown` | → `{"ok": true}`, then the daemon and server stop |
 //!
 //! Invalid scenarios come back as HTTP 400 with `{"error": …}` carrying
-//! the typed builder error's message; unknown sessions are 404; a body
+//! the typed builder error's message, and so does a `since`, `wait_ms`
+//! or `hash` query parameter that is present but not an unsigned integer
+//! (an absent one takes its default); unknown sessions are 404; a body
 //! declared larger than [`MAX_BODY_BYTES`] is refused with 413 before any
 //! of it is read; a request line or header longer than 8 KiB, or more
 //! than 100 headers, is refused with 431 as soon as the limit is crossed;
@@ -164,28 +166,16 @@ fn handle_connection(
     let (method, path, body) = match read_request(&stream, deadline) {
         Ok(req) => req,
         Err(BadRequest::TimedOut) => {
-            return respond(
-                &mut stream,
-                408,
-                &ErrorResponse {
-                    error: format!(
-                        "request timeout: not read within {} s",
-                        REQUEST_DEADLINE.as_secs()
-                    ),
-                },
-            );
+            let secs = REQUEST_DEADLINE.as_secs();
+            let error = format!("request timeout: not read within {secs} s");
+            return fail(&mut stream, 408, error);
         }
         Err(BadRequest::TooLarge(len)) => {
-            return respond(
-                &mut stream,
-                413,
-                &ErrorResponse {
-                    error: format!("payload too large: {len} bytes (limit {MAX_BODY_BYTES})"),
-                },
-            );
+            let error = format!("payload too large: {len} bytes (limit {MAX_BODY_BYTES})");
+            return fail(&mut stream, 413, error);
         }
         Err(BadRequest::HeadersTooLarge(error)) => {
-            respond(&mut stream, 431, &ErrorResponse { error })?;
+            fail(&mut stream, 431, error)?;
             // Drain what the client is still sending (for at most a
             // second), so closing with unread bytes does not reset the
             // connection before the client has read the answer.
@@ -198,13 +188,7 @@ fn handle_connection(
             return Ok(());
         }
         Err(BadRequest::Malformed(e)) => {
-            return respond(
-                &mut stream,
-                400,
-                &ErrorResponse {
-                    error: format!("bad request: {e}"),
-                },
-            );
+            return fail(&mut stream, 400, format!("bad request: {e}"))
         }
     };
     let (raw_path, query) = match path.split_once('?') {
@@ -216,26 +200,14 @@ fn handle_connection(
         ("POST", ["v1", "scenarios"]) => match serde_json::from_str::<ScenarioSpec>(&body) {
             Ok(spec) => match daemon.submit(spec) {
                 Ok(session) => respond(&mut stream, 200, &SubmitResponse { session }),
-                Err(e) => respond(
-                    &mut stream,
-                    400,
-                    &ErrorResponse {
-                        error: e.to_string(),
-                    },
-                ),
+                Err(e) => fail(&mut stream, 400, e.to_string()),
             },
-            Err(e) => respond(
-                &mut stream,
-                400,
-                &ErrorResponse {
-                    error: format!("malformed scenario: {e}"),
-                },
-            ),
+            Err(e) => fail(&mut stream, 400, format!("malformed scenario: {e}")),
         },
         ("GET", ["v1", "sessions", id]) => {
             match id.parse::<u64>().ok().and_then(|i| daemon.status(i)) {
                 Some(view) => respond(&mut stream, 200, &view),
-                None => not_found(&mut stream),
+                None => fail(&mut stream, 404, "not found".into()),
             }
         }
         ("POST", ["v1", "sessions", id, verb @ ("pause" | "resume" | "cancel")]) => {
@@ -247,13 +219,15 @@ fn handle_connection(
             if ok {
                 respond(&mut stream, 200, &OkResponse { ok: true })
             } else {
-                not_found(&mut stream)
+                fail(&mut stream, 404, "not found".into())
             }
         }
         ("GET", ["v1", "sessions", id, "events"]) => {
-            let since = query_u64(query, "since").unwrap_or(0) as usize;
-            let wait =
-                Duration::from_millis(query_u64(query, "wait_ms").unwrap_or(0).min(MAX_WAIT_MS));
+            let (since, wait_ms) = match (query_u64(query, "since"), query_u64(query, "wait_ms")) {
+                (Ok(since), Ok(wait_ms)) => (since.unwrap_or(0) as usize, wait_ms.unwrap_or(0)),
+                (Err(error), _) | (_, Err(error)) => return fail(&mut stream, 400, error),
+            };
+            let wait = Duration::from_millis(wait_ms.min(MAX_WAIT_MS));
             match id
                 .parse::<u64>()
                 .ok()
@@ -263,18 +237,15 @@ fn handle_connection(
                     let next = since as u64 + events.len() as u64;
                     respond(&mut stream, 200, &EventsResponse { events, next })
                 }
-                None => not_found(&mut stream),
+                None => fail(&mut stream, 404, "not found".into()),
             }
         }
-        ("GET", ["v1", "runs"]) => match daemon.runs(query_u64(query, "hash")) {
-            Ok(runs) => respond(&mut stream, 200, &RunsResponse { runs }),
-            Err(e) => respond(
-                &mut stream,
-                500,
-                &ErrorResponse {
-                    error: format!("store: {e}"),
-                },
-            ),
+        ("GET", ["v1", "runs"]) => match query_u64(query, "hash") {
+            Err(error) => fail(&mut stream, 400, error),
+            Ok(hash) => match daemon.runs(hash) {
+                Ok(runs) => respond(&mut stream, 200, &RunsResponse { runs }),
+                Err(e) => fail(&mut stream, 500, format!("store: {e}")),
+            },
         },
         ("GET", ["v1", "cache"]) => respond(&mut stream, 200, &daemon.cache_stats()),
         ("POST", ["v1", "shutdown"]) => {
@@ -287,7 +258,7 @@ fn handle_connection(
             }
             r
         }
-        _ => not_found(&mut stream),
+        _ => fail(&mut stream, 404, "not found".into()),
     }
 }
 
@@ -351,11 +322,20 @@ fn read_request(
     Ok((method, path, body))
 }
 
-fn query_u64(query: &str, name: &str) -> Option<u64> {
-    query.split('&').find_map(|pair| {
-        let (k, v) = pair.split_once('=')?;
-        (k == name).then(|| v.parse().ok()).flatten()
-    })
+/// Query parameter `name`: `Ok(None)` when absent, and an error naming
+/// it when present (with or without `=`) but not a `u64`, so a mistyped
+/// filter is refused rather than read as no filter.
+fn query_u64(query: &str, name: &str) -> Result<Option<u64>, String> {
+    let Some(value) = query.split('&').find_map(|pair| {
+        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+        (k == name).then_some(v)
+    }) else {
+        return Ok(None);
+    };
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("bad query parameter {name}: '{value}' is not an unsigned integer"))
 }
 
 fn respond<T: Serialize>(stream: &mut TcpStream, status: u16, body: &T) -> io::Result<()> {
@@ -378,14 +358,9 @@ fn respond<T: Serialize>(stream: &mut TcpStream, status: u16, body: &T) -> io::R
     stream.flush()
 }
 
-fn not_found(stream: &mut TcpStream) -> io::Result<()> {
-    respond(
-        stream,
-        404,
-        &ErrorResponse {
-            error: "not found".into(),
-        },
-    )
+/// Answer `status` with `{"error": error}`.
+fn fail(stream: &mut TcpStream, status: u16, error: String) -> io::Result<()> {
+    respond(stream, status, &ErrorResponse { error })
 }
 
 #[cfg(test)]
@@ -435,6 +410,32 @@ mod tests {
             drop(server);
             let _ = done.send(());
             trickle.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn query_parameters_are_u64_or_absent() {
+        assert_eq!(query_u64("", "hash"), Ok(None));
+        assert_eq!(query_u64("since=3&wait_ms=50", "hash"), Ok(None));
+        assert_eq!(query_u64("since=3&wait_ms=50", "since"), Ok(Some(3)));
+        assert_eq!(query_u64("since=3&wait_ms=50", "wait_ms"), Ok(Some(50)));
+        assert_eq!(
+            query_u64("hash=18446744073709551615", "hash"),
+            Ok(Some(u64::MAX))
+        );
+        for (query, name) in [
+            ("hash=zz", "hash"),
+            ("hash=", "hash"),
+            ("hash", "hash"),
+            ("hash=-1", "hash"),
+            ("since=x", "since"),
+            ("since=1&wait_ms=1.5", "wait_ms"),
+        ] {
+            let err = query_u64(query, name).unwrap_err();
+            assert!(
+                err.contains(&format!("bad query parameter {name}")),
+                "{query}: {err}"
+            );
         }
     }
 

@@ -3,7 +3,7 @@
 //! The paper's machinery exists to serve *many* guest computations over
 //! a shared host network; this crate makes that literal. A [`Daemon`]
 //! accepts serialized scenarios ([`overlap_core::ScenarioSpec`]), runs
-//! them concurrently on a worker pool, and:
+//! them concurrently on the event engine over a worker pool, and:
 //!
 //! * lowers each distinct `(guest, host, assignment, config)` **once
 //!   while cached** into an owned `ExecPlan` held in a [`PlanCache`] — a
@@ -27,7 +27,7 @@
 //!
 //! Determinism contract: the same scenario submitted N times
 //! concurrently produces results byte-identical to a sequential run —
-//! engines are deterministic, cached plans are read-only (each run brings
+//! the engine is deterministic, cached plans are read-only (each run brings
 //! its own faults and costs on a shared view, so runs of one key execute
 //! in parallel with no lock held), and control checkpoints never perturb
 //! the schedule.

@@ -30,9 +30,9 @@ pub struct RunRecord {
     /// Whether the plan came out of the cache (the run borrowed an
     /// already-lowered plan) or was lowered fresh for this run.
     pub cache_hit: bool,
-    /// Engine label (`"event"` or `"stepped"`). Free-form, so records
-    /// written under engines since removed (`"sharded(2)"`, `"lockstep"`)
-    /// still load.
+    /// Engine label: `"event"`, the only engine the daemon runs.
+    /// Free-form, so records written while the wire could pick another
+    /// (`"stepped"`, `"sharded(2)"`, `"lockstep"`) still load.
     pub engine: String,
     /// Placement strategy label (see `Strategy::label`).
     pub strategy: String,
@@ -299,11 +299,11 @@ mod tests {
 
     #[test]
     fn old_engine_labels_still_load() {
-        // Run history written under the since-removed sharded and
-        // lockstep engines.
+        // Run history written while the wire could pick the stepped
+        // oracle or the since-removed sharded and lockstep engines.
         let mut olds = Vec::new();
         let mut text = String::new();
-        for label in ["sharded(2)", "lockstep"] {
+        for label in ["stepped", "sharded(2)", "lockstep"] {
             let mut old = record(olds.len() as u64);
             old.engine = label.into();
             text += &(line(&old) + "\n");

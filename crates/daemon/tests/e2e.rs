@@ -1,17 +1,18 @@
 //! Daemon end-to-end tests: the determinism contract, fault variants on
 //! shared cached plans, pause/resume bit-identity, a paused run that
 //! blocks no one, restart persistence, the HTTP round trip, grid and tree
-//! guests over HTTP, and malformed guests and hosts answered with 400.
+//! guests over HTTP, stale `engine` keys ignored, and malformed guests,
+//! hosts and query parameters answered with 400.
 
-use overlap_core::{EngineKind, ScenarioSpec, Strategy};
+use overlap_core::{ScenarioSpec, Strategy};
 use overlap_daemon::{
     Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore, RunRecord, Status,
 };
 use overlap_model::{GuestSpec, GuestTopology, ProgramKind, TaskGraph};
 use overlap_net::topology::{linear_array, mesh2d};
 use overlap_net::{DelayModel, HostGraph};
+use overlap_sim::engine::MemBudget;
 use overlap_sim::faults::FaultPlan;
-use overlap_sim::Jitter;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -256,23 +257,35 @@ fn a_paused_run_blocks_neither_its_plan_nor_other_sessions() {
     daemon.shutdown();
 }
 
+/// A spec whose memory budget a traced run cannot attribute.
+fn traced_with_budget() -> ScenarioSpec {
+    let mut s = spec(16, 16);
+    s.trace = true;
+    s.config.mem = Some(MemBudget {
+        budget: 2,
+        reload_cost: 1,
+    });
+    s
+}
+
 #[test]
-fn every_engine_matches_its_in_process_result() {
+fn plain_and_traced_runs_match_their_in_process_results() {
     let daemon = Daemon::start(DaemonConfig::default());
-    for engine in [EngineKind::Event, EngineKind::Stepped] {
+    for trace in [false, true] {
         let mut s = spec(16, 64);
-        s.engine = engine;
+        s.trace = trace;
         let baseline = sequential_bytes(&s);
         let id = daemon.submit(s).unwrap();
-        assert_eq!(daemon.wait(id, WAIT), Some(Status::Done), "{engine:?}");
+        assert_eq!(daemon.wait(id, WAIT), Some(Status::Done), "trace {trace}");
         let run = daemon.runs(None).unwrap().pop().unwrap();
+        assert_eq!(run.engine, "event");
         assert_eq!(
             serde_json::to_string(&run.stats).unwrap(),
             baseline,
-            "{engine:?} daemon run must match in-process"
+            "trace {trace}: daemon run must match in-process"
         );
     }
-    // One guest/host/config ⇒ one plan shared by both engines.
+    // One guest/host/config ⇒ one plan, traced or not.
     assert_eq!(daemon.cache_stats().entries, 1);
     daemon.shutdown();
 }
@@ -280,29 +293,11 @@ fn every_engine_matches_its_in_process_result() {
 #[test]
 fn invalid_scenarios_are_rejected_at_submission() {
     let daemon = Daemon::start(DaemonConfig::default());
-    let mut traced_stepped = spec(16, 16);
-    traced_stepped.trace = true;
-    traced_stepped.engine = EngineKind::Stepped;
     assert!(matches!(
-        daemon.submit(traced_stepped),
+        daemon.submit(traced_with_budget()),
         Err(overlap_core::Error::Unsupported {
-            engine: "stepped",
-            feature: "stall-attribution tracing"
-        })
-    ));
-    // The stepped engine cannot time jitter, so the spec is refused
-    // rather than run as if the delays were fixed.
-    let mut jittered_stepped = spec(16, 16);
-    jittered_stepped.engine = EngineKind::Stepped;
-    jittered_stepped.config.jitter = Jitter::Periodic {
-        amplitude_pct: 90,
-        period: 2,
-    };
-    assert!(matches!(
-        daemon.submit(jittered_stepped),
-        Err(overlap_core::Error::Unsupported {
-            engine: "stepped",
-            feature: "delay jitter"
+            engine: "event (traced)",
+            feature: "memory budget"
         })
     ));
     assert!(matches!(
@@ -362,13 +357,10 @@ fn http_round_trip() {
     assert_eq!(client.runs(Some(record.plan_hash)).unwrap().len(), 1);
     assert_eq!(client.cache().unwrap().misses, 1);
     // Typed validation errors surface as HTTP 400 with the message.
-    let mut bad = spec(16, 16);
-    bad.trace = true;
-    bad.engine = EngineKind::Stepped;
-    match client.submit(&bad) {
+    match client.submit(&traced_with_budget()) {
         Err(overlap_daemon::ClientError::Api { status, message }) => {
             assert_eq!(status, 400);
-            assert!(message.contains("stepped"), "{message}");
+            assert!(message.contains("memory budget"), "{message}");
         }
         other => panic!("expected 400, got {other:?}"),
     }
@@ -520,17 +512,31 @@ fn legacy_timing_field_runs_over_http() {
     server.stop();
 }
 
+/// Specs written while the wire named an engine carry an `engine` key,
+/// whichever engine it named. The key is ignored like any unknown key:
+/// each runs on the event engine, keyed to the spec's one plan, with
+/// the stats of the same spec in process.
 #[test]
-fn http_rejects_the_removed_sharded_engine_as_malformed() {
+fn http_ignores_stale_engine_keys() {
     let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
     let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
-    // A pre-removal client asking for the deleted sharded engine, or for
-    // lockstep (now a number every report carries, not an engine), gets
-    // a plain decode error, not a silent fallback.
-    let good = serde_json::to_string(&spec(16, 16)).unwrap();
-    for engine in ["{\"Sharded\":{\"threads\":2}}", "\"Lockstep\""] {
-        let legacy = good.replace("\"engine\":\"Event\"", &format!("\"engine\":{engine}"));
-        assert_ne!(legacy, good, "spec JSON must name its engine");
+    let client = Client::new(server.addr().to_string());
+    let spec = spec(16, 16);
+    let baseline = spec.ready().unwrap().run().unwrap().stats;
+    let good = serde_json::to_string(&spec).unwrap();
+    let engines = [
+        "\"Event\"",
+        "\"Stepped\"",
+        "\"Lockstep\"",
+        "{\"Sharded\":{\"threads\":2}}",
+    ];
+    let mut hashes = Vec::new();
+    for engine in engines {
+        let legacy = good.replace(
+            "\"config\":{",
+            &format!("\"engine\":{engine},\"config\":{{"),
+        );
+        assert_ne!(legacy, good, "spec JSON must carry a config object");
         let (status, text) = raw_http(
             server.addr(),
             &format!(
@@ -539,11 +545,63 @@ fn http_rejects_the_removed_sharded_engine_as_malformed() {
             ),
             &legacy,
         );
-        assert_eq!(status, 400, "{engine}: {text}");
-        assert!(text.contains("malformed scenario"), "{engine}: {text}");
+        assert_eq!(status, 200, "{engine}: {text}");
+        let body = text.split("\r\n\r\n").nth(1).expect("response body");
+        let id = serde_json::from_str::<overlap_daemon::wire::SubmitResponse>(body)
+            .unwrap()
+            .session;
+        let record = done_record(&client, id);
+        assert_eq!(record.engine, "event", "{engine}");
+        assert!(record.validated, "{engine}");
+        assert_eq!(record.stats, baseline, "{engine}");
+        hashes.push(record.plan_hash);
     }
-    assert_eq!(daemon.cache_stats().misses, 0);
-    daemon.shutdown();
+    assert!(hashes.iter().all(|&h| h == hashes[0]), "{hashes:?}");
+    let cache = client.cache().unwrap();
+    assert_eq!((cache.misses, cache.hits), (1, engines.len() as u64 - 1));
+    client.shutdown().expect("shutdown");
+    server.stop();
+}
+
+/// A `hash`, `since` or `wait_ms` that is present but not a `u64` is a
+/// 400 naming the parameter, never read as an absent one: a mistyped hash
+/// filter must not return every stored run, nor a mistyped `since` replay
+/// from event 0.
+#[test]
+fn http_rejects_malformed_query_parameters() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    let client = Client::new(server.addr().to_string());
+    let id = client.submit(&spec(16, 16)).expect("submit");
+    let record = done_record(&client, id);
+    for (path, name) in [
+        ("/v1/runs?hash=zz".to_string(), "hash"),
+        (format!("/v1/sessions/{id}/events?since=x"), "since"),
+        (
+            format!("/v1/sessions/{id}/events?since=0&wait_ms=soon"),
+            "wait_ms",
+        ),
+    ] {
+        let (status, text) = raw_http(server.addr(), &format!("GET {path} HTTP/1.1"), "");
+        assert_eq!(status, 400, "{path}: {text}");
+        assert!(
+            text.contains(&format!("bad query parameter {name}")),
+            "{path}: {text}"
+        );
+    }
+    // Valid and absent parameters keep working.
+    let hash = record.plan_hash;
+    for path in [
+        format!("/v1/runs?hash={hash}"),
+        "/v1/runs".to_string(),
+        format!("/v1/sessions/{id}/events?since=1&wait_ms=0"),
+        format!("/v1/sessions/{id}/events"),
+    ] {
+        let (status, text) = raw_http(server.addr(), &format!("GET {path} HTTP/1.1"), "");
+        assert_eq!(status, 200, "{path}: {text}");
+    }
+    assert_eq!(client.runs(Some(hash)).unwrap().len(), 1);
+    client.shutdown().expect("shutdown");
     server.stop();
 }
 

@@ -1,19 +1,9 @@
-//! The engine front door: which engine runs a plan ([`EngineKind`]), which
-//! features each engine accepts, and cooperative pause, resume and cancel
-//! ([`RunControl`]).
+//! Cooperative pause, resume and cancel of an event-engine run
+//! ([`RunControl`]), attached with
+//! [`Engine::with_control`](crate::engine::Engine::with_control).
 //!
-//! [`EngineKind::check`] is the single copy of the feature × engine
-//! support matrix (DESIGN.md §13). The builder calls it at `build()`,
-//! the fuzzer asks it which engines a plan is legal for, and each public
-//! engine entry (`Engine::run_traced`, `run_stepped`) calls it once
-//! before running, so a hand-built plan gets the same typed error as a
-//! builder call. [`EngineKind::run`] is the single dispatch from a kind
-//! to an engine.
-//!
-//! Every engine's hot loop periodically calls
-//! [`RunControl::checkpoint`] (every [`CHECK_EVERY`] dispatch units —
-//! events for the event engine, ticks for the stepped engine). A
-//! checkpoint:
+//! The event engine's dispatch loop calls [`RunControl::checkpoint`]
+//! every [`CHECK_EVERY`] events. A checkpoint:
 //!
 //! * **blocks** while the control is paused (the simulation state is
 //!   untouched, so a paused-and-resumed run is bit-identical to an
@@ -24,123 +14,24 @@
 //!   progress sink (at most once per checkpoint), which the daemon turns
 //!   into streamed progress events.
 //!
-//! Cancellation-safety rule: engines may only observe the control at
+//! Cancellation-safety rule: the engine may only observe the control at
 //! checkpoint boundaries, never mid-event — all simulation state mutations
 //! between two checkpoints either all happen (run continues) or are all
 //! discarded (run returns `Cancelled`). Nothing is ever persisted from a
 //! cancelled run.
 
-use crate::engine::{Engine, EngineConfig, Jitter, RunError, RunOutcome};
-use crate::plan::ExecPlan;
-use crate::stepped::run_stepped_controlled;
-use overlap_model::GuestSpec;
-use serde::{Deserialize, Serialize};
+use crate::engine::RunError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// How many dispatch units pass between two control checkpoints. Small
-/// enough that pause/cancel feel immediate, large enough that the atomic
-/// loads never show up in a profile.
+/// How many events pass between two control checkpoints. Small enough
+/// that pause/cancel feel immediate, large enough that the atomic loads
+/// never show up in a profile.
 pub const CHECK_EVERY: u64 = 4096;
 
-/// Which execution engine runs a plan. Both consume the same
-/// [`ExecPlan`] and compute identical state; they differ in which
-/// features they can time (see [`check`](Self::check)). The paper's
-/// lockstep baseline is not an engine but a closed form over the plan,
-/// [`ExecPlan::lockstep_makespan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EngineKind {
-    /// The cycle-accurate discrete-event engine: the production path.
-    #[default]
-    Event,
-    /// The tick-stepped engine: the independent differential oracle.
-    Stepped,
-}
-
-impl EngineKind {
-    /// The engine's name in run records and messages: `"event"` or
-    /// `"stepped"`.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Event => "event",
-            EngineKind::Stepped => "stepped",
-        }
-    }
-
-    /// The feature × engine support matrix: fails with
-    /// [`RunError::UnsupportedFeature`] naming the first feature of the
-    /// run that this engine cannot time, in row order. `traced` asks for
-    /// stall attribution. Both engines time faults and compute costs, so
-    /// only the guest and the config are consulted. Features are
-    /// rejected, never silently dropped.
-    pub fn check(
-        self,
-        guest: &GuestSpec,
-        config: &EngineConfig,
-        traced: bool,
-    ) -> Result<(), RunError> {
-        let jitter = config.jitter != Jitter::None;
-        let rows: &[(&str, bool)] = match self {
-            EngineKind::Event if !traced => &[],
-            // The stall tracer's conservation law assumes every pebble of
-            // processor `p` takes exactly `cost_of(p)` ticks; reload
-            // penalties and per-task costs break it.
-            EngineKind::Event => &[
-                ("memory budget", config.mem.is_some()),
-                (
-                    "non-uniform task graph",
-                    guest.has_nonunit_task_costs() || !guest.is_static(),
-                ),
-            ],
-            EngineKind::Stepped => &[
-                ("stall-attribution tracing", traced),
-                ("multicast distribution", config.multicast),
-                ("delay jitter", jitter),
-            ],
-        };
-        match rows.iter().find(|&&(_, asked)| asked) {
-            None => Ok(()),
-            Some(&(feature, _)) => Err(RunError::UnsupportedFeature {
-                engine: match self {
-                    EngineKind::Event => "event (traced)",
-                    kind => kind.label(),
-                },
-                feature,
-            }),
-        }
-    }
-
-    /// [`check`](Self::check) against the features a lowered plan carries.
-    pub(crate) fn check_plan(self, plan: &ExecPlan, traced: bool) -> Result<(), RunError> {
-        self.check(plan.guest(), &plan.config, traced)
-    }
-
-    /// Run `plan` on this engine, under `control` when given, with stall
-    /// attribution when `traced`. The plan is checked first, so an
-    /// unsupported feature is a typed error, never a dropped option.
-    pub fn run(
-        self,
-        plan: &ExecPlan,
-        control: Option<&RunControl>,
-        traced: bool,
-    ) -> Result<RunOutcome, RunError> {
-        self.check_plan(plan, traced)?;
-        match self {
-            EngineKind::Event => {
-                let eng = Engine::from_plan(plan).with_control(control);
-                if traced {
-                    eng.run_traced_unchecked()
-                } else {
-                    eng.run()
-                }
-            }
-            EngineKind::Stepped => run_stepped_controlled(plan, control),
-        }
-    }
-}
-
-/// Shared handle controlling one engine run (clone an `Arc<RunControl>`
-/// to hand it to both the runner and the controller).
+/// Shared handle controlling one event-engine run (clone an
+/// `Arc<RunControl>` to hand it to both the runner and the controller).
+/// The stepped oracle takes no control: it runs to completion.
 #[derive(Default)]
 pub struct RunControl {
     cancelled: AtomicBool,
@@ -211,13 +102,13 @@ impl RunControl {
         self.paused.load(Ordering::SeqCst)
     }
 
-    /// Dispatch units completed so far, as last published by the engine.
+    /// Events dispatched so far, as last published by the engine.
     pub fn progress(&self) -> u64 {
         self.progress.load(Ordering::SeqCst)
     }
 
     /// Engine-side: publish progress, honour a pause, fail on a cancel.
-    /// Engines call this every [`CHECK_EVERY`] dispatch units.
+    /// The event engine calls this every [`CHECK_EVERY`] events.
     pub fn checkpoint(&self, done: u64) -> Result<(), RunError> {
         self.progress.store(done, Ordering::SeqCst);
         if let Some(sink) = &self.sink {

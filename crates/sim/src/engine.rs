@@ -37,13 +37,14 @@
 use crate::assignment::Assignment;
 use crate::bandwidth::BandwidthMode;
 use crate::calendar::CalendarQueue;
-use crate::control::{EngineKind, RunControl};
+use crate::control::RunControl;
 use crate::faults::FaultRt;
 use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, Routes, SUB_BIT};
 use crate::routing::RoutingTable;
 use crate::stats::{FaultStats, RunStats};
 use crate::trace::{
-    MsgKey, NoopTracer, ReadyCause, StallTracer, TimingTracer, TraceReport, Tracer, SERIES_STRIDE,
+    check_traced, MsgKey, NoopTracer, ReadyCause, StallTracer, TimingTracer, TraceReport, Tracer,
+    SERIES_STRIDE,
 };
 use overlap_model::{fold64, Db, GuestSpec, PebbleValue, ProgramRef};
 use overlap_net::paths::dijkstra;
@@ -212,18 +213,21 @@ pub enum RunError {
     ///
     /// [`RunControl`]: crate::control::RunControl
     Cancelled {
-        /// Dispatch units (events or ticks) completed when the
-        /// cancellation was observed.
+        /// Events dispatched when the cancellation was observed.
         at: u64,
     },
-    /// The run asks for a feature this engine does not implement (e.g.
-    /// multicast on the stepped engine). Raised by [`EngineKind::check`],
-    /// which the builder calls at `build()` and every engine entry calls
-    /// before running, so a hand-built plan fails cleanly instead of being
-    /// mis-timed; and by [`ExecPlan::lockstep_makespan`] (engine
-    /// `"lockstep"`) for a plan its closed form cannot time.
+    /// The run asks for a feature this executor cannot time. Raised by
+    /// three preconditions, each called before its executor runs so a
+    /// hand-built plan fails cleanly instead of being mis-timed:
+    /// [`check_traced`] (engine `"event (traced)"`: memory budgets and
+    /// non-uniform task graphs, which the stall tracer cannot attribute),
+    /// [`check_stepped`] (engine `"stepped"`: multicast and jitter, which
+    /// the oracle does not implement) and
+    /// [`ExecPlan::lockstep_makespan`] (engine `"lockstep"`, for a plan
+    /// its closed form cannot time).
     ///
-    /// [`EngineKind::check`]: crate::control::EngineKind::check
+    /// [`check_traced`]: crate::trace::check_traced
+    /// [`check_stepped`]: crate::stepped::check_stepped
     /// [`ExecPlan::lockstep_makespan`]: crate::plan::ExecPlan::lockstep_makespan
     UnsupportedFeature {
         /// Engine that rejected the plan.
@@ -773,8 +777,8 @@ impl<'a> Engine<'a> {
     /// every [`CHECK_EVERY`](crate::control::CHECK_EVERY) events. Control
     /// never perturbs the schedule — a paused-and-resumed run is
     /// bit-identical to an uninterrupted one.
-    pub(crate) fn with_control(mut self, control: Option<&'a RunControl>) -> Self {
-        self.control = control;
+    pub fn with_control(mut self, control: &'a RunControl) -> Self {
+        self.control = Some(control);
         self
     }
 
@@ -820,20 +824,14 @@ impl<'a> Engine<'a> {
     /// the event schedule — and therefore every other stat — is identical
     /// to an untraced [`run`].
     /// Plans the tracer cannot account for fail with
-    /// [`RunError::UnsupportedFeature`] ([`EngineKind::check`]).
+    /// [`RunError::UnsupportedFeature`] ([`check_traced`]).
     ///
     /// [`run`]: Engine::run
     /// [`run_timed`]: Engine::run_timed
-    /// [`EngineKind::check`]: crate::control::EngineKind::check
+    /// [`check_traced`]: crate::trace::check_traced
     pub fn run_traced(&self) -> Result<RunOutcome, RunError> {
-        EngineKind::Event.check_plan(self.plan()?, true)?;
-        self.run_traced_unchecked()
-    }
-
-    /// [`run_traced`](Self::run_traced) without the feature check, for
-    /// callers that already made it.
-    pub(crate) fn run_traced_unchecked(&self) -> Result<RunOutcome, RunError> {
         let plan = self.plan()?;
+        check_traced(plan.guest(), &plan.config)?;
         let hot: &Hot = &plan.hot;
         let cid_of = |proc: NodeId, cell: u32| -> u32 {
             let p = proc as usize;

@@ -25,11 +25,17 @@
 //!
 //! * **State agreement** — every engine's surviving copies match the
 //!   reference trace ([`validate_run`]); event and stepped agree on
-//!   `(value_fold, db_digest, update_fold)` per `(cell, proc)`.
+//!   `(value_fold, db_digest, update_fold)` per `(cell, proc)`. Stepped
+//!   runs wherever its preconditions hold ([`check_stepped`]).
+//! * **Time agreement** — where the frozen classic engine applies (grid
+//!   guests without faults or a memory budget), its timed run
+//!   ([`run_classic`]) equals the timed event run on the whole
+//!   [`RunOutcome`], completion ticks included.
 //! * **Plan reuse, timing is free** — an untimed rerun off the same
 //!   `ExecPlan` is bit-identical to the timed event run once its
 //!   completion ticks are stripped (`RunOutcome` equality).
-//! * **Tracing is free** — a traced run equals the timed run once the
+//! * **Tracing is free** — wherever the tracer applies
+//!   ([`check_traced`]), a traced run equals the timed run once the
 //!   stall report is stripped, and its stall breakdown conserves ticks:
 //!   `totals.total() == makespan × surviving copies`.
 //! * **Causality** — on every event run ([`Engine::run_timed`]), per-copy
@@ -44,12 +50,13 @@
 //!   wherever its closed form applies).
 
 use crate::assignment::Assignment;
-use crate::control::EngineKind;
 use crate::engine::{Engine, EngineConfig, MemBudget, RunError, RunOutcome};
+use crate::engine_classic::run_classic;
 use crate::faults::FaultPlan;
 use crate::plan::ExecPlan;
 use crate::stats::FaultStats;
-use crate::stepped::run_stepped;
+use crate::stepped::{check_stepped, run_stepped};
+use crate::trace::check_traced;
 use crate::validate::{audit_causality, validate_run};
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, TaskGraph};
 use overlap_net::topology;
@@ -583,6 +590,12 @@ fn audit_same_state(label: &str, a: &RunOutcome, b: &RunOutcome, problems: &mut 
     }
 }
 
+/// Whether the frozen classic engine times `spec`, whose guest is
+/// `guest`: it takes no task graphs, memory budgets or fault plans.
+fn classic_applies(spec: &ScenarioSpec, guest: &GuestSpec) -> bool {
+    guest.graph.is_none() && spec.mem.is_none() && spec.faults.is_empty()
+}
+
 /// Lower the scenario once and drive every engine it is legal for through
 /// the shared plan, auditing the full invariant catalogue. `Ok(())` means
 /// no divergence; `Err` carries a human-readable list of everything that
@@ -611,8 +624,6 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
             Err(e) => return Err(format!("fault plan rejected: {e}")),
         };
     }
-    // `EngineKind::check` decides which engines are legal.
-    let legal = |kind: EngineKind, traced| kind.check_plan(&plan, traced).is_ok();
     let mut problems: Vec<String> = Vec::new();
 
     let reference = ReferenceRun::execute(&guest);
@@ -631,6 +642,19 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
         problems.push(format!("event causality: {p}"));
     }
 
+    // Time: the frozen classic engine, a second implementation of the
+    // event schedule, must reproduce the timed run exactly.
+    if classic_applies(spec, &guest) {
+        match run_classic(&guest, &host, &assign, config, spec.costs.as_deref(), true) {
+            Ok(c) if c != ev => problems.push(format!(
+                "event vs classic: timed outcomes differ (makespans {} vs {})",
+                ev.stats.makespan, c.stats.makespan
+            )),
+            Ok(_) => {}
+            Err(e) => problems.push(format!("classic engine failed: {e}")),
+        }
+    }
+
     // Plan reuse, and timing is free: an untimed second run off the same
     // plan equals the timed run with its ticks stripped.
     let untimed = RunOutcome {
@@ -647,7 +671,7 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
 
     // Traced run: identical to the timed run modulo the stall report,
     // which must conserve every tick of every surviving copy.
-    if legal(EngineKind::Event, true) {
+    if check_traced(&guest, &plan.config).is_ok() {
         match Engine::from_plan(&plan).run_traced() {
             Ok(traced) => {
                 let report = traced.trace.clone().expect("tracing was enabled");
@@ -680,7 +704,7 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
         }
     }
 
-    if legal(EngineKind::Stepped, false) {
+    if check_stepped(&plan).is_ok() {
         match run_stepped(&plan) {
             Ok(st) => {
                 for err in validate_run(&reference, &st) {
@@ -988,6 +1012,21 @@ mod tests {
                 .validate(&host)
                 .unwrap_or_else(|e| panic!("case {case}: generated bad faults: {e}"));
         }
+    }
+
+    /// The classic time check must keep covering a good share of the
+    /// standard stream, so a generator or predicate change cannot turn
+    /// it off silently.
+    #[test]
+    fn classic_time_check_stays_live() {
+        let eligible = (0..200)
+            .map(|case| gen_spec(0, case))
+            .filter(|spec| classic_applies(spec, &spec.build_guest()))
+            .count();
+        assert!(
+            eligible >= 60,
+            "only {eligible} of 200 cases are classic-eligible"
+        );
     }
 
     #[test]

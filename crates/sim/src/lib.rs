@@ -48,20 +48,19 @@ pub mod plan;
 pub mod routing;
 pub mod stats;
 pub mod stepped;
-pub mod sweep;
 pub mod trace;
 pub mod validate;
 
 pub use assignment::Assignment;
 pub use bandwidth::BandwidthMode;
-pub use control::{EngineKind, RunControl};
+pub use control::RunControl;
 pub use engine::{Engine, EngineConfig, Jitter, RunError, RunOutcome};
 pub use faults::{FaultPlan, RetryPolicy};
 pub use plan::{fnv1a, scenario_key, AppliedDelta, ExecPlan, PlanDelta};
 pub use routing::RoutingTable;
 pub use stats::{FaultStats, RunStats};
-pub use stepped::run_stepped;
-pub use trace::{StallBreakdown, TraceReport};
+pub use stepped::{check_stepped, run_stepped};
+pub use trace::{check_traced, StallBreakdown, TraceReport};
 pub use validate::{audit_causality, validate_run};
 
 /// Allocated bytes of a vector's buffer: its capacity, not its length.

@@ -1,14 +1,15 @@
-//! A parallel time-stepped engine, for differential testing against the
-//! event-driven [`crate::engine`].
+//! The tick-stepped engine: the differential oracle the event-driven
+//! [`crate::engine`] is checked against by the fuzzer and the tests.
+//! [`run_stepped`] is its only entry point.
 //!
 //! The simulation advances in global ticks. Each tick has three phases:
 //!
 //! 1. **deliver** — pebbles arriving now are written into the destination
-//!    processors' dependency buffers (parallel over destinations);
+//!    processors' dependency buffers, one destination at a time;
 //! 2. **compute** — every processor with a ready pebble computes exactly
-//!    one (parallel over processors with rayon; each touches only its own
-//!    state and emits an outbox); heterogeneous compute costs hold a
-//!    pebble in flight for `cost` ticks;
+//!    one (each touches only its own state and emits an outbox);
+//!    heterogeneous compute costs hold a pebble in flight for `cost`
+//!    ticks;
 //! 3. **send** — outboxes are injected into links in processor-id order
 //!    (deterministic bandwidth arbitration), scheduling future arrivals.
 //!
@@ -22,12 +23,12 @@
 //! per-copy structs. The ready set and the received-pebble table are
 //! **bitsets**: selection of the next pebble is a word scan over the
 //! processor's ready words, and the dependency watermark advances by
-//! counting trailing ones — no per-step boolean loads. The parallel
-//! phases carve the flat arrays into disjoint per-processor
-//! `ProcView`s with `split_at_mut`, so each worker owns exactly its
-//! processor's word-aligned range (bitset ranges are word-padded per
-//! processor for this reason). DESIGN.md §15 documents the layout and
-//! its invariants.
+//! counting trailing ones — no per-step boolean loads. The deliver and
+//! compute phases carve the flat arrays into disjoint per-processor
+//! `ProcView`s with `split_at_mut` and walk them in processor order, so
+//! each processor's step reads and writes exactly its own word-aligned
+//! range (bitset ranges are word-padded per processor for this reason).
+//! DESIGN.md §15 documents the layout and its invariants.
 //!
 //! The engine consumes a lowered [`ExecPlan`] — it builds no routing or
 //! interning tables of its own. Compute costs and fault plans attached to
@@ -35,7 +36,7 @@
 //! backoff, delay spikes stretch transfers, and crashes forfeit the
 //! processor's work and re-subscribe its consumers to the nearest
 //! surviving copy, mirroring the event engine's graceful degradation.
-//! Multicast and jitter remain event-engine-only.
+//! Multicast and jitter remain event-engine-only ([`check_stepped`]).
 //!
 //! Both engines execute *legal schedules* of the same model, so they must
 //! agree **exactly** on every computed value, database state and update
@@ -45,15 +46,13 @@
 //! implementations on all state is the workspace's strongest defence
 //! against engine bugs.
 
-use crate::control::EngineKind;
-use crate::engine::{inject, CopyRecord, DynSub, LinkSlot, RunError, RunOutcome};
+use crate::engine::{inject, CopyRecord, DynSub, Jitter, LinkSlot, RunError, RunOutcome};
 use crate::faults::FaultRt;
 use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, SUB_BIT};
 use crate::stats::{FaultStats, RunStats};
 use overlap_model::{fold64, Db, PebbleValue, ProgramRef};
 use overlap_net::paths::dijkstra;
 use overlap_net::NodeId;
-use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
 /// One calendar entry: an arrival at route node `hop` (when `resend` is
@@ -137,8 +136,8 @@ struct Layout {
 }
 
 /// One processor's disjoint mutable window into the [`SoA`] arrays —
-/// what phase 1 (deliver) and phase 2 (compute) hand to each parallel
-/// worker. All indices are processor-local.
+/// what phase 1 (deliver) and phase 2 (compute) step through, one
+/// processor at a time. All indices are processor-local.
 struct ProcView<'a> {
     next_step: &'a mut [u32],
     value_fold: &'a mut [u64],
@@ -274,23 +273,32 @@ impl ProcView<'_> {
     }
 }
 
+/// The stepped oracle's preconditions: fails with
+/// [`RunError::UnsupportedFeature`] (engine `"stepped"`) naming the first
+/// feature, in this order, that it does not implement — multicast
+/// distribution, then delay jitter. [`run_stepped`] calls it before
+/// running; the fuzzer calls it to decide whether the oracle applies.
+pub fn check_stepped(plan: &ExecPlan) -> Result<(), RunError> {
+    let config = plan.config();
+    let feature = if config.multicast {
+        "multicast distribution"
+    } else if config.jitter != Jitter::None {
+        "delay jitter"
+    } else {
+        return Ok(());
+    };
+    Err(RunError::UnsupportedFeature {
+        engine: "stepped",
+        feature,
+    })
+}
+
 /// Run the time-stepped engine over a lowered plan. Produces the same
 /// outcome shape as [`crate::engine::Engine`]; a plan with a feature the
 /// engine cannot time fails with [`RunError::UnsupportedFeature`]
-/// ([`EngineKind::check`]).
+/// ([`check_stepped`]).
 pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
-    EngineKind::Stepped.run(plan, None, false)
-}
-
-/// [`run_stepped`] on a checked plan, under a cooperative
-/// [`RunControl`](crate::control::RunControl): the tick loop honours
-/// pause/resume and returns [`RunError::Cancelled`] on cancel, checked
-/// every [`CHECK_EVERY`](crate::control::CHECK_EVERY) iterations. Control
-/// never perturbs the schedule.
-pub(crate) fn run_stepped_controlled(
-    plan: &ExecPlan,
-    control: Option<&crate::control::RunControl>,
-) -> Result<RunOutcome, RunError> {
+    check_stepped(plan)?;
     let config = plan.config();
     let guest = plan.guest();
     let host = plan.host();
@@ -508,16 +516,9 @@ pub(crate) fn run_stepped_controlled(
         }};
     }
 
-    let mut loop_iters: u64 = 0;
     while remaining > 0 {
         if tick > config.max_ticks {
             return Err(RunError::TickLimit(config.max_ticks));
-        }
-        loop_iters += 1;
-        if loop_iters.is_multiple_of(crate::control::CHECK_EVERY) {
-            if let Some(ctl) = control {
-                ctl.checkpoint(loop_iters)?;
-            }
         }
 
         // ---- phase 0: crashes scheduled at this tick (before deliveries
@@ -627,7 +628,7 @@ pub(crate) fn run_stepped_controlled(
             // Retry timed-out sends and forward non-final hops
             // sequentially (link arbitration); collect final-hop
             // deliveries grouped by destination.
-            let mut finals: HashMap<u32, Vec<Delivery>> = HashMap::new();
+            let mut finals: BTreeMap<u32, Vec<Delivery>> = BTreeMap::new();
             for d in deliveries {
                 if d.resend {
                     send_hop!(tick, d.sub, d.hop, d.step, d.value, d.attempt);
@@ -649,38 +650,31 @@ pub(crate) fn run_stepped_controlled(
                     }
                 }
             }
-            // Apply final deliveries in parallel over destinations.
-            let mut by_dest: Vec<(u32, Vec<Delivery>)> = finals.into_iter().collect();
-            by_dest.sort_unstable_by_key(|e| e.0);
-            let dyn_ref = &dyn_subs;
-            let lay_ref = &lay;
+            // Apply final deliveries, one destination at a time.
             let mut views = split_views(&mut soa, &mut ctls, &lay);
-            views.par_iter_mut().enumerate().for_each(|(pid, v)| {
-                let Ok(ix) = by_dest.binary_search_by_key(&(pid as u32), |e| e.0) else {
-                    return;
-                };
-                let pt = &hot.procs[pid];
-                for d in &by_dest[ix].1 {
+            for (dest, deliveries) in finals {
+                let (v, pt) = (&mut views[dest as usize], &hot.procs[dest as usize]);
+                for d in deliveries {
                     let k = if (d.sub as usize) < n_orig_subs {
                         hot.sub_dest_dep[d.sub as usize] as usize
                     } else {
-                        dyn_ref[d.sub as usize - n_orig_subs].dest_dep as usize
+                        dyn_subs[d.sub as usize - n_orig_subs].dest_dep as usize
                     };
-                    v.deliver_dep(k, d.step, d.value, steps, lay_ref);
+                    v.deliver_dep(k, d.step, d.value, steps, &lay);
                     for idx in pt.dep_dep_off[k] as usize..pt.dep_dep_off[k + 1] as usize {
                         let j = pt.dep_dependents[idx] as usize;
                         v.requeue(pt, j, steps);
                     }
                 }
-            });
+            }
         }
 
-        // ---- phase 2: parallel compute (≤ 1 pebble per processor; a
-        // cost-`c` pebble occupies the processor for `c` ticks) ----
+        // ---- phase 2: compute (≤ 1 pebble per processor; a cost-`c`
+        // pebble occupies the processor for `c` ticks) ----
         let crashed_ref = &crashed;
         let mut views = split_views(&mut soa, &mut ctls, &lay);
         let computed: u64 = views
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
             .map(|(pid, v)| {
                 if !crashed_ref.is_empty() && crashed_ref[pid] {

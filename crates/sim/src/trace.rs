@@ -62,7 +62,8 @@
 //! [`StallTracer`] embeds it, which is why a traced run carries
 //! `RunOutcome::timing` too.
 
-use crate::engine::TimingTrace;
+use crate::engine::{EngineConfig, RunError, TimingTrace};
+use overlap_model::GuestSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -70,6 +71,27 @@ use std::collections::HashMap;
 /// per-processor queue-depth time series. Attribution totals are exact
 /// regardless of the stride; only the series are sampled.
 pub(crate) const SERIES_STRIDE: u64 = 64;
+
+/// The traced event run's preconditions: fails with
+/// [`RunError::UnsupportedFeature`] (engine `"event (traced)"`) naming a
+/// memory budget, else a non-uniform task graph. The tracer's
+/// conservation law assumes every pebble of processor `p` takes exactly
+/// `cost_of(p)` ticks, which reloads and per-task costs break. The
+/// builder calls it at `build()` with `.trace()` set, and
+/// [`Engine::run_traced`](crate::engine::Engine::run_traced) before it runs.
+pub fn check_traced(guest: &GuestSpec, config: &EngineConfig) -> Result<(), RunError> {
+    let feature = if config.mem.is_some() {
+        "memory budget"
+    } else if guest.has_nonunit_task_costs() || !guest.is_static() {
+        "non-uniform task graph"
+    } else {
+        return Ok(());
+    };
+    Err(RunError::UnsupportedFeature {
+        engine: "event (traced)",
+        feature,
+    })
+}
 
 /// Where every tick of every copy went, summed over copies. Produced by a
 /// traced run; see the module docs for the category definitions and the

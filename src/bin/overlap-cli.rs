@@ -2,20 +2,25 @@
 //!
 //! ```text
 //! overlap-cli [--host <topo>] [--delays <model>] [--guest <shape>]
-//!             [--steps N] [--strategy <s>] [--seed N] [--engine <e>]
-//!             [--faults <f>]...
+//!             [--steps N] [--strategy <s>] [--seed N] [--faults <f>]...
+//!             [--trace | --trace-json FILE] [--analyze | --dot]
 //! overlap-cli fuzz [--seed N] [--cases K] [--dag]
 //! overlap-cli serve [--addr A] [--workers N] [--store FILE]
-//! overlap-cli submit [--addr A] [--wait] <scenario flags as above>
+//! overlap-cli submit [--addr A] [--wait] [--trace] <scenario flags as above>
 //! overlap-cli session|watch|pause|resume|cancel <ID> [--addr A]
 //! overlap-cli runs [--hash H] [--addr A]
 //! overlap-cli cache|stop-daemon [--addr A]
 //!
+//! Every run is on the event engine. Each subcommand rejects a flag it
+//! does not take, and a flag that needs a value but has none (exit 2).
+//!
 //!   fuzz        differential fuzzing: sample K random scenarios (guest,
 //!               host, delays, assignment, costs, faults, multicast,
-//!               memory budgets), lower each once and run every legal
-//!               engine plus the unit-delay reference over the shared plan,
-//!               auditing state agreement and the invariant catalogue.
+//!               memory budgets), lower each once and run over the shared
+//!               plan the event engine, the stepped oracle and the frozen
+//!               classic engine (each where it applies) plus the unit-delay
+//!               reference, auditing state agreement, time agreement with
+//!               the classic engine and the invariant catalogue.
 //!               Failures are shrunk to a minimal repro and printed as
 //!               one JSON line, with the name to save it under in
 //!               tests/fuzz_repros/ (the regression suite replays every
@@ -47,18 +52,17 @@
 //!               take auto (Theorem 8); btree guests take auto (subtree
 //!               blocks) or blocked (heap-order blocks); any other pair is
 //!               an error
-//!   --engine    event | stepped  (default event; stepped is the
-//!               differential oracle)
 //!   --faults    down:A:B:FROM:UNTIL | spike:A:B:FROM:UNTIL:FACTOR |
 //!               crash:P:AT | rand:PCT  (repeatable; injects deterministic
 //!               link outages / delay spikes / processor crashes; rand:PCT
-//!               draws seeded outages totalling ~PCT% downtime per link;
-//!               event and stepped engines)
+//!               draws seeded outages totalling ~PCT% downtime per link)
 //!   --seed        RNG seed (default 42)
-//!   --trace-json  FILE — run with stall attribution and write the full
-//!                 trace report (per-copy stall breakdown, link occupancy
-//!                 and queue-depth series) as JSON; also prints a stall
-//!                 summary line (event engine)
+//!   --trace       run with stall attribution and print the six-way stall
+//!                 summary line (submit: stream the stall totals); not with
+//!                 memory budgets or non-uniform task graphs
+//!   --trace-json  FILE — as --trace, and also write the full trace report
+//!                 (per-copy stall breakdown, link occupancy and
+//!                 queue-depth series) as JSON
 //!   --analyze     print host statistics, embedding quality and the Auto
 //!                 strategy recommendation instead of simulating
 //!   --dot         print the host as Graphviz DOT and exit
@@ -71,10 +75,10 @@
 use overlap::daemon::{Client, Daemon, DaemonConfig, Event, JsonlStore, MemStore};
 use overlap::net::metrics::DelayStats;
 use overlap::{
-    topology, DelayModel, EngineKind, FaultPlan, GuestSpec, HostGraph, ProgramKind, ScenarioSpec,
-    Strategy,
+    topology, DelayModel, FaultPlan, GuestSpec, HostGraph, ProgramKind, ScenarioSpec, Strategy,
 };
 use std::process::exit;
+use std::str::FromStr;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7341";
 
@@ -221,17 +225,63 @@ fn parse_strategy(spec: &str) -> Strategy {
     }
 }
 
-/// Fold every `--faults` occurrence into one [`FaultPlan`].
+/// The scenario flags local runs and `submit` share; each takes a value.
+const SCENARIO_FLAGS: &str = "--host --delays --guest --steps --strategy --seed --faults";
+
+/// Check `args` against what a subcommand takes: the `values` flags (a
+/// space-separated list), each followed by its value, the `switches`, and
+/// one bare argument where `bare`. A flag it does not take, a value flag
+/// with no value or an extra bare argument exits through [`usage`] naming
+/// it, so no input is ever dropped. Returns the bare argument.
+fn check_flags<'a>(
+    args: &'a [String],
+    values: &str,
+    switches: &str,
+    bare: bool,
+) -> Option<&'a str> {
+    let mut args = args.iter().peekable();
+    let mut given = None;
+    while let Some(arg) = args.next() {
+        let listed = |list: &str| list.split(' ').any(|flag| flag == arg);
+        if listed(values) {
+            if args.next_if(|v| !v.starts_with("--")).is_none() {
+                usage(&format!("{arg} needs a value"));
+            }
+        } else if arg.starts_with('-') {
+            if !listed(switches) {
+                usage(&format!("unknown flag '{arg}'"));
+            }
+        } else if !bare || given.replace(arg.as_str()).is_some() {
+            usage(&format!("unexpected argument '{arg}'"));
+        }
+    }
+    given
+}
+
+/// The value of flag `name` (its first occurrence) in arguments
+/// [`check_flags`] accepted.
+fn opt<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    args.iter()
+        .position(|a| a == name)
+        .map(|i| args[i + 1].as_str())
+}
+
+/// The value of numeric flag `name`, or `default`.
+fn num<T: FromStr>(args: &[String], name: &str, default: T) -> T {
+    opt(args, name).map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| usage(&format!("bad {name}")))
+    })
+}
+
+/// Fold every `--faults` value into one [`FaultPlan`].
 fn parse_faults(args: &[String], host: &HostGraph, seed: u64, horizon: u64) -> Option<FaultPlan> {
     let mut plan = FaultPlan::new();
     let mut any = false;
-    for (i, a) in args.iter().enumerate() {
-        if a != "--faults" {
-            continue;
-        }
-        let spec = args
-            .get(i + 1)
-            .unwrap_or_else(|| usage("--faults needs a value"));
+    for spec in args
+        .windows(2)
+        .filter(|w| w[0] == "--faults")
+        .map(|w| &w[1])
+    {
         let v = parse_nums(spec);
         let get = |i: usize| {
             *v.get(i)
@@ -259,48 +309,25 @@ fn parse_faults(args: &[String], host: &HostGraph, seed: u64, horizon: u64) -> O
     any.then_some(plan)
 }
 
-fn opt_in(args: &[String], name: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
-
-/// Resolve `--engine` (an [`EngineKind::label`]) into an [`EngineKind`].
-fn parse_engine(engine: &str) -> EngineKind {
-    [EngineKind::Event, EngineKind::Stepped]
-        .into_iter()
-        .find(|kind| kind.label() == engine)
-        .unwrap_or_else(|| usage(&format!("unknown engine '{engine}'")))
-}
-
-/// Build a [`ScenarioSpec`] from the standard scenario flags (local runs
-/// and `submit` share it).
+/// Build a [`ScenarioSpec`] from the scenario flags and `--trace` (local
+/// runs and `submit` share it).
 fn parse_scenario(args: &[String]) -> ScenarioSpec {
-    let seed: u64 = opt_in(args, "--seed", "42")
-        .parse()
-        .unwrap_or_else(|_| usage("bad --seed"));
-    let steps: u32 = opt_in(args, "--steps", "64")
-        .parse()
-        .unwrap_or_else(|_| usage("bad --steps"));
-    let dm = parse_delays(&opt_in(args, "--delays", "uniform:1:9"));
-    let host = parse_host(&opt_in(args, "--host", "line:32"), dm, seed);
+    let seed: u64 = num(args, "--seed", 42);
+    let steps: u32 = num(args, "--steps", 64);
+    let dm = parse_delays(opt(args, "--delays").unwrap_or("uniform:1:9"));
+    let host = parse_host(opt(args, "--host").unwrap_or("line:32"), dm, seed);
     let default_guest = format!("line:{}", 2 * host.num_nodes());
-    let guest = parse_guest(&opt_in(args, "--guest", &default_guest), seed, steps);
-    let strategy = parse_strategy(&opt_in(args, "--strategy", "auto"));
-    let engine = parse_engine(&opt_in(args, "--engine", "event"));
+    let guest = parse_guest(opt(args, "--guest").unwrap_or(&default_guest), seed, steps);
+    let strategy = parse_strategy(opt(args, "--strategy").unwrap_or("auto"));
     // Horizon estimate for random fault generation: the run's tick count
     // is unknown up front, so scale the guest length by the delay spread.
     let stats = DelayStats::of(&host);
     let horizon = steps as u64 * (stats.d_max + 2);
     let faults = parse_faults(args, &host, seed, horizon);
-    let trace = args.iter().any(|a| a == "--trace");
     let mut spec = ScenarioSpec::new(guest, host);
     spec.strategy = strategy;
-    spec.engine = engine;
     spec.faults = faults;
-    spec.trace = trace;
+    spec.trace = args.iter().any(|a| a == "--trace");
     spec
 }
 
@@ -342,16 +369,15 @@ fn describe_event(e: &Event) -> String {
 
 /// `overlap-cli serve` — run the daemon until a client stops it.
 fn serve_main(args: &[String]) -> ! {
-    let addr = opt_in(args, "--addr", DEFAULT_ADDR);
-    let workers: usize = opt_in(args, "--workers", "0")
-        .parse()
-        .unwrap_or_else(|_| usage("bad --workers"));
+    check_flags(args, "--addr --workers --store", "", false);
+    let addr = opt(args, "--addr").unwrap_or(DEFAULT_ADDR);
+    let workers: usize = num(args, "--workers", 0);
     let workers = if workers == 0 {
         std::thread::available_parallelism().map_or(2, |n| n.get())
     } else {
         workers
     };
-    let store: Box<dyn overlap::daemon::RunStore> = match opt_in(args, "--store", "").as_str() {
+    let store: Box<dyn overlap::daemon::RunStore> = match opt(args, "--store").unwrap_or("") {
         "" => Box::new(MemStore::new()),
         path => Box::new(JsonlStore::open(path).unwrap_or_else(|e| {
             eprintln!("cannot open store {path}: {e}");
@@ -360,7 +386,7 @@ fn serve_main(args: &[String]) -> ! {
     };
     let daemon = std::sync::Arc::new(Daemon::start(DaemonConfig { workers, store }));
     let mut server =
-        overlap::daemon::serve(std::sync::Arc::clone(&daemon), &addr).unwrap_or_else(|e| {
+        overlap::daemon::serve(std::sync::Arc::clone(&daemon), addr).unwrap_or_else(|e| {
             eprintln!("cannot bind {addr}: {e}");
             exit(1)
         });
@@ -378,15 +404,26 @@ fn serve_main(args: &[String]) -> ! {
 
 /// Client subcommands (`submit`, `session`, `watch`, …).
 fn client_main(cmd: &str, args: &[String]) -> ! {
-    let addr = opt_in(args, "--addr", DEFAULT_ADDR);
-    let client = Client::new(addr);
+    let id_arg = match cmd {
+        "submit" => check_flags(
+            args,
+            &format!("{SCENARIO_FLAGS} --addr"),
+            "--wait --trace",
+            false,
+        ),
+        "runs" => check_flags(args, "--addr --hash", "", false),
+        "session" | "watch" | "pause" | "resume" | "cancel" => {
+            check_flags(args, "--addr", "", true)
+        }
+        _ => check_flags(args, "--addr", "", false),
+    };
+    let client = Client::new(opt(args, "--addr").unwrap_or(DEFAULT_ADDR));
     let fail = |e: overlap::daemon::ClientError| -> ! {
         eprintln!("{e}");
         exit(1)
     };
     let session_arg = || -> u64 {
-        args.iter()
-            .find(|a| !a.starts_with("--"))
+        id_arg
             .and_then(|a| a.parse().ok())
             .unwrap_or_else(|| usage(&format!("'{cmd}' needs a session id")))
     };
@@ -436,16 +473,12 @@ fn client_main(cmd: &str, args: &[String]) -> ! {
             exit(0)
         }
         "runs" => {
-            let hash = args
-                .iter()
-                .position(|a| a == "--hash")
-                .and_then(|i| args.get(i + 1))
-                .map(|h| {
-                    let h = h.trim_start_matches("0x");
-                    u64::from_str_radix(h, 16)
-                        .or_else(|_| h.parse())
-                        .unwrap_or_else(|_| usage("bad --hash"))
-                });
+            let hash = opt(args, "--hash").map(|h| {
+                let h = h.trim_start_matches("0x");
+                u64::from_str_radix(h, 16)
+                    .or_else(|_| h.parse())
+                    .unwrap_or_else(|_| usage("bad --hash"))
+            });
             let runs = client.runs(hash).unwrap_or_else(|e| fail(e));
             for r in &runs {
                 println!(
@@ -486,24 +519,14 @@ fn client_main(cmd: &str, args: &[String]) -> ! {
 /// JSON line and the file to save it as.
 fn fuzz_main(args: &[String]) -> ! {
     use overlap::sim::fuzz::{check_spec, gen_spec, gen_spec_dag, shrink};
-    let opt = |name: &str, default: &str| -> String {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
-    };
-    let seed: u64 = opt("--seed", "0")
-        .parse()
-        .unwrap_or_else(|_| usage("bad --seed"));
-    let cases: u64 = opt("--cases", "1000")
-        .parse()
-        .unwrap_or_else(|_| usage("bad --cases"));
+    check_flags(args, "--seed --cases", "--dag", false);
+    let seed: u64 = num(args, "--seed", 0);
+    let cases: u64 = num(args, "--cases", 1000);
     let dag = args.iter().any(|a| a == "--dag");
     let profile = if dag { " [dag profile]" } else { "" };
     println!(
         "fuzzing {cases} scenarios (seed {seed}){profile} across \
-         event/stepped/reference…"
+         event/stepped/classic/reference…"
     );
     let mut divergences = 0u64;
     for case in 0..cases {
@@ -538,15 +561,6 @@ fn fuzz_main(args: &[String]) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("fuzz") => fuzz_main(&args[1..]),
-        Some("serve") => serve_main(&args[1..]),
-        Some(
-            cmd @ ("submit" | "session" | "watch" | "pause" | "resume" | "cancel" | "runs"
-            | "cache" | "stop-daemon"),
-        ) => client_main(cmd, &args[1..]),
-        _ => {}
-    }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         // The module doc is the help text.
         println!("overlap-cli — latency-hiding simulations (SPAA'96 reproduction)\n");
@@ -561,13 +575,20 @@ fn main() {
         );
         return;
     }
+    match args.first().map(String::as_str) {
+        Some("fuzz") => fuzz_main(&args[1..]),
+        Some("serve") => serve_main(&args[1..]),
+        Some(
+            cmd @ ("submit" | "session" | "watch" | "pause" | "resume" | "cancel" | "runs"
+            | "cache" | "stop-daemon"),
+        ) => client_main(cmd, &args[1..]),
+        _ => {}
+    }
+    let values = format!("{SCENARIO_FLAGS} --trace-json");
+    check_flags(&args, &values, "--trace --analyze --dot", false);
     let mut spec = parse_scenario(&args);
-    let trace_json: Option<String> = args.iter().position(|a| a == "--trace-json").map(|i| {
-        args.get(i + 1)
-            .cloned()
-            .unwrap_or_else(|| usage("--trace-json needs a file path"))
-    });
-    spec.trace = trace_json.is_some();
+    let trace_json = opt(&args, "--trace-json");
+    spec.trace |= trace_json.is_some();
     let (guest, host) = (&spec.guest, &spec.host);
     let stats = DelayStats::of(host);
     if args.iter().any(|a| a == "--dot") {
@@ -621,13 +642,7 @@ fn main() {
         guest.steps
     );
 
-    let report = spec.ready().and_then(|sim| sim.run()).map(|mut r| {
-        if spec.engine != EngineKind::Event {
-            r.strategy = format!("{} [{} engine]", r.strategy, spec.engine.label());
-        }
-        r
-    });
-    match report {
+    match spec.ready().and_then(|sim| sim.run()) {
         Ok(r) => {
             println!("strategy: {}", r.strategy);
             println!(
@@ -670,7 +685,7 @@ fn main() {
                     100.0 * b.stall_drained as f64 / total,
                 );
             }
-            if let Some(path) = &trace_json {
+            if let Some(path) = trace_json {
                 let report = r.outcome.trace.as_ref().expect("traced run has a report");
                 let json = serde_json::to_string(report).expect("trace serializes");
                 if let Err(e) = std::fs::write(path, json) {

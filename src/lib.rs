@@ -10,10 +10,12 @@
 //!   the unit-delay reference executor);
 //! * [`net`] — the host network substrate (topologies, link delays,
 //!   embeddings, metrics);
-//! * [`sim`] — the NOW simulator: two execution engines (greedy
-//!   event-driven, time-stepped oracle) consuming one lowered [`ExecPlan`]
-//!   (compile a placement once, run it anywhere; the plan also prices the
-//!   paper's lockstep baseline in closed form),
+//! * [`sim`] — the NOW simulator: two execution engines consuming one
+//!   lowered [`ExecPlan`] — the greedy event-driven [`Engine`], which every
+//!   builder, daemon and CLI run uses, and the time-stepped differential
+//!   oracle, reached only through `sim::run_stepped` (compile a placement
+//!   once, run it on both; the plan also prices the paper's lockstep
+//!   baseline in closed form),
 //!   unicast and multicast routing, the paper's bandwidth law, link jitter,
 //!   heterogeneous machine speeds, timing traces, and bit-exact validation
 //!   against the unit-delay reference;
@@ -76,9 +78,7 @@ pub use overlap_model as model;
 pub use overlap_net as net;
 pub use overlap_sim as sim;
 
-pub use overlap_core::{
-    EngineKind, Error, ScenarioSpec, SimReport, Simulation, SimulationBuilder, Strategy,
-};
+pub use overlap_core::{Error, ScenarioSpec, SimReport, Simulation, SimulationBuilder, Strategy};
 pub use overlap_model::{GuestSpec, GuestTopology, ProgramKind, ReferenceRun, ReferenceTrace};
 pub use overlap_net::{topology, DelayModel, HostGraph};
 pub use overlap_sim::{

@@ -1,17 +1,22 @@
 //! `overlap-cli` drives every guest through the one builder front door:
-//! `--engine`, `--faults`, `--strategy` and `--trace-json` are honoured or
-//! rejected with a typed error, whatever the guest's shape.
+//! `--faults`, `--strategy`, `--trace` and `--trace-json` are honoured or
+//! rejected with a typed error, whatever the guest's shape, and a flag a
+//! subcommand does not take is a usage error, never silently dropped.
 
 use overlap::TraceReport;
 use std::process::{Command, Output};
 
-/// Run the CLI on a small 8-workstation line host.
-fn cli(args: &[&str]) -> Output {
+/// Run the CLI with exactly `args`.
+fn raw(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_overlap-cli"))
-        .args(["--host", "line:8", "--steps", "16"])
         .args(args)
         .output()
         .expect("overlap-cli runs")
+}
+
+/// Run the CLI on a small 8-workstation line host.
+fn cli(args: &[&str]) -> Output {
+    raw(&[&["--host", "line:8", "--steps", "16"], args].concat())
 }
 
 fn stdout(out: &Output) -> String {
@@ -32,26 +37,55 @@ const GUESTS: [&str; 6] = [
     "btree:5",
 ];
 
-/// Every guest runs, validated, on the engine it asked for.
+/// Every guest runs, validated, on the event engine. The stepped oracle
+/// on the same guests is `tests/engines.rs`'s business.
 #[test]
-fn every_guest_runs_on_the_engine_it_asks_for() {
+fn every_guest_runs_validated() {
     for guest in GUESTS {
-        for engine in ["event", "stepped"] {
-            let out = cli(&["--guest", guest, "--engine", engine]);
-            let text = stdout(&out);
-            assert!(out.status.success(), "{guest} × {engine}: {}", stderr(&out));
-            assert!(
-                text.contains("validated: true"),
-                "{guest} × {engine}: {text}"
-            );
-            let tag = format!("[{engine} engine]");
-            assert_eq!(
-                text.contains(&tag),
-                engine != "event",
-                "{guest} × {engine}: {text}"
-            );
-        }
+        let out = cli(&["--guest", guest]);
+        let text = stdout(&out);
+        assert!(out.status.success(), "{guest}: {}", stderr(&out));
+        assert!(text.contains("validated: true"), "{guest}: {text}");
+        assert!(!text.contains("engine]"), "{guest}: {text}");
     }
+}
+
+/// A flag a subcommand does not take, or a value flag with no value, is
+/// a usage error (exit 2) that names the flag. Nothing runs: the typo'd
+/// host is not replaced by the default one, and no daemon is contacted.
+#[test]
+fn unknown_flags_and_missing_values_are_usage_errors() {
+    let cases: [(&[&str], &str); 8] = [
+        (
+            &["--hots", "line:4", "--guest", "line:8", "--steps", "4"],
+            "--hots",
+        ),
+        (&["--guest", "line:8", "--steps"], "--steps"),
+        (&["--trace-json"], "--trace-json"),
+        (&["--engine", "stepped"], "--engine"),
+        (&["fuzz", "--case", "3"], "--case"),
+        (&["fuzz", "--cases"], "--cases"),
+        (&["submit", "--hots", "line:8"], "--hots"),
+        (&["runs", "--trace"], "--trace"),
+    ];
+    for (args, flag) in cases {
+        let out = raw(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stdout(&out));
+        assert!(stdout(&out).is_empty(), "{args:?}: {}", stdout(&out));
+        assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+    }
+}
+
+/// A local `--trace` runs with stall attribution and prints its summary.
+#[test]
+fn local_trace_prints_the_stall_line() {
+    let out = cli(&["--trace"]);
+    let text = stdout(&out);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(text.contains("stalls   :"), "{text}");
+    assert!(text.contains("validated: true"), "{text}");
+    let plain = stdout(&cli(&[]));
+    assert!(!plain.contains("stalls   :"), "{plain}");
 }
 
 /// The §1 lockstep baseline is printed beside every plain run and
@@ -78,9 +112,10 @@ fn lockstep_baseline_is_printed_only_where_defined() {
             );
         }
     }
+    // Lockstep is a line of the report, not something to select.
     let out = cli(&["--engine", "lockstep"]);
     assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
-    assert!(stderr(&out).contains("unknown engine 'lockstep'"));
+    assert!(stderr(&out).contains("unknown flag '--engine'"));
 }
 
 #[test]

@@ -1,12 +1,10 @@
 //! Determinism: the whole pipeline — topology generation, embedding,
-//! planning, simulation — is a pure function of its seeds, including when
-//! sweeps run under rayon.
+//! planning, simulation — is a pure function of its seeds.
 
 use overlap::model::{fold64, GuestSpec, ProgramKind, ReferenceRun};
 use overlap::net::{topology, DelayModel, HostGraph};
 use overlap::sim::engine::{Engine, EngineConfig, Jitter};
 use overlap::sim::engine_classic::run_classic;
-use overlap::sim::sweep::par_map;
 use overlap::sim::{Assignment, ExecPlan};
 use overlap::{Simulation, Strategy};
 /// Run via the builder facade (the old free-function entry points are
@@ -32,30 +30,6 @@ fn pipeline_is_deterministic_across_runs() {
     assert_eq!(a.stats.makespan, b.stats.makespan);
     assert_eq!(a.stats.messages, b.stats.messages);
     assert_eq!(a.stats.pebble_hops, b.stats.pebble_hops);
-}
-
-#[test]
-fn parallel_sweep_equals_sequential() {
-    let guest = GuestSpec::array(16, ProgramKind::Relaxation, 3, 10);
-    let seeds: Vec<u64> = (0..8).collect();
-    let sequential: Vec<u64> = seeds
-        .iter()
-        .map(|&s| {
-            let host = topology::linear_array(8, DelayModel::uniform(1, 9), s);
-            simulate(&guest, &host, Strategy::Blocked)
-                .unwrap()
-                .stats
-                .makespan
-        })
-        .collect();
-    let parallel: Vec<u64> = par_map(&seeds, |&s| {
-        let host = topology::linear_array(8, DelayModel::uniform(1, 9), s);
-        simulate(&guest, &host, Strategy::Blocked)
-            .unwrap()
-            .stats
-            .makespan
-    });
-    assert_eq!(sequential, parallel);
 }
 
 #[test]

@@ -244,3 +244,38 @@ fn pebble_grid_as_taskgraph_is_bit_identical_to_line_guest() {
         );
     }
 }
+
+#[test]
+fn every_guest_shape_agrees_on_state_from_one_plan() {
+    // Each guest shape the CLI describes, placed by the builder's default
+    // (`Strategy::Auto`: the slot fold for lines and rings, Theorem 8 for
+    // meshes, tori and 3-D meshes, subtree blocks for trees) and lowered
+    // once: both engines run the plan, validate, and agree on state.
+    let host = topology::linear_array(8, DelayModel::uniform(1, 9), 42);
+    let (pk, seed, steps) = (ProgramKind::KvWorkload, 42, 16);
+    for guest in [
+        GuestSpec::array(16, pk, seed, steps),
+        GuestSpec::ring(16, pk, seed, steps),
+        GuestSpec::mesh(6, 6, pk, seed, steps),
+        GuestSpec::torus(4, 4, pk, seed, steps),
+        GuestSpec::mesh3(3, 3, 2, pk, seed, steps),
+        GuestSpec::tree(5, pk, seed, steps),
+    ] {
+        let label = format!("{:?}", guest.topology);
+        let placement = plan_placement(&guest, &host, Strategy::Auto).expect("placement");
+        let plan = ExecPlan::build(
+            &guest,
+            &host,
+            &placement.assignment,
+            EngineConfig::default(),
+        )
+        .expect("plan");
+        let trace = ReferenceRun::execute(&guest);
+        let ev = Engine::from_plan(&plan).run().expect("event");
+        let st = run_stepped(&plan).expect("stepped");
+        for out in [&ev, &st] {
+            assert!(validate_run(&trace, out).is_empty(), "{label}");
+        }
+        assert_same_state(&label, &ev, &st);
+    }
+}
