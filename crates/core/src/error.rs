@@ -27,9 +27,9 @@ pub enum Error {
     /// guests take `Auto` (subtree blocks) or `Blocked` (heap-order
     /// blocks). See [`plan_placement`](crate::pipeline::plan_placement).
     /// An explicit assignment places any guest.
-    UnsupportedTopology,
-    /// The builder was configured inconsistently (missing host,
-    /// incompatible engine options, …).
+    InapplicableStrategy,
+    /// The builder was configured inconsistently (missing host, a cost
+    /// table that does not fit the host, …).
     Config(String),
     /// A configuration value is outside its valid domain (e.g. a
     /// disconnected host). Unlike [`Error::Config`] (free-form,
@@ -42,18 +42,6 @@ pub enum Error {
         /// Why the value is invalid.
         reason: String,
     },
-    /// The run asks for a feature its executor cannot time, never
-    /// silently dropped. From the builder: a traced run whose memory
-    /// budget or non-uniform task graph the stall tracer cannot attribute;
-    /// drop `.trace()` or the feature. Converted from
-    /// [`RunError::UnsupportedFeature`].
-    Unsupported {
-        /// The executor that rejected the run: `"event (traced)"` from
-        /// the builder, `"stepped"` or `"lockstep"` when converted.
-        engine: &'static str,
-        /// The feature it does not implement.
-        feature: &'static str,
-    },
 }
 
 impl std::fmt::Display for Error {
@@ -61,7 +49,7 @@ impl std::fmt::Display for Error {
         match self {
             Error::Overlap(e) => write!(f, "overlap planning: {e}"),
             Error::Run(e) => write!(f, "engine: {e}"),
-            Error::UnsupportedTopology => write!(
+            Error::InapplicableStrategy => write!(
                 f,
                 "strategy does not apply to this guest topology: line, ring and \
                  task-graph guests accept every strategy; mesh, torus and 3-D mesh \
@@ -70,9 +58,6 @@ impl std::fmt::Display for Error {
             Error::Config(msg) => write!(f, "configuration: {msg}"),
             Error::InvalidConfig { option, reason } => {
                 write!(f, "invalid value for {option}: {reason}")
-            }
-            Error::Unsupported { engine, feature } => {
-                write!(f, "the {engine} engine does not support {feature}")
             }
         }
     }
@@ -94,16 +79,9 @@ impl From<OverlapError> for Error {
     }
 }
 
-/// An engine's [`RunError::UnsupportedFeature`] is the builder's
-/// [`Error::Unsupported`]: one matrix, one error, whichever side raised it.
 impl From<RunError> for Error {
     fn from(e: RunError) -> Self {
-        match e {
-            RunError::UnsupportedFeature { engine, feature } => {
-                Error::Unsupported { engine, feature }
-            }
-            e => Error::Run(e),
-        }
+        Error::Run(e)
     }
 }
 

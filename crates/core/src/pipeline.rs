@@ -36,6 +36,7 @@ use serde::{Deserialize, Serialize};
 /// task-graph guests take every strategy; grid and tree guests take the
 /// ones [`plan_placement`] lists.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum Strategy {
     /// Algorithm OVERLAP, load-1 structure proportionally scaled to the
     /// guest (Theorems 2/3; with a guest larger than the root label the
@@ -370,7 +371,7 @@ pub struct Placement {
 /// | 2-D mesh, torus, 3-D mesh | `Auto` | Theorem 8: OVERLAP (c = 4, L = 2) over column strips or slabs |
 /// | binary tree | `Auto`, `Blocked` | subtree (DFS) blocks, heap-order blocks |
 ///
-/// Every other pair is [`Error::UnsupportedTopology`]. A killing constant
+/// Every other pair is [`Error::InapplicableStrategy`]. A killing constant
 /// `c` that is not above 2, or a `Combined` expansion of 0, is
 /// [`Error::InvalidConfig`] naming `strategy`.
 pub fn plan_placement(
@@ -420,7 +421,7 @@ pub fn plan_placement(
         (GuestTopology::BinaryTree { levels }, Strategy::Blocked) => {
             (bfs_blocks(levels, positions), None)
         }
-        _ => return Err(Error::UnsupportedTopology),
+        _ => return Err(Error::InapplicableStrategy),
     };
 
     // Map array positions to host nodes.
@@ -609,7 +610,7 @@ mod tests {
 
     /// DESIGN.md §9.4's placement table, guest by guest: the accepted
     /// strategies place and validate, every other strategy is
-    /// `UnsupportedTopology`.
+    /// `InapplicableStrategy`.
     #[test]
     fn placement_branches_on_guest_topology() {
         use overlap_model::TaskGraph;
@@ -649,7 +650,7 @@ mod tests {
                         assert!(r.validated, "{case}: {} mismatches", r.mismatches);
                         assert_eq!(r.dilation, host_as_array(&host).2, "{case}");
                     }
-                    Err(Error::UnsupportedTopology) => assert!(!accepts(s), "{case} must place"),
+                    Err(Error::InapplicableStrategy) => assert!(!accepts(s), "{case} must place"),
                     Err(e) => panic!("{case}: {e}"),
                 }
             }

@@ -39,7 +39,7 @@ use overlap_net::{Delay, HostGraph};
 use overlap_sim::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
 use overlap_sim::faults::FaultPlan;
 use overlap_sim::validate::validate_run;
-use overlap_sim::{check_traced, Assignment, BandwidthMode, ExecPlan};
+use overlap_sim::{Assignment, BandwidthMode, ExecPlan};
 
 /// Entry point of the builder API: `Simulation::of(&guest)`.
 pub struct Simulation;
@@ -119,8 +119,8 @@ impl<'a> SimulationBuilder<'a> {
     /// mode): evicted copies must be re-fetched for
     /// [`MemBudget::reload_cost`] extra ticks before the next compute.
     /// Pure timing/accounting — values are unchanged, so validation
-    /// still holds. The stall tracer cannot attribute reloads, so
-    /// [`trace`](Self::trace) rejects a budget.
+    /// still holds. A [`trace`](Self::trace)d run books the reload ticks
+    /// as `stall_mem_reload`.
     pub fn memory_budget(mut self, budget: MemBudget) -> Self {
         self.config.mem = Some(budget);
         self
@@ -146,12 +146,11 @@ impl<'a> SimulationBuilder<'a> {
     }
 
     /// Attribute every stall tick of the run to its cause — dependency,
-    /// bandwidth, database-update order, faults, or post-completion drain.
-    /// The report lands in the outcome's `stats.stalls` and `trace`, and
-    /// the per-pebble completion ticks the tracer keeps in its `timing`;
-    /// the schedule itself is unchanged. `build()` rejects what the tracer
-    /// cannot attribute — a memory budget or a non-uniform task graph —
-    /// with [`Error::Unsupported`] ([`check_traced`]).
+    /// bandwidth, database-update order, faults, memory reloads, or
+    /// post-completion drain. The report lands in the outcome's
+    /// `stats.stalls` and `trace`, and the per-pebble completion ticks the
+    /// tracer keeps in its `timing`; the schedule itself is unchanged.
+    /// Every run the builder accepts can be traced.
     pub fn trace(mut self) -> Self {
         self.trace = true;
         self
@@ -194,11 +193,6 @@ impl<'a> SimulationBuilder<'a> {
         // a typo'd `--faults` spec used to abort the process at lowering.
         if let Some(faults) = &self.faults {
             faults.validate(host).map_err(Error::Run)?;
-        }
-        // What the stall tracer cannot attribute is rejected here, before
-        // placement, with `Error::Unsupported` — never dropped at run time.
-        if self.trace {
-            check_traced(self.guest, &self.config)?;
         }
         let (assignment, predicted_slowdown, array_delays, dilation) = match self.assignment {
             Some(a) => {
@@ -345,7 +339,7 @@ impl ReadySimulation<'_> {
             d_ave,
             d_max: delays.iter().copied().max().unwrap_or(0),
             dilation: self.dilation,
-            lockstep_makespan: plan.lockstep_makespan().ok(),
+            lockstep_makespan: plan.lockstep_makespan(),
             outcome,
         })
     }
@@ -468,7 +462,7 @@ mod tests {
             .strategy(Strategy::Halo { halo: 1 })
             .build()
             .unwrap_err();
-        assert!(matches!(err, Error::UnsupportedTopology));
+        assert!(matches!(err, Error::InapplicableStrategy));
     }
 
     /// Lower a built simulation once and run the stepped oracle on the
@@ -495,7 +489,7 @@ mod tests {
         // The report carries the plan's lockstep baseline, which the greedy
         // schedule never loses to.
         let plan = sim.build_plan().unwrap();
-        assert_eq!(event.lockstep_makespan, plan.lockstep_makespan().ok());
+        assert_eq!(event.lockstep_makespan, plan.lockstep_makespan());
         assert!(event.lockstep_makespan.unwrap() >= event.stats.makespan);
     }
 
@@ -510,33 +504,12 @@ mod tests {
         WeightedDag,
     }
 
-    /// The preconditions as DESIGN.md §13 states them: the `(engine,
-    /// feature)` pair a traced event run (`stepped` false) or a stepped
-    /// run (`stepped` true) is rejected with, `None` when it is legal.
-    fn rejection(
-        feature: Option<Feature>,
-        stepped: bool,
-        traced: bool,
-    ) -> Option<(&'static str, &'static str)> {
-        use Feature::*;
-        match (stepped, feature) {
-            (false, Some(MemBudget)) if traced => Some(("event (traced)", "memory budget")),
-            (false, Some(WeightedDag)) if traced => {
-                Some(("event (traced)", "non-uniform task graph"))
-            }
-            (true, Some(Multicast)) => Some(("stepped", "multicast distribution")),
-            (true, Some(Jitter)) => Some(("stepped", "delay jitter")),
-            _ => None,
-        }
-    }
-
-    /// Every feature × {untraced, traced} on the event engine: the
-    /// builder rejects with exactly the pair `run_traced` returns on the
-    /// equivalent hand-built plan, and every legal combination runs,
-    /// validated and bit-identical, on both paths, and reports the plan's
-    /// lockstep baseline exactly when no feature is set. The stepped
-    /// oracle takes the same plans: it rejects what [`rejection`] says
-    /// and agrees with the event engine on state everywhere else.
+    /// Every feature × {untraced, traced}, and the stepped oracle: no
+    /// executor refuses a plan. The builder runs each combination,
+    /// validated and bit-identical to `run`/`run_traced` on the equivalent
+    /// hand-built plan; a traced run conserves every tick of every copy;
+    /// stepped agrees with the event engine on state; and the report
+    /// carries the plan's lockstep baseline exactly when no feature is set.
     #[test]
     fn feature_matrix_is_one_policy() {
         use overlap_model::TaskGraph;
@@ -603,74 +576,50 @@ mod tests {
                 if let Some(mem) = config.mem {
                     b = b.memory_budget(mem);
                 }
-                if traced {
-                    b = b.trace();
-                }
-                let built = b.build();
                 let direct = if traced {
+                    b = b.trace();
                     Engine::from_plan(&plan).run_traced()
                 } else {
                     Ok(untraced.clone())
                 };
-
-                match rejection(feature, false, traced) {
-                    Some((engine, feature)) => {
-                        assert!(
-                            matches!(built, Err(Error::Unsupported { engine: e, feature: f })
-                                if (e, f) == (engine, feature)),
-                            "{case}: builder said {:?}",
-                            built.map(|_| ())
-                        );
-                        assert_eq!(
-                            direct,
-                            Err(RunError::UnsupportedFeature { engine, feature }),
-                            "{case}"
-                        );
+                let report = b
+                    .build()
+                    .and_then(|sim| sim.run())
+                    .unwrap_or_else(|e| panic!("{case}: builder path failed: {e}"));
+                assert!(report.validated, "{case}");
+                let direct = direct.unwrap_or_else(|e| panic!("{case}: engine path failed: {e}"));
+                assert_eq!(report.outcome, direct, "{case}");
+                if let Some(trace) = &report.outcome.trace {
+                    for b in &trace.per_copy {
+                        assert_eq!(b.total(), report.stats.makespan, "{case}: conservation");
                     }
-                    None => {
-                        let report = built
-                            .and_then(|sim| sim.run())
-                            .unwrap_or_else(|e| panic!("{case}: builder path failed: {e}"));
-                        assert!(report.validated, "{case}");
-                        let direct =
-                            direct.unwrap_or_else(|e| panic!("{case}: engine path failed: {e}"));
-                        assert_eq!(report.outcome, direct, "{case}");
-                        assert_eq!(
-                            report.lockstep_makespan,
-                            plan.lockstep_makespan().ok(),
-                            "{case}"
-                        );
-                        assert_eq!(
-                            report.lockstep_makespan.is_some(),
-                            feature.is_none(),
-                            "{case}"
-                        );
-                    }
+                    assert_eq!(
+                        trace.totals.stall_mem_reload, report.stats.mem.reload_ticks,
+                        "{case}"
+                    );
                 }
+                assert_eq!(report.outcome.trace.is_some(), traced, "{case}");
+                assert_eq!(report.lockstep_makespan, plan.lockstep_makespan(), "{case}");
+                assert_eq!(
+                    report.lockstep_makespan.is_some(),
+                    feature.is_none(),
+                    "{case}"
+                );
             }
 
             let case = format!("stepped × {feature:?}");
-            match (rejection(feature, true, false), run_stepped(&plan)) {
-                (Some((engine, feature)), got) => assert_eq!(
-                    got,
-                    Err(RunError::UnsupportedFeature { engine, feature }),
-                    "{case}"
-                ),
-                (None, got) => {
-                    let st = got.unwrap_or_else(|e| panic!("{case}: {e}"));
-                    assert!(validate_run(&reference, &st).is_empty(), "{case}");
-                    let state = |o: &RunOutcome| {
-                        let mut v: Vec<_> = o
-                            .copies
-                            .iter()
-                            .map(|c| (c.cell, c.proc, c.value_fold, c.db_digest, c.update_fold))
-                            .collect();
-                        v.sort_unstable();
-                        v
-                    };
-                    assert_eq!(state(&st), state(&untraced), "{case}");
-                }
-            }
+            let st = run_stepped(&plan).unwrap_or_else(|e| panic!("{case}: {e}"));
+            assert!(validate_run(&reference, &st).is_empty(), "{case}");
+            let state = |o: &RunOutcome| {
+                let mut v: Vec<_> = o
+                    .copies
+                    .iter()
+                    .map(|c| (c.cell, c.proc, c.value_fold, c.db_digest, c.update_fold))
+                    .collect();
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(state(&st), state(&untraced), "{case}");
         }
         // An empty fault plan is no fault injection.
         let report = Simulation::of(&line)
@@ -680,65 +629,6 @@ mod tests {
             .and_then(|sim| sim.run())
             .unwrap();
         assert!(report.lockstep_makespan.is_some());
-    }
-
-    /// A run asking for both features of one precondition list is refused
-    /// for the first: a memory budget before a non-uniform task graph, and
-    /// multicast before jitter.
-    #[test]
-    fn preconditions_refuse_the_first_feature_in_order() {
-        use overlap_model::TaskGraph;
-        let (line, host) = lab();
-        let dag = GuestSpec::dag(
-            TaskGraph::layered_random(8, 5, 2, 3, 9),
-            ProgramKind::KvWorkload,
-            3,
-        );
-        let mem = MemBudget {
-            budget: 2,
-            reload_cost: 1,
-        };
-        let config = EngineConfig {
-            mem: Some(mem),
-            ..EngineConfig::default()
-        };
-        let assign = Assignment::blocked(4, dag.num_cells());
-        let plan = ExecPlan::build(&dag, &host, &assign, config).unwrap();
-        let (engine, feature) = ("event (traced)", "memory budget");
-        assert_eq!(
-            Engine::from_plan(&plan).run_traced(),
-            Err(RunError::UnsupportedFeature { engine, feature })
-        );
-        let built = Simulation::of(&dag)
-            .on(&host)
-            .assignment(assign)
-            .memory_budget(mem)
-            .trace()
-            .build();
-        assert!(
-            matches!(built, Err(Error::Unsupported { engine: e, feature: f })
-                if (e, f) == (engine, feature)),
-            "{:?}",
-            built.map(|_| ())
-        );
-
-        let config = EngineConfig {
-            multicast: true,
-            jitter: Jitter::Periodic {
-                amplitude_pct: 50,
-                period: 4,
-            },
-            ..EngineConfig::default()
-        };
-        let assign = Assignment::blocked(4, line.num_cells());
-        let plan = ExecPlan::build(&line, &host, &assign, config).unwrap();
-        assert_eq!(
-            run_stepped(&plan),
-            Err(RunError::UnsupportedFeature {
-                engine: "stepped",
-                feature: "multicast distribution"
-            })
-        );
     }
 
     #[test]

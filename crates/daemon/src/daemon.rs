@@ -277,8 +277,8 @@ impl Daemon {
     }
 
     /// Validate and enqueue a scenario. Returns the session id, or the
-    /// same typed error the in-process builder would produce (invalid
-    /// engine config, a traced run the stall tracer cannot attribute, …).
+    /// same typed error the in-process builder would produce (a
+    /// disconnected host, a strategy the guest does not take, …).
     pub fn submit(&self, spec: ScenarioSpec) -> Result<u64, Error> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(Error::Config("daemon is shutting down".into()));

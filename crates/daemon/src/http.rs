@@ -17,7 +17,8 @@
 //! | POST | `/v1/shutdown` | → `{"ok": true}`, then the daemon and server stop |
 //!
 //! Invalid scenarios come back as HTTP 400 with `{"error": …}` carrying
-//! the typed builder error's message, and so does a `since`, `wait_ms`
+//! the typed builder error's message, or naming a key the scenario does
+//! not know ([`ScenarioSpec::from_json`]), and so does a `since`, `wait_ms`
 //! or `hash` query parameter that is present but not an unsigned integer
 //! (an absent one takes its default); unknown sessions are 404; a body
 //! declared larger than [`MAX_BODY_BYTES`] is refused with 413 before any
@@ -197,7 +198,7 @@ fn handle_connection(
     };
     let parts: Vec<&str> = raw_path.trim_matches('/').split('/').collect();
     match (method.as_str(), parts.as_slice()) {
-        ("POST", ["v1", "scenarios"]) => match serde_json::from_str::<ScenarioSpec>(&body) {
+        ("POST", ["v1", "scenarios"]) => match ScenarioSpec::from_json(&body) {
             Ok(spec) => match daemon.submit(spec) {
                 Ok(session) => respond(&mut stream, 200, &SubmitResponse { session }),
                 Err(e) => fail(&mut stream, 400, e.to_string()),

@@ -314,4 +314,24 @@ mod tests {
         assert_eq!(s.load_all().unwrap(), olds);
         let _ = std::fs::remove_file(&path);
     }
+
+    /// Traced runs stored before the tracer booked memory reloads carry
+    /// no `stall_mem_reload` key, in their stats or their stall totals:
+    /// they load with 0.
+    #[test]
+    fn stalls_without_the_reload_bucket_still_load() {
+        let mut old = record(0);
+        old.stalls = Some(StallBreakdown {
+            compute_ticks: 5,
+            stall_drained: 2,
+            ..StallBreakdown::default()
+        });
+        old.stats.stalls = old.stalls;
+        let text = line(&old).replace(",\"stall_mem_reload\":0", "");
+        assert!(!text.contains("stall_mem_reload"), "{text}");
+        assert!(text.contains("\"stall_drained\":2"), "{text}");
+        let (s, path) = store_with("pre-reload", &(text + "\n"));
+        assert_eq!(s.load_all().unwrap(), vec![old]);
+        let _ = std::fs::remove_file(&path);
+    }
 }

@@ -13,6 +13,7 @@ use overlap_net::topology::{linear_array, mesh2d};
 use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::engine::MemBudget;
 use overlap_sim::faults::FaultPlan;
+use overlap_sim::StallBreakdown;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -257,13 +258,13 @@ fn a_paused_run_blocks_neither_its_plan_nor_other_sessions() {
     daemon.shutdown();
 }
 
-/// A spec whose memory budget a traced run cannot attribute.
+/// A traced spec under a memory budget tight enough to force reloads.
 fn traced_with_budget() -> ScenarioSpec {
     let mut s = spec(16, 16);
     s.trace = true;
     s.config.mem = Some(MemBudget {
-        budget: 2,
-        reload_cost: 1,
+        budget: 1,
+        reload_cost: 2,
     });
     s
 }
@@ -290,16 +291,24 @@ fn plain_and_traced_runs_match_their_in_process_results() {
     daemon.shutdown();
 }
 
+/// The stall totals of `spec`'s in-process run (`run_traced`: it sets
+/// `trace`).
+fn traced_stalls(spec: &ScenarioSpec) -> Option<StallBreakdown> {
+    assert!(spec.trace);
+    spec.ready().unwrap().run_raw().unwrap().stats.stalls
+}
+
 #[test]
 fn invalid_scenarios_are_rejected_at_submission() {
     let daemon = Daemon::start(DaemonConfig::default());
-    assert!(matches!(
-        daemon.submit(traced_with_budget()),
-        Err(overlap_core::Error::Unsupported {
-            engine: "event (traced)",
-            feature: "memory budget"
-        })
-    ));
+    // A traced run under a memory budget is no longer refused: it runs,
+    // and its stalls (reloads included) are the in-process traced run's.
+    let traced = traced_with_budget();
+    let id = daemon.submit(traced.clone()).unwrap();
+    assert_eq!(daemon.wait(id, WAIT), Some(Status::Done));
+    let run = daemon.runs(None).unwrap().pop().unwrap();
+    assert_eq!(run.stalls, traced_stalls(&traced));
+    assert!(run.stalls.unwrap().stall_mem_reload > 0);
     assert!(matches!(
         daemon.submit(split_host_spec()),
         Err(overlap_core::Error::InvalidConfig { option: "host", .. })
@@ -356,14 +365,22 @@ fn http_round_trip() {
     assert_eq!(view.plan_hash, record.plan_hash);
     assert_eq!(client.runs(Some(record.plan_hash)).unwrap().len(), 1);
     assert_eq!(client.cache().unwrap().misses, 1);
+    // A traced run under a memory budget runs over HTTP too, with the
+    // stalls of the in-process traced run.
+    let traced = traced_with_budget();
+    let record = done_record(&client, client.submit(&traced).expect("submit"));
+    assert_eq!(record.stalls, traced_stalls(&traced));
+    // A key the spec does not know is a 400 naming it, not dropped.
+    let json = serde_json::to_string(&spec16).unwrap();
+    let typo = json.replacen("\"trace\":", "\"traced\":true,\"trace\":", 1);
+    let head = format!(
+        "POST /v1/scenarios HTTP/1.1\r\nContent-Length: {}",
+        typo.len()
+    );
+    let (status, text) = raw_http(server.addr(), &head, &typo);
+    assert_eq!(status, 400, "{text}");
+    assert!(text.contains("unknown field `traced`"), "{text}");
     // Typed validation errors surface as HTTP 400 with the message.
-    match client.submit(&traced_with_budget()) {
-        Err(overlap_daemon::ClientError::Api { status, message }) => {
-            assert_eq!(status, 400);
-            assert!(message.contains("memory budget"), "{message}");
-        }
-        other => panic!("expected 400, got {other:?}"),
-    }
     // A disconnected host used to panic the connection thread inside
     // placement; it is a typed 400 naming the host, and the daemon stays up.
     match client.submit(&split_host_spec()) {
@@ -374,7 +391,7 @@ fn http_round_trip() {
         }
         other => panic!("expected 400, got {other:?}"),
     }
-    assert_eq!(client.cache().unwrap().misses, 1);
+    assert_eq!(client.cache().unwrap().misses, 2);
     client.shutdown().expect("shutdown");
     // The server answers first and shuts the daemon down after, so the
     // flag may trail the response by a moment.
@@ -513,8 +530,9 @@ fn legacy_timing_field_runs_over_http() {
 }
 
 /// Specs written while the wire named an engine carry an `engine` key,
-/// whichever engine it named. The key is ignored like any unknown key:
-/// each runs on the event engine, keyed to the spec's one plan, with
+/// whichever engine it named. It is a retired key, ignored where any
+/// other unknown key is refused: each runs on the event engine, keyed to
+/// the spec's one plan, with
 /// the stats of the same spec in process.
 #[test]
 fn http_ignores_stale_engine_keys() {

@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 /// One dependency of a pebble: either the previous-step pebble of a guest
 /// cell, or a virtual boundary value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum Dep {
     /// Pebble `(cell, t-1)`.
     Cell(u32),
@@ -98,6 +99,7 @@ impl DepList {
 
 /// The shape of a guest network with unit-delay links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum GuestTopology {
     /// Linear array of `m` cells, virtual boundary pebbles at both ends.
     Line {
@@ -389,6 +391,7 @@ impl GuestTopology {
 /// assert_eq!(g.total_work(), 160);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct GuestSpec {
     /// The guest network shape.
     pub topology: GuestTopology,

@@ -37,6 +37,7 @@ pub type ProgramRef = Arc<dyn Program>;
 
 /// Enumerates the built-in programs, for configuration and serialization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum ProgramKind {
     /// Pure dataflow stencil: value mixing only, no database update. The
     /// closest analogue of the *dataflow model* of \[2\]; used to contrast

@@ -91,6 +91,7 @@ impl std::error::Error for TaskGraphError {}
 /// ([`TaskGraph::pebble_grid`], [`TaskGraph::wavefront`],
 /// [`TaskGraph::fork_join`], [`TaskGraph::layered_random`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TaskGraph {
     num_dbs: u32,
     layers: u32,

@@ -11,6 +11,7 @@ pub type Delay = u64;
 
 /// One undirected link of the host network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct Link {
     /// One endpoint (the smaller id).
     pub a: NodeId,
@@ -25,6 +26,7 @@ pub struct Link {
 /// Parallel links and self-loops are rejected: none of the paper's
 /// constructions need them, and forbidding them keeps routing tables simple.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct HostGraph {
     name: String,
     n: u32,

@@ -9,10 +9,11 @@
 use serde::{Deserialize, Serialize};
 
 /// How many pebbles a host link carries per tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BandwidthMode {
     /// The paper's assumption: `⌈log₂ n⌉` pebbles per tick (`n` = host
     /// size), minimum 1.
+    #[default]
     LogN,
     /// A fixed bandwidth; `Fixed(1)` reproduces the "pay an extra log n"
     /// regime.

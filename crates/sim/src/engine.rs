@@ -43,11 +43,10 @@ use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, Routes, SUB_BIT};
 use crate::routing::RoutingTable;
 use crate::stats::{FaultStats, RunStats};
 use crate::trace::{
-    check_traced, MsgKey, NoopTracer, ReadyCause, StallTracer, TimingTracer, TraceReport, Tracer,
-    SERIES_STRIDE,
+    MsgKey, NoopTracer, ReadyCause, StallTracer, TimingTracer, TraceReport, Tracer, SERIES_STRIDE,
 };
 use overlap_model::{fold64, Db, GuestSpec, PebbleValue, ProgramRef};
-use overlap_net::paths::dijkstra;
+use overlap_net::paths::{dijkstra, PathResult};
 use overlap_net::{HostGraph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -59,9 +58,11 @@ use std::collections::{BinaryHeap, HashMap};
 /// tick `t` is `d · (1 + amplitude · wave(t))` where `wave` is a
 /// square-ish ±1 oscillation with the given period, phase-shifted per
 /// link — fully deterministic, so runs remain reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum Jitter {
     /// Fixed delays (the paper's model).
+    #[default]
     None,
     /// Periodic fluctuation by ±`amplitude_pct` percent.
     Periodic {
@@ -105,6 +106,7 @@ impl Jitter {
 /// bit-identity hold unchanged). Counters land in
 /// [`RunStats::mem`](crate::stats::RunStats::mem).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct MemBudget {
     /// Database copies that fit in fast memory per processor (a budget of
     /// 0 is clamped to 1 — a processor must hold the copy it computes on).
@@ -115,6 +117,7 @@ pub struct MemBudget {
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct EngineConfig {
     /// Link bandwidth model (default: the paper's `log n`).
     pub bandwidth: BandwidthMode,
@@ -175,12 +178,8 @@ pub enum RunError {
         /// Tick of the fatal crash.
         tick: u64,
     },
-    /// A routing table references a host link that does not exist (a
-    /// malformed route, which [`ExecPlan::lockstep_makespan`] reports
-    /// instead of panicking). Also reported when a fault plan names a link
-    /// absent from the host (previously a panic in fault-plan lowering).
-    ///
-    /// [`ExecPlan::lockstep_makespan`]: crate::plan::ExecPlan::lockstep_makespan
+    /// A fault plan or a link-delay delta names a link absent from the
+    /// host.
     MissingLink {
         /// Claimed link source.
         from: NodeId,
@@ -215,25 +214,6 @@ pub enum RunError {
     Cancelled {
         /// Events dispatched when the cancellation was observed.
         at: u64,
-    },
-    /// The run asks for a feature this executor cannot time. Raised by
-    /// three preconditions, each called before its executor runs so a
-    /// hand-built plan fails cleanly instead of being mis-timed:
-    /// [`check_traced`] (engine `"event (traced)"`: memory budgets and
-    /// non-uniform task graphs, which the stall tracer cannot attribute),
-    /// [`check_stepped`] (engine `"stepped"`: multicast and jitter, which
-    /// the oracle does not implement) and
-    /// [`ExecPlan::lockstep_makespan`] (engine `"lockstep"`, for a plan
-    /// its closed form cannot time).
-    ///
-    /// [`check_traced`]: crate::trace::check_traced
-    /// [`check_stepped`]: crate::stepped::check_stepped
-    /// [`ExecPlan::lockstep_makespan`]: crate::plan::ExecPlan::lockstep_makespan
-    UnsupportedFeature {
-        /// Engine that rejected the plan.
-        engine: &'static str,
-        /// The unsupported plan feature.
-        feature: &'static str,
     },
 }
 
@@ -276,9 +256,6 @@ impl std::fmt::Display for RunError {
             }
             RunError::Cancelled { at } => {
                 write!(f, "run cancelled after {at} dispatch units")
-            }
-            RunError::UnsupportedFeature { engine, feature } => {
-                write!(f, "the {engine} engine does not support {feature}")
             }
         }
     }
@@ -606,14 +583,14 @@ impl MemLru {
 }
 
 /// Sum LRU counters over processors into the run's [`MemStats`].
-pub(crate) fn mem_stats_of(lrus: Option<&[MemLru]>) -> crate::stats::MemStats {
+pub(crate) fn mem_stats_of<'a>(
+    lrus: impl IntoIterator<Item = &'a MemLru>,
+) -> crate::stats::MemStats {
     let mut out = crate::stats::MemStats::default();
-    if let Some(ms) = lrus {
-        for m in ms {
-            out.evictions += m.evictions;
-            out.reloads += m.reloads;
-            out.reload_ticks += m.reload_ticks;
-        }
+    for m in lrus {
+        out.evictions += m.evictions;
+        out.reloads += m.reloads;
+        out.reload_ticks += m.reload_ticks;
     }
     out
 }
@@ -802,10 +779,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Execute the simulation recording the completion tick of every
-    /// pebble on every surviving copy (`RunOutcome::timing`). Accepts
-    /// every plan [`run`] does, memory budgets and non-uniform task
-    /// graphs included; the event schedule — and therefore every other
-    /// field of the outcome — is identical to an untimed [`run`].
+    /// pebble on every surviving copy (`RunOutcome::timing`). The event
+    /// schedule — and therefore every other field of the outcome — is
+    /// identical to an untimed [`run`].
     ///
     /// [`run`]: Engine::run
     pub fn run_timed(&self) -> Result<RunOutcome, RunError> {
@@ -818,20 +794,17 @@ impl<'a> Engine<'a> {
 
     /// Execute the simulation with stall attribution: every tick of every
     /// copy's lifetime is attributed to compute / dependency / bandwidth /
-    /// db-order / fault / drain (see [`crate::trace`]). The outcome's
-    /// `stats.stalls` and `trace` are populated, and `timing` too (the
-    /// tracer keeps the completion ticks anyway, as [`run_timed`] does);
-    /// the event schedule — and therefore every other stat — is identical
-    /// to an untraced [`run`].
-    /// Plans the tracer cannot account for fail with
-    /// [`RunError::UnsupportedFeature`] ([`check_traced`]).
+    /// db-order / fault / memory reload / drain (see [`crate::trace`]).
+    /// The outcome's `stats.stalls` and `trace` are populated, and
+    /// `timing` too (the tracer keeps the completion ticks anyway, as
+    /// [`run_timed`] does); the event schedule — and therefore every other
+    /// stat — is identical to an untraced [`run`]. Accepts every plan
+    /// [`run`] does.
     ///
     /// [`run`]: Engine::run
     /// [`run_timed`]: Engine::run_timed
-    /// [`check_traced`]: crate::trace::check_traced
     pub fn run_traced(&self) -> Result<RunOutcome, RunError> {
         let plan = self.plan()?;
-        check_traced(plan.guest(), &plan.config)?;
         let hot: &Hot = &plan.hot;
         let cid_of = |proc: NodeId, cell: u32| -> u32 {
             let p = proc as usize;
@@ -1107,43 +1080,41 @@ impl<'a> Engine<'a> {
                 .map(|pt| MemLru::new(pt.cells.len(), m.budget, m.reload_cost))
                 .collect()
         });
-        // Ticks to compute held cell `j` of processor `p` starting now:
-        // processor speed × task cost, plus the memory-budget reload
-        // penalty (which also advances the LRU — call once per start).
-        macro_rules! compute_dur {
-            ($p:expr, $j:expr, $st:expr) => {{
-                let jj = $j as usize;
-                let mut d = cost_of($p);
-                if has_task_costs {
-                    d *= plan
-                        .guest
-                        .task_cost(hot.procs[$p].cells[jj], $st.next_step[jj])
-                        as u64;
+        // An idle processor `p` starts its lowest ready pebble at `tick`:
+        // the memory-budget reload (which advances the LRU, so once per
+        // start), then processor speed × task cost.
+        macro_rules! start_next {
+            ($p:expr, $tick:expr) => {{
+                let p: usize = $p;
+                let st = &mut state[p];
+                if !st.busy {
+                    if let Some(Reverse((s, j))) = st.ready.pop() {
+                        st.busy = true;
+                        let mut d = cost_of(p);
+                        if has_task_costs {
+                            d *= plan.guest.task_cost(hot.procs[p].cells[j as usize], s) as u64;
+                        }
+                        let reload = mem.as_mut().map_or(0, |ms| ms[p].touch(j as usize));
+                        tracer.on_start(p as NodeId, j, s, $tick, reload);
+                        sched!(
+                            $tick + reload + d,
+                            Ev::ComputeDone {
+                                proc: p as NodeId,
+                                own_idx: j,
+                            }
+                        );
+                    }
                 }
-                if let Some(ms) = mem.as_mut() {
-                    d += ms[$p].touch(jj);
-                }
-                d
             }};
         }
 
         // Seed: enqueue every initially-ready pebble and start processors.
-        for (p, (pt, st)) in hot.procs.iter().zip(state.iter_mut()).enumerate() {
+        for (p, pt) in hot.procs.iter().enumerate() {
             for i in 0..pt.cells.len() {
+                let st = &mut state[p];
                 try_enqueue(pt, st, i, steps, p as NodeId, 0, ReadyCause::Local, tracer);
             }
-            if let Some(Reverse((_s, i))) = st.ready.pop() {
-                st.busy = true;
-                tracer.on_start(p as NodeId, i, _s, 0);
-                let d = compute_dur!(p, i, st);
-                sched!(
-                    d,
-                    Ev::ComputeDone {
-                        proc: p as NodeId,
-                        own_idx: i,
-                    }
-                );
-            }
+            start_next!(p, 0);
         }
 
         let mut deps_buf: Vec<PebbleValue> = Vec::with_capacity(plan.guest.max_deps());
@@ -1262,15 +1233,8 @@ impl<'a> Engine<'a> {
                             let j = pt.own_dependents[idx] as usize;
                             try_enqueue(pt, st, j, steps, proc, tick, ReadyCause::Local, tracer);
                         }
-                        if !st.busy {
-                            if let Some(Reverse((_s, j))) = st.ready.pop() {
-                                st.busy = true;
-                                tracer.on_start(proc, j, _s, tick);
-                                let d = compute_dur!(p, j, st);
-                                sched!(tick + d, Ev::ComputeDone { proc, own_idx: j });
-                            }
-                        }
                     }
+                    start_next!(p, tick);
                 }
                 Ev::Arrival {
                     sub,
@@ -1299,11 +1263,9 @@ impl<'a> Engine<'a> {
                     } else if !(frt.is_some() && crashed[dest]) {
                         // Delivery at the consumer.
                         let p = dest;
-                        let pt = &hot.procs[p];
-                        let st = &mut state[p];
                         deliver(
-                            pt,
-                            st,
+                            &hot.procs[p],
+                            &mut state[p],
                             dep,
                             step,
                             value,
@@ -1314,20 +1276,7 @@ impl<'a> Engine<'a> {
                             MsgKey::Sub { sub, step },
                             tracer,
                         );
-                        if !st.busy {
-                            if let Some(Reverse((_s2, j))) = st.ready.pop() {
-                                st.busy = true;
-                                tracer.on_start(p as NodeId, j, _s2, tick);
-                                let d = compute_dur!(p, j, st);
-                                sched!(
-                                    tick + d,
-                                    Ev::ComputeDone {
-                                        proc: p as NodeId,
-                                        own_idx: j,
-                                    }
-                                );
-                            }
-                        }
+                        start_next!(p, tick);
                     }
                 }
                 Ev::TreeHop {
@@ -1351,11 +1300,9 @@ impl<'a> Engine<'a> {
                     if kdep != u32::MAX {
                         let p = t.nodes[node as usize] as usize;
                         if !(frt.is_some() && crashed[p]) {
-                            let pt = &hot.procs[p];
-                            let st = &mut state[p];
                             deliver(
-                                pt,
-                                st,
+                                &hot.procs[p],
+                                &mut state[p],
                                 kdep as usize,
                                 step,
                                 value,
@@ -1366,20 +1313,7 @@ impl<'a> Engine<'a> {
                                 MsgKey::Tree { tree, step },
                                 tracer,
                             );
-                            if !st.busy {
-                                if let Some(Reverse((_s2, j))) = st.ready.pop() {
-                                    st.busy = true;
-                                    tracer.on_start(p as NodeId, j, _s2, tick);
-                                    let d = compute_dur!(p, j, st);
-                                    sched!(
-                                        tick + d,
-                                        Ev::ComputeDone {
-                                            proc: p as NodeId,
-                                            own_idx: j,
-                                        }
-                                    );
-                                }
-                            }
+                            start_next!(p, tick);
                         }
                     }
                 }
@@ -1435,69 +1369,14 @@ impl<'a> Engine<'a> {
                     // was serving re-subscribes to the nearest surviving
                     // holder of the same database (the paper's redundancy,
                     // exploited for recovery).
-                    let mut orphans: Vec<(u32, NodeId, u32)> = Vec::new();
-                    match routing {
-                        Routes::Unicast(rt) => {
-                            for (sid, sub) in rt.subs.iter().enumerate() {
-                                if sub.source == proc && !crashed[sub.dest as usize] {
-                                    orphans.push((sub.cell, sub.dest, hot.sub_dest_dep[sid]));
-                                }
-                            }
-                        }
-                        Routes::Multicast(mt) => {
-                            for (tid, t) in mt.trees.iter().enumerate() {
-                                if t.source != proc {
-                                    continue;
-                                }
-                                for (v, &del) in t.deliver.iter().enumerate() {
-                                    if del && !crashed[t.nodes[v] as usize] {
-                                        orphans.push((
-                                            t.cell,
-                                            t.nodes[v],
-                                            hot.tree_deliver_dep[tid][v],
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for ds in &dyn_subs {
-                        if ds.source == proc && !crashed[ds.dest as usize] {
-                            orphans.push((ds.cell, ds.dest, ds.dest_dep));
-                        }
-                    }
-
+                    let orphans = orphans_of(routing, hot, &dyn_subs, proc, &crashed);
                     if !orphans.is_empty() && dyn_out.is_empty() {
                         dyn_out = vec![Vec::new(); *hot.copy_off.last().unwrap() as usize];
                     }
-                    // One Dijkstra per distinct consumer (consumer-rooted:
-                    // the host is undirected, so the reversed path serves
-                    // holder → consumer).
-                    let mut sp_cache: HashMap<NodeId, overlap_net::paths::PathResult> =
-                        HashMap::new();
+                    let mut sp_cache = HashMap::new();
                     for (cell, dest, dest_dep) in orphans {
-                        let sp = sp_cache
-                            .entry(dest)
-                            .or_insert_with(|| dijkstra(&plan.host, dest));
-                        let best = plan
-                            .assign
-                            .holders(cell)
-                            .iter()
-                            .copied()
-                            .filter(|&q| !crashed[q as usize])
-                            .min_by_key(|&q| (sp.dist[q as usize], q))
-                            .expect("surviving holder checked above");
-                        let Some(mut path) = sp.path_to(best) else {
-                            return Err(RunError::NoRouteToHolder {
-                                cell,
-                                holder: best,
-                                consumer: dest,
-                                tick,
-                            });
-                        };
-                        path.reverse();
-                        let links: Vec<u32> =
-                            path.windows(2).map(|w| f.link_ids[&(w[0], w[1])]).collect();
+                        let (best, links) =
+                            reroute(plan, f, &crashed, &mut sp_cache, cell, dest, tick)?;
                         let nhops = links.len() as u64;
                         let src_pt = &hot.procs[best as usize];
                         let pos = src_pt
@@ -1576,6 +1455,7 @@ impl<'a> Engine<'a> {
                 });
             }
         }
+        let (busiest_link_pebbles, mean_link_pebbles) = link_pebbles(&link_traffic);
         let stats = RunStats {
             guest_cells: plan.guest.num_cells(),
             guest_steps: steps,
@@ -1595,21 +1475,14 @@ impl<'a> Engine<'a> {
             pebble_hops,
             subscriptions: routing.num_subscriptions(),
             bandwidth_per_link: bw as u32,
-            busiest_link_pebbles: link_traffic.iter().copied().max().unwrap_or(0),
-            mean_link_pebbles: {
-                let active: Vec<u64> = link_traffic.iter().copied().filter(|&t| t > 0).collect();
-                if active.is_empty() {
-                    0.0
-                } else {
-                    active.iter().sum::<u64>() as f64 / active.len() as f64
-                }
-            },
+            busiest_link_pebbles,
+            mean_link_pebbles,
             events_processed,
             peak_queue_depth: peak_queue as u64,
             queue_clamped_pushes: queue.clamped(),
             faults: fstats,
             stalls: None,
-            mem: mem_stats_of(mem.as_deref()),
+            mem: mem_stats_of(mem.iter().flatten()),
         };
         Ok(RunOutcome {
             stats,
@@ -1618,6 +1491,100 @@ impl<'a> Engine<'a> {
             trace: None,
         })
     }
+}
+
+/// `RunStats::{busiest_link_pebbles, mean_link_pebbles}` from per-link
+/// injection counts: the most any directed link carried, and the mean
+/// over the links that carried any (0 when none did).
+pub(crate) fn link_pebbles(traffic: &[u64]) -> (u64, f64) {
+    let (sum, used) = traffic
+        .iter()
+        .filter(|&&t| t > 0)
+        .fold((0u64, 0u64), |(s, n), &t| (s + t, n + 1));
+    let mean = if used == 0 {
+        0.0
+    } else {
+        sum as f64 / used as f64
+    };
+    (traffic.iter().copied().max().unwrap_or(0), mean)
+}
+
+/// The consumers a crash of `proc` orphans, as `(cell, consumer, its
+/// dependency slot)`: every live destination of a route `proc` sources —
+/// a unicast subscription, a multicast tree delivery, or a
+/// re-subscription made after an earlier crash.
+pub(crate) fn orphans_of(
+    routes: &Routes,
+    hot: &Hot,
+    dyn_subs: &[DynSub],
+    proc: NodeId,
+    crashed: &[bool],
+) -> Vec<(u32, NodeId, u32)> {
+    let mut orphans = Vec::new();
+    match routes {
+        Routes::Unicast(rt) => {
+            for (sid, sub) in rt.subs.iter().enumerate() {
+                if sub.source == proc && !crashed[sub.dest as usize] {
+                    orphans.push((sub.cell, sub.dest, hot.sub_dest_dep[sid]));
+                }
+            }
+        }
+        Routes::Multicast(mt) => {
+            for (tid, t) in mt.trees.iter().enumerate() {
+                for (v, &del) in t.deliver.iter().enumerate() {
+                    if t.source == proc && del && !crashed[t.nodes[v] as usize] {
+                        orphans.push((t.cell, t.nodes[v], hot.tree_deliver_dep[tid][v]));
+                    }
+                }
+            }
+        }
+    }
+    for ds in dyn_subs {
+        if ds.source == proc && !crashed[ds.dest as usize] {
+            orphans.push((ds.cell, ds.dest, ds.dest_dep));
+        }
+    }
+    orphans
+}
+
+/// Re-subscribe orphaned consumer `dest` of column `cell` after a crash at
+/// `tick`: its nearest surviving holder, and the directed link ids of the
+/// shortest path from it. `sp_cache` keeps one Dijkstra per consumer
+/// (consumer-rooted: the host is undirected, so the reversed path serves
+/// holder → consumer).
+pub(crate) fn reroute(
+    plan: &ExecPlan,
+    f: &FaultRt,
+    crashed: &[bool],
+    sp_cache: &mut HashMap<NodeId, PathResult>,
+    cell: u32,
+    dest: NodeId,
+    tick: u64,
+) -> Result<(NodeId, Vec<u32>), RunError> {
+    let sp = sp_cache
+        .entry(dest)
+        .or_insert_with(|| dijkstra(&plan.host, dest));
+    let best = plan
+        .assign
+        .holders(cell)
+        .iter()
+        .copied()
+        .filter(|&q| !crashed[q as usize])
+        .min_by_key(|&q| (sp.dist[q as usize], q))
+        .expect("surviving holder checked above");
+    let Some(mut path) = sp.path_to(best) else {
+        return Err(RunError::NoRouteToHolder {
+            cell,
+            holder: best,
+            consumer: dest,
+            tick,
+        });
+    };
+    path.reverse();
+    Ok((
+        best,
+        path.windows(2).map(|w| f.link_ids[&(w[0], w[1])]).collect(),
+    ))
 }
 
 /// Reserve an injection slot on a directed link: at most `bw` injections

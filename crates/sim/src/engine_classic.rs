@@ -101,6 +101,12 @@ impl Routes {
 /// [`crate::engine::Engine::run`] with the same `config` and `costs` —
 /// or to [`crate::engine::Engine::run_timed`] when `timing` is set, which
 /// records every pebble's completion tick (`RunOutcome::timing`).
+///
+/// # Panics
+///
+/// The seed engine predates task graphs and memory budgets: it panics on
+/// a task-graph guest or a `config.mem` budget, and on a cost table that
+/// does not cover the host with costs ≥ 1.
 pub fn run_classic(
     guest: &GuestSpec,
     host: &HostGraph,
@@ -113,18 +119,11 @@ pub fn run_classic(
     if !uncovered.is_empty() {
         return Err(RunError::IncompleteAssignment(uncovered));
     }
-    if guest.graph.is_some() {
-        return Err(RunError::UnsupportedFeature {
-            engine: "classic (frozen seed)",
-            feature: "task-graph guests",
-        });
-    }
-    if config.mem.is_some() {
-        return Err(RunError::UnsupportedFeature {
-            engine: "classic (frozen seed)",
-            feature: "memory budget",
-        });
-    }
+    assert!(guest.graph.is_none(), "the classic engine runs grid guests");
+    assert!(
+        config.mem.is_none(),
+        "the classic engine has no memory budget"
+    );
     if let Some(c) = costs {
         assert_eq!(c.len() as u32, host.num_nodes());
         assert!(c.iter().all(|&c| c >= 1), "costs must be ≥ 1");

@@ -51,6 +51,7 @@ use std::collections::HashMap;
 
 /// A link unavailable for `[from, until)` (both directions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct LinkOutage {
     /// One endpoint of the host link.
     pub a: NodeId,
@@ -65,6 +66,7 @@ pub struct LinkOutage {
 /// A transient delay spike: transfers injected in `[from, until)` take
 /// `factor ×` their base delay (both directions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DelaySpike {
     /// One endpoint of the host link.
     pub a: NodeId,
@@ -80,6 +82,7 @@ pub struct DelaySpike {
 
 /// A permanent processor crash at tick `at`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ProcCrash {
     /// The dying processor.
     pub proc: NodeId,
@@ -92,6 +95,7 @@ pub struct ProcCrash {
 /// before re-injecting; after `max_attempts` failures the run aborts with
 /// `RunError::RetriesExhausted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RetryPolicy {
     /// First backoff in ticks.
     pub base: u64,
@@ -143,6 +147,7 @@ impl RetryPolicy {
 /// assert!(FaultPlan::new().is_empty());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultPlan {
     /// Link outage intervals.
     pub outages: Vec<LinkOutage>,

@@ -9,14 +9,16 @@
 //!
 //! 1. [`gen_spec`] samples an arbitrary [`ScenarioSpec`] (guest topology
 //!    and program, host graph and delay model, assignment shape, compute
-//!    costs, multicast, fault schedule) from a seeded deterministic PRNG;
+//!    costs, multicast, memory budget, link bandwidth, jitter, fault
+//!    schedule) from a seeded deterministic PRNG;
 //! 2. [`check_spec`] lowers the scenario **once** into an
-//!    [`ExecPlan`] and drives every engine the
-//!    scenario is legal for through it, auditing the invariant catalogue
+//!    [`ExecPlan`] and drives every engine through it (the frozen
+//!    classic engine where it applies), auditing the invariant catalogue
 //!    below;
 //! 3. on a failure, [`shrink`] greedily simplifies the spec (drop faults,
-//!    clear costs, flatten delays, halve the guest/host) while the
-//!    failure persists, re-checking each candidate from scratch through
+//!    clear costs, reset bandwidth and jitter, flatten delays, halve the
+//!    guest/host) while the failure persists, re-checking each candidate
+//!    from scratch through
 //!    [`check_spec`]. A spec is plain serde data, so the minimal scenario
 //!    is pinned as a JSON file under `tests/fuzz_repros/`, which
 //!    `tests/fuzz_regressions.rs` replays through [`check_spec`].
@@ -25,8 +27,10 @@
 //!
 //! * **State agreement** — every engine's surviving copies match the
 //!   reference trace ([`validate_run`]); event and stepped agree on
-//!   `(value_fold, db_digest, update_fold)` per `(cell, proc)`. Stepped
-//!   runs wherever its preconditions hold ([`check_stepped`]).
+//!   `(value_fold, db_digest, update_fold)` per `(cell, proc)` on every
+//!   case, and on fault-free runs on `messages` (and, for unicast routes,
+//!   on `pebble_hops`). Link-pebble counters and multicast hop counts are
+//!   not compared: each engine stops forwarding at its own makespan.
 //! * **Time agreement** — where the frozen classic engine applies (grid
 //!   guests without faults or a memory budget), its timed run
 //!   ([`run_classic`]) equals the timed event run on the whole
@@ -34,10 +38,10 @@
 //! * **Plan reuse, timing is free** — an untimed rerun off the same
 //!   `ExecPlan` is bit-identical to the timed event run once its
 //!   completion ticks are stripped (`RunOutcome` equality).
-//! * **Tracing is free** — wherever the tracer applies
-//!   ([`check_traced`]), a traced run equals the timed run once the
-//!   stall report is stripped, and its stall breakdown conserves ticks:
-//!   `totals.total() == makespan × surviving copies`.
+//! * **Tracing is free** — on every case, a traced run equals the timed
+//!   run once the stall report is stripped, and its stall breakdown
+//!   conserves ticks per copy (`total() == makespan`) and in total; on
+//!   crash-free runs it books exactly the run's memory-reload ticks.
 //! * **Causality** — on every event run ([`Engine::run_timed`]), per-copy
 //!   completion ticks strictly increase and row `t` never completes
 //!   before row `t-1` ([`audit_causality`]).
@@ -50,13 +54,14 @@
 //!   wherever its closed form applies).
 
 use crate::assignment::Assignment;
-use crate::engine::{Engine, EngineConfig, MemBudget, RunError, RunOutcome};
+use crate::bandwidth::BandwidthMode;
+use crate::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
 use crate::engine_classic::run_classic;
 use crate::faults::FaultPlan;
 use crate::plan::ExecPlan;
 use crate::stats::FaultStats;
-use crate::stepped::{check_stepped, run_stepped};
-use crate::trace::check_traced;
+use crate::stepped::run_stepped;
+use crate::trace::StallBreakdown;
 use crate::validate::{audit_causality, validate_run};
 use overlap_model::{GuestSpec, ProgramKind, ReferenceRun, TaskGraph};
 use overlap_net::topology;
@@ -234,6 +239,12 @@ pub struct ScenarioSpec {
     pub mem: Option<MemBudget>,
     /// Scheduled faults (empty: a fault-free run).
     pub faults: FaultPlan,
+    /// Link bandwidth (absent from specs saved before it was drawn).
+    #[serde(default)]
+    pub bandwidth: BandwidthMode,
+    /// Link-delay jitter (absent from specs saved before it was drawn).
+    #[serde(default)]
+    pub jitter: Jitter,
 }
 
 impl ScenarioSpec {
@@ -388,19 +399,40 @@ pub fn gen_spec(seed: u64, case: u64) -> ScenarioSpec {
         }
     }
 
+    let (program, guest_seed) = (ProgramKind::arbitrary(rng.next()), rng.below(1 << 20));
+    let (delays, host_seed) = (DelayModel::arbitrary(rng.next()), rng.below(1 << 20));
+
+    // Bandwidth and jitter come from a stream of their own, so every
+    // field above is what it was before they were drawn.
+    let mut rng = Rng::new(seed ^ case.wrapping_mul(0x8ebc6af09c88c6e3));
+    let bandwidth = match rng.below(6) {
+        0..=2 => BandwidthMode::LogN,
+        k => BandwidthMode::Fixed(k as u32 - 2),
+    };
+    let jitter = if rng.chance(1, 4) {
+        Jitter::Periodic {
+            amplitude_pct: rng.range(10, 90) as u8,
+            period: rng.range(1, 16) as u32,
+        }
+    } else {
+        Jitter::None
+    };
+
     ScenarioSpec {
         guest,
-        program: ProgramKind::arbitrary(rng.next()),
+        program,
         steps,
-        guest_seed: rng.below(1 << 20),
+        guest_seed,
         host,
-        delays: DelayModel::arbitrary(rng.next()),
-        host_seed: rng.below(1 << 20),
+        delays,
+        host_seed,
         assign,
         costs,
         multicast,
         mem,
         faults,
+        bandwidth,
+        jitter,
     }
 }
 
@@ -605,10 +637,20 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
     let host = spec.build_host();
     let assign = spec.build_assignment();
     let config = EngineConfig {
+        bandwidth: spec.bandwidth,
         multicast: spec.multicast,
+        jitter: spec.jitter,
         mem: spec.mem,
         ..EngineConfig::default()
     };
+    // A hand-edited repro may carry a cost table for another host.
+    let fits = |c: &Vec<u32>| c.len() == host.num_nodes() as usize && !c.contains(&0);
+    if let Some(costs) = spec.costs.as_ref().filter(|c| !fits(c)) {
+        let procs = host.num_nodes();
+        return Err(format!(
+            "cost table {costs:?} does not fit the {procs}-processor host"
+        ));
+    }
 
     // One lowering feeds everything below.
     let mut plan = match ExecPlan::build(&guest, &host, &assign, config) {
@@ -670,66 +712,75 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
     }
 
     // Traced run: identical to the timed run modulo the stall report,
-    // which must conserve every tick of every surviving copy.
-    if check_traced(&guest, &plan.config).is_ok() {
-        match Engine::from_plan(&plan).run_traced() {
-            Ok(traced) => {
-                let report = traced.trace.clone().expect("tracing was enabled");
-                if report.totals.total() != traced.stats.makespan * traced.copies.len() as u64 {
-                    problems.push(format!(
-                        "stall conservation broken: totals {} != makespan {} × copies {}",
-                        report.totals.total(),
-                        traced.stats.makespan,
-                        traced.copies.len()
-                    ));
-                }
-                for (i, b) in report.per_copy.iter().enumerate() {
-                    if b.total() != traced.stats.makespan {
-                        problems.push(format!(
-                            "copy {i} stall breakdown leaks ticks: {} != makespan {}",
-                            b.total(),
-                            traced.stats.makespan
-                        ));
-                        break;
-                    }
-                }
-                let mut stripped = traced;
-                stripped.trace = None;
-                stripped.stats.stalls = None;
-                if stripped != ev {
-                    problems.push("traced run differs from timed run".into());
-                }
+    // which must conserve every tick of every surviving copy and, when
+    // no crash dropped a copy, book every reload tick.
+    match Engine::from_plan(&plan).run_traced() {
+        Ok(traced) => {
+            let report = traced.trace.clone().expect("tracing was enabled");
+            if report.totals.total() != traced.stats.makespan * traced.copies.len() as u64 {
+                problems.push(format!(
+                    "stall conservation broken: totals {} != makespan {} × copies {}",
+                    report.totals.total(),
+                    traced.stats.makespan,
+                    traced.copies.len()
+                ));
             }
-            Err(e) => problems.push(format!("traced event run failed: {e}")),
+            let leaks = |(_, b): &(usize, &StallBreakdown)| b.total() != traced.stats.makespan;
+            if let Some((i, b)) = report.per_copy.iter().enumerate().find(leaks) {
+                problems.push(format!(
+                    "copy {i} stall breakdown leaks ticks: {} != makespan {}",
+                    b.total(),
+                    traced.stats.makespan
+                ));
+            }
+            let reloads = traced.stats.mem.reload_ticks;
+            if spec.faults.crashes.is_empty() && report.totals.stall_mem_reload != reloads {
+                problems.push(format!(
+                    "traced reload ticks {} != the run's {reloads}",
+                    report.totals.stall_mem_reload
+                ));
+            }
+            let mut stripped = traced;
+            stripped.trace = None;
+            stripped.stats.stalls = None;
+            if stripped != ev {
+                problems.push("traced run differs from timed run".into());
+            }
         }
+        Err(e) => problems.push(format!("traced event run failed: {e}")),
     }
 
-    if check_stepped(&plan).is_ok() {
-        match run_stepped(&plan) {
-            Ok(st) => {
-                for err in validate_run(&reference, &st) {
-                    problems.push(format!("stepped vs reference: {err:?}"));
-                }
-                audit_outcome("stepped", spec, &guest, &assign, &st, &mut problems);
-                audit_same_state("event vs stepped", &ev, &st, &mut problems);
-                if spec.faults.is_empty() && ev.stats.messages != st.stats.messages {
-                    problems.push(format!(
-                        "messages differ: event {} vs stepped {}",
-                        ev.stats.messages, st.stats.messages
-                    ));
-                }
+    match run_stepped(&plan) {
+        Ok(st) => {
+            for err in validate_run(&reference, &st) {
+                problems.push(format!("stepped vs reference: {err:?}"));
             }
-            Err(e) => problems.push(format!("stepped engine failed: {e}")),
+            audit_outcome("stepped", spec, &guest, &assign, &st, &mut problems);
+            audit_same_state("event vs stepped", &ev, &st, &mut problems);
+            let (e, s) = (&ev.stats, &st.stats);
+            if spec.faults.is_empty() && e.messages != s.messages {
+                problems.push(format!(
+                    "messages differ: event {} vs stepped {}",
+                    e.messages, s.messages
+                ));
+            }
+            if spec.faults.is_empty() && !spec.multicast && e.pebble_hops != s.pebble_hops {
+                problems.push(format!(
+                    "pebble hops differ: event {} vs stepped {}",
+                    e.pebble_hops, s.pebble_hops
+                ));
+            }
         }
+        Err(e) => problems.push(format!("stepped engine failed: {e}")),
     }
 
-    match plan.lockstep_makespan() {
-        Ok(bound) if ev.stats.makespan > bound => problems.push(format!(
-            "greedy event makespan {} lost to lockstep bound {bound}",
-            ev.stats.makespan
-        )),
-        Ok(_) | Err(RunError::UnsupportedFeature { .. }) => {}
-        Err(e) => problems.push(format!("lockstep baseline failed: {e}")),
+    if let Some(bound) = plan.lockstep_makespan() {
+        if ev.stats.makespan > bound {
+            problems.push(format!(
+                "greedy event makespan {} lost to lockstep bound {bound}",
+                ev.stats.makespan
+            ));
+        }
     }
 
     if problems.is_empty() {
@@ -790,6 +841,18 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
     if spec.mem.is_some() {
         push(ScenarioSpec {
             mem: None,
+            ..spec.clone()
+        });
+    }
+    if spec.bandwidth != BandwidthMode::LogN {
+        push(ScenarioSpec {
+            bandwidth: BandwidthMode::LogN,
+            ..spec.clone()
+        });
+    }
+    if spec.jitter != Jitter::None {
+        push(ScenarioSpec {
+            jitter: Jitter::None,
             ..spec.clone()
         });
     }
@@ -869,13 +932,16 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
             });
         }
     }
-    if spec.guest != GuestKind::Line(4) {
+    // A line of 4 stands in for any larger guest; offered to a smaller
+    // one it would undo the halving above, and the shrinker would cycle.
+    if spec.guest.num_cells() > 4 {
         push(ScenarioSpec {
             guest: GuestKind::Line(4),
             ..spec.clone()
         });
     }
-    // Smaller host: link faults may name vanished links, so drop faults.
+    // Smaller host: link faults may name vanished links, so drop faults,
+    // and the cost table shrinks with the host.
     let smaller_host = match spec.host {
         HostKind::Line(n) if n > 2 => Some(HostKind::Line((n / 2).max(2))),
         HostKind::Ring(n) if n > 3 => Some(HostKind::Ring((n / 2).max(3))),
@@ -886,6 +952,13 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
         push(ScenarioSpec {
             host: h,
             faults: FaultPlan::new(),
+            costs: spec.costs.as_ref().map(|c| {
+                c.iter()
+                    .copied()
+                    .cycle()
+                    .take(h.num_procs() as usize)
+                    .collect()
+            }),
             ..spec.clone()
         });
     }
@@ -1078,6 +1151,11 @@ mod tests {
             multicast: false,
             mem: None,
             faults: FaultPlan::new().link_down(0, 3, 0, 10),
+            bandwidth: BandwidthMode::Fixed(1),
+            jitter: Jitter::Periodic {
+                amplitude_pct: 50,
+                period: 3,
+            },
         };
         assert!(check_spec(&spec).is_err());
         let (min, detail) = shrink(&spec);
@@ -1086,6 +1164,10 @@ mod tests {
         assert_eq!(min.faults, spec.faults, "the fault is the failure");
         assert!(min.costs.is_none(), "costs must shrink away");
         assert_eq!(min.steps, 1, "steps must shrink away");
+        assert_eq!(min.bandwidth, BandwidthMode::LogN, "bandwidth resets");
+        assert_eq!(min.jitter, Jitter::None, "jitter resets");
+        // A fixpoint, not the round cap: no candidate still fails.
+        assert!(candidates(&min).iter().all(|c| check_spec(c).is_ok()));
 
         // The saved repro is the spec's JSON line: it parses back to a
         // spec that fails with the same detail.
@@ -1093,5 +1175,48 @@ mod tests {
         let back: ScenarioSpec = serde_json::from_str(&line).expect("repro parses");
         assert_eq!(back, min);
         assert_eq!(check_spec(&back), Err(detail));
+    }
+
+    /// A costed link-outage spec on a 6-node line: every shrink
+    /// candidate's cost table fits its host, so checking one never panics,
+    /// and the `Line(4)` fallback is not offered to the halved `Line(2)`
+    /// guest, so the shrinker stops at a fixpoint instead of swapping the
+    /// two until its round cap.
+    #[test]
+    fn costed_specs_shrink_to_a_fixpoint_without_panicking() {
+        let spec = ScenarioSpec {
+            guest: GuestKind::Line(8),
+            program: ProgramKind::KvWorkload,
+            steps: 4,
+            guest_seed: 1,
+            host: HostKind::Line(6),
+            delays: DelayModel::Constant(2),
+            host_seed: 2,
+            assign: AssignKind::Blocked,
+            costs: Some(vec![1, 2, 3, 1, 2, 3]),
+            multicast: false,
+            mem: None,
+            // The 6-node line has no 0–5 link: the failure every
+            // candidate that keeps the fault reproduces.
+            faults: FaultPlan::new().link_down(0, 5, 0, 10),
+            bandwidth: BandwidthMode::LogN,
+            jitter: Jitter::None,
+        };
+        for c in candidates(&spec) {
+            let procs = c.host.num_procs() as usize;
+            assert!(c.costs.as_ref().is_none_or(|t| t.len() == procs), "{c:?}");
+            let _ = check_spec(&c);
+        }
+        let (min, _) = shrink(&spec);
+        assert_eq!(min.guest, GuestKind::Line(2));
+        assert!(candidates(&min).iter().all(|c| check_spec(c).is_ok()));
+        // A table for another host is a failure, not a panic.
+        let misfit = ScenarioSpec {
+            costs: Some(vec![1, 2]),
+            faults: FaultPlan::new(),
+            ..spec
+        };
+        let err = check_spec(&misfit).unwrap_err();
+        assert!(err.contains("does not fit the 6-processor host"), "{err}");
     }
 }

@@ -19,107 +19,79 @@
 //! needs executing: every copy receives every dependency each round, so
 //! the state is the unit-delay reference's by construction, and
 //! [`ExecPlan::lockstep_makespan`] returns only the time, from the plan's
-//! own routing table.
+//! own interned routes.
 
-use crate::assignment::Assignment;
-use crate::bandwidth::BandwidthMode;
-use crate::engine::{Jitter, RunError};
+use crate::engine::Jitter;
 use crate::plan::ExecPlan;
-use crate::routing::RoutingTable;
-use overlap_net::{HostGraph, NodeId};
-use std::collections::HashMap;
-
-/// The exact cost of one lockstep round: slowest processor's compute plus
-/// the slowest route's latency with per-link queueing (each subscription
-/// injects one pebble per round; links serve `bw` per tick).
-///
-/// Fails with [`RunError::MissingLink`] when a route references a host
-/// link that does not exist (a malformed routing table — previously a
-/// panic).
-pub fn round_cost(
-    host: &HostGraph,
-    assign: &Assignment,
-    routing: &RoutingTable,
-    bandwidth: BandwidthMode,
-) -> Result<u64, RunError> {
-    let compute = assign.load() as u64;
-    let bw = bandwidth.per_tick(host.num_nodes()) as u64;
-    // Pebbles per directed link per round.
-    let mut per_link: HashMap<(NodeId, NodeId), u64> = HashMap::new();
-    for sub in &routing.subs {
-        for w in sub.path.windows(2) {
-            *per_link.entry((w[0], w[1])).or_default() += 1;
-        }
-    }
-    let mut worst_route = 0u64;
-    for sub in &routing.subs {
-        let mut t = 0u64;
-        for w in sub.path.windows(2) {
-            let load = per_link[&(w[0], w[1])];
-            let queueing = load.div_ceil(bw) - 1;
-            let delay = host.link_delay(w[0], w[1]).ok_or(RunError::MissingLink {
-                from: w[0],
-                to: w[1],
-            })?;
-            t += delay + queueing;
-        }
-        worst_route = worst_route.max(t);
-    }
-    Ok(compute + worst_route)
-}
 
 impl ExecPlan<'_> {
     /// The paper's §1 baseline on this plan: the makespan of lockstep
     /// rounds, `steps × round_cost`. The closed form assumes fixed delays,
     /// unicast routes, and unit-cost pebbles on always-resident copies, so
-    /// a plan with faults, compute costs, multicast, jitter, a memory
-    /// budget or non-unit task costs fails with
-    /// [`RunError::UnsupportedFeature`] naming the first of them.
-    pub fn lockstep_makespan(&self) -> Result<u64, RunError> {
+    /// it is `None` for a plan with faults, compute costs, multicast,
+    /// jitter, a memory budget or non-unit task costs.
+    pub fn lockstep_makespan(&self) -> Option<u64> {
         let config = &self.config;
-        let rows = [
-            (
-                "fault injection",
-                self.faults.as_ref().is_some_and(|f| !f.is_empty()),
-            ),
-            ("per-processor compute costs", self.compute_costs.is_some()),
-            ("multicast distribution", config.multicast),
-            ("delay jitter", config.jitter != Jitter::None),
-            ("memory budget", config.mem.is_some()),
-            ("non-unit task costs", self.guest.has_nonunit_task_costs()),
-        ];
-        if let Some(&(feature, _)) = rows.iter().find(|&&(_, asked)| asked) {
-            return Err(RunError::UnsupportedFeature {
-                engine: "lockstep",
-                feature,
-            });
+        let untimeable = self.faults.as_ref().is_some_and(|f| !f.is_empty())
+            || self.compute_costs.is_some()
+            || config.multicast
+            || config.jitter != Jitter::None
+            || config.mem.is_some()
+            || self.guest.has_nonunit_task_costs();
+        (!untimeable).then(|| self.round_cost() * self.guest.steps as u64)
+    }
+
+    /// The exact cost of one lockstep round: the slowest processor's
+    /// compute plus the slowest route's latency with per-link queueing
+    /// (each subscription injects one pebble per round; links serve `bw`
+    /// per tick). Routes are priced from the plan's interned link ids.
+    fn round_cost(&self) -> u64 {
+        let hot = &self.hot;
+        let bw = self.config.bandwidth.per_tick(self.host.num_nodes()) as u64;
+        // Pebbles per directed link per round.
+        let mut per_link = vec![0u64; hot.link_delay.len()];
+        for &l in &hot.sub_links {
+            per_link[l as usize] += 1;
         }
-        let routing = self.routing().expect("multicast is rejected above");
-        let cost = round_cost(&self.host, &self.assign, routing, config.bandwidth)?;
-        Ok(cost * self.guest.steps as u64)
+        let worst_route = hot
+            .sub_link_off
+            .windows(2)
+            .map(|r| {
+                hot.sub_links[r[0] as usize..r[1] as usize]
+                    .iter()
+                    .map(|&l| hot.link_delay[l as usize] + per_link[l as usize].div_ceil(bw) - 1)
+                    .sum::<u64>()
+            })
+            .max()
+            .unwrap_or(0);
+        self.assign.load() as u64 + worst_route
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assignment::Assignment;
+    use crate::bandwidth::BandwidthMode;
     use crate::engine::{Engine, EngineConfig, MemBudget};
     use crate::faults::FaultPlan;
     use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
     use overlap_net::topology::linear_array;
-    use overlap_net::DelayModel;
+    use overlap_net::{DelayModel, HostGraph};
 
     fn lockstep(
         guest: &GuestSpec,
         host: &HostGraph,
         assign: &Assignment,
         bandwidth: BandwidthMode,
-    ) -> Result<u64, RunError> {
+    ) -> Option<u64> {
         let cfg = EngineConfig {
             bandwidth,
             ..Default::default()
         };
-        ExecPlan::build(guest, host, assign, cfg)?.lockstep_makespan()
+        ExecPlan::build(guest, host, assign, cfg)
+            .unwrap()
+            .lockstep_makespan()
     }
 
     #[test]
@@ -131,7 +103,7 @@ mod tests {
         // round = load (2) + worst route (one link, 50) = 52.
         assert_eq!(
             lockstep(&guest, &host, &assign, BandwidthMode::LogN),
-            Ok(52 * 6)
+            Some(52 * 6)
         );
     }
 
@@ -176,9 +148,9 @@ mod tests {
     }
 
     /// The closed form cannot time any of these features, so each plan
-    /// is a typed error naming it: never the plain model's number.
+    /// has no baseline: never the plain model's number.
     #[test]
-    fn untimeable_features_are_typed_errors() {
+    fn untimeable_features_have_no_baseline() {
         let weighted = ExecPlan::build_owned(
             GuestSpec::dag(
                 TaskGraph::layered_random(8, 5, 2, 3, 9),
@@ -191,73 +163,37 @@ mod tests {
         )
         .unwrap();
         let plans = [
-            (
-                line_plan(EngineConfig::default())
-                    .with_faults(FaultPlan::new().link_down(1, 2, 5, 40))
-                    .unwrap(),
-                "fault injection",
-            ),
-            (
-                line_plan(EngineConfig::default()).with_compute_costs(vec![1, 9, 1, 1]),
-                "per-processor compute costs",
-            ),
-            (
-                line_plan(EngineConfig {
-                    multicast: true,
-                    ..Default::default()
+            line_plan(EngineConfig::default())
+                .with_faults(FaultPlan::new().link_down(1, 2, 5, 40))
+                .unwrap(),
+            line_plan(EngineConfig::default()).with_compute_costs(vec![1, 9, 1, 1]),
+            line_plan(EngineConfig {
+                multicast: true,
+                ..Default::default()
+            }),
+            line_plan(EngineConfig {
+                jitter: Jitter::Periodic {
+                    amplitude_pct: 90,
+                    period: 2,
+                },
+                ..Default::default()
+            }),
+            line_plan(EngineConfig {
+                mem: Some(MemBudget {
+                    budget: 2,
+                    reload_cost: 1,
                 }),
-                "multicast distribution",
-            ),
-            (
-                line_plan(EngineConfig {
-                    jitter: Jitter::Periodic {
-                        amplitude_pct: 90,
-                        period: 2,
-                    },
-                    ..Default::default()
-                }),
-                "delay jitter",
-            ),
-            (
-                line_plan(EngineConfig {
-                    mem: Some(MemBudget {
-                        budget: 2,
-                        reload_cost: 1,
-                    }),
-                    ..Default::default()
-                }),
-                "memory budget",
-            ),
-            (weighted, "non-unit task costs"),
+                ..Default::default()
+            }),
+            weighted,
         ];
-        for (plan, feature) in plans {
-            assert_eq!(
-                plan.lockstep_makespan(),
-                Err(RunError::UnsupportedFeature {
-                    engine: "lockstep",
-                    feature
-                })
-            );
+        for plan in plans {
+            assert_eq!(plan.lockstep_makespan(), None, "{plan:?}");
         }
         // An empty fault plan is no fault injection.
         let plan = line_plan(EngineConfig::default())
             .with_faults(FaultPlan::new())
             .unwrap();
-        assert!(plan.lockstep_makespan().is_ok());
-    }
-
-    #[test]
-    fn malformed_route_reports_missing_link() {
-        // Build a routing table against one host, then cost it against a
-        // host whose links differ: the route references a missing link.
-        let guest = GuestSpec::array(6, ProgramKind::StencilSum, 0, 2);
-        let chain = linear_array(3, DelayModel::constant(1), 0);
-        let assign = Assignment::blocked(3, 6);
-        let routing = RoutingTable::build(&chain, &guest.topology, &assign);
-        // Same node count, but the 1–2 link the routes rely on is gone.
-        let mut sparse = HostGraph::new("sparse", 3);
-        sparse.add_link(0, 1, 1);
-        let err = round_cost(&sparse, &assign, &routing, BandwidthMode::LogN).unwrap_err();
-        assert!(matches!(err, RunError::MissingLink { .. }), "{err:?}");
+        assert!(plan.lockstep_makespan().is_some());
     }
 }

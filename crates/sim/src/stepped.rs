@@ -31,12 +31,14 @@
 //! DESIGN.md §15 documents the layout and its invariants.
 //!
 //! The engine consumes a lowered [`ExecPlan`] — it builds no routing or
-//! interning tables of its own. Compute costs and fault plans attached to
-//! the plan are honored: link outages time out and retry with exponential
-//! backoff, delay spikes stretch transfers, and crashes forfeit the
-//! processor's work and re-subscribe its consumers to the nearest
-//! surviving copy, mirroring the event engine's graceful degradation.
-//! Multicast and jitter remain event-engine-only ([`check_stepped`]).
+//! interning tables of its own, and it takes every plan the event engine
+//! takes. Unicast routes and multicast trees (forwarded at every tree
+//! node, delivered where the plan's tables say), link jitter, compute
+//! costs, memory budgets and fault plans are all honored: link outages
+//! time out and retry with exponential backoff, delay spikes stretch
+//! transfers, and crashes forfeit the processor's work and re-subscribe
+//! its consumers to the nearest surviving copy, mirroring the event
+//! engine's graceful degradation.
 //!
 //! Both engines execute *legal schedules* of the same model, so they must
 //! agree **exactly** on every computed value, database state and update
@@ -46,21 +48,26 @@
 //! implementations on all state is the workspace's strongest defence
 //! against engine bugs.
 
-use crate::engine::{inject, CopyRecord, DynSub, Jitter, LinkSlot, RunError, RunOutcome};
+use crate::engine::{
+    inject, link_pebbles, mem_stats_of, orphans_of, reroute, CopyRecord, DynSub, LinkSlot,
+    RunError, RunOutcome,
+};
 use crate::faults::FaultRt;
-use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, SUB_BIT};
+use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, Routes, SUB_BIT};
 use crate::stats::{FaultStats, RunStats};
 use overlap_model::{fold64, Db, PebbleValue, ProgramRef};
-use overlap_net::paths::dijkstra;
 use overlap_net::NodeId;
 use std::collections::{BTreeMap, HashMap};
 
-/// One calendar entry: an arrival at route node `hop` (when `resend` is
-/// false) or a retry of the send *into* node `hop` after a link timeout.
+/// One calendar entry: an arrival at node `hop` of a route (when `resend`
+/// is false) or a retry of the send *into* that node after a link
+/// timeout. The route is subscription `route`, `hop` counting its links
+/// from 1, or, when `tree`, multicast tree `route`, `hop` a tree node.
 #[derive(Debug, Clone, Copy)]
 struct Delivery {
-    sub: u32,
-    hop: u16,
+    route: u32,
+    hop: u32,
+    tree: bool,
     step: u32,
     value: PebbleValue,
     attempt: u32,
@@ -273,39 +280,16 @@ impl ProcView<'_> {
     }
 }
 
-/// The stepped oracle's preconditions: fails with
-/// [`RunError::UnsupportedFeature`] (engine `"stepped"`) naming the first
-/// feature, in this order, that it does not implement — multicast
-/// distribution, then delay jitter. [`run_stepped`] calls it before
-/// running; the fuzzer calls it to decide whether the oracle applies.
-pub fn check_stepped(plan: &ExecPlan) -> Result<(), RunError> {
-    let config = plan.config();
-    let feature = if config.multicast {
-        "multicast distribution"
-    } else if config.jitter != Jitter::None {
-        "delay jitter"
-    } else {
-        return Ok(());
-    };
-    Err(RunError::UnsupportedFeature {
-        engine: "stepped",
-        feature,
-    })
-}
-
 /// Run the time-stepped engine over a lowered plan. Produces the same
-/// outcome shape as [`crate::engine::Engine`]; a plan with a feature the
-/// engine cannot time fails with [`RunError::UnsupportedFeature`]
-/// ([`check_stepped`]).
+/// outcome shape as [`crate::engine::Engine`], for every plan it takes.
 pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
-    check_stepped(plan)?;
     let config = plan.config();
     let guest = plan.guest();
     let host = plan.host();
     let assign = plan.assignment();
     // Bound once, so the tick loop never goes through the plan's `Cow`s.
     let hot: &Hot = &plan.hot;
-    let rt = plan.routing().expect("unicast plan");
+    let routes: &Routes = &plan.routes;
     let n = host.num_nodes();
     let steps = guest.steps;
     let stride = steps as usize + 1;
@@ -386,6 +370,7 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
         .collect();
 
     let mut link_slots: Vec<LinkSlot> = vec![LinkSlot::default(); hot.link_delay.len()];
+    let mut link_traffic: Vec<u64> = vec![0; hot.link_delay.len()];
 
     // ---- fault runtime (compiled only for a non-empty plan) ----
     let frt: Option<FaultRt> = match plan.faults() {
@@ -461,55 +446,53 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
         }};
     }
 
-    // Transmit one pebble over the link into route node `hop`, charging
-    // bandwidth at `now`. Under a fault plan: delay spikes stretch the
+    // Transmit one pebble over the link into node `hop` of a route,
+    // charging bandwidth at `now`; the link's delay is jittered at the
+    // departure tick. Under a fault plan: delay spikes stretch the
     // transfer, and one overlapping a down interval is lost — the sender
     // times out at the expected arrival and retries after exponential
     // backoff; failed attempts still consume slots.
     macro_rules! send_hop {
-        ($now:expr, $sid:expr, $hop:expr, $step:expr, $value:expr, $attempt:expr) => {{
-            let lid = sub_link!($sid, $hop) as usize;
-            let depart = inject(&mut link_slots[lid], $now, bw);
-            let base = hot.link_delay[lid];
+        ($now:expr, $tree:expr, $route:expr, $hop:expr, $step:expr, $value:expr, $attempt:expr) => {{
+            let (tree, route, hop): (bool, u32, u32) = ($tree, $route, $hop);
+            let lid = if tree {
+                hot.tree_edge_lid[route as usize][hop as usize]
+            } else {
+                sub_link!(route, hop)
+            };
+            link_traffic[lid as usize] += 1;
+            let depart = inject(&mut link_slots[lid as usize], $now, bw);
+            let base = config
+                .jitter
+                .effective(hot.link_delay[lid as usize], lid, depart);
+            let mut d = Delivery {
+                route,
+                hop,
+                tree,
+                step: $step,
+                value: $value,
+                attempt: 0,
+                resend: false,
+            };
             match frt.as_ref() {
-                None => calendar.entry(depart + base).or_default().push(Delivery {
-                    sub: $sid,
-                    hop: $hop,
-                    step: $step,
-                    value: $value,
-                    attempt: 0,
-                    resend: false,
-                }),
+                None => calendar.entry(depart + base).or_default().push(d),
                 Some(f) => {
-                    let arrive = depart + base * f.spike_factor(lid as u32, depart);
-                    if !f.down_overlap(lid as u32, depart, arrive) {
-                        calendar.entry(arrive).or_default().push(Delivery {
-                            sub: $sid,
-                            hop: $hop,
-                            step: $step,
-                            value: $value,
-                            attempt: 0,
-                            resend: false,
-                        });
+                    let arrive = depart + base * f.spike_factor(lid, depart);
+                    if !f.down_overlap(lid, depart, arrive) {
+                        calendar.entry(arrive).or_default().push(d);
                     } else {
-                        let attempt = $attempt + 1;
-                        if attempt > f.retry.max_attempts {
+                        d.attempt = $attempt + 1;
+                        d.resend = true;
+                        if d.attempt > f.retry.max_attempts {
                             return Err(RunError::RetriesExhausted {
-                                link: lid as u32,
+                                link: lid,
                                 tick: arrive,
                             });
                         }
-                        let back = f.retry.backoff(attempt);
+                        let back = f.retry.backoff(d.attempt);
                         fstats.retries += 1;
                         fstats.fault_stall_ticks += arrive - $now + back;
-                        calendar.entry(arrive + back).or_default().push(Delivery {
-                            sub: $sid,
-                            hop: $hop,
-                            step: $step,
-                            value: $value,
-                            attempt,
-                            resend: true,
-                        });
+                        calendar.entry(arrive + back).or_default().push(d);
                     }
                 }
             }
@@ -558,40 +541,13 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
             // Re-subscribe every consumer this processor was serving to
             // the nearest surviving holder (the paper's redundancy,
             // exploited for recovery).
-            let mut orphans: Vec<(u32, NodeId, u32)> = Vec::new();
-            for (sid, sub) in rt.subs.iter().enumerate() {
-                if sub.source == proc && !crashed[sub.dest as usize] {
-                    orphans.push((sub.cell, sub.dest, hot.sub_dest_dep[sid]));
-                }
-            }
-            for ds in &dyn_subs {
-                if ds.source == proc && !crashed[ds.dest as usize] {
-                    orphans.push((ds.cell, ds.dest, ds.dest_dep));
-                }
-            }
+            let orphans = orphans_of(routes, hot, &dyn_subs, proc, &crashed);
             if !orphans.is_empty() && dyn_out.is_empty() {
                 dyn_out = vec![Vec::new(); total_copies];
             }
-            let mut sp_cache: HashMap<NodeId, overlap_net::paths::PathResult> = HashMap::new();
+            let mut sp_cache = HashMap::new();
             for (cell, dest, dest_dep) in orphans {
-                let sp = sp_cache.entry(dest).or_insert_with(|| dijkstra(host, dest));
-                let best = assign
-                    .holders(cell)
-                    .iter()
-                    .copied()
-                    .filter(|&q| !crashed[q as usize])
-                    .min_by_key(|&q| (sp.dist[q as usize], q))
-                    .expect("surviving holder checked above");
-                let Some(mut path) = sp.path_to(best) else {
-                    return Err(RunError::NoRouteToHolder {
-                        cell,
-                        holder: best,
-                        consumer: dest,
-                        tick,
-                    });
-                };
-                path.reverse();
-                let links: Vec<u32> = path.windows(2).map(|w| f.link_ids[&(w[0], w[1])]).collect();
+                let (best, links) = reroute(plan, f, &crashed, &mut sp_cache, cell, dest, tick)?;
                 let nhops = links.len() as u64;
                 let src_pt = &hot.procs[best as usize];
                 let pos = src_pt
@@ -618,7 +574,7 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
                     let value = soa.history[src_cid * stride + s2 as usize];
                     messages += 1;
                     pebble_hops += nhops;
-                    send_hop!(tick, sid, 1u16, s2, value, 0u32);
+                    send_hop!(tick, false, sid, 1, s2, value, 0);
                 }
             }
         }
@@ -626,41 +582,54 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
         // ---- phase 1: deliveries scheduled for this tick ----
         if let Some(deliveries) = calendar.remove(&tick) {
             // Retry timed-out sends and forward non-final hops
-            // sequentially (link arbitration); collect final-hop
-            // deliveries grouped by destination.
-            let mut finals: BTreeMap<u32, Vec<Delivery>> = BTreeMap::new();
+            // sequentially (link arbitration); collect deliveries, as
+            // `(dependency slot, step, value)`, grouped by destination.
+            // Intermediate processors store-and-forward even if crashed:
+            // the fabric outlives the workstation.
+            let mut finals: BTreeMap<u32, Vec<(u32, u32, PebbleValue)>> = BTreeMap::new();
             for d in deliveries {
+                let (route, step, value) = (d.route, d.step, d.value);
                 if d.resend {
-                    send_hop!(tick, d.sub, d.hop, d.step, d.value, d.attempt);
+                    send_hop!(tick, d.tree, route, d.hop, step, value, d.attempt);
                     continue;
                 }
-                let nlinks = sub_nlinks!(d.sub);
-                if (d.hop as usize) < nlinks {
-                    // Intermediate processors store-and-forward even if
-                    // crashed: the fabric outlives the workstation.
-                    send_hop!(tick, d.sub, d.hop + 1, d.step, d.value, 0u32);
-                } else {
-                    let dest = if (d.sub as usize) < n_orig_subs {
-                        hot.sub_dest[d.sub as usize]
-                    } else {
-                        dyn_subs[d.sub as usize - n_orig_subs].dest
+                let (dest, k) = if d.tree {
+                    let Routes::Multicast(mt) = routes else {
+                        unreachable!("tree hop on a unicast plan");
                     };
-                    if !(frt.is_some() && crashed[dest as usize]) {
-                        finals.entry(dest).or_default().push(d);
+                    let t = &mt.trees[route as usize];
+                    for &child in &t.children[d.hop as usize] {
+                        pebble_hops += 1;
+                        send_hop!(tick, true, route, child, step, value, 0);
                     }
+                    let k = hot.tree_deliver_dep[route as usize][d.hop as usize];
+                    if k == u32::MAX {
+                        continue;
+                    }
+                    (t.nodes[d.hop as usize], k)
+                } else if (d.hop as usize) < sub_nlinks!(route) {
+                    send_hop!(tick, false, route, d.hop + 1, step, value, 0);
+                    continue;
+                } else if (route as usize) < n_orig_subs {
+                    (
+                        hot.sub_dest[route as usize],
+                        hot.sub_dest_dep[route as usize],
+                    )
+                } else {
+                    let ds = &dyn_subs[route as usize - n_orig_subs];
+                    (ds.dest, ds.dest_dep)
+                };
+                if !(frt.is_some() && crashed[dest as usize]) {
+                    finals.entry(dest).or_default().push((k, step, value));
                 }
             }
             // Apply final deliveries, one destination at a time.
             let mut views = split_views(&mut soa, &mut ctls, &lay);
             for (dest, deliveries) in finals {
                 let (v, pt) = (&mut views[dest as usize], &hot.procs[dest as usize]);
-                for d in deliveries {
-                    let k = if (d.sub as usize) < n_orig_subs {
-                        hot.sub_dest_dep[d.sub as usize] as usize
-                    } else {
-                        dyn_subs[d.sub as usize - n_orig_subs].dest_dep as usize
-                    };
-                    v.deliver_dep(k, d.step, d.value, steps, &lay);
+                for (k, step, value) in deliveries {
+                    let k = k as usize;
+                    v.deliver_dep(k, step, value, steps, &lay);
                     for idx in pt.dep_dep_off[k] as usize..pt.dep_dep_off[k + 1] as usize {
                         let j = pt.dep_dependents[idx] as usize;
                         v.requeue(pt, j, steps);
@@ -756,16 +725,27 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
             let outbox = std::mem::take(&mut ctl.outbox);
             for (i, step, value) in outbox {
                 let cid = lay.copy_off[p] + i as usize;
-                for &sid in &hot.out_ids[hot.out_off[cid] as usize..hot.out_off[cid + 1] as usize] {
+                for &id in &hot.out_ids[hot.out_off[cid] as usize..hot.out_off[cid + 1] as usize] {
                     messages += 1;
-                    pebble_hops += sub_nlinks!(sid) as u64;
-                    send_hop!(tick + 1, sid, 1u16, step, value, 0u32);
+                    match routes {
+                        Routes::Unicast(_) => {
+                            pebble_hops += sub_nlinks!(id) as u64;
+                            send_hop!(tick + 1, false, id, 1, step, value, 0);
+                        }
+                        Routes::Multicast(mt) => {
+                            let t = &mt.trees[id as usize];
+                            for &child in &t.children[t.root as usize] {
+                                pebble_hops += 1;
+                                send_hop!(tick + 1, true, id, child, step, value, 0);
+                            }
+                        }
+                    }
                 }
                 if !dyn_out.is_empty() {
                     for &dsid in &dyn_out[cid].clone() {
                         messages += 1;
                         pebble_hops += sub_nlinks!(dsid) as u64;
-                        send_hop!(tick + 1, dsid, 1u16, step, value, 0u32);
+                        send_hop!(tick + 1, false, dsid, 1, step, value, 0);
                     }
                 }
             }
@@ -795,19 +775,13 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
     // processor's databases (matching the event engine): the surviving
     // set depends only on the fault plan, never on this engine's makespan.
     if let Some(f) = frt.as_ref() {
-        for (_, proc) in crash_sched.drain(..) {
-            let p = proc as usize;
-            if !crashed[p] {
+        for (p, &at) in f.crash_at.iter().enumerate() {
+            if at != u64::MAX && !crashed[p] {
                 crashed[p] = true;
                 fstats.crashed_procs += 1;
                 fstats.lost_copies += hot.procs[p].cells.len() as u32;
             }
         }
-        debug_assert!(f
-            .crash_at
-            .iter()
-            .enumerate()
-            .all(|(p, &at)| { at == u64::MAX || crashed[p] }));
     }
 
     // ---- collect (crashed processors' copies are lost) ----
@@ -828,6 +802,7 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
             });
         }
     }
+    let (busiest_link_pebbles, mean_link_pebbles) = link_pebbles(&link_traffic);
     let stats = RunStats {
         guest_cells: guest.num_cells(),
         guest_steps: steps,
@@ -847,24 +822,14 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
         pebble_hops,
         subscriptions: plan.num_subscriptions(),
         bandwidth_per_link: bw as u32,
-        busiest_link_pebbles: 0,
-        mean_link_pebbles: 0.0,
+        busiest_link_pebbles,
+        mean_link_pebbles,
         events_processed: 0,
         peak_queue_depth: 0,
         queue_clamped_pushes: 0,
         faults: fstats,
         stalls: None,
-        mem: {
-            let mut m = crate::stats::MemStats::default();
-            for c in &ctls {
-                if let Some(l) = &c.mem {
-                    m.evictions += l.evictions;
-                    m.reloads += l.reloads;
-                    m.reload_ticks += l.reload_ticks;
-                }
-            }
-            m
-        },
+        mem: mem_stats_of(ctls.iter().filter_map(|c| c.mem.as_ref())),
     };
     Ok(RunOutcome {
         stats,
@@ -878,7 +843,7 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
 mod tests {
     use super::*;
     use crate::assignment::Assignment;
-    use crate::engine::{Engine, EngineConfig};
+    use crate::engine::{Engine, EngineConfig, Jitter};
     use crate::faults::FaultPlan;
     use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
     use overlap_net::topology::{linear_array, mesh2d};
@@ -886,10 +851,17 @@ mod tests {
     use overlap_net::HostGraph;
 
     fn differential(guest: &GuestSpec, host: &HostGraph, assign: &Assignment) {
-        let cfg = EngineConfig::default();
-        let plan = ExecPlan::build(guest, host, assign, cfg).expect("plan");
-        let ev = Engine::from_plan(&plan).run().expect("event");
-        let st = run_stepped(&plan).expect("stepped");
+        let plan = ExecPlan::build(guest, host, assign, EngineConfig::default()).expect("plan");
+        differential_on(&plan);
+    }
+
+    /// Event and stepped agree on a plan: state and validation, and work
+    /// and messages when fault-free, with makespans within scheduling
+    /// slack. Returns stepped's outcome.
+    fn differential_on(plan: &ExecPlan) -> RunOutcome {
+        let guest = plan.guest();
+        let ev = Engine::from_plan(plan).run().expect("event");
+        let st = run_stepped(plan).expect("stepped");
         // State must agree exactly (sorted copy records).
         let mut a = ev.copies.clone();
         let mut b = st.copies.clone();
@@ -911,8 +883,79 @@ mod tests {
             (m1 - m2).abs() <= 0.25 * m1.max(m2) + 4.0,
             "makespans diverge: event {m1} vs stepped {m2}"
         );
-        assert_eq!(ev.stats.messages, st.stats.messages);
-        assert_eq!(ev.stats.total_compute, st.stats.total_compute);
+        // A crash forfeits, and its backfill resends, what each engine's
+        // timing has computed by then.
+        if plan.faults().is_none() {
+            assert_eq!(ev.stats.messages, st.stats.messages);
+            assert_eq!(ev.stats.total_compute, st.stats.total_compute);
+        }
+        assert_eq!(ev.stats.faults.crashed_procs, st.stats.faults.crashed_procs);
+        st
+    }
+
+    /// Cells 0–7 held twice over a 2×3 mesh, so multicast trees branch
+    /// and a single crash is survivable.
+    fn redundant_mesh() -> (GuestSpec, HostGraph, Assignment) {
+        let guest = GuestSpec::array(8, ProgramKind::KvWorkload, 5, 10);
+        let host = mesh2d(2, 3, DelayModel::uniform(1, 7), 3);
+        let holders = (0..8).map(|c| vec![c % 6, (c + 3) % 6]).collect();
+        (guest, host, Assignment::from_holders(6, 8, holders))
+    }
+
+    #[test]
+    fn engines_agree_on_multicast_trees() {
+        let (guest, host, assign) = redundant_mesh();
+        let cfg = EngineConfig {
+            multicast: true,
+            ..EngineConfig::default()
+        };
+        let plan = ExecPlan::build(&guest, &host, &assign, cfg).unwrap();
+        let st = differential_on(&plan);
+        assert!(st.stats.busiest_link_pebbles > 0);
+        assert!(st.stats.mean_link_pebbles > 0.0);
+    }
+
+    #[test]
+    fn engines_agree_under_jitter() {
+        let guest = GuestSpec::array(12, ProgramKind::RuleAutomaton { db_size: 8 }, 2, 12);
+        let host = linear_array(4, DelayModel::uniform(1, 9), 4);
+        let cfg = EngineConfig {
+            bandwidth: crate::BandwidthMode::Fixed(1),
+            jitter: Jitter::Periodic {
+                amplitude_pct: 60,
+                period: 3,
+            },
+            ..EngineConfig::default()
+        };
+        let assign = Assignment::blocked(4, 12);
+        let plan = ExecPlan::build(&guest, &host, &assign, cfg).unwrap();
+        let jittered = differential_on(&plan);
+        let steady = EngineConfig {
+            jitter: Jitter::None,
+            ..cfg
+        };
+        let steady = ExecPlan::build(&guest, &host, &assign, steady).unwrap();
+        // Jitter moves the stepped schedule: it is applied, not ignored.
+        assert_ne!(
+            jittered.stats.makespan,
+            run_stepped(&steady).unwrap().stats.makespan
+        );
+    }
+
+    #[test]
+    fn engines_agree_on_multicast_with_a_crash() {
+        let (guest, host, assign) = redundant_mesh();
+        let cfg = EngineConfig {
+            multicast: true,
+            ..EngineConfig::default()
+        };
+        let plan = ExecPlan::build(&guest, &host, &assign, cfg)
+            .unwrap()
+            .with_faults(FaultPlan::new().crash(1, 12))
+            .unwrap();
+        let st = differential_on(&plan);
+        assert_eq!(st.stats.faults.crashed_procs, 1);
+        assert!(st.stats.faults.rerouted_subscriptions > 0);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! `4.2×` instead of `3.1×`. This module attributes every tick of every
 //! copy's lifetime to exactly one category:
 //!
-//! * **compute** — the pebble was being computed (`cost_of(p)` ticks);
+//! * **compute** — the pebble was being computed (`cost_of(p)` ticks
+//!   times the task's cost);
 //! * **dependency** — the copy's next pebble could not start because a
 //!   producer (local sibling or remote holder) had not yet *computed* the
 //!   value it needs;
@@ -19,6 +20,9 @@
 //!   one pebble per tick per processor);
 //! * **fault** — timeout and exponential-backoff ticks of the last missing
 //!   dependency's transfer (zero without a fault plan);
+//! * **memory reload** — the pebble had started, but its evicted database
+//!   copy was being re-materialized under a memory budget (red-blue
+//!   pebbling's I/O, not computation; zero without a budget);
 //! * **drained** — the copy had finished all its steps and idled until the
 //!   run's makespan.
 //!
@@ -26,12 +30,16 @@
 //! conservation invariant
 //!
 //! ```text
-//! compute + dependency + bandwidth + db_order + fault + drained
+//! compute + dependency + bandwidth + db_order + fault + mem_reload + drained
 //!     == makespan × copies
 //! ```
 //!
-//! holds exactly for every completed run — it is cross-checked against the
-//! classic oracle engine in the test suite and in `exp_stall_attribution`.
+//! holds exactly for every completed run, by construction: each step's
+//! window `[done(s−1), done(s))` is cut at ordered ticks (below), so the
+//! windows telescope to `[0, done(T))` and the drain closes the copy at
+//! the makespan. It is cross-checked against the classic oracle engine in
+//! the test suite, by the fuzzer on every case, and in
+//! `exp_stall_attribution`.
 //!
 //! # Mechanics
 //!
@@ -45,8 +53,8 @@
 //! completions is then split as
 //!
 //! ```text
-//! done(s−1) ····· send ········ ready ······ start ········ done(s)
-//!           │ dependency │ bw+fault │ db-order │  compute  │
+//! done(s−1) ····· send ········ ready ······ start ······ ······ done(s)
+//!           │ dependency │ bw+fault │ db-order │ reload │ compute │
 //! ```
 //!
 //! where `send` is the completion tick of the last-arriving dependency on
@@ -56,14 +64,12 @@
 //!
 //! The `done` ticks are a tracer of their own: `TimingTracer` keeps the
 //! completion tick of every step on every copy and the crashed
-//! processors, and nothing else, so it accepts every plan the event
-//! engine runs (memory budgets and non-uniform task graphs included). It
-//! backs [`Engine::run_timed`](crate::engine::Engine::run_timed), and
+//! processors, and nothing else. It backs
+//! [`Engine::run_timed`](crate::engine::Engine::run_timed), and
 //! [`StallTracer`] embeds it, which is why a traced run carries
 //! `RunOutcome::timing` too.
 
-use crate::engine::{EngineConfig, RunError, TimingTrace};
-use overlap_model::GuestSpec;
+use crate::engine::TimingTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -72,33 +78,12 @@ use std::collections::HashMap;
 /// regardless of the stride; only the series are sampled.
 pub(crate) const SERIES_STRIDE: u64 = 64;
 
-/// The traced event run's preconditions: fails with
-/// [`RunError::UnsupportedFeature`] (engine `"event (traced)"`) naming a
-/// memory budget, else a non-uniform task graph. The tracer's
-/// conservation law assumes every pebble of processor `p` takes exactly
-/// `cost_of(p)` ticks, which reloads and per-task costs break. The
-/// builder calls it at `build()` with `.trace()` set, and
-/// [`Engine::run_traced`](crate::engine::Engine::run_traced) before it runs.
-pub fn check_traced(guest: &GuestSpec, config: &EngineConfig) -> Result<(), RunError> {
-    let feature = if config.mem.is_some() {
-        "memory budget"
-    } else if guest.has_nonunit_task_costs() || !guest.is_static() {
-        "non-uniform task graph"
-    } else {
-        return Ok(());
-    };
-    Err(RunError::UnsupportedFeature {
-        engine: "event (traced)",
-        feature,
-    })
-}
-
 /// Where every tick of every copy went, summed over copies. Produced by a
 /// traced run; see the module docs for the category definitions and the
 /// conservation invariant.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StallBreakdown {
-    /// Ticks spent computing pebbles.
+    /// Ticks spent computing pebbles: processor cost × task cost.
     pub compute_ticks: u64,
     /// Ticks stalled because a producer had not yet computed the needed
     /// value (includes waits on same-processor sibling columns).
@@ -111,6 +96,11 @@ pub struct StallBreakdown {
     pub stall_db_order: u64,
     /// Timeout + backoff ticks of the last missing dependency's transfer.
     pub stall_fault: u64,
+    /// Ticks a started pebble waited for its evicted database copy to
+    /// reload under a memory budget. Absent from records written before
+    /// the tracer priced reloads, which booked them as compute.
+    #[serde(default)]
+    pub stall_mem_reload: u64,
     /// Ticks after a copy finished all steps, waiting for the makespan.
     pub stall_drained: u64,
 }
@@ -124,11 +114,12 @@ impl StallBreakdown {
             + self.stall_bandwidth
             + self.stall_db_order
             + self.stall_fault
+            + self.stall_mem_reload
             + self.stall_drained
     }
 
-    /// Sum of the four stall categories (everything but compute and the
-    /// post-completion drain).
+    /// Sum of the four stall categories (everything but compute, memory
+    /// reloads and the post-completion drain).
     pub fn total_stalled(&self) -> u64 {
         self.stall_dependency + self.stall_bandwidth + self.stall_db_order + self.stall_fault
     }
@@ -140,6 +131,7 @@ impl StallBreakdown {
         self.stall_bandwidth += other.stall_bandwidth;
         self.stall_db_order += other.stall_db_order;
         self.stall_fault += other.stall_fault;
+        self.stall_mem_reload += other.stall_mem_reload;
         self.stall_drained += other.stall_drained;
     }
 }
@@ -195,9 +187,11 @@ pub trait Tracer {
     }
 
     /// Copy `(proc, own_idx)`'s step `step` was popped from the ready
-    /// queue at `tick` and starts computing.
+    /// queue at `tick` and starts: first `reload` ticks re-materializing
+    /// its evicted database copy (0 without a memory budget), then the
+    /// compute.
     #[inline]
-    fn on_start(&mut self, _proc: u32, _own_idx: u32, _step: u32, _tick: u64) {}
+    fn on_start(&mut self, _proc: u32, _own_idx: u32, _step: u32, _tick: u64, _reload: u64) {}
 
     /// Copy `(proc, own_idx)` finished computing step `step` at `tick`.
     #[inline]
@@ -259,6 +253,8 @@ struct Pending {
     fault: u64,
     /// Tick the step was popped for compute.
     start: u64,
+    /// Memory-reload ticks charged at the start.
+    reload: u64,
 }
 
 /// The [`Tracer`] behind per-pebble timing (see the module docs): the
@@ -460,16 +456,17 @@ impl Tracer for StallTracer {
             ready: tick,
             send,
             fault,
-            start: 0,
+            ..Pending::default()
         };
         let p = proc as usize;
         self.depth[p] += 1;
         self.sample_depth(p, tick);
     }
 
-    fn on_start(&mut self, proc: u32, own_idx: u32, _step: u32, tick: u64) {
+    fn on_start(&mut self, proc: u32, own_idx: u32, _step: u32, tick: u64, reload: u64) {
         let cid = self.timing.cid(proc, own_idx);
         self.pending[cid].start = tick;
+        self.pending[cid].reload = reload;
         let p = proc as usize;
         self.depth[p] -= 1;
         self.sample_depth(p, tick);
@@ -483,9 +480,11 @@ impl Tracer for StallTracer {
             send,
             fault,
             start,
+            reload,
         } = self.pending[cid];
         let b = &mut self.per_copy[cid];
-        b.compute_ticks += tick - start;
+        b.stall_mem_reload += reload;
+        b.compute_ticks += tick - start - reload;
         b.stall_db_order += start - ready;
         // Pre-ready wait, split at the last dependency's production tick:
         // before it the pebble waited on compute elsewhere (dependency),
@@ -542,20 +541,21 @@ mod tests {
 
         // Seed: copy 0 ready at 0, starts at 0, done at 3.
         tr.on_enqueued(0, 0, 1, 0, ReadyCause::Local);
-        tr.on_start(0, 0, 1, 0);
+        tr.on_start(0, 0, 1, 0, 0);
         // Copy 1 becomes ready at 1 (local), but proc busy until 3.
         tr.on_enqueued(0, 1, 1, 1, ReadyCause::Local);
         tr.on_compute_done(0, 0, 1, 3);
-        tr.on_start(0, 1, 1, 3);
+        tr.on_start(0, 1, 1, 3, 0);
         tr.on_compute_done(0, 1, 1, 5);
 
         // Copy 2 on proc 1: done step 1 at tick 2 (its producer role).
         tr.on_enqueued(1, 0, 1, 0, ReadyCause::Local);
-        tr.on_start(1, 0, 1, 0);
+        tr.on_start(1, 0, 1, 0, 0);
         tr.on_compute_done(1, 0, 1, 2);
 
         // Copy 0 step 2 waits on the remote value: produced at 2 (send),
-        // delivered at 9 with 3 fault ticks, starts at 10, done at 12.
+        // delivered at 9 with 3 fault ticks, starts at 10 with a 1-tick
+        // memory reload, done at 12.
         tr.on_fault_wait(MsgKey::Sub { sub: 0, step: 1 }, 3);
         tr.on_enqueued(
             0,
@@ -564,14 +564,15 @@ mod tests {
             9,
             ReadyCause::Delivered(MsgKey::Sub { sub: 0, step: 1 }),
         );
-        tr.on_start(0, 0, 2, 10);
+        tr.on_start(0, 0, 2, 10, 1);
         tr.on_compute_done(0, 0, 2, 12);
 
         let b = tr.per_copy[0];
         // Window [3, 12): send 2 < window start ⇒ dependency 0 for this
         // step, pre-ready wait 9−3 = 6 → fault 3, bandwidth 3; db-order
-        // 10−9 = 1; compute 3 (step 1) + 2 (step 2).
-        assert_eq!(b.compute_ticks, 5);
+        // 10−9 = 1; reload 1; compute 3 (step 1) + 1 (step 2).
+        assert_eq!(b.compute_ticks, 4);
+        assert_eq!(b.stall_mem_reload, 1);
         assert_eq!(b.stall_dependency, 0);
         assert_eq!(b.stall_fault, 3);
         assert_eq!(b.stall_bandwidth, 3);
@@ -590,7 +591,7 @@ mod tests {
         let mut tr = StallTracer::new(SERIES_STRIDE, 1, vec![0, 1, 2], vec![], vec![], 1);
         for p in 0..2u32 {
             tr.on_enqueued(p, 0, 1, 0, ReadyCause::Local);
-            tr.on_start(p, 0, 1, 0);
+            tr.on_start(p, 0, 1, 0, 0);
         }
         tr.on_compute_done(0, 0, 1, 4);
         tr.on_compute_done(1, 0, 1, 10);
@@ -606,7 +607,7 @@ mod tests {
     fn crashed_processors_leave_the_accounting() {
         let mut tr = StallTracer::new(SERIES_STRIDE, 1, vec![0, 1, 2], vec![], vec![], 1);
         tr.on_enqueued(0, 0, 1, 0, ReadyCause::Local);
-        tr.on_start(0, 0, 1, 0);
+        tr.on_start(0, 0, 1, 0, 0);
         tr.on_compute_done(0, 0, 1, 3);
         tr.on_crash(1);
         let (report, timing) = tr.finish(3);
@@ -638,7 +639,7 @@ mod tests {
         tr.on_link_inject(0, 25);
         tr.on_link_inject(1, 99);
         tr.on_enqueued(0, 0, 1, 0, ReadyCause::Local);
-        tr.on_start(0, 0, 1, 35);
+        tr.on_start(0, 0, 1, 35, 0);
         tr.on_compute_done(0, 0, 1, 40);
         let (report, _) = tr.finish(99);
         assert_eq!(report.link_occupancy[0][0], 2);
@@ -661,12 +662,13 @@ mod tests {
             stall_bandwidth: 3,
             stall_db_order: 4,
             stall_fault: 5,
+            stall_mem_reload: 7,
             stall_drained: 6,
         };
-        assert_eq!(a.total(), 21);
+        assert_eq!(a.total(), 28);
         assert_eq!(a.total_stalled(), 14);
         let b = a;
         a.add(&b);
-        assert_eq!(a.total(), 42);
+        assert_eq!(a.total(), 56);
     }
 }

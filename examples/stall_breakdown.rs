@@ -5,8 +5,9 @@
 //! placement serialised onto few processors — with the stall-attribution
 //! tracer enabled. Every tick of every database copy's lifetime lands in
 //! exactly one bucket (compute, dependency, bandwidth, db-order, fault,
-//! drained) and the buckets partition `[0, makespan)` per copy, so the
-//! printed shares always sum to 100%.
+//! memory reload, drained) and the buckets partition `[0, makespan)` per
+//! copy. These runs have no memory budget, so the six printed shares
+//! always sum to 100%.
 //!
 //! Run with: `cargo run --release --example stall_breakdown`
 

@@ -17,10 +17,12 @@
 //!   fuzz        differential fuzzing: sample K random scenarios (guest,
 //!               host, delays, assignment, costs, faults, multicast,
 //!               memory budgets), lower each once and run over the shared
-//!               plan the event engine, the stepped oracle and the frozen
-//!               classic engine (each where it applies) plus the unit-delay
-//!               reference, auditing state agreement, time agreement with
-//!               the classic engine and the invariant catalogue.
+//!               plan the event engine (untimed, timed and traced), the
+//!               stepped oracle, the frozen classic engine (where it
+//!               applies) and the unit-delay reference, auditing state
+//!               agreement, time agreement with the classic engine, stall
+//!               conservation and the invariant catalogue. Link bandwidth
+//!               and jitter are drawn too.
 //!               Failures are shrunk to a minimal repro and printed as
 //!               one JSON line, with the name to save it under in
 //!               tests/fuzz_repros/ (the regression suite replays every
@@ -57,9 +59,8 @@
 //!               link outages / delay spikes / processor crashes; rand:PCT
 //!               draws seeded outages totalling ~PCT% downtime per link)
 //!   --seed        RNG seed (default 42)
-//!   --trace       run with stall attribution and print the six-way stall
-//!                 summary line (submit: stream the stall totals); not with
-//!                 memory budgets or non-uniform task graphs
+//!   --trace       run with stall attribution and print the seven-way
+//!                 stall summary line (submit: stream the stall totals)
 //!   --trace-json  FILE — as --trace, and also write the full trace report
 //!                 (per-copy stall breakdown, link occupancy and
 //!                 queue-depth series) as JSON
@@ -346,12 +347,13 @@ fn describe_event(e: &Event) -> String {
         Event::Paused => "paused".into(),
         Event::Resumed => "resumed".into(),
         Event::Stalls { totals } => format!(
-            "stalls: compute {} dep {} bw {} order {} fault {} drained {}",
+            "stalls: compute {} dep {} bw {} order {} fault {} reload {} drained {}",
             totals.compute_ticks,
             totals.stall_dependency,
             totals.stall_bandwidth,
             totals.stall_db_order,
             totals.stall_fault,
+            totals.stall_mem_reload,
             totals.stall_drained
         ),
         Event::Done { record } => format!(
@@ -676,12 +678,13 @@ fn main() {
             if let Some(b) = r.stats.stalls {
                 let total = b.total().max(1) as f64;
                 println!(
-                    "stalls   : compute {:.1}%, dependency {:.1}%, bandwidth {:.1}%, db-order {:.1}%, fault {:.1}%, drained {:.1}%",
+                    "stalls   : compute {:.1}%, dependency {:.1}%, bandwidth {:.1}%, db-order {:.1}%, fault {:.1}%, reload {:.1}%, drained {:.1}%",
                     100.0 * b.compute_ticks as f64 / total,
                     100.0 * b.stall_dependency as f64 / total,
                     100.0 * b.stall_bandwidth as f64 / total,
                     100.0 * b.stall_db_order as f64 / total,
                     100.0 * b.stall_fault as f64 / total,
+                    100.0 * b.stall_mem_reload as f64 / total,
                     100.0 * b.stall_drained as f64 / total,
                 );
             }

@@ -14,7 +14,8 @@
 //!   lowered [`ExecPlan`] — the greedy event-driven [`Engine`], which every
 //!   builder, daemon and CLI run uses, and the time-stepped differential
 //!   oracle, reached only through `sim::run_stepped` (compile a placement
-//!   once, run it on both; the plan also prices the paper's lockstep
+//!   once, run it on both — each takes every plan, and the event engine
+//!   traces every plan; the plan also prices the paper's lockstep
 //!   baseline in closed form),
 //!   unicast and multicast routing, the paper's bandwidth law, link jitter,
 //!   heterogeneous machine speeds, timing traces, and bit-exact validation

@@ -13,7 +13,7 @@ use overlap::sim::fuzz::{
     check_spec, gen_spec, run_fuzz, shrink, AssignKind, FuzzConfig, GuestKind, HostKind,
     ScenarioSpec,
 };
-use overlap::sim::FaultPlan;
+use overlap::sim::{BandwidthMode, FaultPlan, Jitter};
 
 #[test]
 fn bounded_fuzz_run_is_divergence_free() {
@@ -77,6 +77,8 @@ fn feature_matrix_corners_agree() {
             multicast: true,
             mem: None,
             faults: FaultPlan::new(),
+            bandwidth: BandwidthMode::LogN,
+            jitter: Jitter::None,
         },
         // Heterogeneous compute costs over a heavy-tailed network.
         ScenarioSpec {
@@ -96,6 +98,8 @@ fn feature_matrix_corners_agree() {
             multicast: false,
             mem: None,
             faults: FaultPlan::new(),
+            bandwidth: BandwidthMode::LogN,
+            jitter: Jitter::None,
         },
         // All databases on one processor: no messages at all.
         ScenarioSpec {
@@ -115,6 +119,8 @@ fn feature_matrix_corners_agree() {
             multicast: false,
             mem: None,
             faults: FaultPlan::new(),
+            bandwidth: BandwidthMode::LogN,
+            jitter: Jitter::None,
         },
     ];
     for spec in &corners {
@@ -146,6 +152,11 @@ fn shrinker_minimizes_while_preserving_failure() {
         faults: FaultPlan::new()
             .link_down(0, 4, 0, 10)
             .delay_spike(0, 1, 0, 5, 3),
+        bandwidth: BandwidthMode::Fixed(2),
+        jitter: Jitter::Periodic {
+            amplitude_pct: 40,
+            period: 5,
+        },
     };
     assert!(check_spec(&spec).is_err());
     let (min, detail) = shrink(&spec);
@@ -159,4 +170,8 @@ fn shrinker_minimizes_while_preserving_failure() {
         "only the impossible fault survives"
     );
     assert_eq!(min.delays, DelayModel::Constant(1));
+    assert_eq!(
+        (min.bandwidth, min.jitter),
+        (BandwidthMode::LogN, Jitter::None)
+    );
 }

@@ -11,7 +11,7 @@ use overlap::net::DelayModel;
 use overlap::sim::engine::{Engine, EngineConfig, RunError};
 use overlap::sim::fuzz::{check_spec, AssignKind, GuestKind, HostKind, ScenarioSpec};
 use overlap::sim::stepped::run_stepped;
-use overlap::sim::{Assignment, ExecPlan, FaultPlan};
+use overlap::sim::{Assignment, BandwidthMode, ExecPlan, FaultPlan, Jitter};
 use overlap::{topology, GuestSpec};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -149,6 +149,8 @@ fn fault_on_missing_link_is_an_error_on_every_path() {
         multicast: false,
         mem: None,
         faults: FaultPlan::new().link_down(0, 3, 5, 10),
+        bandwidth: BandwidthMode::LogN,
+        jitter: Jitter::None,
     };
     let detail = check_spec(&spec).unwrap_err();
     assert!(detail.contains("fault plan rejected"), "{detail}");
@@ -193,6 +195,8 @@ fn zero_step_scenarios_are_well_defined() {
             multicast,
             mem: None,
             faults: FaultPlan::new(),
+            bandwidth: BandwidthMode::LogN,
+            jitter: Jitter::None,
         };
         check_spec(&spec).unwrap_or_else(|d| panic!("{assign:?}/multicast={multicast}: {d}"));
     }

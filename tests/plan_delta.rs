@@ -25,8 +25,8 @@ enum Out {
 }
 
 /// Outcomes of both engines and the lockstep baseline, or the typed error
-/// each gives, in a comparable bundle (the event run timed, so completion
-/// ticks are compared too).
+/// each gives (the baseline's is that it is undefined), in a comparable
+/// bundle (the event run timed, so completion ticks are compared too).
 fn run_all(plan: &ExecPlan) -> Vec<(&'static str, Result<Out, String>)> {
     let run = |r: Result<RunOutcome, overlap::RunError>| {
         r.map(|o| Out::Run(Box::new(o))).map_err(|e| e.to_string())
@@ -38,7 +38,7 @@ fn run_all(plan: &ExecPlan) -> Vec<(&'static str, Result<Out, String>)> {
             "lockstep",
             plan.lockstep_makespan()
                 .map(Out::Makespan)
-                .map_err(|e| e.to_string()),
+                .ok_or_else(|| "undefined".to_string()),
         ),
     ]
 }
