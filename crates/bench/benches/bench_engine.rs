@@ -6,7 +6,6 @@ use overlap_model::{GuestSpec, ProgramKind};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
 use overlap_sim::engine::{Engine, EngineConfig};
-use overlap_sim::engine_classic::run_classic;
 use overlap_sim::stepped::run_stepped;
 use overlap_sim::{Assignment, BandwidthMode, ExecPlan};
 
@@ -46,11 +45,6 @@ fn bench_engine(c: &mut Criterion) {
         g.bench_function("impl/stepped", |b| b.iter(|| run_stepped(&plan).unwrap()));
         g.bench_function("impl/event-shared-plan", |b| {
             b.iter(|| Engine::from_plan(&plan).run().unwrap())
-        });
-        g.bench_function("impl/event-classic", |b| {
-            b.iter(|| {
-                run_classic(&guest, &host, &assign, EngineConfig::default(), None, false).unwrap()
-            })
         });
         g.bench_function("impl/event-multicast", |b| {
             let cfg = EngineConfig {

@@ -1,5 +1,6 @@
-//! ENGINE — calendar-queue engine throughput vs the classic heap engine.
-//! Writes `BENCH_engine.json` at the workspace root.
+//! ENGINE — calendar-queue engine throughput, each tier first checked
+//! against the stepped oracle. Writes `BENCH_engine.json` at the
+//! workspace root.
 //! Usage: `cargo run --release --bin exp_engine_scale [--quick | --gate]`
 //!
 //! `--gate` runs the CI smoke perf gate instead of the sweep: one

@@ -1,11 +1,12 @@
-//! Engine-scale benchmark: events/sec of the calendar-queue engine vs the
-//! frozen classic heap engine across growing scenario sizes.
+//! Engine-scale benchmark: events/sec of the calendar-queue event engine
+//! across growing scenario sizes.
 //!
-//! The outcomes are asserted bit-identical before timing, so every
-//! speedup is a pure implementation delta. Results land in the usual
-//! markdown table **and** in `BENCH_engine.json` at the workspace root:
-//! per scale, events/sec for both engines, the makespan, and the peak
-//! event-queue depth, plus the host's core count.
+//! Before timing, each tier's timed event run is asserted equal to the
+//! stepped oracle's run on the whole outcome, so every tier — the gate's
+//! included — keeps a check by a second implementation. Results land in
+//! the usual markdown table **and** in `BENCH_engine.json` at the
+//! workspace root: per scale, the event engine's events/sec, the
+//! makespan, and the peak event-queue depth, plus the host's core count.
 //!
 //! [`gate`] is the CI smoke perf gate (first slice of the regression-gate
 //! roadmap item): it re-measures one mid-size tier plus a task-graph
@@ -29,8 +30,7 @@ use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
 use overlap_sim::engine::{Engine, EngineConfig, RunOutcome};
-use overlap_sim::engine_classic::run_classic;
-use overlap_sim::{Assignment, ExecPlan, RunStats};
+use overlap_sim::{run_stepped, Assignment, ExecPlan, RunStats};
 use std::time::Instant;
 
 /// One measured scale.
@@ -41,7 +41,7 @@ pub struct ScaleResult {
     pub cells: u32,
     /// Guest steps.
     pub steps: u32,
-    /// Events dispatched per run (identical for all engines).
+    /// Events dispatched per run.
     pub events: u64,
     /// Simulated makespan in ticks.
     pub makespan: u64,
@@ -49,15 +49,6 @@ pub struct ScaleResult {
     pub peak_queue_depth: u64,
     /// Calendar-queue engine throughput, events per second.
     pub events_per_sec: f64,
-    /// Classic heap engine throughput, events per second (the baseline).
-    pub classic_events_per_sec: f64,
-}
-
-impl ScaleResult {
-    /// Calendar throughput over classic throughput.
-    pub fn speedup(&self) -> f64 {
-        self.events_per_sec / self.classic_events_per_sec
-    }
 }
 
 fn scenario(procs: u32, cells: u32, steps: u32) -> (GuestSpec, overlap_net::HostGraph, Assignment) {
@@ -101,15 +92,13 @@ pub fn measure(scale: Scale) -> Vec<ScaleResult> {
 
 fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
     let (guest, host, assign) = scenario(procs, cells, steps);
-    let cfg = EngineConfig::default();
-    // Lower once (classic excepted — it predates the plan and rebuilds
-    // internally, part of its baseline).
-    let plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("lower");
-    let run_new = || -> RunOutcome { Engine::from_plan(&plan).run().expect("run") };
-    let run_old =
-        || -> RunOutcome { run_classic(&guest, &host, &assign, cfg, None, false).expect("run") };
-    let out = run_new();
-    assert_eq!(out, run_old(), "engines diverge at {procs}x{cells}x{steps}");
+    let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).expect("lower");
+    let out = Engine::from_plan(&plan).run_timed().expect("run");
+    assert_eq!(
+        out,
+        run_stepped(&plan).expect("stepped run"),
+        "engines diverge at {procs}x{cells}x{steps}"
+    );
     // Keep the giant tiers affordable: above a million events per run the
     // best-of window shrinks to 2.
     let reps = if out.stats.events_processed > 1_000_000 {
@@ -118,8 +107,9 @@ fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
         reps
     };
     let events = out.stats.events_processed;
-    let t_new = time_best(reps, run_new);
-    let t_old = time_best(reps, run_old);
+    let t = time_best(reps, || -> RunOutcome {
+        Engine::from_plan(&plan).run().expect("run")
+    });
     ScaleResult {
         procs,
         cells,
@@ -127,8 +117,7 @@ fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
         events,
         makespan: out.stats.makespan,
         peak_queue_depth: out.stats.peak_queue_depth,
-        events_per_sec: events as f64 / t_new,
-        classic_events_per_sec: events as f64 / t_old,
+        events_per_sec: events as f64 / t,
     }
 }
 
@@ -141,12 +130,12 @@ fn host_cores() -> usize {
 /// carries no JSON dependency).
 pub fn to_json(results: &[ScaleResult]) -> String {
     let mut out = format!(
-        "{{\n  \"benchmark\": \"engine_scale\",\n  \"baseline\": \"classic heap engine (engine_classic)\",\n  \"host_cores\": {},\n  \"scales\": [\n",
+        "{{\n  \"benchmark\": \"engine_scale\",\n  \"host_cores\": {},\n  \"scales\": [\n",
         host_cores()
     );
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"procs\": {}, \"cells\": {}, \"steps\": {}, \"events\": {}, \"makespan\": {}, \"peak_queue_depth\": {}, \"events_per_sec\": {:.0}, \"classic_events_per_sec\": {:.0}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"procs\": {}, \"cells\": {}, \"steps\": {}, \"events\": {}, \"makespan\": {}, \"peak_queue_depth\": {}, \"events_per_sec\": {:.0}}}{}\n",
             r.procs,
             r.cells,
             r.steps,
@@ -154,8 +143,6 @@ pub fn to_json(results: &[ScaleResult]) -> String {
             r.makespan,
             r.peak_queue_depth,
             r.events_per_sec,
-            r.classic_events_per_sec,
-            r.speedup(),
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
@@ -171,16 +158,8 @@ pub fn run(scale: Scale) -> Table {
     std::fs::write(&path, &json).expect("write BENCH_engine.json");
 
     let mut t = Table::new(
-        "ENGINE · calendar-queue vs classic heap",
-        &[
-            "procs",
-            "cells",
-            "events",
-            "peak queue",
-            "events/s (event)",
-            "events/s (classic)",
-            "speedup",
-        ],
+        "ENGINE · calendar-queue engine throughput",
+        &["procs", "cells", "events", "peak queue", "events/s (event)"],
     );
     for r in &results {
         t.row(vec![
@@ -189,13 +168,11 @@ pub fn run(scale: Scale) -> Table {
             r.events.to_string(),
             r.peak_queue_depth.to_string(),
             format!("{:.0}", r.events_per_sec),
-            format!("{:.0}", r.classic_events_per_sec),
-            format!("{:.2}x", r.speedup()),
         ]);
     }
     t.note(format!(
-        "outcomes are asserted bit-identical before timing, peak_queue_depth included; \
-         speedup is the calendar engine over the classic heap engine, measured on a \
+        "each timed event run is asserted equal to the stepped oracle's before timing, \
+         peak_queue_depth included; events/s is the event engine's, measured on a \
          {}-core host. JSON copy written to BENCH_engine.json.",
         host_cores()
     ));
@@ -474,7 +451,6 @@ mod tests {
         assert_eq!(json.matches("{\"procs\"").count(), results.len());
         for r in &results {
             assert!(r.events > 0 && r.events_per_sec > 0.0);
-            assert!(r.classic_events_per_sec > 0.0);
         }
     }
 

@@ -20,7 +20,7 @@
 //! | [`e16_replan`]    | adaptivity — re-planning after a link degrades |
 //! | [`e17_adaptive2d`] | 2-D killing — stage 1 lifted to mesh hosts |
 //! | [`e18_programs`]  | workload independence — one slowdown across guest programs |
-//! | [`engine_scale`]  | simulator throughput: calendar-queue vs classic heap (+ CI perf gate) |
+//! | [`engine_scale`]  | simulator throughput of the event engine, checked against the stepped oracle (+ CI perf gate) |
 //! | [`plan_reuse`]    | sweep wall-clock: shared ExecPlan vs per-run lowering |
 //! | [`fault_tolerance`] | graceful degradation: OVERLAP vs single-copy under link outages & crashes |
 //! | [`stall_attribution`] | where the ticks go: stall categories vs `d_ave` across placements |

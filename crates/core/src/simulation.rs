@@ -508,7 +508,7 @@ mod tests {
     /// executor refuses a plan. The builder runs each combination,
     /// validated and bit-identical to `run`/`run_traced` on the equivalent
     /// hand-built plan; a traced run conserves every tick of every copy;
-    /// stepped agrees with the event engine on state; and the report
+    /// stepped equals the timed event run on the whole outcome; and the report
     /// carries the plan's lockstep baseline exactly when no feature is set.
     #[test]
     fn feature_matrix_is_one_policy() {
@@ -610,16 +610,7 @@ mod tests {
             let case = format!("stepped × {feature:?}");
             let st = run_stepped(&plan).unwrap_or_else(|e| panic!("{case}: {e}"));
             assert!(validate_run(&reference, &st).is_empty(), "{case}");
-            let state = |o: &RunOutcome| {
-                let mut v: Vec<_> = o
-                    .copies
-                    .iter()
-                    .map(|c| (c.cell, c.proc, c.value_fold, c.db_digest, c.update_fold))
-                    .collect();
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(state(&st), state(&untraced), "{case}");
+            assert_eq!(st, Engine::from_plan(&plan).run_timed().unwrap(), "{case}");
         }
         // An empty fault plan is no fault injection.
         let report = Simulation::of(&line)

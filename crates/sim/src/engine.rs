@@ -19,8 +19,12 @@
 //!
 //! The engine is deterministic: events fire in ascending tick order, ties
 //! in push order ([`CalendarQueue`]'s FIFO-within-a-tick contract, which
-//! reproduces the original `(tick, sequence-number)` heap order exactly —
-//! `engine_classic` keeps that heap implementation as the oracle).
+//! reproduces the `(tick, sequence-number)` heap order exactly). That is
+//! the first part of the same-tick rule DESIGN.md §8 writes down; the
+//! stepped oracle ([`crate::stepped`]) implements the rule independently,
+//! and its outcome must equal [`Engine::run_timed`]'s field for field.
+//! `RunError::TickLimit` means exactly that the makespan would exceed
+//! `max_ticks`.
 //!
 //! # Hot-path layout
 //!
@@ -1121,11 +1125,11 @@ impl<'a> Engine<'a> {
 
         // ---- main loop ----
         while let Some((tick, ev)) = queue.pop() {
-            if tick > plan.config.max_ticks {
-                return Err(RunError::TickLimit(plan.config.max_ticks));
-            }
             if remaining == 0 {
                 break;
+            }
+            if tick > plan.config.max_ticks {
+                return Err(RunError::TickLimit(plan.config.max_ticks));
             }
             events_processed += 1;
             if events_processed.is_multiple_of(crate::control::CHECK_EVERY) {
@@ -1190,7 +1194,8 @@ impl<'a> Engine<'a> {
                     makespan = makespan.max(tick);
 
                     // Stream to subscribers: the per-copy route list holds
-                    // exactly this column's routes, in classic scan order.
+                    // exactly this column's routes, in the order the
+                    // processor's outbound list names them.
                     let cid = hot.copy_off[p] as usize + i;
                     let routes =
                         &hot.out_ids[hot.out_off[cid] as usize..hot.out_off[cid + 1] as usize];
@@ -1422,11 +1427,9 @@ impl<'a> Engine<'a> {
 
         // Crashes scheduled beyond the last pebble still destroy their
         // processor's databases: the surviving set depends only on the
-        // fault plan, never on an engine's timing model, so the event,
-        // stepped and classic engines report identical copies even when
-        // their makespans straddle a crash tick. No work is left to
-        // forfeit and the run already completed, so a late crash cannot
-        // retroactively make a column unrecoverable.
+        // fault plan, never on when the run happened to finish. No work is
+        // left to forfeit and the run already completed, so a late crash
+        // cannot retroactively make a column unrecoverable.
         if let Some(f) = frt.as_ref() {
             for (p, &at) in f.crash_at.iter().enumerate() {
                 if at != u64::MAX && !crashed[p] {
@@ -1606,7 +1609,6 @@ pub(crate) fn inject(slot: &mut LinkSlot, now: u64, bw: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine_classic::run_classic;
     use overlap_model::{GuestSpec, ProgramKind, ReferenceRun};
     use overlap_net::topology::linear_array;
     use overlap_net::DelayModel;
@@ -2327,6 +2329,33 @@ mod tests {
         assert!(matches!(err, RunError::TickLimit(10)));
     }
 
+    /// `TickLimit` means exactly "the makespan would exceed `max_ticks`",
+    /// on both engines: a hop still in flight past the cap does not fail
+    /// a run whose last pebble completed within it.
+    #[test]
+    fn tick_limit_is_exactly_a_makespan_over_the_cap() {
+        let guest = GuestSpec::array(8, ProgramKind::StencilSum, 1, 6);
+        let host = linear_array(4, DelayModel::constant(5), 0);
+        let assign = Assignment::blocked(4, 8);
+        let capped = |max_ticks| {
+            let cfg = EngineConfig {
+                max_ticks,
+                ..Default::default()
+            };
+            let plan = ExecPlan::build(&guest, &host, &assign, cfg).unwrap();
+            (
+                Engine::from_plan(&plan).run_timed(),
+                crate::stepped::run_stepped(&plan),
+            )
+        };
+        let free = capped(EngineConfig::default().max_ticks).0.unwrap();
+        let m = free.stats.makespan;
+        assert_eq!(m, 32);
+        assert_eq!(capped(m), (Ok(free.clone()), Ok(free)));
+        let over = Err(RunError::TickLimit(m - 1));
+        assert_eq!(capped(m - 1), (over.clone(), over));
+    }
+
     #[test]
     fn stats_count_events_and_queue_depth() {
         let guest = GuestSpec::array(8, ProgramKind::KvWorkload, 3, 12);
@@ -2340,10 +2369,10 @@ mod tests {
         assert!(out.stats.peak_queue_depth >= 1);
     }
 
-    /// The calendar-queue engine must reproduce the classic heap engine's
+    /// The calendar-queue engine must reproduce the stepped oracle's
     /// outcome bit for bit, across route modes, jitter, and costs.
     #[test]
-    fn matches_classic_engine_exactly() {
+    fn matches_stepped_oracle_exactly() {
         let guest = GuestSpec::array(12, ProgramKind::KvWorkload, 5, 18);
         let host = linear_array(4, DelayModel::uniform(1, 9), 7);
         let assign = Assignment::from_cells_of(
@@ -2377,10 +2406,9 @@ mod tests {
                     let new = Engine::from_plan(&plan)
                         .run_timed()
                         .expect("calendar engine");
-                    let classic = run_classic(&guest, &host, &assign, cfg, costs.as_deref(), true)
-                        .expect("classic engine");
+                    let oracle = crate::stepped::run_stepped(&plan).expect("stepped oracle");
                     assert_eq!(
-                        new, classic,
+                        new, oracle,
                         "divergence (multicast={multicast}, jitter={jitter:?}, costs={costs:?})"
                     );
                 }

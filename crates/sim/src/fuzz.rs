@@ -1,20 +1,20 @@
 //! Cross-engine differential fuzzer and invariant audit.
 //!
 //! The repo's correctness story rests on one claim: the event engine, the
-//! time-stepped engine and the unit-delay reference all agree —
-//! bit-identically on state, and the event engine never slower than the
-//! lockstep baseline — for *every* scenario the lowering accepts, not just
-//! the handful the unit tests pick. This module turns that claim into a
-//! machine-checkable property:
+//! stepped oracle and the unit-delay reference all agree — the two
+//! engines on every field of the timed outcome, completion ticks
+//! included, the event engine with the reference on state, and the event
+//! engine never slower than the lockstep baseline — for *every* scenario
+//! the lowering accepts, not just the handful the unit tests pick. This
+//! module turns that claim into a machine-checkable property:
 //!
 //! 1. [`gen_spec`] samples an arbitrary [`ScenarioSpec`] (guest topology
 //!    and program, host graph and delay model, assignment shape, compute
 //!    costs, multicast, memory budget, link bandwidth, jitter, fault
 //!    schedule) from a seeded deterministic PRNG;
 //! 2. [`check_spec`] lowers the scenario **once** into an
-//!    [`ExecPlan`] and drives every engine through it (the frozen
-//!    classic engine where it applies), auditing the invariant catalogue
-//!    below;
+//!    [`ExecPlan`] and drives both engines through it, auditing the
+//!    invariant catalogue below;
 //! 3. on a failure, [`shrink`] greedily simplifies the spec (drop faults,
 //!    clear costs, reset bandwidth and jitter, flatten delays, halve the
 //!    guest/host) while the failure persists, re-checking each candidate
@@ -23,18 +23,18 @@
 //!    is pinned as a JSON file under `tests/fuzz_repros/`, which
 //!    `tests/fuzz_regressions.rs` replays through [`check_spec`].
 //!
+//! `overlap-cli fuzz` and `tests/fuzz_differential.rs` drive the loop:
+//! generate, check, shrink each failure and print it as a JSON line.
+//!
 //! # Invariant catalogue
 //!
-//! * **State agreement** — every engine's surviving copies match the
-//!   reference trace ([`validate_run`]); event and stepped agree on
-//!   `(value_fold, db_digest, update_fold)` per `(cell, proc)` on every
-//!   case, and on fault-free runs on `messages` (and, for unicast routes,
-//!   on `pebble_hops`). Link-pebble counters and multicast hop counts are
-//!   not compared: each engine stops forwarding at its own makespan.
-//! * **Time agreement** — where the frozen classic engine applies (grid
-//!   guests without faults or a memory budget), its timed run
-//!   ([`run_classic`]) equals the timed event run on the whole
-//!   [`RunOutcome`], completion ticks included.
+//! * **State** — the event engine's surviving copies match the reference
+//!   trace ([`validate_run`]).
+//! * **Time and state agreement** — the stepped oracle ([`run_stepped`])
+//!   equals the timed event run ([`Engine::run_timed`]) on the whole
+//!   [`RunOutcome`], with no field exempt: copy state, every stat (event
+//!   count and peak queue depth included) and every completion tick. Both
+//!   follow the same-tick rule of DESIGN §8.
 //! * **Plan reuse, timing is free** — an untimed rerun off the same
 //!   `ExecPlan` is bit-identical to the timed event run once its
 //!   completion ticks are stripped (`RunOutcome` equality).
@@ -56,7 +56,6 @@
 use crate::assignment::Assignment;
 use crate::bandwidth::BandwidthMode;
 use crate::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
-use crate::engine_classic::run_classic;
 use crate::faults::FaultPlan;
 use crate::plan::ExecPlan;
 use crate::stats::FaultStats;
@@ -584,52 +583,8 @@ fn audit_outcome(
     finite(&format!("{label}: redundancy"), s.redundancy, problems);
 }
 
-/// Copy-state agreement between two engines' outcomes (completion times
-/// legitimately differ; folds and digests must not).
-fn audit_same_state(label: &str, a: &RunOutcome, b: &RunOutcome, problems: &mut Vec<String>) {
-    let mut xs = a.copies.clone();
-    let mut ys = b.copies.clone();
-    xs.sort_by_key(|c| (c.cell, c.proc));
-    ys.sort_by_key(|c| (c.cell, c.proc));
-    if xs.len() != ys.len() {
-        problems.push(format!("{label}: copy count {} vs {}", xs.len(), ys.len()));
-        return;
-    }
-    for (x, y) in xs.iter().zip(&ys) {
-        if (x.cell, x.proc) != (y.cell, y.proc) {
-            problems.push(format!(
-                "{label}: copy sets differ ({},{}) vs ({},{})",
-                x.cell, x.proc, y.cell, y.proc
-            ));
-            return;
-        }
-        if (x.value_fold, x.db_digest, x.update_fold) != (y.value_fold, y.db_digest, y.update_fold)
-        {
-            problems.push(format!(
-                "{label}: state of copy (cell {}, proc {}) differs: \
-                 ({:#x},{:#x},{:#x}) vs ({:#x},{:#x},{:#x})",
-                x.cell,
-                x.proc,
-                x.value_fold,
-                x.db_digest,
-                x.update_fold,
-                y.value_fold,
-                y.db_digest,
-                y.update_fold
-            ));
-            return;
-        }
-    }
-}
-
-/// Whether the frozen classic engine times `spec`, whose guest is
-/// `guest`: it takes no task graphs, memory budgets or fault plans.
-fn classic_applies(spec: &ScenarioSpec, guest: &GuestSpec) -> bool {
-    guest.graph.is_none() && spec.mem.is_none() && spec.faults.is_empty()
-}
-
-/// Lower the scenario once and drive every engine it is legal for through
-/// the shared plan, auditing the full invariant catalogue. `Ok(())` means
+/// Lower the scenario once and drive both engines through the shared
+/// plan, auditing the full invariant catalogue. `Ok(())` means
 /// no divergence; `Err` carries a human-readable list of everything that
 /// broke.
 pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
@@ -682,19 +637,6 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
     audit_outcome("event", spec, &guest, &assign, &ev, &mut problems);
     for p in audit_causality(&ev) {
         problems.push(format!("event causality: {p}"));
-    }
-
-    // Time: the frozen classic engine, a second implementation of the
-    // event schedule, must reproduce the timed run exactly.
-    if classic_applies(spec, &guest) {
-        match run_classic(&guest, &host, &assign, config, spec.costs.as_deref(), true) {
-            Ok(c) if c != ev => problems.push(format!(
-                "event vs classic: timed outcomes differ (makespans {} vs {})",
-                ev.stats.makespan, c.stats.makespan
-            )),
-            Ok(_) => {}
-            Err(e) => problems.push(format!("classic engine failed: {e}")),
-        }
     }
 
     // Plan reuse, and timing is free: an untimed second run off the same
@@ -750,27 +692,23 @@ pub fn check_spec(spec: &ScenarioSpec) -> Result<(), String> {
         Err(e) => problems.push(format!("traced event run failed: {e}")),
     }
 
+    // Time and state: the stepped oracle, a second implementation of the
+    // same schedule, must reproduce the timed run exactly.
     match run_stepped(&plan) {
-        Ok(st) => {
-            for err in validate_run(&reference, &st) {
-                problems.push(format!("stepped vs reference: {err:?}"));
-            }
-            audit_outcome("stepped", spec, &guest, &assign, &st, &mut problems);
-            audit_same_state("event vs stepped", &ev, &st, &mut problems);
-            let (e, s) = (&ev.stats, &st.stats);
-            if spec.faults.is_empty() && e.messages != s.messages {
-                problems.push(format!(
-                    "messages differ: event {} vs stepped {}",
-                    e.messages, s.messages
-                ));
-            }
-            if spec.faults.is_empty() && !spec.multicast && e.pebble_hops != s.pebble_hops {
-                problems.push(format!(
-                    "pebble hops differ: event {} vs stepped {}",
-                    e.pebble_hops, s.pebble_hops
-                ));
-            }
+        Ok(st) if st != ev => {
+            let what = if st.copies != ev.copies {
+                "copy records"
+            } else if st.stats != ev.stats {
+                "stats"
+            } else {
+                "completion ticks"
+            };
+            problems.push(format!(
+                "event vs stepped: {what} differ (makespans {} vs {})",
+                ev.stats.makespan, st.stats.makespan
+            ));
         }
+        Ok(_) => {}
         Err(e) => problems.push(format!("stepped engine failed: {e}")),
     }
 
@@ -1005,60 +943,6 @@ pub fn shrink(spec: &ScenarioSpec) -> (ScenarioSpec, String) {
     (cur, detail)
 }
 
-// ---------------------------------------------------------------------------
-// driver
-// ---------------------------------------------------------------------------
-
-/// One confirmed cross-engine divergence, already shrunk.
-#[derive(Debug, Clone)]
-pub struct Divergence {
-    /// The case number (replay with `gen_spec(seed, case)`).
-    pub case: u64,
-    /// The minimal failing scenario.
-    pub spec: ScenarioSpec,
-    /// What broke, one problem per line.
-    pub detail: String,
-}
-
-/// Fuzzing-run parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct FuzzConfig {
-    /// PRNG seed; the same seed replays the same scenario stream.
-    pub seed: u64,
-    /// Number of scenarios to generate and check.
-    pub cases: u64,
-}
-
-/// What a fuzzing run found.
-#[derive(Debug, Clone)]
-pub struct FuzzReport {
-    /// Scenarios checked.
-    pub cases: u64,
-    /// Confirmed, shrunk divergences (empty on a clean run).
-    pub divergences: Vec<Divergence>,
-}
-
-/// Generate and check `cfg.cases` scenarios; shrink every failure. Purely
-/// deterministic in `cfg.seed`.
-pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
-    let mut divergences = Vec::new();
-    for case in 0..cfg.cases {
-        let spec = gen_spec(cfg.seed, case);
-        if check_spec(&spec).is_err() {
-            let (min, detail) = shrink(&spec);
-            divergences.push(Divergence {
-                case,
-                spec: min,
-                detail,
-            });
-        }
-    }
-    FuzzReport {
-        cases: cfg.cases,
-        divergences,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1085,36 +969,6 @@ mod tests {
                 .validate(&host)
                 .unwrap_or_else(|e| panic!("case {case}: generated bad faults: {e}"));
         }
-    }
-
-    /// The classic time check must keep covering a good share of the
-    /// standard stream, so a generator or predicate change cannot turn
-    /// it off silently.
-    #[test]
-    fn classic_time_check_stays_live() {
-        let eligible = (0..200)
-            .map(|case| gen_spec(0, case))
-            .filter(|spec| classic_applies(spec, &spec.build_guest()))
-            .count();
-        assert!(
-            eligible >= 60,
-            "only {eligible} of 200 cases are classic-eligible"
-        );
-    }
-
-    #[test]
-    fn smoke_fuzz_is_clean() {
-        let report = run_fuzz(&FuzzConfig { seed: 0, cases: 40 });
-        assert_eq!(report.cases, 40);
-        for d in &report.divergences {
-            eprintln!(
-                "case {}:\n  {}\n{}",
-                d.case,
-                d.detail,
-                serde_json::to_string(&d.spec).expect("spec serializes")
-            );
-        }
-        assert!(report.divergences.is_empty());
     }
 
     /// Repros are saved as JSON, so every generated spec — u64 seeds,

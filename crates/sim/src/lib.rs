@@ -39,7 +39,6 @@ pub mod bandwidth;
 pub mod calendar;
 pub mod control;
 pub mod engine;
-pub mod engine_classic;
 pub mod faults;
 pub mod fuzz;
 pub mod lockstep;

@@ -8,7 +8,7 @@
 //!
 //! * **directed link ids** — forward `2i`, reverse `2i+1`, in
 //!   `host.links()` order (jitter phases key on the id, so this order is
-//!   part of the determinism contract with the frozen classic oracle);
+//!   part of the determinism contract the goldens pin);
 //! * the **routing structure** — the unicast [`RoutingTable`] or the
 //!   multicast fan-out trees, with per-copy outbound route lists in
 //!   deterministic bandwidth-arbitration order;
@@ -193,7 +193,7 @@ impl Hot {
 
         // Directed link ids: forward 2i, reverse 2i+1, in host.links()
         // order. Jitter phases depend on the id, so this order is part of
-        // the determinism contract with the classic engine.
+        // the determinism contract.
         let mut link_delay: Vec<Delay> = Vec::new();
         let mut link_src: Vec<NodeId> = Vec::new();
         let mut link_dst: Vec<NodeId> = Vec::new();
@@ -984,6 +984,84 @@ mod tests {
         )
     }
 
+    /// Recompute every interned id of `plan` by direct lookup: link ids
+    /// from `host.links()` order, dependency slots and per-copy route lists
+    /// by linear search over the routing tables, and readiness checks from
+    /// the guest's dependency lists.
+    fn assert_interned_ids(plan: &ExecPlan, host: &HostGraph) {
+        let mut ids: HashMap<(NodeId, NodeId), u32> = HashMap::new();
+        for (i, l) in host.links().iter().enumerate() {
+            ids.insert((l.a, l.b), 2 * i as u32);
+            ids.insert((l.b, l.a), 2 * i as u32 + 1);
+        }
+        let dep_pos = |inbound: &[(u32, u32)], cell: u32| {
+            inbound.iter().position(|&(c, _)| c == cell).unwrap() as u32
+        };
+        let (inbound, outbound, route_cell): (_, _, Vec<u32>) = match &*plan.routes {
+            Routes::Unicast(rt) => {
+                let (mut links, mut deps) = (Vec::new(), Vec::new());
+                for s in &rt.subs {
+                    links.extend(s.path.windows(2).map(|w| ids[&(w[0], w[1])]));
+                    deps.push(dep_pos(&rt.inbound[s.dest as usize], s.cell));
+                }
+                assert_eq!(plan.hot.sub_links, links);
+                assert_eq!(plan.hot.sub_dest_dep, deps);
+                (
+                    &rt.inbound,
+                    &rt.outbound,
+                    rt.subs.iter().map(|s| s.cell).collect(),
+                )
+            }
+            Routes::Multicast(mt) => {
+                for (tid, t) in mt.trees.iter().enumerate() {
+                    for (v, &pa) in t.parent.iter().enumerate() {
+                        let node = t.nodes[v];
+                        let want = (pa != u32::MAX).then(|| ids[&(t.nodes[pa as usize], node)]);
+                        assert_eq!(plan.hot.tree_edge_lid[tid][v], want.unwrap_or(u32::MAX));
+                        let want =
+                            t.deliver[v].then(|| dep_pos(&mt.inbound[node as usize], t.cell));
+                        assert_eq!(plan.hot.tree_deliver_dep[tid][v], want.unwrap_or(u32::MAX));
+                    }
+                }
+                (
+                    &mt.inbound,
+                    &mt.outbound,
+                    mt.trees.iter().map(|t| t.cell).collect(),
+                )
+            }
+        };
+        let hot = &plan.hot;
+        for (p, pt) in hot.procs.iter().enumerate() {
+            for (i, &c) in pt.cells.iter().enumerate() {
+                // A copy's routes: its processor's outbound list, this cell's.
+                let cid = hot.copy_off[p] as usize + i;
+                let want: Vec<u32> = outbound[p]
+                    .iter()
+                    .copied()
+                    .filter(|&id| route_cell[id as usize] == c)
+                    .collect();
+                let got = &hot.out_ids[hot.out_off[cid] as usize..hot.out_off[cid + 1] as usize];
+                assert_eq!(got, &want[..], "routes of cell {c} on proc {p}");
+                // Its readiness checks: every other cell it depends on.
+                let mut checks = Vec::new();
+                plan.guest().visit_deps(c, 1, |d| match d {
+                    Dep::Cell(c2) if c2 != c => {
+                        checks.push(match pt.cells.iter().position(|&x| x == c2) {
+                            Some(j) => j as u32,
+                            None => dep_pos(&inbound[p], c2) | SUB_BIT,
+                        })
+                    }
+                    _ => {}
+                });
+                assert_eq!(
+                    pt.checks_at(i, 1),
+                    &checks[..],
+                    "checks of cell {c} on proc {p}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn interned_link_and_dep_ids_match_direct_lookups() {
         // Redundant overlapping blocks on a mesh: many routes, multi-hop
@@ -994,39 +1072,27 @@ mod tests {
             .map(|p| (2 * p..(2 * p + 3).min(32)).collect())
             .collect();
         let assign = Assignment::from_cells_of(16, 32, cells_of);
-        let mut ids: HashMap<(NodeId, NodeId), u32> = HashMap::new();
-        for (i, l) in host.links().iter().enumerate() {
-            ids.insert((l.a, l.b), 2 * i as u32);
-            ids.insert((l.b, l.a), 2 * i as u32 + 1);
+        let mesh = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
+        assert!(
+            mesh.hot.sub_links.len() > mesh.routing().unwrap().subs.len(),
+            "want multi-hop routes"
+        );
+        let mut inputs = vec![(guest, host, assign)];
+        // And seed 0's first 200 fuzz scenarios with static guests.
+        for case in 0..200 {
+            let spec = crate::fuzz::gen_spec(0, case);
+            let guest = spec.build_guest();
+            if guest.is_static() {
+                inputs.push((guest, spec.build_host(), spec.build_assignment()));
+            }
         }
-        let dep_pos = |inbound: &[(u32, u32)], cell: u32| {
-            inbound.iter().position(|&(c, _)| c == cell).unwrap() as u32
-        };
-        let uni = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
-        let rt = uni.routing().unwrap();
-        let (mut links, mut deps) = (Vec::new(), Vec::new());
-        for s in &rt.subs {
-            links.extend(s.path.windows(2).map(|w| ids[&(w[0], w[1])]));
-            deps.push(dep_pos(&rt.inbound[s.dest as usize], s.cell));
-        }
-        assert!(links.len() > rt.subs.len(), "want multi-hop routes");
-        assert_eq!(uni.hot.sub_links, links);
-        assert_eq!(uni.hot.sub_dest_dep, deps);
-        let mc_cfg = EngineConfig {
-            multicast: true,
-            ..Default::default()
-        };
-        let mc = ExecPlan::build(&guest, &host, &assign, mc_cfg).unwrap();
-        let Routes::Multicast(mt) = &*mc.routes else {
-            unreachable!()
-        };
-        for (tid, t) in mt.trees.iter().enumerate() {
-            for (v, &pa) in t.parent.iter().enumerate() {
-                let node = t.nodes[v];
-                let want = (pa != u32::MAX).then(|| ids[&(t.nodes[pa as usize], node)]);
-                assert_eq!(mc.hot.tree_edge_lid[tid][v], want.unwrap_or(u32::MAX));
-                let want = t.deliver[v].then(|| dep_pos(&mt.inbound[node as usize], t.cell));
-                assert_eq!(mc.hot.tree_deliver_dep[tid][v], want.unwrap_or(u32::MAX));
+        for (guest, host, assign) in &inputs {
+            for multicast in [false, true] {
+                let cfg = EngineConfig {
+                    multicast,
+                    ..Default::default()
+                };
+                assert_interned_ids(&ExecPlan::build(guest, host, assign, cfg).unwrap(), host);
             }
         }
     }

@@ -1,33 +1,33 @@
-//! The tick-stepped engine: the differential oracle the event-driven
+//! The stepped engine: the differential oracle the event-driven
 //! [`crate::engine`] is checked against by the fuzzer and the tests.
 //! [`run_stepped`] is its only entry point.
 //!
-//! The simulation advances in global ticks. Each tick has three phases:
+//! Simulated time advances through a `BTreeMap` calendar keyed by
+//! `(tick, sequence number)`, which carries crashes, compute completions
+//! and hops, and the engine follows the event engine's same-tick rule
+//! (DESIGN.md §8):
 //!
-//! 1. **deliver** — pebbles arriving now are written into the destination
-//!    processors' dependency buffers, one destination at a time;
-//! 2. **compute** — every processor with a ready pebble computes exactly
-//!    one (each touches only its own state and emits an outbox);
-//!    heterogeneous compute costs hold a pebble in flight for `cost`
-//!    ticks;
-//! 3. **send** — outboxes are injected into links in processor-id order
-//!    (deterministic bandwidth arbitration), scheduling future arrivals.
+//! 1. entries due at one tick run in the order they were scheduled —
+//!    crashes are scheduled first, a compute completion when its pebble
+//!    starts, and a hop when it is injected;
+//! 2. a processor that an entry frees or feeds starts its lowest
+//!    `(step, cell)` ready pebble at that tick;
+//! 3. a finished pebble's sends go out in route-list order before that
+//!    start.
 //!
-//! Empty stretches are skipped by jumping to the next calendar event or
-//! scheduled crash.
+//! Its [`RunOutcome`] therefore equals [`Engine::run_timed`]'s field for
+//! field — state, stats, per-pebble completion ticks, and the
+//! `events_processed` and `peak_queue_depth` counters, one per calendar
+//! entry — and the fuzzer asserts exactly that on every case.
 //!
-//! Per-copy state lives in **structure-of-arrays** form (the private `SoA` struct):
-//! one flat array per field, indexed by the plan's dense copy id
-//! `copy_off[p] + i`, with dependency rows indexed by `dep_off[p] + k`.
-//! Per-tick sweeps walk contiguous memory instead of pointer-chasing
-//! per-copy structs. The ready set and the received-pebble table are
+//! What makes it a second implementation is its state and its queue, not
+//! its schedule. Per-copy state lives in **structure-of-arrays** form (the
+//! private `SoA` struct): one flat array per field, indexed by the plan's
+//! dense copy id `copy_off[p] + i`, with dependency rows indexed by
+//! `dep_off[p] + k`. The ready set and the received-pebble table are
 //! **bitsets**: selection of the next pebble is a word scan over the
-//! processor's ready words, and the dependency watermark advances by
-//! counting trailing ones — no per-step boolean loads. The deliver and
-//! compute phases carve the flat arrays into disjoint per-processor
-//! `ProcView`s with `split_at_mut` and walk them in processor order, so
-//! each processor's step reads and writes exactly its own word-aligned
-//! range (bitset ranges are word-padded per processor for this reason).
+//! processor's ready words (bitset ranges are word-padded per processor),
+//! and the dependency watermark advances by counting trailing ones.
 //! DESIGN.md §15 documents the layout and its invariants.
 //!
 //! The engine consumes a lowered [`ExecPlan`] — it builds no routing or
@@ -37,20 +37,13 @@
 //! costs, memory budgets and fault plans are all honored: link outages
 //! time out and retry with exponential backoff, delay spikes stretch
 //! transfers, and crashes forfeit the processor's work and re-subscribe
-//! its consumers to the nearest surviving copy, mirroring the event
-//! engine's graceful degradation.
+//! its consumers to the nearest surviving copy.
 //!
-//! Both engines execute *legal schedules* of the same model, so they must
-//! agree **exactly** on every computed value, database state and update
-//! log (checked by [`crate::validate`] and differential tests); their
-//! makespans may differ slightly because tie-breaking differs, but both
-//! respect the same lower bounds. Agreement of the two independent
-//! implementations on all state is the workspace's strongest defence
-//! against engine bugs.
+//! [`Engine::run_timed`]: crate::engine::Engine::run_timed
 
 use crate::engine::{
-    inject, link_pebbles, mem_stats_of, orphans_of, reroute, CopyRecord, DynSub, LinkSlot,
-    RunError, RunOutcome,
+    inject, link_pebbles, mem_stats_of, orphans_of, reroute, CopyRecord, DynSub, LinkSlot, MemLru,
+    RunError, RunOutcome, TimingTrace,
 };
 use crate::faults::FaultRt;
 use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, Routes, SUB_BIT};
@@ -59,12 +52,12 @@ use overlap_model::{fold64, Db, PebbleValue, ProgramRef};
 use overlap_net::NodeId;
 use std::collections::{BTreeMap, HashMap};
 
-/// One calendar entry: an arrival at node `hop` of a route (when `resend`
-/// is false) or a retry of the send *into* that node after a link
-/// timeout. The route is subscription `route`, `hop` counting its links
-/// from 1, or, when `tree`, multicast tree `route`, `hop` a tree node.
+/// A hop: an arrival at node `hop` of a route (when `resend` is false) or
+/// a retry of the send *into* that node after a link timeout. The route is
+/// subscription `route`, `hop` counting its links from 1, or, when `tree`,
+/// multicast tree `route`, `hop` a tree node.
 #[derive(Debug, Clone, Copy)]
-struct Delivery {
+struct Hop {
     route: u32,
     hop: u32,
     tree: bool,
@@ -72,6 +65,19 @@ struct Delivery {
     value: PebbleValue,
     attempt: u32,
     resend: bool,
+}
+
+/// One calendar entry.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// The processor crashes for good.
+    Crash(NodeId),
+    /// The processor finishes the next step of its `i`-th held cell.
+    Done {
+        proc: NodeId,
+        i: u32,
+    },
+    Hop(Hop),
 }
 
 #[inline]
@@ -93,11 +99,10 @@ fn bit_clear(words: &mut [u64], i: usize) {
 /// plan's dense copy id `copy_off[p] + i`; step-indexed arrays are flat
 /// with stride `steps + 1`; dependency rows use `dep_off[p] + k`.
 ///
-/// The two bitsets are **word-padded per processor**: processor `p`
-/// owns ready/queued words `[rw_off[p], rw_off[p+1])` (bit `i` of the
-/// range = held cell `i`), and dependency-receipt rows of
-/// `row_words = ⌈(steps+1)/64⌉` words each — so disjoint `ProcView`s
-/// never share a word.
+/// The ready and claimed bitsets are **word-padded per processor**:
+/// processor `p` owns words `[rw_off[p], rw_off[p+1])`, bit `i` of the
+/// range being held cell `i`, so one processor's scan never reads another's
+/// cells. Dependency-receipt rows are `row_words = ⌈(steps+1)/64⌉` words.
 struct SoA {
     next_step: Vec<u32>,
     value_fold: Vec<u64>,
@@ -110,8 +115,7 @@ struct SoA {
     /// Bit `s` of row `dep_off[p] + k`: pebble `s` of dependency `k`
     /// has been received.
     dep_have: Vec<u64>,
-    /// Queueable frontier: bit set ⇔ the cell is in the ready set
-    /// (the SoA twin of the old per-proc binary heap's membership).
+    /// Queueable frontier: bit set ⇔ the cell is in the ready set.
     ready: Vec<u64>,
     /// Claimed flags: set while a cell is queued *or* its pebble is in
     /// flight, so deliveries cannot re-queue an already-claimed cell.
@@ -119,130 +123,55 @@ struct SoA {
     queued: Vec<u64>,
 }
 
-/// Per-processor control state that is not per-copy array data.
-struct Ctl {
-    /// Multi-tick pebble in flight: `(own idx, finish tick)`.
-    pending: Option<(u32, u64)>,
-    /// Pebbles computed this tick: (own idx, step, value).
-    outbox: Vec<(u32, u32, PebbleValue)>,
-    /// Memory-budget LRU over held copies (`None` for unbounded runs).
-    mem: Option<crate::engine::MemLru>,
-}
-
-/// Array geometry shared by the global loop and the per-proc views.
+/// Array geometry of the [`SoA`] state.
 struct Layout {
     /// Copy-id range of processor `p`: `[copy_off[p], copy_off[p+1])`.
     copy_off: Vec<usize>,
     /// Dependency-row range of processor `p`.
     dep_off: Vec<usize>,
-    /// Ready/queued word range of processor `p` (word-aligned).
+    /// Ready/claimed word range of processor `p` (word-aligned).
     rw_off: Vec<usize>,
     stride: usize,
     /// Words per dependency-receipt row: `⌈stride / 64⌉`.
     row_words: usize,
 }
 
-/// One processor's disjoint mutable window into the [`SoA`] arrays —
-/// what phase 1 (deliver) and phase 2 (compute) step through, one
-/// processor at a time. All indices are processor-local.
-struct ProcView<'a> {
-    next_step: &'a mut [u32],
-    value_fold: &'a mut [u64],
-    update_fold: &'a mut [u64],
-    finished_at: &'a mut [u64],
-    history: &'a mut [PebbleValue],
-    dbs: &'a mut [Db],
-    dep_values: &'a mut [PebbleValue],
-    dep_watermark: &'a mut [u32],
-    dep_have: &'a mut [u64],
-    ready: &'a mut [u64],
-    queued: &'a mut [u64],
-    ctl: &'a mut Ctl,
-}
-
-/// Carve the flat arrays into per-processor disjoint views. Bitset
-/// ranges are word-aligned per processor, so no two views alias.
-fn split_views<'a>(soa: &'a mut SoA, ctls: &'a mut [Ctl], lay: &Layout) -> Vec<ProcView<'a>> {
-    let n = lay.copy_off.len() - 1;
-    let mut next_step = soa.next_step.as_mut_slice();
-    let mut value_fold = soa.value_fold.as_mut_slice();
-    let mut update_fold = soa.update_fold.as_mut_slice();
-    let mut finished_at = soa.finished_at.as_mut_slice();
-    let mut history = soa.history.as_mut_slice();
-    let mut dbs = soa.dbs.as_mut_slice();
-    let mut dep_values = soa.dep_values.as_mut_slice();
-    let mut dep_watermark = soa.dep_watermark.as_mut_slice();
-    let mut dep_have = soa.dep_have.as_mut_slice();
-    let mut ready = soa.ready.as_mut_slice();
-    let mut queued = soa.queued.as_mut_slice();
-    let mut ctls = ctls;
-    macro_rules! carve {
-        ($arr:ident, $len:expr) => {{
-            let (head, tail) = std::mem::take(&mut $arr).split_at_mut($len);
-            $arr = tail;
-            head
-        }};
-    }
-    let mut out = Vec::with_capacity(n);
-    for p in 0..n {
-        let nc = lay.copy_off[p + 1] - lay.copy_off[p];
-        let nd = lay.dep_off[p + 1] - lay.dep_off[p];
-        let nw = lay.rw_off[p + 1] - lay.rw_off[p];
-        out.push(ProcView {
-            next_step: carve!(next_step, nc),
-            value_fold: carve!(value_fold, nc),
-            update_fold: carve!(update_fold, nc),
-            finished_at: carve!(finished_at, nc),
-            history: carve!(history, nc * lay.stride),
-            dbs: carve!(dbs, nc),
-            dep_values: carve!(dep_values, nd * lay.stride),
-            dep_watermark: carve!(dep_watermark, nd),
-            dep_have: carve!(dep_have, nd * lay.row_words),
-            ready: carve!(ready, nw),
-            queued: carve!(queued, nw),
-            ctl: &mut carve!(ctls, 1)[0],
-        });
-    }
-    out
-}
-
-impl ProcView<'_> {
-    /// Is held cell `i` ready? Pure walk over the plan's check tables.
-    fn is_ready(&self, pt: &ProcTables, i: usize, steps: u32) -> bool {
-        let s = self.next_step[i];
-        if s > steps {
-            return false;
-        }
-        for &enc in pt.checks_at(i, s) {
-            if enc & SUB_BIT != 0 {
-                if self.dep_watermark[(enc & !SUB_BIT) as usize] < s - 1 {
-                    return false;
+impl SoA {
+    /// Is held cell `i` of processor `p` ready? Pure walk over the plan's
+    /// check tables.
+    fn is_ready(&self, lay: &Layout, pt: &ProcTables, p: usize, i: usize, steps: u32) -> bool {
+        let (co, dof) = (lay.copy_off[p], lay.dep_off[p]);
+        let s = self.next_step[co + i];
+        s <= steps
+            && pt.checks_at(i, s).iter().all(|&enc| {
+                if enc & SUB_BIT != 0 {
+                    self.dep_watermark[dof + (enc & !SUB_BIT) as usize] >= s - 1
+                } else {
+                    self.next_step[co + enc as usize] >= s
                 }
-            } else if self.next_step[enc as usize] < s {
-                return false;
-            }
-        }
-        true
+            })
     }
 
-    fn requeue(&mut self, pt: &ProcTables, i: usize, steps: u32) {
-        if !bit_get(self.queued, i) && self.is_ready(pt, i, steps) {
-            bit_set(self.queued, i);
-            bit_set(self.ready, i);
+    fn requeue(&mut self, lay: &Layout, pt: &ProcTables, p: usize, i: usize, steps: u32) {
+        let bit = lay.rw_off[p] * 64 + i;
+        if !bit_get(&self.queued, bit) && self.is_ready(lay, pt, p, i, steps) {
+            bit_set(&mut self.queued, bit);
+            bit_set(&mut self.ready, bit);
         }
     }
 
-    /// Pop the ready cell minimizing `(next_step, index)` — the exact
-    /// order the old binary heap produced, since `next_step` is frozen
-    /// while a cell is queued. Word scan over the ready bitset; the
-    /// claimed (`queued`) bit stays set until the pebble completes.
-    fn pop_min(&mut self) -> Option<u32> {
+    /// Pop processor `p`'s ready cell minimizing `(next_step, index)` —
+    /// `next_step` is frozen while a cell is queued. Word scan over the
+    /// processor's ready words; the claimed (`queued`) bit stays set until
+    /// the pebble completes.
+    fn pop_min(&mut self, lay: &Layout, p: usize) -> Option<u32> {
+        let (co, rw) = (lay.copy_off[p], lay.rw_off[p]);
         let mut best: Option<(u32, u32)> = None;
-        for (w, &bits) in self.ready.iter().enumerate() {
+        for (w, &bits) in self.ready[rw..lay.rw_off[p + 1]].iter().enumerate() {
             let mut word = bits;
             while word != 0 {
                 let i = (w * 64) as u32 + word.trailing_zeros();
-                let key = (self.next_step[i as usize], i);
+                let key = (self.next_step[co + i as usize], i);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
@@ -250,21 +179,20 @@ impl ProcView<'_> {
             }
         }
         let (_, i) = best?;
-        bit_clear(self.ready, i as usize);
+        bit_clear(&mut self.ready, rw * 64 + i as usize);
         Some(i)
     }
 
-    /// Record receipt of pebble `step` on dependency row `k` and advance
+    /// Record receipt of pebble `step` on dependency row `row` and advance
     /// the contiguous watermark by counting trailing ones in the row.
-    fn deliver_dep(&mut self, k: usize, step: u32, value: PebbleValue, steps: u32, lay: &Layout) {
-        self.dep_values[k * lay.stride + step as usize] = value;
-        let row = &mut self.dep_have[k * lay.row_words..(k + 1) * lay.row_words];
-        let b = step as usize;
-        row[b / 64] |= 1u64 << (b % 64);
-        let mut w = self.dep_watermark[k];
+    fn deliver_dep(&mut self, lay: &Layout, row: usize, step: u32, value: PebbleValue, steps: u32) {
+        self.dep_values[row * lay.stride + step as usize] = value;
+        let bits = &mut self.dep_have[row * lay.row_words..(row + 1) * lay.row_words];
+        bit_set(bits, step as usize);
+        let mut w = self.dep_watermark[row];
         while w < steps {
             let bit = w as usize + 1;
-            let word = row[bit / 64] >> (bit % 64);
+            let word = bits[bit / 64] >> (bit % 64);
             let ones = (!word).trailing_zeros();
             if ones == 0 {
                 break;
@@ -276,18 +204,20 @@ impl ProcView<'_> {
                 break;
             }
         }
-        self.dep_watermark[k] = w;
+        self.dep_watermark[row] = w;
     }
 }
 
-/// Run the time-stepped engine over a lowered plan. Produces the same
-/// outcome shape as [`crate::engine::Engine`], for every plan it takes.
+/// Run the stepped engine over a lowered plan. Takes every plan the event
+/// engine takes, and returns what [`Engine::run_timed`] returns on it.
+///
+/// [`Engine::run_timed`]: crate::engine::Engine::run_timed
 pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
     let config = plan.config();
     let guest = plan.guest();
     let host = plan.host();
     let assign = plan.assignment();
-    // Bound once, so the tick loop never goes through the plan's `Cow`s.
+    // Bound once, so the loop never goes through the plan's `Cow`s.
     let hot: &Hot = &plan.hot;
     let routes: &Routes = &plan.routes;
     let n = host.num_nodes();
@@ -357,17 +287,15 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
             soa.dep_have[row * row_words] |= 1;
         }
     }
-    let mut ctls: Vec<Ctl> = hot
-        .procs
-        .iter()
-        .map(|pt| Ctl {
-            pending: None,
-            outbox: Vec::new(),
-            mem: config
-                .mem
-                .map(|m| crate::engine::MemLru::new(pt.cells.len(), m.budget, m.reload_cost)),
-        })
-        .collect();
+    // Completion tick of step `s` of copy `cid`: `done_at[cid·steps + s−1]`.
+    let mut done_at = vec![0u64; total_copies * steps as usize];
+    let mut busy = vec![false; n as usize];
+    let mut mem: Option<Vec<MemLru>> = config.mem.map(|m| {
+        hot.procs
+            .iter()
+            .map(|pt| MemLru::new(pt.cells.len(), m.budget, m.reload_cost))
+            .collect()
+    });
 
     let mut link_slots: Vec<LinkSlot> = vec![LinkSlot::default(); hot.link_delay.len()];
     let mut link_traffic: Vec<u64> = vec![0; hot.link_delay.len()];
@@ -383,45 +311,19 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
     let mut dyn_out: Vec<Vec<u32>> = Vec::new();
     let mut fstats = FaultStats::default();
     let mut total_forfeited = 0u64;
-    // Scheduled crashes in (tick, proc) order; consumed as time passes.
-    let mut crash_sched: Vec<(u64, NodeId)> = frt
-        .as_ref()
-        .map(|f| {
-            let mut cs: Vec<(u64, NodeId)> = f
-                .crash_at
-                .iter()
-                .enumerate()
-                .filter(|&(_, &at)| at != u64::MAX)
-                .map(|(p, &at)| (at, p as NodeId))
-                .collect();
-            cs.sort_unstable();
-            cs
-        })
-        .unwrap_or_default();
-    crash_sched.reverse(); // pop from the back in time order
-    let mut calendar: BTreeMap<u64, Vec<Delivery>> = BTreeMap::new();
 
-    // ---- seed ready queues ----
-    for (p, mut v) in split_views(&mut soa, &mut ctls, &lay)
-        .into_iter()
-        .enumerate()
-    {
-        let pt = &hot.procs[p];
-        for i in 0..pt.cells.len() {
-            v.requeue(pt, i, steps);
-        }
+    // ---- the calendar: `(tick, sequence number)` keys pop the entries
+    // due at one tick in the order they were scheduled ----
+    let mut calendar: BTreeMap<(u64, u64), Entry> = BTreeMap::new();
+    let mut seq = 0u64;
+    let mut peak_queue = 0usize;
+    macro_rules! sched {
+        ($tick:expr, $entry:expr) => {{
+            calendar.insert(($tick, seq), $entry);
+            seq += 1;
+            peak_queue = peak_queue.max(calendar.len());
+        }};
     }
-
-    let mut remaining: u64 = hot
-        .procs
-        .iter()
-        .map(|pt| pt.cells.len() as u64 * steps as u64)
-        .sum();
-    let total_compute = remaining;
-    let mut makespan = 0u64;
-    let mut messages = 0u64;
-    let mut pebble_hops = 0u64;
-    let mut tick: u64 = 0;
 
     // Route geometry, uniform over original and dynamic subscriptions.
     macro_rules! sub_nlinks {
@@ -465,7 +367,7 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
             let base = config
                 .jitter
                 .effective(hot.link_delay[lid as usize], lid, depart);
-            let mut d = Delivery {
+            let mut h = Hop {
                 route,
                 hop,
                 tree,
@@ -475,140 +377,260 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
                 resend: false,
             };
             match frt.as_ref() {
-                None => calendar.entry(depart + base).or_default().push(d),
+                None => sched!(depart + base, Entry::Hop(h)),
                 Some(f) => {
                     let arrive = depart + base * f.spike_factor(lid, depart);
                     if !f.down_overlap(lid, depart, arrive) {
-                        calendar.entry(arrive).or_default().push(d);
+                        sched!(arrive, Entry::Hop(h));
                     } else {
-                        d.attempt = $attempt + 1;
-                        d.resend = true;
-                        if d.attempt > f.retry.max_attempts {
+                        h.attempt = $attempt + 1;
+                        h.resend = true;
+                        if h.attempt > f.retry.max_attempts {
                             return Err(RunError::RetriesExhausted {
                                 link: lid,
                                 tick: arrive,
                             });
                         }
-                        let back = f.retry.backoff(d.attempt);
+                        let back = f.retry.backoff(h.attempt);
                         fstats.retries += 1;
                         fstats.fault_stall_ticks += arrive - $now + back;
-                        calendar.entry(arrive + back).or_default().push(d);
+                        sched!(arrive + back, Entry::Hop(h));
                     }
                 }
             }
         }};
     }
 
-    while remaining > 0 {
+    // An idle processor starts its lowest ready pebble: the memory-budget
+    // reload (which advances the LRU, so once per start), then processor
+    // speed × task cost.
+    macro_rules! start {
+        ($p:expr, $tick:expr) => {{
+            let p: usize = $p;
+            if !busy[p] {
+                if let Some(i) = soa.pop_min(&lay, p) {
+                    busy[p] = true;
+                    let mut c = cost_of(p);
+                    if has_task_costs {
+                        let s = soa.next_step[lay.copy_off[p] + i as usize];
+                        c *= guest.task_cost(hot.procs[p].cells[i as usize], s) as u64;
+                    }
+                    if let Some(ms) = mem.as_mut() {
+                        c += ms[p].touch(i as usize);
+                    }
+                    sched!(
+                        $tick + c,
+                        Entry::Done {
+                            proc: p as NodeId,
+                            i
+                        }
+                    );
+                }
+            }
+        }};
+    }
+
+    // Crashes go in first, so each pops before anything else due at its
+    // tick: a pebble finishing exactly at the crash tick does not complete.
+    if let Some(f) = frt.as_ref() {
+        for (p, &at) in f.crash_at.iter().enumerate() {
+            if at != u64::MAX {
+                sched!(at, Entry::Crash(p as NodeId));
+            }
+        }
+    }
+    for (p, pt) in hot.procs.iter().enumerate() {
+        for i in 0..pt.cells.len() {
+            soa.requeue(&lay, pt, p, i, steps);
+        }
+        start!(p, 0);
+    }
+
+    let mut remaining: u64 = hot
+        .procs
+        .iter()
+        .map(|pt| pt.cells.len() as u64 * steps as u64)
+        .sum();
+    let total_compute = remaining;
+    let mut makespan = 0u64;
+    let mut messages = 0u64;
+    let mut pebble_hops = 0u64;
+    let mut events_processed = 0u64;
+    let mut deps_buf: Vec<PebbleValue> = Vec::with_capacity(guest.max_deps());
+
+    while let Some(((tick, _), entry)) = calendar.pop_first() {
+        if remaining == 0 {
+            break;
+        }
         if tick > config.max_ticks {
             return Err(RunError::TickLimit(config.max_ticks));
         }
+        events_processed += 1;
+        match entry {
+            Entry::Crash(proc) => {
+                let p = proc as usize;
+                let f = frt.as_ref().expect("crash implies fault plan");
+                crashed[p] = true;
+                fstats.crashed_procs += 1;
+                let pt = &hot.procs[p];
+                fstats.lost_copies += pt.cells.len() as u32;
+                // Forfeit uncomputed pebbles, including one in flight: its
+                // completion is dropped when it pops.
+                let forfeited: u64 = soa.next_step[lay.copy_off[p]..lay.copy_off[p + 1]]
+                    .iter()
+                    .map(|&ns| (steps + 1 - ns) as u64)
+                    .sum();
+                remaining -= forfeited;
+                total_forfeited += forfeited;
 
-        // ---- phase 0: crashes scheduled at this tick (before deliveries
-        // and computes, matching the event engine's crash-first order) ----
-        while let Some(&(at, proc)) = crash_sched.last() {
-            if at > tick {
-                break;
-            }
-            crash_sched.pop();
-            let p = proc as usize;
-            let f = frt.as_ref().expect("crash implies fault plan");
-            if crashed[p] {
-                continue;
-            }
-            crashed[p] = true;
-            fstats.crashed_procs += 1;
-            let pt = &hot.procs[p];
-            fstats.lost_copies += pt.cells.len() as u32;
-            // Forfeit uncomputed pebbles, including any in flight.
-            let forfeited: u64 = soa.next_step[lay.copy_off[p]..lay.copy_off[p + 1]]
-                .iter()
-                .map(|&ns| (steps + 1 - ns) as u64)
-                .sum();
-            remaining -= forfeited;
-            total_forfeited += forfeited;
-            ctls[p].pending = None;
-            soa.ready[lay.rw_off[p]..lay.rw_off[p + 1]].fill(0);
+                // A column whose every copy is gone is unrecoverable.
+                for &c in &pt.cells {
+                    let alive = assign.holders(c).iter().any(|&q| !crashed[q as usize]);
+                    if !alive {
+                        return Err(RunError::ColumnLost { cell: c, tick });
+                    }
+                }
 
-            // A column whose every copy is gone is unrecoverable.
-            for &c in &pt.cells {
-                let alive = assign.holders(c).iter().any(|&q| !crashed[q as usize]);
-                if !alive {
-                    return Err(RunError::ColumnLost { cell: c, tick });
+                // Re-subscribe every consumer this processor was serving to
+                // the nearest surviving holder (the paper's redundancy,
+                // exploited for recovery).
+                let orphans = orphans_of(routes, hot, &dyn_subs, proc, &crashed);
+                if !orphans.is_empty() && dyn_out.is_empty() {
+                    dyn_out = vec![Vec::new(); total_copies];
+                }
+                let mut sp_cache = HashMap::new();
+                for (cell, dest, dest_dep) in orphans {
+                    let (best, links) =
+                        reroute(plan, f, &crashed, &mut sp_cache, cell, dest, tick)?;
+                    let nhops = links.len() as u64;
+                    let src_pt = &hot.procs[best as usize];
+                    let pos = src_pt
+                        .cells
+                        .binary_search(&cell)
+                        .expect("holder holds cell");
+                    let src_cid = lay.copy_off[best as usize] + pos;
+                    let sid = (n_orig_subs + dyn_subs.len()) as u32;
+                    let computed = soa.next_step[src_cid] - 1;
+                    dyn_subs.push(DynSub {
+                        cell,
+                        source: best,
+                        dest,
+                        dest_dep,
+                        links,
+                    });
+                    dyn_out[src_cid].push(sid);
+                    fstats.rerouted_subscriptions += 1;
+                    // Backfill pebbles the consumer may still be missing,
+                    // from its contiguous watermark up to the new source's
+                    // progress; duplicate deliveries are idempotent.
+                    let w = soa.dep_watermark[lay.dep_off[dest as usize] + dest_dep as usize];
+                    for s2 in (w + 1)..=computed {
+                        let value = soa.history[src_cid * stride + s2 as usize];
+                        messages += 1;
+                        pebble_hops += nhops;
+                        send_hop!(tick, false, sid, 1, s2, value, 0);
+                    }
                 }
             }
-
-            // Re-subscribe every consumer this processor was serving to
-            // the nearest surviving holder (the paper's redundancy,
-            // exploited for recovery).
-            let orphans = orphans_of(routes, hot, &dyn_subs, proc, &crashed);
-            if !orphans.is_empty() && dyn_out.is_empty() {
-                dyn_out = vec![Vec::new(); total_copies];
-            }
-            let mut sp_cache = HashMap::new();
-            for (cell, dest, dest_dep) in orphans {
-                let (best, links) = reroute(plan, f, &crashed, &mut sp_cache, cell, dest, tick)?;
-                let nhops = links.len() as u64;
-                let src_pt = &hot.procs[best as usize];
-                let pos = src_pt
-                    .cells
-                    .binary_search(&cell)
-                    .expect("holder holds cell");
-                let src_cid = lay.copy_off[best as usize] + pos;
-                let sid = (n_orig_subs + dyn_subs.len()) as u32;
-                let computed = soa.next_step[src_cid] - 1;
-                dyn_subs.push(DynSub {
-                    cell,
-                    source: best,
-                    dest,
-                    dest_dep,
-                    links,
-                });
-                dyn_out[src_cid].push(sid);
-                fstats.rerouted_subscriptions += 1;
-                // Backfill pebbles the consumer may still be missing, from
-                // its contiguous watermark up to the new source's progress;
-                // duplicate deliveries are idempotent.
-                let w = soa.dep_watermark[lay.dep_off[dest as usize] + dest_dep as usize];
-                for s2 in (w + 1)..=computed {
-                    let value = soa.history[src_cid * stride + s2 as usize];
-                    messages += 1;
-                    pebble_hops += nhops;
-                    send_hop!(tick, false, sid, 1, s2, value, 0);
-                }
-            }
-        }
-
-        // ---- phase 1: deliveries scheduled for this tick ----
-        if let Some(deliveries) = calendar.remove(&tick) {
-            // Retry timed-out sends and forward non-final hops
-            // sequentially (link arbitration); collect deliveries, as
-            // `(dependency slot, step, value)`, grouped by destination.
-            // Intermediate processors store-and-forward even if crashed:
-            // the fabric outlives the workstation.
-            let mut finals: BTreeMap<u32, Vec<(u32, u32, PebbleValue)>> = BTreeMap::new();
-            for d in deliveries {
-                let (route, step, value) = (d.route, d.step, d.value);
-                if d.resend {
-                    send_hop!(tick, d.tree, route, d.hop, step, value, d.attempt);
+            Entry::Done { proc, i } => {
+                let p = proc as usize;
+                // A crashed processor's pebble was forfeited by the crash.
+                if frt.is_some() && crashed[p] {
                     continue;
                 }
-                let (dest, k) = if d.tree {
+                let (pt, i) = (&hot.procs[p], i as usize);
+                let cid = lay.copy_off[p] + i;
+                let (cell, s) = (pt.cells[i], soa.next_step[cid]);
+                let sm1 = s as usize - 1;
+                deps_buf.clear();
+                for &src in pt.gather_at(i, s) {
+                    deps_buf.push(match src {
+                        DepSrc::Boundary { side, offset } => boundary.value(side, offset, s),
+                        DepSrc::Own(j) => {
+                            soa.history[(lay.copy_off[p] + j as usize) * stride + sm1]
+                        }
+                        DepSrc::Sub(k) => {
+                            soa.dep_values[(lay.dep_off[p] + k as usize) * stride + sm1]
+                        }
+                    });
+                }
+                let (val, u) = if has_relays && guest.is_relay(cell, s) {
+                    (deps_buf[0], overlap_model::DbUpdate::None)
+                } else {
+                    program.compute(cell, s, &soa.dbs[cid], &deps_buf)
+                };
+                soa.dbs[cid].apply(&u);
+                soa.history[cid * stride + s as usize] = val;
+                soa.value_fold[cid] = fold64(soa.value_fold[cid], val);
+                soa.update_fold[cid] = fold64(soa.update_fold[cid], u.digest());
+                soa.next_step[cid] = s + 1;
+                bit_clear(&mut soa.queued, lay.rw_off[p] * 64 + i);
+                busy[p] = false;
+                if s == steps {
+                    soa.finished_at[cid] = tick;
+                }
+                done_at[cid * steps as usize + sm1] = tick;
+                remaining -= 1;
+                makespan = tick;
+
+                // Sends, in the plan's route-list order, then to the
+                // consumers re-subscribed after a crash.
+                for &id in &hot.out_ids[hot.out_off[cid] as usize..hot.out_off[cid + 1] as usize] {
+                    messages += 1;
+                    match routes {
+                        Routes::Unicast(_) => {
+                            pebble_hops += sub_nlinks!(id) as u64;
+                            send_hop!(tick, false, id, 1, s, val, 0);
+                        }
+                        Routes::Multicast(mt) => {
+                            let t = &mt.trees[id as usize];
+                            for &child in &t.children[t.root as usize] {
+                                pebble_hops += 1;
+                                send_hop!(tick, true, id, child, s, val, 0);
+                            }
+                        }
+                    }
+                }
+                if !dyn_out.is_empty() {
+                    for &dsid in &dyn_out[cid] {
+                        messages += 1;
+                        pebble_hops += sub_nlinks!(dsid) as u64;
+                        send_hop!(tick, false, dsid, 1, s, val, 0);
+                    }
+                }
+
+                // Unblock this column's next step and the held
+                // dependents, then start the next pebble.
+                soa.requeue(&lay, pt, p, i, steps);
+                for idx in pt.own_dep_off[i] as usize..pt.own_dep_off[i + 1] as usize {
+                    soa.requeue(&lay, pt, p, pt.own_dependents[idx] as usize, steps);
+                }
+                start!(p, tick);
+            }
+            Entry::Hop(h) => {
+                let (route, step, value) = (h.route, h.step, h.value);
+                if h.resend {
+                    send_hop!(tick, h.tree, route, h.hop, step, value, h.attempt);
+                    continue;
+                }
+                // Intermediate processors store-and-forward even if
+                // crashed: the fabric outlives the workstation.
+                let (dest, k) = if h.tree {
                     let Routes::Multicast(mt) = routes else {
                         unreachable!("tree hop on a unicast plan");
                     };
                     let t = &mt.trees[route as usize];
-                    for &child in &t.children[d.hop as usize] {
+                    for &child in &t.children[h.hop as usize] {
                         pebble_hops += 1;
                         send_hop!(tick, true, route, child, step, value, 0);
                     }
-                    let k = hot.tree_deliver_dep[route as usize][d.hop as usize];
+                    let k = hot.tree_deliver_dep[route as usize][h.hop as usize];
                     if k == u32::MAX {
                         continue;
                     }
-                    (t.nodes[d.hop as usize], k)
-                } else if (d.hop as usize) < sub_nlinks!(route) {
-                    send_hop!(tick, false, route, d.hop + 1, step, value, 0);
+                    (t.nodes[h.hop as usize], k)
+                } else if (h.hop as usize) < sub_nlinks!(route) {
+                    send_hop!(tick, false, route, h.hop + 1, step, value, 0);
                     continue;
                 } else if (route as usize) < n_orig_subs {
                     (
@@ -619,161 +641,29 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
                     let ds = &dyn_subs[route as usize - n_orig_subs];
                     (ds.dest, ds.dest_dep)
                 };
-                if !(frt.is_some() && crashed[dest as usize]) {
-                    finals.entry(dest).or_default().push((k, step, value));
+                let (p, k) = (dest as usize, k as usize);
+                if frt.is_some() && crashed[p] {
+                    continue;
                 }
-            }
-            // Apply final deliveries, one destination at a time.
-            let mut views = split_views(&mut soa, &mut ctls, &lay);
-            for (dest, deliveries) in finals {
-                let (v, pt) = (&mut views[dest as usize], &hot.procs[dest as usize]);
-                for (k, step, value) in deliveries {
-                    let k = k as usize;
-                    v.deliver_dep(k, step, value, steps, &lay);
-                    for idx in pt.dep_dep_off[k] as usize..pt.dep_dep_off[k + 1] as usize {
-                        let j = pt.dep_dependents[idx] as usize;
-                        v.requeue(pt, j, steps);
-                    }
+                let pt = &hot.procs[p];
+                soa.deliver_dep(&lay, lay.dep_off[p] + k, step, value, steps);
+                for idx in pt.dep_dep_off[k] as usize..pt.dep_dep_off[k + 1] as usize {
+                    soa.requeue(&lay, pt, p, pt.dep_dependents[idx] as usize, steps);
                 }
+                start!(p, tick);
             }
         }
-
-        // ---- phase 2: compute (≤ 1 pebble per processor; a cost-`c`
-        // pebble occupies the processor for `c` ticks) ----
-        let crashed_ref = &crashed;
-        let mut views = split_views(&mut soa, &mut ctls, &lay);
-        let computed: u64 = views
-            .iter_mut()
-            .enumerate()
-            .map(|(pid, v)| {
-                if !crashed_ref.is_empty() && crashed_ref[pid] {
-                    return 0u64;
-                }
-                let pt = &hot.procs[pid];
-                let i = match v.ctl.pending {
-                    Some((i, fin)) if fin == tick => {
-                        v.ctl.pending = None;
-                        i as usize
-                    }
-                    Some(_) => return 0, // still in flight
-                    None => {
-                        let Some(i) = v.pop_min() else {
-                            return 0;
-                        };
-                        let mut c = cost_of(pid);
-                        if has_task_costs {
-                            let s = v.next_step[i as usize];
-                            c *= guest.task_cost(pt.cells[i as usize], s) as u64;
-                        }
-                        if let Some(m) = v.ctl.mem.as_mut() {
-                            c += m.touch(i as usize);
-                        }
-                        if c > 1 {
-                            v.ctl.pending = Some((i, tick + c - 1));
-                            return 0;
-                        }
-                        i as usize
-                    }
-                };
-                let cell = pt.cells[i];
-                let s = v.next_step[i];
-                let sm1 = s as usize - 1;
-                let gather = pt.gather_at(i, s);
-                let mut deps_buf = Vec::with_capacity(gather.len());
-                for &src in gather {
-                    deps_buf.push(match src {
-                        DepSrc::Boundary { side, offset } => boundary.value(side, offset, s),
-                        DepSrc::Own(j) => v.history[j as usize * stride + sm1],
-                        DepSrc::Sub(k) => v.dep_values[k as usize * stride + sm1],
-                    });
-                }
-                let (val, u) = if has_relays && guest.is_relay(cell, s) {
-                    (deps_buf[0], overlap_model::DbUpdate::None)
-                } else {
-                    program.compute(cell, s, &v.dbs[i], &deps_buf)
-                };
-                v.dbs[i].apply(&u);
-                v.history[i * stride + s as usize] = val;
-                v.value_fold[i] = fold64(v.value_fold[i], val);
-                v.update_fold[i] = fold64(v.update_fold[i], u.digest());
-                v.next_step[i] = s + 1;
-                bit_clear(v.queued, i);
-                if s == steps {
-                    v.finished_at[i] = tick + 1;
-                }
-                v.ctl.outbox.push((i as u32, s, val));
-                // Unblock self and local dependents.
-                v.requeue(pt, i, steps);
-                for idx in pt.own_dep_off[i] as usize..pt.own_dep_off[i + 1] as usize {
-                    let j = pt.own_dependents[idx] as usize;
-                    v.requeue(pt, j, steps);
-                }
-                1
-            })
-            .sum();
-        drop(views);
-        if computed > 0 {
-            remaining -= computed;
-            makespan = tick + 1;
-        }
-
-        // ---- phase 3: deterministic sends over the plan's route lists ----
-        for (p, ctl) in ctls.iter_mut().enumerate() {
-            if ctl.outbox.is_empty() {
-                continue;
-            }
-            let outbox = std::mem::take(&mut ctl.outbox);
-            for (i, step, value) in outbox {
-                let cid = lay.copy_off[p] + i as usize;
-                for &id in &hot.out_ids[hot.out_off[cid] as usize..hot.out_off[cid + 1] as usize] {
-                    messages += 1;
-                    match routes {
-                        Routes::Unicast(_) => {
-                            pebble_hops += sub_nlinks!(id) as u64;
-                            send_hop!(tick + 1, false, id, 1, step, value, 0);
-                        }
-                        Routes::Multicast(mt) => {
-                            let t = &mt.trees[id as usize];
-                            for &child in &t.children[t.root as usize] {
-                                pebble_hops += 1;
-                                send_hop!(tick + 1, true, id, child, step, value, 0);
-                            }
-                        }
-                    }
-                }
-                if !dyn_out.is_empty() {
-                    for &dsid in &dyn_out[cid].clone() {
-                        messages += 1;
-                        pebble_hops += sub_nlinks!(dsid) as u64;
-                        send_hop!(tick + 1, false, dsid, 1, step, value, 0);
-                    }
-                }
-            }
-        }
-
-        // ---- advance, skipping dead time ----
-        if remaining == 0 {
-            break;
-        }
-        let any_work =
-            soa.ready.iter().any(|&w| w != 0) || ctls.iter().any(|c| c.pending.is_some());
-        tick = if any_work {
-            tick + 1
-        } else {
-            let next_cal = calendar.keys().next().copied();
-            let next_crash = crash_sched.last().map(|&(at, _)| at);
-            match (next_cal, next_crash) {
-                (None, None) => {
-                    return Err(RunError::Deadlock { tick, remaining });
-                }
-                (a, b) => a.into_iter().chain(b).min().unwrap().max(tick + 1),
-            }
-        };
+    }
+    if remaining > 0 {
+        return Err(RunError::Deadlock {
+            tick: makespan,
+            remaining,
+        });
     }
 
     // Crashes scheduled beyond the last pebble still destroy their
-    // processor's databases (matching the event engine): the surviving
-    // set depends only on the fault plan, never on this engine's makespan.
+    // processor's databases: the surviving set depends only on the fault
+    // plan.
     if let Some(f) = frt.as_ref() {
         for (p, &at) in f.crash_at.iter().enumerate() {
             if at != u64::MAX && !crashed[p] {
@@ -786,6 +676,7 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
 
     // ---- collect (crashed processors' copies are lost) ----
     let mut copies = Vec::with_capacity(assign.total_copies());
+    let mut ticks = Vec::with_capacity(assign.total_copies());
     for (p, pt) in hot.procs.iter().enumerate() {
         if frt.is_some() && crashed[p] {
             continue;
@@ -800,6 +691,7 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
                 update_fold: soa.update_fold[cid],
                 finished_at: soa.finished_at[cid],
             });
+            ticks.push(done_at[cid * steps as usize..(cid + 1) * steps as usize].to_vec());
         }
     }
     let (busiest_link_pebbles, mean_link_pebbles) = link_pebbles(&link_traffic);
@@ -824,17 +716,17 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
         bandwidth_per_link: bw as u32,
         busiest_link_pebbles,
         mean_link_pebbles,
-        events_processed: 0,
-        peak_queue_depth: 0,
+        events_processed,
+        peak_queue_depth: peak_queue as u64,
         queue_clamped_pushes: 0,
         faults: fstats,
         stalls: None,
-        mem: mem_stats_of(ctls.iter().filter_map(|c| c.mem.as_ref())),
+        mem: mem_stats_of(mem.iter().flatten()),
     };
     Ok(RunOutcome {
         stats,
         copies,
-        timing: None,
+        timing: Some(TimingTrace { ticks }),
         trace: None,
     })
 }
@@ -855,41 +747,14 @@ mod tests {
         differential_on(&plan);
     }
 
-    /// Event and stepped agree on a plan: state and validation, and work
-    /// and messages when fault-free, with makespans within scheduling
-    /// slack. Returns stepped's outcome.
+    /// Stepped equals the timed event run on the whole outcome, and both
+    /// validate against the reference. Returns stepped's outcome.
     fn differential_on(plan: &ExecPlan) -> RunOutcome {
-        let guest = plan.guest();
-        let ev = Engine::from_plan(plan).run().expect("event");
+        let ev = Engine::from_plan(plan).run_timed().expect("event");
         let st = run_stepped(plan).expect("stepped");
-        // State must agree exactly (sorted copy records).
-        let mut a = ev.copies.clone();
-        let mut b = st.copies.clone();
-        a.sort_by_key(|c| (c.cell, c.proc));
-        b.sort_by_key(|c| (c.cell, c.proc));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!((x.cell, x.proc), (y.cell, y.proc));
-            assert_eq!(x.value_fold, y.value_fold, "values {x:?} vs {y:?}");
-            assert_eq!(x.db_digest, y.db_digest);
-            assert_eq!(x.update_fold, y.update_fold);
-        }
-        // Both engines validate against the reference.
-        let trace = ReferenceRun::execute(guest);
-        assert!(crate::validate::validate_run(&trace, &ev).is_empty());
+        assert_eq!(st, ev, "stepped diverged from the timed event run");
+        let trace = ReferenceRun::execute(plan.guest());
         assert!(crate::validate::validate_run(&trace, &st).is_empty());
-        // Makespans agree within scheduling slack.
-        let (m1, m2) = (ev.stats.makespan as f64, st.stats.makespan as f64);
-        assert!(
-            (m1 - m2).abs() <= 0.25 * m1.max(m2) + 4.0,
-            "makespans diverge: event {m1} vs stepped {m2}"
-        );
-        // A crash forfeits, and its backfill resends, what each engine's
-        // timing has computed by then.
-        if plan.faults().is_none() {
-            assert_eq!(ev.stats.messages, st.stats.messages);
-            assert_eq!(ev.stats.total_compute, st.stats.total_compute);
-        }
-        assert_eq!(ev.stats.faults.crashed_procs, st.stats.faults.crashed_procs);
         st
     }
 
@@ -1008,26 +873,14 @@ mod tests {
         let guest = GuestSpec::array(12, ProgramKind::KvWorkload, 3, 10);
         let host = linear_array(4, DelayModel::uniform(1, 8), 2);
         let assign = Assignment::blocked(4, 12);
-        let costs = vec![1u32, 3, 2, 1];
         let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default())
             .unwrap()
-            .with_compute_costs(costs.clone());
-        let ev = Engine::from_plan(&plan).run().expect("event");
-        let st = run_stepped(&plan).expect("stepped");
-        let mut a = ev.copies.clone();
-        let mut b = st.copies.clone();
-        a.sort_by_key(|c| (c.cell, c.proc));
-        b.sort_by_key(|c| (c.cell, c.proc));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.value_fold, y.value_fold);
-            assert_eq!(x.db_digest, y.db_digest);
-        }
+            .with_compute_costs(vec![1u32, 3, 2, 1]);
+        let st = differential_on(&plan);
         // Costs slow the run down relative to unit speed.
         let unit = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
         let fast = run_stepped(&unit).expect("unit stepped");
         assert!(st.stats.makespan > fast.stats.makespan);
-        let trace = ReferenceRun::execute(&guest);
-        assert!(crate::validate::validate_run(&trace, &st).is_empty());
     }
 
     #[test]
@@ -1040,13 +893,11 @@ mod tests {
             .unwrap()
             .with_faults(faults)
             .unwrap();
-        let out = run_stepped(&plan).expect("survives outage");
+        let out = differential_on(&plan);
         assert!(out.stats.faults.retries > 0, "outage must force retries");
         let clean = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
         let base = run_stepped(&clean).unwrap();
         assert!(out.stats.makespan >= base.stats.makespan);
-        let trace = ReferenceRun::execute(&guest);
-        assert!(crate::validate::validate_run(&trace, &out).is_empty());
     }
 
     #[test]
@@ -1065,12 +916,10 @@ mod tests {
             .unwrap()
             .with_faults(faults)
             .unwrap();
-        let out = run_stepped(&plan).expect("crash is survivable");
+        // Surviving copies still validate against the reference.
+        let out = differential_on(&plan);
         assert_eq!(out.stats.faults.crashed_procs, 1);
         assert!(out.stats.faults.rerouted_subscriptions > 0);
-        // Surviving copies still validate against the reference.
-        let trace = ReferenceRun::execute(&guest);
-        assert!(crate::validate::validate_run(&trace, &out).is_empty());
     }
 
     #[test]
@@ -1085,6 +934,7 @@ mod tests {
             .unwrap();
         let err = run_stepped(&plan).unwrap_err();
         assert!(matches!(err, RunError::ColumnLost { .. }), "{err:?}");
+        assert_eq!(Engine::from_plan(&plan).run_timed(), Err(err));
     }
 
     #[test]
@@ -1102,8 +952,7 @@ mod tests {
         let host = linear_array(2, DelayModel::constant(5), 0);
         let assign = Assignment::blocked(2, 4);
         let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).unwrap();
-        let out = run_stepped(&plan).unwrap();
-        assert_eq!(out.stats.makespan, 0);
+        assert_eq!(differential_on(&plan).stats.makespan, 0);
     }
 
     /// The bitset watermark advance must agree with the naive per-step
@@ -1147,20 +996,14 @@ mod tests {
             }
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
             let keep = (rng >> 33) as usize % order.len();
-            let mut ctls = [Ctl {
-                pending: None,
-                outbox: Vec::new(),
-                mem: None,
-            }];
             for &s in &order[..keep] {
                 have[s as usize] = true;
-                let mut views = split_views(&mut soa, &mut ctls, &lay);
-                views[0].deliver_dep(0, s, 7, steps, &lay);
+                soa.deliver_dep(&lay, 0, s, 7, steps);
                 let mut w = 0u32;
                 while (w as usize) < steps as usize && have[w as usize + 1] {
                     w += 1;
                 }
-                assert_eq!(views[0].dep_watermark[0], w, "after delivering {s}");
+                assert_eq!(soa.dep_watermark[0], w, "after delivering {s}");
             }
         }
     }

@@ -37,9 +37,9 @@
 //! holds exactly for every completed run, by construction: each step's
 //! window `[done(s−1), done(s))` is cut at ordered ticks (below), so the
 //! windows telescope to `[0, done(T))` and the drain closes the copy at
-//! the makespan. It is cross-checked against the classic oracle engine in
-//! the test suite, by the fuzzer on every case, and in
-//! `exp_stall_attribution`.
+//! the makespan. It is checked in the test suite (where the traced golden
+//! run, stripped of its report, must equal the stepped oracle's run), by
+//! the fuzzer on every case, and in `exp_stall_attribution`.
 //!
 //! # Mechanics
 //!

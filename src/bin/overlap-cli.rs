@@ -18,11 +18,11 @@
 //!               host, delays, assignment, costs, faults, multicast,
 //!               memory budgets), lower each once and run over the shared
 //!               plan the event engine (untimed, timed and traced), the
-//!               stepped oracle, the frozen classic engine (where it
-//!               applies) and the unit-delay reference, auditing state
-//!               agreement, time agreement with the classic engine, stall
-//!               conservation and the invariant catalogue. Link bandwidth
-//!               and jitter are drawn too.
+//!               stepped oracle and the unit-delay reference, auditing
+//!               state agreement with the reference, stepped equal to the
+//!               timed event run on the whole outcome (completion ticks
+//!               included), stall conservation and the invariant
+//!               catalogue. Link bandwidth and jitter are drawn too.
 //!               Failures are shrunk to a minimal repro and printed as
 //!               one JSON line, with the name to save it under in
 //!               tests/fuzz_repros/ (the regression suite replays every
@@ -528,7 +528,7 @@ fn fuzz_main(args: &[String]) -> ! {
     let profile = if dag { " [dag profile]" } else { "" };
     println!(
         "fuzzing {cases} scenarios (seed {seed}){profile} across \
-         event/stepped/classic/reference…"
+         event/stepped/reference…"
     );
     let mut divergences = 0u64;
     for case in 0..cases {

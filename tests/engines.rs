@@ -1,8 +1,9 @@
 //! Two engines and one baseline, one lowered plan: every strategy's
 //! assignment is compiled once into an `ExecPlan`, and the event-driven
-//! engine and the time-stepped engine both consume that same plan. They
-//! must compute the reference's state, and the greedy makespan must never
-//! exceed the lockstep baseline read off the plan.
+//! engine and the stepped oracle both consume that same plan. They must
+//! compute the reference's state and equal each other on the whole timed
+//! outcome, and the greedy makespan must never exceed the lockstep
+//! baseline read off the plan.
 
 use overlap::core::pipeline::{plan_placement, Strategy};
 use overlap::model::{GuestSpec, ProgramKind, ReferenceRun};
@@ -25,19 +26,13 @@ fn strategies() -> Vec<Strategy> {
     ]
 }
 
-/// Copy-level state must agree between two outcomes (folds and database
-/// digests; completion times legitimately differ between engines).
-fn assert_same_state(label: &str, a: &RunOutcome, b: &RunOutcome) {
-    let mut xs = a.copies.clone();
-    let mut ys = b.copies.clone();
-    xs.sort_by_key(|c| (c.cell, c.proc));
-    ys.sort_by_key(|c| (c.cell, c.proc));
-    assert_eq!(xs.len(), ys.len(), "{label}: copy count mismatch");
-    for (x, y) in xs.iter().zip(&ys) {
-        assert_eq!(x.value_fold, y.value_fold, "{label}: value fold");
-        assert_eq!(x.db_digest, y.db_digest, "{label}: db digest");
-        assert_eq!(x.update_fold, y.update_fold, "{label}: update fold");
-    }
+/// The timed event run and the stepped oracle on one plan, asserted equal
+/// on the whole `RunOutcome` (state, stats and completion ticks).
+fn run_both(label: &str, plan: &ExecPlan) -> RunOutcome {
+    let ev = Engine::from_plan(plan).run_timed().expect("event");
+    let st = run_stepped(plan).expect("stepped");
+    assert_eq!(ev, st, "{label}: stepped diverged from the timed event run");
+    ev
 }
 
 #[test]
@@ -56,16 +51,12 @@ fn all_three_engines_agree_on_state_from_one_plan() {
             EngineConfig::default(),
         )
         .expect("plan");
-        let ev = Engine::from_plan(&plan).run().expect("event");
-        let st = run_stepped(&plan).expect("stepped");
-        for out in [&ev, &st] {
-            assert!(
-                validate_run(&trace, out).is_empty(),
-                "{}: engine state mismatch",
-                s.label()
-            );
-        }
-        assert_same_state(&s.label(), &ev, &st);
+        let ev = run_both(&s.label(), &plan);
+        assert!(
+            validate_run(&trace, &ev).is_empty(),
+            "{}: engine state mismatch",
+            s.label()
+        );
         let lk = plan.lockstep_makespan().expect("lockstep");
         assert!(
             ev.stats.makespan <= lk,
@@ -91,20 +82,15 @@ fn engines_agree_on_ring_fold_over_embedded_host() {
         EngineConfig::default(),
     )
     .expect("plan");
-    let ev = Engine::from_plan(&plan).run().expect("event");
-    let st = run_stepped(&plan).expect("stepped");
+    let ev = run_both("ring-fold", &plan);
     assert!(validate_run(&trace, &ev).is_empty());
-    assert!(validate_run(&trace, &st).is_empty());
-    assert_same_state("ring-fold", &ev, &st);
     assert!(ev.stats.makespan <= plan.lockstep_makespan().expect("lockstep"));
-    assert_eq!(ev.stats.messages, st.stats.messages);
 }
 
 #[test]
 fn plan_reuse_is_bit_identical_to_fresh_lowerings() {
     // Two runs from one plan must equal two runs from two independent
-    // lowerings, outcome-for-outcome — including the multicast tables
-    // (event engine only; the other executors reject multicast up front).
+    // lowerings, outcome-for-outcome — including the multicast tables.
     let guest = GuestSpec::array(24, ProgramKind::KvWorkload, 7, 12);
     let host = topology::mesh2d(3, 3, DelayModel::uniform(1, 9), 2);
     let placement = plan_placement(&guest, &host, Strategy::Halo { halo: 1 }).expect("placement");
@@ -126,12 +112,11 @@ fn plan_reuse_is_bit_identical_to_fresh_lowerings() {
 }
 
 #[test]
-fn calendar_engine_matches_classic_on_planned_placements() {
-    // The rewritten hot path must reproduce the frozen heap-based engine's
-    // full `RunOutcome` (stats, copy records, timing trace) on real
-    // pipeline placements, in both route modes with jitter and costs.
+fn calendar_engine_matches_stepped_on_planned_placements() {
+    // The event engine's hot path must equal the stepped oracle's full
+    // `RunOutcome` (stats, copy records, timing trace) on real pipeline
+    // placements, in both route modes with jitter and costs.
     use overlap::sim::engine::Jitter;
-    use overlap::sim::engine_classic::run_classic;
 
     let guest = GuestSpec::array(24, ProgramKind::KvWorkload, 11, 10);
     let host = topology::mesh2d(3, 3, DelayModel::uniform(1, 12), 5);
@@ -151,17 +136,7 @@ fn calendar_engine_matches_classic_on_planned_placements() {
             let plan = ExecPlan::build(&guest, &host, a, cfg)
                 .expect("plan")
                 .with_compute_costs(costs.clone());
-            let new = Engine::from_plan(&plan)
-                .run_timed()
-                .expect("calendar engine");
-            let classic =
-                run_classic(&guest, &host, a, cfg, Some(&costs), true).expect("classic engine");
-            assert_eq!(
-                new,
-                classic,
-                "{}: engines diverge (multicast={multicast})",
-                s.label()
-            );
+            run_both(&format!("{} (multicast={multicast})", s.label()), &plan);
         }
     }
 }
@@ -250,7 +225,8 @@ fn every_guest_shape_agrees_on_state_from_one_plan() {
     // Each guest shape the CLI describes, placed by the builder's default
     // (`Strategy::Auto`: the slot fold for lines and rings, Theorem 8 for
     // meshes, tori and 3-D meshes, subtree blocks for trees) and lowered
-    // once: both engines run the plan, validate, and agree on state.
+    // once: both engines run the plan and agree on the whole outcome, which
+    // validates.
     let host = topology::linear_array(8, DelayModel::uniform(1, 9), 42);
     let (pk, seed, steps) = (ProgramKind::KvWorkload, 42, 16);
     for guest in [
@@ -271,11 +247,7 @@ fn every_guest_shape_agrees_on_state_from_one_plan() {
         )
         .expect("plan");
         let trace = ReferenceRun::execute(&guest);
-        let ev = Engine::from_plan(&plan).run().expect("event");
-        let st = run_stepped(&plan).expect("stepped");
-        for out in [&ev, &st] {
-            assert!(validate_run(&trace, out).is_empty(), "{label}");
-        }
-        assert_same_state(&label, &ev, &st);
+        let ev = run_both(&label, &plan);
+        assert!(validate_run(&trace, &ev).is_empty(), "{label}");
     }
 }

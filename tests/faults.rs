@@ -1,8 +1,8 @@
 //! Fault-injection contracts, deterministically.
 //!
 //! * An **empty** fault plan is free: the engine must produce a
-//!   `RunOutcome` bit-identical to the no-faults engine and to the frozen
-//!   classic engine, across unicast/multicast × jitter.
+//!   `RunOutcome` bit-identical to the no-faults engine, and its timed run
+//!   must equal the stepped oracle's, across unicast/multicast × jitter.
 //! * A mid-run holder **crash** degrades gracefully: orphaned
 //!   subscriptions are rerouted to surviving copies and the run still
 //!   validates bit-exactly against the unit-delay reference.
@@ -12,7 +12,6 @@
 //! (`tests/prop_faults.rs` re-checks the identity property over random
 //! scenarios with proptest.)
 
-use overlap::sim::engine_classic::run_classic;
 use overlap::sim::run_stepped;
 use overlap::{
     topology, validate_run, DelayModel, Engine, EngineConfig, Error, ExecPlan, FaultPlan,
@@ -45,14 +44,15 @@ fn empty_fault_plan_is_bit_identical_across_engines_and_configs() {
                 .with_faults(FaultPlan::new())
                 .unwrap();
             let empty = Engine::from_plan(&plan).run().expect("empty plan");
-            let classic = run_classic(&guest, &host, &assign, cfg, None, false).expect("classic");
+            let timed = Engine::from_plan(&plan).run_timed().expect("timed");
             assert_eq!(
                 plain, empty,
                 "empty plan diverged (multicast={multicast}, jitter={jitter:?})"
             );
             assert_eq!(
-                plain, classic,
-                "faulty-capable engine diverged from classic (multicast={multicast}, jitter={jitter:?})"
+                timed,
+                run_stepped(&plan).expect("stepped"),
+                "faulty-capable engine diverged from stepped (multicast={multicast}, jitter={jitter:?})"
             );
         }
     }

@@ -1,41 +1,36 @@
 //! Bounded differential-fuzzing harness: the same generator + invariant
 //! audit the `overlap-cli fuzz` subcommand drives, run small enough for
-//! every `cargo test`. A clean pass certifies that the event and stepped
-//! engines plus the unit-delay reference agree, and the event engine
-//! stays within the lockstep bound, across a random sample of guests,
-//! hosts, delay models, assignments, costs, multicast lowerings and fault
+//! every `cargo test`. A clean pass certifies that the event engine and
+//! the stepped oracle agree on the whole timed outcome, the unit-delay
+//! reference agrees on state, and the event engine stays within the
+//! lockstep bound, across a random sample of guests, hosts, delay models,
+//! assignments, costs, multicast lowerings, bandwidths, jitter and fault
 //! schedules — each scenario lowered exactly once into a shared
 //! `ExecPlan`.
 
 use overlap::model::ProgramKind;
 use overlap::net::DelayModel;
 use overlap::sim::fuzz::{
-    check_spec, gen_spec, run_fuzz, shrink, AssignKind, FuzzConfig, GuestKind, HostKind,
-    ScenarioSpec,
+    check_spec, gen_spec, shrink, AssignKind, GuestKind, HostKind, ScenarioSpec,
 };
 use overlap::sim::{BandwidthMode, FaultPlan, Jitter};
 
 #[test]
 fn bounded_fuzz_run_is_divergence_free() {
-    let report = run_fuzz(&FuzzConfig {
-        seed: 0,
-        cases: 150,
-    });
-    assert_eq!(report.cases, 150);
-    for d in &report.divergences {
-        eprintln!(
-            "case {} diverged:\n  {}\n{}",
-            d.case,
-            d.detail,
-            serde_json::to_string(&d.spec).expect("spec serializes")
-        );
+    let seed = 0;
+    let mut divergences = 0;
+    for case in 0..150 {
+        if check_spec(&gen_spec(seed, case)).is_err() {
+            divergences += 1;
+            let (min, detail) = shrink(&gen_spec(seed, case));
+            eprintln!("\ncase {case} DIVERGED:\n  {detail}");
+            eprintln!(
+                "\nminimal repro (save as tests/fuzz_repros/seed{seed}_case{case}.json):\n{}",
+                serde_json::to_string(&min).expect("spec serializes")
+            );
+        }
     }
-    assert!(
-        report.divergences.is_empty(),
-        "{} divergence(s); repros printed above — save each as \
-         tests/fuzz_repros/seed0_case<case>.json",
-        report.divergences.len()
-    );
+    assert_eq!(divergences, 0, "divergence(s); repros printed above");
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! Property-based fault contracts: over random guests, hosts, and engine
 //! configurations,
 //!
-//! * an empty fault plan is bit-identical to the no-faults engine **and**
-//!   to the frozen classic engine (unicast/multicast × jitter), and
+//! * an empty fault plan is bit-identical to the no-faults engine, and its
+//!   timed run equals the stepped oracle's (unicast/multicast × jitter),
+//!   and
 //! * a survivable mid-run holder crash still validates bit-exactly
 //!   against the unit-delay reference.
 
-use overlap::sim::engine_classic::run_classic;
+use overlap::sim::run_stepped;
 use overlap::{
     topology, validate_run, Assignment, DelayModel, Engine, EngineConfig, ExecPlan, FaultPlan,
     GuestSpec, Jitter, ProgramKind, ReferenceRun,
@@ -56,9 +57,9 @@ proptest! {
             .with_faults(FaultPlan::new())
             .unwrap();
         let empty = Engine::from_plan(&plan).run().expect("empty plan");
-        let classic = run_classic(&guest, &host, &assign, cfg, None, false).expect("classic");
+        let timed = Engine::from_plan(&plan).run_timed().expect("timed");
         prop_assert_eq!(&plain, &empty);
-        prop_assert_eq!(&plain, &classic);
+        prop_assert_eq!(&timed, &run_stepped(&plan).expect("stepped"));
     }
 
     #[test]
