@@ -1,83 +1,114 @@
-//! Run every experiment and figure regeneration in sequence, writing all
-//! tables to `results/`.
-//! Usage: `cargo run --release --bin exp_all [--quick]`
+//! The experiment driver: computes the tables that
+//! `overlap_bench::experiments::REGISTRY` lists, and is the only code
+//! that writes `results/`, its `INDEX.md` and the `BENCH_*.json` files.
+//!
+//! ```text
+//! cargo run --release --bin exp_all -- [--quick] [MODULE...]
+//! cargo run --release --bin exp_all -- --gate
+//! ```
+//!
+//! With no module named, every table is computed; otherwise only the
+//! named modules' tables (`exp_all e12_ablations` writes the five E12
+//! tables). A full-scale run writes `results/<stem>.md` and `.csv` per
+//! table and, for the five experiments that publish one, the
+//! `BENCH_*.json` at the workspace root. `--quick` writes under
+//! `results/quick/` only, and no `BENCH_*.json` or `INDEX.md`. A
+//! full-scale run of the whole registry also writes `results/INDEX.md`.
+//! An unknown module exits 2 and lists the valid ones.
+//!
+//! `--gate` runs the CI perf gate (`experiments::engine_scale::gate`)
+//! instead, and exits 1 if it fails.
 
-use overlap_bench::experiments::*;
-use overlap_bench::{save_table, Scale};
+use overlap_bench::experiments::{engine_scale, Entry, REGISTRY};
+use overlap_bench::{workspace_root, Scale};
+use std::path::Path;
+use std::process::exit;
 
 fn main() {
-    let scale = Scale::from_args();
-    let tables = vec![
-        (
-            e1_overlap::run_dave_sweep(scale),
-            "e1a_overlap_dave".to_string(),
-        ),
-        (
-            e1_overlap::run_dmax_stress(scale),
-            "e1b_overlap_dmax".to_string(),
-        ),
-        (e2_efficient::run(scale), "e2_efficient".to_string()),
-        (e3_uniform::run(scale), "e3_uniform".to_string()),
-        (e4_combined::run(scale), "e4_combined".to_string()),
-        (e5_general::run(scale), "e5_general".to_string()),
-        (e6_mesh::run(scale), "e6_mesh".to_string()),
-        (e6_mesh::run_higher(scale), "e6b_higher_dim".to_string()),
-        (e7_one_copy::run(scale), "e7_one_copy".to_string()),
-        (e8_two_copy::run(scale), "e8_two_copy".to_string()),
-        (e9_cliques::run(scale), "e9_cliques".to_string()),
-        (e10_baselines::run(scale), "e10_baselines".to_string()),
-        (e11_mesh_on_mesh::run(scale), "e11_mesh_on_mesh".to_string()),
-        (
-            e12_ablations::run_halo_width(scale),
-            "e12a_halo_width".to_string(),
-        ),
-        (
-            e12_ablations::run_c_constant(scale),
-            "e12b_c_constant".to_string(),
-        ),
-        (
-            e12_ablations::run_bandwidth(scale),
-            "e12c_bandwidth".to_string(),
-        ),
-        (
-            e12_ablations::run_multicast(scale),
-            "e12d_multicast".to_string(),
-        ),
-        (e12_ablations::run_jitter(scale), "e12e_jitter".to_string()),
-        (e13_schedule::run(scale), "e13_schedule".to_string()),
-        (
-            e14_heterogeneous::run(scale),
-            "e14_heterogeneous".to_string(),
-        ),
-        (e15_tree::run(scale), "e15_tree".to_string()),
-        (e16_replan::run(scale), "e16_replan".to_string()),
-        (e17_adaptive2d::run(scale), "e17_adaptive2d".to_string()),
-        (e18_programs::run(scale), "e18_programs".to_string()),
-        (engine_scale::run(scale), "engine_scale".to_string()),
-        (plan_reuse::run(scale), "plan_reuse".to_string()),
-        (fault_tolerance::run(scale), "fault_tolerance".to_string()),
-        (
-            stall_attribution::run(scale),
-            "stall_attribution".to_string(),
-        ),
-        (task_graphs::run(scale), "task_graphs".to_string()),
-    ];
-    let mut titles: Vec<(String, String)> = Vec::new();
-    for (t, name) in tables {
-        titles.push((t.title.clone(), name.clone()));
-        println!("{}", save_table(&t, &name).expect("write results"));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let gate = args.iter().any(|a| a == "--gate");
+    let quick = args.iter().any(|a| a == "--quick");
+    let modules: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| *a != "--gate" && *a != "--quick")
+        .collect();
+    if let Some(m) = modules
+        .iter()
+        .find(|m| !REGISTRY.iter().any(|e| e.module == **m))
+    {
+        usage(&format!("unknown module {m}"));
     }
-    let mut index = String::from(
+    if gate {
+        if args.len() > 1 {
+            usage("--gate takes no other argument");
+        }
+        match engine_scale::gate() {
+            Ok(report) => println!("perf gate OK\n{report}"),
+            Err(report) => {
+                eprintln!("perf gate FAILED\n{report}");
+                exit(1);
+            }
+        }
+        return;
+    }
+
+    let scale = if quick { Scale::Quick } else { Scale::Full };
+    let root = workspace_root();
+    let dir = root.join(if quick { "results/quick" } else { "results" });
+    std::fs::create_dir_all(&dir).expect("create the results directory");
+    let mut titled = Vec::new();
+    for entry in REGISTRY
+        .iter()
+        .filter(|e| modules.is_empty() || modules.contains(&e.module))
+    {
+        let out = (entry.compute)(scale);
+        let md = out.table.to_markdown();
+        write(&dir.join(format!("{}.md", entry.stem)), &md);
+        write(
+            &dir.join(format!("{}.csv", entry.stem)),
+            &out.table.to_csv(),
+        );
+        println!("{md}");
+        if let (Scale::Full, Some((file, json))) = (scale, &out.bench) {
+            write(&root.join(file), json);
+        }
+        titled.push((entry, out.table.title));
+    }
+    if modules.is_empty() && !quick {
+        write(&dir.join("INDEX.md"), &index(&titled));
+    }
+}
+
+/// Print what went wrong, the usage and the valid modules; exit 2.
+fn usage(problem: &str) -> ! {
+    let mut modules: Vec<&str> = REGISTRY.iter().map(|e| e.module).collect();
+    modules.dedup();
+    eprintln!(
+        "exp_all: {problem}\nusage: exp_all [--quick] [MODULE...] | exp_all --gate\nmodules: {}",
+        modules.join(" ")
+    );
+    exit(2);
+}
+
+fn write(path: &Path, contents: &str) {
+    std::fs::write(path, contents)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+}
+
+/// `INDEX.md`: one link per table, by title; figures link their markdown
+/// only.
+fn index(titled: &[(&Entry, String)]) -> String {
+    let mut out = String::from(
         "# results index\n\nRegenerate everything with `cargo run --release --bin exp_all`.\n\n",
     );
-    for (t, name) in &titles {
-        index.push_str(&format!("- [{t}]({name}.md) ([csv]({name}.csv))\n"));
+    for (entry, title) in titled {
+        let stem = entry.stem;
+        if entry.module == "figures" {
+            out.push_str(&format!("- [{title}]({stem}.md)\n"));
+        } else {
+            out.push_str(&format!("- [{title}]({stem}.md) ([csv]({stem}.csv))\n"));
+        }
     }
-    for (i, t) in figures::all().into_iter().enumerate() {
-        let name = format!("figure{}", i + 1);
-        index.push_str(&format!("- [{}]({name}.md)\n", t.title));
-        println!("{}", save_table(&t, &name).expect("write results"));
-    }
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::write(dir.join("INDEX.md"), index).expect("write index");
+    out
 }

@@ -3,35 +3,38 @@
 //!
 //! Before timing, each tier's timed event run is asserted equal to the
 //! stepped oracle's run on the whole outcome, so every tier — the gate's
-//! included — keeps a check by a second implementation. Results land in
-//! the usual markdown table **and** in `BENCH_engine.json` at the
-//! workspace root: per scale, the event engine's events/sec, the
-//! makespan, and the peak event-queue depth, plus the host's core count.
+//! included — keeps a check by a second implementation. [`run`] returns
+//! the markdown table and `BENCH_engine.json`: per scale, the event
+//! engine's events/sec, the makespan, and the peak event-queue depth,
+//! plus the host's core count.
 //!
-//! [`gate`] is the CI smoke perf gate (first slice of the regression-gate
-//! roadmap item): it re-measures one mid-size tier plus a task-graph
-//! tier (a non-uniform DAG guest through the dynamic-table event path)
-//! and fails if the grid-tier or task-graph event throughput drops
-//! more than 30% below the checked-in floor in `BENCH_engine_floor.json`,
-//! or if either tier's events, makespan or peak queue depth differs from
-//! the exact values pinned in the same file.
-//! It also re-measures the plan-reuse and delta-sweep speedups against
-//! the ratio floors in `BENCH_plan_floor.json`, replays the quick
-//! task-graph grid against the deterministic makespan ceilings in
-//! `BENCH_taskgraph_floor.json`, and re-times a micro-smoke subset of
-//! the criterion benches (`crates/bench/benches/`) against the floors
-//! in `BENCH_micro_floor.json` — those benches are write-only in CI, so
-//! without the mirror here a regression in embedding, overlap planning,
-//! or the mesh/Theorem-4 pipelines would land silently.
+//! [`gate`] is the CI perf gate (`exp_all --gate`). It fails when:
+//! - one of the first [`GATE_TIERS`] tiers of the checked-in
+//!   `BENCH_engine.json` (16×64×64 to 512×8192×64, 1.13M events) no
+//!   longer reproduces the events, makespan or peak queue depth that
+//!   file publishes;
+//! - the 64×256×32 grid tier or the task-graph tier (a non-uniform DAG
+//!   guest through the dynamic-table event path) moves a counter pinned
+//!   in `BENCH_engine_floor.json`, or its event throughput drops more
+//!   than 30% below the floor there;
+//! - the plan-reuse or delta-sweep speedup falls below
+//!   `BENCH_plan_floor.json`;
+//! - the quick task-graph grid fails validation or exceeds the makespan
+//!   ceiling in `BENCH_taskgraph_floor.json`;
+//! - one of four micro workloads (Fact 3 embedding, OVERLAP planning, the
+//!   Theorem 4 pipeline, Theorem 7/8 mesh emulation) drops more than 30%
+//!   below its floor in `BENCH_micro_floor.json`.
+//!
+//! Every throughput verdict prints its timed samples and the host's core
+//! count, on a pass and on a failure alike.
 
-use crate::Scale;
-use crate::Table;
+use super::{time_samples, Output};
+use crate::{Scale, Table};
 use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
 use overlap_net::topology::linear_array;
 use overlap_net::DelayModel;
 use overlap_sim::engine::{Engine, EngineConfig, RunOutcome};
-use overlap_sim::{run_stepped, Assignment, ExecPlan, RunStats};
-use std::time::Instant;
+use overlap_sim::{run_stepped, Assignment, ExecPlan};
 
 /// One measured scale.
 pub struct ScaleResult {
@@ -47,8 +50,11 @@ pub struct ScaleResult {
     pub makespan: u64,
     /// Peak pending events (memory-footprint proxy).
     pub peak_queue_depth: u64,
-    /// Calendar-queue engine throughput, events per second.
+    /// Calendar-queue engine throughput, events per second: the best of
+    /// [`samples`](Self::samples).
     pub events_per_sec: f64,
+    /// Throughput of each timed run, events per second.
+    pub samples: Vec<f64>,
 }
 
 fn scenario(procs: u32, cells: u32, steps: u32) -> (GuestSpec, overlap_net::HostGraph, Assignment) {
@@ -56,17 +62,6 @@ fn scenario(procs: u32, cells: u32, steps: u32) -> (GuestSpec, overlap_net::Host
     let host = linear_array(procs, DelayModel::uniform(1, 7), 5);
     let assign = Assignment::blocked(procs, cells);
     (guest, host, assign)
-}
-
-/// Best-of-`reps` wall time of `f` in seconds.
-fn time_best<T>(reps: u32, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// Run the sweep and return per-scale results.
@@ -90,6 +85,8 @@ pub fn measure(scale: Scale) -> Vec<ScaleResult> {
         .collect()
 }
 
+/// Lower one tier, assert its timed event run equal to the stepped
+/// oracle's, then time `reps` plain runs (`reps = 0` only checks).
 fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
     let (guest, host, assign) = scenario(procs, cells, steps);
     let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).expect("lower");
@@ -99,17 +96,20 @@ fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
         run_stepped(&plan).expect("stepped run"),
         "engines diverge at {procs}x{cells}x{steps}"
     );
+    let events = out.stats.events_processed;
     // Keep the giant tiers affordable: above a million events per run the
     // best-of window shrinks to 2.
-    let reps = if out.stats.events_processed > 1_000_000 {
+    let reps = if events > 1_000_000 {
         reps.min(2)
     } else {
         reps
     };
-    let events = out.stats.events_processed;
-    let t = time_best(reps, || -> RunOutcome {
-        Engine::from_plan(&plan).run().expect("run")
-    });
+    let samples = per_sec(
+        events as f64,
+        &time_samples(reps, || -> RunOutcome {
+            Engine::from_plan(&plan).run().expect("run")
+        }),
+    );
     ScaleResult {
         procs,
         cells,
@@ -117,8 +117,14 @@ fn measure_tier(procs: u32, cells: u32, steps: u32, reps: u32) -> ScaleResult {
         events,
         makespan: out.stats.makespan,
         peak_queue_depth: out.stats.peak_queue_depth,
-        events_per_sec: events as f64 / t,
+        events_per_sec: samples.iter().copied().fold(0.0, f64::max),
+        samples,
     }
+}
+
+/// Work per second of each timed sample, for `work` units per sample.
+fn per_sec(work: f64, secs: &[f64]) -> Vec<f64> {
+    secs.iter().map(|t| work / t).collect()
 }
 
 /// Physical parallelism of the machine the numbers were taken on.
@@ -150,12 +156,9 @@ pub fn to_json(results: &[ScaleResult]) -> String {
     out
 }
 
-/// The experiment: measure, write `BENCH_engine.json`, return the table.
-pub fn run(scale: Scale) -> Table {
+/// The experiment: measure, and return the table and `BENCH_engine.json`.
+pub fn run(scale: Scale) -> Output {
     let results = measure(scale);
-    let json = to_json(&results);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
-    std::fs::write(&path, &json).expect("write BENCH_engine.json");
 
     let mut t = Table::new(
         "ENGINE · calendar-queue engine throughput",
@@ -176,10 +179,13 @@ pub fn run(scale: Scale) -> Table {
          {}-core host. JSON copy written to BENCH_engine.json.",
         host_cores()
     ));
-    t
+    Output {
+        table: t,
+        bench: Some(("BENCH_engine.json", to_json(&results))),
+    }
 }
 
-/// Extract `"key": <number>` from the hand-rolled floor JSON.
+/// Extract `"key": <number>` from hand-rolled JSON: the first match.
 fn json_number(json: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\":");
     let at = json.find(&pat)? + pat.len();
@@ -190,11 +196,55 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// How many of `BENCH_engine.json`'s tiers the gate re-runs: all but the
+/// million-cell tier, whose 8.4M events only full runs afford.
+pub const GATE_TIERS: usize = 5;
+
+/// The counters a tier pins, in [`counters`] order.
+const COUNTERS: [&str; 3] = ["events", "makespan", "peak_queue_depth"];
+
+fn counters(r: &ScaleResult) -> [u64; 3] {
+    [r.events, r.makespan, r.peak_queue_depth]
+}
+
+/// The numbers under the keys `{prefix}{name}` in `json`.
+fn fields<const N: usize>(json: &str, prefix: &str, names: [&str; N]) -> Result<[f64; N], String> {
+    let mut out = [0.0; N];
+    for (slot, name) in out.iter_mut().zip(names) {
+        *slot = json_number(json, &format!("{prefix}{name}"))
+            .ok_or(format!("missing {prefix}{name}"))?;
+    }
+    Ok(out)
+}
+
+/// A tier of `BENCH_engine.json`: its `[procs, cells, steps]` and its
+/// pinned counters.
+type Tier = ([u32; 3], [f64; 3]);
+
+/// The tiers of a `BENCH_engine.json`, in file order.
+fn published_tiers(json: &str) -> Result<Vec<Tier>, String> {
+    json.split("{\"procs\"")
+        .skip(1)
+        .map(|rest| {
+            let tier = format!("{{\"procs\"{rest}");
+            let dims = fields(&tier, "", ["procs", "cells", "steps"])?;
+            Ok((dims.map(|d| d as u32), fields(&tier, "", COUNTERS)?))
+        })
+        .collect()
+}
+
+/// A pin verdict: every counter of `tier` must equal its pin.
+fn pin_verdict(tier: &str, got: [u64; 3], pins: [f64; 3]) -> (bool, String) {
+    let pins = pins.map(|p| p as u64);
+    let line = format!("{tier}: {} {got:?}, pinned {pins:?}", COUNTERS.join("/"));
+    (got == pins, line)
+}
+
 /// The gate's task-graph tier: a non-uniform layered-random DAG guest,
 /// which forces the event engine down the dynamic per-(cell,step) table
 /// path instead of the static uniform tables the grid tier exercises.
-/// Returns the run's stats and the event engine's events/sec.
-fn measure_taskgraph_tier(reps: u32) -> (RunStats, f64) {
+/// Returns the run's [`COUNTERS`] and the events/sec of each timed run.
+fn measure_taskgraph_tier(reps: u32) -> ([u64; 3], Vec<f64>) {
     let guest = GuestSpec::dag(
         TaskGraph::layered_random(256, 32, 2, 3, 7),
         ProgramKind::KvWorkload,
@@ -204,18 +254,18 @@ fn measure_taskgraph_tier(reps: u32) -> (RunStats, f64) {
     let assign = Assignment::blocked(64, guest.topology.num_cells());
     let plan = ExecPlan::build(&guest, &host, &assign, EngineConfig::default()).expect("lower");
     let run = || -> RunOutcome { Engine::from_plan(&plan).run().expect("run") };
-    let stats = run().stats;
-    let per_sec = stats.events_processed as f64 / time_best(reps, run);
-    (stats, per_sec)
+    let s = run().stats;
+    let samples = per_sec(s.events_processed as f64, &time_samples(reps, run));
+    (
+        [s.events_processed, s.makespan, s.peak_queue_depth],
+        samples,
+    )
 }
 
-/// The gate's mirror of the criterion micro-benches: one representative
-/// workload per bench file in `crates/bench/benches/`, measured as
-/// operations per second. The criterion harness itself never runs in CI
-/// (it is write-only tuning tooling), so this subset is what actually
-/// guards the embedding, overlap-planning, Theorem-4, and mesh-emulation
-/// hot paths against regressions.
-fn measure_micro(reps: u32) -> Vec<(&'static str, f64)> {
+/// The gate's micro workloads, one per hot path below the engine:
+/// embedding, overlap planning, and the Theorem 4 and mesh pipelines.
+/// Returns each workload's operations per second, per timed sample.
+fn measure_micro(reps: u32) -> Vec<(&'static str, Vec<f64>)> {
     use overlap_core::overlap::plan_overlap;
     use overlap_core::pipeline::Strategy;
     use overlap_core::Simulation;
@@ -224,18 +274,18 @@ fn measure_micro(reps: u32) -> Vec<(&'static str, f64)> {
     use overlap_net::topology::mesh2d;
 
     let mut out = Vec::new();
-    // bench_embed: Fact 3 embedding on the 32x32 mesh host. Fast per
-    // call, so batch enough iterations for a stable sample.
+    // Fact 3 embedding on the 32x32 mesh host. Fast per call, so batch
+    // enough iterations for a stable sample.
     let embed_host = mesh2d(32, 32, DelayModel::uniform(1, 9), 1);
     let iters = 64u32;
-    let t = time_best(reps, || {
+    let t = time_samples(reps, || {
         for _ in 0..iters {
             std::hint::black_box(embed_linear_array(&embed_host));
         }
     });
-    out.push(("embed_mesh32x32", iters as f64 / t));
-    // bench_overlap: interval-tree kill/label + recursive database
-    // assignment over 4096 heavy-tail delays.
+    out.push(("embed_mesh32x32", per_sec(iters as f64, &t)));
+    // Interval-tree kill/label + recursive database assignment over 4096
+    // heavy-tail delays.
     let overlap_host = linear_array(
         4096,
         DelayModel::HeavyTail {
@@ -247,21 +297,21 @@ fn measure_micro(reps: u32) -> Vec<(&'static str, f64)> {
     );
     let delays: Vec<u64> = overlap_host.links().iter().map(|l| l.delay).collect();
     let iters = 8u32;
-    let t = time_best(reps, || {
+    let t = time_samples(reps, || {
         for _ in 0..iters {
             std::hint::black_box(plan_overlap(&delays, 4.0, 1).expect("plan"));
         }
     });
-    out.push(("overlap_plan_4096", iters as f64 / t));
-    // bench_uniform: the Theorem 4 halo-1 scenario (n=16, d=64),
-    // builder included — this is the whole user-facing pipeline.
+    out.push(("overlap_plan_4096", per_sec(iters as f64, &t)));
+    // The Theorem 4 halo-1 scenario (n=16, d=64), builder included — this
+    // is the whole user-facing pipeline.
     let d = 64u64;
     let n = 16u32;
     let r = (d as f64).sqrt() as u32;
     let t4_guest = GuestSpec::array(n * r, ProgramKind::Relaxation, 9, 4 * r);
     let t4_trace = ReferenceRun::execute(&t4_guest);
     let t4_host = linear_array(n, DelayModel::constant(d), 0);
-    let t = time_best(reps, || {
+    let t = time_samples(reps, || {
         Simulation::of(&t4_guest)
             .on(&t4_host)
             .strategy(Strategy::Halo { halo: 1 })
@@ -269,171 +319,145 @@ fn measure_micro(reps: u32) -> Vec<(&'static str, f64)> {
             .and_then(|sim| sim.run_with_trace(&t4_trace))
             .expect("theorem4 run")
     });
-    out.push(("theorem4_halo1", 1.0 / t));
-    // bench_mesh: Theorem 7/8 emulation of an 8x8 guest mesh on the
-    // 8-processor linear host.
+    out.push(("theorem4_halo1", per_sec(1.0, &t)));
+    // Theorem 7/8 emulation of an 8x8 guest mesh on the 8-processor
+    // linear host.
     let mesh_guest = GuestSpec::mesh(8, 8, ProgramKind::Relaxation, 3, 12);
     let mesh_trace = ReferenceRun::execute(&mesh_guest);
     let mesh_host = linear_array(8, DelayModel::uniform(1, 5), 3);
-    let t = time_best(reps, || {
+    let t = time_samples(reps, || {
         Simulation::of(&mesh_guest)
             .on(&mesh_host)
             .build()
             .and_then(|sim| sim.run_with_trace(&mesh_trace))
             .expect("mesh run")
     });
-    out.push(("mesh_trace_8x8", 1.0 / t));
+    out.push(("mesh_trace_8x8", per_sec(1.0, &t)));
     out
 }
 
-/// Read and parse one numeric field from a checked-in floor file at the
-/// workspace root.
-fn floor_field(file: &str, key: &str) -> Result<f64, String> {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../{file}"));
-    let json = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    json_number(&json, key).ok_or_else(|| format!("{file} missing {key}"))
+/// Read a checked-in file at the workspace root.
+fn read_root(file: &str) -> Result<String, String> {
+    let path = crate::workspace_root().join(file);
+    std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-/// CI smoke perf gate: re-measure the mid Quick tier plus the task-graph
-/// tier and fail if the grid-tier or task-graph event throughput
-/// regresses more than 30% below the floor checked in at
-/// `BENCH_engine_floor.json`, or if either tier's deterministic counters
-/// (events, makespan, peak queue depth) differ at all from the values
-/// pinned there — they carry no noise, so a scheduling change must
-/// update them on purpose. Also enforces the machine-independent
-/// floors in `BENCH_plan_floor.json` (plan-reuse and delta-sweep speedup
-/// ratios — both arms are measured in the same process, so no tolerance
-/// is needed), the deterministic ceilings in
-/// `BENCH_taskgraph_floor.json` (the quick task-graph grid's makespans
-/// are exact, so any increase is a real scheduling regression), and the
-/// criterion micro-smoke mirror (`measure_micro`) against the
-/// throughput floors in `BENCH_micro_floor.json`. Returns a
-/// human-readable summary on pass, the violations on fail.
+/// Read one numeric field of a checked-in floor file.
+fn floor_field(file: &str, key: &str) -> Result<f64, String> {
+    json_number(&read_root(file)?, key).ok_or_else(|| format!("{file} missing {key}"))
+}
+
+/// A throughput verdict: the best of `samples` must reach 70% of `floor`.
+fn throughput_verdict(name: &str, unit: &str, samples: &[f64], floor: f64) -> (bool, String) {
+    let best = samples.iter().copied().fold(0.0, f64::max);
+    let shown: Vec<String> = samples.iter().map(|s| format!("{s:.0}")).collect();
+    let line = format!(
+        "{name}: best {best:.0} {unit}/s of samples [{}] on {} cores; floor {floor:.0}, \
+         fails below {:.0}",
+        shown.join(", "),
+        host_cores(),
+        floor * 0.70,
+    );
+    (best >= floor * 0.70, line)
+}
+
+/// The CI perf gate (see the module docs for what it checks). Returns
+/// one line per verdict, each marked `ok` or `FAILED`: all of them on a
+/// pass and on a failure alike.
 pub fn gate() -> Result<String, String> {
-    let floor_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine_floor.json");
-    let floor = std::fs::read_to_string(&floor_path)
-        .map_err(|e| format!("cannot read {}: {e}", floor_path.display()))?;
-    let f_event = json_number(&floor, "event_events_per_sec")
-        .ok_or("floor file missing event_events_per_sec")?;
-    let f_taskgraph = json_number(&floor, "taskgraph_events_per_sec")
-        .ok_or("floor file missing taskgraph_events_per_sec")?;
+    let mut verdicts = Vec::new();
 
-    let r = measure_tier(64, 256, 32, 3);
-    let (tg, taskgraph) = measure_taskgraph_tier(3);
+    // The grid and task-graph tiers, timed first in a fresh process as
+    // before: pinned counters and throughput floors.
+    let floor = read_root("BENCH_engine_floor.json")?;
+    let grid = measure_tier(64, 256, 32, 3);
+    let (tg, tg_samples) = measure_taskgraph_tier(3);
+    for (tier, got, samples) in [
+        ("grid", counters(&grid), &grid.samples),
+        ("taskgraph", tg, &tg_samples),
+    ] {
+        let pins = fields(&floor, &format!("{tier}_"), COUNTERS)
+            .map_err(|e| format!("BENCH_engine_floor.json: {e}"))?;
+        verdicts.push(pin_verdict(&format!("{tier} tier"), got, pins));
+        let key = if tier == "grid" { "event" } else { tier };
+        let f = floor_field("BENCH_engine_floor.json", &format!("{key}_events_per_sec"))?;
+        verdicts.push(throughput_verdict(
+            &format!("{tier} tier"),
+            "events",
+            samples,
+            f,
+        ));
+    }
 
-    let mut violations = Vec::new();
-    for (tier, counters) in [
-        ("grid", [r.events, r.makespan, r.peak_queue_depth]),
-        (
-            "taskgraph",
-            [tg.events_processed, tg.makespan, tg.peak_queue_depth],
-        ),
-    ] {
-        for (name, got) in ["events", "makespan", "peak_queue_depth"]
-            .into_iter()
-            .zip(counters)
-        {
-            let key = format!("{tier}_{name}");
-            let want = json_number(&floor, &key).ok_or(format!("floor file missing {key}"))?;
-            if got as f64 != want {
-                violations.push(format!(
-                    "{tier} tier: {name} {got} differs from the pinned {want}"
-                ));
-            }
-        }
+    // The published tiers: deterministic counters, no tolerance. Each run
+    // is first asserted equal to the stepped oracle's.
+    let tiers = published_tiers(&read_root("BENCH_engine.json")?)
+        .map_err(|e| format!("BENCH_engine.json: {e}"))?;
+    for &([procs, cells, steps], pins) in tiers.iter().take(GATE_TIERS) {
+        let r = measure_tier(procs, cells, steps, 0);
+        let tier = format!("BENCH_engine.json tier {procs}x{cells}x{steps}");
+        verdicts.push(pin_verdict(&tier, counters(&r), pins));
     }
-    for (name, got, floor) in [
-        ("event", r.events_per_sec, f_event),
-        ("task-graph", taskgraph, f_taskgraph),
-    ] {
-        if got < floor * 0.70 {
-            violations.push(format!(
-                "{name} engine: {got:.0} events/s is more than 30% below the floor {floor:.0}"
-            ));
-        }
-    }
+
     // Plan-reuse / delta-sweep ratio floors: both arms of each ratio are
     // timed in the same process, so the speedups are machine-independent
     // and checked without tolerance.
     let f_reuse = floor_field("BENCH_plan_floor.json", "reuse_min_speedup")?;
     let f_delta = floor_field("BENCH_plan_floor.json", "delta_min_speedup")?;
     let reuse = super::plan_reuse::measure(Scale::Quick);
-    let best_reuse = reuse.iter().map(|p| p.speedup()).fold(0.0, f64::max);
-    if best_reuse < f_reuse {
-        violations.push(format!(
-            "plan reuse: best speedup {best_reuse:.2}x is below the floor {f_reuse:.2}x"
-        ));
-    }
-    let delta = super::plan_reuse::measure_delta(Scale::Quick);
-    if delta.speedup() < f_delta {
-        violations.push(format!(
-            "delta sweep: speedup {:.2}x is below the floor {f_delta:.2}x",
-            delta.speedup()
-        ));
-    }
+    let reuse = reuse.iter().map(|p| p.speedup()).fold(0.0, f64::max);
+    let delta = super::plan_reuse::measure_delta(Scale::Quick).speedup();
+    verdicts.push((
+        reuse >= f_reuse,
+        format!("plan reuse: best speedup {reuse:.2}x, floor {f_reuse:.2}x"),
+    ));
+    verdicts.push((
+        delta >= f_delta,
+        format!("delta sweep: speedup {delta:.2}x, floor {f_delta:.2}x"),
+    ));
 
     // Task-graph makespan ceilings: the quick grid is deterministic, so
     // the checked-in totals must be reproduced exactly (improvements —
     // lower makespans — pass).
-    let f_cases = floor_field("BENCH_taskgraph_floor.json", "cases")?;
-    let f_span = floor_field("BENCH_taskgraph_floor.json", "total_makespan_ceiling")?;
-    let grid = super::task_graphs::measure(Scale::Quick);
-    let total_span: u64 = grid.iter().map(|c| c.makespan).sum();
-    if grid.len() != f_cases as usize {
-        violations.push(format!(
-            "task-graph grid: {} cases measured, floor expects {}",
-            grid.len(),
-            f_cases as usize
-        ));
-    }
-    if let Some(bad) = grid.iter().find(|c| !c.validated) {
-        violations.push(format!(
-            "task-graph grid: {}/{}/{}/{} failed reference validation",
-            bad.graph, bad.regime, bad.budget, bad.strategy
-        ));
-    }
-    if total_span > f_span as u64 {
-        violations.push(format!(
-            "task-graph grid: total makespan {total_span} exceeds the deterministic ceiling {}",
-            f_span as u64
+    let f_cases = floor_field("BENCH_taskgraph_floor.json", "cases")? as usize;
+    let f_span = floor_field("BENCH_taskgraph_floor.json", "total_makespan_ceiling")? as u64;
+    let cases = super::task_graphs::measure(Scale::Quick);
+    let invalid: Vec<String> = cases
+        .iter()
+        .filter(|c| !c.validated)
+        .map(|c| format!("{}/{}/{}/{}", c.graph, c.regime, c.budget, c.strategy))
+        .collect();
+    let span: u64 = cases.iter().map(|c| c.makespan).sum();
+    verdicts.push((
+        cases.len() == f_cases && invalid.is_empty() && span <= f_span,
+        format!(
+            "task-graph grid: {} cases (expects {f_cases}), failing validation {invalid:?}, \
+             total makespan {span} (ceiling {f_span})",
+            cases.len()
+        ),
+    ));
+
+    // Micro workloads: same 30% tolerance as the engine tiers, floors in
+    // BENCH_micro_floor.json keyed `<name>_ops_per_sec`.
+    for (name, samples) in measure_micro(3) {
+        let f = floor_field("BENCH_micro_floor.json", &format!("{name}_ops_per_sec"))?;
+        verdicts.push(throughput_verdict(
+            &format!("micro {name}"),
+            "ops",
+            &samples,
+            f,
         ));
     }
 
-    // Criterion micro-smoke mirror: same 30% tolerance as the engine
-    // tiers, floors in BENCH_micro_floor.json keyed `<name>_ops_per_sec`.
-    let micro = measure_micro(3);
-    let mut micro_summary = Vec::new();
-    for (name, ops) in &micro {
-        let key = format!("{name}_ops_per_sec");
-        let floor = floor_field("BENCH_micro_floor.json", &key)?;
-        if *ops < floor * 0.70 {
-            violations.push(format!(
-                "micro {name}: {ops:.1} ops/s is more than 30% below the floor {floor:.1}"
-            ));
-        }
-        micro_summary.push(format!("{name} {ops:.0}/s (floor {floor:.0})"));
-    }
-
-    if violations.is_empty() {
-        Ok(format!(
-            "perf gate OK: event {:.0} events/s (floor {:.0}), task-graph {:.0} events/s (floor {:.0}), tolerance 30%; \
-             grid and task-graph counters match their pins exactly; \
-             plan reuse {best_reuse:.2}x (floor {f_reuse:.2}x), delta sweep {:.2}x (floor {f_delta:.2}x); \
-             task-graph grid {} cases all validated, total makespan {total_span} (ceiling {}); \
-             micro {}",
-            r.events_per_sec,
-            f_event,
-            taskgraph,
-            f_taskgraph,
-            delta.speedup(),
-            grid.len(),
-            f_span as u64,
-            micro_summary.join(", ")
-        ))
+    let passed = verdicts.iter().all(|(pass, _)| *pass);
+    let report: Vec<String> = verdicts
+        .into_iter()
+        .map(|(pass, line)| format!("{} {line}", if pass { "ok    " } else { "FAILED" }))
+        .collect();
+    if passed {
+        Ok(report.join("\n"))
     } else {
-        Err(violations.join("; "))
+        Err(report.join("\n"))
     }
 }
 
@@ -451,13 +475,17 @@ mod tests {
         assert_eq!(json.matches("{\"procs\"").count(), results.len());
         for r in &results {
             assert!(r.events > 0 && r.events_per_sec > 0.0);
+            assert_eq!(r.samples.len(), 3);
+        }
+        let tiers = published_tiers(&json).expect("own JSON parses");
+        for (r, (dims, want)) in results.iter().zip(&tiers) {
+            assert_eq!(*dims, [r.procs, r.cells, r.steps]);
+            assert!(pin_verdict("t", counters(r), *want).0);
         }
     }
 
     #[test]
-    fn micro_smoke_covers_every_criterion_bench_file() {
-        // One workload per bench file in crates/bench/benches/ (the
-        // engine bench is covered by measure_tier itself).
+    fn micro_smoke_measures_each_hot_path() {
         let micro = measure_micro(1);
         let names: Vec<&str> = micro.iter().map(|(n, _)| *n).collect();
         assert_eq!(
@@ -469,8 +497,38 @@ mod tests {
                 "mesh_trace_8x8"
             ]
         );
-        for (name, ops) in &micro {
-            assert!(*ops > 0.0, "{name} measured no throughput");
+        for (name, samples) in &micro {
+            assert!(samples[0] > 0.0, "{name} measured no throughput");
+        }
+    }
+
+    /// Moving any counter of any gated tier by ±1 in the checked-in
+    /// `BENCH_engine.json` fails its verdict; the file as it stands passes.
+    #[test]
+    fn every_gated_pin_catches_an_off_by_one() {
+        let json = read_root("BENCH_engine.json").expect("BENCH_engine.json");
+        let tiers = published_tiers(&json).expect("parses");
+        assert!(tiers.len() > GATE_TIERS);
+        let lines: Vec<&str> = json.lines().collect();
+        let tier_lines: Vec<usize> = (0..lines.len())
+            .filter(|&n| lines[n].contains("{\"procs\""))
+            .collect();
+        for (i, &(_, pins)) in tiers.iter().take(GATE_TIERS).enumerate() {
+            let measured = pins.map(|v| v as u64);
+            assert!(pin_verdict("t", measured, pins).0);
+            for (name, want) in COUNTERS.into_iter().zip(measured) {
+                for moved in [want + 1, want - 1] {
+                    let mut edited: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+                    edited[tier_lines[i]] = lines[tier_lines[i]].replace(
+                        &format!("\"{name}\": {want},"),
+                        &format!("\"{name}\": {moved},"),
+                    );
+                    assert_ne!(edited[tier_lines[i]], lines[tier_lines[i]]);
+                    let pins = published_tiers(&edited.join("\n")).expect("parses")[i].1;
+                    let (pass, _) = pin_verdict("t", measured, pins);
+                    assert!(!pass, "tier {i}: {name} {want} -> {moved} went unnoticed");
+                }
+            }
         }
     }
 

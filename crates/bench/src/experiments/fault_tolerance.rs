@@ -15,6 +15,7 @@
 //! the workspace root: per downtime fraction, slowdown inflation, retry
 //! and stall counts for both placements, plus the crash scenario.
 
+use super::Output;
 use crate::{Scale, Table};
 use overlap_core::pipeline::Strategy;
 use overlap_core::{Error, Simulation};
@@ -287,12 +288,9 @@ fn fmt_arm(a: &Arm) -> (String, String) {
     }
 }
 
-/// The experiment: measure, write `BENCH_faults.json`, return the table.
-pub fn run(scale: Scale) -> Table {
+/// The experiment: measure, and return the table and `BENCH_faults.json`.
+pub fn run(scale: Scale) -> Output {
     let rows = measure(scale);
-    let json = to_json(&rows);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_faults.json");
-    std::fs::write(&path, &json).expect("write BENCH_faults.json");
 
     let mut t = Table::new(
         "FAULTS · OVERLAP graceful degradation vs single-copy baseline",
@@ -329,7 +327,10 @@ pub fn run(scale: Scale) -> Table {
          the single-copy baseline stalls on every outage and aborts (ColumnLost) on the \
          crash. JSON copy written to BENCH_faults.json.",
     );
-    t
+    Output {
+        table: t,
+        bench: Some(("BENCH_faults.json", to_json(&rows))),
+    }
 }
 
 #[cfg(test)]

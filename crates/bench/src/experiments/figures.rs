@@ -299,27 +299,17 @@ pub fn figure8() -> Table {
     t
 }
 
-/// All figures (the paper's six plus the utilization and assignment maps).
-pub fn all() -> Vec<Table> {
-    vec![
-        figure1(),
-        figure2(),
-        figure3(),
-        figure4(),
-        figure5(),
-        figure6(),
-        figure7(),
-        figure8(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_figures_render() {
-        let figs = all();
+        let figs: Vec<Table> = crate::experiments::REGISTRY
+            .iter()
+            .filter(|e| e.module == "figures")
+            .map(|e| (e.compute)(crate::Scale::Full).table)
+            .collect();
         assert_eq!(figs.len(), 8);
         for f in &figs {
             assert!(!f.rows.is_empty(), "{} has no rows", f.title);

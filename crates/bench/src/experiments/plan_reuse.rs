@@ -20,14 +20,13 @@
 //! per point — against a single shared plan stepped through
 //! delta/run/inverse.
 
-use crate::Scale;
-use crate::Table;
+use super::{fastest, time_samples, Output};
+use crate::{Scale, Table};
 use overlap_model::{GuestSpec, ProgramKind};
 use overlap_net::topology::{linear_array, mesh2d};
 use overlap_net::{DelayModel, HostGraph};
 use overlap_sim::engine::{Engine, EngineConfig, RunError, RunOutcome};
 use overlap_sim::{run_stepped, Assignment, ExecPlan, PlanDelta};
-use std::time::Instant;
 
 /// One engine's measured sweep, with and without plan reuse.
 pub struct ReuseResult {
@@ -79,17 +78,6 @@ fn scenario(scale: Scale) -> (GuestSpec, HostGraph, Assignment) {
     (guest, host, assign)
 }
 
-/// Best-of-`reps` wall time of `f` in seconds.
-fn time_best<T>(reps: u32, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// One engine's entry point over a lowered plan.
 type RunPlan = fn(&ExecPlan) -> Result<RunOutcome, RunError>;
 
@@ -115,18 +103,18 @@ pub fn measure(scale: Scale) -> Vec<ReuseResult> {
             let b = run(&fresh_plan);
             assert_eq!(a, b, "{name}: shared vs fresh lowering diverge");
 
-            let fresh_secs = time_best(reps, || {
+            let fresh_secs = fastest(&time_samples(reps, || {
                 for _ in 0..repeats {
                     let plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("plan");
                     std::hint::black_box(run(&plan));
                 }
-            });
-            let shared_secs = time_best(reps, || {
+            }));
+            let shared_secs = fastest(&time_samples(reps, || {
                 let plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("plan");
                 for _ in 0..repeats {
                     std::hint::black_box(run(&plan));
                 }
-            });
+            }));
             ReuseResult {
                 engine: name,
                 repeats,
@@ -177,12 +165,12 @@ pub fn measure_delta(scale: Scale) -> DeltaResult {
         plan.apply_delta(receipt.inverse).expect("inverse");
     }
 
-    let fresh_secs = time_best(reps, || {
+    let fresh_secs = fastest(&time_samples(reps, || {
         for &d in &delays {
             std::hint::black_box(fresh_point(d));
         }
-    });
-    let delta_secs = time_best(reps, || {
+    }));
+    let delta_secs = fastest(&time_samples(reps, || {
         let mut plan = ExecPlan::build(&guest, &host, &assign, cfg).expect("base plan");
         for &d in &delays {
             let receipt = plan
@@ -191,7 +179,7 @@ pub fn measure_delta(scale: Scale) -> DeltaResult {
             std::hint::black_box(Engine::from_plan(&plan).run().expect("delta run"));
             plan.apply_delta(receipt.inverse).expect("inverse");
         }
-    });
+    }));
     DeltaResult {
         points,
         fresh_secs,
@@ -228,13 +216,10 @@ pub fn to_json(results: &[ReuseResult], delta: &DeltaResult) -> String {
     out
 }
 
-/// The experiment: measure, write `BENCH_plan.json`, return the table.
-pub fn run(scale: Scale) -> Table {
+/// The experiment: measure, and return the table and `BENCH_plan.json`.
+pub fn run(scale: Scale) -> Output {
     let results = measure(scale);
     let delta = measure_delta(scale);
-    let json = to_json(&results, &delta);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_plan.json");
-    std::fs::write(&path, &json).expect("write BENCH_plan.json");
 
     let mut t = Table::new(
         "PLAN · sweep wall-clock, shared ExecPlan vs per-run lowering",
@@ -264,7 +249,10 @@ pub fn run(scale: Scale) -> Table {
          when the host changes), the shared column patches one plan with \
          ExecPlan::apply_delta. JSON copy written to BENCH_plan.json.",
     );
-    t
+    Output {
+        table: t,
+        bench: Some(("BENCH_plan.json", to_json(&results, &delta))),
+    }
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 //! the workspace root: per (delay, strategy), the absolute tick totals
 //! and each category's share of the copy-time budget.
 
+use super::Output;
 use crate::{Scale, Table};
 use overlap_core::pipeline::Strategy;
 use overlap_core::Simulation;
@@ -155,12 +156,9 @@ pub fn to_json(rows: &[TraceRow]) -> String {
     out
 }
 
-/// The experiment: measure, write `BENCH_trace.json`, return the table.
-pub fn run(scale: Scale) -> Table {
+/// The experiment: measure, and return the table and `BENCH_trace.json`.
+pub fn run(scale: Scale) -> Output {
     let rows = measure(scale);
-    let json = to_json(&rows);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_trace.json");
-    std::fs::write(&path, &json).expect("write BENCH_trace.json");
 
     let mut t = Table::new(
         "TRACE · stall attribution vs average link delay",
@@ -200,7 +198,10 @@ pub fn run(scale: Scale) -> Table {
          price: redundant copies serialise their update streams. JSON copy written to \
          BENCH_trace.json.",
     );
-    t
+    Output {
+        table: t,
+        bench: Some(("BENCH_trace.json", to_json(&rows))),
+    }
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //! Results land in the usual markdown table **and** in
 //! `BENCH_taskgraph.json` at the workspace root.
 
-use crate::Scale;
-use crate::Table;
+use super::Output;
+use crate::{Scale, Table};
 use overlap_core::pipeline::Strategy;
 use overlap_core::Simulation;
 use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
@@ -193,13 +193,10 @@ pub fn to_json(results: &[CaseResult]) -> String {
     out
 }
 
-/// The experiment: measure, write `BENCH_taskgraph.json`, return the
-/// table.
-pub fn run(scale: Scale) -> Table {
+/// The experiment: measure, and return the table and
+/// `BENCH_taskgraph.json`.
+pub fn run(scale: Scale) -> Output {
     let results = measure(scale);
-    let json = to_json(&results);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_taskgraph.json");
-    std::fs::write(&path, &json).expect("write BENCH_taskgraph.json");
 
     let mut t = Table::new(
         "TASKGRAPH · work-stealing vs OVERLAP vs blocked on DAG guests",
@@ -235,7 +232,10 @@ pub fn run(scale: Scale) -> Table {
          deterministic steal schedule's — compare within a column, not across budgets. \
          JSON copy written to BENCH_taskgraph.json.",
     );
-    t
+    Output {
+        table: t,
+        bench: Some(("BENCH_taskgraph.json", to_json(&results))),
+    }
 }
 
 #[cfg(test)]

@@ -3,13 +3,15 @@
 //! The experiment harness that regenerates every result of the paper
 //! (per-theorem "tables" — the paper is a theory extended abstract with no
 //! experimental tables of its own, so each theorem's claimed bound is the
-//! row we reproduce) and the six conceptual figures as data.
+//! row we reproduce) and its figures as data.
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning a
-//! [`Table`]; the `exp_*` binaries print them and write
-//! `results/<name>.md`. Everything runs at two scales: [`Scale::Quick`]
-//! (seconds; used by the test suite) and [`Scale::Full`] (the numbers in
-//! EXPERIMENTS.md).
+//! [`Table`], and [`experiments::REGISTRY`] lists every table with its
+//! `results/` file stem. The one binary, `exp_all`, runs the registry and
+//! writes the files (its doc lists the commands). Everything runs at two
+//! scales: [`Scale::Quick`] (seconds; its tables are the goldens under
+//! `results/quick/` that the test suite checks) and [`Scale::Full`] (the
+//! numbers in EXPERIMENTS.md).
 
 #![warn(missing_docs)]
 
@@ -21,14 +23,8 @@ pub mod table;
 pub use scale::Scale;
 pub use table::Table;
 
-/// Write a table to `results/<name>.md` (markdown) and
-/// `results/<name>.csv` (raw data) under the workspace root and return
-/// the rendered markdown.
-pub fn save_table(table: &Table, name: &str) -> std::io::Result<String> {
-    let md = table.to_markdown();
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    std::fs::create_dir_all(&dir)?;
-    std::fs::write(dir.join(format!("{name}.md")), &md)?;
-    std::fs::write(dir.join(format!("{name}.csv")), table.to_csv())?;
-    Ok(md)
+/// The workspace root: `results/`, `BENCH_*.json` and the perf gate's
+/// floor files live here.
+pub fn workspace_root() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }

@@ -10,15 +10,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parse from a CLI argument (`--quick` / `--full`; default full).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Pick between the quick and full variants of a parameter.
     pub fn pick<T: Copy>(self, quick: T, full: T) -> T {
         match self {

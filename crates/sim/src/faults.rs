@@ -298,15 +298,16 @@ impl FaultPlan {
 }
 
 /// SplitMix64 — the standard 64-bit mixing PRNG; deterministic and
-/// dependency-free.
-struct SplitMix64(u64);
+/// dependency-free. The crate's one generator: the random fault
+/// schedules here and the fuzzer's scenario draws.
+pub(crate) struct SplitMix64(u64);
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self(seed)
     }
 
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -314,9 +315,19 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Uniform in `[0, n)` (`n ≥ 1`).
-    fn below(&mut self, n: u64) -> u64 {
+    /// Uniform in `[0, n)`; `n = 0` draws as `n = 1`.
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n.max(1)
+    }
+
+    /// Uniform in `[lo, hi]`.
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.below(hi - lo + 1)
+    }
+
+    /// True with probability `num / den`.
+    pub(crate) fn chance(&mut self, num: u64, den: u64) -> bool {
+        self.below(den) < num
     }
 }
 

@@ -56,7 +56,7 @@
 use crate::assignment::Assignment;
 use crate::bandwidth::BandwidthMode;
 use crate::engine::{Engine, EngineConfig, Jitter, MemBudget, RunOutcome};
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, SplitMix64};
 use crate::plan::ExecPlan;
 use crate::stats::FaultStats;
 use crate::stepped::run_stepped;
@@ -68,37 +68,13 @@ use overlap_net::{DelayModel, HostGraph, NodeId};
 use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
-// deterministic PRNG (splitmix64 — same generator the fault module uses)
+// deterministic PRNG
 // ---------------------------------------------------------------------------
 
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Self(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, n)`; `n` must be non-zero.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// Uniform draw in `[lo, hi]`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo + 1)
-    }
-
-    fn chance(&mut self, num: u64, den: u64) -> bool {
-        self.below(den) < num
-    }
+/// The fault module's SplitMix64 behind the fuzzer's own seed transform,
+/// which fixes every scenario stream.
+fn fuzz_rng(seed: u64) -> SplitMix64 {
+    SplitMix64::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1))
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +259,7 @@ impl ScenarioSpec {
             AssignKind::Blocked => Assignment::blocked(procs, cells),
             AssignKind::AllOnOne => Assignment::all_on_one(procs, cells),
             AssignKind::Redundant { seed } => {
-                let mut rng = Rng::new(seed);
+                let mut rng = fuzz_rng(seed);
                 let holders = (0..cells)
                     .map(|_| {
                         let first = rng.below(procs as u64) as NodeId;
@@ -305,7 +281,7 @@ impl ScenarioSpec {
 /// The same `(seed, case)` always yields the same spec, so any reported
 /// case number can be replayed exactly.
 pub fn gen_spec(seed: u64, case: u64) -> ScenarioSpec {
-    let mut rng = Rng::new(seed ^ case.wrapping_mul(0xd1b54a32d192ed03));
+    let mut rng = fuzz_rng(seed ^ case.wrapping_mul(0xd1b54a32d192ed03));
 
     let host = match rng.below(4) {
         0 => HostKind::Line(rng.range(2, 9) as u32),
@@ -403,7 +379,7 @@ pub fn gen_spec(seed: u64, case: u64) -> ScenarioSpec {
 
     // Bandwidth and jitter come from a stream of their own, so every
     // field above is what it was before they were drawn.
-    let mut rng = Rng::new(seed ^ case.wrapping_mul(0x8ebc6af09c88c6e3));
+    let mut rng = fuzz_rng(seed ^ case.wrapping_mul(0x8ebc6af09c88c6e3));
     let bandwidth = match rng.below(6) {
         0..=2 => BandwidthMode::LogN,
         k => BandwidthMode::Fixed(k as u32 - 2),
@@ -442,7 +418,7 @@ pub fn gen_spec(seed: u64, case: u64) -> ScenarioSpec {
 /// stays replayable by `(seed, case)` exactly like [`gen_spec`].
 pub fn gen_spec_dag(seed: u64, case: u64) -> ScenarioSpec {
     let mut spec = gen_spec(seed, case);
-    let mut rng = Rng::new(seed ^ case.wrapping_mul(0xa0761d6478bd642f));
+    let mut rng = fuzz_rng(seed ^ case.wrapping_mul(0xa0761d6478bd642f));
     spec.guest = match spec.guest {
         g @ (GuestKind::DagRandom { .. } | GuestKind::Wavefront(_) | GuestKind::ForkJoin(_)) => g,
         g => match rng.below(3) {

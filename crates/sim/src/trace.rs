@@ -39,7 +39,7 @@
 //! windows telescope to `[0, done(T))` and the drain closes the copy at
 //! the makespan. It is checked in the test suite (where the traced golden
 //! run, stripped of its report, must equal the stepped oracle's run), by
-//! the fuzzer on every case, and in `exp_stall_attribution`.
+//! the fuzzer on every case, and per row by `exp_all stall_attribution`.
 //!
 //! # Mechanics
 //!

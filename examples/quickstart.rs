@@ -71,7 +71,7 @@ fn main() {
         "\nThe combined strategy (Theorem 5) hides the {}-tick worst links by replicating \
          databases across slow boundaries — automatic redundant computation, no \
          programmer-provided slackness required. At this lab scale the combined variant \
-         carries OVERLAP's win; see exp_t2_overlap for the pure-OVERLAP regime.",
+         carries OVERLAP's win; see `exp_all e1_overlap` for the pure-OVERLAP regime.",
         stats.d_max
     );
 }
