@@ -11,7 +11,8 @@
 //! named modules' tables (`exp_all e12_ablations` writes the five E12
 //! tables). A full-scale run writes `results/<stem>.md` and `.csv` per
 //! table and, for the five experiments that publish one, the
-//! `BENCH_*.json` at the workspace root. `--quick` writes under
+//! `BENCH_*.json` at the workspace root, ending that table's note with
+//! "JSON copy written to BENCH_….json.". `--quick` writes under
 //! `results/quick/` only, and no `BENCH_*.json` or `INDEX.md`. A
 //! full-scale run of the whole registry also writes `results/INDEX.md`.
 //! An unknown module exits 2 and lists the valid ones.
@@ -62,7 +63,16 @@ fn main() {
         .iter()
         .filter(|e| modules.is_empty() || modules.contains(&e.module))
     {
-        let out = (entry.compute)(scale);
+        let mut out = (entry.compute)(scale);
+        if let (Scale::Full, Some((file, json))) = (scale, &out.bench) {
+            write(&root.join(file), json);
+            let note = out
+                .table
+                .notes
+                .last_mut()
+                .expect("each JSON table has a note");
+            note.push_str(&format!(" JSON copy written to {file}."));
+        }
         let md = out.table.to_markdown();
         write(&dir.join(format!("{}.md", entry.stem)), &md);
         write(
@@ -70,9 +80,6 @@ fn main() {
             &out.table.to_csv(),
         );
         println!("{md}");
-        if let (Scale::Full, Some((file, json))) = (scale, &out.bench) {
-            write(&root.join(file), json);
-        }
         titled.push((entry, out.table.title));
     }
     if modules.is_empty() && !quick {

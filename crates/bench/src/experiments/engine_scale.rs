@@ -176,7 +176,7 @@ pub fn run(scale: Scale) -> Output {
     t.note(format!(
         "each timed event run is asserted equal to the stepped oracle's before timing, \
          peak_queue_depth included; events/s is the event engine's, measured on a \
-         {}-core host. JSON copy written to BENCH_engine.json.",
+         {}-core host.",
         host_cores()
     ));
     Output {

@@ -325,7 +325,7 @@ pub fn run(scale: Scale) -> Output {
          inflation is vs the same placement's fault-free run. OVERLAP's redundant copies \
          turn outages into retries and a crash into re-subscription to surviving holders; \
          the single-copy baseline stalls on every outage and aborts (ColumnLost) on the \
-         crash. JSON copy written to BENCH_faults.json.",
+         crash.",
     );
     Output {
         table: t,

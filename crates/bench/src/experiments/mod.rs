@@ -60,7 +60,8 @@ pub struct Output {
     /// The table, written as `results/<stem>.md` and `.csv`.
     pub table: Table,
     /// `(file name, contents)` of a `BENCH_*.json` at the workspace
-    /// root; the driver writes it on full-scale runs only.
+    /// root; `exp_all` writes it on full-scale runs only, and then says
+    /// so at the end of the table's note.
     pub bench: Option<(&'static str, String)>,
 }
 

@@ -247,7 +247,7 @@ pub fn run(scale: Scale) -> Output {
          per sweep point instead of once per run. The delta-sweep row varies one link \
          delay per point: the fresh column re-lowers every point (all plan reuse can do \
          when the host changes), the shared column patches one plan with \
-         ExecPlan::apply_delta. JSON copy written to BENCH_plan.json.",
+         ExecPlan::apply_delta.",
     );
     Output {
         table: t,

@@ -195,8 +195,7 @@ pub fn run(scale: Scale) -> Output {
          pipelining hides. At lab scale pure OVERLAP's interval overlap vanishes, so its \
          rows coincide with the single-copy blocked placement; the combined strategy is \
          the composition that actually replicates here, and its db-order share shows the \
-         price: redundant copies serialise their update streams. JSON copy written to \
-         BENCH_trace.json.",
+         price: redundant copies serialise their update streams.",
     );
     Output {
         table: t,

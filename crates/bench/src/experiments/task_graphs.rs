@@ -229,8 +229,7 @@ pub fn run(scale: Scale) -> Output {
         "every run is validated bit-for-bit against the unit-delay reference before its \
          makespan counts; reload ticks are the pebbling cost of the copy budget (8 ticks \
          per reload). Work-stealing places whole slots, so its makespan is the offline \
-         deterministic steal schedule's — compare within a column, not across budgets. \
-         JSON copy written to BENCH_taskgraph.json.",
+         deterministic steal schedule's — compare within a column, not across budgets.",
     );
     Output {
         table: t,

@@ -34,14 +34,6 @@ impl SlotAssignment {
             .unwrap_or(0)
     }
 
-    /// Number of positions holding at least one slot.
-    pub fn active_positions(&self) -> usize {
-        self.slots_of_position
-            .iter()
-            .filter(|s| !s.is_empty())
-            .count()
-    }
-
     /// Total slot copies (≥ `num_slots`; the excess is the redundancy).
     pub fn total_copies(&self) -> usize {
         self.slots_of_position.iter().map(Vec::len).sum()
@@ -145,7 +137,8 @@ mod tests {
         let out = kill_and_label(&d, &KillParams::default());
         let a = assign_slots(&out);
         assert_eq!(a.load(), 1);
-        assert_eq!(a.active_positions(), out.live());
+        let active = a.slots_of_position.iter().filter(|s| !s.is_empty());
+        assert_eq!(active.count(), out.live());
         check_coverage(&a);
         // Redundancy: total copies − slots = sum of overlaps ≥ 0.
         assert!(a.total_copies() >= a.num_slots as usize);

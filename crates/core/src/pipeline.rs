@@ -19,7 +19,7 @@
 //!    validate every copy. Sweeps reuse the lowered plan across repeats
 //!    and engines instead of re-lowering per run.
 
-use crate::combined::compose;
+use crate::combined::{compose, plan_combined};
 use crate::error::Error;
 use crate::mesh::plan_mesh;
 use crate::overlap::plan_overlap;
@@ -286,28 +286,8 @@ fn place_slots(
             ))
         }
         Strategy::Combined { c, expansion } => {
-            // OVERLAP with block = expansion: host position → intermediate
-            // H0 positions; then Theorem 4 regions over H0 positions.
-            let plan = plan_overlap(delays, c, expansion)?;
-            let n0 = plan.guest_cells; // intermediate positions
-            let r = num_slots.div_ceil(n0).max(1);
-            let h0_regions = uniform::halo_assignment(n0, r, 1);
-            let placed = plan
-                .cells_of_position
-                .iter()
-                .map(|h0s| {
-                    let mut out: Vec<u32> = h0s
-                        .iter()
-                        .flat_map(|&q| h0_regions[q as usize].iter().copied())
-                        .filter(|&c| c < num_slots)
-                        .collect();
-                    out.sort_unstable();
-                    out.dedup();
-                    out
-                })
-                .collect();
-            let pred = crate::theory::t5_predicted(n, d_ave, c, expansion);
-            Ok((placed, Some(pred)))
+            let plan = plan_combined(delays, c, expansion, num_slots)?;
+            Ok((plan.cells_of_position, Some(plan.predicted_slowdown)))
         }
         Strategy::Blocked => {
             let a = Assignment::blocked(n, num_slots);
@@ -680,6 +660,35 @@ mod tests {
             for (pos, cells) in blocks.iter().enumerate() {
                 assert_eq!(placed.assignment.cells_of(order[pos]), &cells[..]);
             }
+        }
+    }
+
+    /// Theorem 8's constants are c = 4 and L = 2. On a 128-position line
+    /// with one spike link, c = 3, 5 or 8, or L = 3, each place a
+    /// 200-column mesh differently; `plan_placement` places it as c = 4
+    /// and L = 2 do.
+    #[test]
+    fn grid_guests_are_placed_with_c_4_and_expansion_2() {
+        let spike = DelayModel::Spike {
+            base: 1,
+            spike: 125,
+            period: 127,
+        };
+        let host = linear_array(128, spike, 0);
+        let (order, delays, _) = host_as_array(&host);
+        let mesh = GuestSpec::mesh(200, 2, ProgramKind::KvWorkload, 5, 8);
+        let plan = plan_mesh(&delays, 4.0, 2, &mesh.topology).unwrap();
+        for (c, expansion) in [(3.0, 2), (5.0, 2), (8.0, 2), (4.0, 3)] {
+            let other = plan_mesh(&delays, c, expansion, &mesh.topology).unwrap();
+            assert_ne!(
+                other.cells_of_position, plan.cells_of_position,
+                "c = {c}, L = {expansion} must place differently"
+            );
+        }
+        let placed = plan_placement(&mesh, &host, Strategy::Auto).unwrap();
+        assert_eq!(placed.predicted_slowdown, Some(plan.predicted_slowdown));
+        for (pos, cells) in plan.cells_of_position.iter().enumerate() {
+            assert_eq!(placed.assignment.cells_of(order[pos]), &cells[..], "{pos}");
         }
     }
 

@@ -158,21 +158,6 @@ impl IntervalTree {
         ids.sort_by_key(|&i| std::cmp::Reverse(self.nodes[i as usize].depth));
         ids
     }
-
-    /// The chain of node ids from the leaf of `position` up to the root.
-    pub fn ancestors_of(&self, position: u32) -> Vec<u32> {
-        let mut v = Vec::new();
-        let mut id = self.leaf_of[position as usize];
-        loop {
-            v.push(id);
-            let p = self.nodes[id as usize].parent;
-            if p == u32::MAX {
-                break;
-            }
-            id = p;
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -228,19 +213,6 @@ mod tests {
                     assert_eq!(r.hi, node.hi);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn ancestors_run_leaf_to_root() {
-        let t = IntervalTree::build(8, &[1; 7]);
-        let anc = t.ancestors_of(5);
-        assert_eq!(anc.len(), 4); // depth 3 leaf + 3 ancestors
-        assert_eq!(*anc.last().unwrap(), 0);
-        // each contains position 5
-        for &id in &anc {
-            let nd = &t.nodes[id as usize];
-            assert!(nd.lo <= 5 && 5 < nd.hi);
         }
     }
 

@@ -5,7 +5,8 @@
 //! the 2–3× reuse win). The daemon lowers each distinct
 //! `(guest, host, assignment, config)` once while cached and keeps the
 //! owned plan (`ExecPlan<'static>`) plus the guest's unit-delay
-//! [`ReferenceTrace`] behind the canonical scenario key from
+//! [`ReferenceTrace`] (three digests per cell) behind the canonical
+//! scenario key from
 //! `overlap_sim::scenario_key` (what [`ScenarioSpec::plan_key`] returns).
 //! A miss lowers from the assignment admission already placed, so each
 //! submission is placed once. A cached entry is never edited: a run
@@ -14,7 +15,9 @@
 //!
 //! Memory: the cache is an LRU bounded by [`PLAN_CACHE_BYTES`]. Each
 //! entry is charged its heap footprint, `ExecPlan::heap_bytes` plus
-//! `ReferenceTrace::heap_bytes` plus its key. Every lookup refreshes its
+//! `ReferenceTrace::heap_bytes` (24 bytes per cell) plus its key. The
+//! guest, task graph included, is held and charged once, in the plan.
+//! Every lookup refreshes its
 //! key's recency, and after each insertion the least recently used
 //! entries are unlinked until the charged total fits the budget. The
 //! entry just inserted is never unlinked, so a plan larger than the whole
@@ -277,7 +280,7 @@ fn lower(spec: &ScenarioSpec, assignment: Assignment) -> Result<Entry, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overlap_model::{GuestSpec, ProgramKind};
+    use overlap_model::{GuestSpec, ProgramKind, TaskGraph};
     use overlap_net::topology::linear_array;
     use overlap_net::DelayModel;
 
@@ -371,6 +374,41 @@ mod tests {
         assert!(hit);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
+    }
+
+    /// A grid guest's reference is three digests per cell, so its entry
+    /// is charged the same bytes at any step count, apart from the key's
+    /// longer step number.
+    #[test]
+    fn a_grid_guests_charge_does_not_grow_with_steps() {
+        let at = |steps| {
+            ScenarioSpec::new(
+                GuestSpec::array(64, ProgramKind::KvWorkload, 3, steps),
+                linear_array(4, DelayModel::uniform(1, 5), 7),
+            )
+        };
+        let without_key = |s: &ScenarioSpec| charge_of(s) - s.plan_key().unwrap().len() as u64;
+        assert_eq!(without_key(&at(4096)), without_key(&at(16)));
+    }
+
+    /// A task-graph guest's reference is charged 24 bytes per cell, by
+    /// capacity, so its `TaskGraph` is counted once: in the plan.
+    #[test]
+    fn a_task_graph_is_charged_once_in_the_plan() {
+        let spec = ScenarioSpec::new(
+            GuestSpec::dag(
+                TaskGraph::layered_random(48, 16, 2, 3, 5),
+                ProgramKind::Relaxation,
+                2,
+            ),
+            linear_array(4, DelayModel::uniform(1, 5), 7),
+        );
+        let cache = PlanCache::new();
+        let (key, assignment) = admit(&spec);
+        let (entry, _) = cache.get(&key, &spec, assignment).unwrap();
+        let cells = spec.guest.num_cells() as usize;
+        assert_eq!(entry.reference.heap_bytes(), 3 * 8 * cells);
+        assert!(entry.plan.heap_bytes() > spec.guest.heap_bytes());
     }
 
     #[test]

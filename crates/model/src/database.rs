@@ -40,6 +40,15 @@ pub fn fold64(a: u64, b: u64) -> u64 {
     mix64(a.rotate_left(17) ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
+/// Seed of a database copy's value fold: [`fold64`] over the copy's pebble
+/// values in step order, starting here. The reference and every engine
+/// fold from it, so their digests compare.
+pub const VALUE_FOLD_SEED: u64 = 0xF01D;
+
+/// Seed of a database copy's update-log fold: [`fold64`] over the
+/// [`DbUpdate::digest`] of each update it applied, in step order.
+pub const UPDATE_FOLD_SEED: u64 = 0xD16;
+
 /// The change one pebble computation makes to its column's database.
 ///
 /// Updates are small (O(1) words) by design: the model forbids shipping

@@ -15,12 +15,14 @@
 //!
 //! This crate provides:
 //!
-//! * [`PebbleId`] / [`Pebble`] — the unit of computation and communication;
+//! * [`PebbleValue`] — what one pebble computes;
 //! * [`Db`] / [`DbUpdate`] — concrete database kinds with replayable updates;
 //! * [`Program`] — the pluggable per-pebble computation;
 //! * [`GuestSpec`] — guest shape (line with virtual boundaries, or ring);
-//! * `reference` — the unit-delay ground-truth executor used to validate
-//!   every host simulation in the workspace;
+//! * `reference` — the unit-delay ground-truth executor, whose three
+//!   per-cell digests ([`fold64`] from [`VALUE_FOLD_SEED`] and
+//!   [`UPDATE_FOLD_SEED`]) validate every host simulation in the
+//!   workspace;
 //! * [`transform`] — guest-to-guest transformations (ring → line with
 //!   slowdown 2, 2-D mesh → column-strip line).
 
@@ -36,9 +38,11 @@ pub mod taskgraph;
 pub mod transform;
 
 pub use boundary::BoundaryRule;
-pub use database::{fold64, mix64, Db, DbKind, DbUpdate, KvShard};
+pub use database::{
+    fold64, mix64, Db, DbKind, DbUpdate, KvShard, UPDATE_FOLD_SEED, VALUE_FOLD_SEED,
+};
 pub use guest::{Dep, DepList, GuestSpec, GuestTopology, Side};
-pub use pebble::{Pebble, PebbleGrid, PebbleId, PebbleValue};
+pub use pebble::PebbleValue;
 pub use program::{ComputeResult, Program, ProgramKind, ProgramRef};
 pub use reference::{ReferenceRun, ReferenceTrace};
 pub use taskgraph::{DagBuilder, TaskGraph, TaskGraphError, TaskId};

@@ -2,43 +2,36 @@
 //!
 //! Runs a [`GuestSpec`] exactly as the guest network itself would — every
 //! cell computes one pebble per step with unit-delay neighbour exchange —
-//! and records the complete pebble grid plus per-cell database digests.
-//! Every host simulation in the workspace is validated against this trace:
-//! a correct latency-hiding simulation must compute *the same pebbles* and
-//! leave every database copy in *the same state* (paper §2: "H performs the
-//! same step-by-step computations as G").
+//! and keeps, per cell, the three digests a host simulation's database
+//! copies are compared against: the fold of the cell's pebble values, its
+//! final database and its update log. A correct latency-hiding simulation
+//! must compute *the same pebbles* and leave every database copy in *the
+//! same state* (paper §2: "H performs the same step-by-step computations
+//! as G").
 
-use crate::database::{fold64, Db};
+use crate::database::{fold64, Db, DbUpdate, UPDATE_FOLD_SEED, VALUE_FOLD_SEED};
 use crate::guest::{Dep, GuestSpec};
-use crate::pebble::{PebbleGrid, PebbleId, PebbleValue};
+use crate::pebble::PebbleValue;
 use crate::program::ProgramRef;
 
-/// The complete ground truth of a guest run.
-#[derive(Debug, Clone)]
+/// What a guest run leaves for validation: three digests per cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReferenceTrace {
-    /// The spec that was executed.
-    pub spec: GuestSpec,
-    /// All pebble values, `cells × steps`.
-    pub grid: PebbleGrid,
+    /// Order-sensitive fold of each cell's pebble values (step order,
+    /// from [`VALUE_FOLD_SEED`]).
+    pub value_fold: Vec<u64>,
     /// Digest of each cell's final database contents.
     pub final_db_digest: Vec<u64>,
-    /// Order-sensitive digest of each cell's update log (step order).
+    /// Order-sensitive fold of each cell's update log (step order, from
+    /// [`UPDATE_FOLD_SEED`]).
     pub update_log_digest: Vec<u64>,
-    /// Total pebbles computed (= cells × steps).
-    pub work: u64,
 }
 
 impl ReferenceTrace {
-    /// Value of pebble `id` in the ground truth.
-    pub fn value(&self, id: PebbleId) -> PebbleValue {
-        self.grid.get(id)
-    }
-
-    /// Heap bytes the trace holds: its copy of the spec, the pebble grid
-    /// and both digest tables (allocated capacities, not estimates).
+    /// Heap bytes the trace holds: its three digest tables (allocated
+    /// capacities, not estimates), 24 bytes per cell.
     pub fn heap_bytes(&self) -> usize {
-        self.spec.heap_bytes()
-            + self.grid.heap_bytes()
+        crate::vec_bytes(&self.value_fold)
             + crate::vec_bytes(&self.final_db_digest)
             + crate::vec_bytes(&self.update_log_digest)
     }
@@ -48,28 +41,37 @@ impl ReferenceTrace {
 pub struct ReferenceRun;
 
 impl ReferenceRun {
-    /// Execute `spec` and return the full trace.
+    /// Execute `spec` and return its per-cell digests.
     ///
-    /// Memory: `cells × steps` pebble values plus one live database per
-    /// cell. A 4096-cell, 4096-step run is ~128 MiB of pebbles; callers
-    /// running parameter sweeps should size accordingly.
+    /// Memory: one live database and three digests per cell, plus two
+    /// rows of pebble values; nothing grows with `steps`.
     pub fn execute(spec: &GuestSpec) -> ReferenceTrace {
+        Self::execute_with(spec, |_, _, _| {})
+    }
+
+    /// [`execute`](Self::execute), handing `observe(cell, step, value)`
+    /// every pebble as it is computed: step by step, cells in order
+    /// within a step.
+    pub fn execute_with(
+        spec: &GuestSpec,
+        mut observe: impl FnMut(u32, u32, PebbleValue),
+    ) -> ReferenceTrace {
         let program: ProgramRef = spec.program.instantiate();
         let cells = spec.num_cells();
-        let steps = spec.steps;
         let boundary = spec.boundary();
         let kind = program.db_kind();
 
         let mut dbs: Vec<Db> = (0..cells).map(|c| kind.instantiate(c, spec.seed)).collect();
-        let mut update_log_digest = vec![0xD16u64; cells as usize];
-        let mut grid = PebbleGrid::new(cells, steps);
+        let mut value_fold = vec![VALUE_FOLD_SEED; cells as usize];
+        let mut update_log_digest = vec![UPDATE_FOLD_SEED; cells as usize];
 
         let mut prev: Vec<PebbleValue> = (0..cells).map(|c| spec.initial_value(c)).collect();
         let mut cur: Vec<PebbleValue> = vec![0; cells as usize];
         let mut deps_buf: Vec<PebbleValue> = Vec::with_capacity(spec.max_deps());
 
-        for t in 1..=steps {
+        for t in 1..=spec.steps {
             for c in 0..cells {
+                let i = c as usize;
                 deps_buf.clear();
                 spec.visit_deps(c, t, |d| {
                     deps_buf.push(match d {
@@ -81,24 +83,23 @@ impl ReferenceRun {
                     // Relay slots repeat the lane's previous value and leave
                     // the database untouched (DbUpdate::None still folds
                     // into the update log, keeping digests well-defined).
-                    (prev[c as usize], crate::database::DbUpdate::None)
+                    (prev[i], DbUpdate::None)
                 } else {
-                    program.compute(c, t, &dbs[c as usize], &deps_buf)
+                    program.compute(c, t, &dbs[i], &deps_buf)
                 };
-                dbs[c as usize].apply(&u);
-                update_log_digest[c as usize] = fold64(update_log_digest[c as usize], u.digest());
-                cur[c as usize] = v;
-                grid.set(PebbleId::new(c, t), v);
+                dbs[i].apply(&u);
+                update_log_digest[i] = fold64(update_log_digest[i], u.digest());
+                value_fold[i] = fold64(value_fold[i], v);
+                cur[i] = v;
+                observe(c, t, v);
             }
             std::mem::swap(&mut prev, &mut cur);
         }
 
         ReferenceTrace {
-            spec: spec.clone(),
-            grid,
+            value_fold,
             final_db_digest: dbs.iter().map(|d| d.digest()).collect(),
             update_log_digest,
-            work: cells as u64 * steps as u64,
         }
     }
 }
@@ -107,18 +108,25 @@ impl ReferenceRun {
 mod tests {
     use super::*;
     use crate::program::ProgramKind;
+    use std::collections::HashMap;
 
     fn spec() -> GuestSpec {
         GuestSpec::array(8, ProgramKind::KvWorkload, 7, 12)
     }
 
+    /// The run's digests and every pebble it computed, keyed
+    /// `(cell, step)`.
+    fn observed(spec: &GuestSpec) -> (ReferenceTrace, HashMap<(u32, u32), PebbleValue>) {
+        let mut pebbles = HashMap::new();
+        let trace = ReferenceRun::execute_with(spec, |c, t, v| {
+            assert!(pebbles.insert((c, t), v).is_none(), "({c}, {t}) twice");
+        });
+        (trace, pebbles)
+    }
+
     #[test]
     fn execution_is_deterministic() {
-        let a = ReferenceRun::execute(&spec());
-        let b = ReferenceRun::execute(&spec());
-        assert_eq!(a.grid, b.grid);
-        assert_eq!(a.final_db_digest, b.final_db_digest);
-        assert_eq!(a.update_log_digest, b.update_log_digest);
+        assert_eq!(observed(&spec()), observed(&spec()));
     }
 
     #[test]
@@ -127,14 +135,32 @@ mod tests {
         let mut s2 = spec();
         s2.seed = 8;
         let b = ReferenceRun::execute(&s2);
-        assert_ne!(a.grid, b.grid);
+        assert_ne!(a.value_fold, b.value_fold);
     }
 
     #[test]
-    fn work_counts_all_pebbles() {
-        let t = ReferenceRun::execute(&spec());
-        assert_eq!(t.work, 8 * 12);
-        assert_eq!(t.grid.len(), 96);
+    fn every_pebble_is_observed_once_and_each_table_has_a_digest_per_cell() {
+        let (t, pebbles) = observed(&spec());
+        assert_eq!(pebbles.len(), 8 * 12);
+        for table in [&t.value_fold, &t.final_db_digest, &t.update_log_digest] {
+            assert_eq!(table.len(), 8);
+        }
+        assert_eq!(
+            t,
+            ReferenceRun::execute(&spec()),
+            "observing changes nothing"
+        );
+    }
+
+    #[test]
+    fn value_fold_folds_each_cells_pebbles_in_step_order() {
+        let s = spec();
+        let (t, pebbles) = observed(&s);
+        for c in 0..8 {
+            let fold =
+                (1..=s.steps).fold(VALUE_FOLD_SEED, |f, step| fold64(f, pebbles[&(c, step)]));
+            assert_eq!(t.value_fold[c as usize], fold, "cell {c}");
+        }
     }
 
     #[test]
@@ -142,49 +168,36 @@ mod tests {
         // After t steps, a perturbation of cell 0's initial value must reach
         // cell t (information travels 1 cell per step) but not further.
         let base = GuestSpec::array(10, ProgramKind::StencilSum, 100, 5);
-        let a = ReferenceRun::execute(&base);
+        let (_, a) = observed(&base);
         let mut pert = base.clone();
         pert.seed = 101; // changes every initial value; instead compare two
                          // runs cell-by-cell is not possible. Use rings below.
-        let b = ReferenceRun::execute(&pert);
-        assert_ne!(
-            a.value(PebbleId::new(0, 1)),
-            b.value(PebbleId::new(0, 1)),
-            "seed must influence step-1 pebbles"
-        );
+        let (_, b) = observed(&pert);
+        assert_ne!(a[&(0, 1)], b[&(0, 1)], "seed must influence step-1 pebbles");
     }
 
     #[test]
     fn ring_and_line_differ() {
-        let line = ReferenceRun::execute(&GuestSpec::array(6, ProgramKind::StencilSum, 3, 6));
-        let ring = ReferenceRun::execute(&GuestSpec::ring(6, ProgramKind::StencilSum, 3, 6));
+        let (_, line) = observed(&GuestSpec::array(6, ProgramKind::StencilSum, 3, 6));
+        let (_, ring) = observed(&GuestSpec::ring(6, ProgramKind::StencilSum, 3, 6));
         // Edge cells see boundary vs wraparound values.
-        assert_ne!(
-            line.value(PebbleId::new(0, 1)),
-            ring.value(PebbleId::new(0, 1))
-        );
+        assert_ne!(line[&(0, 1)], ring[&(0, 1)]);
         // Interior cells agree at step 1 (same deps), diverge later as edge
         // effects propagate inward.
-        assert_eq!(
-            line.value(PebbleId::new(3, 1)),
-            ring.value(PebbleId::new(3, 1))
-        );
-        assert_ne!(
-            line.value(PebbleId::new(3, 6)),
-            ring.value(PebbleId::new(3, 6))
-        );
+        assert_eq!(line[&(3, 1)], ring[&(3, 1)]);
+        assert_ne!(line[&(3, 6)], ring[&(3, 6)]);
     }
 
     #[test]
     fn mesh_reference_runs() {
-        let t = ReferenceRun::execute(&GuestSpec::mesh(
+        let (t, pebbles) = observed(&GuestSpec::mesh(
             4,
             4,
             ProgramKind::RuleAutomaton { db_size: 8 },
             9,
             5,
         ));
-        assert_eq!(t.work, 80);
+        assert_eq!(pebbles.len(), 80);
         assert_eq!(t.final_db_digest.len(), 16);
     }
 
@@ -219,11 +232,7 @@ mod tests {
                 ProgramKind::KvWorkload,
                 7,
             );
-            let a = ReferenceRun::execute(&native);
-            let b = ReferenceRun::execute(&dag);
-            assert_eq!(a.grid, b.grid);
-            assert_eq!(a.final_db_digest, b.final_db_digest);
-            assert_eq!(a.update_log_digest, b.update_log_digest);
+            assert_eq!(observed(&native), observed(&dag), "{topo:?}");
         }
     }
 
@@ -231,14 +240,14 @@ mod tests {
     fn relay_slots_pass_values_through_untouched() {
         let g = crate::taskgraph::TaskGraph::fork_join(3); // 4 lanes, 5 layers
         let spec = GuestSpec::dag(g, ProgramKind::KvWorkload, 11);
-        let t = ReferenceRun::execute(&spec);
+        let (_, t) = observed(&spec);
         // Lane 3 idles (relays) until layer 3: its pebbles repeat the
         // initial value and its database stays fresh until then.
-        assert_eq!(t.value(PebbleId::new(3, 1)), spec.initial_value(3));
-        assert_eq!(t.value(PebbleId::new(3, 2)), spec.initial_value(3));
-        assert_ne!(t.value(PebbleId::new(3, 3)), spec.initial_value(3));
+        assert_eq!(t[&(3, 1)], spec.initial_value(3));
+        assert_eq!(t[&(3, 2)], spec.initial_value(3));
+        assert_ne!(t[&(3, 3)], spec.initial_value(3));
         // Lane 0 computes at every layer of the fork and join phases.
-        assert_ne!(t.value(PebbleId::new(0, 1)), spec.initial_value(0));
+        assert_ne!(t[&(0, 1)], spec.initial_value(0));
     }
 
     #[test]

@@ -158,11 +158,6 @@ impl TaskGraph {
         self.costs.iter().any(|&c| c > 1)
     }
 
-    /// Sum of all task costs (relays included) — the guest's weighted work.
-    pub fn total_cost(&self) -> u64 {
-        self.costs.iter().map(|&c| c as u64).sum()
-    }
-
     /// Heap bytes the graph holds: the capacities of its dependency,
     /// offset, cost and relay tables.
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -575,7 +570,6 @@ mod tests {
         }
         assert_eq!(g.max_deps(), 3);
         assert_eq!(g.dep_lanes(2), vec![1, 3]);
-        assert_eq!(g.total_cost(), 24);
     }
 
     #[test]

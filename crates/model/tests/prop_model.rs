@@ -1,10 +1,20 @@
 //! Property-based tests for the guest model.
 
 use overlap_model::{
-    line_slots, mesh_columns, ring_fold, Db, DbKind, DbUpdate, GuestSpec, GuestTopology, PebbleId,
-    ProgramKind, ReferenceRun,
+    line_slots, mesh_columns, ring_fold, Db, DbKind, DbUpdate, GuestSpec, GuestTopology,
+    PebbleValue, ProgramKind, ReferenceRun,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
+
+/// Every pebble of `spec`'s reference run, keyed `(cell, step)`.
+fn pebbles(spec: &GuestSpec) -> HashMap<(u32, u32), PebbleValue> {
+    let mut out = HashMap::new();
+    ReferenceRun::execute_with(spec, |c, t, v| {
+        out.insert((c, t), v);
+    });
+    out
+}
 
 fn db_kind_strategy() -> impl Strategy<Value = DbKind> {
     prop_oneof![
@@ -90,15 +100,15 @@ proptest! {
         // edge; interior pebbles further than `t` cells from both ends
         // cannot have seen the difference by step t.
         prop_assume!(steps + 2 < m / 2);
-        let line = ReferenceRun::execute(&GuestSpec::array(m, ProgramKind::KvWorkload, seed, steps));
-        let ring = ReferenceRun::execute(&GuestSpec::ring(m, ProgramKind::KvWorkload, seed, steps));
+        let line = pebbles(&GuestSpec::array(m, ProgramKind::KvWorkload, seed, steps));
+        let ring = pebbles(&GuestSpec::ring(m, ProgramKind::KvWorkload, seed, steps));
         for t in 1..=steps {
             for c in 0..m {
                 let edge_dist = c.min(m - 1 - c);
                 if edge_dist >= t {
                     prop_assert_eq!(
-                        line.value(PebbleId::new(c, t)),
-                        ring.value(PebbleId::new(c, t)),
+                        line[&(c, t)],
+                        ring[&(c, t)],
                         "cell {} step {} should be unaffected by the boundary", c, t
                     );
                 }
@@ -139,8 +149,14 @@ proptest! {
         steps in 0u32..20,
         seed in any::<u64>(),
     ) {
-        let trace = ReferenceRun::execute(&GuestSpec::array(m, ProgramKind::Relaxation, seed, steps));
-        prop_assert_eq!(trace.work, m as u64 * steps as u64);
-        prop_assert_eq!(trace.final_db_digest.len() as u32, m);
+        let mut work = 0u64;
+        let trace = ReferenceRun::execute_with(
+            &GuestSpec::array(m, ProgramKind::Relaxation, seed, steps),
+            |_, _, _| work += 1,
+        );
+        prop_assert_eq!(work, m as u64 * steps as u64);
+        for table in [&trace.value_fold, &trace.final_db_digest, &trace.update_log_digest] {
+            prop_assert_eq!(table.len() as u32, m);
+        }
     }
 }

@@ -230,19 +230,6 @@ impl HostGraph {
         out.push_str("}\n");
         out
     }
-
-    /// Rescale every link delay by `f`, keeping delays ≥ 1.
-    pub fn scale_delays(&mut self, f: f64) {
-        assert!(f > 0.0);
-        for l in &mut self.links {
-            l.delay = ((l.delay as f64 * f).round() as Delay).max(1);
-        }
-        for row in &mut self.adj {
-            for e in row.iter_mut() {
-                e.1 = ((e.1 as f64 * f).round() as Delay).max(1);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -353,15 +340,5 @@ mod tests {
         assert!(dot.contains("1 -- 2 [label=\"5\"]"));
         assert!(dot.contains("0 -- 2 [label=\"2\"]"));
         assert_eq!(dot.matches(" -- ").count(), 3);
-    }
-
-    #[test]
-    fn scale_delays_rounds_and_clamps() {
-        let mut g = triangle();
-        g.scale_delays(0.1);
-        assert_eq!(g.link_delay(0, 1), Some(1)); // clamped up
-        assert_eq!(g.link_delay(1, 2), Some(1)); // 0.5 rounds to 1
-        g.scale_delays(10.0);
-        assert_eq!(g.link_delay(0, 1), Some(10));
     }
 }

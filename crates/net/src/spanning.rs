@@ -1,11 +1,9 @@
 //! Spanning trees of host networks.
 //!
 //! The dilation-3 linear-array embedding (Fact 3) operates on a spanning
-//! tree. A BFS tree keeps hop-depth low; a Dijkstra tree keeps the tree's
-//! root-paths cheap in delay. Both are provided.
+//! tree: a BFS tree, which keeps hop-depth low.
 
 use crate::graph::{HostGraph, NodeId};
-use crate::paths::dijkstra;
 use std::collections::VecDeque;
 
 /// A rooted spanning tree of a host graph.
@@ -122,19 +120,6 @@ pub fn bfs_tree(g: &HostGraph, root: NodeId) -> SpanningTree {
     SpanningTree::from_parents(root, parent)
 }
 
-/// Shortest-delay-path spanning tree rooted at `root` (Dijkstra tree).
-///
-/// # Panics
-/// If the graph is disconnected.
-pub fn dijkstra_tree(g: &HostGraph, root: NodeId) -> SpanningTree {
-    let r = dijkstra(g, root);
-    assert!(
-        r.dist.iter().all(|&d| d != u64::MAX),
-        "graph is disconnected"
-    );
-    SpanningTree::from_parents(root, r.parent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,16 +173,6 @@ mod tests {
         let t = bfs_tree(&g, 0);
         assert_eq!(t.tree_path(1, 4), vec![1, 2, 3, 4]);
         assert_eq!(t.tree_path(4, 1), vec![4, 3, 2, 1]);
-    }
-
-    #[test]
-    fn dijkstra_tree_prefers_cheap_routes() {
-        let mut g = HostGraph::new("g", 3);
-        g.add_link(0, 1, 1);
-        g.add_link(1, 2, 1);
-        g.add_link(0, 2, 100);
-        let t = dijkstra_tree(&g, 0);
-        assert_eq!(t.parent[2], 1, "expensive direct edge must be avoided");
     }
 
     #[test]

@@ -49,7 +49,9 @@ use crate::stats::{FaultStats, RunStats};
 use crate::trace::{
     MsgKey, NoopTracer, ReadyCause, StallTracer, TimingTracer, TraceReport, Tracer, SERIES_STRIDE,
 };
-use overlap_model::{fold64, Db, GuestSpec, PebbleValue, ProgramRef};
+use overlap_model::{
+    fold64, Db, GuestSpec, PebbleValue, ProgramRef, UPDATE_FOLD_SEED, VALUE_FOLD_SEED,
+};
 use overlap_net::paths::{dijkstra, PathResult};
 use overlap_net::{HostGraph, NodeId};
 use serde::{Deserialize, Serialize};
@@ -495,8 +497,8 @@ impl ProcState {
                 .iter()
                 .map(|&c| kind.instantiate(c, plan.guest.seed))
                 .collect(),
-            value_fold: vec![0xF01Du64; nc],
-            update_fold: vec![0xD16u64; nc],
+            value_fold: vec![VALUE_FOLD_SEED; nc],
+            update_fold: vec![UPDATE_FOLD_SEED; nc],
             finished_at: vec![0; nc],
             dep_values,
             dep_have,
@@ -1628,28 +1630,7 @@ mod tests {
 
     fn check_against_reference(guest: &GuestSpec, out: &RunOutcome) {
         let trace = ReferenceRun::execute(guest);
-        for c in &out.copies {
-            // Reconstruct the reference fold for this column.
-            let mut vf = 0xF01Du64;
-            for t in 1..=guest.steps {
-                vf = fold64(vf, trace.grid.get(overlap_model::PebbleId::new(c.cell, t)));
-            }
-            assert_eq!(
-                c.value_fold, vf,
-                "values of column {} on proc {}",
-                c.cell, c.proc
-            );
-            assert_eq!(
-                c.db_digest, trace.final_db_digest[c.cell as usize],
-                "db of column {} on proc {}",
-                c.cell, c.proc
-            );
-            assert_eq!(
-                c.update_fold, trace.update_log_digest[c.cell as usize],
-                "updates of column {} on proc {}",
-                c.cell, c.proc
-            );
-        }
+        assert_eq!(crate::validate::validate_run(&trace, out), []);
     }
 
     #[test]

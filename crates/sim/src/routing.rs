@@ -167,12 +167,6 @@ impl RoutingTable {
         self.subs.len()
     }
 
-    /// Largest route delay over all subscriptions (a lower bound on any
-    /// cross-interval communication latency in the run).
-    pub fn max_route_delay(&self) -> u64 {
-        self.subs.iter().map(|s| s.delay).max().unwrap_or(0)
-    }
-
     /// Heap bytes the table holds: subscriptions with their paths, and the
     /// outbound, by-cell and inbound indexes.
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -355,6 +349,5 @@ mod tests {
         let s = &rt.subs[id as usize];
         assert_eq!(s.path, vec![0, 2, 1]);
         assert_eq!(s.delay, 2);
-        assert_eq!(rt.max_route_delay(), 2);
     }
 }

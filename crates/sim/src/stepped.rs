@@ -48,7 +48,7 @@ use crate::engine::{
 use crate::faults::FaultRt;
 use crate::plan::{DepSrc, ExecPlan, Hot, ProcTables, Routes, SUB_BIT};
 use crate::stats::{FaultStats, RunStats};
-use overlap_model::{fold64, Db, PebbleValue, ProgramRef};
+use overlap_model::{fold64, Db, PebbleValue, ProgramRef, UPDATE_FOLD_SEED, VALUE_FOLD_SEED};
 use overlap_net::NodeId;
 use std::collections::{BTreeMap, HashMap};
 
@@ -265,8 +265,8 @@ pub fn run_stepped(plan: &ExecPlan) -> Result<RunOutcome, RunError> {
     let kind = program.db_kind();
     let mut soa = SoA {
         next_step: vec![1; total_copies],
-        value_fold: vec![0xF01Du64; total_copies],
-        update_fold: vec![0xD16u64; total_copies],
+        value_fold: vec![VALUE_FOLD_SEED; total_copies],
+        update_fold: vec![UPDATE_FOLD_SEED; total_copies],
         finished_at: vec![0; total_copies],
         history: vec![0 as PebbleValue; total_copies * stride],
         dbs: Vec::with_capacity(total_copies),

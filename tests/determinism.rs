@@ -35,8 +35,7 @@ fn pipeline_is_deterministic_across_runs() {
 fn reference_trace_is_seed_stable() {
     let a = ReferenceRun::execute(&GuestSpec::array(10, ProgramKind::KvWorkload, 42, 8));
     let b = ReferenceRun::execute(&GuestSpec::array(10, ProgramKind::KvWorkload, 42, 8));
-    assert_eq!(a.grid, b.grid);
-    assert_eq!(a.final_db_digest, b.final_db_digest);
+    assert_eq!(a, b);
 }
 
 /// Golden end-to-end run: every feature that affects event ordering at
