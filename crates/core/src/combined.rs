@@ -11,7 +11,7 @@
 //! Theorem 4's halo regions map `H₀` positions to guest cells; the
 //! composite maps host positions to guest cells.
 
-use crate::overlap::{plan_overlap, OverlapError, OverlapPlan};
+use crate::overlap::{plan_overlap, OverlapError};
 use crate::uniform;
 use overlap_net::Delay;
 
@@ -39,8 +39,6 @@ pub fn compose(outer: &[Vec<u32>], inner: &[Vec<u32>], clip: u32) -> Vec<Vec<u32
 /// intermediate uniform array.
 #[derive(Debug, Clone)]
 pub struct CombinedPlan {
-    /// The OVERLAP layer (host → H₀ positions).
-    pub overlap: OverlapPlan,
     /// Intermediate array width `n₀ = n'·expansion`.
     pub n0: u32,
     /// Theorem 4 block width on the intermediate array.
@@ -70,7 +68,6 @@ pub fn plan_combined(
     let d_ave = overlap.kill.d_ave;
     let predicted = crate::theory::t5_predicted(n, d_ave, c, expansion);
     Ok(CombinedPlan {
-        overlap,
         n0,
         r,
         guest_cells,

@@ -37,8 +37,6 @@ pub fn t7_predicted(m: u32, n0: u32) -> f64 {
 pub struct MeshPlan {
     /// Host position → guest cells.
     pub cells_of_position: Vec<Vec<u32>>,
-    /// Intermediate array width.
-    pub n0: u32,
     /// Predicted slowdown (Theorem 8 form).
     pub predicted_slowdown: f64,
 }
@@ -86,7 +84,6 @@ pub fn plan_mesh(
     let predicted = crate::theory::t8_predicted(num_cells as u64, overlap.kill.d_ave);
     Ok(MeshPlan {
         cells_of_position,
-        n0,
         predicted_slowdown: predicted,
     })
 }

@@ -79,8 +79,9 @@ impl ScenarioSpec {
     /// and `config.record_timing` (the switch timing used to be).
     pub fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).or_else(|_| {
-            // Only a spec that fails to decode pays for a second parse,
-            // without its retired keys.
+            // Only a spec that fails to decode pays for a second read, as
+            // an untyped document, and a third, of that document without
+            // its retired keys.
             let mut spec: Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
             if let Value::Map(top) = &mut spec {
                 top.retain(|(key, _)| key != "engine");
@@ -90,7 +91,8 @@ impl ScenarioSpec {
                     config.retain(|(key, _)| key != "record_timing");
                 }
             }
-            Self::from_value(&spec).map_err(|e| e.to_string())
+            let stripped = serde_json::to_string(&spec).map_err(|e| e.to_string())?;
+            serde_json::from_str(&stripped).map_err(|e| e.to_string())
         })
     }
 

@@ -13,8 +13,8 @@
 //!
 //! * [`DbKind::Counter`] — a single accumulator (smallest possible db);
 //! * [`DbKind::Vec`] — a fixed-size vector store (array/stencil workloads);
-//! * [`DbKind::Kv`] — an open-addressed key→value shard (NOW database
-//!   workloads, the paper's motivating application).
+//! * [`DbKind::Kv`] — a key→value shard kept as a sorted vector (NOW
+//!   database workloads, the paper's motivating application).
 
 use serde::{Deserialize, Serialize};
 
@@ -102,7 +102,8 @@ pub enum DbKind {
         /// Number of slots.
         size: u32,
     },
-    /// Key→value shard with open addressing, unbounded.
+    /// Key→value shard, a sorted vector searched by binary search,
+    /// unbounded.
     Kv,
 }
 
