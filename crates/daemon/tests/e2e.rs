@@ -2,7 +2,7 @@
 //! shared cached plans, pause/resume bit-identity, a paused run that
 //! blocks no one, restart persistence, the HTTP round trip, grid and tree
 //! guests over HTTP, stale `engine` keys ignored, and malformed guests,
-//! hosts and query parameters answered with 400.
+//! hosts, query parameters and over-deep JSON answered with 400.
 
 use overlap_core::{ScenarioSpec, Strategy};
 use overlap_daemon::{
@@ -461,6 +461,35 @@ fn http_refuses_oversized_bodies_and_keeps_serving() {
     assert!(text.contains("Payload Too Large"), "{text}");
     assert!(text.contains("payload too large"), "{text}");
     assert_eq!(client.cache().unwrap().misses, 0);
+    client.shutdown().expect("shutdown");
+    server.stop();
+}
+
+/// A body nested past the JSON reader's 128 levels is a 400 naming the
+/// limit, not a stack overflow that aborts the daemon: the next
+/// submission runs and validates.
+#[test]
+fn http_refuses_deeply_nested_json_and_keeps_serving() {
+    let daemon = Arc::new(Daemon::start(DaemonConfig::default()));
+    let mut server = overlap_daemon::serve(Arc::clone(&daemon), "127.0.0.1:0").unwrap();
+    let client = Client::new(server.addr().to_string());
+    let body = "[".repeat(200_000);
+    let (status, text) = raw_http(
+        server.addr(),
+        &format!(
+            "POST /v1/scenarios HTTP/1.1\r\nContent-Length: {}",
+            body.len()
+        ),
+        &body,
+    );
+    assert_eq!(status, 400, "{text}");
+    assert!(
+        text.contains("malformed scenario: nesting deeper than 128 levels"),
+        "{text}"
+    );
+    assert_eq!(client.cache().unwrap().misses, 0);
+    let id = client.submit(&spec(16, 16)).expect("submit after the 400");
+    assert!(done_record(&client, id).validated);
     client.shutdown().expect("shutdown");
     server.stop();
 }

@@ -16,6 +16,18 @@
 //!   (one `trailing_zeros` per 64 empty slots), refilling from the
 //!   overflow heap whenever the window slides.
 //!
+//! # Storage
+//!
+//! The ring's events share one slab of slots, each holding a payload and
+//! the index of the next slot in its bucket; a bucket is only the head
+//! and tail index of its list. A popped slot goes onto a LIFO free list,
+//! so the next push reuses it while it is still in cache, and the slab
+//! grows only when every slot is taken. The slab therefore holds exactly
+//! as many slots as the ring ever held events at once — never more than
+//! the run's `peak_queue_depth` — whereas one buffer per bucket would
+//! keep `WINDOW` buffers, each the size of its tick's busiest moment.
+//! After warm-up, steady-state operation performs no allocation.
+//!
 //! # Determinism contract
 //!
 //! Events are delivered in ascending tick order; **events with equal ticks
@@ -29,11 +41,8 @@
 //! event can be pushed directly (pushes happen only while processing
 //! events at the cursor tick, with monotonically increasing sequence
 //! numbers).
-//!
-//! Buckets and their backing storage are recycled for the lifetime of the
-//! queue: after warm-up, steady-state operation performs no allocation.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Number of near-future tick buckets (must be a power of two). 1024 ticks
 /// covers every delay the experiment sweeps use; larger delays simply take
@@ -43,6 +52,9 @@ use std::collections::{BinaryHeap, VecDeque};
 pub const WINDOW: u64 = 1024;
 const MASK: u64 = WINDOW - 1;
 const WORDS: usize = (WINDOW / 64) as usize;
+
+/// No slot: the end of a bucket's list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Overflow entry ordered by `(tick, seq)` only; the payload rides along.
 struct Spill<T> {
@@ -69,12 +81,40 @@ impl<T> Ord for Spill<T> {
     }
 }
 
-/// The calendar queue. `T` is the event payload, stored inline in the
-/// buckets (no separate payload arena, no free list to manage).
+/// One slab entry: a pending event and the slot after it in its bucket,
+/// or, while the slot is free, the next free slot.
+#[derive(Clone, Copy)]
+struct Slot<T> {
+    ev: T,
+    next: u32,
+}
+
+/// A bucket's FIFO as the first and last slab slot of its list; `head`
+/// is `NIL` when the bucket is empty (`tail` is then stale).
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+impl Bucket {
+    const EMPTY: Self = Self {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
+/// The calendar queue. `T` is the event payload, copied into a slab slot
+/// on push and out of it on pop.
 pub struct CalendarQueue<T> {
-    /// `buckets[tick & MASK]` holds the FIFO of events for one tick within
-    /// the window `[cursor, cursor + WINDOW)`.
-    buckets: Vec<VecDeque<T>>,
+    /// Every event in the ring, each slot linked into its bucket's list
+    /// or into the free list.
+    slots: Vec<Slot<T>>,
+    /// Most recently freed slot (`NIL` when every slot is in use).
+    free: u32,
+    /// `buckets[tick & MASK]` lists the events of one tick within the
+    /// window `[cursor, cursor + WINDOW)`, in push order.
+    buckets: Box<[Bucket]>,
     /// Occupancy bitmap over bucket slots (bit `s` = slot `s` non-empty).
     occupied: [u64; WORDS],
     /// The earliest tick any pending event may have.
@@ -89,11 +129,13 @@ pub struct CalendarQueue<T> {
     clamped: u64,
 }
 
-impl<T> CalendarQueue<T> {
+impl<T: Copy> CalendarQueue<T> {
     /// An empty queue with the cursor at tick 0.
     pub fn new() -> Self {
         Self {
-            buckets: (0..WINDOW).map(|_| VecDeque::new()).collect(),
+            slots: Vec::new(),
+            free: NIL,
+            buckets: vec![Bucket::EMPTY; WINDOW as usize].into_boxed_slice(),
             occupied: [0; WORDS],
             cursor: 0,
             ring_len: 0,
@@ -144,10 +186,7 @@ impl<T> CalendarQueue<T> {
         let tick = tick.max(self.cursor);
         self.seq += 1;
         if tick < self.cursor + WINDOW {
-            let slot = (tick & MASK) as usize;
-            self.buckets[slot].push_back(ev);
-            self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-            self.ring_len += 1;
+            self.append(tick, ev);
         } else {
             self.overflow.push(Spill {
                 tick,
@@ -170,11 +209,17 @@ impl<T> CalendarQueue<T> {
     pub fn pop(&mut self) -> Option<(u64, T)> {
         loop {
             let slot = (self.cursor & MASK) as usize;
-            if let Some(ev) = self.buckets[slot].pop_front() {
-                self.ring_len -= 1;
-                if self.buckets[slot].is_empty() {
+            let bucket = &mut self.buckets[slot];
+            if bucket.head != NIL {
+                let i = bucket.head;
+                let Slot { ev, next } = self.slots[i as usize];
+                bucket.head = next;
+                if next == NIL {
                     self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
                 }
+                self.slots[i as usize].next = self.free;
+                self.free = i;
+                self.ring_len -= 1;
                 return Some((self.cursor, ev));
             }
             if self.ring_len > 0 {
@@ -189,6 +234,36 @@ impl<T> CalendarQueue<T> {
                 return None;
             }
         }
+    }
+
+    /// Append `ev` to the bucket of `tick`, which lies inside the window,
+    /// in the most recently freed slot (a new one only when none is free).
+    #[inline]
+    fn append(&mut self, tick: u64, ev: T) {
+        let new = Slot { ev, next: NIL };
+        let i = if self.free == NIL {
+            assert!(
+                self.slots.len() < NIL as usize,
+                "the ring holds fewer than u32::MAX events"
+            );
+            self.slots.push(new);
+            (self.slots.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.slots[i as usize].next;
+            self.slots[i as usize] = new;
+            i
+        };
+        let slot = (tick & MASK) as usize;
+        let bucket = &mut self.buckets[slot];
+        if bucket.head == NIL {
+            bucket.head = i;
+            self.occupied[slot >> 6] |= 1u64 << (slot & 63);
+        } else {
+            self.slots[bucket.tail as usize].next = i;
+        }
+        bucket.tail = i;
+        self.ring_len += 1;
     }
 
     /// Distance (in slots, `1..WINDOW`) from `slot` to the next occupied
@@ -234,15 +309,12 @@ impl<T> CalendarQueue<T> {
                 break;
             }
             let spill = self.overflow.pop().expect("peeked");
-            let slot = (spill.tick & MASK) as usize;
-            self.buckets[slot].push_back(spill.ev);
-            self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-            self.ring_len += 1;
+            self.append(spill.tick, spill.ev);
         }
     }
 }
 
-impl<T> Default for CalendarQueue<T> {
+impl<T: Copy> Default for CalendarQueue<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -352,6 +424,58 @@ mod tests {
             assert_eq!((t1, v1), (t2, v2));
         }
         assert!(heap.pop().is_none());
+    }
+
+    /// Storage follows the pending events, not the ring: with the cursor
+    /// driven around the ring sixteen times, several events per tick, some
+    /// beyond the horizon and never more than `K` pending, the slab never
+    /// holds more than `K` slots — exactly as many as the ring ever held
+    /// at once — and pops keep the reference heap's order.
+    #[test]
+    fn slab_is_bounded_by_pending_events_as_the_ring_wraps() {
+        const K: usize = 64;
+        let mut cal = CalendarQueue::new();
+        let mut heap = BinaryHeap::new();
+        let mut rng = 0x0bad_5eed_dead_beefu64;
+        let mut next = |m: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % m
+        };
+        let (mut now, mut seq, mut id) = (0u64, 0u64, 0u32);
+        let mut ring_peak = 0;
+        type Heap = BinaryHeap<Reverse<(u64, u64, u32)>>;
+        fn check_pop(cal: &mut CalendarQueue<u32>, heap: &mut Heap) -> u64 {
+            let (t1, v1) = cal.pop().expect("calendar non-empty");
+            let Reverse((t2, _, v2)) = heap.pop().expect("heap non-empty");
+            assert_eq!((t1, v1), (t2, v2), "diverged at event {v2}");
+            t1
+        }
+        while now < 16 * WINDOW {
+            if cal.is_empty() || (cal.len() < K && next(4) != 0) {
+                let far = cal.overflow.len() < K / 8 && next(32) == 0;
+                let delta = if far {
+                    WINDOW + next(2 * WINDOW)
+                } else {
+                    next(8)
+                };
+                cal.push(now + delta, id);
+                heap.push(Reverse((now + delta, seq, id)));
+                seq += 1;
+                id += 1;
+            } else {
+                now = check_pop(&mut cal, &mut heap);
+            }
+            ring_peak = ring_peak.max(cal.ring_len);
+            assert!(cal.slots.len() <= K, "{} slots", cal.slots.len());
+        }
+        assert_eq!(cal.slots.len(), ring_peak);
+        while !cal.is_empty() {
+            check_pop(&mut cal, &mut heap);
+        }
+        assert_eq!(cal.slots.len(), ring_peak);
+        assert!(id as usize > 100 * K, "only {id} events pushed");
     }
 
     use proptest::prelude::*;

@@ -33,10 +33,11 @@
 //! readiness-check lists, per-subscription link-id arrays, per-tree-edge
 //! link ids, and per-copy outbound route lists. The steady-state loop
 //! performs no `HashMap` probes, no `Dep` matching, and no allocation:
-//! event payloads live inline in the calendar buckets (recycled as the
-//! ring wraps), per-copy value/receive histories are flat arrays indexed
-//! by `copy × (steps + 1) + step`, and the dependency gather reuses one
-//! scratch buffer. See DESIGN.md § Engine internals.
+//! event payloads live in the calendar's one slab of slots, where a push
+//! reuses the slot the last pop freed (so the queue's storage follows the
+//! events in flight), per-copy value/receive histories are flat arrays
+//! indexed by `copy × (steps + 1) + step`, and the dependency gather
+//! reuses one scratch buffer. See DESIGN.md § Engine internals.
 
 use crate::assignment::Assignment;
 use crate::bandwidth::BandwidthMode;
@@ -397,7 +398,7 @@ pub struct RunOutcome {
     pub trace: Option<TraceReport>,
 }
 
-/// Event payload, stored inline in the calendar buckets.
+/// Event payload, copied into a calendar slab slot while it is pending.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Processor `proc` finishes computing its `own_idx`-th column's next

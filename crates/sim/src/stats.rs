@@ -42,9 +42,11 @@ pub struct RunStats {
     /// hops, deliveries) — the denominator for events/sec throughput.
     #[serde(default)]
     pub events_processed: u64,
-    /// Largest number of simultaneously pending events — a proxy for the
-    /// engine's peak memory footprint. The stepped engine has no event
-    /// queue and reports 0.
+    /// Largest number of simultaneously pending events. It bounds the
+    /// event calendar's ring storage: the calendar's slab never holds
+    /// more slots than events were pending at once. The stepped oracle
+    /// counts the same depth over its own queue, so both engines report
+    /// the same value.
     #[serde(default)]
     pub peak_queue_depth: u64,
     /// Past-tick pushes the event calendar had to clamp forward to its
